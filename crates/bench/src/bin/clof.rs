@@ -1066,9 +1066,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
         };
         if has_flag(args, "--inject-inversion") {
             graph.inject(509, &[], Some(lock.site_id()));
-            for _ in 0..=u64::from(threshold) {
-                clof::obs::profile::global().record_pass(lock.site_id());
-            }
+            clof::obs::profile::global().inject_passes(lock.site_id(), u64::from(threshold) + 1);
         }
 
         // Waits-for graph verdict: quiescent clean runs report clean;

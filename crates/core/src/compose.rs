@@ -139,21 +139,22 @@ mod staticobs {
     impl HoldSpan {
         #[inline]
         pub(super) fn waiting(&mut self) {
-            watchdog::note_wait(thread_tag());
+            watchdog::global().wait_at(thread_tag(), now_ns());
         }
 
         #[inline]
         pub(super) fn acquired(&mut self) {
-            watchdog::note_hold(thread_tag());
-            self.acquired_at = if trace::is_enabled() { now_ns() } else { 0 };
+            self.acquired_at = now_ns();
+            watchdog::global().hold_at(thread_tag(), self.acquired_at);
         }
 
         #[inline]
         pub(super) fn released(&mut self) {
-            if trace::is_enabled() && self.acquired_at != 0 {
-                trace::record(self.acquired_at, now_ns(), 0, 0, SpanKind::Hold, 0, 0);
+            let now = now_ns();
+            if trace::is_enabled() {
+                trace::record(self.acquired_at, now, 0, 0, SpanKind::Hold, 0, 0);
             }
-            watchdog::note_idle(thread_tag());
+            watchdog::global().idle_at(thread_tag(), now);
         }
 
         /// The composed acquire timed out: nothing was acquired, so the
@@ -162,7 +163,7 @@ mod staticobs {
         #[cfg(feature = "deadline")]
         #[inline]
         pub(super) fn wait_abandoned(&mut self) {
-            watchdog::note_idle(thread_tag());
+            watchdog::global().idle_at(thread_tag(), now_ns());
             clof_obs::deadline::record_timeout();
         }
     }

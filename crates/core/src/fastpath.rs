@@ -47,27 +47,30 @@ mod gateobs {
 
     use clof_obs::registry::SiteAnchor;
     use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, profile, thread_tag, waitgraph, watchdog};
+    use clof_obs::{now_ns, thread_tag, waitgraph, watchdog, Shard};
 
-    use super::FastClof;
+    use super::{DynHandle, FastClof};
 
     /// Per-handle gate telemetry, attributed to the slow composition's
     /// profiler site (a `FastClof` is one lock to the profiler: the
     /// `tas+`-labelled site). Fast-path wins record their wait/hold
-    /// here; slow-path ops are already attributed by the composition
-    /// handle they queue through, so only the gate's waits-for
-    /// transitions are emitted to avoid double counting.
+    /// into the gate pair of the slow handle's shard; slow-path ops are
+    /// already attributed by the composition handle they queue through,
+    /// so only the gate's waits-for transitions are emitted to avoid
+    /// double counting.
     #[derive(Debug)]
     pub(super) struct GateObs {
         site: Arc<SiteAnchor>,
+        shard: Arc<Shard>,
         last_fast: bool,
         acquired_at: u64,
     }
 
     impl GateObs {
-        pub(super) fn new(lock: &FastClof) -> Self {
+        pub(super) fn new(lock: &FastClof, slow: &DynHandle) -> Self {
             GateObs {
                 site: lock.slow.site_anchor(),
+                shard: slow.obs_shard(),
                 last_fast: false,
                 acquired_at: 0,
             }
@@ -76,9 +79,11 @@ mod gateobs {
         /// Acquire entry: publish `Waiting` and timestamp the gate wait.
         #[inline]
         pub(super) fn start(&mut self) -> u64 {
-            watchdog::note_wait(thread_tag());
-            waitgraph::note_wait(self.site.id());
-            now_ns()
+            let now = now_ns();
+            let thread = thread_tag();
+            watchdog::global().wait_at(thread, now);
+            waitgraph::global().wait_at(thread, self.site.id(), now);
+            now
         }
 
         /// Gate won (either path).
@@ -87,13 +92,12 @@ mod gateobs {
             let at = now_ns();
             self.last_fast = fast;
             self.acquired_at = at;
-            let site = self.site.id();
             if fast {
-                profile::global().record_wait(site, at.saturating_sub(start));
-                profile::global().record_acquire(site);
+                self.shard.gate_won(at.saturating_sub(start));
             }
-            watchdog::note_hold(thread_tag());
-            waitgraph::note_acquired(site);
+            let thread = thread_tag();
+            watchdog::global().hold_at(thread, at);
+            waitgraph::global().acquired(thread, self.site.id());
             if trace::is_enabled() {
                 trace::record(start, at, 0, 0, SpanKind::Gate { fast }, 0, 0);
             }
@@ -102,12 +106,13 @@ mod gateobs {
         /// Gate released.
         #[inline]
         pub(super) fn record_release(&mut self) {
-            let site = self.site.id();
+            let now = now_ns();
             if self.last_fast {
-                profile::global().record_hold(site, now_ns().saturating_sub(self.acquired_at));
+                self.shard.gate_held(now.saturating_sub(self.acquired_at));
             }
-            watchdog::note_idle(thread_tag());
-            waitgraph::note_released(site);
+            let thread = thread_tag();
+            watchdog::global().idle_at(thread, now);
+            waitgraph::global().released(thread, self.site.id());
         }
 
         /// The bounded gate wait gave up: the composition was handed
@@ -116,8 +121,9 @@ mod gateobs {
         #[cfg(feature = "deadline")]
         #[inline]
         pub(super) fn record_timeout(&mut self) {
-            watchdog::note_idle(thread_tag());
-            waitgraph::note_wait_cancelled(self.site.id());
+            let thread = thread_tag();
+            watchdog::global().idle_at(thread, now_ns());
+            waitgraph::global().wait_cancelled(thread, self.site.id());
             clof_obs::deadline::record_timeout();
         }
     }
@@ -130,7 +136,7 @@ mod gateobs {
 
     impl GateObs {
         #[inline]
-        pub(super) fn new(_lock: &super::FastClof) -> Self {
+        pub(super) fn new(_lock: &super::FastClof, _slow: &super::DynHandle) -> Self {
             GateObs
         }
 
@@ -259,10 +265,11 @@ impl FastClof {
     ///
     /// Panics if `cpu` is out of range for the hierarchy.
     pub fn handle(self: &Arc<Self>, cpu: CpuId) -> FastClofHandle {
+        let slow = self.slow.handle(cpu);
         FastClofHandle {
             lock: Arc::clone(self),
-            slow: self.slow.handle(cpu),
-            obs: gateobs::GateObs::new(self),
+            obs: gateobs::GateObs::new(self, &slow),
+            slow,
         }
     }
 

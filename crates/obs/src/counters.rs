@@ -1,11 +1,14 @@
 //! Per-level relaxed counters for the composition protocol's decision
 //! points.
 //!
-//! All increments are `Relaxed`: telemetry must never add ordering the
-//! protocol does not need (the paper's VSync analysis maximally relaxes
-//! every auxiliary access, §4.2.3). Totals are exact at quiescence and
-//! approximate while threads are mid-acquire — the same contract as the
-//! composition's own read indicator.
+//! Every counter has one writer at a time — the handle that owns the
+//! enclosing [`crate::Shard`], or the current owner of a node's low lock
+//! in the static composition — so an increment is a relaxed load + store,
+//! never a locked RMW, and telemetry adds no ordering the protocol does
+//! not need (the paper's VSync analysis maximally relaxes every auxiliary
+//! access, §4.2.3). Totals are exact at quiescence and approximate while
+//! threads are mid-acquire — the same contract as the composition's own
+//! read indicator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,6 +34,12 @@ pub struct LevelCounters {
     hint_fast_hits: AtomicU64,
 }
 
+/// Single-writer increment: see the module docs for who may call it.
+#[inline]
+pub(crate) fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed).wrapping_add(by), Ordering::Relaxed);
+}
+
 impl LevelCounters {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
@@ -41,16 +50,16 @@ impl LevelCounters {
     /// acquire found the high lock passed to it.
     #[inline]
     pub fn record_acquire(&self, inherited: bool) {
-        self.acquires.fetch_add(1, Ordering::Relaxed);
+        bump(&self.acquires, 1);
         if inherited {
-            self.contended_acquires.fetch_add(1, Ordering::Relaxed);
+            bump(&self.contended_acquires, 1);
         }
     }
 
     /// Records a release that passed the high lock within the cohort.
     #[inline]
     pub fn record_pass_taken(&self) {
-        self.passes_taken.fetch_add(1, Ordering::Relaxed);
+        bump(&self.passes_taken, 1);
     }
 
     /// Records a release that surrendered the high lock. `threshold_hit`
@@ -58,16 +67,16 @@ impl LevelCounters {
     /// reset).
     #[inline]
     pub fn record_pass_declined(&self, threshold_hit: bool) {
-        self.passes_declined.fetch_add(1, Ordering::Relaxed);
+        bump(&self.passes_declined, 1);
         if threshold_hit {
-            self.keep_local_resets.fetch_add(1, Ordering::Relaxed);
+            bump(&self.keep_local_resets, 1);
         }
     }
 
     /// Records that the release consulted the native waiter hint.
     #[inline]
     pub fn record_hint_hit(&self) {
-        self.hint_fast_hits.fetch_add(1, Ordering::Relaxed);
+        bump(&self.hint_fast_hits, 1);
     }
 
     /// Point-in-time copy (exact at quiescence).

@@ -333,8 +333,8 @@ mod tests {
         let hold = LogHistogram::new();
         hold.record(1_000);
         let ring = EventRing::with_capacity(8);
-        ring.record(0, PassKind::Pass, 1);
-        ring.record(0, PassKind::ReleaseUp, 2);
+        ring.record(10, 0, PassKind::Pass, 1);
+        ring.record(20, 0, PassKind::ReleaseUp, 2);
         let mut l0 = c0.snapshot(0);
         l0.acquire_ns = h.snapshot();
         let l1 = c1.snapshot(1);
@@ -564,8 +564,8 @@ mod tests {
         // Regression for destructive rendering: assembling from
         // `EventRing::events()` and re-rendering must not change output.
         let ring = EventRing::with_capacity(8);
-        ring.record(0, PassKind::Pass, 1);
-        ring.record(1, PassKind::ReleaseUp, 2);
+        ring.record(10, 0, PassKind::Pass, 1);
+        ring.record(20, 1, PassKind::ReleaseUp, 2);
         let snap_once = |ring: &EventRing| LockSnapshot {
             name: "twice".into(),
             levels: vec![LevelCounters::new().snapshot(0)],

@@ -2,8 +2,11 @@
 //!
 //! Buckets are powers of two (HDR-style): bucket *i* covers
 //! `[2^(i-1), 2^i)` nanoseconds (bucket 0 covers `{0}` plus `1ns`).
-//! Recording is a single relaxed `fetch_add` into the bucket picked by a
-//! leading-zeros count — no floating point, no allocation, wait-free.
+//! Recording picks the bucket with a leading-zeros count — no floating
+//! point, no allocation, wait-free: relaxed `fetch_add`s for a histogram
+//! many threads share ([`LogHistogram::record`]), plain load + store for
+//! one with a single writer ([`LogHistogram::record_owned`], what the
+//! per-handle [`crate::Shard`]s use on the lock path).
 //! Quantiles are answered from a [`HistSnapshot`] by walking the bucket
 //! counts and reporting the covering bucket's upper bound, so p99 is an
 //! upper estimate with at most 2x resolution error — plenty for the
@@ -80,6 +83,20 @@ impl LogHistogram {
                 Ok(_) => break,
                 Err(seen) => cur = seen,
             }
+        }
+    }
+
+    /// [`record`](Self::record) for a histogram with exactly one writer
+    /// (readers may snapshot concurrently): relaxed load + store, no
+    /// locked RMW.
+    #[inline]
+    pub fn record_owned(&self, value: u64) {
+        use crate::counters::bump;
+        bump(&self.buckets[bucket_of(value)], 1);
+        bump(&self.count, 1);
+        bump(&self.sum, value);
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.store(value, Ordering::Relaxed);
         }
     }
 
@@ -233,6 +250,17 @@ mod tests {
         assert_eq!(s.p99(), 100);
         assert_eq!(s.quantile(1.0), 100);
         assert_eq!(s.mean(), 50);
+    }
+
+    #[test]
+    fn owned_recording_matches_shared_recording() {
+        let shared = LogHistogram::new();
+        let owned = LogHistogram::new();
+        for v in [0u64, 1, 3, 9, 100, 5000, 70_000, 9] {
+            shared.record(v);
+            owned.record_owned(v);
+        }
+        assert_eq!(owned.snapshot(), shared.snapshot());
     }
 
     #[test]

@@ -10,14 +10,17 @@
 //!
 //! Pieces, all zero-dependency and lock-free on the write path:
 //!
-//! * [`LevelCounters`] — relaxed atomic counters for one hierarchy
-//!   level: acquires, contended (pass-inheriting) acquires, lock passes
-//!   taken/declined, `keep_local` threshold resets, native waiter-hint
-//!   fast-path hits.
+//! * [`Shard`] / [`ShardSet`] — the data plane: one single-writer
+//!   recorder per lock handle holding everything below, written into
+//!   lines no other thread writes and summed per lock at snapshot time.
+//! * [`LevelCounters`] — relaxed single-writer counters for one
+//!   hierarchy level: acquires, contended (pass-inheriting) acquires,
+//!   lock passes taken/declined, `keep_local` threshold resets, native
+//!   waiter-hint fast-path hits.
 //! * [`LogHistogram`] — a power-of-two-bucketed (HDR-style) histogram
 //!   for acquire latency and critical-section hold time, with merge and
 //!   p50/p90/p99/max queries.
-//! * [`EventRing`] — a fixed-capacity MPSC ring of timestamped
+//! * [`EventRing`] — a fixed-capacity single-writer ring of timestamped
 //!   lock-passing events, so a failing fairness run can be replayed as a
 //!   hand-off trace.
 //! * [`LockSnapshot`] + [`render_json`]/[`render_prometheus`] — a
@@ -64,9 +67,10 @@
 //!   constructed lock auto-registers a site (label + topology shape +
 //!   construction `file:line`), survives adaptation swaps with a stable
 //!   site id, and deregisters on drop.
-//! * [`profile`] — striped per-site wait/hold attribution with a
-//!   per-(level, node) breakdown, exact windowed deltas, and a
-//!   folded-stack exporter for standard flamegraph tooling.
+//! * [`profile`] — per-site wait/hold attribution with a
+//!   per-(level, node) breakdown, computed from the site's shards, with
+//!   exact windowed deltas and a folded-stack exporter for standard
+//!   flamegraph tooling.
 //! * [`waitgraph`] — a bounded waits-for graph over sites and threads,
 //!   with cycle detection (deadlock) and `keep_local`-gap-bound
 //!   starvation detection (priority/NUMA inversion), feeding deduped
@@ -94,6 +98,7 @@ pub mod profile;
 pub mod registry;
 pub mod ring;
 pub mod serve;
+pub mod shard;
 pub mod slo;
 pub mod trace;
 pub mod waitgraph;
@@ -119,6 +124,7 @@ pub use profile::{
 pub use registry::{SiteAnchor, SiteInfo, SiteRegistry, INVALID_SITE, MAX_SITES};
 pub use ring::{EventRing, PassEvent, PassKind};
 pub use serve::{http_get, serve, ServeConfig, ServerHandle, SnapshotFn};
+pub use shard::{Shard, ShardSet};
 pub use slo::{
     default_rules, render_alerts_json, AlertStatus, AlertTransition, SloEvaluator, SloRule,
     SloSignal,
@@ -129,34 +135,79 @@ pub use watchdog::{ProgressRegistry, StallReport, Watchdog, WatchdogConfig, Watc
 pub use window::{Sampler, WindowRates};
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Nanoseconds since the process-wide observation epoch (the first call).
 ///
-/// Monotonic (backed by [`Instant`]); cheap enough to bracket every
-/// acquire. All timestamps in this crate — histogram samples and ring
-/// events — share this epoch, so traces from different locks in one
-/// process are directly comparable.
+/// Monotonic (backed by [`Instant`]). One read costs about 35 ns on the
+/// 2-CPU reference host, so the lock hooks budget it: one read per
+/// transition (acquire entry, each level won, release) — 3 on the pass
+/// path, `levels + 2` on a full climb — shared by every consumer of the
+/// transition. All timestamps in this crate share this epoch, so traces
+/// from different locks in one process are directly comparable.
 #[inline]
 pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
+    #[cfg(debug_assertions)]
+    CLOCK_READS.with(|c| c.set(c.get() + 1));
     let epoch = *EPOCH.get_or_init(Instant::now);
     Instant::now().duration_since(epoch).as_nanos() as u64
 }
 
-/// A small dense id for the calling thread (for ring events).
+#[cfg(debug_assertions)]
+thread_local! {
+    static CLOCK_READS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// [`now_ns`] calls made by the calling thread so far. Debug builds
+/// only: the clock-budget tests difference it around one acquire.
+#[cfg(debug_assertions)]
+pub fn clock_reads() -> u64 {
+    CLOCK_READS.with(std::cell::Cell::get)
+}
+
+/// Tags returned by exited threads, handed out again smallest first so
+/// the live set stays dense in the fixed per-thread tables.
+static FREE_TAGS: Mutex<Vec<u32>> = Mutex::new(Vec::new());
+
+/// A thread's claim on its tag; the TLS destructor returns it.
+struct TagLease(u32);
+
+impl TagLease {
+    fn claim() -> Self {
+        static NEXT: AtomicU32 = AtomicU32::new(0);
+        let mut free = FREE_TAGS.lock().unwrap_or_else(|p| p.into_inner());
+        let smallest = (0..free.len()).min_by_key(|&i| free[i]);
+        TagLease(match smallest {
+            Some(i) => free.swap_remove(i),
+            None => NEXT.fetch_add(1, Ordering::Relaxed),
+        })
+    }
+}
+
+impl Drop for TagLease {
+    fn drop(&mut self) {
+        FREE_TAGS
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(self.0);
+    }
+}
+
+/// A small dense id for the calling thread: the index of its slot in
+/// the watchdog and waits-for tables, and the `thread` of ring events.
 ///
-/// Ids are assigned on first use per thread, starting at 0; they are
-/// process-global, not per-lock. (`std::thread::ThreadId` has no stable
-/// integer accessor, and ring slots want a fixed-width field.)
+/// Assigned on first use, distinct among live threads and stable within
+/// a thread; an exiting thread's tag is recycled, so thread churn never
+/// runs past the tables. `u32::MAX` (outside every table) while the
+/// thread's TLS is being torn down.
 #[inline]
 pub fn thread_tag() -> u32 {
-    static NEXT: AtomicU32 = AtomicU32::new(0);
     thread_local! {
-        static TAG: u32 = NEXT.fetch_add(1, Ordering::Relaxed);
+        static TAG: TagLease = TagLease::claim();
     }
-    TAG.with(|t| *t)
+    TAG.try_with(|t| t.0).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]

@@ -1,38 +1,38 @@
-//! Per-site wait/hold attribution: the contention profiler's data plane.
+//! Per-site wait/hold attribution: the contention profiler's view.
 //!
-//! Every registered lock site ([`crate::registry`]) owns one slot of
-//! striped accumulators here, written from the lock protocol's existing
-//! span hooks:
+//! Every registered lock site ([`crate::registry`]) owns one slot here.
+//! The slot holds no wait/hold/traffic counters of its own: a lock's
+//! handles record into their private [`crate::Shard`]s, the lock's
+//! [`ShardSet`] is attached to the slot, and a snapshot *computes*
 //!
-//! * **wait** — time between acquire-entry and acquire-return, recorded
-//!   per site *and* per (level, node) so a hot site can be broken down
-//!   into "which node of which level absorbs the waiting".
-//! * **hold** — critical-section time, recorded per site on release.
-//! * **traffic** — acquires and intra-level lock passes. The pass
-//!   counter doubles as the waits-for graph's inversion clock: a waiter
-//!   that watches it advance past the `keep_local` bound *H* without
+//! * **wait** — Σ whole-acquire wait of the site's shards, and per
+//!   (level, node) the acquire-wait histogram (sum, count) of the shards
+//!   whose path crosses the node, so a hot site can be broken down into
+//!   "which node of which level absorbs the waiting";
+//! * **hold** — Σ hold histogram (sum, count);
+//! * **traffic** — Σ level-0 acquires and Σ passes taken. The pass sum
+//!   doubles as the waits-for graph's inversion clock: a waiter that an
+//!   observer watches it advance past the `keep_local` bound *H* without
 //!   getting the lock is being starved behind local hand-offs
 //!   ([`crate::waitgraph`]).
 //!
-//! The write path is wait-free: one relaxed load of the site id (from
-//! the lock's [`SiteAnchor`]) plus relaxed `fetch_add`s on a
-//! cache-line-aligned stripe picked by [`thread_tag`]. Counters are
-//! cumulative and monotone; [`ProfileSnapshot::delta`] pairs snapshots
-//! by (site id, slot epoch), so windowed `clof profile` / `clof top`
-//! deltas are exact even while slots are reused between windows.
+//! What a dropped lock tree recorded is folded into the slot, so a site
+//! that outlives its trees (adaptation swaps) keeps monotone sums.
+//! Only **park** time is written here directly (a striped cell, off the
+//! lock's hand-off path). [`ProfileSnapshot::delta`] pairs snapshots by
+//! (site id, slot epoch), so windowed `clof profile` / `clof top` deltas
+//! are exact even while slots are reused between windows.
 //!
 //! Exporters: [`render_folded`] emits `site;L<level>;n<node> <wait_ns>`
 //! folded stacks for standard flamegraph tooling; [`render_profile_json`]
 //! is the `/profile` endpoint body.
-//!
-//! [`SiteAnchor`]: crate::registry::SiteAnchor
-//! [`thread_tag`]: crate::thread_tag
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
 use crate::export::json_escape;
 use crate::registry::{self, INVALID_SITE, MAX_SITES};
+use crate::shard::{ShardSet, Totals};
 use crate::waitgraph::GraphFinding;
 use crate::{now_ns, thread_tag};
 
@@ -41,7 +41,7 @@ use crate::{now_ns, thread_tag};
 /// in the default binary by CI.
 pub const PROFILE_MARKER: &str = "clof-profile-v1";
 
-/// Stripes per accumulator (power of two; threads hash by
+/// Stripes of the park accumulator (power of two; threads hash by
 /// [`thread_tag`] so concurrent recorders rarely share a line).
 pub const PROFILE_STRIPES: usize = 8;
 
@@ -84,55 +84,76 @@ impl Striped {
     }
 }
 
-/// Per-(level, node) wait accumulator. Node observers hold an `Arc` to
-/// their accumulator and record into it directly — no lookup on the hot
-/// path; the profile slot keeps a `Weak` for snapshots, so a dropped
-/// lock tree prunes itself.
-#[derive(Debug)]
-pub struct NodeAcc {
-    level: u8,
-    node: u32,
-    wait: Striped,
+/// A site's wait/hold/traffic sums.
+#[derive(Debug, Clone, Copy, Default)]
+struct SiteSums {
+    wait_ns: u64,
+    waits: u64,
+    hold_ns: u64,
+    holds: u64,
+    acquires: u64,
+    passes: u64,
 }
 
-impl NodeAcc {
-    /// Hierarchy level of the node (0 = leaf).
-    pub fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// The node's trace tag.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
-    /// Records one acquire's wait time at this node.
-    #[inline]
-    pub fn record_wait(&self, ns: u64) {
-        self.wait.add(ns, 1);
+impl SiteSums {
+    /// Adds one lock's shard totals: fast-path gate wins count as
+    /// acquires with their own wait and hold.
+    fn add(&mut self, t: &Totals) {
+        self.wait_ns += t.wait.0 + t.gate_wait.0;
+        self.waits += t.wait.1 + t.gate_wait.1;
+        self.hold_ns += t.hold_ns.sum + t.gate_hold.0;
+        self.holds += t.hold_ns.count + t.gate_hold.1;
+        self.acquires += t.levels.first().map_or(0, |l| l.acquires) + t.gate_wait.1;
+        self.passes += t.levels.iter().map(|l| l.passes_taken).sum::<u64>();
     }
 }
 
-/// One site's slot of accumulators.
+#[derive(Debug, Default)]
+struct SiteState {
+    /// Sums left behind by lock trees that no longer exist.
+    retired: SiteSums,
+    /// Shard sets of the live trees on this site (dead `Weak`s pruned
+    /// on snapshot).
+    sets: Vec<Weak<ShardSet>>,
+}
+
+/// One site's slot.
 #[derive(Debug, Default)]
 struct SiteCell {
     /// Mirrors the registry slot's claim epoch; snapshots pair on it.
     epoch: AtomicU64,
-    /// (wait_ns, waits) — whole-acquire wait at the site.
-    wait: Striped,
-    /// (hold_ns, holds) — critical-section time.
-    hold: Striped,
-    /// (acquires, passes) — traffic; passes clock the inversion check.
-    traffic: Striped,
     /// (park_ns, parks) — time waiters of this site spent blocked in
     /// the spin-then-park waiting layer, and completed park episodes.
     /// Zero unless the `park` feature is compiled into the lock crates.
     park: Striped,
-    /// Live node accumulators (pruned of dead `Weak`s on snapshot).
-    nodes: Mutex<Vec<Weak<NodeAcc>>>,
+    state: Mutex<SiteState>,
 }
 
-/// The profiler's fixed site-indexed accumulator table.
+impl SiteCell {
+    fn state(&self) -> MutexGuard<'_, SiteState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// The site's sums and the totals of each live tree on it.
+    fn view(&self) -> (SiteSums, Vec<Totals>) {
+        // The sets are summed (and the upgraded `Arc`s dropped) outside
+        // the cell lock: dropping the last reference to a set folds it
+        // back in here.
+        let (mut sums, sets) = {
+            let mut state = self.state();
+            state.sets.retain(|w| w.strong_count() > 0);
+            let sets: Vec<Arc<ShardSet>> = state.sets.iter().filter_map(Weak::upgrade).collect();
+            (state.retired, sets)
+        };
+        let totals: Vec<Totals> = sets.iter().map(|set| set.totals()).collect();
+        for t in &totals {
+            sums.add(t);
+        }
+        (sums, totals)
+    }
+}
+
+/// The profiler's fixed site-indexed table.
 #[derive(Debug)]
 pub struct ContentionProfile {
     sites: Box<[SiteCell]>,
@@ -156,35 +177,13 @@ impl ContentionProfile {
         self.sites.get(id as usize)
     }
 
-    /// Zeroes a site's accumulators for a fresh registration (called by
-    /// the registry when a slot is claimed).
+    /// Clears a site's slot for a fresh registration (called by the
+    /// registry when a slot is claimed).
     pub fn reset_site(&self, id: u32, epoch: u64) {
         if let Some(cell) = self.cell(id) {
-            cell.wait.reset();
-            cell.hold.reset();
-            cell.traffic.reset();
             cell.park.reset();
-            cell.nodes
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .clear();
+            *cell.state() = SiteState::default();
             cell.epoch.store(epoch, Ordering::Release);
-        }
-    }
-
-    /// Records one acquire's whole wait time at a site.
-    #[inline]
-    pub fn record_wait(&self, id: u32, ns: u64) {
-        if let Some(cell) = self.cell(id) {
-            cell.wait.add(ns, 1);
-        }
-    }
-
-    /// Records one critical section's hold time at a site.
-    #[inline]
-    pub fn record_hold(&self, id: u32, ns: u64) {
-        if let Some(cell) = self.cell(id) {
-            cell.hold.add(ns, 1);
         }
     }
 
@@ -198,88 +197,47 @@ impl ContentionProfile {
         }
     }
 
-    /// Counts one completed acquire at a site.
-    #[inline]
-    pub fn record_acquire(&self, id: u32) {
+    /// Attaches a lock's shard set to site `id`: from now on the site's
+    /// sums include what the lock's handles record.
+    pub(crate) fn attach(&self, id: u32, set: &Arc<ShardSet>) {
         if let Some(cell) = self.cell(id) {
-            cell.traffic.add(1, 0);
+            cell.state().sets.push(Arc::downgrade(set));
         }
     }
 
-    /// Counts one intra-level lock pass at a site (the inversion clock).
-    #[inline]
-    pub fn record_pass(&self, id: u32) {
+    /// Keeps the sums of a lock tree that is being dropped with its site.
+    pub(crate) fn retire(&self, id: u32, totals: &Totals) {
         if let Some(cell) = self.cell(id) {
-            cell.traffic.add(0, 1);
+            cell.state().retired.add(totals);
         }
     }
 
-    /// Total passes recorded at a site so far.
-    #[inline]
+    /// Intra-level passes taken at a site so far (the inversion clock).
     pub fn passes(&self, id: u32) -> u64 {
-        self.cell(id).map_or(0, |c| c.traffic.sum().1)
+        self.cell(id).map_or(0, |c| c.view().0.passes)
     }
 
-    /// Registers a (level, node) wait accumulator under a site and
-    /// returns the owning handle for the node observer.
-    pub fn register_node(&self, id: u32, level: u8, node: u32) -> Arc<NodeAcc> {
-        let acc = Arc::new(NodeAcc {
-            level,
-            node,
-            wait: Striped::default(),
-        });
+    /// Advances a site's pass clock by `n` without any lock passing —
+    /// how tests and `clof profile --inject-inversion` stage a starved
+    /// waiter.
+    pub fn inject_passes(&self, id: u32, n: u64) {
         if let Some(cell) = self.cell(id) {
-            cell.nodes
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(Arc::downgrade(&acc));
-        }
-        acc
-    }
-
-    /// Re-attaches an existing node accumulator under `id` — the
-    /// adaptation rebind path: when a lock adopts another's site, its
-    /// per-node history (held alive by the lock's own `Arc`s) follows
-    /// it onto the adopted id. The stale `Weak` left in the old site's
-    /// cell is cleared when that slot is reclaimed or pruned on
-    /// snapshot once the lock drops.
-    pub fn attach_node(&self, id: u32, acc: &Arc<NodeAcc>) {
-        if let Some(cell) = self.cell(id) {
-            cell.nodes
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(Arc::downgrade(acc));
+            cell.state().retired.passes += n;
         }
     }
 
-    /// A point-in-time copy of every live site's accumulators, joined
-    /// with the registry metadata.
+    /// A point-in-time copy of every live site's sums, joined with the
+    /// registry metadata.
     pub fn snapshot(&self) -> ProfileSnapshot {
         let mut sites = Vec::new();
         for info in registry::global().sites() {
             let Some(cell) = self.cell(info.id) else {
                 continue;
             };
-            let (wait_ns, waits) = cell.wait.sum();
-            let (hold_ns, holds) = cell.hold.sum();
-            let (acquires, passes) = cell.traffic.sum();
+            let (sums, totals) = cell.view();
             let (park_ns, parks) = cell.park.sum();
-            let mut nodes = Vec::new();
-            {
-                let mut list = cell.nodes.lock().unwrap_or_else(|p| p.into_inner());
-                list.retain(|w| w.strong_count() > 0);
-                for weak in list.iter() {
-                    if let Some(acc) = weak.upgrade() {
-                        let (w_ns, w_n) = acc.wait.sum();
-                        nodes.push(NodeProfile {
-                            level: acc.level,
-                            node: acc.node,
-                            wait_ns: w_ns,
-                            waits: w_n,
-                        });
-                    }
-                }
-            }
+            let mut nodes: Vec<NodeProfile> =
+                totals.into_iter().flat_map(|t| t.nodes).collect();
             nodes.sort_by_key(|n| (n.level, n.node));
             sites.push(SiteProfile {
                 id: info.id,
@@ -289,12 +247,12 @@ impl ContentionProfile {
                 label: info.label,
                 shape: info.shape,
                 location: format!("{}:{}", info.file, info.line),
-                wait_ns,
-                waits,
-                hold_ns,
-                holds,
-                acquires,
-                passes,
+                wait_ns: sums.wait_ns,
+                waits: sums.waits,
+                hold_ns: sums.hold_ns,
+                holds: sums.holds,
+                acquires: sums.acquires,
+                passes: sums.passes,
                 park_ns,
                 parks,
                 nodes,
@@ -555,6 +513,36 @@ pub fn render_profile_json(snap: &ProfileSnapshot, findings: &[GraphFinding]) ->
 mod tests {
     use super::*;
 
+    /// A registered site with one lock tree on it: leaf node 7 under
+    /// root node 9.
+    fn site_with_tree(label: &str) -> (u32, Arc<ShardSet>) {
+        let anchor = Arc::new(registry::global().register(label, "levels=2"));
+        let id = anchor.id();
+        (id, ShardSet::new(anchor, [(0, 7), (1, 9)].into_iter()))
+    }
+
+    /// One acquire→release through `shard`, entered at `t`: `wait` ns to
+    /// win the leaf (climbing on to the root in no time unless
+    /// `inherited`), `hold` ns held, passed on at the leaf iff `pass`.
+    fn cycle(shard: &crate::Shard, t: u64, wait: u64, hold: u64, inherited: bool, pass: bool) {
+        shard.enter(t);
+        shard.level_won(t + wait, inherited);
+        if !inherited {
+            shard.level_won(t + wait, false);
+        }
+        if pass {
+            shard.pass(0);
+        } else {
+            shard.release_up(0, false);
+        }
+        shard.releasing(t + wait + hold);
+        shard.commit(0);
+    }
+
+    fn site_of(snap: &ProfileSnapshot, id: u32) -> &SiteProfile {
+        snap.sites.iter().find(|s| s.id == id).expect("site")
+    }
+
     #[test]
     fn striped_counters_accumulate_and_reset() {
         let s = Striped::default();
@@ -566,63 +554,97 @@ mod tests {
     }
 
     #[test]
-    fn site_records_flow_into_snapshot() {
-        let anchor = registry::global().register("prof-flow", "levels=2");
-        let id = anchor.id();
-        let prof = global();
-        prof.record_wait(id, 100);
-        prof.record_wait(id, 50);
-        prof.record_hold(id, 30);
-        prof.record_acquire(id);
-        prof.record_acquire(id);
-        prof.record_pass(id);
-        let node = prof.register_node(id, 0, 7);
-        node.record_wait(40);
+    fn shard_records_flow_into_the_site_view() {
+        let (id, set) = site_with_tree("prof-flow");
+        let shard = set.shard(&[7, 9]);
+        cycle(&shard, 1000, 100, 30, false, true);
+        cycle(&shard, 2000, 50, 5, true, false);
+        shard.gate_won(8);
+        shard.gate_held(2);
 
+        let prof = global();
         let snap = prof.snapshot();
-        let s = snap.sites.iter().find(|s| s.id == id).expect("site");
+        let s = site_of(&snap, id);
         assert_eq!(s.label, "prof-flow");
-        assert_eq!((s.wait_ns, s.waits), (150, 2));
-        assert_eq!((s.hold_ns, s.holds), (30, 1));
-        assert_eq!(s.acquires, 2);
+        assert_eq!((s.wait_ns, s.waits), (158, 3), "two slow acquires and a gate win");
+        assert_eq!((s.hold_ns, s.holds), (37, 3));
+        assert_eq!(s.acquires, 3);
         assert_eq!(s.passes, 1);
         assert_eq!(prof.passes(id), 1);
-        assert_eq!(s.nodes.len(), 1);
-        assert_eq!(s.nodes[0], NodeProfile { level: 0, node: 7, wait_ns: 40, waits: 1 });
+        assert_eq!(
+            s.nodes,
+            vec![
+                NodeProfile { level: 0, node: 7, wait_ns: 150, waits: 2 },
+                NodeProfile { level: 1, node: 9, wait_ns: 0, waits: 1 },
+            ]
+        );
 
-        // Dropping the node observer prunes its accumulator.
-        drop(node);
+        // A retired handle's records stay; a dropped tree's sums stay
+        // with the site, its nodes go.
+        set.retire(&shard);
+        drop(shard);
+        assert_eq!(site_of(&prof.snapshot(), id).acquires, 3);
+        drop(set);
         let snap = prof.snapshot();
-        let s = snap.sites.iter().find(|s| s.id == id).unwrap();
-        assert!(s.nodes.is_empty(), "dead node accs are pruned");
+        // The registry slot died with the set's anchor.
+        assert!(snap.sites.iter().all(|s| s.id != id));
+    }
+
+    #[test]
+    fn a_site_outliving_its_tree_keeps_monotone_sums() {
+        let (id, old) = site_with_tree("prof-swap");
+        let shard = old.shard(&[7, 9]);
+        cycle(&shard, 1000, 40, 10, false, true);
+        old.retire(&shard);
+        // The adaptation swap: a new tree's anchor adopts the site, its
+        // set re-attaches, then the old tree goes away.
+        let fresh = Arc::new(registry::global().register("prof-swap-new", "levels=2"));
+        fresh.rebind(old.site(), "prof-swap-new");
+        assert_eq!(fresh.id(), id);
+        let new = ShardSet::new(fresh, [(0, 17), (1, 19)].into_iter());
+        drop(old);
+        let shard = new.shard(&[17, 19]);
+        cycle(&shard, 2000, 2, 3, false, false);
+        let snap = global().snapshot();
+        let s = site_of(&snap, id);
+        assert_eq!((s.wait_ns, s.waits), (42, 2));
+        assert_eq!((s.hold_ns, s.holds), (13, 2));
+        assert_eq!((s.acquires, s.passes), (2, 1));
+        assert_eq!(s.generation, 1);
+        let nodes: Vec<u32> = s.nodes.iter().map(|n| n.node).collect();
+        assert_eq!(nodes, vec![17, 19], "only the live tree's nodes are listed");
     }
 
     #[test]
     fn invalid_site_records_are_dropped() {
         let prof = global();
-        prof.record_wait(INVALID_SITE, 1);
-        prof.record_hold(INVALID_SITE, 1);
-        prof.record_acquire(INVALID_SITE);
-        prof.record_pass(INVALID_SITE);
+        prof.record_park(INVALID_SITE, 1);
+        prof.inject_passes(INVALID_SITE, 1);
         assert_eq!(prof.passes(INVALID_SITE), 0);
-        let acc = prof.register_node(INVALID_SITE, 0, 0);
-        acc.record_wait(1); // records into the orphan acc only
+        // A lock whose registration found the table full still works.
+        let set = ShardSet::new(Arc::new(registry::SiteAnchor::dead()), [(0, 1)].into_iter());
+        let shard = set.shard(&[1]);
+        shard.enter(1);
+        shard.level_won(2, false);
+        shard.releasing(3);
+        shard.commit(0);
+        assert_eq!(set.lock_snapshot("orphan").levels[0].acquires, 1);
     }
 
     #[test]
     fn delta_is_exact_and_rebaselines_on_epoch_change() {
-        let anchor = registry::global().register("prof-delta", "x");
-        let id = anchor.id();
+        let (id, set) = site_with_tree("prof-delta");
+        let shard = set.shard(&[7, 9]);
         let prof = global();
-        prof.record_wait(id, 100);
+        cycle(&shard, 1000, 100, 1, false, false);
         let first = prof.snapshot();
-        prof.record_wait(id, 25);
-        prof.record_acquire(id);
+        cycle(&shard, 2000, 25, 1, false, false);
         let second = prof.snapshot();
         let d = second.delta(&first);
-        let s = d.sites.iter().find(|s| s.id == id).unwrap();
+        let s = site_of(&d, id);
         assert_eq!((s.wait_ns, s.waits), (25, 1));
         assert_eq!(s.acquires, 1);
+        assert_eq!(s.nodes[0], NodeProfile { level: 0, node: 7, wait_ns: 25, waits: 1 });
 
         // Fake an epoch change: the site must be re-baselined (reported
         // as-is), not subtracted against a stranger's counters.
@@ -634,18 +656,16 @@ mod tests {
             }
         }
         let d = second.delta(&stale);
-        let s = d.sites.iter().find(|s| s.id == id).unwrap();
-        assert_eq!(s.wait_ns, 125, "epoch mismatch re-baselines");
+        assert_eq!(site_of(&d, id).wait_ns, 125, "epoch mismatch re-baselines");
     }
 
     #[test]
     fn top_k_ranks_by_wait() {
-        let a = registry::global().register("prof-top-a", "x");
-        let b = registry::global().register("prof-top-b", "x");
-        let prof = global();
-        prof.record_wait(a.id(), 10);
-        prof.record_wait(b.id(), 999_999);
-        let snap = prof.snapshot();
+        let (_a, set_a) = site_with_tree("prof-top-a");
+        let (_b, set_b) = site_with_tree("prof-top-b");
+        cycle(&set_a.shard(&[7, 9]), 0, 10, 1, false, false);
+        cycle(&set_b.shard(&[7, 9]), 0, 999_999_999_999, 1, false, false);
+        let snap = global().snapshot();
         let top = snap.top_k(1);
         assert_eq!(top.len(), 1);
         assert_eq!(top[0].label, "prof-top-b");
@@ -653,20 +673,18 @@ mod tests {
 
     #[test]
     fn folded_output_is_flamegraph_shaped() {
-        let anchor = registry::global().register("prof folded;site", "x");
-        let id = anchor.id();
-        let prof = global();
-        let node = prof.register_node(id, 1, 3);
-        node.record_wait(70);
-        prof.record_wait(id, 100);
-        let snap = prof.snapshot();
+        let (id, set) = site_with_tree("prof folded;site");
+        let shard = set.shard(&[7, 9]);
+        cycle(&shard, 0, 70, 1, true, true);
+        shard.gate_won(30);
+        let snap = global().snapshot();
         let snap = ProfileSnapshot {
             taken_ns: snap.taken_ns,
             sites: snap.sites.into_iter().filter(|s| s.id == id).collect(),
         };
         let folded = render_folded(&snap);
         assert!(
-            folded.contains("prof-folded-site;L1;n3 70"),
+            folded.contains("prof-folded-site;L0;n7 70"),
             "node line with sanitized label: {folded:?}"
         );
         assert!(
@@ -677,8 +695,8 @@ mod tests {
 
     #[test]
     fn profile_json_carries_marker_and_folded() {
-        let anchor = registry::global().register("prof-json", "x");
-        global().record_wait(anchor.id(), 5);
+        let (_id, set) = site_with_tree("prof-json");
+        cycle(&set.shard(&[7, 9]), 0, 5, 1, false, false);
         let snap = global().snapshot();
         let body = render_profile_json(&snap, &[]);
         assert!(body.contains(PROFILE_MARKER));

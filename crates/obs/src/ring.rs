@@ -1,23 +1,21 @@
-//! Fixed-capacity MPSC ring of lock-passing events.
+//! Fixed-capacity single-writer ring of lock-passing events.
 //!
-//! Writers are the releasing threads inside the composition protocol, so
-//! the write path must be wait-free and allocation-free: claim a slot
-//! with one `fetch_add` on a global cursor, then publish through the
-//! slot's sequence word (seqlock-style: odd while writing, even+ticket
-//! when done). The ring keeps the **latest** `capacity` events — older
-//! slots are overwritten, and `dropped()` reports how many.
+//! Every lock handle owns one small ring inside its [`crate::Shard`] and
+//! is its only writer, so recording is a relaxed load + store of the
+//! cursor plus a slot publish through the slot's sequence word
+//! (seqlock-style: odd while writing, even+ticket when done) — no RMW,
+//! no line another thread writes. The ring keeps the **latest**
+//! `capacity` events — older slots are overwritten, and `dropped()`
+//! reports how many. A lock's trace is the timestamp-ordered merge of
+//! its handles' rings (plus what retired handles left behind).
 //!
-//! Readers come in two flavors: [`EventRing::events`] snapshots without
-//! disturbing the ring (exporters may render the same events any number
-//! of times), while [`EventRing::drain`] consumes — it empties the ring
-//! so a hand-off replay sees each event exactly once. Both are
+//! [`EventRing::events`] snapshots without disturbing the ring
+//! (exporters may render the same events any number of times). It is
 //! best-effort under concurrency: a slot being overwritten mid-read is
 //! detected by the sequence re-check and skipped; read at quiescence for
 //! exact traces.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::now_ns;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// What a lock-passing event records about the release decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +29,7 @@ pub enum PassKind {
 /// One timestamped hand-off decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PassEvent {
-    /// Nanoseconds since the process observation epoch ([`now_ns`]).
+    /// Nanoseconds since the process observation epoch ([`crate::now_ns`]).
     pub timestamp_ns: u64,
     /// Hierarchy level of the deciding node (0 = innermost).
     pub level: u8,
@@ -70,7 +68,7 @@ fn unpack(word: u64) -> (u8, PassKind, u32) {
     (level, kind, thread)
 }
 
-/// A concurrent ring buffer of [`PassEvent`]s keeping the most recent
+/// A single-writer ring buffer of [`PassEvent`]s keeping the most recent
 /// `capacity` (rounded up to a power of two, minimum 8).
 #[derive(Debug)]
 pub struct EventRing {
@@ -88,8 +86,8 @@ impl std::fmt::Debug for Slot {
 }
 
 impl EventRing {
-    /// Default capacity when callers have no opinion.
-    pub const DEFAULT_CAPACITY: usize = 1024;
+    /// Capacity of a handle's ring: the trace tail one handle keeps.
+    pub const DEFAULT_CAPACITY: usize = 64;
 
     /// A ring holding the latest `capacity` events (rounded up to a
     /// power of two, minimum 8).
@@ -110,11 +108,6 @@ impl EventRing {
         }
     }
 
-    /// A ring with [`EventRing::DEFAULT_CAPACITY`] slots.
-    pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
-    }
-
     /// Number of slots.
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -127,42 +120,38 @@ impl EventRing {
         self.cursor.load(Ordering::Relaxed)
     }
 
-    /// Events overwritten before they could be drained (saturating —
+    /// Events overwritten before they could be read (saturating —
     /// mirrored verbatim into both the JSON and Prometheus exporters as
     /// the truncated-trace detector, so it must never wrap to 0).
     pub fn dropped(&self) -> u64 {
         self.recorded().saturating_sub(self.slots.len() as u64)
     }
 
-    /// Records one event, stamped with [`now_ns`] now. Wait-free.
+    /// Records one event stamped `timestamp_ns` (the caller's release
+    /// timestamp — no clock read here). Single writer only.
     #[inline]
-    pub fn record(&self, level: u8, kind: PassKind, thread: u32) {
-        let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if ticket == u64::MAX {
-            // The cursor just wrapped to 0. Re-pin it at MAX so the
-            // recorded/dropped accounting saturates instead of lying;
-            // waiting for the unreachable boundary (584 years at 1
-            // event/ns) keeps the hot path a plain fetch_add with no
-            // CAS loop, preserving wait-freedom.
-            self.cursor.store(u64::MAX, Ordering::Relaxed);
-        }
+    pub fn record(&self, timestamp_ns: u64, level: u8, kind: PassKind, thread: u32) {
+        let ticket = self.cursor.load(Ordering::Relaxed);
+        // Saturating, so the recorded/dropped accounting pins at the
+        // ceiling instead of lying after an (unreachable) overflow.
+        self.cursor
+            .store(ticket.saturating_add(1), Ordering::Relaxed);
         let slot = &self.slots[(ticket & self.mask) as usize];
         // Wrapping keeps the seq word well-formed at the saturation
-        // boundary; 0 means "never written", so remap it to 2 (an
-        // ancient-generation collision there is harmless — seq only
+        // boundary; 0 means "never written", so remap it to 2 (seq only
         // distinguishes published/in-progress/empty).
         let seq = match ticket.wrapping_mul(2).wrapping_add(2) {
             0 => 2,
             s => s,
         };
-        // Mark write-in-progress (odd). Release orders it before the data
-        // for the reader's first load; failure to observe just drops the
-        // slot from a concurrent drain.
-        slot.seq.store(seq - 1, Ordering::Release);
-        slot.ts.store(now_ns(), Ordering::Relaxed);
+        // Mark write-in-progress (odd); the fence keeps the data stores
+        // after it, the final Release store keeps them before the
+        // publish (even).
+        slot.seq.store(seq - 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        slot.ts.store(timestamp_ns, Ordering::Relaxed);
         slot.packed
             .store(pack(level, kind, thread), Ordering::Relaxed);
-        // Publish (even): Release orders the data before the new seq.
         slot.seq.store(seq, Ordering::Release);
     }
 
@@ -180,7 +169,8 @@ impl EventRing {
             let ts = slot.ts.load(Ordering::Relaxed);
             let packed = slot.packed.load(Ordering::Relaxed);
             // Torn-read check: a concurrent overwrite bumped seq.
-            if slot.seq.load(Ordering::Acquire) != seq0 {
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != seq0 {
                 continue;
             }
             let (level, kind, thread) = unpack(packed);
@@ -195,29 +185,9 @@ impl EventRing {
         out
     }
 
-    /// [`events`](Self::events), then empties the ring: a second drain
-    /// returns nothing. For hand-off replay, where each event should be
-    /// consumed exactly once; exporters use the non-consuming
-    /// [`events`](Self::events) instead. `recorded()`/`dropped()` are
-    /// monotone and unaffected. Only exact at quiescence (a concurrent
-    /// writer may publish into a cleared slot and survive).
-    pub fn drain(&self) -> Vec<PassEvent> {
-        let out = self.events();
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Release);
-        }
-        out
-    }
-
     #[cfg(test)]
     fn set_cursor(&self, v: u64) {
         self.cursor.store(v, Ordering::Relaxed);
-    }
-}
-
-impl Default for EventRing {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -240,22 +210,22 @@ mod tests {
     fn capacity_rounds_to_power_of_two() {
         assert_eq!(EventRing::with_capacity(0).capacity(), 8);
         assert_eq!(EventRing::with_capacity(100).capacity(), 128);
-        assert_eq!(EventRing::with_capacity(1024).capacity(), 1024);
     }
 
     #[test]
     fn events_returns_recorded_events_in_timestamp_order() {
         let ring = EventRing::with_capacity(64);
-        ring.record(0, PassKind::Pass, 3);
-        ring.record(1, PassKind::ReleaseUp, 4);
-        ring.record(0, PassKind::Pass, 3);
+        ring.record(30, 0, PassKind::Pass, 3);
+        ring.record(10, 1, PassKind::ReleaseUp, 4);
+        ring.record(20, 0, PassKind::Pass, 3);
         let events = ring.events();
         assert_eq!(events.len(), 3);
-        assert!(events.windows(2).all(|w| w[0].timestamp_ns <= w[1].timestamp_ns));
-        assert_eq!(events[0].level, 0);
-        assert_eq!(events[0].kind, PassKind::Pass);
-        assert_eq!(events[1].level, 1);
-        assert_eq!(events[1].kind, PassKind::ReleaseUp);
+        assert_eq!(
+            events.iter().map(|e| e.timestamp_ns).collect::<Vec<_>>(),
+            vec![10, 20, 30]
+        );
+        assert_eq!((events[0].level, events[0].kind), (1, PassKind::ReleaseUp));
+        assert_eq!((events[1].level, events[1].kind), (0, PassKind::Pass));
         assert_eq!(ring.recorded(), 3);
         assert_eq!(ring.dropped(), 0);
         // events() does not clear: a second read is identical.
@@ -263,32 +233,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_consumes_exactly_once() {
-        let ring = EventRing::with_capacity(64);
-        ring.record(0, PassKind::Pass, 1);
-        ring.record(1, PassKind::ReleaseUp, 2);
-        assert_eq!(ring.events().len(), 2, "snapshot before drain");
-        assert_eq!(ring.drain().len(), 2);
-        assert!(ring.drain().is_empty(), "drain consumes");
-        assert!(ring.events().is_empty());
-        // Monotone counters survive the drain; the ring is reusable.
-        assert_eq!(ring.recorded(), 2);
-        ring.record(0, PassKind::Pass, 3);
-        assert_eq!(ring.events().len(), 1);
-        assert_eq!(ring.recorded(), 3);
-    }
-
-    #[test]
     fn overwrite_keeps_latest_events() {
         let ring = EventRing::with_capacity(8);
         for i in 0..20u32 {
-            ring.record(0, PassKind::Pass, i);
+            ring.record(u64::from(i), 0, PassKind::Pass, i);
         }
-        let events = ring.drain();
+        let events = ring.events();
         assert_eq!(events.len(), 8);
-        // Latest capacity-many writers survive: tags 12..20.
-        let mut tags: Vec<u32> = events.iter().map(|e| e.thread).collect();
-        tags.sort_unstable();
+        // Latest capacity-many records survive: tags 12..20.
+        let tags: Vec<u32> = events.iter().map(|e| e.thread).collect();
         assert_eq!(tags, (12..20).collect::<Vec<_>>());
         assert_eq!(ring.recorded(), 20);
         assert_eq!(ring.dropped(), 12);
@@ -299,7 +252,7 @@ mod tests {
         let ring = EventRing::with_capacity(8);
         ring.set_cursor(u64::MAX - 2);
         for i in 0..6u32 {
-            ring.record(0, PassKind::Pass, i);
+            ring.record(u64::from(i), 0, PassKind::Pass, i);
         }
         // Without saturation the cursor would wrap to ~3: recorded()
         // would collapse from 2^64 to a tiny number and dropped() to 0,
@@ -331,31 +284,29 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_drain_cleanly_at_quiescence() {
+    fn a_reader_racing_the_writer_sees_only_whole_events() {
+        use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        let ring = Arc::new(EventRing::with_capacity(1024));
-        let threads = 4;
-        let per = 200u32;
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let ring = Arc::clone(&ring);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..per {
-                    ring.record(1, PassKind::Pass, t);
+        let ring = Arc::new(EventRing::with_capacity(8));
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
+            std::thread::spawn(move || {
+                // Timestamp and thread tag move in lock step, so a torn
+                // slot (one word old, one new) is recognisable.
+                for i in 0..200_000u32 {
+                    ring.record(u64::from(i), 1, PassKind::Pass, i);
                 }
-            }));
+                done.store(true, Ordering::Release);
+            })
+        };
+        while !done.load(Ordering::Acquire) {
+            for e in ring.events() {
+                assert_eq!(e.timestamp_ns, u64::from(e.thread), "torn slot surfaced");
+            }
         }
-        for j in handles {
-            j.join().unwrap();
-        }
-        let events = ring.drain();
-        assert_eq!(events.len(), (threads * per) as usize);
-        assert!(events.windows(2).all(|w| w[0].timestamp_ns <= w[1].timestamp_ns));
-        for t in 0..threads {
-            assert_eq!(
-                events.iter().filter(|e| e.thread == t).count(),
-                per as usize
-            );
-        }
+        writer.join().unwrap();
+        assert_eq!(ring.recorded(), 200_000);
+        assert_eq!(ring.events().len(), 8);
     }
 }

@@ -648,10 +648,15 @@ mod tests {
         let _g = locked();
         enable(64);
         record(1, 2, 0, 1, SpanKind::Hold, 0, 0);
+        // Tags are distinct among *live* threads (an exited thread's is
+        // recycled), so the three must overlap.
+        let all_recorded = Arc::new(std::sync::Barrier::new(3));
         let joins: Vec<_> = (0..3)
             .map(|_| {
-                std::thread::spawn(|| {
+                let all_recorded = Arc::clone(&all_recorded);
+                std::thread::spawn(move || {
                     record(3, 4, 0, 1, SpanKind::Hold, 0, 0);
+                    all_recorded.wait();
                 })
             })
             .collect();

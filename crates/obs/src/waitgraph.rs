@@ -4,8 +4,9 @@
 //! scheme as the watchdog's progress registry) recording *which site it
 //! is waiting on* and *which sites it currently holds*. The publishing
 //! side is the lock protocol's existing hold-observer transitions —
-//! two or three relaxed stores per acquire, single-writer per slot, so
-//! it is safe to leave always-on under `obs`.
+//! two or three relaxed stores per acquire into a slot only that thread
+//! writes, on a cache line of its own, with the transition's timestamp
+//! passed in — so it is safe to leave always-on under `obs`.
 //!
 //! [`WaitTable::analyze`] samples the table and reports:
 //!
@@ -14,10 +15,14 @@
 //!   A, …). Real CLoF compositions cannot deadlock on a single lock,
 //!   but *stacks* of locks (kvstore transactions over several stores)
 //!   can, and injected occupancy lets CI prove the detector works.
-//! * **Inversion** — a waiter that has watched the site's intra-level
-//!   pass counter ([`crate::profile`]) advance beyond the `keep_local`
-//!   gap bound *H* (§4.1) without being served: the signature of a
-//!   remote waiter starved behind repeated local hand-offs.
+//! * **Inversion** — a waiter behind which the site's intra-level pass
+//!   count ([`crate::profile`]) advanced beyond the `keep_local` gap
+//!   bound *H* (§4.1) without it being served: the signature of a
+//!   remote waiter starved behind repeated local hand-offs. The pass
+//!   count is a sum over the site's shards, so the *observer* takes the
+//!   baseline: the first [`WaitTable::analyze`] that sees a wait notes
+//!   the count, later ones report against it. The waiter itself never
+//!   reads a line the lock's owner writes.
 //!
 //! Findings carry stable dedup keys; [`FindingDedup`] suppresses
 //! repeats across polls, and the SLO evaluator folds findings into
@@ -27,14 +32,15 @@
 //! [`thread_tag`]: crate::thread_tag
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use crate::export::json_escape;
 use crate::registry::INVALID_SITE;
-use crate::{now_ns, profile, registry, thread_tag};
+use crate::{now_ns, profile, registry};
 
 /// Thread slots in the global wait table. Thread tags at or above this
-/// are not tracked (the rest of the telemetry stays exact).
+/// are not tracked (the rest of the telemetry stays exact); tags of
+/// exited threads are recycled, so that takes this many live threads.
 pub const MAX_GRAPH_THREADS: usize = 512;
 
 /// Maximum simultaneously held sites tracked per thread (nested locks
@@ -43,19 +49,35 @@ pub const MAX_GRAPH_THREADS: usize = 512;
 pub const MAX_HELD_SITES: usize = 4;
 
 /// One thread's occupancy slot. `waiting_site`/`held` store `site + 1`
-/// (0 = empty). Single-writer: only the owning thread stores.
+/// (0 = empty). Single-writer: only the owning thread stores, and
+/// consecutive tags belong to different threads, so each slot gets its
+/// own line.
+#[repr(align(128))]
 #[derive(Debug, Default)]
 struct ThreadCell {
     waiting_site: AtomicU32,
     wait_since: AtomicU64,
-    wait_passes: AtomicU64,
     held: [AtomicU32; MAX_HELD_SITES],
+}
+
+const _: () = assert!(std::mem::size_of::<ThreadCell>() == 128);
+
+/// The observer's note on a wait it has seen: which wait (site and
+/// start), and the site's pass count at that first sighting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Baseline {
+    site: u32,
+    since: u64,
+    passes: u64,
 }
 
 /// Fixed-slot table of per-thread lock occupancy.
 #[derive(Debug)]
 pub struct WaitTable {
     cells: Box<[ThreadCell]>,
+    /// Inversion baselines per thread slot — observer state, kept off
+    /// the threads' own lines.
+    baselines: Mutex<Vec<Option<Baseline>>>,
 }
 
 impl WaitTable {
@@ -66,6 +88,7 @@ impl WaitTable {
                 .map(|_| ThreadCell::default())
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
+            baselines: Mutex::new(vec![None; MAX_GRAPH_THREADS]),
         }
     }
 
@@ -74,24 +97,21 @@ impl WaitTable {
         self.cells.get(thread as usize)
     }
 
-    /// Thread `thread` started waiting on `site`. Snapshots the site's
-    /// pass counter as the inversion baseline.
+    /// Thread `thread` started waiting on `site` at `now`.
     #[inline]
-    pub fn note_wait(&self, thread: u32, site: u32) {
+    pub fn wait_at(&self, thread: u32, site: u32, now: u64) {
         if site == INVALID_SITE {
             return;
         }
         if let Some(cell) = self.cell(thread) {
-            cell.wait_passes
-                .store(profile::global().passes(site), Ordering::Relaxed);
-            cell.wait_since.store(now_ns(), Ordering::Relaxed);
+            cell.wait_since.store(now, Ordering::Relaxed);
             cell.waiting_site.store(site + 1, Ordering::Relaxed);
         }
     }
 
     /// Thread `thread` acquired `site`: no longer waiting, now holding.
     #[inline]
-    pub fn note_acquired(&self, thread: u32, site: u32) {
+    pub fn acquired(&self, thread: u32, site: u32) {
         if site == INVALID_SITE {
             return;
         }
@@ -111,7 +131,7 @@ impl WaitTable {
     /// added to the held set. Without this, a timed-out waiter would
     /// look permanently blocked to the cycle/stall analyzer.
     #[inline]
-    pub fn note_wait_cancelled(&self, thread: u32, site: u32) {
+    pub fn wait_cancelled(&self, thread: u32, site: u32) {
         if site == INVALID_SITE {
             return;
         }
@@ -122,7 +142,7 @@ impl WaitTable {
 
     /// Thread `thread` released `site`.
     #[inline]
-    pub fn note_released(&self, thread: u32, site: u32) {
+    pub fn released(&self, thread: u32, site: u32) {
         if site == INVALID_SITE {
             return;
         }
@@ -139,10 +159,12 @@ impl WaitTable {
 
     /// Overwrites a thread slot with synthetic occupancy — the test/CI
     /// injection point (`clof profile --inject-deadlock` builds its
-    /// 2-cycle here instead of actually deadlocking the process). The
-    /// inversion baseline is the site's *current* pass count; advance
-    /// it afterwards via [`profile::ContentionProfile::record_pass`] to
-    /// stage an inversion.
+    /// 2-cycle here instead of actually deadlocking the process). An
+    /// injected wait comes with its inversion baseline already taken —
+    /// the site's *current* pass count — so advancing the count
+    /// afterwards via [`profile::ContentionProfile::inject_passes`]
+    /// stages an inversion the very next [`analyze`](Self::analyze)
+    /// reports.
     pub fn inject(&self, thread: u32, held: &[u32], waiting_on: Option<u32>) {
         if let Some(cell) = self.cell(thread) {
             for (i, slot) in cell.held.iter().enumerate() {
@@ -151,16 +173,21 @@ impl WaitTable {
                     Ordering::Relaxed,
                 );
             }
-            match waiting_on {
-                Some(site) => {
-                    cell.wait_passes
-                        .store(profile::global().passes(site), Ordering::Relaxed);
-                    cell.wait_since.store(now_ns(), Ordering::Relaxed);
-                    cell.waiting_site.store(site + 1, Ordering::Relaxed);
-                }
-                None => cell.waiting_site.store(0, Ordering::Relaxed),
-            }
+            let baseline = waiting_on.map(|site| Baseline {
+                site,
+                since: now_ns(),
+                passes: profile::global().passes(site),
+            });
+            cell.wait_since
+                .store(baseline.map_or(0, |b| b.since), Ordering::Relaxed);
+            cell.waiting_site
+                .store(waiting_on.map_or(0, |s| s + 1), Ordering::Relaxed);
+            self.baselines()[thread as usize] = baseline;
         }
+    }
+
+    fn baselines(&self) -> std::sync::MutexGuard<'_, Vec<Option<Baseline>>> {
+        self.baselines.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Clears one thread slot.
@@ -176,22 +203,23 @@ impl WaitTable {
     }
 
     /// Samples the table and reports cycles (deadlock) and waiters
-    /// starved past `h_bound` hand-offs (inversion).
+    /// starved past `h_bound` hand-offs (inversion). A wait seen for the
+    /// first time only gets its inversion baseline taken; it can be
+    /// reported from the second sighting on.
     pub fn analyze(&self, h_bound: u64) -> GraphReport {
         let now = now_ns();
-        // (thread, waiting site, since, passes-at-entry)
-        let mut waiters: Vec<(u32, u32, u64, u64)> = Vec::new();
+        // (thread, waiting site, since)
+        let mut waiters: Vec<(u32, u32, u64)> = Vec::new();
         // (thread, held site)
         let mut holds: Vec<(u32, u32)> = Vec::new();
+        let mut baselines = self.baselines();
         for (tag, cell) in self.cells.iter().enumerate() {
             let w = cell.waiting_site.load(Ordering::Relaxed);
             if w != 0 {
-                waiters.push((
-                    tag as u32,
-                    w - 1,
-                    cell.wait_since.load(Ordering::Relaxed),
-                    cell.wait_passes.load(Ordering::Relaxed),
-                ));
+                waiters.push((tag as u32, w - 1, cell.wait_since.load(Ordering::Relaxed)));
+            } else {
+                // Served or abandoned: the wait's baseline goes with it.
+                baselines[tag] = None;
             }
             for slot in &cell.held {
                 let h = slot.load(Ordering::Relaxed);
@@ -204,7 +232,7 @@ impl WaitTable {
         // Thread-level waits-for edges: waiter -> each holder of its
         // site, annotated with the site.
         let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        for &(t, site, _, _) in &waiters {
+        for &(t, site, _) in &waiters {
             for &(h, held) in &holds {
                 if held == site && h != t {
                     edges.push((t, site, h));
@@ -219,8 +247,8 @@ impl WaitTable {
                 .filter_map(|t| {
                     waiters
                         .iter()
-                        .find(|(w, _, _, _)| w == t)
-                        .map(|&(_, s, _, _)| s)
+                        .find(|(w, _, _)| w == t)
+                        .map(|&(_, s, _)| s)
                 })
                 .collect();
             sites.sort_unstable();
@@ -231,8 +259,12 @@ impl WaitTable {
             });
         }
 
-        for &(t, site, since, base) in &waiters {
-            let handoffs = profile::global().passes(site).saturating_sub(base);
+        for &(t, site, since) in &waiters {
+            let passes = profile::global().passes(site);
+            let seen = baselines[t as usize].filter(|b| (b.site, b.since) == (site, since));
+            let base = seen.unwrap_or(Baseline { site, since, passes });
+            baselines[t as usize] = Some(base);
+            let handoffs = passes.saturating_sub(base.passes);
             if handoffs > h_bound {
                 findings.push(GraphFinding::Inversion {
                     thread: t,
@@ -263,33 +295,6 @@ impl Default for WaitTable {
 pub fn global() -> &'static WaitTable {
     static TABLE: OnceLock<WaitTable> = OnceLock::new();
     TABLE.get_or_init(WaitTable::new)
-}
-
-/// [`WaitTable::note_wait`] on the global table for the calling thread.
-#[inline]
-pub fn note_wait(site: u32) {
-    global().note_wait(thread_tag(), site);
-}
-
-/// [`WaitTable::note_acquired`] on the global table for the calling
-/// thread.
-#[inline]
-pub fn note_acquired(site: u32) {
-    global().note_acquired(thread_tag(), site);
-}
-
-/// [`WaitTable::note_wait_cancelled`] on the global table for the
-/// calling thread.
-#[inline]
-pub fn note_wait_cancelled(site: u32) {
-    global().note_wait_cancelled(thread_tag(), site);
-}
-
-/// [`WaitTable::note_released`] on the global table for the calling
-/// thread.
-#[inline]
-pub fn note_released(site: u32) {
-    global().note_released(thread_tag(), site);
 }
 
 /// Cycles in a thread-level edge list `(waiter, site, holder)`, each
@@ -545,9 +550,7 @@ mod tests {
         let site = anchor.id();
         let table = WaitTable::new();
         table.inject(3, &[], Some(site));
-        for _ in 0..5 {
-            profile::global().record_pass(site);
-        }
+        profile::global().inject_passes(site, 5);
         let report = table.analyze(4);
         let inv: Vec<_> = report
             .findings
@@ -579,17 +582,50 @@ mod tests {
     #[test]
     fn protocol_transitions_build_and_tear_down_edges() {
         let table = WaitTable::new();
-        table.note_acquired(7, 42);
-        table.note_wait(8, 42);
+        table.acquired(7, 42);
+        table.wait_at(8, 42, now_ns());
         let report = table.analyze(u64::MAX);
         assert_eq!(report.edges, 1);
-        table.note_released(7, 42);
-        table.note_acquired(8, 42);
+        table.released(7, 42);
+        table.acquired(8, 42);
         let report = table.analyze(u64::MAX);
         assert_eq!(report.edges, 0);
         assert_eq!(report.threads_waiting, 0);
-        table.note_released(8, 42);
+        table.released(8, 42);
         assert_eq!(table.analyze(u64::MAX).holds, 0);
+    }
+
+    #[test]
+    fn the_observer_takes_the_baseline_and_drops_it_with_the_wait() {
+        let anchor = registry::global().register("wg-observer", "x");
+        let site = anchor.id();
+        let table = WaitTable::new();
+        // Passes before anyone looked do not count against the waiter.
+        table.wait_at(5, site, 1000);
+        profile::global().inject_passes(site, 10);
+        assert!(table.analyze(4).is_clean(), "first sighting only takes the baseline");
+        profile::global().inject_passes(site, 4);
+        assert!(table.analyze(4).is_clean(), "at the bound");
+        profile::global().inject_passes(site, 1);
+        let report = table.analyze(4);
+        assert!(
+            matches!(report.findings[..], [GraphFinding::Inversion { thread: 5, handoffs: 5, .. }]),
+            "{:?}",
+            report.findings
+        );
+        // The wait is abandoned; an observer sees the idle slot and
+        // forgets the baseline, so a later wait on the same site starts
+        // from scratch however far the clock ran in between.
+        table.wait_cancelled(5, site);
+        assert!(table.analyze(4).is_clean());
+        profile::global().inject_passes(site, 100);
+        table.wait_at(5, site, 2000);
+        assert!(table.analyze(4).is_clean());
+        // Even unobserved, a new wait never inherits an old baseline:
+        // it is a different (site, since).
+        table.wait_at(5, site, 3000);
+        profile::global().inject_passes(site, 100);
+        assert!(table.analyze(4).is_clean());
     }
 
     #[test]

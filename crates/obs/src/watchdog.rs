@@ -12,20 +12,25 @@
 //! caller-supplied context line — e.g. per-level queue hints and the
 //! pass-ring tail).
 //!
-//! The publishing side is two relaxed stores per transition (phase word
-//! and, on release, an epoch bump) into a thread-owned slot — no locks,
-//! no RMW on shared lines, safe to leave always-on under `obs`.
+//! The publishing side is one or two relaxed stores per transition
+//! (phase word and, on release, an epoch bump) into a slot only that
+//! thread writes, on a cache line of its own — no locks, no RMW, no
+//! clock read (the caller passes the transition's timestamp), safe to
+//! leave always-on under `obs`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use crate::counters::bump;
 use crate::now_ns;
 
 /// Progress slots in the global registry. Thread tags at or above this
 /// are silently not monitored (the telemetry stays exact; only the
-/// watchdog loses sight of them).
+/// watchdog loses sight of them) — that takes this many threads alive
+/// at once, since [`crate::thread_tag`] recycles the tags of exited
+/// threads.
 pub const MAX_PROGRESS_SLOTS: usize = 512;
 
 // Phase 0 (idle) is implicit: an idle store writes just the timestamp.
@@ -44,12 +49,16 @@ pub enum Phase {
 }
 
 /// One slot: `state` packs `since_ns << 2 | phase`; `epoch` counts
-/// completed critical sections (bumped on release).
+/// completed critical sections (bumped on release). Consecutive tags
+/// belong to different threads, so each slot gets its own line.
+#[repr(align(128))]
 #[derive(Debug)]
 struct ProgressSlot {
     state: AtomicU64,
     epoch: AtomicU64,
 }
+
+const _: () = assert!(std::mem::size_of::<ProgressSlot>() == 128);
 
 /// Fixed-slot table of per-thread progress state, indexed by
 /// [`crate::thread_tag`].
@@ -78,32 +87,31 @@ impl ProgressRegistry {
     }
 
     #[inline]
-    fn set(&self, thread: u32, phase: u64) {
+    fn set(&self, thread: u32, now: u64, phase: u64) {
         if let Some(slot) = self.slots.get(thread as usize) {
-            slot.state
-                .store((now_ns() << 2) | phase, Ordering::Relaxed);
+            slot.state.store((now << 2) | phase, Ordering::Relaxed);
         }
     }
 
-    /// Thread `thread` entered an acquire (one relaxed store).
+    /// Thread `thread` entered an acquire at `now` (one relaxed store).
     #[inline]
-    pub fn note_wait(&self, thread: u32) {
-        self.set(thread, PHASE_WAITING);
+    pub fn wait_at(&self, thread: u32, now: u64) {
+        self.set(thread, now, PHASE_WAITING);
     }
 
-    /// Thread `thread` won the lock (one relaxed store).
+    /// Thread `thread` won the lock at `now` (one relaxed store).
     #[inline]
-    pub fn note_hold(&self, thread: u32) {
-        self.set(thread, PHASE_HOLDING);
+    pub fn hold_at(&self, thread: u32, now: u64) {
+        self.set(thread, now, PHASE_HOLDING);
     }
 
-    /// Thread `thread` released the lock: phase goes idle and its
-    /// progress epoch advances (two relaxed stores).
+    /// Thread `thread` released the lock (or gave up waiting) at `now`:
+    /// phase goes idle and its progress epoch advances.
     #[inline]
-    pub fn note_idle(&self, thread: u32) {
+    pub fn idle_at(&self, thread: u32, now: u64) {
         if let Some(slot) = self.slots.get(thread as usize) {
-            slot.epoch.fetch_add(1, Ordering::Relaxed);
-            slot.state.store(now_ns() << 2, Ordering::Relaxed);
+            bump(&slot.epoch, 1);
+            slot.state.store(now << 2, Ordering::Relaxed);
         }
     }
 
@@ -164,24 +172,6 @@ pub struct ThreadProgress {
 pub fn global() -> &'static Arc<ProgressRegistry> {
     static REG: OnceLock<Arc<ProgressRegistry>> = OnceLock::new();
     REG.get_or_init(|| Arc::new(ProgressRegistry::new()))
-}
-
-/// [`ProgressRegistry::note_wait`] on the global registry.
-#[inline]
-pub fn note_wait(thread: u32) {
-    global().note_wait(thread);
-}
-
-/// [`ProgressRegistry::note_hold`] on the global registry.
-#[inline]
-pub fn note_hold(thread: u32) {
-    global().note_hold(thread);
-}
-
-/// [`ProgressRegistry::note_idle`] on the global registry.
-#[inline]
-pub fn note_idle(thread: u32) {
-    global().note_idle(thread);
 }
 
 /// Watchdog tuning knobs.
@@ -405,8 +395,8 @@ mod tests {
     #[test]
     fn waiting_thread_past_threshold_is_reported() {
         let reg = Arc::new(ProgressRegistry::with_slots(16));
-        reg.note_wait(3);
-        reg.note_hold(7);
+        reg.wait_at(3, now_ns());
+        reg.hold_at(7, now_ns());
         // Ensure measurable elapsed time on coarse clocks.
         std::thread::sleep(Duration::from_millis(2));
         let wd = Watchdog::with_registry(Arc::clone(&reg), tiny_config());
@@ -424,7 +414,7 @@ mod tests {
     #[test]
     fn generous_threshold_reports_nothing() {
         let reg = Arc::new(ProgressRegistry::with_slots(16));
-        reg.note_wait(3);
+        reg.wait_at(3, now_ns());
         let wd = Watchdog::with_registry(
             reg,
             WatchdogConfig {
@@ -438,9 +428,9 @@ mod tests {
     #[test]
     fn progressing_thread_is_not_stalled() {
         let reg = Arc::new(ProgressRegistry::with_slots(16));
-        reg.note_wait(2);
-        reg.note_hold(2);
-        reg.note_idle(2);
+        reg.wait_at(2, now_ns());
+        reg.hold_at(2, now_ns());
+        reg.idle_at(2, now_ns());
         std::thread::sleep(Duration::from_millis(2));
         let wd = Watchdog::with_registry(Arc::clone(&reg), tiny_config());
         assert!(wd.check().is_empty());
@@ -453,7 +443,7 @@ mod tests {
     #[test]
     fn diag_context_lands_in_reports() {
         let reg = Arc::new(ProgressRegistry::with_slots(16));
-        reg.note_wait(1);
+        reg.wait_at(1, now_ns());
         std::thread::sleep(Duration::from_millis(2));
         let wd = Watchdog::with_registry(Arc::clone(&reg), tiny_config())
             .with_diag(|| "queue hints: L0=2".to_string());
@@ -467,15 +457,15 @@ mod tests {
     #[test]
     fn out_of_range_tags_are_ignored() {
         let reg = ProgressRegistry::with_slots(4);
-        reg.note_wait(1000);
-        reg.note_idle(1000);
+        reg.wait_at(1000, now_ns());
+        reg.idle_at(1000, now_ns());
         assert!(reg.sample().is_empty());
     }
 
     #[test]
     fn background_monitor_flags_a_stall_once() {
         let reg = Arc::new(ProgressRegistry::with_slots(16));
-        reg.note_wait(5);
+        reg.wait_at(5, now_ns());
         std::thread::sleep(Duration::from_millis(2));
         let wd = Watchdog::with_registry(Arc::clone(&reg), tiny_config());
         let guard = wd.spawn(|_| {});
@@ -485,15 +475,36 @@ mod tests {
     }
 
     #[test]
-    fn global_helpers_publish_to_global_registry() {
+    fn lock_hooks_publish_to_the_global_registry() {
         let _g = GLOBAL_REG_TESTS.lock().unwrap_or_else(|p| p.into_inner());
         global().reset();
-        note_wait(0);
-        note_hold(0);
-        note_idle(0);
+        global().wait_at(0, now_ns());
+        global().hold_at(0, now_ns());
+        global().idle_at(0, now_ns());
         let sample = global().sample();
         let p = sample.iter().find(|p| p.thread == 0).unwrap();
         assert_eq!(p.epoch, 1);
         global().reset();
+    }
+
+    #[test]
+    fn exited_threads_return_their_tags() {
+        let _g = GLOBAL_REG_TESTS.lock().unwrap_or_else(|p| p.into_inner());
+        // Other tests of this binary hold a few tags of their own — far
+        // fewer than the table, which is all the bound has to show.
+        let spawned = 2 * MAX_PROGRESS_SLOTS;
+        for i in 0..spawned {
+            let (tag, seen) = std::thread::spawn(|| {
+                let tag = crate::thread_tag();
+                global().wait_at(tag, now_ns());
+                let seen = global().sample().iter().any(|p| p.thread == tag);
+                global().idle_at(tag, now_ns());
+                (tag, seen)
+            })
+            .join()
+            .unwrap();
+            assert!(tag < 128, "thread {i} of {spawned} got tag {tag}");
+            assert!(seen, "thread {i} (tag {tag}) is invisible to the watchdog");
+        }
     }
 }

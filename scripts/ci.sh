@@ -17,8 +17,14 @@
 #      profiler (marker present in the obs binary and absent from the
 #      default one, `clof profile --once` clean-run smoke, injected
 #      deadlock/inversion detected with non-zero exit, registry
-#      lifecycle suite), and the zero-cost assertion that the default
-#      dependency graph (root and clof-bench) carries no clof-obs;
+#      lifecycle suite), the zero-cost assertion that the default
+#      dependency graph (root and clof-bench) carries no clof-obs, the
+#      repo's benchmark smoke (`benchmark/smoke.sh`: both benchmark
+#      binaries built offline, every workload run with --quick, one of
+#      them traced, results checked against BENCHMARK.json) and the
+#      obs-tax gate (`scripts/obs_tax_gate.sh`: what compiling `obs` in
+#      costs a hand-off and an uncontended acquire, read from a traced
+#      run, must stay within 2.5x and 6x of the default build);
 #   6. the adapt phase: `adapt,obs` release build, a forced-migration
 #      swap smoke (cross-tier 8 seeds + fairness-across-swaps), the
 #      handover mutant-kill campaign, the kvstore hot-swap suite, a
@@ -79,9 +85,12 @@ phase "tier-1 test suite" cargo test -q
 phase "testkit unit suite" cargo test -q -p clof-testkit
 
 # Memory-layout assertions are `const _: () = assert!(...)` blocks in
-# clof-locks (CachePadded, lock-word padding) and clof-core (LevelMeta
-# stripe/owner isolation): they fail these *builds*, not a test run, so
-# compiling the crates under every feature mix is the whole check.
+# clof-locks (CachePadded, lock-word padding), clof-core (LevelMeta
+# stripe/owner isolation) and — in the `obs` build — clof-obs (one
+# 128-byte line per watchdog `ProgressSlot` and waits-for `ThreadCell`,
+# line-aligned telemetry `Shard`s and level cells): they fail these
+# *builds*, not a test run, so compiling the crates under every feature
+# mix is the whole check.
 phase "memory-layout const assertions (default)" \
     cargo build -p clof-locks -p clof-core
 phase "memory-layout const assertions (obs,testkit)" \
@@ -238,6 +247,13 @@ phase "obs zero-cost dependency check" \
                echo "clof-obs leaked into the default clof-bench graph" >&2
                exit 1
            fi'
+
+# Benchmark phase: the repo's benchmark must keep building offline from
+# a clean checkout and produce every declared workload and metric, and
+# the telemetry build must stay inside its stated cost budget (both
+# operands of each ratio are printed).
+phase "benchmark smoke (all workloads, schema check)" bash benchmark/smoke.sh
+phase "obs tax gate (handoff <= 2.5x, solo <= 6x)" sh scripts/obs_tax_gate.sh
 
 # Adaptation phase: the hot-swap layer must build and hold the oracle's
 # invariants under forced migrations, its deleted-step mutants must die,

@@ -19,7 +19,9 @@ use std::sync::Arc;
 use clof::obs::{render_json, render_prometheus, LevelSnapshot, LockSnapshot};
 use clof::{ClofParams, DynClofLock, LockKind};
 use clof_testkit::strategies::build_regular;
-use clof_testkit::{assert_stats_consistent, fuzz_seeds, seed_batch, LevelTally, StressOptions};
+use clof_testkit::{
+    assert_stats_consistent, fuzz_seeds, seed_batch, LevelTally, OracleHandle, StressOptions,
+};
 
 /// Copies the telemetry snapshot into the testkit's plain-data tallies.
 fn tallies(levels: &[LevelSnapshot]) -> Vec<LevelTally> {
@@ -192,4 +194,132 @@ fn ring_events_are_monotone_and_name_non_root_levels() {
         snap.events_dropped,
         snap.events_recorded - snap.events.len() as u64
     );
+}
+
+/// A lock user that keeps replacing its handle between critical
+/// sections: every fifth acquire goes through a brand-new `DynHandle`
+/// (alternating dispatch tiers), so the lock's telemetry is spread over
+/// many short-lived shards that retire while others are recording.
+struct FreshHandles {
+    lock: Arc<DynClofLock>,
+    cpu: usize,
+    handle: clof::DynHandle,
+    ops: u32,
+}
+
+/// A lock user whose placement keeps changing: every eighth acquire the
+/// thread "migrates" between two leaf cohorts, so its `AutoHandle`
+/// re-homes (drops its inner handle and takes a new one).
+struct Roaming {
+    handle: clof::dynlock::AutoHandle,
+    cpus: [usize; 2],
+    ops: u32,
+}
+
+enum Churn {
+    Fresh(FreshHandles),
+    Roaming(Roaming),
+}
+
+impl OracleHandle for Churn {
+    fn acquire(&mut self) {
+        match self {
+            Churn::Fresh(f) => {
+                f.ops += 1;
+                if f.ops % 5 == 0 {
+                    f.handle = if f.ops % 2 == 0 {
+                        f.lock.handle(f.cpu)
+                    } else {
+                        f.lock.handle_generic(f.cpu)
+                    };
+                }
+                f.handle.acquire();
+            }
+            Churn::Roaming(r) => {
+                r.ops += 1;
+                if r.ops % 8 == 0 {
+                    clof::cpu::testkit::set_override(Some(r.cpus[(r.ops / 8) as usize % 2]));
+                    clof::cpu::testkit::flush();
+                }
+                r.handle.acquire();
+            }
+        }
+    }
+
+    fn release(&mut self) {
+        match self {
+            Churn::Fresh(f) => f.handle.release(),
+            Churn::Roaming(r) => r.handle.release(),
+        }
+    }
+}
+
+#[test]
+fn handle_churn_loses_and_double_counts_nothing() {
+    let hierarchy = build_regular(&[2, 4]);
+    let lock = Arc::new(
+        DynClofLock::build_with(
+            &hierarchy,
+            &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket],
+            ClofParams::default(),
+            true,
+        )
+        .expect("composition builds"),
+    );
+    let threads = 4;
+    let opts = StressOptions {
+        threads,
+        iters: 120,
+        label: format!("obs-churn:{}", lock.name()),
+        ..StressOptions::default()
+    };
+    let seeds = seed_batch(0xC4_0B5E, 3);
+    let shared = Arc::clone(&lock);
+    let outcome = fuzz_seeds(&opts, &seeds, |_seed, tid| {
+        let cpu = tid * 2;
+        if tid % 2 == 0 {
+            Churn::Fresh(FreshHandles {
+                lock: Arc::clone(&shared),
+                cpu,
+                handle: shared.handle(cpu),
+                ops: 0,
+            })
+        } else {
+            clof::cpu::testkit::set_override(Some(cpu));
+            clof::cpu::testkit::flush();
+            Churn::Roaming(Roaming {
+                handle: shared.auto_handle(),
+                cpus: [7 - cpu, cpu],
+                ops: 0,
+            })
+        }
+    });
+    outcome.assert_passed();
+    let total = outcome.total_acquisitions;
+
+    // Every handle is gone by now: all of this comes from retired shards.
+    let snap = lock.obs_snapshot();
+    assert_stats_consistent(&tallies(&snap.levels), total);
+    assert_eq!(snap.hold_ns.count, total);
+    for level in &snap.levels {
+        assert_eq!(level.acquire_ns.count, level.acquires, "level {}", level.level);
+    }
+    let decisions: u64 = snap
+        .levels
+        .iter()
+        .map(|l| l.passes_taken + l.passes_declined)
+        .sum();
+    assert_eq!(snap.events_recorded, decisions);
+    assert_eq!(
+        snap.events_dropped,
+        snap.events_recorded - snap.events.len() as u64
+    );
+    assert!(
+        snap.events_dropped > 0,
+        "the run must overflow what a lock keeps of retired rings"
+    );
+    assert!(snap
+        .events
+        .windows(2)
+        .all(|w| w[0].timestamp_ns <= w[1].timestamp_ns));
 }
