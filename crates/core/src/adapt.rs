@@ -588,13 +588,10 @@ pub struct AdaptHandle {
 }
 
 impl AdaptHandle {
-    /// Blocks until the lock is held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle already holds the lock.
-    pub fn acquire(&mut self) {
-        assert!(self.held.is_none(), "AdaptHandle::acquire while held");
+    /// Registers as an entrant of the current generation and returns it,
+    /// with `inner` a handle on that generation's tree. Never blocks:
+    /// each lap is a handful of SeqCst operations.
+    fn admit(&mut self) -> u64 {
         loop {
             let generation = self.lock.epoch.load(SeqCst);
             self.lock.entrants(generation).register(self.stripe);
@@ -616,28 +613,34 @@ impl AdaptHandle {
                 self.inner = Some(tree.handle(self.cpu));
                 self.generation = generation;
             }
-            // Ownership gate: enter the tree only once this generation
-            // holds the baton. The baton cannot move past `generation`
-            // while we are registered, so this check cannot go stale.
-            let mut spins: u64 = 0;
-            while self.lock.baton.load(SeqCst) != generation {
-                AdaptiveLock::relax(&mut spins, "baton never transferred (acquire)");
-            }
-            chaos::point("adapt-enter");
-            self.inner.as_mut().expect("handle built above").acquire();
-            self.held = Some(generation);
-            return;
+            return generation;
         }
     }
 
-    /// Deadline-bounded [`acquire`](Self::acquire): the register /
-    /// Dekker-re-check loop is unchanged (it never blocks — each lap is
-    /// a handful of SeqCst operations), and the two real waits — the
-    /// baton gate and the tree acquire — spend one shared absolute
-    /// budget. On timeout the entrant registration is backed out,
-    /// including re-arming the quiescence hand-off if a migration moved
-    /// past while we were registered: a timed-out entrant must never
-    /// wedge a swap.
+    /// Blocks until the lock is held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle already holds the lock.
+    pub fn acquire(&mut self) {
+        assert!(self.held.is_none(), "AdaptHandle::acquire while held");
+        let generation = self.admit();
+        // Ownership gate: enter the tree only once this generation
+        // holds the baton. The baton cannot move past `generation`
+        // while we are registered, so this check cannot go stale.
+        self.lock.await_baton(generation);
+        chaos::point("adapt-enter");
+        self.inner.as_mut().expect("handle built above").acquire();
+        self.held = Some(generation);
+    }
+
+    /// Deadline-bounded [`acquire`](Self::acquire): admission is
+    /// unchanged (it never blocks), and the two real waits — the baton
+    /// gate and the tree acquire — spend one shared absolute budget. On
+    /// timeout the entrant registration is backed out, including
+    /// re-arming the quiescence hand-off if a migration moved past
+    /// while we were registered: a timed-out entrant must never wedge a
+    /// swap.
     ///
     /// # Panics
     ///
@@ -648,58 +651,43 @@ impl AdaptHandle {
             self.held.is_none(),
             "AdaptHandle::try_acquire_until while held"
         );
-        loop {
-            let generation = self.lock.epoch.load(SeqCst);
-            self.lock.entrants(generation).register(self.stripe);
-            if self.lock.epoch.load(SeqCst) != generation {
-                self.lock.entrants(generation).deregister(self.stripe);
-                std::hint::spin_loop();
-                continue;
-            }
-            if self.generation != generation {
-                let tree = Arc::clone(
-                    &self.lock.slot(generation).read().expect("slot poisoned"),
-                );
-                self.inner = Some(tree.handle(self.cpu));
-                self.generation = generation;
-            }
-            // Bounded baton wait. Deliberately not `relax`: its testkit
-            // stall bound exists to flag unbounded waits, and this wait
-            // is bounded by the deadline itself.
-            let mut poll = clof_locks::DeadlinePoll::new(deadline, "adapt-baton");
-            let mut spins: u64 = 0;
-            while self.lock.baton.load(SeqCst) != generation {
-                if poll.expired() {
-                    // A baton bailout is a composition-layer abandon
-                    // (the tree attempt counts its own), and the whole
-                    // composed attempt expired without entering a tree,
-                    // so the timeout is counted here too.
-                    clof_locks::deadline::note_abandon();
-                    #[cfg(feature = "obs")]
-                    clof_obs::deadline::record_timeout();
-                    self.back_out(generation);
-                    return false;
-                }
-                spins += 1;
-                if spins % SPINS_PER_YIELD == 0 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            chaos::point("adapt-enter");
-            if !self
-                .inner
-                .as_mut()
-                .expect("handle built above")
-                .try_acquire_until(deadline)
-            {
+        let generation = self.admit();
+        // Bounded baton wait. Deliberately not `relax`: its testkit
+        // stall bound exists to flag unbounded waits, and this wait
+        // is bounded by the deadline itself.
+        let mut poll = clof_locks::DeadlinePoll::new(deadline, "adapt-baton");
+        let mut spins: u64 = 0;
+        while self.lock.baton.load(SeqCst) != generation {
+            if poll.expired() {
+                // A baton bailout is a composition-layer abandon
+                // (the tree attempt counts its own), and the whole
+                // composed attempt expired without entering a tree,
+                // so the timeout is counted here too.
+                clof_locks::deadline::note_abandon();
+                #[cfg(feature = "obs")]
+                clof_obs::deadline::record_timeout();
                 self.back_out(generation);
                 return false;
             }
-            self.held = Some(generation);
-            return true;
+            spins += 1;
+            if spins % SPINS_PER_YIELD == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
         }
+        chaos::point("adapt-enter");
+        if !self
+            .inner
+            .as_mut()
+            .expect("handle built above")
+            .try_acquire_until(deadline)
+        {
+            self.back_out(generation);
+            return false;
+        }
+        self.held = Some(generation);
+        true
     }
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative

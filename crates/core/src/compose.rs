@@ -8,211 +8,128 @@
 //! C-macro unfolding of `lockgen` (Figure 8).
 
 use std::sync::Arc;
-#[cfg(feature = "park")]
-use std::sync::atomic::{AtomicU32, Ordering};
 
 use clof_locks::RawLock;
 use clof_topology::Hierarchy;
 
+use self::staticobs::{HoldSpan, NodeObs};
 use crate::error::ClofError;
-use crate::level::{ClofParams, LevelMeta};
+use crate::level::{spin_budget_for_span, ClofParams, LevelMeta, SpinBudget};
+use crate::step::{self, Block, Hook, Rung, Span, Wait};
 
-/// Telemetry plumbing for the static composition, paired exactly like
-/// `dynlock::nodeobs`: with the `obs` feature off every type here is
-/// zero-sized and every method an empty `#[inline]` body, so call sites
-/// carry no `cfg` noise and the default build carries no symbols.
+/// Telemetry of the static composition: a per-node [`NodeObs`]
+/// (counters plus the tracer's identity) and a per-handle [`HoldSpan`],
+/// the [`Hook`]/[`Span`] the level step reports to. Without the `obs`
+/// feature both are `()`, whose hooks are the step's empty defaults.
 ///
 /// The static side records counters and trace spans; latency histograms
 /// and the pass-event ring stay dynamic-only (monomorphized nodes have
 /// no lock-wide collector to hang them on).
 #[cfg(feature = "obs")]
 mod staticobs {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    use clof_obs::trace::{self, SpanKind};
+    use clof_obs::trace::{self, NodeTrack, SpanKind};
     use clof_obs::{now_ns, thread_tag, watchdog, LevelCounters};
 
-    /// Per-node recording state: counters plus the tracer's level/node
-    /// identity and the hand-off flow cell.
+    use crate::step::{Hook, Span};
+
+    /// Per-node recording state: counters plus the node's place in a
+    /// trace.
     #[derive(Debug)]
     pub struct NodeObs {
-        /// Hierarchy level; 0 until the builder tags it via
-        /// [`set_level`](Self::set_level) (type recursion alone cannot
-        /// know its distance from the root).
-        level: u8,
-        /// Process-unique cohort tag ([`trace::node_tag`]).
-        node: u32,
-        /// Flow id parked by a pass for its inheritor; travels through
-        /// the low lock's release→acquire edge like the pass flag.
-        flow: AtomicU64,
+        track: NodeTrack,
         pub(super) counters: LevelCounters,
     }
 
-    impl Default for NodeObs {
-        fn default() -> Self {
-            NodeObs {
-                level: 0,
-                node: trace::node_tag(),
-                flow: AtomicU64::new(0),
-                counters: LevelCounters::new(),
-            }
+    pub(super) fn node_obs(level: usize) -> NodeObs {
+        NodeObs {
+            track: NodeTrack::new(level),
+            counters: LevelCounters::new(),
         }
     }
 
-    impl NodeObs {
-        pub(super) fn set_level(&mut self, level: usize) {
-            self.level = level as u8;
-        }
-
-        /// Timestamp taken before the low-lock acquire; 0 when tracing
-        /// is off (the static side has no latency histogram to feed).
-        #[inline]
-        pub(super) fn start(&self) -> u64 {
-            if trace::is_enabled() {
-                now_ns()
-            } else {
-                0
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_acquire(&self, inherited: bool, start: u64) {
-            self.counters.record_acquire(inherited);
-            if trace::is_enabled() && start != 0 {
-                let flow_in = if inherited {
-                    self.flow.swap(0, Ordering::Relaxed)
-                } else {
-                    0
-                };
-                trace::record(
-                    start,
-                    now_ns(),
-                    self.level,
-                    self.node,
-                    SpanKind::Wait { inherited },
-                    flow_in,
-                    0,
-                );
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_pass(&self) {
-            self.counters.record_pass_taken();
-            if trace::is_enabled() {
-                let at = now_ns();
-                let flow = trace::next_flow_id();
-                self.flow.store(flow, Ordering::Relaxed);
-                trace::record(at, at, self.level, self.node, SpanKind::Pass, 0, flow);
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_release_up(&self, forced: bool) {
-            self.counters.record_pass_declined(forced);
-            if trace::is_enabled() {
-                let at = now_ns();
-                trace::record(
-                    at,
-                    at,
-                    self.level,
-                    self.node,
-                    SpanKind::ReleaseUp { forced },
-                    0,
-                    0,
-                );
-            }
-        }
-
-        #[inline]
-        pub(super) fn record_hint_hit(&self) {
-            self.counters.record_hint_hit();
-        }
-    }
-
-    /// Whole-lock hold span + watchdog progress, carried per handle.
+    /// A handle's recorder: whole-lock hold span and watchdog progress,
+    /// plus the transition time each level's wait span starts from.
     #[derive(Debug, Default)]
     pub struct HoldSpan {
+        /// When the previous transition (acquire entry, a level won)
+        /// happened; 0 outside a handle's acquire, which keeps bare
+        /// [`HierLock::acquire`](super::HierLock::acquire) calls out of
+        /// the trace.
+        last: u64,
         acquired_at: u64,
     }
 
-    impl HoldSpan {
+    impl Span for HoldSpan {
         #[inline]
-        pub(super) fn waiting(&mut self) {
-            watchdog::global().wait_at(thread_tag(), now_ns());
+        fn enter(&mut self) {
+            self.last = now_ns();
+            watchdog::global().wait_at(thread_tag(), self.last);
         }
 
         #[inline]
-        pub(super) fn acquired(&mut self) {
+        fn acquired(&mut self) {
             self.acquired_at = now_ns();
             watchdog::global().hold_at(thread_tag(), self.acquired_at);
         }
 
+        /// Nothing was acquired, so the watchdog sees idle (not hold)
+        /// and the attempt lands in the process-wide timeout count.
         #[inline]
-        pub(super) fn released(&mut self) {
+        fn abandoned(&mut self) {
+            watchdog::global().idle_at(thread_tag(), now_ns());
+            clof_obs::deadline::record_timeout();
+        }
+
+        #[inline]
+        fn releasing(&mut self) {
             let now = now_ns();
             if trace::is_enabled() {
                 trace::record(self.acquired_at, now, 0, 0, SpanKind::Hold, 0, 0);
             }
             watchdog::global().idle_at(thread_tag(), now);
         }
+    }
 
-        /// The composed acquire timed out: nothing was acquired, so the
-        /// watchdog sees idle (not hold) and the attempt lands in the
-        /// process-wide timeout count.
-        #[cfg(feature = "deadline")]
+    impl Hook<NodeObs> for HoldSpan {
         #[inline]
-        pub(super) fn wait_abandoned(&mut self) {
-            watchdog::global().idle_at(thread_tag(), now_ns());
-            clof_obs::deadline::record_timeout();
+        fn level_won(&mut self, node: &NodeObs, inherited: bool) {
+            node.counters.record_acquire(inherited);
+            if trace::is_enabled() && self.last != 0 {
+                let now = now_ns();
+                node.track.wait_span(self.last, now, inherited);
+                self.last = now;
+            }
+        }
+
+        #[inline]
+        fn hint_hit(&mut self, node: &NodeObs) {
+            node.counters.record_hint_hit();
+        }
+
+        #[inline]
+        fn pass(&mut self, node: &NodeObs) {
+            node.counters.record_pass_taken();
+            if trace::is_enabled() {
+                node.track.pass_span(now_ns());
+            }
+        }
+
+        #[inline]
+        fn release_up(&mut self, node: &NodeObs, forced: bool) {
+            node.counters.record_pass_declined(forced);
+            if trace::is_enabled() {
+                node.track.release_up_span(now_ns(), forced);
+            }
         }
     }
 }
 
 #[cfg(not(feature = "obs"))]
 mod staticobs {
-    #[derive(Debug, Default)]
-    pub struct NodeObs;
+    pub type NodeObs = ();
+    pub type HoldSpan = ();
 
-    impl NodeObs {
-        #[inline(always)]
-        pub(super) fn set_level(&mut self, _level: usize) {}
-
-        #[inline(always)]
-        pub(super) fn start(&self) -> u64 {
-            0
-        }
-
-        #[inline(always)]
-        pub(super) fn record_acquire(&self, _inherited: bool, _start: u64) {}
-
-        #[inline(always)]
-        pub(super) fn record_pass(&self) {}
-
-        #[inline(always)]
-        pub(super) fn record_release_up(&self, _forced: bool) {}
-
-        #[inline(always)]
-        pub(super) fn record_hint_hit(&self) {}
-    }
-
-    #[derive(Debug, Default)]
-    pub struct HoldSpan;
-
-    impl HoldSpan {
-        #[inline(always)]
-        pub(super) fn waiting(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn acquired(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn released(&mut self) {}
-
-        #[cfg(feature = "deadline")]
-        #[inline(always)]
-        pub(super) fn wait_abandoned(&mut self) {}
-    }
+    pub(super) fn node_obs(_level: usize) {}
 }
 
 /// A node of a composed lock hierarchy.
@@ -225,6 +142,22 @@ pub trait HierLock: Send + Sync + 'static {
     /// Thread-side context used to acquire this node.
     type Context: Default + Send + Sync + 'static;
 
+    /// The climb behind [`acquire`](Self::acquire) and
+    /// [`try_acquire_until`](Self::try_acquire_until): this node's
+    /// level step under the wait policy `wait`, reporting to `hook`.
+    #[doc(hidden)]
+    fn acquire_with<W: Wait, K: Hook<NodeObs>>(
+        &self,
+        ctx: &mut Self::Context,
+        slot: u32,
+        wait: W,
+        hook: &mut K,
+    ) -> bool;
+
+    /// [`release`](Self::release), reporting to `hook`.
+    #[doc(hidden)]
+    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut Self::Context, hook: &mut K);
+
     /// Acquires every level from this node up to the system lock (or up
     /// to wherever a passed high lock short-circuits the climb).
     ///
@@ -232,25 +165,28 @@ pub trait HierLock: Send + Sync + 'static {
     /// within a leaf cohort, or sibling-cohort index for upper levels);
     /// it selects the read-indicator stripe the acquire registers on.
     /// Nodes recursing upward pass their own sibling slot.
-    fn acquire(&self, ctx: &mut Self::Context, slot: u32);
+    fn acquire(&self, ctx: &mut Self::Context, slot: u32) {
+        self.acquire_with(ctx, slot, Block, &mut HoldSpan::default());
+    }
 
     /// Deadline-bounded [`acquire`](Self::acquire): the same climb
     /// under one *absolute* deadline shared by every level. Returns
-    /// `false` on timeout with every partially-acquired level unwound —
-    /// a timed-out climber holds this node's low lock but never touched
-    /// the pass flag, so a plain low release restores exactly the state
-    /// the next low-lock winner expects (climb for yourself).
+    /// `false` on timeout with every partially-acquired level unwound.
     #[cfg(feature = "deadline")]
     fn try_acquire_until(
         &self,
         ctx: &mut Self::Context,
         slot: u32,
         deadline: std::time::Instant,
-    ) -> bool;
+    ) -> bool {
+        self.acquire_with(ctx, slot, deadline, &mut HoldSpan::default())
+    }
 
     /// Releases this node: passes the high lock within the cohort when
     /// allowed, otherwise releases high levels first, then this level.
-    fn release(&self, ctx: &mut Self::Context);
+    fn release(&self, ctx: &mut Self::Context) {
+        self.release_with(ctx, &mut HoldSpan::default());
+    }
 
     /// Whether the composition is starvation-free (all components fair).
     fn fair() -> bool;
@@ -276,21 +212,17 @@ pub trait HierLock: Send + Sync + 'static {
 #[derive(Debug)]
 pub struct Leaf<L: RawLock> {
     low: L,
-    /// Spin rounds before a waiter parks ([`clof_locks::SPIN_FOREVER`]
-    /// = never park). The root has no `LevelMeta`, so it carries its own
-    /// budget cell.
-    #[cfg(feature = "park")]
-    budget: AtomicU32,
-    obs: staticobs::NodeObs,
+    /// The root has no `LevelMeta`, so it carries its own budget cell.
+    budget: SpinBudget,
+    obs: NodeObs,
 }
 
 impl<L: RawLock> Default for Leaf<L> {
     fn default() -> Self {
         Leaf {
             low: L::default(),
-            #[cfg(feature = "park")]
-            budget: AtomicU32::new(clof_locks::SPIN_FOREVER),
-            obs: staticobs::NodeObs::default(),
+            budget: SpinBudget::new(),
+            obs: staticobs::node_obs(0),
         }
     }
 }
@@ -302,10 +234,11 @@ impl<L: RawLock> Leaf<L> {
     }
 
     /// Tags this node with its hierarchy level for telemetry (the type
-    /// recursion cannot know it; builders do). No-op without `obs`.
+    /// recursion cannot know it — nodes start at level 0 — builders do).
+    /// No-op without `obs`.
     #[must_use]
     pub fn at_level(mut self, level: usize) -> Self {
-        self.obs.set_level(level);
+        self.obs = staticobs::node_obs(level);
         self
     }
 
@@ -314,13 +247,8 @@ impl<L: RawLock> Leaf<L> {
     /// No-op without the `park` feature.
     #[must_use]
     pub fn budgeted(self, hierarchy: &Hierarchy, level: usize) -> Self {
-        #[cfg(feature = "park")]
-        self.budget.store(
-            crate::level::spin_budget_for_span(hierarchy.cohort_span(level)),
-            Ordering::Relaxed,
-        );
-        #[cfg(not(feature = "park"))]
-        let _ = (hierarchy, level);
+        self.budget
+            .set(spin_budget_for_span(hierarchy.cohort_span(level)));
         self
     }
 }
@@ -329,34 +257,18 @@ impl<L: RawLock> HierLock for Leaf<L> {
     type Context = L::Context;
 
     #[inline]
-    fn acquire(&self, ctx: &mut L::Context, _slot: u32) {
-        let start = self.obs.start();
-        #[cfg(feature = "park")]
-        self.low
-            .acquire_budgeted(ctx, self.budget.load(Ordering::Relaxed));
-        #[cfg(not(feature = "park"))]
-        self.low.acquire(ctx);
-        self.obs.record_acquire(false, start);
-    }
-
-    #[cfg(feature = "deadline")]
-    #[inline]
-    fn try_acquire_until(
+    fn acquire_with<W: Wait, K: Hook<NodeObs>>(
         &self,
         ctx: &mut L::Context,
         _slot: u32,
-        deadline: std::time::Instant,
+        wait: W,
+        hook: &mut K,
     ) -> bool {
-        let start = self.obs.start();
-        if !self.low.try_acquire_until(ctx, deadline) {
-            return false;
-        }
-        self.obs.record_acquire(false, start);
-        true
+        step::acquire_root(&self.low, ctx, self.budget.get(), &self.obs, wait, hook)
     }
 
     #[inline]
-    fn release(&self, ctx: &mut L::Context) {
+    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, _hook: &mut K) {
         self.low.release(ctx);
     }
 
@@ -394,20 +306,10 @@ pub struct Clof<L: RawLock, H: HierLock> {
     /// This node's sibling index under its parent — the stripe its
     /// upward acquires register on in the parent's read indicator.
     slot: u32,
-    obs: staticobs::NodeObs,
+    obs: NodeObs,
 }
 
 impl<L: RawLock, H: HierLock> Clof<L, H> {
-    /// Creates a cohort node linked to `high`, with default parameters.
-    pub fn new(high: Arc<H>) -> Self {
-        Self::with_params(high, ClofParams::default())
-    }
-
-    /// Creates a cohort node with explicit parameters (fan-in 1, slot 0).
-    pub fn with_params(high: Arc<H>, params: ClofParams) -> Self {
-        Self::with_layout(high, params, 1, 0)
-    }
-
     /// Creates a cohort node with explicit parameters and layout: `fanin`
     /// sizes the striped read indicator (children below this node), and
     /// `slot` is this node's sibling index under `high`.
@@ -417,15 +319,16 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
             meta: LevelMeta::with_fanin(params, fanin),
             high,
             slot,
-            obs: staticobs::NodeObs::default(),
+            obs: staticobs::node_obs(0),
         }
     }
 
     /// Tags this node with its hierarchy level for telemetry (the type
-    /// recursion cannot know it; builders do). No-op without `obs`.
+    /// recursion cannot know it — nodes start at level 0 — builders do).
+    /// No-op without `obs`.
     #[must_use]
     pub fn at_level(mut self, level: usize) -> Self {
-        self.obs.set_level(level);
+        self.obs = staticobs::node_obs(level);
         self
     }
 
@@ -434,125 +337,43 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
     /// No-op without the `park` feature.
     #[must_use]
     pub fn budgeted(self, hierarchy: &Hierarchy, level: usize) -> Self {
-        #[cfg(feature = "park")]
         self.meta
-            .set_spin_budget(crate::level::spin_budget_for_span(
-                hierarchy.cohort_span(level),
-            ));
-        #[cfg(not(feature = "park"))]
-        let _ = (hierarchy, level);
+            .set_spin_budget(spin_budget_for_span(hierarchy.cohort_span(level)));
         self
     }
 
-    /// The shared high node.
-    pub fn high(&self) -> &Arc<H> {
-        &self.high
+    /// This node as the level step sees it. `L::INFO` is a constant, so
+    /// the read-indicator branch resolves at monomorphization time.
+    #[inline]
+    fn rung(&self) -> Rung<'_, L, H::Context, NodeObs> {
+        let counts_waiters = !has_native_hint::<L>();
+        // SAFETY: `low` and `meta` are this node's own, private and
+        // only ever used together, here.
+        unsafe { Rung::new(&self.low, &self.meta, counts_waiters, &self.obs) }
     }
 }
 
 impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
     type Context = L::Context;
 
-    /// `lockgen(acq(CLoF(l, L), c))` from Figure 8.
-    fn acquire(&self, ctx: &mut L::Context, slot: u32) {
-        // Read-indicator bracket; skipped entirely (including the
-        // counter) when the basic lock offers a native waiter hint — the
-        // paper's optional custom `has_waiters` (§4.1.2). `L::INFO` is a
-        // constant, so the branch is resolved at monomorphization time.
-        let use_counter = !has_native_hint::<L>();
-        let start = self.obs.start();
-        if use_counter {
-            self.meta.inc_waiters(slot);
-        }
-        #[cfg(feature = "park")]
-        self.low.acquire_budgeted(ctx, self.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        self.low.acquire(ctx);
-        if use_counter {
-            self.meta.dec_waiters(slot);
-        }
-        clof_locks::chaos::point("clof-acquire-low-won");
-        self.obs.record_acquire(self.meta.has_high_lock(), start);
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: We own the low lock, so the context invariant grants
-            // us exclusive use of the high context; the previous user's
-            // writes are visible via the low lock's release→acquire edge.
-            let high_ctx = unsafe { self.meta.high_ctx() };
-            self.high.acquire(high_ctx, self.slot);
-            self.meta.debug_ctx_exit();
-        }
-    }
-
-    /// Deadline-bounded replica of [`acquire`](HierLock::acquire): the
-    /// read-indicator bracket closes on both outcomes (a timed-out
-    /// waiter must leave no residue), and a failed climb releases this
-    /// level's low lock *plainly* — the pass flag was never touched, so
-    /// the successor sees a normal climb-for-yourself hand-off.
-    #[cfg(feature = "deadline")]
-    fn try_acquire_until(
+    #[inline]
+    fn acquire_with<W: Wait, K: Hook<NodeObs>>(
         &self,
         ctx: &mut L::Context,
         slot: u32,
-        deadline: std::time::Instant,
+        wait: W,
+        hook: &mut K,
     ) -> bool {
-        let use_counter = !has_native_hint::<L>();
-        let start = self.obs.start();
-        if use_counter {
-            self.meta.inc_waiters(slot);
-        }
-        let won = self.low.try_acquire_until(ctx, deadline);
-        if use_counter {
-            self.meta.dec_waiters(slot);
-        }
-        if !won {
-            return false;
-        }
-        clof_locks::chaos::point("clof-acquire-low-won");
-        self.obs.record_acquire(self.meta.has_high_lock(), start);
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire` — we own the low lock.
-            let high_ctx = unsafe { self.meta.high_ctx() };
-            let climbed = self.high.try_acquire_until(high_ctx, self.slot, deadline);
-            self.meta.debug_ctx_exit();
-            if !climbed {
-                self.low.release(ctx);
-                return false;
-            }
-        }
-        true
+        step::acquire_step(self.rung(), ctx, slot, wait, hook, |high_ctx, hook| {
+            self.high.acquire_with(high_ctx, self.slot, wait, hook)
+        })
     }
 
-    /// `lockgen(rel(CLoF(l, L), c))` from Figure 8.
-    fn release(&self, ctx: &mut L::Context) {
-        let hint = self.low.has_waiters_hint(ctx);
-        if hint.is_some() {
-            self.obs.record_hint_hit();
-        }
-        let waiters = hint.unwrap_or_else(|| self.meta.has_waiters());
-        if waiters && self.meta.keep_local() {
-            // Pass: leave the high lock acquired for our cohort successor.
-            self.obs.record_pass();
-            self.meta.pass_high_lock();
-            clof_locks::chaos::point("clof-release-pass");
-            self.low.release(ctx);
-        } else {
-            // `waiters` here means the decline was forced by the
-            // keep_local threshold, not by an empty cohort.
-            self.obs.record_release_up(waiters);
-            self.meta.clear_high_lock();
-            clof_locks::chaos::point("clof-release-up");
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire` — we still own the low lock.
-            let high_ctx = unsafe { self.meta.high_ctx() };
-            // Release order matters (paper §4.1.3): the high lock must be
-            // released *before* the low lock, otherwise a successor could
-            // acquire the low lock and race us on the high context.
-            self.high.release(high_ctx);
-            self.meta.debug_ctx_exit();
-            self.low.release(ctx);
-        }
+    #[inline]
+    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, hook: &mut K) {
+        step::release_step(self.rung(), ctx, hook, |high_ctx, hook| {
+            self.high.release_with(high_ctx, hook)
+        });
     }
 
     fn fair() -> bool {
@@ -630,7 +451,7 @@ impl<T: HierLock> ClofTree<T> {
             node: Arc::clone(&self.leaves[self.cpu_to_leaf[cpu]]),
             ctx: T::Context::default(),
             stripe: self.cpu_to_stripe[cpu],
-            hold: staticobs::HoldSpan::default(),
+            hold: HoldSpan::default(),
         }
     }
 
@@ -682,15 +503,20 @@ pub struct ClofHandle<T: HierLock> {
     node: Arc<T>,
     ctx: T::Context,
     stripe: u32,
-    hold: staticobs::HoldSpan,
+    hold: HoldSpan,
 }
 
 impl<T: HierLock> ClofHandle<T> {
+    fn acquire_with<W: Wait>(&mut self, wait: W) -> bool {
+        step::spanned(&mut self.hold, |hold| {
+            self.node
+                .acquire_with(&mut self.ctx, self.stripe, wait, hold)
+        })
+    }
+
     /// Acquires the composed lock.
     pub fn acquire(&mut self) {
-        self.hold.waiting();
-        self.node.acquire(&mut self.ctx, self.stripe);
-        self.hold.acquired();
+        self.acquire_with(Block);
     }
 
     /// Deadline-bounded acquire: one absolute deadline bounds the whole
@@ -698,14 +524,7 @@ impl<T: HierLock> ClofHandle<T> {
     /// level unwound; the handle is immediately reusable.
     #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
-        self.hold.waiting();
-        let won = self.node.try_acquire_until(&mut self.ctx, self.stripe, deadline);
-        if won {
-            self.hold.acquired();
-        } else {
-            self.hold.wait_abandoned();
-        }
-        won
+        self.acquire_with(deadline)
     }
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
@@ -719,8 +538,9 @@ impl<T: HierLock> ClofHandle<T> {
     ///
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
+        self.hold.releasing();
+        self.node.release_with(&mut self.ctx, &mut self.hold);
         self.hold.released();
-        self.node.release(&mut self.ctx);
     }
 }
 
@@ -777,12 +597,44 @@ pub(crate) fn cohort_layout(hierarchy: &Hierarchy, level: usize) -> Vec<(usize, 
     fanin.into_iter().zip(slot).collect()
 }
 
+/// The system-level node of a composition over `hierarchy`.
+fn root_node<L: RawLock>(hierarchy: &Hierarchy) -> Vec<Arc<Leaf<L>>> {
+    let level = hierarchy.level_count() - 1;
+    let root = Leaf::new().at_level(level).budgeted(hierarchy, level);
+    vec![Arc::new(root)]
+}
+
+/// One `Clof<L, H>` per cohort of `level`, each linked to the node in
+/// `highs` (the nodes of `level + 1`, indexed by cohort) its members
+/// share.
+fn level_nodes<L: RawLock, H: HierLock>(
+    hierarchy: &Hierarchy,
+    level: usize,
+    params: ClofParams,
+    highs: &[Arc<H>],
+) -> Vec<Arc<Clof<L, H>>> {
+    cohort_layout(hierarchy, level)
+        .into_iter()
+        .enumerate()
+        .map(|(cohort, (fanin, slot))| {
+            // The cohort above this one: take any member CPU and look
+            // up its cohort one level up.
+            let cpu = hierarchy.cohort_members(level, cohort)[0];
+            let high = Arc::clone(&highs[hierarchy.cohort(level + 1, cpu)]);
+            Arc::new(
+                Clof::with_layout(high, params, fanin, slot)
+                    .at_level(level)
+                    .budgeted(hierarchy, level),
+            )
+        })
+        .collect()
+}
+
 /// Builds a 1-level "composition": just the system lock (degenerate case,
 /// NUMA-oblivious behaviour).
 pub fn build1<L0: RawLock>(hierarchy: &Hierarchy) -> Result<ClofTree<Leaf<L0>>, ClofError> {
     check_levels(hierarchy, 1)?;
-    let root = Arc::new(Leaf::<L0>::new().at_level(0).budgeted(hierarchy, 0));
-    Ok(ClofTree::new(vec![root], hierarchy))
+    Ok(ClofTree::new(root_node(hierarchy), hierarchy))
 }
 
 /// Builds a 2-level composition `l0-l1` over a 2-level hierarchy.
@@ -791,18 +643,7 @@ pub fn build2<L0: RawLock, L1: RawLock>(
     params: ClofParams,
 ) -> Result<ClofTree<Clof<L0, Leaf<L1>>>, ClofError> {
     check_levels(hierarchy, 2)?;
-    let root = Arc::new(Leaf::<L1>::new().at_level(1).budgeted(hierarchy, 1));
-    let layout = cohort_layout(hierarchy, 0);
-    let leaves: Vec<_> = layout
-        .into_iter()
-        .map(|(fanin, slot)| {
-            Arc::new(
-                Clof::<L0, _>::with_layout(Arc::clone(&root), params, fanin, slot)
-                    .at_level(0)
-                    .budgeted(hierarchy, 0),
-            )
-        })
-        .collect();
+    let leaves = level_nodes(hierarchy, 0, params, &root_node(hierarchy));
     Ok(ClofTree::new(leaves, hierarchy))
 }
 
@@ -812,32 +653,8 @@ pub fn build3<L0: RawLock, L1: RawLock, L2: RawLock>(
     params: ClofParams,
 ) -> Result<ClofTree<Clof<L0, Clof<L1, Leaf<L2>>>>, ClofError> {
     check_levels(hierarchy, 3)?;
-    let root = Arc::new(Leaf::<L2>::new().at_level(2).budgeted(hierarchy, 2));
-    let mids: Vec<_> = cohort_layout(hierarchy, 1)
-        .into_iter()
-        .map(|(fanin, slot)| {
-            Arc::new(
-                Clof::<L1, _>::with_layout(Arc::clone(&root), params, fanin, slot)
-                    .at_level(1)
-                    .budgeted(hierarchy, 1),
-            )
-        })
-        .collect();
-    let leaves: Vec<_> = cohort_layout(hierarchy, 0)
-        .into_iter()
-        .enumerate()
-        .map(|(cohort, (fanin, slot))| {
-            // The mid-level cohort above this leaf cohort: take any member
-            // CPU and look up its level-1 cohort.
-            let cpu = hierarchy.cohort_members(0, cohort)[0];
-            let mid = hierarchy.cohort(1, cpu);
-            Arc::new(
-                Clof::<L0, _>::with_layout(Arc::clone(&mids[mid]), params, fanin, slot)
-                    .at_level(0)
-                    .budgeted(hierarchy, 0),
-            )
-        })
-        .collect();
+    let l1 = level_nodes(hierarchy, 1, params, &root_node(hierarchy));
+    let leaves = level_nodes(hierarchy, 0, params, &l1);
     Ok(ClofTree::new(leaves, hierarchy))
 }
 
@@ -847,43 +664,9 @@ pub fn build4<L0: RawLock, L1: RawLock, L2: RawLock, L3: RawLock>(
     params: ClofParams,
 ) -> Result<ClofTree<Clof<L0, Clof<L1, Clof<L2, Leaf<L3>>>>>, ClofError> {
     check_levels(hierarchy, 4)?;
-    let root = Arc::new(Leaf::<L3>::new().at_level(3).budgeted(hierarchy, 3));
-    let l2: Vec<_> = cohort_layout(hierarchy, 2)
-        .into_iter()
-        .map(|(fanin, slot)| {
-            Arc::new(
-                Clof::<L2, _>::with_layout(Arc::clone(&root), params, fanin, slot)
-                    .at_level(2)
-                    .budgeted(hierarchy, 2),
-            )
-        })
-        .collect();
-    let l1: Vec<_> = cohort_layout(hierarchy, 1)
-        .into_iter()
-        .enumerate()
-        .map(|(cohort, (fanin, slot))| {
-            let cpu = hierarchy.cohort_members(1, cohort)[0];
-            let up = hierarchy.cohort(2, cpu);
-            Arc::new(
-                Clof::<L1, _>::with_layout(Arc::clone(&l2[up]), params, fanin, slot)
-                    .at_level(1)
-                    .budgeted(hierarchy, 1),
-            )
-        })
-        .collect();
-    let leaves: Vec<_> = cohort_layout(hierarchy, 0)
-        .into_iter()
-        .enumerate()
-        .map(|(cohort, (fanin, slot))| {
-            let cpu = hierarchy.cohort_members(0, cohort)[0];
-            let up = hierarchy.cohort(1, cpu);
-            Arc::new(
-                Clof::<L0, _>::with_layout(Arc::clone(&l1[up]), params, fanin, slot)
-                    .at_level(0)
-                    .budgeted(hierarchy, 0),
-            )
-        })
-        .collect();
+    let l2 = level_nodes(hierarchy, 2, params, &root_node(hierarchy));
+    let l1 = level_nodes(hierarchy, 1, params, &l2);
+    let leaves = level_nodes(hierarchy, 0, params, &l1);
     Ok(ClofTree::new(leaves, hierarchy))
 }
 

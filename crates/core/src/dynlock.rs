@@ -8,33 +8,32 @@
 //! dispatched basic lock, the level metadata, and an `Arc` to its parent
 //! node. The protocol is identical to the static [`Clof`](crate::Clof).
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use clof_locks::NoContext;
 use clof_topology::{CpuId, Hierarchy};
 
 use crate::compose::{cohort_layout, cpu_stripes};
 use crate::error::ClofError;
 use crate::kind::{AnyContext, AnyLock, LockKind};
-use crate::level::{ClofParams, LevelMeta};
+use crate::level::{bump_owned, spin_budget_for_span, ClofParams, LevelMeta};
+use crate::step::{self, Block, Hook, Rung, Span, Wait};
 
-use self::fastdisp::FastTier;
 use self::nodeobs::{LockObs, NodeObs, Recorder};
+use self::typed::{FastTier, HandleInner};
 
-/// Telemetry plumbing for the dynamic composition, in the style of the
-/// `clof-locks` chaos module: the enabled and disabled variants expose
-/// the same names, and with the `obs` feature off every type is
-/// zero-sized and every method an empty `#[inline]` body the optimizer
-/// erases — call sites stay free of `cfg` noise.
+/// Telemetry plumbing for the dynamic composition: a per-lock
+/// [`LockObs`], a per-node [`NodeObs`] and the per-handle [`Recorder`]
+/// the level step reports to. Without the `obs` feature all three are
+/// `()`, whose hooks are the step's empty defaults.
 ///
 /// A handle records into its own [`clof_obs::Shard`] and reads the clock
 /// once per transition: acquire entry, each level won, release entry.
 /// Inside the critical section the hooks only stash;
-/// [`Recorder::released`] folds the stash in after the low lock is free.
+/// [`Span::released`] folds the stash in after the low lock is free.
 #[cfg(feature = "obs")]
 mod nodeobs {
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     use clof_obs::registry;
@@ -42,64 +41,41 @@ mod nodeobs {
     use clof_obs::{now_ns, thread_tag, waitgraph, watchdog, Shard, ShardSet};
 
     use super::DynNode;
+    use crate::step::{Hook, Span};
 
     /// Per-lock collector state of one [`DynClofLock`](super::DynClofLock):
     /// the registry of its handles' shards, which also carries the
     /// lock's contention-profiler site anchor (shared so handles keep
     /// attributing to the site while an adaptation rebind retargets it).
-    #[derive(Debug)]
-    pub(super) struct LockObs {
-        pub(super) shards: Arc<ShardSet>,
-    }
+    pub(super) type LockObs = Arc<ShardSet>;
 
-    impl LockObs {
-        pub(super) fn new(
-            label: &str,
-            shape: &str,
-            caller: &'static std::panic::Location<'static>,
-            nodes: &[(usize, Arc<DynNode>)],
-        ) -> Self {
-            // First telemetry-enabled lock in the process wires the
-            // spin-then-park recorder hooks into clof-obs.
-            #[cfg(feature = "park")]
-            crate::parkglue::install();
-            // Likewise for the deadline layer's abandon/skip counters.
-            #[cfg(feature = "deadline")]
-            crate::deadlineglue::install();
-            let site = Arc::new(registry::global().register_at(label, shape, caller));
-            let nodes = nodes
-                .iter()
-                .map(|(level, node)| (*level as u8, node.obs.node));
-            LockObs {
-                shards: ShardSet::new(site, nodes),
-            }
-        }
+    pub(super) fn lock_obs(
+        label: &str,
+        shape: &str,
+        caller: &'static std::panic::Location<'static>,
+        nodes: &[(usize, Arc<DynNode>)],
+    ) -> LockObs {
+        // First telemetry-enabled lock in the process wires the
+        // spin-then-park recorder hooks into clof-obs.
+        #[cfg(feature = "park")]
+        crate::parkglue::install();
+        // Likewise for the deadline layer's abandon/skip counters.
+        #[cfg(feature = "deadline")]
+        crate::deadlineglue::install();
+        let site = Arc::new(registry::global().register_at(label, shape, caller));
+        let nodes = nodes
+            .iter()
+            .map(|(level, node)| (*level as u8, node.obs.tag()));
+        ShardSet::new(site, nodes)
     }
 
     /// What is per node and read-mostly: the node's identity for the
-    /// recorder and the tracer.
-    #[derive(Debug)]
-    pub(super) struct NodeObs {
-        level: u8,
-        /// Process-unique cohort tag (sibling cohorts share a level;
-        /// spans and per-node waits must not interleave across them).
-        node: u32,
-        /// Hand-off flow id parked by a pass for its inheritor. Written
-        /// under the low lock just before the release that publishes the
-        /// pass flag; read (and cleared) by the inheriting acquire — the
-        /// causality edge rides the same release→acquire synchronization
-        /// as the pass flag itself. Touched only while tracing.
-        flow: AtomicU64,
-    }
+    /// recorder and the tracer (sibling cohorts share a level; spans and
+    /// per-node waits must not interleave across them).
+    pub(super) use clof_obs::trace::NodeTrack as NodeObs;
 
-    impl NodeObs {
-        pub(super) fn new(level: usize) -> Self {
-            NodeObs {
-                level: level as u8,
-                node: trace::node_tag(),
-                flow: AtomicU64::new(0),
-            }
-        }
+    pub(super) fn node_obs(level: usize) -> NodeObs {
+        NodeObs::new(level)
     }
 
     /// A handle's recorder: its shard, the phase it publishes for the
@@ -110,28 +86,29 @@ mod nodeobs {
         set: Arc<ShardSet>,
     }
 
-    impl Recorder {
-        pub(super) fn new(lock: &LockObs, leaf: &DynNode) -> Self {
-            let mut path = Vec::new();
-            let mut node = Some(leaf);
-            while let Some(n) = node {
-                path.push(n.obs.node);
-                node = n.high.as_deref();
-            }
-            Recorder {
-                shard: lock.shards.shard(&path),
-                set: Arc::clone(&lock.shards),
-            }
+    pub(super) fn recorder(lock: &LockObs, leaf: &DynNode) -> Recorder {
+        let mut path = Vec::new();
+        let mut node = Some(leaf);
+        while let Some(n) = node {
+            path.push(n.obs.tag());
+            node = n.high.as_deref();
         }
+        Recorder {
+            shard: lock.shard(&path),
+            set: Arc::clone(lock),
+        }
+    }
 
+    impl Recorder {
         #[inline]
         fn site(&self) -> u32 {
             self.set.site().id()
         }
+    }
 
-        /// Entering the composed acquire (before any spinning).
+    impl Span for Recorder {
         #[inline]
-        pub(super) fn enter(&mut self) {
+        fn enter(&mut self) {
             let now = now_ns();
             let thread = thread_tag();
             self.shard.enter(now);
@@ -143,27 +120,9 @@ mod nodeobs {
             crate::parkglue::enter_wait(self.site());
         }
 
-        /// `node`'s low lock was won; `inherited` is whether the high
-        /// lock came with it.
+        /// The hold starts where the last level was won.
         #[inline]
-        pub(super) fn level_won(&mut self, node: &NodeObs, inherited: bool) {
-            let now = now_ns();
-            let start = self.shard.level_won(now, inherited);
-            if trace::is_enabled() {
-                let flow_in = if inherited {
-                    node.flow.swap(0, Ordering::Relaxed)
-                } else {
-                    0
-                };
-                let kind = SpanKind::Wait { inherited };
-                trace::record(start, now, node.level, node.node, kind, flow_in, 0);
-            }
-        }
-
-        /// The composed acquire returned: the hold starts where the
-        /// last level was won.
-        #[inline]
-        pub(super) fn acquired(&mut self) {
+        fn acquired(&mut self) {
             #[cfg(feature = "park")]
             crate::parkglue::exit_wait();
             let thread = thread_tag();
@@ -171,59 +130,11 @@ mod nodeobs {
             waitgraph::global().acquired(thread, self.site());
         }
 
-        /// Entering the composed release.
+        /// Cancels the wait edge — nothing was acquired, so nothing
+        /// joins the held set — and counts the attempt in the
+        /// process-wide timeout telemetry.
         #[inline]
-        pub(super) fn releasing(&mut self) {
-            let now = now_ns();
-            self.shard.releasing(now);
-            if trace::is_enabled() {
-                trace::record(self.shard.acquired_ns(), now, 0, 0, SpanKind::Hold, 0, 0);
-            }
-        }
-
-        #[inline]
-        pub(super) fn hint_hit(&mut self, node: &NodeObs) {
-            self.shard.hint_hit(node.level as usize);
-        }
-
-        #[inline]
-        pub(super) fn pass(&mut self, node: &NodeObs) {
-            self.shard.pass(node.level as usize);
-            if trace::is_enabled() {
-                let at = self.shard.released_ns();
-                let flow = trace::next_flow_id();
-                node.flow.store(flow, Ordering::Relaxed);
-                trace::record(at, at, node.level, node.node, SpanKind::Pass, 0, flow);
-            }
-        }
-
-        #[inline]
-        pub(super) fn release_up(&mut self, node: &NodeObs, forced: bool) {
-            self.shard.release_up(node.level as usize, forced);
-            if trace::is_enabled() {
-                let at = self.shard.released_ns();
-                let kind = SpanKind::ReleaseUp { forced };
-                trace::record(at, at, node.level, node.node, kind, 0, 0);
-            }
-        }
-
-        /// The composed release returned — the low lock is free, so the
-        /// bookkeeping below is on nobody's critical path.
-        #[inline]
-        pub(super) fn released(&mut self) {
-            let thread = thread_tag();
-            self.shard.commit(thread);
-            watchdog::global().idle_at(thread, self.shard.released_ns());
-            waitgraph::global().released(thread, self.site());
-        }
-
-        /// The composed acquire gave up before the lock was granted
-        /// (deadline timeout): cancel the wait edge — nothing was
-        /// acquired, so nothing joins the held set — and count the
-        /// attempt in the process-wide timeout telemetry.
-        #[cfg(feature = "deadline")]
-        #[inline]
-        pub(super) fn abandoned(&mut self) {
+        fn abandoned(&mut self) {
             #[cfg(feature = "park")]
             crate::parkglue::exit_wait();
             self.shard.abandon();
@@ -231,6 +142,57 @@ mod nodeobs {
             watchdog::global().idle_at(thread, now_ns());
             waitgraph::global().wait_cancelled(thread, self.site());
             clof_obs::deadline::record_timeout();
+        }
+
+        #[inline]
+        fn releasing(&mut self) {
+            let now = now_ns();
+            self.shard.releasing(now);
+            if trace::is_enabled() {
+                trace::record(self.shard.acquired_ns(), now, 0, 0, SpanKind::Hold, 0, 0);
+            }
+        }
+
+        /// The low lock is free, so the bookkeeping below is on
+        /// nobody's critical path.
+        #[inline]
+        fn released(&mut self) {
+            let thread = thread_tag();
+            self.shard.commit(thread);
+            watchdog::global().idle_at(thread, self.shard.released_ns());
+            waitgraph::global().released(thread, self.site());
+        }
+    }
+
+    impl Hook<NodeObs> for Recorder {
+        #[inline]
+        fn level_won(&mut self, node: &NodeObs, inherited: bool) {
+            let now = now_ns();
+            let start = self.shard.level_won(now, inherited);
+            if trace::is_enabled() {
+                node.wait_span(start, now, inherited);
+            }
+        }
+
+        #[inline]
+        fn hint_hit(&mut self, node: &NodeObs) {
+            self.shard.hint_hit(node.level());
+        }
+
+        #[inline]
+        fn pass(&mut self, node: &NodeObs) {
+            self.shard.pass(node.level());
+            if trace::is_enabled() {
+                node.pass_span(self.shard.released_ns());
+            }
+        }
+
+        #[inline]
+        fn release_up(&mut self, node: &NodeObs, forced: bool) {
+            self.shard.release_up(node.level(), forced);
+            if trace::is_enabled() {
+                node.release_up_span(self.shard.released_ns(), forced);
+            }
         }
     }
 
@@ -247,72 +209,25 @@ mod nodeobs {
 
     use super::DynNode;
 
-    #[derive(Debug, Default)]
-    pub(super) struct LockObs;
+    pub(super) type LockObs = ();
+    pub(super) type NodeObs = ();
+    pub(super) type Recorder = ();
 
-    impl LockObs {
-        #[inline]
-        pub(super) fn new(
-            _label: &str,
-            _shape: &str,
-            _caller: &'static std::panic::Location<'static>,
-            _nodes: &[(usize, Arc<DynNode>)],
-        ) -> Self {
-            LockObs
-        }
+    pub(super) fn lock_obs(
+        _label: &str,
+        _shape: &str,
+        _caller: &'static std::panic::Location<'static>,
+        _nodes: &[(usize, Arc<DynNode>)],
+    ) {
     }
 
-    #[derive(Debug)]
-    pub(super) struct NodeObs;
+    pub(super) fn node_obs(_level: usize) {}
 
-    impl NodeObs {
-        #[inline]
-        pub(super) fn new(_level: usize) -> Self {
-            NodeObs
-        }
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Recorder;
-
-    impl Recorder {
-        #[inline]
-        pub(super) fn new(_lock: &LockObs, _leaf: &DynNode) -> Self {
-            Recorder
-        }
-
-        #[inline(always)]
-        pub(super) fn enter(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn level_won(&mut self, _node: &NodeObs, _inherited: bool) {}
-
-        #[inline(always)]
-        pub(super) fn acquired(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn releasing(&mut self) {}
-
-        #[inline(always)]
-        pub(super) fn hint_hit(&mut self, _node: &NodeObs) {}
-
-        #[inline(always)]
-        pub(super) fn pass(&mut self, _node: &NodeObs) {}
-
-        #[inline(always)]
-        pub(super) fn release_up(&mut self, _node: &NodeObs, _forced: bool) {}
-
-        #[inline(always)]
-        pub(super) fn released(&mut self) {}
-
-        #[cfg(feature = "deadline")]
-        #[inline(always)]
-        pub(super) fn abandoned(&mut self) {}
-    }
+    pub(super) fn recorder(_lock: &LockObs, _leaf: &DynNode) {}
 }
 
-/// Hand-off statistics of one cohort node (relaxed counters — exact
-/// totals at quiescence, approximate snapshots while running).
+/// Hand-off statistics of one cohort node, each bumped by whoever holds
+/// the node's low lock ([`bump_owned`]).
 #[derive(Debug, Default)]
 struct NodeStats {
     /// Times the node's low lock was acquired through this node.
@@ -323,30 +238,32 @@ struct NodeStats {
     releases_up: AtomicU64,
 }
 
-impl NodeStats {
-    /// All three counters are owner-only: bumped while holding the
-    /// node's low lock, so a plain load + store replaces the locked RMW
-    /// (successive owners are ordered by the lock's release→acquire
-    /// edge, which also publishes the store).
+/// What the dyn tiers' level steps report to: the node's always-on
+/// hand-off statistics, then the handle's telemetry recorder.
+struct Tally<'a>(&'a mut Recorder);
+
+impl Hook<DynNode> for Tally<'_> {
     #[inline]
-    fn bump(counter: &AtomicU64) {
-        let v = counter.load(Ordering::Relaxed);
-        counter.store(v + 1, Ordering::Relaxed);
+    fn level_won(&mut self, node: &DynNode, inherited: bool) {
+        bump_owned(&node.stats.acquisitions);
+        self.0.level_won(&node.obs, inherited);
     }
 
     #[inline]
-    fn note_acquisition(&self) {
-        Self::bump(&self.acquisitions);
+    fn hint_hit(&mut self, node: &DynNode) {
+        self.0.hint_hit(&node.obs);
     }
 
     #[inline]
-    fn note_pass(&self) {
-        Self::bump(&self.passes);
+    fn pass(&mut self, node: &DynNode) {
+        bump_owned(&node.stats.passes);
+        self.0.pass(&node.obs);
     }
 
     #[inline]
-    fn note_release_up(&self) {
-        Self::bump(&self.releases_up);
+    fn release_up(&mut self, node: &DynNode, forced: bool) {
+        bump_owned(&node.stats.releases_up);
+        self.0.release_up(&node.obs, forced);
     }
 }
 
@@ -380,15 +297,14 @@ impl LevelStats {
 /// One cohort node in a dynamic CLoF tree.
 pub struct DynNode {
     low: AnyLock,
-    /// Metadata + the high-lock context; `None` context for the root.
-    meta: LevelMeta<()>,
-    high_ctx: UnsafeCell<Option<AnyContext>>,
+    /// Level metadata; its context cell holds the context this cohort
+    /// operates `high`'s low lock through (an unused placeholder at the
+    /// root).
+    meta: LevelMeta<AnyContext>,
     high: Option<Arc<DynNode>>,
     /// Whether acquires must maintain the read-indicator counter. False
     /// when the low lock natively answers `has_waiters` (the paper's
-    /// §4.1.2 custom hint, [`LockInfo::waiter_hint`]): the release path
-    /// will never consult the counter then, so maintaining it is pure
-    /// coherence traffic on the acquire fast path.
+    /// §4.1.2 custom hint, [`LockInfo::waiter_hint`]).
     ///
     /// [`LockInfo::waiter_hint`]: clof_locks::LockInfo
     counter_waiters: bool,
@@ -399,201 +315,69 @@ pub struct DynNode {
     obs: NodeObs,
 }
 
-// SAFETY: `high_ctx` is protected by the low lock exactly like the static
-// composition's `LevelMeta` context cell (context invariant + release
-// order); all other state is atomics or immutable after construction.
-unsafe impl Sync for DynNode {}
-// SAFETY: All owned data is `Send`.
-unsafe impl Send for DynNode {}
-
 impl DynNode {
-    fn root(kind: LockKind, params: ClofParams, fanin: usize, level: usize) -> Self {
-        DynNode {
-            low: AnyLock::new(kind),
-            meta: LevelMeta::with_fanin(params, fanin),
-            high_ctx: UnsafeCell::new(None),
-            high: None,
-            counter_waiters: !kind.info().waiter_hint,
-            slot: 0,
-            stats: NodeStats::default(),
-            obs: NodeObs::new(level),
-        }
-    }
-
-    fn child(
+    /// A node of `kind` under `high` (`None` for the root).
+    fn new(
         kind: LockKind,
-        high: Arc<DynNode>,
+        high: Option<Arc<DynNode>>,
         params: ClofParams,
         fanin: usize,
         slot: u32,
         level: usize,
     ) -> Self {
-        let high_ctx = high.low.new_context();
+        let high_ctx = match &high {
+            Some(high) => high.low.new_context(),
+            None => AnyContext::None(NoContext),
+        };
         DynNode {
             low: AnyLock::new(kind),
-            meta: LevelMeta::with_fanin(params, fanin),
-            high_ctx: UnsafeCell::new(Some(high_ctx)),
-            high: Some(high),
+            meta: LevelMeta::with_ctx(params, fanin, high_ctx),
+            high,
             counter_waiters: !kind.info().waiter_hint,
             slot,
             stats: NodeStats::default(),
-            obs: NodeObs::new(level),
+            obs: nodeobs::node_obs(level),
         }
     }
 
-    /// Acquires this node's low lock, applying the level's spin budget
-    /// when the waiting layer is compiled in (waiters spin the
-    /// topology-derived budget, then park; the releaser's wake re-runs
-    /// the full hand-off protocol, so the §4.1 invariants are untouched
-    /// — parking only changes *where* a waiter waits, never the order
-    /// grants are observed in).
+    /// This (non-root) node as the level step sees it.
     #[inline]
-    fn low_acquire(&self, ctx: &mut AnyContext) {
-        #[cfg(feature = "park")]
-        self.low.acquire_budgeted(ctx, self.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        self.low.acquire(ctx);
+    fn rung(&self) -> Rung<'_, AnyLock, AnyContext, DynNode> {
+        // SAFETY: `low` and `meta` are this node's own; the typed views
+        // pair the same `meta` with the same lock, merely named by its
+        // concrete type.
+        unsafe { Rung::new(&self.low, &self.meta, self.counter_waiters, self) }
     }
 
-    /// Recursive `lockgen` acquire (paper Figure 8). `stripe` is the
-    /// caller's child position under this node (CPU index within a leaf
-    /// cohort at level 0, the child's sibling slot above).
-    fn acquire(&self, ctx: &mut AnyContext, stripe: u32, rec: &mut Recorder) {
-        let Some(high) = &self.high else {
-            // Base case: the system-level basic lock.
-            self.low_acquire(ctx);
-            self.stats.note_acquisition();
-            rec.level_won(&self.obs, false);
-            return;
-        };
-        // The read-indicator bracket is skipped entirely when the low
-        // lock natively reports waiters (paper §4.1.2) — the release
-        // path takes the hint branch unconditionally then.
-        if self.counter_waiters {
-            self.meta.inc_waiters(stripe);
-        }
-        self.low_acquire(ctx);
-        if self.counter_waiters {
-            self.meta.dec_waiters(stripe);
-        }
-        self.stats.note_acquisition();
-        // Window between winning the low lock and inspecting the pass
-        // flag left by the previous owner.
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        rec.level_won(&self.obs, self.meta.has_high_lock());
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: We own the low lock; the context invariant grants
-            // exclusive use of the high context, and the previous user's
-            // writes are visible through the low lock's release→acquire
-            // synchronization.
-            let cell = unsafe { &mut *self.high_ctx.get() };
-            let high_ctx = cell.as_mut().expect("non-root nodes have a high context");
-            high.acquire(high_ctx, self.slot, rec);
-            self.meta.debug_ctx_exit();
+    /// The enum tier's climb: recursive `lockgen` acquire (paper
+    /// Figure 8). `stripe` is the caller's child position under this
+    /// node (CPU index within a leaf cohort at level 0, the child's
+    /// sibling slot above).
+    fn acquire_with<W: Wait>(
+        &self,
+        ctx: &mut AnyContext,
+        stripe: u32,
+        wait: W,
+        hook: &mut Tally<'_>,
+    ) -> bool {
+        match &self.high {
+            None => step::acquire_root(&self.low, ctx, self.meta.spin_budget(), self, wait, hook),
+            Some(high) => {
+                step::acquire_step(self.rung(), ctx, stripe, wait, hook, |high_ctx, hook| {
+                    high.acquire_with(high_ctx, self.slot, wait, hook)
+                })
+            }
         }
     }
 
     /// Recursive `lockgen` release (paper Figure 8).
-    fn release(&self, ctx: &mut AnyContext, rec: &mut Recorder) {
-        let Some(high) = &self.high else {
-            self.low.release(ctx);
-            return;
-        };
-        let hint = self.low.has_waiters_hint(ctx);
-        if hint.is_some() {
-            rec.hint_hit(&self.obs);
+    fn release(&self, ctx: &mut AnyContext, hook: &mut Tally<'_>) {
+        match &self.high {
+            None => self.low.release(ctx),
+            Some(high) => step::release_step(self.rung(), ctx, hook, |high_ctx, hook| {
+                high.release(high_ctx, hook)
+            }),
         }
-        let waiters = hint.unwrap_or_else(|| self.meta.has_waiters());
-        if waiters && self.meta.keep_local() {
-            self.stats.note_pass();
-            rec.pass(&self.obs);
-            self.meta.pass_high_lock();
-            // Window between setting the pass flag and releasing the low
-            // lock that publishes it to the successor.
-            clof_locks::chaos::point("dyn-release-pass");
-            self.low.release(ctx);
-        } else {
-            self.stats.note_release_up();
-            // `waiters` still true here means keep_local hit its
-            // threshold — a forced surrender, not an idle cohort.
-            rec.release_up(&self.obs, waiters);
-            self.meta.clear_high_lock();
-            clof_locks::chaos::point("dyn-release-up");
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire`; we still own the low lock. Release
-            // order high → low is required by the context invariant
-            // (paper §4.1.3): releasing low first would let a successor
-            // race us on this context.
-            let cell = unsafe { &mut *self.high_ctx.get() };
-            let high_ctx = cell.as_mut().expect("non-root nodes have a high context");
-            high.release(high_ctx, rec);
-            self.meta.debug_ctx_exit();
-            self.low.release(ctx);
-        }
-    }
-
-    /// Deadline-bounded recursive acquire: the same climb as
-    /// [`acquire`](Self::acquire) under one *absolute* deadline shared
-    /// by every level — the "single budget split across levels", with
-    /// the split decided by where contention actually burned the time
-    /// rather than a fixed per-level quota. On timeout the partially
-    /// acquired prefix is fully unwound: this thread holds the low
-    /// lock but never logically owned the tree (the pass flag is
-    /// untouched), so a *plain* low release — no pass/release-up
-    /// decision, no high-context access — restores exactly the state
-    /// the next low-lock winner expects: climb for yourself.
-    #[cfg(feature = "deadline")]
-    fn try_acquire(
-        &self,
-        ctx: &mut AnyContext,
-        stripe: u32,
-        deadline: std::time::Instant,
-        rec: &mut Recorder,
-    ) -> bool {
-        let Some(high) = &self.high else {
-            if !self.low.try_acquire_until(ctx, deadline) {
-                return false;
-            }
-            self.stats.note_acquisition();
-            rec.level_won(&self.obs, false);
-            return true;
-        };
-        if self.counter_waiters {
-            self.meta.inc_waiters(stripe);
-        }
-        let won = self.low.try_acquire_until(ctx, deadline);
-        if self.counter_waiters {
-            // Closed on both outcomes: a timed-out waiter must leave no
-            // read-indicator residue (`queue_depth_hint() == 0` at
-            // quiescence is the leak oracle).
-            self.meta.dec_waiters(stripe);
-        }
-        if !won {
-            return false;
-        }
-        self.stats.note_acquisition();
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        rec.level_won(&self.obs, self.meta.has_high_lock());
-        if !self.meta.has_high_lock() {
-            self.meta.debug_ctx_enter();
-            // SAFETY: As in `acquire` — we own the low lock, so the
-            // context invariant grants exclusive use of the high context.
-            let cell = unsafe { &mut *self.high_ctx.get() };
-            let high_ctx = cell.as_mut().expect("non-root nodes have a high context");
-            let climbed = high.try_acquire(high_ctx, self.slot, deadline, rec);
-            self.meta.debug_ctx_exit();
-            if !climbed {
-                self.low.release(ctx);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// This node's basic-lock kind.
-    pub fn kind(&self) -> LockKind {
-        self.low.kind()
     }
 }
 
@@ -697,51 +481,34 @@ impl DynClofLock {
                 .collect();
             format!("{}cpu/{}", hierarchy.ncpus(), cohorts.join("-"))
         };
-        // Build from the root (outermost level) down, collecting every
-        // node in construction order for the linear traversals.
+        // Build from the root (outermost level, a single cohort with
+        // nothing above it) down, collecting every node in construction
+        // order for the linear traversals.
         let mut all_nodes: Vec<(usize, Arc<DynNode>)> = Vec::new();
-        let root_kind = locks[levels - 1];
-        let root_fanin = cohort_layout(hierarchy, levels - 1)[0].0;
-        let mut upper: Vec<Arc<DynNode>> = vec![Arc::new(DynNode::root(
-            root_kind,
-            params[levels - 1],
-            root_fanin,
-            levels - 1,
-        ))];
-        all_nodes.push((levels - 1, Arc::clone(&upper[0])));
-        for level in (0..levels - 1).rev() {
+        let mut upper: Vec<Arc<DynNode>> = Vec::new();
+        for level in (0..levels).rev() {
             let layout = cohort_layout(hierarchy, level);
-            let mut nodes = Vec::with_capacity(hierarchy.cohort_count(level));
+            let mut nodes = Vec::with_capacity(layout.len());
             for (cohort, &(fanin, slot)) in layout.iter().enumerate() {
-                let cpu = hierarchy.cohort_members(level, cohort)[0];
-                let parent_cohort = hierarchy.cohort(level + 1, cpu);
-                let node = Arc::new(DynNode::child(
-                    locks[level],
-                    Arc::clone(&upper[parent_cohort]),
-                    params[level],
-                    fanin,
-                    slot,
-                    level,
-                ));
+                let high = (level + 1 < levels).then(|| {
+                    let cpu = hierarchy.cohort_members(level, cohort)[0];
+                    Arc::clone(&upper[hierarchy.cohort(level + 1, cpu)])
+                });
+                let node = DynNode::new(locks[level], high, params[level], fanin, slot, level);
+                // Topology-derived spin budget: waiters spin inversely
+                // to the span of their level's cohorts before parking
+                // (leaf waiters longest, machine-spanning ones soonest).
+                // Runtime-retunable via `set_spin_budget`.
+                let span = hierarchy.cohort_span(level);
+                node.meta.set_spin_budget(spin_budget_for_span(span));
+                let node = Arc::new(node);
                 all_nodes.push((level, Arc::clone(&node)));
                 nodes.push(node);
             }
             upper = nodes;
         }
-        // Install topology-derived spin budgets: each level's waiters
-        // spin inversely to the span of its cohorts before parking
-        // (leaf/cache-local waiters longest, machine-spanning top-level
-        // waiters soonest). Runtime-retunable via `set_spin_budget`.
-        #[cfg(feature = "park")]
-        for (level, node) in &all_nodes {
-            node.meta.set_spin_budget(crate::level::spin_budget_for_span(
-                hierarchy.cohort_span(*level),
-            ));
-        }
-        // No handles exist yet, so the fast tier may resolve typed
-        // pointers into the node-resident context cells race-free.
         let fast = FastTier::resolve(&upper, locks);
-        let obs = LockObs::new(&name, &shape, std::panic::Location::caller(), &all_nodes);
+        let obs = nodeobs::lock_obs(&name, &shape, std::panic::Location::caller(), &all_nodes);
         Ok(DynClofLock {
             fast,
             leaves: upper,
@@ -760,39 +527,43 @@ impl DynClofLock {
 
     /// A per-thread handle entering at `cpu`'s leaf cohort.
     ///
-    /// Finalist compositions get a monomorphized handle (statically
-    /// dispatched node walk, no per-op enum `match`); everything else
-    /// gets the generic enum-tree handle. Both speak the identical
-    /// protocol on the same shared nodes, so handles of either tier
-    /// interoperate freely on one lock.
+    /// Finalist compositions get a typed handle (statically dispatched
+    /// node walk, no per-op enum `match`); everything else gets the
+    /// enum-tree handle. Both run the one level step on the same shared
+    /// nodes, so handles of either tier interoperate freely on one lock.
     ///
     /// # Panics
     ///
     /// Panics if `cpu` is outside the hierarchy used to build the lock.
     pub fn handle(&self, cpu: CpuId) -> DynHandle {
-        let leaf_idx = self.cpu_to_leaf[cpu];
-        let stripe = self.cpu_to_stripe[cpu];
-        let leaf = Arc::clone(&self.leaves[leaf_idx]);
-        let rec = Recorder::new(&self.obs, &leaf);
-        let inner = match &self.fast {
-            Some(tier) => tier.handle(leaf_idx, leaf, stripe),
-            None => HandleInner::generic(leaf, stripe),
-        };
-        DynHandle { inner, rec }
+        self.handle_on(cpu, self.fast.as_ref())
     }
 
     /// A handle forced onto the generic enum-dispatch tier even when the
-    /// composition has a monomorphized fast path — the ablation control
-    /// for benchmarks, and a mixed-tier stressor for the oracle.
+    /// composition has a typed one — the ablation control for
+    /// benchmarks, and a mixed-tier stressor for the oracle.
     ///
     /// # Panics
     ///
     /// Panics if `cpu` is outside the hierarchy used to build the lock.
     pub fn handle_generic(&self, cpu: CpuId) -> DynHandle {
-        let leaf = Arc::clone(&self.leaves[self.cpu_to_leaf[cpu]]);
+        self.handle_on(cpu, None)
+    }
+
+    fn handle_on(&self, cpu: CpuId, tier: Option<&FastTier>) -> DynHandle {
+        let leaf_idx = self.cpu_to_leaf[cpu];
+        let stripe = self.cpu_to_stripe[cpu];
+        let leaf = &self.leaves[leaf_idx];
         DynHandle {
-            rec: Recorder::new(&self.obs, &leaf),
-            inner: HandleInner::generic(leaf, self.cpu_to_stripe[cpu]),
+            rec: nodeobs::recorder(&self.obs, leaf),
+            inner: match tier {
+                Some(tier) => tier.handle(leaf_idx, stripe),
+                None => HandleInner::Generic {
+                    ctx: leaf.low.new_context(),
+                    chain: Arc::clone(leaf),
+                    stripe,
+                },
+            },
         }
     }
 
@@ -881,7 +652,7 @@ impl DynClofLock {
     /// counted once its release has returned.
     #[cfg(feature = "obs")]
     pub fn obs_snapshot(&self) -> clof_obs::LockSnapshot {
-        self.obs.shards.lock_snapshot(&self.name)
+        self.obs.lock_snapshot(&self.name)
     }
 
     /// Per-level waiter counts right now: `(level, queued_waiters)`
@@ -950,14 +721,11 @@ impl DynClofLock {
     /// waiting policy across hot-swaps.
     #[cfg(feature = "park")]
     pub fn spin_budgets(&self) -> Vec<(usize, u32)> {
-        let mut out: Vec<Option<u32>> = vec![None; self.composition.len()];
+        let mut out: Vec<(usize, u32)> = (0..self.composition.len()).map(|l| (l, 0)).collect();
         for (level, node) in &self.nodes {
-            out[*level].get_or_insert(node.meta.spin_budget());
+            out[*level].1 = node.meta.spin_budget();
         }
-        out.into_iter()
-            .enumerate()
-            .map(|(level, b)| (level, b.unwrap_or(clof_locks::SPIN_FOREVER)))
-            .collect()
+        out
     }
 
     /// Retunes the spin budget of every cohort node at `level` (rounds a
@@ -989,7 +757,7 @@ impl DynClofLock {
     /// [`Self::rebind_site_from`] has run.
     #[cfg(feature = "obs")]
     pub fn site_id(&self) -> u32 {
-        self.obs.shards.site().id()
+        self.obs.site().id()
     }
 
     /// The current contention-profile row for this lock's site: wait and
@@ -1014,12 +782,9 @@ impl DynClofLock {
     #[cfg(feature = "obs")]
     pub fn rebind_site_from(&self, outgoing: &DynClofLock) {
         let before = self.site_id();
-        self.obs
-            .shards
-            .site()
-            .rebind(outgoing.obs.shards.site(), &self.name);
+        self.obs.site().rebind(outgoing.obs.site(), &self.name);
         if self.site_id() != before {
-            self.obs.shards.attach();
+            self.obs.attach();
         }
     }
 
@@ -1034,7 +799,7 @@ impl DynClofLock {
     /// waits-for transitions on this lock's site, e.g. the TAS gate).
     #[cfg(feature = "obs")]
     pub(crate) fn site_anchor(&self) -> Arc<clof_obs::SiteAnchor> {
-        Arc::clone(self.obs.shards.site())
+        Arc::clone(self.obs.site())
     }
 }
 
@@ -1048,560 +813,283 @@ pub enum DispatchTier {
     Generic,
 }
 
-/// The monomorphized fast-dispatch tier.
+/// The typed dispatch tier.
 ///
 /// The exhaustive generator needs the enum tree — `N^M` compositions
 /// cannot all be monomorphized. But `select` only ever ships a handful
-/// of finalists, and those pay the per-op `AnyLock`/`AnyContext` match
-/// on every level transition for no reason. This module re-types the
-/// *already built* enum tree for the finalist shapes: at construction
-/// (before any handle exists) it resolves typed pointers to each level's
-/// lock and node-resident high context, and handles then run a
-/// statically-dispatched replica of `DynNode::acquire`/`release` —
-/// identical protocol, same shared state, same chaos points — behind
-/// the same `DynClofLock` API. Fast and generic handles interoperate on
-/// one lock because neither owns any protocol state privately.
-mod fastdisp {
-    use std::ptr::NonNull;
+/// of finalists, and those would pay the per-op `AnyLock`/`AnyContext`
+/// match on every level transition for no reason. This module re-types
+/// the *already built* enum tree for the finalist shapes as a recursive
+/// chain of views — [`Top`](typed::Top) over the root node,
+/// [`Over`](typed::Over) over every node below, the same shape as the
+/// static `Leaf`/`Clof` — checked against the nodes' kinds once, at
+/// construction. A typed handle then runs the same level step as a
+/// generic one, on the same nodes and context cells, with the basic
+/// locks named by type instead of matched; neither tier owns protocol
+/// state, which is why their handles interoperate on one lock.
+mod typed {
+    use std::marker::PhantomData;
     use std::sync::Arc;
 
-    use clof_locks::{ClhLock, Hemlock, McsLock, TicketLock};
+    use clof_locks::{ClhLock, Hemlock, McsLock, RawLock, TicketLock};
 
-    use super::{DynNode, HandleInner, Recorder};
-    use crate::kind::{LockKind, TypedLock};
+    use super::{DynNode, Tally};
+    use crate::kind::{AnyContext, LockKind, TypedLock};
+    use crate::step::{self, Rung, Wait};
 
-    /// Typed pointers for one level of a finalist chain.
-    struct Level<L: TypedLock> {
-        node: NonNull<DynNode>,
-        lock: NonNull<L>,
-    }
+    type Ctx<C> = <<C as Chain>::Lock as RawLock>::Context;
 
-    impl<L: TypedLock> Clone for Level<L> {
-        fn clone(&self) -> Self {
-            Level {
-                node: self.node,
-                lock: self.lock,
-            }
-        }
-    }
+    /// A typed view of a `DynNode` and every node above it.
+    pub(super) trait Chain: Clone {
+        /// The basic lock of the chain's lowest node.
+        type Lock: TypedLock;
 
-    impl<L: TypedLock> Level<L> {
-        fn resolve(node: &Arc<DynNode>) -> Option<Self> {
-            Some(Level {
-                node: NonNull::from(&**node),
-                lock: NonNull::from(L::from_any(&node.low)?),
-            })
-        }
-    }
+        /// Re-types `node`'s chain; `None` if a level's kind or the
+        /// chain's depth does not match `Self`.
+        fn resolve(node: &Arc<DynNode>) -> Option<Self>;
 
-    /// Resolved 3-level template for one leaf: node/lock pointers per
-    /// level plus the node-resident contexts the upper levels are
-    /// acquired through. Contexts live inside `DynNode::high_ctx` cells
-    /// (stable addresses behind `Arc`s) and are only dereferenced while
-    /// owning the level below, per the context invariant.
-    pub(super) struct Fast3<L0: TypedLock, L1: TypedLock, L2: TypedLock> {
-        l0: Level<L0>,
-        l1: Level<L1>,
-        c1: NonNull<L1::Context>,
-        l2: Level<L2>,
-        c2: NonNull<L2::Context>,
-    }
-
-    impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Clone for Fast3<L0, L1, L2> {
-        fn clone(&self) -> Self {
-            Fast3 {
-                l0: self.l0.clone(),
-                l1: self.l1.clone(),
-                c1: self.c1,
-                l2: self.l2.clone(),
-                c2: self.c2,
-            }
-        }
-    }
-
-    // SAFETY: The pointers target nodes owned by the `DynClofLock`'s
-    // `Arc` chain (handles additionally pin the chain through their leaf
-    // `Arc`), and the context cells are accessed only under the context
-    // invariant — exactly the discipline `DynNode`'s own `Sync` impl
-    // relies on.
-    unsafe impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Send for Fast3<L0, L1, L2> {}
-    unsafe impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Sync for Fast3<L0, L1, L2> {}
-
-    impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Fast3<L0, L1, L2> {
-        /// Resolves the typed template for `leaf`'s 3-level chain.
-        ///
-        /// Must run before any handle exists (no concurrent context
-        /// users); returns `None` — generic fallback — if any level's
-        /// kind fails to downcast or the chain depth is not 3.
-        fn resolve(leaf: &Arc<DynNode>) -> Option<Self> {
-            let l0 = Level::<L0>::resolve(leaf)?;
-            let mid = leaf.high.as_ref()?;
-            let l1 = Level::<L1>::resolve(mid)?;
-            // SAFETY: construction-time exclusive access (no handles yet).
-            let c1 = unsafe { &mut *leaf.high_ctx.get() };
-            let c1 = NonNull::from(L1::ctx_from_any(c1.as_mut()?)?);
-            let root = mid.high.as_ref()?;
-            if root.high.is_some() {
-                return None;
-            }
-            let l2 = Level::<L2>::resolve(root)?;
-            // SAFETY: as above.
-            let c2 = unsafe { &mut *mid.high_ctx.get() };
-            let c2 = NonNull::from(L2::ctx_from_any(c2.as_mut()?)?);
-            Some(Fast3 {
-                l0,
-                l1,
-                c1,
-                l2,
-                c2,
-            })
-        }
-    }
-
-    /// Resolved 2-level template, same contract as [`Fast3`].
-    pub(super) struct Fast2<L0: TypedLock, L1: TypedLock> {
-        l0: Level<L0>,
-        l1: Level<L1>,
-        c1: NonNull<L1::Context>,
-    }
-
-    impl<L0: TypedLock, L1: TypedLock> Clone for Fast2<L0, L1> {
-        fn clone(&self) -> Self {
-            Fast2 {
-                l0: self.l0.clone(),
-                l1: self.l1.clone(),
-                c1: self.c1,
-            }
-        }
-    }
-
-    // SAFETY: See `Fast3`.
-    unsafe impl<L0: TypedLock, L1: TypedLock> Send for Fast2<L0, L1> {}
-    unsafe impl<L0: TypedLock, L1: TypedLock> Sync for Fast2<L0, L1> {}
-
-    impl<L0: TypedLock, L1: TypedLock> Fast2<L0, L1> {
-        fn resolve(leaf: &Arc<DynNode>) -> Option<Self> {
-            let l0 = Level::<L0>::resolve(leaf)?;
-            let root = leaf.high.as_ref()?;
-            if root.high.is_some() {
-                return None;
-            }
-            let l1 = Level::<L1>::resolve(root)?;
-            // SAFETY: construction-time exclusive access (no handles yet).
-            let c1 = unsafe { &mut *leaf.high_ctx.get() };
-            let c1 = NonNull::from(L1::ctx_from_any(c1.as_mut()?)?);
-            Some(Fast2 { l0, l1, c1 })
-        }
-    }
-
-    /// Statically-dispatched replica of `DynNode::acquire`'s inductive
-    /// case: identical step order on the same shared node state, with
-    /// the `counter_waiters` branch resolved at monomorphization
-    /// (`L::INFO.waiter_hint` matches the node's flag by construction).
-    /// `climb` acquires the next level up.
-    #[inline]
-    fn acquire_level<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        stripe: u32,
-        rec: &mut Recorder,
-        climb: impl FnOnce(&mut Recorder),
-    ) {
-        if !L::INFO.waiter_hint {
-            node.meta.inc_waiters(stripe);
-        }
-        #[cfg(feature = "park")]
-        lock.acquire_budgeted(ctx, node.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        lock.acquire(ctx);
-        if !L::INFO.waiter_hint {
-            node.meta.dec_waiters(stripe);
-        }
-        node.stats.note_acquisition();
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        rec.level_won(&node.obs, node.meta.has_high_lock());
-        if !node.meta.has_high_lock() {
-            node.meta.debug_ctx_enter();
-            climb(rec);
-            node.meta.debug_ctx_exit();
-        }
-    }
-
-    /// Base case: the system-level basic lock.
-    #[inline]
-    fn acquire_root<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        rec: &mut Recorder,
-    ) {
-        #[cfg(feature = "park")]
-        lock.acquire_budgeted(ctx, node.meta.spin_budget());
-        #[cfg(not(feature = "park"))]
-        lock.acquire(ctx);
-        node.stats.note_acquisition();
-        rec.level_won(&node.obs, false);
-    }
-
-    /// Statically-dispatched replica of `DynNode::release`'s inductive
-    /// case; `climb` releases the next level up (taken on release-up
-    /// only, before the low release — paper §4.1.3 order).
-    #[inline]
-    fn release_level<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        rec: &mut Recorder,
-        climb: impl FnOnce(&mut Recorder),
-    ) {
-        let hint = lock.has_waiters_hint(ctx);
-        if hint.is_some() {
-            rec.hint_hit(&node.obs);
-        }
-        let waiters = hint.unwrap_or_else(|| node.meta.has_waiters());
-        if waiters && node.meta.keep_local() {
-            node.stats.note_pass();
-            rec.pass(&node.obs);
-            node.meta.pass_high_lock();
-            clof_locks::chaos::point("dyn-release-pass");
-            lock.release(ctx);
-        } else {
-            node.stats.note_release_up();
-            rec.release_up(&node.obs, waiters);
-            node.meta.clear_high_lock();
-            clof_locks::chaos::point("dyn-release-up");
-            node.meta.debug_ctx_enter();
-            climb(rec);
-            node.meta.debug_ctx_exit();
-            lock.release(ctx);
-        }
-    }
-
-    /// Deadline-bounded replica of [`acquire_level`]: `climb` returns
-    /// whether the upper levels were won; on a local timeout or a
-    /// failed climb the level unwinds (waiter bracket closed, low lock
-    /// plainly released — the pass flag was never touched) and reports
-    /// `false` down the chain.
-    #[cfg(feature = "deadline")]
-    #[inline]
-    fn try_acquire_level<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        stripe: u32,
-        deadline: std::time::Instant,
-        rec: &mut Recorder,
-        climb: impl FnOnce(&mut Recorder) -> bool,
-    ) -> bool {
-        if !L::INFO.waiter_hint {
-            node.meta.inc_waiters(stripe);
-        }
-        let won = lock.try_acquire_until(ctx, deadline);
-        if !L::INFO.waiter_hint {
-            node.meta.dec_waiters(stripe);
-        }
-        if !won {
-            return false;
-        }
-        node.stats.note_acquisition();
-        clof_locks::chaos::point("dyn-acquire-low-won");
-        rec.level_won(&node.obs, node.meta.has_high_lock());
-        if !node.meta.has_high_lock() {
-            node.meta.debug_ctx_enter();
-            let climbed = climb(rec);
-            node.meta.debug_ctx_exit();
-            if !climbed {
-                lock.release(ctx);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Deadline-bounded replica of [`acquire_root`].
-    #[cfg(feature = "deadline")]
-    #[inline]
-    fn try_acquire_root<L: TypedLock>(
-        node: &DynNode,
-        lock: &L,
-        ctx: &mut L::Context,
-        deadline: std::time::Instant,
-        rec: &mut Recorder,
-    ) -> bool {
-        if !lock.try_acquire_until(ctx, deadline) {
-            return false;
-        }
-        node.stats.note_acquisition();
-        rec.level_won(&node.obs, false);
-        true
-    }
-
-    /// Per-thread fast handle over a [`Fast3`] template: owns the leaf
-    /// context and its indicator stripe; the leaf `Arc` pins the whole
-    /// chain (each node holds its parent).
-    pub(super) struct Fast3Handle<L0: TypedLock, L1: TypedLock, L2: TypedLock> {
-        t: Fast3<L0, L1, L2>,
-        ctx0: L0::Context,
-        stripe: u32,
-        _leaf: Arc<DynNode>,
-    }
-
-    impl<L0: TypedLock, L1: TypedLock, L2: TypedLock> Fast3Handle<L0, L1, L2> {
-        pub(super) fn new(t: &Fast3<L0, L1, L2>, leaf: Arc<DynNode>, stripe: u32) -> Self {
-            Fast3Handle {
-                t: t.clone(),
-                ctx0: L0::Context::default(),
-                stripe,
-                _leaf: leaf,
-            }
-        }
-
-        #[inline]
-        pub(super) fn acquire(&mut self, rec: &mut Recorder) {
-            // SAFETY: Node and lock pointers are pinned by `_leaf`'s
-            // parent chain; the upper contexts are dereferenced only
-            // inside the `climb` closures, i.e. while owning the level
-            // below them (context invariant), and `debug_ctx_enter`
-            // still guards the bracket in testkit/debug builds.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let n2 = self.t.l2.node.as_ref();
-                let (l1, l2) = (self.t.l1.lock.as_ref(), self.t.l2.lock.as_ref());
-                let (c1, c2) = (self.t.c1, self.t.c2);
-                let l0 = self.t.l0.lock.as_ref();
-                acquire_level(n0, l0, &mut self.ctx0, self.stripe, rec, |rec| {
-                    acquire_level(n1, l1, &mut *c1.as_ptr(), n0.slot, rec, |rec| {
-                        acquire_root(n2, l2, &mut *c2.as_ptr(), rec);
-                    });
-                });
-            }
-        }
-
-        #[cfg(feature = "deadline")]
-        #[inline]
-        pub(super) fn try_acquire(
-            &mut self,
-            deadline: std::time::Instant,
-            rec: &mut Recorder,
-        ) -> bool {
-            // SAFETY: See `acquire`. On the unwind paths each level
-            // releases only what its own frame won (after its climb
-            // reported failure), so ownership never outlives the frame
-            // that took it and the contexts stay bracketed.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let n2 = self.t.l2.node.as_ref();
-                let (l1, l2) = (self.t.l1.lock.as_ref(), self.t.l2.lock.as_ref());
-                let (c1, c2) = (self.t.c1, self.t.c2);
-                try_acquire_level(
-                    n0,
-                    self.t.l0.lock.as_ref(),
-                    &mut self.ctx0,
-                    self.stripe,
-                    deadline,
-                    rec,
-                    |rec| {
-                        let c1 = &mut *c1.as_ptr();
-                        try_acquire_level(n1, l1, c1, n0.slot, deadline, rec, |rec| {
-                            try_acquire_root(n2, l2, &mut *c2.as_ptr(), deadline, rec)
-                        })
-                    },
-                )
-            }
-        }
-
-        #[inline]
-        pub(super) fn release(&mut self, rec: &mut Recorder) {
-            // SAFETY: As in `acquire`; release climbs only while still
-            // owning the lower level (high before low, paper §4.1.3).
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let (l1, l2) = (self.t.l1.lock.as_ref(), self.t.l2.lock.as_ref());
-                let (c1, c2) = (self.t.c1, self.t.c2);
-                release_level(n0, self.t.l0.lock.as_ref(), &mut self.ctx0, rec, |rec| {
-                    release_level(n1, l1, &mut *c1.as_ptr(), rec, |_| {
-                        l2.release(&mut *c2.as_ptr());
-                    });
-                });
-            }
-        }
-    }
-
-    /// Per-thread fast handle over a [`Fast2`] template.
-    pub(super) struct Fast2Handle<L0: TypedLock, L1: TypedLock> {
-        t: Fast2<L0, L1>,
-        ctx0: L0::Context,
-        stripe: u32,
-        _leaf: Arc<DynNode>,
-    }
-
-    impl<L0: TypedLock, L1: TypedLock> Fast2Handle<L0, L1> {
-        pub(super) fn new(t: &Fast2<L0, L1>, leaf: Arc<DynNode>, stripe: u32) -> Self {
-            Fast2Handle {
-                t: t.clone(),
-                ctx0: L0::Context::default(),
-                stripe,
-                _leaf: leaf,
-            }
-        }
-
-        #[inline]
-        pub(super) fn acquire(&mut self, rec: &mut Recorder) {
-            // SAFETY: See `Fast3Handle::acquire`.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let l1 = self.t.l1.lock.as_ref();
-                let c1 = self.t.c1;
-                let l0 = self.t.l0.lock.as_ref();
-                acquire_level(n0, l0, &mut self.ctx0, self.stripe, rec, |rec| {
-                    acquire_root(n1, l1, &mut *c1.as_ptr(), rec);
-                });
-            }
-        }
-
-        #[cfg(feature = "deadline")]
-        #[inline]
-        pub(super) fn try_acquire(
-            &mut self,
-            deadline: std::time::Instant,
-            rec: &mut Recorder,
-        ) -> bool {
-            // SAFETY: See `Fast3Handle::try_acquire`.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let n1 = self.t.l1.node.as_ref();
-                let l1 = self.t.l1.lock.as_ref();
-                let c1 = self.t.c1;
-                try_acquire_level(
-                    n0,
-                    self.t.l0.lock.as_ref(),
-                    &mut self.ctx0,
-                    self.stripe,
-                    deadline,
-                    rec,
-                    |rec| try_acquire_root(n1, l1, &mut *c1.as_ptr(), deadline, rec),
-                )
-            }
-        }
-
-        #[inline]
-        pub(super) fn release(&mut self, rec: &mut Recorder) {
-            // SAFETY: See `Fast3Handle::release`.
-            unsafe {
-                let n0 = self.t.l0.node.as_ref();
-                let l1 = self.t.l1.lock.as_ref();
-                let c1 = self.t.c1;
-                release_level(n0, self.t.l0.lock.as_ref(), &mut self.ctx0, rec, |_| {
-                    l1.release(&mut *c1.as_ptr());
-                });
-            }
-        }
-    }
-
-    /// The finalist set: one pre-resolved template vector (indexed by
-    /// leaf) per composition `select` ships — the HC/LC winners from
-    /// EXPERIMENTS.md plus the homogeneous shapes the stress oracle
-    /// leans on.
-    pub(super) enum FastTier {
-        McsClhTkt(Vec<Fast3<McsLock, ClhLock, TicketLock>>),
-        ClhClhTkt(Vec<Fast3<ClhLock, ClhLock, TicketLock>>),
-        ClhClhHem(Vec<Fast3<ClhLock, ClhLock, Hemlock>>),
-        TktTktTkt(Vec<Fast3<TicketLock, TicketLock, TicketLock>>),
-        TktTkt(Vec<Fast2<TicketLock, TicketLock>>),
-        McsTkt(Vec<Fast2<McsLock, TicketLock>>),
-        ClhTkt(Vec<Fast2<ClhLock, TicketLock>>),
-    }
-
-    impl FastTier {
-        /// Resolves the fast tier for `locks` if it is a finalist shape;
-        /// `None` keeps the generic enum dispatch. Must be called during
-        /// lock construction, before any handle exists.
-        pub(super) fn resolve(leaves: &[Arc<DynNode>], locks: &[LockKind]) -> Option<FastTier> {
-            use LockKind::{Clh, Hemlock as Hem, Mcs, Ticket};
-            fn all3<L0: TypedLock, L1: TypedLock, L2: TypedLock>(
-                leaves: &[Arc<DynNode>],
-            ) -> Option<Vec<Fast3<L0, L1, L2>>> {
-                leaves.iter().map(Fast3::resolve).collect()
-            }
-            fn all2<L0: TypedLock, L1: TypedLock>(
-                leaves: &[Arc<DynNode>],
-            ) -> Option<Vec<Fast2<L0, L1>>> {
-                leaves.iter().map(Fast2::resolve).collect()
-            }
-            match locks {
-                [Mcs, Clh, Ticket] => Some(FastTier::McsClhTkt(all3(leaves)?)),
-                [Clh, Clh, Ticket] => Some(FastTier::ClhClhTkt(all3(leaves)?)),
-                [Clh, Clh, Hem] => Some(FastTier::ClhClhHem(all3(leaves)?)),
-                [Ticket, Ticket, Ticket] => Some(FastTier::TktTktTkt(all3(leaves)?)),
-                [Ticket, Ticket] => Some(FastTier::TktTkt(all2(leaves)?)),
-                [Mcs, Ticket] => Some(FastTier::McsTkt(all2(leaves)?)),
-                [Clh, Ticket] => Some(FastTier::ClhTkt(all2(leaves)?)),
-                _ => None,
-            }
-        }
-
-        /// Builds the fast handle for `leaf_idx`.
-        pub(super) fn handle(
+        /// `DynNode::acquire_with`, statically dispatched.
+        fn acquire_with<W: Wait>(
             &self,
-            leaf_idx: usize,
-            leaf: Arc<DynNode>,
+            ctx: &mut Ctx<Self>,
             stripe: u32,
-        ) -> HandleInner {
-            match self {
-                FastTier::McsClhTkt(t) => {
-                    HandleInner::McsClhTkt(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::ClhClhTkt(t) => {
-                    HandleInner::ClhClhTkt(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::ClhClhHem(t) => {
-                    HandleInner::ClhClhHem(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::TktTktTkt(t) => {
-                    HandleInner::TktTktTkt(Fast3Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::TktTkt(t) => {
-                    HandleInner::TktTkt(Fast2Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::McsTkt(t) => {
-                    HandleInner::McsTkt(Fast2Handle::new(&t[leaf_idx], leaf, stripe))
-                }
-                FastTier::ClhTkt(t) => {
-                    HandleInner::ClhTkt(Fast2Handle::new(&t[leaf_idx], leaf, stripe))
-                }
+            wait: W,
+            hook: &mut Tally<'_>,
+        ) -> bool;
+
+        /// `DynNode::release`, statically dispatched.
+        fn release(&self, ctx: &mut Ctx<Self>, hook: &mut Tally<'_>);
+    }
+
+    /// `node`'s basic lock as the `L` a successful [`Chain::resolve`]
+    /// found it to be.
+    ///
+    /// # Safety
+    ///
+    /// `node.low` must be of `L`'s kind.
+    #[inline]
+    unsafe fn lock_of<L: TypedLock>(node: &DynNode) -> &L {
+        // SAFETY: Per this function's contract.
+        unsafe { L::from_any(&node.low).unwrap_unchecked() }
+    }
+
+    /// View of the root node: the system-level basic lock `L`.
+    pub(super) struct Top<L> {
+        node: Arc<DynNode>,
+        lock: PhantomData<fn() -> L>,
+    }
+
+    impl<L> Clone for Top<L> {
+        fn clone(&self) -> Self {
+            Top {
+                node: Arc::clone(&self.node),
+                lock: PhantomData,
             }
         }
     }
-}
 
-/// Dispatch state of one handle: either the generic enum walk or a
-/// monomorphized finalist walk.
-enum HandleInner {
-    Generic {
-        leaf: Arc<DynNode>,
-        ctx: AnyContext,
-        stripe: u32,
-    },
-    McsClhTkt(fastdisp::Fast3Handle<clof_locks::McsLock, clof_locks::ClhLock, clof_locks::TicketLock>),
-    ClhClhTkt(fastdisp::Fast3Handle<clof_locks::ClhLock, clof_locks::ClhLock, clof_locks::TicketLock>),
-    ClhClhHem(fastdisp::Fast3Handle<clof_locks::ClhLock, clof_locks::ClhLock, clof_locks::Hemlock>),
-    TktTktTkt(
-        fastdisp::Fast3Handle<clof_locks::TicketLock, clof_locks::TicketLock, clof_locks::TicketLock>,
-    ),
-    TktTkt(fastdisp::Fast2Handle<clof_locks::TicketLock, clof_locks::TicketLock>),
-    McsTkt(fastdisp::Fast2Handle<clof_locks::McsLock, clof_locks::TicketLock>),
-    ClhTkt(fastdisp::Fast2Handle<clof_locks::ClhLock, clof_locks::TicketLock>),
-}
+    impl<L: TypedLock> Chain for Top<L> {
+        type Lock = L;
 
-impl HandleInner {
-    fn generic(leaf: Arc<DynNode>, stripe: u32) -> Self {
-        let ctx = leaf.low.new_context();
-        HandleInner::Generic { leaf, ctx, stripe }
+        fn resolve(node: &Arc<DynNode>) -> Option<Self> {
+            L::from_any(&node.low)?;
+            node.high.is_none().then(|| Top {
+                node: Arc::clone(node),
+                lock: PhantomData,
+            })
+        }
+
+        #[inline]
+        fn acquire_with<W: Wait>(
+            &self,
+            ctx: &mut L::Context,
+            _stripe: u32,
+            wait: W,
+            hook: &mut Tally<'_>,
+        ) -> bool {
+            let node = &*self.node;
+            // SAFETY: `resolve` checked the kind, which never changes.
+            let lock = unsafe { lock_of::<L>(node) };
+            step::acquire_root(lock, ctx, node.meta.spin_budget(), node, wait, hook)
+        }
+
+        #[inline]
+        fn release(&self, ctx: &mut L::Context, _hook: &mut Tally<'_>) {
+            // SAFETY: `resolve` checked the kind, which never changes.
+            unsafe { lock_of::<L>(&self.node) }.release(ctx);
+        }
+    }
+
+    /// View of a non-root node with basic lock `L`, over the view `H` of
+    /// the chain above it.
+    pub(super) struct Over<L, H> {
+        node: Arc<DynNode>,
+        lock: PhantomData<fn() -> L>,
+        high: H,
+    }
+
+    impl<L, H: Clone> Clone for Over<L, H> {
+        fn clone(&self) -> Self {
+            Over {
+                node: Arc::clone(&self.node),
+                lock: PhantomData,
+                high: self.high.clone(),
+            }
+        }
+    }
+
+    impl<L: TypedLock, H: Chain> Over<L, H> {
+        /// This node as the level step sees it. `L::INFO.waiter_hint`
+        /// matches the node's `counter_waiters` by construction, and
+        /// resolves the branch at monomorphization.
+        #[inline]
+        fn rung(&self) -> Rung<'_, L, AnyContext, DynNode> {
+            let node = &*self.node;
+            // SAFETY: `resolve` checked the kind of the node's lock,
+            // which never changes, so this is `node.low` — the lock
+            // `DynNode::rung` pairs with `node.meta` — by another name.
+            unsafe { Rung::new(lock_of::<L>(node), &node.meta, !L::INFO.waiter_hint, node) }
+        }
+
+        /// The node's high context as the type `H`'s lock takes.
+        #[inline]
+        fn high_ctx(any: &mut AnyContext) -> &mut Ctx<H> {
+            // SAFETY: The cell was created by the high node's lock
+            // (`DynNode::new`), whose kind `H::resolve` checked; neither
+            // ever changes.
+            unsafe { H::Lock::ctx_from_any(any).unwrap_unchecked() }
+        }
+    }
+
+    impl<L: TypedLock, H: Chain> Chain for Over<L, H> {
+        type Lock = L;
+
+        fn resolve(node: &Arc<DynNode>) -> Option<Self> {
+            L::from_any(&node.low)?;
+            Some(Over {
+                node: Arc::clone(node),
+                lock: PhantomData,
+                high: H::resolve(node.high.as_ref()?)?,
+            })
+        }
+
+        #[inline]
+        fn acquire_with<W: Wait>(
+            &self,
+            ctx: &mut L::Context,
+            stripe: u32,
+            wait: W,
+            hook: &mut Tally<'_>,
+        ) -> bool {
+            step::acquire_step(self.rung(), ctx, stripe, wait, hook, |high_ctx, hook| {
+                let (high_ctx, slot) = (Self::high_ctx(high_ctx), self.node.slot);
+                self.high.acquire_with(high_ctx, slot, wait, hook)
+            })
+        }
+
+        #[inline]
+        fn release(&self, ctx: &mut L::Context, hook: &mut Tally<'_>) {
+            step::release_step(self.rung(), ctx, hook, |high_ctx, hook| {
+                self.high.release(Self::high_ctx(high_ctx), hook)
+            });
+        }
+    }
+
+    /// Declares the finalist set — the compositions `select` ships (the
+    /// HC/LC winners from EXPERIMENTS.md) plus the homogeneous shapes
+    /// the stress oracle leans on — as `Variant: [kinds] => chain type`,
+    /// and derives from the one table: the per-lock [`FastTier`] (one
+    /// pre-resolved chain per leaf), its resolution by composition, and
+    /// the per-handle [`HandleInner`] with its dispatch.
+    macro_rules! finalists {
+        ($($variant:ident: [$($kind:ident),+] => $chain:ty;)+) => {
+            pub(super) enum FastTier {
+                $($variant(Vec<$chain>),)+
+            }
+
+            /// Dispatch state of one handle — the chain it enters, this
+            /// thread's context for the chain's lowest level and its
+            /// indicator stripe there — for the enum walk (`Generic`)
+            /// or a typed finalist chain.
+            pub(super) enum HandleInner {
+                Generic {
+                    chain: Arc<DynNode>,
+                    ctx: AnyContext,
+                    stripe: u32,
+                },
+                $($variant {
+                    chain: $chain,
+                    ctx: Ctx<$chain>,
+                    stripe: u32,
+                },)+
+            }
+
+            /// The only per-op dispatch: one match at the handle, not
+            /// one per level transition.
+            impl HandleInner {
+                #[inline]
+                pub(super) fn acquire_with<W: Wait>(
+                    &mut self,
+                    wait: W,
+                    hook: &mut Tally<'_>,
+                ) -> bool {
+                    match self {
+                        HandleInner::Generic { chain, ctx, stripe } => {
+                            chain.acquire_with(ctx, *stripe, wait, hook)
+                        }
+                        $(HandleInner::$variant { chain, ctx, stripe } => {
+                            chain.acquire_with(ctx, *stripe, wait, hook)
+                        })+
+                    }
+                }
+
+                #[inline]
+                pub(super) fn release(&mut self, hook: &mut Tally<'_>) {
+                    match self {
+                        HandleInner::Generic { chain, ctx, .. } => chain.release(ctx, hook),
+                        $(HandleInner::$variant { chain, ctx, .. } => chain.release(ctx, hook),)+
+                    }
+                }
+            }
+
+            impl FastTier {
+                /// The typed tier for `locks` if it is a finalist shape;
+                /// `None` keeps the enum dispatch.
+                pub(super) fn resolve(
+                    leaves: &[Arc<DynNode>],
+                    locks: &[LockKind],
+                ) -> Option<FastTier> {
+                    match locks {
+                        $([$(LockKind::$kind),+] => {
+                            let chains = leaves.iter().map(<$chain>::resolve);
+                            Some(FastTier::$variant(chains.collect::<Option<_>>()?))
+                        })+
+                        _ => None,
+                    }
+                }
+
+                /// The typed handle state for leaf `leaf_idx`.
+                pub(super) fn handle(&self, leaf_idx: usize, stripe: u32) -> HandleInner {
+                    match self {
+                        $(FastTier::$variant(chains) => HandleInner::$variant {
+                            chain: chains[leaf_idx].clone(),
+                            ctx: Default::default(),
+                            stripe,
+                        },)+
+                    }
+                }
+            }
+        };
+    }
+
+    finalists! {
+        McsClhTkt: [Mcs, Clh, Ticket] => Over<McsLock, Over<ClhLock, Top<TicketLock>>>;
+        ClhClhTkt: [Clh, Clh, Ticket] => Over<ClhLock, Over<ClhLock, Top<TicketLock>>>;
+        ClhClhHem: [Clh, Clh, Hemlock] => Over<ClhLock, Over<ClhLock, Top<Hemlock>>>;
+        TktTktTkt: [Ticket, Ticket, Ticket] => Over<TicketLock, Over<TicketLock, Top<TicketLock>>>;
+        TktTkt: [Ticket, Ticket] => Over<TicketLock, Top<TicketLock>>;
+        McsTkt: [Mcs, Ticket] => Over<McsLock, Top<TicketLock>>;
+        ClhTkt: [Clh, Ticket] => Over<ClhLock, Top<TicketLock>>;
     }
 }
 
@@ -1613,23 +1101,16 @@ pub struct DynHandle {
 }
 
 impl DynHandle {
+    fn acquire_with<W: Wait>(&mut self, wait: W) -> bool {
+        let inner = &mut self.inner;
+        step::spanned(&mut self.rec, |rec| {
+            inner.acquire_with(wait, &mut Tally(rec))
+        })
+    }
+
     /// Acquires the composed lock.
     pub fn acquire(&mut self) {
-        self.rec.enter();
-        let rec = &mut self.rec;
-        // The only per-op dispatch: one match at the handle, not one per
-        // level transition.
-        match &mut self.inner {
-            HandleInner::Generic { leaf, ctx, stripe } => leaf.acquire(ctx, *stripe, rec),
-            HandleInner::McsClhTkt(h) => h.acquire(rec),
-            HandleInner::ClhClhTkt(h) => h.acquire(rec),
-            HandleInner::ClhClhHem(h) => h.acquire(rec),
-            HandleInner::TktTktTkt(h) => h.acquire(rec),
-            HandleInner::TktTkt(h) => h.acquire(rec),
-            HandleInner::McsTkt(h) => h.acquire(rec),
-            HandleInner::ClhTkt(h) => h.acquire(rec),
-        }
-        self.rec.acquired();
+        self.acquire_with(Block);
     }
 
     /// Deadline-bounded acquire: one *absolute* deadline bounds the
@@ -1639,26 +1120,7 @@ impl DynHandle {
     /// count, or wait-graph edge survives the failed attempt.
     #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
-        self.rec.enter();
-        let rec = &mut self.rec;
-        let won = match &mut self.inner {
-            HandleInner::Generic { leaf, ctx, stripe } => {
-                leaf.try_acquire(ctx, *stripe, deadline, rec)
-            }
-            HandleInner::McsClhTkt(h) => h.try_acquire(deadline, rec),
-            HandleInner::ClhClhTkt(h) => h.try_acquire(deadline, rec),
-            HandleInner::ClhClhHem(h) => h.try_acquire(deadline, rec),
-            HandleInner::TktTktTkt(h) => h.try_acquire(deadline, rec),
-            HandleInner::TktTkt(h) => h.try_acquire(deadline, rec),
-            HandleInner::McsTkt(h) => h.try_acquire(deadline, rec),
-            HandleInner::ClhTkt(h) => h.try_acquire(deadline, rec),
-        };
-        if won {
-            self.rec.acquired();
-        } else {
-            self.rec.abandoned();
-        }
-        won
+        self.acquire_with(deadline)
     }
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
@@ -1673,17 +1135,7 @@ impl DynHandle {
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
         self.rec.releasing();
-        let rec = &mut self.rec;
-        match &mut self.inner {
-            HandleInner::Generic { leaf, ctx, .. } => leaf.release(ctx, rec),
-            HandleInner::McsClhTkt(h) => h.release(rec),
-            HandleInner::ClhClhTkt(h) => h.release(rec),
-            HandleInner::ClhClhHem(h) => h.release(rec),
-            HandleInner::TktTktTkt(h) => h.release(rec),
-            HandleInner::TktTkt(h) => h.release(rec),
-            HandleInner::McsTkt(h) => h.release(rec),
-            HandleInner::ClhTkt(h) => h.release(rec),
-        }
+        self.inner.release(&mut Tally(&mut self.rec));
         self.rec.released();
     }
 
@@ -1714,29 +1166,28 @@ pub struct AutoHandle {
 }
 
 impl AutoHandle {
-    /// Acquires the composed lock through the current placement's leaf.
-    pub fn acquire(&mut self) {
+    /// Re-homes, then acquires through the current placement's leaf. A
+    /// timed-out attempt leaves the re-homed handle in place (the
+    /// placement is still correct).
+    fn acquire_with<W: Wait>(&mut self, wait: W) -> bool {
         let cpu = crate::cpu::cached_cpu(self.lock.cpu_to_leaf.len());
         if cpu != self.cpu {
             self.inner = self.lock.handle(cpu);
             self.cpu = cpu;
         }
-        self.inner.acquire();
+        self.inner.acquire_with(wait)
+    }
+
+    /// Acquires the composed lock through the current placement's leaf.
+    pub fn acquire(&mut self) {
+        self.acquire_with(Block);
     }
 
     /// Deadline-bounded acquire through the current placement's leaf;
-    /// see [`DynHandle::try_acquire_until`]. Re-homing happens before
-    /// the attempt, between critical sections, exactly as in
-    /// [`acquire`](Self::acquire) — a timed-out attempt leaves the
-    /// re-homed handle in place (the placement is still correct).
+    /// see [`DynHandle::try_acquire_until`].
     #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
-        let cpu = crate::cpu::cached_cpu(self.lock.cpu_to_leaf.len());
-        if cpu != self.cpu {
-            self.inner = self.lock.handle(cpu);
-            self.cpu = cpu;
-        }
-        self.inner.try_acquire_until(deadline)
+        self.acquire_with(deadline)
     }
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
@@ -2195,6 +1646,162 @@ mod tests {
         // Every leaf acquisition is counted exactly once regardless of
         // which tier performed it.
         assert_eq!(lock.stats()[0].acquisitions, 4 * ITERS as u64);
+        // And each tier on its own — as well as the static tree — makes
+        // the same decisions for the same inputs.
+        one_protocol_on_every_finalist(false);
+    }
+
+    /// What [`run_script`] drives: a handle of any adapter.
+    trait ScriptHandle {
+        fn acquire(&mut self);
+        fn release(&mut self);
+        /// Only scripts with timeouts call this, and only tests of the
+        /// `deadline` feature run those.
+        fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool;
+    }
+
+    macro_rules! script_handle {
+        ($($bounds:tt)*) => {
+            impl$($bounds)* {
+                fn acquire(&mut self) {
+                    Self::acquire(self);
+                }
+                fn release(&mut self) {
+                    Self::release(self);
+                }
+                fn try_acquire_for(&mut self, _budget: std::time::Duration) -> bool {
+                    #[cfg(feature = "deadline")]
+                    return Self::try_acquire_for(self, _budget);
+                    #[cfg(not(feature = "deadline"))]
+                    unreachable!("timeout scripts need the deadline feature")
+                }
+            }
+        };
+    }
+    script_handle!(ScriptHandle for DynHandle);
+    script_handle!(<T: crate::HierLock> ScriptHandle for crate::ClofHandle<T>);
+
+    /// One seeded single-threaded hand-off script, the same for every
+    /// adapter: `handles[cpu]` enters at `cpu`'s leaf of `tiny` (leaf
+    /// cohorts of 2, mid cohorts of 4), and consecutive owners are drawn
+    /// so that they share a leaf, only a mid cohort, or only the root.
+    ///
+    /// With `timeouts` (the `deadline` feature), every other section a
+    /// second seeded CPU makes a bounded attempt while the lock is
+    /// held: it wins every level below the one where the two paths
+    /// meet, stalls there, times out and unwinds; `after_timeout` then
+    /// inspects the lock, and the quitter is the next owner, which
+    /// proves its handle reusable. A quitter that abandoned an MCS
+    /// queue node is still counted by the holder's native waiter hint,
+    /// so the holder's release takes the *pass* branch and the quitter
+    /// inherits the high lock: on an MCS level the script reaches
+    /// `keep_local`, and at threshold 3 its forced release-ups, without
+    /// a second thread. Blocking and bounded acquires alternate, so
+    /// both wait policies walk the same tree state.
+    ///
+    /// Returns the number of critical sections run.
+    fn run_script<H: ScriptHandle>(
+        handles: &mut [H],
+        timeouts: bool,
+        after_timeout: &dyn Fn(),
+    ) -> u64 {
+        let mut rng = clof_testkit::TestRng::new(0x0005_7E90_5C21_9700);
+        let n = handles.len() as u64;
+        let mut sections = 0;
+        let mut next_owner = None;
+        for step in 0..96 {
+            let cpu = next_owner.take().unwrap_or_else(|| rng.below(n) as usize);
+            if timeouts && step % 4 == 1 {
+                let long = std::time::Duration::from_secs(30);
+                assert!(handles[cpu].try_acquire_for(long), "free lock timed out");
+            } else {
+                handles[cpu].acquire();
+            }
+            sections += 1;
+            if timeouts && step % 2 == 0 {
+                let quitter = (cpu + 1 + rng.below(n - 1) as usize) % handles.len();
+                let short = std::time::Duration::from_micros(300);
+                assert!(
+                    !handles[quitter].try_acquire_for(short),
+                    "cpu {quitter} acquired a lock cpu {cpu} holds"
+                );
+                after_timeout();
+                next_owner = Some(quitter);
+            }
+            handles[cpu].release();
+        }
+        sections
+    }
+
+    /// The three adapters are one protocol: for every 3-level finalist
+    /// shape, [`run_script`] through the static `build3` tree, typed
+    /// handles and enum-tier handles takes the same decisions.
+    fn one_protocol_on_every_finalist(timeouts: bool) {
+        use clof_locks::{ClhLock, Hemlock, McsLock, TicketLock};
+        use LockKind::{Clh, Hemlock as Hem, Mcs, Ticket};
+        one_protocol::<McsLock, ClhLock, TicketLock>([Mcs, Clh, Ticket], timeouts);
+        one_protocol::<ClhLock, ClhLock, TicketLock>([Clh, Clh, Ticket], timeouts);
+        one_protocol::<ClhLock, ClhLock, Hemlock>([Clh, Clh, Hem], timeouts);
+        one_protocol::<TicketLock, TicketLock, TicketLock>([Ticket, Ticket, Ticket], timeouts);
+    }
+
+    fn one_protocol<L0, L1, L2>(kinds: [LockKind; 3], timeouts: bool)
+    where
+        L0: clof_locks::RawLock,
+        L1: clof_locks::RawLock,
+        L2: clof_locks::RawLock,
+    {
+        let h = platforms::tiny();
+        let params = ClofParams {
+            keep_local_threshold: 3,
+        };
+        let cpus = 0..h.ncpus();
+
+        let stats_of = |generic: bool| {
+            let lock = DynClofLock::build_with(&h, &kinds, params, false).unwrap();
+            assert_eq!(lock.dispatch_tier(), DispatchTier::Monomorphized);
+            let mut handles: Vec<DynHandle> = cpus
+                .clone()
+                .map(|cpu| lock.handle_on(cpu, lock.fast.as_ref().filter(|_| !generic)))
+                .collect();
+            let sections = run_script(&mut handles, timeouts, &|| {
+                assert_eq!(
+                    lock.queue_depth_hint(),
+                    0,
+                    "{}: a timed-out attempt left a waiter registered",
+                    lock.name()
+                );
+            });
+            let stats = lock.stats();
+            // Every section ends in exactly one release decision at the
+            // leaf, whichever way it went.
+            let decisions = stats[0].passes + stats[0].releases_up;
+            assert_eq!(decisions, sections, "{stats:?}");
+            stats
+        };
+        let typed = stats_of(false);
+        let generic = stats_of(true);
+        assert_eq!(typed, generic, "dyn tiers diverge on {kinds:?}");
+        if timeouts && kinds[0] == LockKind::Mcs {
+            // Today an abandoned MCS node still counts as a waiter (see
+            // `run_script`), which is what puts passes into this
+            // single-threaded run.
+            assert!(typed[0].passes > 0, "{typed:?}");
+        }
+
+        let tree = crate::compose::build3::<L0, L1, L2>(&h, params).unwrap();
+        let mut handles: Vec<_> = cpus.map(|cpu| tree.handle(cpu)).collect();
+        run_script(&mut handles, timeouts, &|| {});
+        #[cfg(feature = "obs")]
+        for (counters, stats) in tree.obs_snapshot().levels.iter().zip(&typed) {
+            let as_stats = LevelStats {
+                level: counters.level,
+                acquisitions: counters.acquires,
+                passes: counters.passes_taken,
+                releases_up: counters.passes_declined,
+            };
+            assert_eq!(as_stats, *stats, "static tree diverges on {kinds:?}");
+        }
     }
 
     #[test]
@@ -2420,6 +2027,8 @@ mod tests {
                 "timeout took {elapsed:?} against a 40ms budget (generic={generic})"
             );
         }
+        // The same unwind at every level, through every adapter.
+        one_protocol_on_every_finalist(true);
     }
 
     #[cfg(feature = "deadline")]

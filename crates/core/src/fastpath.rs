@@ -29,10 +29,31 @@ use clof_topology::{CpuId, Hierarchy};
 use crate::dynlock::{DynClofLock, DynHandle};
 use crate::error::ClofError;
 use crate::kind::LockKind;
-use crate::level::ClofParams;
+use crate::level::{bump_owned, ClofParams};
 
-/// Telemetry for the TAS gate, paired like `dynlock::nodeobs`: ZST
-/// no-ops without the `obs` feature.
+/// What a handle tells its gate telemetry. Every method defaults to
+/// nothing, which is all that `()` — the recorder of a build without the
+/// `obs` feature — does.
+trait GateHook {
+    /// Acquire entry; returns the gate wait's start timestamp.
+    fn start(&mut self) -> u64 {
+        0
+    }
+
+    /// Gate won (either path).
+    fn record_gate(&mut self, _start: u64, _fast: bool) {}
+
+    /// Gate released.
+    fn record_release(&mut self) {}
+
+    /// The bounded gate wait gave up.
+    #[cfg(feature = "deadline")]
+    fn record_timeout(&mut self) {}
+}
+
+impl GateHook for () {}
+
+/// Telemetry for the TAS gate.
 ///
 /// The gate emits `Gate` spans (acquire entry → gate won, flagged
 /// fast/slow) and watchdog progress. It deliberately emits no `Hold`
@@ -49,7 +70,7 @@ mod gateobs {
     use clof_obs::trace::{self, SpanKind};
     use clof_obs::{now_ns, thread_tag, waitgraph, watchdog, Shard};
 
-    use super::{DynHandle, FastClof};
+    use super::{DynHandle, FastClof, GateHook};
 
     /// Per-handle gate telemetry, attributed to the slow composition's
     /// profiler site (a `FastClof` is one lock to the profiler: the
@@ -66,19 +87,19 @@ mod gateobs {
         acquired_at: u64,
     }
 
-    impl GateObs {
-        pub(super) fn new(lock: &FastClof, slow: &DynHandle) -> Self {
-            GateObs {
-                site: lock.slow.site_anchor(),
-                shard: slow.obs_shard(),
-                last_fast: false,
-                acquired_at: 0,
-            }
+    pub(super) fn gate_obs(lock: &FastClof, slow: &DynHandle) -> GateObs {
+        GateObs {
+            site: lock.slow.site_anchor(),
+            shard: slow.obs_shard(),
+            last_fast: false,
+            acquired_at: 0,
         }
+    }
 
-        /// Acquire entry: publish `Waiting` and timestamp the gate wait.
+    impl GateHook for GateObs {
+        /// Publishes `Waiting` and timestamps the gate wait.
         #[inline]
-        pub(super) fn start(&mut self) -> u64 {
+        fn start(&mut self) -> u64 {
             let now = now_ns();
             let thread = thread_tag();
             watchdog::global().wait_at(thread, now);
@@ -86,9 +107,8 @@ mod gateobs {
             now
         }
 
-        /// Gate won (either path).
         #[inline]
-        pub(super) fn record_gate(&mut self, start: u64, fast: bool) {
+        fn record_gate(&mut self, start: u64, fast: bool) {
             let at = now_ns();
             self.last_fast = fast;
             self.acquired_at = at;
@@ -103,9 +123,8 @@ mod gateobs {
             }
         }
 
-        /// Gate released.
         #[inline]
-        pub(super) fn record_release(&mut self) {
+        fn record_release(&mut self) {
             let now = now_ns();
             if self.last_fast {
                 self.shard.gate_held(now.saturating_sub(self.acquired_at));
@@ -115,12 +134,11 @@ mod gateobs {
             waitgraph::global().released(thread, self.site.id());
         }
 
-        /// The bounded gate wait gave up: the composition was handed
-        /// back, nothing is held. Cancels any dangling wait edge and
-        /// counts the attempt as a timeout.
+        /// The composition was handed back, nothing is held: cancels
+        /// any dangling wait edge and counts the attempt as a timeout.
         #[cfg(feature = "deadline")]
         #[inline]
-        pub(super) fn record_timeout(&mut self) {
+        fn record_timeout(&mut self) {
             let thread = thread_tag();
             watchdog::global().idle_at(thread, now_ns());
             waitgraph::global().wait_cancelled(thread, self.site.id());
@@ -131,30 +149,9 @@ mod gateobs {
 
 #[cfg(not(feature = "obs"))]
 mod gateobs {
-    #[derive(Debug, Default)]
-    pub(super) struct GateObs;
+    pub(super) type GateObs = ();
 
-    impl GateObs {
-        #[inline]
-        pub(super) fn new(_lock: &super::FastClof, _slow: &super::DynHandle) -> Self {
-            GateObs
-        }
-
-        #[inline(always)]
-        pub(super) fn start(&mut self) -> u64 {
-            0
-        }
-
-        #[inline(always)]
-        pub(super) fn record_gate(&mut self, _start: u64, _fast: bool) {}
-
-        #[inline(always)]
-        pub(super) fn record_release(&mut self) {}
-
-        #[cfg(feature = "deadline")]
-        #[inline(always)]
-        pub(super) fn record_timeout(&mut self) {}
-    }
+    pub(super) fn gate_obs(_lock: &super::FastClof, _slow: &super::DynHandle) {}
 }
 
 /// A CLoF lock with a test-and-set fast path.
@@ -268,7 +265,7 @@ impl FastClof {
         let slow = self.slow.handle(cpu);
         FastClofHandle {
             lock: Arc::clone(self),
-            obs: gateobs::GateObs::new(self, &slow),
+            obs: gateobs::gate_obs(self, &slow),
             slow,
         }
     }
@@ -284,14 +281,6 @@ impl FastClof {
             self.paths.fast.load(Ordering::Relaxed),
             self.paths.slow.load(Ordering::Relaxed),
         )
-    }
-
-    /// Owner-only counter bump: callers hold the gate, so successive
-    /// increments are ordered by its release→acquire edge.
-    #[inline]
-    fn bump(counter: &AtomicU64) {
-        let v = counter.load(Ordering::Relaxed);
-        counter.store(v + 1, Ordering::Relaxed);
     }
 
     /// Telemetry snapshot of the slow path (the composition); the TAS
@@ -357,7 +346,7 @@ impl FastClofHandle {
     pub fn acquire(&mut self) {
         let start = self.obs.start();
         if self.lock.try_top() {
-            FastClof::bump(&self.lock.paths.fast);
+            bump_owned(&self.lock.paths.fast);
             self.obs.record_gate(start, true);
             return;
         }
@@ -389,7 +378,7 @@ impl FastClofHandle {
             }
         }
         self.slow.release();
-        FastClof::bump(&self.lock.paths.slow);
+        bump_owned(&self.lock.paths.slow);
         self.obs.record_gate(start, false);
     }
 
@@ -404,7 +393,7 @@ impl FastClofHandle {
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         let start = self.obs.start();
         if self.lock.try_top() {
-            FastClof::bump(&self.lock.paths.fast);
+            bump_owned(&self.lock.paths.fast);
             self.obs.record_gate(start, true);
             return true;
         }
@@ -429,7 +418,7 @@ impl FastClofHandle {
             backoff.snooze();
         }
         self.slow.release();
-        FastClof::bump(&self.lock.paths.slow);
+        bump_owned(&self.lock.paths.slow);
         self.obs.record_gate(start, false);
         true
     }

@@ -247,12 +247,12 @@ impl AnyLock {
 
     /// Acquires with a bounded spin budget (spin-then-park); see
     /// [`RawLock::acquire_budgeted`]. Kinds without a parking path
-    /// (Hemlock) ignore the budget and spin.
+    /// (Hemlock, and every kind without the `park` feature) ignore the
+    /// budget and spin.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` was not created for this lock's kind.
-    #[cfg(feature = "park")]
     #[inline]
     pub fn acquire_budgeted(&self, ctx: &mut AnyContext, budget: u32) {
         dispatch!(self, ctx, lock, c => lock.acquire_budgeted(c, budget));
@@ -284,19 +284,13 @@ impl AnyLock {
     }
 
     /// Native waiter hint, if the algorithm provides one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` was not created for this lock's kind.
     #[inline]
     pub fn has_waiters_hint(&self, ctx: &AnyContext) -> Option<bool> {
-        match (self, ctx) {
-            (AnyLock::Ticket(lock), AnyContext::None(c)) => lock.has_waiters_hint(c),
-            (AnyLock::Ttas(lock), AnyContext::None(c)) => lock.has_waiters_hint(c),
-            (AnyLock::Backoff(lock), AnyContext::None(c)) => lock.has_waiters_hint(c),
-            (AnyLock::Mcs(lock), AnyContext::Mcs(c)) => lock.has_waiters_hint(c),
-            (AnyLock::Clh(lock), AnyContext::Clh(c)) => lock.has_waiters_hint(c),
-            (AnyLock::Hemlock(lock), AnyContext::Hem(c)) => lock.has_waiters_hint(c),
-            (AnyLock::HemlockCtr(lock), AnyContext::Hem(c)) => lock.has_waiters_hint(c),
-            (AnyLock::Anderson(lock), AnyContext::Anderson(c)) => lock.has_waiters_hint(c),
-            _ => unreachable!("context kind does not match lock kind"),
-        }
+        dispatch!(self, ctx, lock, c => lock.has_waiters_hint(c))
     }
 }
 

@@ -27,7 +27,7 @@
 //! never a safety violation.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use clof_locks::{CachePadded, CACHE_LINE};
 
@@ -58,13 +58,11 @@ impl Default for ClofParams {
 
 /// Spin budget (in backoff rounds) of a waiter at a level whose cohorts
 /// span one CPU: the most local waiter spins longest before parking.
-#[cfg(feature = "park")]
 pub const BASE_SPIN_ROUNDS: u32 = 64;
 
 /// Floor on any level's spin budget: even a machine-spanning top-level
 /// waiter spins a few rounds first, so an imminent hand-off is still
 /// caught without a syscall.
-#[cfg(feature = "park")]
 pub const MIN_SPIN_ROUNDS: u32 = 4;
 
 /// Derives a level's spin budget from its topology distance.
@@ -77,10 +75,55 @@ pub const MIN_SPIN_ROUNDS: u32 = 4;
 /// the most CPU time and the hand-off latency dwarfs a futex wake — so
 /// the budget shrinks inversely with span, clamped to
 /// [[`MIN_SPIN_ROUNDS`], [`BASE_SPIN_ROUNDS`]].
-#[cfg(feature = "park")]
 pub fn spin_budget_for_span(span: usize) -> u32 {
     let span = span.max(1).min(u32::MAX as usize) as u32;
     (BASE_SPIN_ROUNDS / span).clamp(MIN_SPIN_ROUNDS, BASE_SPIN_ROUNDS)
+}
+
+/// One level's spin budget: backoff rounds a waiter spins on the level's
+/// low lock before parking. Starts at
+/// [`SPIN_FOREVER`](clof_locks::SPIN_FOREVER) until a builder installs a
+/// topology-derived budget; runtime-tunable so `adapt` can carry the
+/// waiting policy across hot-swaps. Without the `park` feature nothing
+/// parks, so the cell is zero-sized and always reads `SPIN_FOREVER`.
+#[derive(Debug)]
+pub(crate) struct SpinBudget(#[cfg(feature = "park")] AtomicU32);
+
+impl SpinBudget {
+    pub(crate) fn new() -> Self {
+        SpinBudget(
+            #[cfg(feature = "park")]
+            AtomicU32::new(clof_locks::SPIN_FOREVER),
+        )
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> u32 {
+        #[cfg(feature = "park")]
+        return self.0.load(Ordering::Relaxed);
+        #[cfg(not(feature = "park"))]
+        clof_locks::SPIN_FOREVER
+    }
+
+    /// Relaxed is enough: in-flight waiters may use either value; the
+    /// budget only shapes the spin/park trade-off, never correctness.
+    #[inline]
+    pub(crate) fn set(&self, rounds: u32) {
+        #[cfg(feature = "park")]
+        self.0.store(rounds, Ordering::Relaxed);
+        #[cfg(not(feature = "park"))]
+        let _ = rounds;
+    }
+}
+
+/// Increments a counter only the current owner of some lock writes: a
+/// plain load + store replaces the locked RMW, because successive
+/// owners are ordered by that lock's release→acquire edge, which also
+/// publishes the store. Readers get exact totals at quiescence and
+/// approximate ones while the lock is in use.
+#[inline]
+pub(crate) fn bump_owned(counter: &AtomicU64) {
+    counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
 /// Owner-written metadata words; packed into one [`CachePadded`] block.
@@ -126,13 +169,9 @@ pub struct LevelMeta<C> {
     stripes: Box<[CachePadded<AtomicU32>]>,
     /// `stripes.len() - 1`; stripe selection is `slot & stripe_mask`.
     stripe_mask: u32,
-    /// Per-level spin budget (backoff rounds before a waiter parks),
-    /// derived from topology distance at build time and runtime-tunable
-    /// so `adapt` can carry the waiting policy across hot-swaps.
     /// Read-mostly (written only by tuning), so it lives outside the
     /// owner block and off the stripes.
-    #[cfg(feature = "park")]
-    spin_budget: AtomicU32,
+    spin_budget: SpinBudget,
     /// Owner-only words, isolated from the waiter stripes.
     owner: CachePadded<OwnerState<C>>,
 }
@@ -153,6 +192,14 @@ impl<C: Default> LevelMeta<C> {
     /// CPUs sharing a leaf): one indicator stripe per child slot, rounded
     /// up to a power of two and capped at [`MAX_WAITER_STRIPES`].
     pub fn with_fanin(params: ClofParams, fanin: usize) -> Self {
+        Self::with_ctx(params, fanin, C::default())
+    }
+}
+
+impl<C> LevelMeta<C> {
+    /// [`with_fanin`](Self::with_fanin) around an explicit high-lock
+    /// context, for context types picked at run time.
+    pub fn with_ctx(params: ClofParams, fanin: usize, high_ctx: C) -> Self {
         let stripes = fanin
             .max(1)
             .next_power_of_two()
@@ -162,21 +209,18 @@ impl<C: Default> LevelMeta<C> {
                 .map(|_| CachePadded::new(AtomicU32::new(0)))
                 .collect(),
             stripe_mask: stripes as u32 - 1,
-            #[cfg(feature = "park")]
-            spin_budget: AtomicU32::new(clof_locks::SPIN_FOREVER),
+            spin_budget: SpinBudget::new(),
             owner: CachePadded::new(OwnerState {
                 high_held: AtomicBool::new(false),
                 handovers: AtomicU32::new(0),
                 threshold: params.keep_local_threshold.max(1),
-                high_ctx: UnsafeCell::new(C::default()),
+                high_ctx: UnsafeCell::new(high_ctx),
                 #[cfg(any(debug_assertions, feature = "testkit"))]
                 ctx_busy: AtomicBool::new(false),
             }),
         }
     }
-}
 
-impl<C> LevelMeta<C> {
     /// `inc_waiters`: announce this thread is about to acquire the low
     /// lock. `slot` identifies the caller's child position (sibling
     /// cohort index, or CPU index within a leaf cohort) and selects the
@@ -261,19 +305,12 @@ impl<C> LevelMeta<C> {
         }
     }
 
-    /// Grants the caller the high-lock context.
-    ///
-    /// # Safety
-    ///
-    /// The caller must own this metadata's low lock. The context invariant
-    /// (only the low-lock owner uses the context, release order high →
-    /// low) makes the access exclusive; the low lock's release→acquire
-    /// synchronization publishes the context state to the next owner.
+    /// The high-lock context cell. Only the level step dereferences it,
+    /// and only while it owns this metadata's low lock (the context
+    /// invariant; see `step.rs`).
     #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn high_ctx(&self) -> &mut C {
-        // SAFETY: Exclusivity per the function's safety contract.
-        unsafe { &mut *self.owner.high_ctx.get() }
+    pub(crate) fn high_ctx_ptr(&self) -> *mut C {
+        self.owner.high_ctx.get()
     }
 
     /// Marks the high context busy (debug or `testkit` builds): panics
@@ -314,20 +351,18 @@ impl<C> LevelMeta<C> {
 
     /// This level's spin budget: rounds a waiter spins on the low lock
     /// before parking ([`SPIN_FOREVER`](clof_locks::SPIN_FOREVER) until
-    /// a builder installs a topology-derived budget).
-    #[cfg(feature = "park")]
+    /// a builder installs a topology-derived budget, and always without
+    /// the `park` feature).
     #[inline]
     pub fn spin_budget(&self) -> u32 {
-        self.spin_budget.load(Ordering::Relaxed)
+        self.spin_budget.get()
     }
 
-    /// Retunes this level's spin budget at runtime. Relaxed is enough:
-    /// in-flight waiters may use either value; the budget only shapes
-    /// the spin/park trade-off, never correctness.
-    #[cfg(feature = "park")]
+    /// Retunes this level's spin budget at runtime (no effect without
+    /// the `park` feature).
     #[inline]
     pub fn set_spin_budget(&self, rounds: u32) {
-        self.spin_budget.store(rounds, Ordering::Relaxed);
+        self.spin_budget.set(rounds);
     }
 
     /// The configured keep-local threshold.
@@ -478,7 +513,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "park")]
     fn budget_derivation_shrinks_with_span() {
         assert_eq!(spin_budget_for_span(1), BASE_SPIN_ROUNDS);
         assert_eq!(spin_budget_for_span(2), 32);

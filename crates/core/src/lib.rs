@@ -22,12 +22,11 @@
 //!   to be monomorphized to benchmark a 4-level hierarchy with 4 basic
 //!   locks.
 //!
-//! Both flavours implement the same protocol (paper Figure 8):
-//! `inc_waiters`/`dec_waiters`/`has_waiters` read-indicator (skipped when
-//! the basic lock has a native waiter hint), `keep_local` threshold
-//! counting, `pass_high_lock`/`clear_high_lock`/`has_high_lock` flag
-//! hand-off, and the **release order** (high before low) that the context
-//! invariant requires.
+//! Both flavours are thin adapters over one implementation of the
+//! paper's level step (Figure 8, the private `step` module): waiter
+//! read-indicator (skipped when the basic lock has a native waiter
+//! hint), `keep_local` threshold, pass-flag hand-off, and the **release
+//! order** (high before low) that the context invariant requires.
 //!
 //! # Quick start
 //!
@@ -68,8 +67,8 @@ pub mod mutex;
 mod deadlineglue;
 #[cfg(all(feature = "park", feature = "obs"))]
 mod parkglue;
-pub mod rwlock;
 pub mod select;
+mod step;
 
 #[cfg(feature = "adapt")]
 pub use adapt::{AdaptHandle, AdaptiveLock, MigrationStats};
@@ -81,8 +80,10 @@ pub use generator::{compositions, composition_name, generate_all, parse_composit
 pub use kind::LockKind;
 pub use level::{ClofParams, MAX_WAITER_STRIPES};
 pub use mutex::{ClofMutex, ClofMutexGuard, ClofMutexHandle};
-pub use rwlock::{ClofRwLock, ClofRwWriter};
 pub use select::{rank, scripted_benchmark, BenchResult, CandidateObs, Policy, Selection};
+/// The level step's mutant switch, for the mutant-kill suite.
+#[cfg(feature = "testkit")]
+pub use step::mutant as step_mutant;
 
 /// Re-export of the telemetry crate (`obs` feature only), so downstream
 /// users never need a direct `clof-obs` dependency: snapshots come from

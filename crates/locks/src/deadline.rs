@@ -147,9 +147,19 @@ pub(crate) fn on_skip() {
 /// same caveats as chaos apply: decisions are a pure function of seed
 /// and global arrival order, so a seed replays a failure class, not an
 /// exact trace.
+///
+/// The plan is process-global but fires only on threads that
+/// [`enroll`]ed: the harness runs tests on parallel threads, and a
+/// clock-sensitive test running beside an injecting one must keep its
+/// real deadlines.
 #[cfg(any(test, feature = "testkit"))]
 pub mod forced {
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+
+    thread_local! {
+        static ENROLLED: Cell<bool> = const { Cell::new(false) };
+    }
 
     static ENABLED: AtomicBool = AtomicBool::new(false);
     static STATE: AtomicU64 = AtomicU64::new(0);
@@ -166,8 +176,15 @@ pub mod forced {
         z ^ (z >> 31)
     }
 
-    /// Enables injection: each wait round forces a timeout with
-    /// probability `1/denom`.
+    /// Opts the calling thread into (`true`) or out of the injection
+    /// stream; returns the previous setting. Worker threads of an
+    /// injecting run enroll themselves and end with the run.
+    pub fn enroll(on: bool) -> bool {
+        ENROLLED.with(|e| e.replace(on))
+    }
+
+    /// Enables injection: each wait round of an enrolled thread forces
+    /// a timeout with probability `1/denom`.
     pub fn configure(seed: u64, denom: u32) {
         STATE.store(seed, Ordering::Relaxed);
         DENOM.store(denom.max(1), Ordering::Relaxed);
@@ -192,7 +209,7 @@ pub mod forced {
 
     #[inline]
     pub(super) fn fire(_site: &'static str) -> bool {
-        if !ENABLED.load(Ordering::Relaxed) {
+        if !ENABLED.load(Ordering::Relaxed) || !ENROLLED.with(Cell::get) {
             return false;
         }
         fire_cold()
@@ -276,6 +293,11 @@ mod tests {
         }
         forced::configure(7, 2);
         assert!(forced::is_enabled());
+        // An enabled plan leaves threads that never enrolled alone.
+        for _ in 0..100 {
+            assert!(!p.expired(), "forced fire on an unenrolled thread");
+        }
+        assert!(!forced::enroll(true));
         let mut fired = false;
         for _ in 0..10_000 {
             if p.expired() {

@@ -84,9 +84,10 @@ pub trait RawLock: Default + Send + Sync + 'static {
     /// [`acquire`](RawLock::acquire).
     ///
     /// The default implementation ignores the budget and spins; locks
-    /// with a parking path override it. The composition layer passes
-    /// each level's topology-derived budget through here.
-    #[cfg(feature = "park")]
+    /// with a parking path override it under the `park` feature. The
+    /// composition layer passes each level's topology-derived budget
+    /// through here in every build (without `park` that budget is
+    /// always `SPIN_FOREVER`), so its level step has one acquire call.
     fn acquire_budgeted(&self, ctx: &mut Self::Context, budget: u32) {
         let _ = budget;
         self.acquire(ctx);

@@ -419,6 +419,71 @@ pub fn node_tag() -> u32 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+/// A lock node's place in a trace — its hierarchy level and [`node_tag`]
+/// — plus the cell a pass parks its flow id in for the inheriting
+/// acquire (design constraint 2). The cell is written under the node's
+/// low lock just before the release that publishes the pass flag, and
+/// read (and cleared) by the acquire that inherits it. Like
+/// [`record`], the span methods are no-ops while tracing is off; guard
+/// with [`is_enabled`] to skip computing their timestamps.
+#[derive(Debug)]
+pub struct NodeTrack {
+    level: u8,
+    node: u32,
+    flow: AtomicU64,
+}
+
+impl NodeTrack {
+    /// A fresh identity for a node at `level` (0 = innermost).
+    pub fn new(level: usize) -> Self {
+        NodeTrack {
+            level: level as u8,
+            node: node_tag(),
+            flow: AtomicU64::new(0),
+        }
+    }
+
+    /// The node's hierarchy level.
+    #[inline]
+    pub fn level(&self) -> usize {
+        self.level as usize
+    }
+
+    /// The node's process-unique tag.
+    #[inline]
+    pub fn tag(&self) -> u32 {
+        self.node
+    }
+
+    /// The node's low lock was won after waiting `start_ns..end_ns`;
+    /// an `inherited` win consumes the flow id the passer parked.
+    #[inline]
+    pub fn wait_span(&self, start_ns: u64, end_ns: u64, inherited: bool) {
+        let flow_in = if inherited {
+            self.flow.swap(0, Ordering::Relaxed)
+        } else {
+            0
+        };
+        let kind = SpanKind::Wait { inherited };
+        record(start_ns, end_ns, self.level, self.node, kind, flow_in, 0);
+    }
+
+    /// A release passed the high lock within the node's cohort.
+    #[inline]
+    pub fn pass_span(&self, at_ns: u64) {
+        let flow = next_flow_id();
+        self.flow.store(flow, Ordering::Relaxed);
+        record(at_ns, at_ns, self.level, self.node, SpanKind::Pass, 0, flow);
+    }
+
+    /// A release surrendered the high lock upward.
+    #[inline]
+    pub fn release_up_span(&self, at_ns: u64, forced: bool) {
+        let kind = SpanKind::ReleaseUp { forced };
+        record(at_ns, at_ns, self.level, self.node, kind, 0, 0);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Chrome trace-event / Perfetto export.
 // ---------------------------------------------------------------------

@@ -10,8 +10,11 @@
 //! oracle drives [`clof_locks::chaos`]:
 //!
 //! * [`with_forced_timeouts`] — configures the stream for one seeded
-//!   run and reports how many timeouts were forced. Injection state is
-//!   process-global, so runs are serialized behind a module mutex.
+//!   run and reports how many timeouts were forced. The plan is
+//!   process-global, so runs are serialized behind a module mutex, and
+//!   it fires only on threads enrolled in it — the caller for the
+//!   body's duration and every thread that builds a [`TimedHandle`] —
+//!   so tests running beside an injecting one keep their real clocks.
 //! * [`TimedHandle`] — wraps any [`DeadlineHandle`] so the stress
 //!   oracle's *blocking* `acquire` becomes a retry loop of seeded,
 //!   microsecond-scale `try_acquire_until` attempts. Every failed
@@ -80,7 +83,9 @@ fn forced_guard() -> MutexGuard<'static, ()> {
 pub fn with_forced_timeouts<R>(seed: u64, denom: u32, body: impl FnOnce() -> R) -> (R, u64) {
     let _guard = forced_guard();
     forced::configure(seed, denom);
+    let was_enrolled = forced::enroll(true);
     let out = body();
+    forced::enroll(was_enrolled);
     let fires = forced::fires();
     forced::disable();
     (out, fires)
@@ -103,8 +108,11 @@ pub struct TimedHandle<H: DeadlineHandle> {
 
 impl<H: DeadlineHandle> TimedHandle<H> {
     /// Wraps `inner`; `seed` differentiates per-thread budget streams,
-    /// `timeouts` accumulates this handle's abandoned attempts.
+    /// `timeouts` accumulates this handle's abandoned attempts. Enrolls
+    /// the calling thread — the oracle worker the handle is built on —
+    /// in the forced-timeout plan of the surrounding run.
     pub fn new(inner: H, seed: u64, budget_micros: u64, timeouts: Arc<AtomicU64>) -> Self {
+        forced::enroll(true);
         TimedHandle {
             inner,
             rng: TestRng::new(seed ^ 0xDEAD_11DE_DEAD_11DE),

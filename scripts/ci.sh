@@ -2,8 +2,12 @@
 # Offline CI gate for the CLoF workspace.
 #
 # Runs, in order:
-#   1. tier-1: `cargo build --release && cargo test -q` (root package);
-#   2. the clof-testkit unit suite (property engine + oracle self-tests);
+#   1. tier-1: `cargo build --release && cargo test -q` (root package;
+#      includes the level-step mutant-kill, `tests/step_mutant.rs`);
+#   2. the clof-testkit unit suite (property engine + oracle self-tests),
+#      then a structural check that the paper's level step is spelled
+#      once: each protocol primitive of `LevelMeta` has at most one
+#      non-test call site in crates/core/src outside level.rs;
 #   3. a 16-seed smoke subset of the schedule-fuzzing stress oracle;
 #   4. the default-build `clof` binary, asserted free of tracer symbols
 #      (the "traceEvents" exporter string only exists behind `obs`) —
@@ -46,7 +50,9 @@
 #      smoke against the real binary (marker present), and the
 #      zero-cost assertions that the default binary carries no
 #      "clof-deadline" marker and the default dependency graph enables
-#      the `deadline` feature nowhere.
+#      the `deadline` feature nowhere;
+#   9. all four feature layers at once (`obs,adapt,park,deadline`): the
+#      workspace type-checks and the core suite passes.
 #
 # Everything builds from vendored/in-repo code only — no network, no
 # external dev-dependencies — so this is safe for air-gapped runners.
@@ -83,6 +89,25 @@ phase() {
 phase "tier-1 release build" cargo build --release
 phase "tier-1 test suite" cargo test -q
 phase "testkit unit suite" cargo test -q -p clof-testkit
+
+# The §4.1 level step lives in crates/core/src/step.rs and nowhere else:
+# a second call site of any of these `LevelMeta` primitives is a second
+# copy of the protocol (comments and `#[cfg(test)]` modules don't count).
+phase "level step is spelled once" \
+    sh -c 'status=0
+           for call in "pass_high_lock()" "keep_local()" "clear_high_lock()" \
+                       "inc_waiters(" "dec_waiters("; do
+               sites=0
+               for file in crates/core/src/*.rs; do
+                   [ "${file##*/}" = level.rs ] && continue
+                   n=$(sed "/^#\[cfg(test)\]/,\$d" "$file" | grep -v "^ *//" |
+                       grep -cF "$call" || true)
+                   sites=$((sites + n))
+               done
+               echo "$call: $sites call site(s) outside level.rs"
+               [ "$sites" -le 1 ] || status=1
+           done
+           exit $status'
 
 # Memory-layout assertions are `const _: () = assert!(...)` blocks in
 # clof-locks (CachePadded, lock-word padding), clof-core (LevelMeta
@@ -361,6 +386,13 @@ phase "deadline zero-cost dependency check" \
                echo "the deadline feature leaked into the default clof-bench graph" >&2
                exit 1
            fi'
+
+# All four feature layers at once: the combination every layer's docs
+# promise ("composes with ...") and no phase above builds.
+phase "all-features type check (obs,adapt,park,deadline)" \
+    cargo check --features obs,adapt,park,deadline
+phase "all-features core suite (obs,adapt,park,deadline)" \
+    cargo test -q -p clof-core --features obs,adapt,park,deadline
 
 echo
 echo "==== ci: all phases green ===="

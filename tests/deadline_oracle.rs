@@ -16,7 +16,7 @@
 
 #![cfg(feature = "deadline")]
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -302,6 +302,7 @@ fn abandonment_mid_migration_keeps_swaps_and_counts() {
     use clof::adapt::AdaptiveLock;
     use clof_testkit::deadline::with_forced_timeouts;
     use clof_testkit::{run_stress, with_forced_swaps, SwapPlan};
+    use std::sync::atomic::Ordering;
 
     let hierarchy = build_regular(&[2, 4]);
     let shapes: [&[LockKind]; 2] = [
