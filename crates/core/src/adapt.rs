@@ -52,7 +52,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, RwLock};
 
-use clof_locks::{chaos, CachePadded};
+use clof_locks::{chaos, Backoff, CachePadded};
 use clof_topology::{CpuId, Hierarchy};
 
 use crate::dynlock::{DispatchTier, DynClofLock, DynHandle};
@@ -63,14 +63,35 @@ use crate::level::ClofParams;
 /// Stripes per entrant set; matches the level-meta striping width.
 const ENTRANT_STRIPES: usize = 8;
 
-/// Spin iterations between `yield_now` calls in the wait loops.
-const SPINS_PER_YIELD: u64 = 64;
-
-/// Testkit-only stall bound for the baton/drain wait loops. Real drains
-/// complete in microseconds; a protocol mutant that never hands the
-/// baton over trips this instead of hanging the suite.
+/// Testkit-only stall bound, in yields, for the baton/drain wait loops.
+/// Real drains complete in microseconds; a protocol mutant that never
+/// hands the baton over trips this instead of hanging the suite.
 #[cfg(feature = "testkit")]
-const STALL_BOUND: u64 = 1 << 22;
+const STALL_BOUND: u32 = 1 << 16;
+
+/// One unbounded handover wait (drain, baton): the workspace's shared
+/// [`Backoff`] plus, under `testkit`, the stall bound.
+#[derive(Default)]
+struct HandoverWait {
+    backoff: Backoff,
+    #[cfg(feature = "testkit")]
+    yields: u32,
+}
+
+impl HandoverWait {
+    #[inline]
+    fn relax(&mut self, _what: &str) {
+        #[cfg(feature = "testkit")]
+        if self.backoff.is_yielding() {
+            self.yields += 1;
+            assert!(
+                self.yields < STALL_BOUND,
+                "clof-adapt handover stalled: {_what}"
+            );
+        }
+        self.backoff.snooze();
+    }
+}
 
 /// One striped read-indicator set: occupancy of a generation.
 ///
@@ -484,34 +505,19 @@ impl AdaptiveLock {
 
     /// Spins until the old generation's entrant set is empty.
     fn drain(&self, old: u64) {
-        let mut spins: u64 = 0;
+        let mut wait = HandoverWait::default();
         while self.entrants(old).occupancy() != 0 {
             chaos::point("adapt-drain");
-            Self::relax(&mut spins, "outgoing tree failed to drain");
+            wait.relax("outgoing tree failed to drain");
         }
     }
 
     /// Spins until the baton reaches `generation`.
     fn await_baton(&self, generation: u64) {
-        let mut spins: u64 = 0;
+        let mut wait = HandoverWait::default();
         while self.baton.load(SeqCst) != generation {
-            Self::relax(&mut spins, "baton never arrived at the incoming generation");
+            wait.relax("baton never arrived at the incoming generation");
         }
-    }
-
-    #[inline]
-    fn relax(spins: &mut u64, _what: &str) {
-        *spins += 1;
-        if *spins % SPINS_PER_YIELD == 0 {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-        #[cfg(feature = "testkit")]
-        assert!(
-            *spins < STALL_BOUND,
-            "clof-adapt handover stalled: {_what}"
-        );
     }
 
     fn finish_swap(&self, started: std::time::Instant) {
@@ -592,6 +598,7 @@ impl AdaptHandle {
     /// with `inner` a handle on that generation's tree. Never blocks:
     /// each lap is a handful of SeqCst operations.
     fn admit(&mut self) -> u64 {
+        let mut backoff = Backoff::new();
         loop {
             let generation = self.lock.epoch.load(SeqCst);
             self.lock.entrants(generation).register(self.stripe);
@@ -601,7 +608,7 @@ impl AdaptHandle {
             // — back out and retry against the fresh epoch.
             if self.lock.epoch.load(SeqCst) != generation {
                 self.lock.entrants(generation).deregister(self.stripe);
-                std::hint::spin_loop();
+                backoff.snooze();
                 continue;
             }
             // Admitted: the controller now waits for us. The slot for
@@ -652,11 +659,11 @@ impl AdaptHandle {
             "AdaptHandle::try_acquire_until while held"
         );
         let generation = self.admit();
-        // Bounded baton wait. Deliberately not `relax`: its testkit
-        // stall bound exists to flag unbounded waits, and this wait
-        // is bounded by the deadline itself.
+        // Bounded baton wait. Deliberately not a `HandoverWait`: its
+        // testkit stall bound exists to flag unbounded waits, and this
+        // wait is bounded by the deadline itself.
         let mut poll = clof_locks::DeadlinePoll::new(deadline, "adapt-baton");
-        let mut spins: u64 = 0;
+        let mut backoff = Backoff::new();
         while self.lock.baton.load(SeqCst) != generation {
             if poll.expired() {
                 // A baton bailout is a composition-layer abandon
@@ -669,12 +676,7 @@ impl AdaptHandle {
                 self.back_out(generation);
                 return false;
             }
-            spins += 1;
-            if spins % SPINS_PER_YIELD == 0 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            backoff.snooze();
         }
         chaos::point("adapt-enter");
         if !self

@@ -75,6 +75,11 @@ pub const MIN_SPIN_ROUNDS: u32 = 4;
 /// the most CPU time and the hand-off latency dwarfs a futex wake — so
 /// the budget shrinks inversely with span, clamped to
 /// [[`MIN_SPIN_ROUNDS`], [`BASE_SPIN_ROUNDS`]].
+///
+/// Budgets count [`Backoff`](clof_locks::Backoff) *rounds* of at most 8
+/// spin hints: 4 rounds are 15 hints, 32 are 239, and 64 are the whole
+/// 255-hint spin phase plus 30 yields (when bursts doubled to 128: 15,
+/// 127 + 25 yields, 255 + 56 yields).
 pub fn spin_budget_for_span(span: usize) -> u32 {
     let span = span.max(1).min(u32::MAX as usize) as u32;
     (BASE_SPIN_ROUNDS / span).clamp(MIN_SPIN_ROUNDS, BASE_SPIN_ROUNDS)

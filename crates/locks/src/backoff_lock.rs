@@ -10,7 +10,20 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use crate::park::ParkSpot;
 use crate::park::SPIN_FOREVER;
 use crate::raw::{LockInfo, NoContext, RawLock};
-use crate::spin::Backoff;
+use crate::spin::{self, Backoff};
+
+/// Pays the between-attempt penalty for one more lost swap race: a burst
+/// doubling up to `2^`[`BackoffLock::BACKOFF_CEILING`] spin hints, then a
+/// yield. This is the algorithm (Agarwal & Cherian), not a grant wait, so
+/// it is the one place that does not poll at [`Backoff`]'s bounded bursts.
+fn pay(lost: &mut u32) {
+    if *lost <= BackoffLock::BACKOFF_CEILING {
+        spin::burst(1 << *lost);
+        *lost += 1;
+    } else {
+        spin::yield_cpu();
+    }
+}
 
 /// Test-and-set lock with exponential backoff between attempts.
 ///
@@ -61,7 +74,7 @@ impl BackoffLock {
     fn acquire_inner(&self, budget: u32) {
         // Between-attempt penalty, kept across test phases so repeated
         // race losses keep growing it (up to the capped ceiling).
-        let mut penalty = Backoff::with_limit(Self::BACKOFF_CEILING);
+        let mut lost = 0;
         loop {
             // Test phase: poll with relaxed loads until the flag reads
             // unlocked (parking once the budget runs out).
@@ -71,7 +84,7 @@ impl BackoffLock {
             #[cfg(not(feature = "park"))]
             {
                 let _ = budget;
-                let mut test = Backoff::with_limit(Self::BACKOFF_CEILING);
+                let mut test = Backoff::new();
                 while self.locked.load(Ordering::Relaxed) {
                     test.snooze();
                 }
@@ -81,7 +94,7 @@ impl BackoffLock {
                 return;
             }
             // Lost the race: exponential backoff before the next test.
-            penalty.snooze();
+            pay(&mut lost);
         }
     }
 
@@ -92,9 +105,9 @@ impl BackoffLock {
     #[cfg(feature = "deadline")]
     fn try_acquire_inner_deadline(&self, deadline: std::time::Instant) -> bool {
         let mut poll = crate::deadline::DeadlinePoll::new(deadline, "bo-wait");
-        let mut penalty = Backoff::with_limit(Self::BACKOFF_CEILING);
+        let mut lost = 0;
         loop {
-            let mut test = Backoff::with_limit(Self::BACKOFF_CEILING);
+            let mut test = Backoff::new();
             while self.locked.load(Ordering::Relaxed) {
                 if poll.expired() {
                     crate::deadline::on_abandon();
@@ -105,7 +118,7 @@ impl BackoffLock {
             if !self.locked.swap(true, Ordering::Acquire) {
                 return true;
             }
-            penalty.snooze();
+            pay(&mut lost);
         }
     }
 }

@@ -477,15 +477,14 @@ mod tests {
             let mut holder = ClhContext::default();
             lock.acquire(&mut holder);
             let mut waiter = ClhContext::default();
-            let skips = crate::deadline::skips();
+            let node = waiter.node;
             assert!(!lock.try_acquire_until(&mut waiter, soon()));
+            // Observed on this lock and context alone: the skip counter
+            // is process-wide and the tests beside this one bump it.
+            assert_eq!(lock.has_waiters_hint(&holder), Some(false), "tail restored");
+            assert_eq!(waiter.node, node, "no node left behind to skip");
             lock.release(&mut holder);
             assert!(!lock.is_locked());
-            assert_eq!(
-                crate::deadline::skips(),
-                skips,
-                "tail restore leaves nothing to skip"
-            );
             // Both contexts stay usable; drop order stays arbitrary.
             lock.acquire(&mut waiter);
             lock.release(&mut waiter);

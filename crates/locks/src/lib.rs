@@ -41,7 +41,8 @@
 //!
 //! The paper evaluates on dedicated servers with pinned threads. This
 //! library is also meant to run tests on small or oversubscribed hosts, so
-//! every spin loop uses [`Backoff`]: bounded `spin_loop` hints first, then
+//! every wait uses [`Backoff`]: polls at most 8 `spin_loop` hints apart,
+//! so a grant is seen within one burst however long the wait, then
 //! `std::thread::yield_now`. See `DESIGN.md` §6.
 
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //! default build bit-for-bit free of it:
 //!
 //! * [`Waiter`] — the budget accountant: one bounded spin phase
-//!   (exponential [`Backoff`] rounds) before the caller may park.
+//!   ([`Backoff`] rounds) before the caller may park.
 //! * [`WaitWord`] — a one-waiter wait/grant word for the queue locks
 //!   (MCS/CLH node words): the waiter spins, then sets a `PARKED` bit
 //!   and sleeps on the word; the releaser swaps in `GO` and wakes the
@@ -77,10 +77,12 @@ pub fn has_asym_barrier() -> bool {
 
 /// Tracks one bounded spin phase before its owner is allowed to park.
 ///
-/// [`Waiter::spin`] burns exponential-backoff rounds while the budget
-/// lasts and reports when it is exhausted; the caller then parks (with
-/// the `park` feature) or keeps spinning (without it, budgets are always
-/// [`SPIN_FOREVER`], so exhaustion never happens).
+/// [`Waiter::spin`] burns [`Backoff`] rounds while the budget lasts and
+/// reports when it is exhausted; the caller then parks (with the `park`
+/// feature) or keeps spinning (without it, budgets are always
+/// [`SPIN_FOREVER`], so exhaustion never happens). Budgets count rounds
+/// of at most [`Backoff::HOLD`] hints, so not even the smallest budget
+/// leaves a waiter in a long burst while the grant it will miss goes by.
 #[derive(Debug)]
 pub struct Waiter {
     backoff: Backoff,
@@ -90,24 +92,10 @@ pub struct Waiter {
 
 impl Waiter {
     /// A fresh waiter with `budget` spin rounds before parking.
-    ///
-    /// The burst ceiling of the underlying [`Backoff`] is derived from
-    /// the budget: a waiter with only a handful of rounds before it
-    /// parks (a cross-socket waiter at a contended level) caps its
-    /// bursts low, so it never sits in a long `spin_loop` burst while
-    /// the grant it is about to miss goes by. An infinite budget keeps
-    /// the default ceiling.
     #[inline]
     pub fn new(budget: u32) -> Self {
-        let backoff = if budget == SPIN_FOREVER {
-            Backoff::new()
-        } else {
-            // ~log2(budget), clamped: budget 4 → bursts ≤ 2^2, budget
-            // 64 → bursts ≤ 2^6 (with_limit clamps to the default cap).
-            Backoff::with_limit((32 - budget.leading_zeros()).clamp(2, 31))
-        };
         Waiter {
-            backoff,
+            backoff: Backoff::new(),
             spins: 0,
             budget,
         }
@@ -203,12 +191,24 @@ impl WaitWord {
     /// with the `park` feature — parks on the word until the releaser's
     /// wake. Returns with `Acquire` ordering against the release.
     ///
+    /// While it spins, the wait returns within one [`Backoff`] burst
+    /// (≤ [`Backoff::HOLD`] hints, ~100 ns) of the grant however long it
+    /// has waited: nobody else polls this word, so polling it often costs
+    /// the releaser nothing (`tests/lateness.rs` clocks it).
+    ///
     /// Without the `park` feature there is nothing to do when a budget
     /// exhausts, so any finite budget is treated as [`SPIN_FOREVER`]:
     /// the loop always keeps its [`Backoff`] instead of degenerating
     /// into a tight load.
     #[inline]
     pub fn wait(&self, budget: u32) {
+        self.wait_for(budget, |value| value == GO);
+    }
+
+    /// [`wait`](WaitWord::wait) for any word value `done` accepts, which
+    /// it returns.
+    #[inline]
+    fn wait_for(&self, budget: u32, done: impl Fn(u32) -> bool) -> u32 {
         let budget = if cfg!(feature = "park") {
             budget
         } else {
@@ -216,46 +216,49 @@ impl WaitWord {
         };
         let mut waiter = Waiter::new(budget);
         loop {
-            if self.0.load(Ordering::Acquire) == GO {
-                return;
+            let value = self.0.load(Ordering::Acquire);
+            if done(value) {
+                return value;
             }
             if waiter.spin() {
                 continue;
             }
             #[cfg(feature = "park")]
-            return self.park_until_go();
+            return self.park_until(done);
         }
     }
 
-    /// The blocking tail of [`wait`](WaitWord::wait): announce with
-    /// `PARKED_BIT`, then sleep on the word until it reads `GO`.
+    /// The blocking tail of [`wait_for`](WaitWord::wait_for): announce
+    /// with `PARKED_BIT`, then sleep on the word until `done` accepts it.
+    /// (An abandoning owner's swap clears the bit and wakes us like a
+    /// grant does, see [`abandon`](WaitWord::abandon).)
     #[cfg(feature = "park")]
     #[cold]
-    fn park_until_go(&self) {
+    fn park_until(&self, done: impl Fn(u32) -> bool) -> u32 {
         // fetch_or is an RMW: if the releaser's swap(GO) lands first we
         // see GO here and never sleep; if ours lands first the releaser
         // is guaranteed to see the bit and owes us a wake.
         let prev = self.0.fetch_or(PARKED_BIT, Ordering::Acquire);
-        if prev == GO {
-            return;
+        if done(prev) {
+            return prev;
         }
         let t0 = std::time::Instant::now();
         stats::on_park();
-        loop {
+        let terminal = loop {
             let cur = self.0.load(Ordering::Acquire);
-            if cur == GO {
-                break;
+            if done(cur) {
+                break cur;
             }
             #[cfg(any(test, feature = "testkit"))]
             {
                 // Stall-detector evidence (see `testkit`): a timed-out
-                // sleep that finds the word already GO with no wake
+                // sleep that finds the word already terminal with no wake
                 // issued anywhere since we slept is a timeout rescue.
-                // The loop's own GO check above decides the exit, so
+                // The loop's own check above decides the exit, so
                 // nothing observed here is swallowed.
                 let wakes_before = stats::WAKES.load(Ordering::SeqCst);
                 if futex::wait(&self.0, cur) == futex::Unblock::TimedOut
-                    && self.0.load(Ordering::Acquire) == GO
+                    && done(self.0.load(Ordering::Acquire))
                     && stats::WAKES.load(Ordering::SeqCst) == wakes_before
                 {
                     testkit::record_rescue();
@@ -263,8 +266,9 @@ impl WaitWord {
             }
             #[cfg(not(any(test, feature = "testkit")))]
             let _ = futex::wait(&self.0, cur);
-        }
+        };
         stats::on_unpark(t0.elapsed());
+        terminal
     }
 
     /// Owner-side release through a raw pointer: swaps in `GO`
@@ -396,63 +400,7 @@ impl WaitWord {
     /// use this for their predecessor's word, which may be granted *or*
     /// abandoned under them.
     pub(crate) fn wait_observe(&self, budget: u32) -> u32 {
-        let budget = if cfg!(feature = "park") {
-            budget
-        } else {
-            SPIN_FOREVER
-        };
-        let mut waiter = Waiter::new(budget);
-        loop {
-            let v = self.0.load(Ordering::Acquire);
-            if Self::is_done(v) {
-                return v;
-            }
-            if waiter.spin() {
-                continue;
-            }
-            #[cfg(feature = "park")]
-            return self.park_until_done();
-        }
-    }
-
-    /// The blocking tail of [`wait_observe`](WaitWord::wait_observe):
-    /// [`park_until_go`](WaitWord::park_until_go) generalized to both
-    /// terminal values. An abandoning owner's swap clears the parked
-    /// bit and wakes us (see [`abandon`](WaitWord::abandon)).
-    #[cfg(feature = "park")]
-    #[cold]
-    fn park_until_done(&self) -> u32 {
-        let prev = self.0.fetch_or(PARKED_BIT, Ordering::Acquire);
-        if Self::is_done(prev) {
-            return prev;
-        }
-        let t0 = std::time::Instant::now();
-        stats::on_park();
-        let terminal;
-        loop {
-            let cur = self.0.load(Ordering::Acquire);
-            if Self::is_done(cur) {
-                terminal = cur;
-                break;
-            }
-            #[cfg(any(test, feature = "testkit"))]
-            {
-                // Stall-detector evidence, as in `park_until_go`: a
-                // timed-out sleep that finds the word already terminal
-                // with no wake issued since we slept is a rescue.
-                let wakes_before = stats::WAKES.load(Ordering::SeqCst);
-                if futex::wait(&self.0, cur) == futex::Unblock::TimedOut
-                    && Self::is_done(self.0.load(Ordering::Acquire))
-                    && stats::WAKES.load(Ordering::SeqCst) == wakes_before
-                {
-                    testkit::record_rescue();
-                }
-            }
-            #[cfg(not(any(test, feature = "testkit")))]
-            let _ = futex::wait(&self.0, cur);
-        }
-        stats::on_unpark(t0.elapsed());
-        terminal
+        self.wait_for(budget, Self::is_done)
     }
 }
 

@@ -1,18 +1,20 @@
-//! Spin-wait policy shared by all locks in this crate.
+//! The one waiting policy shared by every lock in this workspace.
 
-use std::hint;
-use std::thread;
-
-/// Exponential spin backoff that degrades to yielding.
+/// Bounded-lateness spin wait that degrades to yielding.
 ///
-/// The paper's evaluation pins one thread per CPU on idle servers, where
-/// pure spinning is appropriate. This library must also behave on
-/// oversubscribed hosts (CI machines, laptops, the 1-CPU box this
-/// reproduction was built on), where a spinning waiter can prevent the
-/// lock holder from ever running. `Backoff` therefore spins with
-/// [`core::hint::spin_loop`] for exponentially growing bursts and, once
-/// the burst limit is reached, calls [`std::thread::yield_now`] so the
-/// holder can make progress.
+/// **Contract** (DESIGN.md §6 has the reasoning and the measurements):
+/// while it spins, a waiter polling between [`snooze`](Backoff::snooze)
+/// rounds observes a grant within one burst of at most
+/// [`HOLD`](Backoff::HOLD) spin hints, *whatever the length of the wait*;
+/// after [`SPIN_HINTS`](Backoff::SPIN_HINTS) hints in total every further
+/// round is a [`std::thread::yield_now`], so that on an oversubscribed
+/// host a spinning waiter cannot keep the lock holder from running.
+///
+/// Bursts ramp 1, 2, 4, … up to `HOLD` and then hold: waiters here poll a
+/// word the holder does not write while it holds, so a longer burst saves
+/// nobody traffic and only sees the grant later. The ramp stays because
+/// polling every hint right after enqueueing beats the peer back to an
+/// empty critical section and turns passes into re-climbs.
 ///
 /// # Examples
 ///
@@ -26,63 +28,50 @@ use std::thread;
 ///     backoff.snooze();
 /// }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Backoff {
-    step: u32,
-    limit: u32,
+    /// Spin hints issued since `new`/`reset`, saturating at `SPIN_HINTS`.
+    hints: u32,
 }
 
 impl Backoff {
-    /// Default maximum exponent: bursts of up to `2^SPIN_LIMIT` spin hints.
-    const SPIN_LIMIT: u32 = 7;
+    /// Longest burst of spin hints between two polls: the lateness bound.
+    /// 8 and 4 measured equal (EXPERIMENTS.md, "Waiting policy ablation").
+    pub const HOLD: u32 = 8;
 
-    /// Creates a fresh backoff in its shortest-burst state.
+    /// Spin hints issued before rounds turn into yields.
+    pub const SPIN_HINTS: u32 = 255;
+
+    /// Creates a fresh backoff at the start of its ramp.
     #[inline]
     pub fn new() -> Self {
-        Self::with_limit(Self::SPIN_LIMIT)
+        Self::default()
     }
 
-    /// Creates a backoff whose burst ceiling is capped at `2^limit` spin
-    /// hints (clamped to the default ceiling). Contended levels cap the
-    /// ceiling low so a waiter that is about to lose the hand-off race
-    /// does not sit in a long burst while the grant goes by.
-    #[inline]
-    pub fn with_limit(limit: u32) -> Self {
-        Backoff {
-            step: 0,
-            limit: limit.min(Self::SPIN_LIMIT),
-        }
-    }
-
-    /// Waits one round: a burst of spin hints, or a yield once saturated.
+    /// Waits one round: a burst of at most [`HOLD`](Backoff::HOLD) spin
+    /// hints, or a yield once the spin phase is used up.
     #[inline]
     pub fn snooze(&mut self) {
-        if self.step <= self.limit {
-            for _ in 0..(1u32 << self.step) {
-                hint::spin_loop();
-            }
-            self.step += 1;
+        if self.hints < Self::SPIN_HINTS {
+            // 0, 1, 3, 7 hints so far → bursts of 1, 2, 4, 8, then HOLD.
+            let hints = (self.hints + 1).min(Self::HOLD);
+            burst(hints);
+            self.hints += hints;
         } else {
-            thread::yield_now();
+            yield_cpu();
         }
     }
 
-    /// Resets to the shortest-burst state.
+    /// Restarts the ramp and the spin phase.
     #[inline]
     pub fn reset(&mut self) {
-        self.step = 0;
+        self.hints = 0;
     }
 
-    /// Whether the backoff has saturated and is now yielding.
+    /// Whether the spin phase is used up and rounds now yield.
     #[inline]
     pub fn is_yielding(&self) -> bool {
-        self.step > self.limit
-    }
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Self::new()
+        self.hints >= Self::SPIN_HINTS
     }
 }
 
@@ -95,6 +84,41 @@ pub fn spin_until(mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// `hints` spin hints back to back, with no poll in between.
+#[inline(always)]
+pub(crate) fn burst(hints: u32) {
+    #[cfg(any(test, feature = "testkit"))]
+    testkit::HINTS.with(|c| c.set(c.get() + u64::from(hints)));
+    for _ in 0..hints {
+        std::hint::spin_loop();
+    }
+}
+
+#[inline(always)]
+pub(crate) fn yield_cpu() {
+    #[cfg(any(test, feature = "testkit"))]
+    testkit::YIELDS.with(|c| c.set(c.get() + 1));
+    std::thread::yield_now();
+}
+
+/// Per-thread counts of what [`Backoff`] actually issued, so tests can
+/// check the lateness contract deterministically instead of by timing.
+#[cfg(any(test, feature = "testkit"))]
+pub mod testkit {
+    use std::cell::Cell;
+
+    thread_local! {
+        pub(super) static HINTS: Cell<u64> = const { Cell::new(0) };
+        pub(super) static YIELDS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// `(spin hints, yields)` issued through [`Backoff`](super::Backoff)
+    /// by the calling thread so far.
+    pub fn issued() -> (u64, u64) {
+        (HINTS.with(Cell::get), YIELDS.with(Cell::get))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,11 +128,17 @@ mod tests {
     #[test]
     fn backoff_saturates_to_yielding() {
         let mut b = Backoff::new();
-        assert!(!b.is_yielding());
-        for _ in 0..64 {
+        let (h0, y0) = testkit::issued();
+        let mut rounds = 0;
+        while !b.is_yielding() {
             b.snooze();
+            rounds += 1;
         }
-        assert!(b.is_yielding());
+        // 1 + 2 + 4 + 31 × 8 = 255 hints in 34 rounds, none of them a yield.
+        assert_eq!(rounds, 34);
+        assert_eq!(testkit::issued(), (h0 + u64::from(Backoff::SPIN_HINTS), y0));
+        b.snooze();
+        assert_eq!(testkit::issued().1, y0 + 1);
         b.reset();
         assert!(!b.is_yielding());
     }

@@ -4,6 +4,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use clof_locks::spin::testkit::issued;
 use clof_locks::{
     AndersonLock, Backoff, ClhLock, Hemlock, HemlockCtr, McsLock, RawLock, RawLockMutex,
     TicketLock, TtasLock,
@@ -76,15 +77,29 @@ props! {
         schedule_holds_mutex::<TtasLock>(&ops)?;
     }
 
-    /// Backoff never panics and always reaches the yielding regime.
-    fn backoff_total(steps in Gen::<usize>::int_range(0, 200)) {
+    /// The waiting policy's contract, counted rather than timed: no round
+    /// spins more than `HOLD` hints (the lateness bound, at any depth into
+    /// the wait), the spin phase before the first yield is the ~255 hints
+    /// oversubscribed hosts were tuned for, every later round is exactly
+    /// one yield, and `reset()` restarts the ramp from one hint.
+    fn backoff_lateness_contract(steps in Gen::<usize>::int_range(0, 200)) {
         let mut b = Backoff::new();
-        for _ in 0..steps {
+        let mut spun = 0;
+        for round in 0..steps {
+            let (h0, y0) = issued();
             b.snooze();
+            let (h, y) = issued();
+            let (hints, yields) = (h - h0, y - y0);
+            tk_assert!(hints <= u64::from(Backoff::HOLD), "round {round}: {hints} hints");
+            tk_assert_eq!(hints == 0, yields == 1);
+            tk_assert_eq!(yields == 1, spun >= u64::from(Backoff::SPIN_HINTS));
+            spun += hints;
         }
-        if steps > 10 {
-            tk_assert!(b.is_yielding());
-        }
+        tk_assert!(!b.is_yielding() || (200..=320).contains(&spun), "{spun} hints before yielding");
+        b.reset();
+        let (h0, y0) = issued();
+        b.snooze();
+        tk_assert_eq!(issued(), (h0 + 1, y0));
     }
 }
 

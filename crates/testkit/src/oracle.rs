@@ -15,10 +15,12 @@
 //!   concurrent use of a high-lock context panics inside acquire/release,
 //!   and the harness converts that panic into a violation.
 //! * **Fairness** — per-acquisition *gap* (number of acquisitions by
-//!   other threads between two consecutive acquisitions of one thread)
-//!   is histogrammed; an optional bound turns excessive gaps into
-//!   violations. CLoF's `keep_local` threshold admits gaps up to roughly
-//!   `H × threads`, so bounds must be generous.
+//!   other threads between a thread's arrival at `acquire()` and its own
+//!   acquisition — time spent descheduled *outside* the queue is not the
+//!   lock's unfairness and does not count) is histogrammed; an optional
+//!   bound turns excessive gaps into violations. CLoF's `keep_local`
+//!   threshold admits gaps up to roughly `H × threads`, so bounds must be
+//!   generous.
 //!
 //! Schedules are perturbed two ways, both derived from one seed: the
 //! harness yields/spins inside and around critical sections, and
@@ -161,7 +163,7 @@ pub enum Violation {
     UnfairGap {
         /// Starved thread.
         thread: usize,
-        /// Foreign acquisitions between two of its own.
+        /// Foreign acquisitions between its arrival and its own.
         gap: u64,
         /// Configured bound.
         bound: u64,
@@ -370,8 +372,8 @@ where
                 let body = AssertUnwindSafe(|| {
                     let mut handle = factory(tid);
                     let mut rng = TestRng::new(opts.seed ^ (tid as u64).wrapping_mul(0x9E37));
-                    let mut prev_index: Option<u64> = None;
                     for _ in 0..opts.iters {
+                        let arrival = shared.acq_index.load(Ordering::SeqCst);
                         handle.acquire();
                         // ---- inside the critical section ----
                         let prev_owner = shared.owner.swap(tid, Ordering::SeqCst);
@@ -382,21 +384,21 @@ where
                             });
                         }
                         let idx = shared.acq_index.fetch_add(1, Ordering::SeqCst);
-                        if let Some(p) = prev_index {
-                            let gap = idx - p - 1;
-                            shared.max_gap.fetch_max(gap, Ordering::Relaxed);
-                            shared.histogram[gap_bucket(gap)].fetch_add(1, Ordering::Relaxed);
-                            if let Some(b) = bound {
-                                if gap > b {
-                                    shared.record(Violation::UnfairGap {
-                                        thread: tid,
-                                        gap,
-                                        bound: b,
-                                    });
-                                }
+                        // All foreign: our previous acquisition precedes
+                        // `arrival`. (Only the sample-to-enqueue window is
+                        // still charged to the lock, not the whole lap.)
+                        let gap = idx - arrival;
+                        shared.max_gap.fetch_max(gap, Ordering::Relaxed);
+                        shared.histogram[gap_bucket(gap)].fetch_add(1, Ordering::Relaxed);
+                        if let Some(b) = bound {
+                            if gap > b {
+                                shared.record(Violation::UnfairGap {
+                                    thread: tid,
+                                    gap,
+                                    bound: b,
+                                });
                             }
                         }
-                        prev_index = Some(idx);
 
                         let a = shared.c1.load(Ordering::Relaxed);
                         let b = shared.c2.load(Ordering::Relaxed);
@@ -694,10 +696,10 @@ mod tests {
 
     #[test]
     fn gap_bound_mechanism_fires_and_relaxes() {
-        // Note the gap is end-to-end (it includes time *outside* the
-        // queue), so even FIFO locks exceed `threads - 1`; bounds are a
-        // starvation tripwire, not a FIFO proof. With bound 0, any
-        // alternation at all must be flagged...
+        // The gap counts from arrival at `acquire()`, a few instructions
+        // before the enqueue, so even FIFO locks can exceed `threads - 1`;
+        // bounds are a starvation tripwire, not a FIFO proof. With bound
+        // 0, anyone who waited behind another thread must be flagged...
         let lock = Arc::new(TicketLock::default());
         let opts = StressOptions {
             threads: 2,

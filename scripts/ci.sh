@@ -7,7 +7,13 @@
 #   2. the clof-testkit unit suite (property engine + oracle self-tests),
 #      then a structural check that the paper's level step is spelled
 #      once: each protocol primitive of `LevelMeta` has at most one
-#      non-test call site in crates/core/src outside level.rs;
+#      non-test call site in crates/core/src outside level.rs, and one
+#      that the waiting policy is too: no non-test `spin_loop()` /
+#      `yield_now()` in crates/{locks,core,baselines,kvstore}/src outside
+#      spin.rs and chaos.rs, and no `with_limit`; then the policy's two
+#      clocked checks, each alone in a release build — the lateness
+#      contract (`crates/locks/tests/lateness.rs`) and the
+#      oversubscription guard (`tests/oversubscribed.rs`);
 #   3. a 16-seed smoke subset of the schedule-fuzzing stress oracle;
 #   4. the default-build `clof` binary, asserted free of tracer symbols
 #      (the "traceEvents" exporter string only exists behind `obs`) —
@@ -108,6 +114,31 @@ phase "level step is spelled once" \
                [ "$sites" -le 1 ] || status=1
            done
            exit $status'
+
+# One waiting policy: every wait in the shipped crates goes through
+# `clof_locks::Backoff` (spin.rs; chaos.rs injects delays, it does not
+# wait), and the burst-ceiling knob that policy made pointless stays gone.
+phase "waiting policy is spelled once" \
+    sh -c 'status=0
+           for file in crates/locks/src/*.rs crates/core/src/*.rs \
+                       crates/baselines/src/*.rs crates/kvstore/src/*.rs; do
+               code=$(sed "/^#\[cfg(test)\]/,\$d" "$file" | grep -v "^ *//")
+               if echo "$code" | grep -nF "with_limit"; then
+                   echo "$file: Backoff::with_limit is back" >&2
+                   status=1
+               fi
+               case "${file##*/}" in spin.rs | chaos.rs) continue ;; esac
+               if echo "$code" | grep -nE "spin_loop\(\)|yield_now\(\)"; then
+                   echo "$file: waits outside clof_locks::Backoff" >&2
+                   status=1
+               fi
+           done
+           exit $status'
+# The policy on the clock (`#[ignore]`d: they need the host to themselves).
+phase "waiting policy: grant-to-return lateness" \
+    cargo test --release -q -p clof-locks --test lateness -- --ignored --test-threads=1
+phase "waiting policy: oversubscription guard (8 threads, 2 CPUs)" \
+    cargo test --release -q --test oversubscribed -- --ignored --test-threads=1
 
 # Memory-layout assertions are `const _: () = assert!(...)` blocks in
 # clof-locks (CachePadded, lock-word padding), clof-core (LevelMeta

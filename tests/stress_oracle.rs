@@ -244,9 +244,10 @@ fn keep_local_owner_only_counter_respects_h_bound() {
 
 /// Bounded acquisition gap for a fair composition: with a small
 /// keep-local threshold, no thread waits through more than a small
-/// multiple of `threads × H` foreign acquisitions. (The gap is measured
-/// end-to-end, so the bound carries slack for time spent outside the
-/// queue; it is a starvation tripwire, not a FIFO proof.)
+/// multiple of `threads × H` foreign acquisitions. (The gap is counted
+/// from the thread's arrival at `acquire()`, so it measures the queue and
+/// not time spent descheduled outside it; it is still a starvation
+/// tripwire, not a FIFO proof.)
 #[test]
 fn fair_composition_gap_is_bounded() {
     let hierarchy = build_regular(&[2, 4]);
