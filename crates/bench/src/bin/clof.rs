@@ -20,7 +20,7 @@
 //!                [--threshold H] [--top K] [--once]
 //!                [--inject-deadlock] [--inject-inversion]  # needs --features obs
 //! clof deadline  [--machine x86|armv8] [--levels 3|4] [--lock NAME]
-//!                [--rounds N] [--once]                # needs --features deadline
+//!                [--rounds N] [--once]
 //! ```
 //!
 //! All simulation-backed commands run on the built-in paper machine
@@ -126,8 +126,7 @@ commands:
                                                   far past its budget a timed-out waiter returns
                                                   on a fully contended tree (with a residue check
                                                   after every round), then show panic poisoning
-                                                  and recovery; --once shrinks the run for CI
-                                                  (requires --features deadline)";
+                                                  and recovery; --once shrinks the run for CI";
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
@@ -1149,195 +1148,178 @@ fn simulate(args: &[String]) -> Result<(), String> {
 /// waiter returns, with a queue/waiter-count residue check after every
 /// round), timeout recovery, and the panic-poisoning round trip.
 fn deadline_cmd(args: &[String]) -> Result<(), String> {
-    #[cfg(not(feature = "deadline"))]
-    {
-        let _ = args;
-        Err("`deadline` needs bounded acquisition compiled in; rebuild with \
-             `--features deadline`"
-            .to_string())
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use clof::{ClofMutex, DynClofLock};
+
+    let machine = tuned_machine(args)?;
+    let hierarchy = machine.hierarchy.clone();
+    let levels = hierarchy.level_count();
+    let kinds: Vec<LockKind> = match flag_value(args, "--lock") {
+        Some(name) => parse_composition(name).map_err(|e| e.to_string())?,
+        None => {
+            // Queue locks at the contended inner levels, tickets up
+            // the tree — the shape whose abandonment protocol is
+            // the most interesting to watch.
+            let mut kinds = vec![LockKind::Mcs, LockKind::Clh];
+            while kinds.len() < levels {
+                kinds.push(LockKind::Ticket);
+            }
+            kinds.truncate(levels);
+            kinds
+        }
+    };
+    if kinds.len() != levels {
+        return Err(format!(
+            "--lock names {} levels but the hierarchy has {levels}",
+            kinds.len()
+        ));
     }
-    #[cfg(feature = "deadline")]
-    {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        use std::time::{Duration, Instant};
+    let once = has_flag(args, "--once");
+    let rounds: u32 = flag_value(args, "--rounds")
+        .unwrap_or(if once { "8" } else { "40" })
+        .parse()
+        .map_err(|e| format!("bad --rounds: {e}"))?;
 
-        use clof::{ClofMutex, DynClofLock};
+    println!(
+        "lock:        {} on {} ({} levels, {} cpus)",
+        clof::composition_name(&kinds),
+        machine.name,
+        levels,
+        hierarchy.ncpus()
+    );
 
-        let machine = tuned_machine(args)?;
-        let hierarchy = machine.hierarchy.clone();
-        let levels = hierarchy.level_count();
-        let kinds: Vec<LockKind> = match flag_value(args, "--lock") {
-            Some(name) => parse_composition(name).map_err(|e| e.to_string())?,
-            None => {
-                // Queue locks at the contended inner levels, tickets up
-                // the tree — the shape whose abandonment protocol is
-                // the most interesting to watch.
-                let mut kinds = vec![LockKind::Mcs, LockKind::Clh];
-                while kinds.len() < levels {
-                    kinds.push(LockKind::Ticket);
-                }
-                kinds.truncate(levels);
-                kinds
-            }
-        };
-        if kinds.len() != levels {
-            return Err(format!(
-                "--lock names {} levels but the hierarchy has {levels}",
-                kinds.len()
-            ));
-        }
-        let once = has_flag(args, "--once");
-        let rounds: u32 = flag_value(args, "--rounds")
-            .unwrap_or(if once { "8" } else { "40" })
-            .parse()
-            .map_err(|e| format!("bad --rounds: {e}"))?;
+    let lock =
+        Arc::new(DynClofLock::build(&hierarchy, &kinds).map_err(|e| e.to_string())?);
+    let far = hierarchy.ncpus() - 1;
+    let budgets_us: &[u64] = if once { &[200, 1_000] } else { &[50, 200, 1_000, 5_000] };
 
-        // CI greps release binaries for this marker to tell deadline
-        // builds from default builds (`scripts/ci.sh`); the banner
-        // keeps it reachable even if no wait ever times out.
-        println!(
-            "deadlines:   bounded acquisition [{}]",
-            clof_locks::deadline::DEADLINE_MARKER
-        );
-        println!(
-            "lock:        {} on {} ({} levels, {} cpus)",
-            clof::composition_name(&kinds),
-            machine.name,
-            levels,
-            hierarchy.ncpus()
-        );
+    println!();
+    println!(
+        "abandonment latency: holder on cpu 0 never releases; a waiter on \
+         cpu {far} climbs,"
+    );
+    println!(
+        "times out, and unwinds. overshoot = time past the budget until \
+         control returns."
+    );
+    println!(
+        "  {:>9} {:>7} {:>12} {:>12} {:>12}   residue",
+        "budget", "rounds", "min over", "median over", "p99 over"
+    );
 
-        let lock =
-            Arc::new(DynClofLock::build(&hierarchy, &kinds).map_err(|e| e.to_string())?);
-        let far = hierarchy.ncpus() - 1;
-        let budgets_us: &[u64] = if once { &[200, 1_000] } else { &[50, 200, 1_000, 5_000] };
-
-        println!();
-        println!(
-            "abandonment latency: holder on cpu 0 never releases; a waiter on \
-             cpu {far} climbs,"
-        );
-        println!(
-            "times out, and unwinds. overshoot = time past the budget until \
-             control returns."
-        );
-        println!(
-            "  {:>9} {:>7} {:>12} {:>12} {:>12}   residue",
-            "budget", "rounds", "min over", "median over", "p99 over"
-        );
-
-        let abandons_before = clof_locks::deadline::abandons();
-        let mut timeouts = 0u64;
-        for &budget_us in budgets_us {
-            let budget = Duration::from_micros(budget_us);
-            let stop = Arc::new(AtomicBool::new(false));
-            let held = Arc::new(AtomicBool::new(false));
-            let holder = {
-                let lock = Arc::clone(&lock);
-                let stop = Arc::clone(&stop);
-                let held = Arc::clone(&held);
-                std::thread::spawn(move || {
-                    let mut h = lock.handle(0);
-                    h.acquire();
-                    held.store(true, Ordering::Release);
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    h.release();
-                })
-            };
-            while !held.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-
-            let mut overshoots_us: Vec<u64> = Vec::with_capacity(rounds as usize);
-            let mut handle = lock.handle(far);
-            for _ in 0..rounds {
-                let t0 = Instant::now();
-                let won = handle.try_acquire_for(budget);
-                let elapsed = t0.elapsed();
-                if won {
-                    // Cannot happen while the holder lives; bail loudly
-                    // rather than print a bogus table.
-                    handle.release();
-                    return Err("waiter acquired a held lock".to_string());
-                }
-                timeouts += 1;
-                overshoots_us.push(elapsed.saturating_sub(budget).as_micros() as u64);
-            }
-            let residue = lock.queue_depth_hint();
-            stop.store(true, Ordering::Release);
-            holder.join().map_err(|_| "holder thread panicked".to_string())?;
-
-            overshoots_us.sort_unstable();
-            let min = overshoots_us[0];
-            let med = overshoots_us[overshoots_us.len() / 2];
-            let p99 = overshoots_us[(overshoots_us.len() - 1).min(
-                overshoots_us.len() * 99 / 100,
-            )];
-            println!(
-                "  {budget_us:>7}us {rounds:>7} {min:>10}us {med:>10}us {p99:>10}us   {}",
-                if residue == 0 { "none" } else { "LEAKED" }
-            );
-            if residue != 0 {
-                return Err(format!(
-                    "timed-out waits left {residue} queue/waiter-count residue"
-                ));
-            }
-        }
-
-        let t0 = Instant::now();
-        let mut handle = lock.handle(far);
-        handle.acquire();
-        handle.release();
-        println!();
-        println!(
-            "recovery:    blocking acquire after {timeouts} timeouts won in {:?}",
-            t0.elapsed()
-        );
-        println!(
-            "counters:    abandons +{}  skips {}",
-            clof_locks::deadline::abandons() - abandons_before,
-            clof_locks::deadline::skips()
-        );
-
-        println!();
-        println!("panic poisoning:");
-        let mutex =
-            Arc::new(ClofMutex::new(0u64, &hierarchy, &kinds).map_err(|e| e.to_string())?);
-        let panicker = {
-            let mutex = Arc::clone(&mutex);
+    let abandons_before = clof_locks::deadline::abandons();
+    let mut timeouts = 0u64;
+    for &budget_us in budgets_us {
+        let budget = Duration::from_micros(budget_us);
+        let stop = Arc::new(AtomicBool::new(false));
+        let held = Arc::new(AtomicBool::new(false));
+        let holder = {
+            let lock = Arc::clone(&lock);
+            let stop = Arc::clone(&stop);
+            let held = Arc::clone(&held);
             std::thread::spawn(move || {
-                let mut h = mutex.handle(0);
-                let mut guard = h.lock();
-                *guard = 41; // torn: the panic lands mid-update
-                // Silence the default hook for this intentional panic.
-                std::panic::set_hook(Box::new(|_| {}));
-                panic!("holder dies inside its critical section");
+                let mut h = lock.handle(0);
+                h.acquire();
+                held.store(true, Ordering::Release);
+                while !stop.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                h.release();
             })
         };
-        let panicked = panicker.join().is_err();
-        let _ = std::panic::take_hook();
-        if !panicked {
-            return Err("the demo holder failed to panic".to_string());
+        while !held.load(Ordering::Acquire) {
+            std::thread::yield_now();
         }
-        println!("  holder panicked while holding -> poisoned: {}", mutex.is_poisoned());
-        let mut h = mutex.handle(far);
-        match h.try_lock_for(Duration::from_millis(100)) {
-            Err(e) => println!("  bounded lock reports: {e}"),
-            Ok(_) => return Err("a poisoned lock handed out a guard".to_string()),
+
+        let mut overshoots_us: Vec<u64> = Vec::with_capacity(rounds as usize);
+        let mut handle = lock.handle(far);
+        for _ in 0..rounds {
+            let t0 = Instant::now();
+            let won = handle.try_acquire_for(budget);
+            let elapsed = t0.elapsed();
+            if won {
+                // Cannot happen while the holder lives; bail loudly
+                // rather than print a bogus table.
+                handle.release();
+                return Err("waiter acquired a held lock".to_string());
+            }
+            timeouts += 1;
+            overshoots_us.push(elapsed.saturating_sub(budget).as_micros() as u64);
         }
-        mutex.clear_poison();
-        let mut h = mutex.handle(far);
-        match h.try_lock_for(Duration::from_secs(5)) {
-            Ok(guard) => println!(
-                "  clear_poison -> reacquired; suspect value {} is the \
-                 caller's to repair",
-                *guard
-            ),
-            Err(e) => return Err(format!("recovery after clear_poison failed: {e}")),
+        let residue = lock.queue_depth_hint();
+        stop.store(true, Ordering::Release);
+        holder.join().map_err(|_| "holder thread panicked".to_string())?;
+
+        overshoots_us.sort_unstable();
+        let min = overshoots_us[0];
+        let med = overshoots_us[overshoots_us.len() / 2];
+        let p99 = overshoots_us[(overshoots_us.len() - 1).min(
+            overshoots_us.len() * 99 / 100,
+        )];
+        println!(
+            "  {budget_us:>7}us {rounds:>7} {min:>10}us {med:>10}us {p99:>10}us   {}",
+            if residue == 0 { "none" } else { "LEAKED" }
+        );
+        if residue != 0 {
+            return Err(format!(
+                "timed-out waits left {residue} queue/waiter-count residue"
+            ));
         }
-        Ok(())
     }
+
+    let t0 = Instant::now();
+    let mut handle = lock.handle(far);
+    handle.acquire();
+    handle.release();
+    println!();
+    println!(
+        "recovery:    blocking acquire after {timeouts} timeouts won in {:?}",
+        t0.elapsed()
+    );
+    println!(
+        "counters:    abandons +{}  skips {}",
+        clof_locks::deadline::abandons() - abandons_before,
+        clof_locks::deadline::skips()
+    );
+
+    println!();
+    println!("panic poisoning:");
+    let mutex =
+        Arc::new(ClofMutex::new(0u64, &hierarchy, &kinds).map_err(|e| e.to_string())?);
+    let panicker = {
+        let mutex = Arc::clone(&mutex);
+        std::thread::spawn(move || {
+            let mut h = mutex.handle(0);
+            let mut guard = h.lock();
+            *guard = 41; // torn: the panic lands mid-update
+            // Silence the default hook for this intentional panic.
+            std::panic::set_hook(Box::new(|_| {}));
+            panic!("holder dies inside its critical section");
+        })
+    };
+    let panicked = panicker.join().is_err();
+    let _ = std::panic::take_hook();
+    if !panicked {
+        return Err("the demo holder failed to panic".to_string());
+    }
+    println!("  holder panicked while holding -> poisoned: {}", mutex.is_poisoned());
+    let mut h = mutex.handle(far);
+    match h.try_lock_for(Duration::from_millis(100)) {
+        Err(e) => println!("  bounded lock reports: {e}"),
+        Ok(_) => return Err("a poisoned lock handed out a guard".to_string()),
+    }
+    mutex.clear_poison();
+    let mut h = mutex.handle(far);
+    match h.try_lock_for(Duration::from_secs(5)) {
+        Ok(guard) => println!(
+            "  clear_poison -> reacquired; suspect value {} is the \
+             caller's to repair",
+            *guard
+        ),
+        Err(e) => return Err(format!("recovery after clear_poison failed: {e}")),
+    }
+    Ok(())
 }

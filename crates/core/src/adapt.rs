@@ -652,7 +652,6 @@ impl AdaptHandle {
     /// # Panics
     ///
     /// Panics if the handle already holds the lock.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         assert!(
             self.held.is_none(),
@@ -694,7 +693,6 @@ impl AdaptHandle {
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
     /// budget measured from now.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool {
         self.try_acquire_until(std::time::Instant::now() + budget)
     }
@@ -705,7 +703,6 @@ impl AdaptHandle {
     /// timed-out entrant that was the last registered thread of a
     /// drained generation would leave the baton stranded and the
     /// incoming generation wedged.
-    #[cfg(feature = "deadline")]
     fn back_out(&mut self, generation: u64) {
         self.lock.entrants(generation).deregister(self.stripe);
         if self.lock.epoch.load(SeqCst) != generation
@@ -855,7 +852,15 @@ mod tests {
             let counter = Arc::clone(&counter);
             workers.push(std::thread::spawn(move || {
                 let mut h = lock.handle(t * 2);
-                for _ in 0..iters {
+                for i in 0..iters {
+                    if i == iters / 2 {
+                        // Force the interleaving under test: a migration
+                        // lands while every worker is mid-run (on a busy
+                        // host the workers could otherwise finish first).
+                        while lock.migration_stats().swaps == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
                     h.acquire();
                     *counter.lock().unwrap() += 1;
                     h.release();
@@ -889,7 +894,6 @@ mod tests {
         assert_eq!(lock.migration_stats().swaps, swaps);
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn deadline_timeout_leaves_adaptive_lock_usable() {
         use std::time::{Duration, Instant};
@@ -908,7 +912,6 @@ mod tests {
         assert_eq!(lock.epoch(), 1);
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn timed_out_entrant_does_not_wedge_migration() {
         use std::time::{Duration, Instant};

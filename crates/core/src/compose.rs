@@ -172,7 +172,6 @@ pub trait HierLock: Send + Sync + 'static {
     /// Deadline-bounded [`acquire`](Self::acquire): the same climb
     /// under one *absolute* deadline shared by every level. Returns
     /// `false` on timeout with every partially-acquired level unwound.
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(
         &self,
         ctx: &mut Self::Context,
@@ -522,14 +521,12 @@ impl<T: HierLock> ClofHandle<T> {
     /// Deadline-bounded acquire: one absolute deadline bounds the whole
     /// climb. Returns `false` on timeout with every partially-acquired
     /// level unwound; the handle is immediately reusable.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         self.acquire_with(deadline)
     }
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
     /// budget measured from now.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool {
         self.try_acquire_until(std::time::Instant::now() + budget)
     }
@@ -743,7 +740,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn deadline_timeout_unwinds_static_tree() {
         use std::time::{Duration, Instant};

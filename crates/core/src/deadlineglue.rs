@@ -1,5 +1,5 @@
 //! Wires the `clof-locks` abandon/skip recorder hooks into `clof-obs`
-//! (compiled only when both `deadline` and `obs` are on).
+//! (compiled only with `obs`).
 //!
 //! Same shape as [`crate::parkglue`]: the locks crate is
 //! dependency-free, so its deadline layer exposes bare function-pointer

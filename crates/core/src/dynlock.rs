@@ -60,7 +60,6 @@ mod nodeobs {
         #[cfg(feature = "park")]
         crate::parkglue::install();
         // Likewise for the deadline layer's abandon/skip counters.
-        #[cfg(feature = "deadline")]
         crate::deadlineglue::install();
         let site = Arc::new(registry::global().register_at(label, shape, caller));
         let nodes = nodes
@@ -407,7 +406,6 @@ pub struct DynClofLock {
     /// layer — acquisition still works (the panicking holder's guard
     /// released the tree, so nobody hangs) and wrappers like
     /// `ClofMutex` turn it into `ClofError::Poisoned`.
-    #[cfg(feature = "deadline")]
     poisoned: std::sync::atomic::AtomicBool,
 }
 
@@ -520,7 +518,6 @@ impl DynClofLock {
             composition: locks.to_vec(),
             name,
             obs,
-            #[cfg(feature = "deadline")]
             poisoned: std::sync::atomic::AtomicBool::new(false),
         })
     }
@@ -691,7 +688,6 @@ impl DynClofLock {
     /// so waiters never hang on a dead holder; they observe the flag
     /// instead. Release ordering pairs with the `Acquire` in
     /// [`is_poisoned`] so the flag is visible to the next acquirer.
-    #[cfg(feature = "deadline")]
     pub fn poison(&self) {
         self.poisoned
             .store(true, std::sync::atomic::Ordering::Release);
@@ -700,7 +696,6 @@ impl DynClofLock {
     }
 
     /// Whether a holder has panicked while holding this lock.
-    #[cfg(feature = "deadline")]
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(std::sync::atomic::Ordering::Acquire)
     }
@@ -708,7 +703,6 @@ impl DynClofLock {
     /// Clears the poison flag after the caller has repaired (or chosen
     /// to trust) the protected state — the `Mutex::clear_poison`
     /// recovery idiom.
-    #[cfg(feature = "deadline")]
     pub fn clear_poison(&self) {
         self.poisoned
             .store(false, std::sync::atomic::Ordering::Release);
@@ -1118,14 +1112,12 @@ impl DynHandle {
     /// `false` on timeout, with every partially-acquired level unwound
     /// — the handle is immediately reusable and no queue node, waiter
     /// count, or wait-graph edge survives the failed attempt.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         self.acquire_with(deadline)
     }
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
     /// budget measured from now.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool {
         self.try_acquire_until(std::time::Instant::now() + budget)
     }
@@ -1185,14 +1177,12 @@ impl AutoHandle {
 
     /// Deadline-bounded acquire through the current placement's leaf;
     /// see [`DynHandle::try_acquire_until`].
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         self.acquire_with(deadline)
     }
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
     /// budget measured from now.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool {
         self.try_acquire_until(std::time::Instant::now() + budget)
     }
@@ -1655,8 +1645,6 @@ mod tests {
     trait ScriptHandle {
         fn acquire(&mut self);
         fn release(&mut self);
-        /// Only scripts with timeouts call this, and only tests of the
-        /// `deadline` feature run those.
         fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool;
     }
 
@@ -1669,11 +1657,8 @@ mod tests {
                 fn release(&mut self) {
                     Self::release(self);
                 }
-                fn try_acquire_for(&mut self, _budget: std::time::Duration) -> bool {
-                    #[cfg(feature = "deadline")]
-                    return Self::try_acquire_for(self, _budget);
-                    #[cfg(not(feature = "deadline"))]
-                    unreachable!("timeout scripts need the deadline feature")
+                fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool {
+                    Self::try_acquire_for(self, budget)
                 }
             }
         };
@@ -1686,10 +1671,10 @@ mod tests {
     /// cohorts of 2, mid cohorts of 4), and consecutive owners are drawn
     /// so that they share a leaf, only a mid cohort, or only the root.
     ///
-    /// With `timeouts` (the `deadline` feature), every other section a
-    /// second seeded CPU makes a bounded attempt while the lock is
-    /// held: it wins every level below the one where the two paths
-    /// meet, stalls there, times out and unwinds; `after_timeout` then
+    /// With `timeouts`, every other section a second seeded CPU makes
+    /// a bounded attempt while the lock is held: it wins every level
+    /// below the one where the two paths meet, stalls there, times out
+    /// and unwinds; `after_timeout` then
     /// inspects the lock, and the quitter is the next owner, which
     /// proves its handle reusable. A quitter that abandoned an MCS
     /// queue node is still counted by the holder's native waiter hint,
@@ -1975,7 +1960,6 @@ mod tests {
     /// One contended timeout cycle on `lock`: CPU 0 holds, CPU 1 times
     /// out, then — after the unwind — CPU 1 must win cleanly. Returns
     /// the timed-out attempt's elapsed wall time.
-    #[cfg(feature = "deadline")]
     fn timeout_cycle(lock: &Arc<DynClofLock>, generic: bool) -> std::time::Duration {
         use std::time::{Duration, Instant};
         let mk = |cpu: usize| {
@@ -2007,7 +1991,6 @@ mod tests {
         elapsed
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn deadline_timeout_unwinds_fast_tier_and_generic() {
         let h = platforms::tiny();
@@ -2031,7 +2014,6 @@ mod tests {
         one_protocol_on_every_finalist(true);
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn deadline_timeout_unwinds_hintless_indicator_levels() {
         // TTAS leaves have no native waiter hint, so the timed-out climb
@@ -2051,7 +2033,6 @@ mod tests {
         timeout_cycle(&lock, false);
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn deadline_uncontended_try_acquire_wins_immediately() {
         let h = platforms::tiny();
@@ -2067,7 +2048,6 @@ mod tests {
         handle.release();
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn poison_flag_roundtrips() {
         let h = platforms::tiny();

@@ -52,9 +52,7 @@ pub enum ClofError {
     /// A deadline-bounded acquisition ran out of time before the lock
     /// was granted. The attempt left no residue: every partially
     /// acquired level was released and every queue position abandoned
-    /// or handed forward (requires the `deadline` feature to ever be
-    /// produced; the variant itself is always present so downstream
-    /// code matches one shape under every feature set).
+    /// or handed forward.
     Timeout,
     /// The lock was poisoned: a holder panicked inside its critical
     /// section, so the protected data may be in a torn state. Recovery

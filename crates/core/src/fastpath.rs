@@ -21,7 +21,6 @@ use std::sync::Arc;
 
 #[cfg(feature = "park")]
 use clof_locks::ParkSpot;
-#[cfg(any(not(feature = "park"), feature = "deadline"))]
 use clof_locks::Backoff;
 use clof_locks::CachePadded;
 use clof_topology::{CpuId, Hierarchy};
@@ -47,7 +46,6 @@ trait GateHook {
     fn record_release(&mut self) {}
 
     /// The bounded gate wait gave up.
-    #[cfg(feature = "deadline")]
     fn record_timeout(&mut self) {}
 }
 
@@ -136,7 +134,6 @@ mod gateobs {
 
         /// The composition was handed back, nothing is held: cancels
         /// any dangling wait edge and counts the attempt as a timeout.
-        #[cfg(feature = "deadline")]
         #[inline]
         fn record_timeout(&mut self) {
             let thread = thread_tag();
@@ -310,19 +307,16 @@ impl FastClof {
     /// Marks the protected state suspect (a holder panicked); delegates
     /// to the slow composition's flag — the gate carries no state of
     /// its own. See [`DynClofLock::poison`].
-    #[cfg(feature = "deadline")]
     pub fn poison(&self) {
         self.slow.poison();
     }
 
     /// Whether a holder has panicked while holding this lock.
-    #[cfg(feature = "deadline")]
     pub fn is_poisoned(&self) -> bool {
         self.slow.is_poisoned()
     }
 
     /// Clears the poison flag; see [`DynClofLock::clear_poison`].
-    #[cfg(feature = "deadline")]
     pub fn clear_poison(&self) {
         self.slow.clear_poison()
     }
@@ -389,7 +383,6 @@ impl FastClofHandle {
     /// expiry the composition is released back to the next NUMA-local
     /// waiter: the gate grants nothing positionally, so giving up is
     /// just handing the slow path on — no queue state can leak.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         let start = self.obs.start();
         if self.lock.try_top() {
@@ -425,7 +418,6 @@ impl FastClofHandle {
 
     /// [`try_acquire_until`](Self::try_acquire_until) with a relative
     /// budget measured from now.
-    #[cfg(feature = "deadline")]
     pub fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool {
         self.try_acquire_until(std::time::Instant::now() + budget)
     }
@@ -534,7 +526,6 @@ mod tests {
         assert_eq!(slow, 1);
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn deadline_timeout_releases_composition_back() {
         use std::time::{Duration, Instant};
@@ -570,7 +561,6 @@ mod tests {
         contender.release();
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn deadline_uncontended_try_is_fast_path() {
         let lock = build_tiny();

@@ -267,7 +267,6 @@ impl AnyLock {
     /// # Panics
     ///
     /// Panics if `ctx` was not created for this lock's kind.
-    #[cfg(feature = "deadline")]
     #[inline]
     pub fn try_acquire_until(&self, ctx: &mut AnyContext, deadline: std::time::Instant) -> bool {
         dispatch!(self, ctx, lock, c => lock.try_acquire_until(c, deadline))

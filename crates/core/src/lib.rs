@@ -63,7 +63,7 @@ pub mod generator;
 pub mod kind;
 pub mod level;
 pub mod mutex;
-#[cfg(all(feature = "deadline", feature = "obs"))]
+#[cfg(feature = "obs")]
 mod deadlineglue;
 #[cfg(all(feature = "park", feature = "obs"))]
 mod parkglue;

@@ -93,14 +93,12 @@ impl<T: ?Sized> ClofMutex<T> {
     /// `std::sync::Mutex`, blocking [`lock`](ClofMutexHandle::lock)
     /// does not surface poison (it cannot fail); the deadline-bounded
     /// entry points do.
-    #[cfg(feature = "deadline")]
     pub fn is_poisoned(&self) -> bool {
         self.lock.is_poisoned()
     }
 
     /// Clears the poison flag after the caller has repaired (or chosen
     /// to trust) the protected state.
-    #[cfg(feature = "deadline")]
     pub fn clear_poison(&self) {
         self.lock.clear_poison();
     }
@@ -138,7 +136,6 @@ impl<T: ?Sized> ClofMutexHandle<T> {
     /// spending the budget (cheap early exit) and re-checked after
     /// winning: a panic that lands between the pre-check and our
     /// acquisition must not hand out a guard to suspect data.
-    #[cfg(feature = "deadline")]
     pub fn try_lock_until(
         &mut self,
         deadline: std::time::Instant,
@@ -162,7 +159,6 @@ impl<T: ?Sized> ClofMutexHandle<T> {
     /// # Errors
     ///
     /// As [`try_lock_until`](Self::try_lock_until).
-    #[cfg(feature = "deadline")]
     pub fn try_lock_for(
         &mut self,
         budget: std::time::Duration,
@@ -198,7 +194,6 @@ impl<T: ?Sized> Drop for ClofMutexGuard<'_, T> {
         // Poison first (so the flag is ordered before the release edge
         // the next acquirer synchronizes on), then release anyway —
         // waiters must observe `Poisoned`, not hang on a dead holder.
-        #[cfg(feature = "deadline")]
         if std::thread::panicking() {
             self.handle.mutex.lock.poison();
         }
@@ -261,7 +256,6 @@ mod tests {
         assert_eq!(*handle.lock(), 1);
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn try_lock_times_out_under_contention_then_recovers() {
         use std::time::{Duration, Instant};
@@ -285,7 +279,6 @@ mod tests {
         assert_eq!(*waiter.lock(), 1);
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn panic_while_holding_poisons_then_clear_recovers() {
         use std::time::Duration;

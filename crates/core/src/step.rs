@@ -21,10 +21,10 @@
 //! * [`LowLock`] — how the level's basic lock is driven: statically
 //!   (any [`RawLock`]) or through the [`AnyLock`] enum.
 //! * [`Wait`] — how long an acquire may wait: [`Block`] forever (the
-//!   unwind branches monomorphize away), or, with the `deadline`
-//!   feature, until an [`Instant`](std::time::Instant). A timeout *is*
-//!   the blocking path with one more way out, so there is no second
-//!   protocol to keep in step.
+//!   unwind branches monomorphize away), or until an
+//!   [`Instant`](std::time::Instant). A timeout *is* the blocking path
+//!   with one more way out, so there is no second protocol to keep in
+//!   step.
 //! * [`Hook`] / [`Span`] — who is told about each decision: `()` (all
 //!   defaults, compiled to nothing) or a telemetry recorder.
 
@@ -44,7 +44,6 @@ pub trait LowLock {
 
     /// Bounded acquire; `false` means timed out with `ctx` clean and no
     /// queue position left live.
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, ctx: &mut Self::Ctx, deadline: std::time::Instant) -> bool;
 
     /// Releases the lock held through `ctx`.
@@ -62,7 +61,6 @@ impl<L: RawLock> LowLock for L {
         self.acquire_budgeted(ctx, budget);
     }
 
-    #[cfg(feature = "deadline")]
     #[inline]
     fn try_acquire_until(&self, ctx: &mut L::Context, deadline: std::time::Instant) -> bool {
         RawLock::try_acquire_until(self, ctx, deadline)
@@ -87,7 +85,6 @@ impl LowLock for AnyLock {
         self.acquire_budgeted(ctx, budget);
     }
 
-    #[cfg(feature = "deadline")]
     #[inline]
     fn try_acquire_until(&self, ctx: &mut AnyContext, deadline: std::time::Instant) -> bool {
         AnyLock::try_acquire_until(self, ctx, deadline)
@@ -133,7 +130,6 @@ impl Wait for Block {
 /// — the budget is split by where contention actually burned the time,
 /// not by a per-level quota. Deadline waits never park, so the spin
 /// budget is unused.
-#[cfg(feature = "deadline")]
 impl Wait for std::time::Instant {
     const BOUNDED: bool = true;
 

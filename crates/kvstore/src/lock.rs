@@ -53,7 +53,6 @@ pub struct DbMutex<T: ?Sized> {
     /// data may be mid-mutation). Kept at this layer so poisoning works
     /// uniformly across every [`LockChoice`], including ones whose raw
     /// lock carries no flag of its own.
-    #[cfg(feature = "deadline")]
     poisoned: std::sync::atomic::AtomicBool,
     data: UnsafeCell<T>,
 }
@@ -92,7 +91,6 @@ impl<T> DbMutex<T> {
         };
         Ok(DbMutex {
             lock,
-            #[cfg(feature = "deadline")]
             poisoned: std::sync::atomic::AtomicBool::new(false),
             data: UnsafeCell::new(value),
         })
@@ -224,7 +222,6 @@ impl<T> DbMutex<T> {
     pub fn enable_adaptation(self, hierarchy: &Hierarchy) -> Result<Self, ClofError> {
         let DbMutex {
             lock,
-            #[cfg(feature = "deadline")]
             poisoned,
             data,
         } = self;
@@ -249,7 +246,6 @@ impl<T> DbMutex<T> {
         };
         Ok(DbMutex {
             lock,
-            #[cfg(feature = "deadline")]
             poisoned,
             data,
         })
@@ -285,7 +281,6 @@ impl<T> DbMutex<T> {
     }
 }
 
-#[cfg(feature = "deadline")]
 impl<T: ?Sized> DbMutex<T> {
     /// Whether a store operation panicked while holding the lock. Set
     /// by the release guard in [`DbHandle::with`] /
@@ -342,8 +337,8 @@ pub struct DbHandle<T: ?Sized> {
 /// Releases the store lock when dropped — on ordinary return *and* on
 /// unwind out of the user closure, so a panicking store operation can
 /// never strand waiters behind a dead holder. On the unwind path the
-/// store is poisoned first (deadline builds), ordered before the
-/// release edge the next acquirer synchronizes on.
+/// store is poisoned first, ordered before the release edge the next
+/// acquirer synchronizes on.
 struct OpGuard<'a, T: ?Sized> {
     inner: &'a mut HandleImpl,
     mutex: &'a DbMutex<T>,
@@ -354,7 +349,6 @@ struct OpGuard<'a, T: ?Sized> {
 
 impl<T: ?Sized> Drop for OpGuard<'_, T> {
     fn drop(&mut self) {
-        #[cfg(feature = "deadline")]
         if std::thread::panicking() {
             self.mutex.mark_poisoned();
         }
@@ -413,7 +407,6 @@ impl<T: ?Sized> DbHandle<T> {
     /// for lock choices without a bounded-wait protocol (the baselines
     /// and `Std` — their unmodified algorithms are the comparison
     /// point).
-    #[cfg(feature = "deadline")]
     pub fn try_with_until<R>(
         &mut self,
         deadline: std::time::Instant,
@@ -460,7 +453,6 @@ impl<T: ?Sized> DbHandle<T> {
     /// # Errors
     ///
     /// As [`try_with_until`](Self::try_with_until).
-    #[cfg(feature = "deadline")]
     pub fn try_with_for<R>(
         &mut self,
         budget: std::time::Duration,
@@ -664,7 +656,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn try_with_times_out_then_recovers() {
         use std::time::{Duration, Instant};
@@ -711,7 +702,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn baselines_report_deadline_unsupported() {
         use std::time::Duration;
@@ -725,7 +715,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "deadline")]
     #[test]
     fn panicking_store_op_poisons_but_never_strands_waiters() {
         use std::time::Duration;

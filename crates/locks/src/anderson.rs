@@ -14,7 +14,6 @@ use crate::pad::CachePadded;
 use crate::park::ParkSpot;
 use crate::park::SPIN_FOREVER;
 use crate::raw::{LockInfo, RawLock};
-#[cfg(any(not(feature = "park"), feature = "deadline"))]
 use crate::spin::Backoff;
 
 /// Maximum concurrent threads per [`AndersonLock`].
@@ -123,7 +122,6 @@ impl AndersonLock {
     /// turn straight to the successor. A granted slot cannot be
     /// abandoned in place — the flag for our lap would be consumed by a
     /// *future* lap's waiter and corrupt the ring hand-off order.
-    #[cfg(feature = "deadline")]
     fn try_acquire_inner_deadline(
         &self,
         ctx: &mut AndersonContext,
@@ -204,7 +202,6 @@ impl RawLock for AndersonLock {
         self.acquire_inner(ctx, budget);
     }
 
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, ctx: &mut AndersonContext, deadline: std::time::Instant) -> bool {
         self.try_acquire_inner_deadline(ctx, deadline)
     }
@@ -329,7 +326,6 @@ mod tests {
         assert_eq!(AndersonLock::INFO.name, "anderson");
     }
 
-    #[cfg(feature = "deadline")]
     mod deadline {
         use super::*;
         use std::time::{Duration, Instant};

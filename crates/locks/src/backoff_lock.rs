@@ -102,7 +102,6 @@ impl BackoffLock {
     /// queue state, so a timeout needs no undo; the bounded wait keeps
     /// the capped exponential penalty between lost races and never
     /// parks.
-    #[cfg(feature = "deadline")]
     fn try_acquire_inner_deadline(&self, deadline: std::time::Instant) -> bool {
         let mut poll = crate::deadline::DeadlinePoll::new(deadline, "bo-wait");
         let mut lost = 0;
@@ -144,7 +143,6 @@ impl RawLock for BackoffLock {
         self.acquire_inner(budget);
     }
 
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: std::time::Instant) -> bool {
         self.try_acquire_inner_deadline(deadline)
     }
@@ -205,7 +203,6 @@ mod tests {
         assert_eq!(BackoffLock::INFO.name, "bo");
     }
 
-    #[cfg(feature = "deadline")]
     mod deadline {
         use super::*;
         use std::time::{Duration, Instant};

@@ -4,9 +4,7 @@
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-#[cfg(feature = "deadline")]
-use crate::park::ABANDONED;
-use crate::park::{WaitWord, SPIN_FOREVER};
+use crate::park::{WaitWord, ABANDONED, SPIN_FOREVER};
 use crate::raw::{LockInfo, RawLock};
 
 /// A CLH queue node: a single wait word the *successor* waits on.
@@ -16,14 +14,13 @@ struct ClhNode {
     /// with the `park` feature the successor blocks on this word once its
     /// spin budget runs out and the releaser futex-wakes it.
     locked: WaitWord,
-    /// Escape pointer an abandoning owner leaves behind (the `deadline`
-    /// feature): where this node's owner was itself waiting. A successor
-    /// that observes the abandoned marker in `locked` redirects its wait
-    /// to this predecessor, frees the abandoned node, and carries on —
-    /// the CLH analogue of the MCS releaser-side skip. Published by the
+    /// Escape pointer an abandoning owner leaves behind: where this
+    /// node's owner was itself waiting. A successor that observes the
+    /// abandoned marker in `locked` redirects its wait to this
+    /// predecessor, frees the abandoned node, and carries on — the CLH
+    /// analogue of the MCS releaser-side skip. Published by the
     /// `Release` swap that abandons `locked`; read after the successor's
     /// `Acquire` observation of the marker.
-    #[cfg(feature = "deadline")]
     pred: AtomicPtr<ClhNode>,
 }
 
@@ -35,7 +32,6 @@ impl ClhNode {
             } else {
                 WaitWord::new_go()
             },
-            #[cfg(feature = "deadline")]
             pred: AtomicPtr::new(std::ptr::null_mut()),
         });
         NonNull::new(Box::into_raw(node)).expect("Box::into_raw returned null")
@@ -131,56 +127,41 @@ impl ClhLock {
         unsafe { node.as_ref().locked.prime() };
         // AcqRel: Release publishes our armed word with the node; Acquire
         // orders us after the predecessor's publication.
-        let pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
+        let mut pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         crate::chaos::point("clh-acquire-enqueued");
         // SAFETY: `pred` stays alive while we wait: its owner either is
         // the lock itself (dummy) or cannot reuse/free it before we stop
-        // observing it — the releaser abandons the node to us. The wait's
-        // Acquire pairs with the releaser's `release_raw` swap.
-        #[cfg(not(feature = "deadline"))]
-        unsafe {
-            (*pred).locked.wait(budget)
-        };
-        #[cfg(not(feature = "deadline"))]
-        {
-            ctx.pred = NonNull::new(pred);
+        // observing it — the releaser abandons the node to us, and an
+        // abandoning owner leaves it to us outright. The wait's Acquire
+        // pairs with the releaser's `grant_raw` swap.
+        while unsafe { (*pred).locked.wait(budget) } & ABANDONED != 0 {
+            // Any predecessor may abandon its position mid-wait (even
+            // though *this* acquire is unbounded).
+            // SAFETY: We just observed the marker.
+            pred = unsafe { Self::skip_abandoned(pred) };
         }
-        // With deadlines compiled in, any predecessor may abandon its
-        // position mid-wait (even though *this* acquire is unbounded),
-        // so the wait must observe both terminal values and follow the
-        // abandoned node's escape pointer.
-        #[cfg(feature = "deadline")]
-        {
-            ctx.pred = NonNull::new(self.wait_at(pred, budget));
-        }
+        ctx.pred = NonNull::new(pred);
     }
 
-    /// Waits at `pred` until a grant, redirecting past (and reclaiming)
-    /// any predecessors that abandon. Returns the node the grant
-    /// arrived through — the node this waiter now exclusively owns.
-    #[cfg(feature = "deadline")]
-    fn wait_at(&self, mut pred: *mut ClhNode, budget: u32) -> *mut ClhNode {
-        loop {
-            // SAFETY: `pred` is alive: its owner cannot reuse/free it
-            // before granting or abandoning, and an abandoned node
-            // belongs to us (its sole observer) the moment we see the
-            // marker.
-            let v = unsafe { (*pred).locked.wait_observe(budget) };
-            if v & ABANDONED == 0 {
-                return pred;
-            }
-            // The predecessor gave up: adopt *its* predecessor as ours
-            // and reclaim the abandoned node. The escape pointer was
-            // published before the marker (Release/Acquire on the word).
-            let further = unsafe { (*pred).pred.load(Ordering::Relaxed) };
-            debug_assert!(!further.is_null(), "abandoned node without an escape");
-            crate::deadline::on_skip();
-            // SAFETY: We are the only thread that can still reach the
-            // abandoned node (its owner left, only direct successors
-            // observe a CLH node, and we are the unique one).
-            unsafe { drop(Box::from_raw(pred)) };
-            pred = further;
-        }
+    /// A waiter's continuation past an abandoned predecessor: adopts
+    /// *its* predecessor as ours and reclaims the abandoned node. The
+    /// escape pointer was published before the marker (Release/Acquire
+    /// on the word).
+    ///
+    /// # Safety
+    ///
+    /// The caller observed the abandoned marker in `pred`'s word, which
+    /// makes it the only thread that can still reach the node (its owner
+    /// left, only direct successors observe a CLH node, and we are the
+    /// unique one).
+    #[cold]
+    #[inline(never)]
+    unsafe fn skip_abandoned(pred: *mut ClhNode) -> *mut ClhNode {
+        let further = (*pred).pred.load(Ordering::Relaxed);
+        debug_assert!(!further.is_null(), "abandoned node without an escape");
+        crate::deadline::on_skip();
+        drop(Box::from_raw(pred));
+        further
     }
 
     /// Deadline-bounded acquire with node abandonment. Two exits on
@@ -200,7 +181,6 @@ impl ClhLock {
     /// while we gave up) is not lost: it stays visible in the
     /// predecessor's word, where the redirected successor — or, after a
     /// tail restore, the next enqueuer — finds it.
-    #[cfg(feature = "deadline")]
     fn try_acquire_inner(&self, ctx: &mut ClhContext, deadline: std::time::Instant) -> bool {
         debug_assert!(ctx.pred.is_none(), "context invariant violated: re-acquire");
         let node = ctx.node;
@@ -209,22 +189,15 @@ impl ClhLock {
         let mut pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         crate::chaos::point("clh-acquire-enqueued");
         loop {
-            // SAFETY: As in `wait_at`.
+            // SAFETY: As in `acquire_inner`.
             match unsafe { (*pred).locked.wait_deadline(deadline, "clh-wait") } {
                 Some(v) if v & ABANDONED == 0 => {
                     // Granted (possibly at the deadline edge): acquired.
                     ctx.pred = NonNull::new(pred);
                     return true;
                 }
-                Some(_) => {
-                    // Predecessor abandoned: redirect as in `wait_at`.
-                    let further = unsafe { (*pred).pred.load(Ordering::Relaxed) };
-                    debug_assert!(!further.is_null(), "abandoned node without an escape");
-                    crate::deadline::on_skip();
-                    // SAFETY: As in `wait_at`.
-                    unsafe { drop(Box::from_raw(pred)) };
-                    pred = further;
-                }
+                // SAFETY: As in `acquire_inner`.
+                Some(_) => pred = unsafe { Self::skip_abandoned(pred) },
                 None => break,
             }
         }
@@ -265,37 +238,29 @@ impl Default for ClhLock {
 
 impl Drop for ClhLock {
     fn drop(&mut self) {
-        // SAFETY: No operation is in flight when the lock is dropped, so
-        // the node left in `tail` is owned by the lock (it is the dummy,
-        // or the node abandoned by the last releaser, whose releaser
-        // adopted its predecessor's allocation in exchange).
-        #[cfg(not(feature = "deadline"))]
-        unsafe {
-            drop(Box::from_raw(self.tail.load(Ordering::Relaxed)))
-        };
-        // With deadlines, a waiter that abandoned while it was the last
-        // in line leaves its marked node in the tail with an escape
-        // pointer to its predecessor — adopted by the next enqueuer, or
-        // by nobody if none ever came. Walk the escape chain here so
-        // those orphans are reclaimed with the lock.
-        #[cfg(feature = "deadline")]
-        {
-            let mut node = self.tail.load(Ordering::Relaxed);
-            while !node.is_null() {
-                // SAFETY: Quiescent at drop; every node on the escape
-                // chain is owned by the lock (abandoned, never adopted)
-                // down to the terminal non-abandoned node (the dummy).
-                let abandoned = unsafe { !(*node).locked.is_go() };
-                let next = if abandoned {
-                    // SAFETY: As above.
-                    unsafe { (*node).pred.load(Ordering::Relaxed) }
-                } else {
-                    std::ptr::null_mut()
-                };
-                // SAFETY: As above; sole owner of the allocation.
-                unsafe { drop(Box::from_raw(node)) };
-                node = next;
-            }
+        // No operation is in flight when the lock is dropped, so the node
+        // left in `tail` is owned by the lock: the dummy, or the node
+        // abandoned by the last releaser (whose releaser adopted its
+        // predecessor's allocation in exchange). A waiter that abandoned
+        // while it was the last in line leaves its marked node there with
+        // an escape pointer to its predecessor — adopted by the next
+        // enqueuer, or by nobody if none ever came. Walk the escape chain
+        // so those orphans are reclaimed with the lock.
+        let mut node = self.tail.load(Ordering::Relaxed);
+        while !node.is_null() {
+            // SAFETY: Quiescent at drop; every node on the escape chain
+            // is owned by the lock (abandoned, never adopted) down to the
+            // terminal non-abandoned node (the dummy).
+            let abandoned = unsafe { !(*node).locked.is_go() };
+            let next = if abandoned {
+                // SAFETY: As above.
+                unsafe { (*node).pred.load(Ordering::Relaxed) }
+            } else {
+                std::ptr::null_mut()
+            };
+            // SAFETY: As above; sole owner of the allocation.
+            unsafe { drop(Box::from_raw(node)) };
+            node = next;
         }
     }
 }
@@ -321,7 +286,6 @@ impl RawLock for ClhLock {
         self.acquire_inner(ctx, budget);
     }
 
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, ctx: &mut ClhContext, deadline: std::time::Instant) -> bool {
         self.try_acquire_inner(ctx, deadline)
     }
@@ -335,9 +299,9 @@ impl RawLock for ClhLock {
         // SAFETY: Our node is still ours to signal through; the successor
         // (or nobody) waits on it. The grant's Release swap publishes the
         // critical section to the successor's Acquire wait, after which
-        // the successor adopts the node — `release_raw` wakes by address
+        // the successor adopts the node — `grant_raw` wakes by address
         // and never dereferences past that hand-over.
-        unsafe { WaitWord::release_raw(std::ptr::addr_of!((*ctx.node.as_ptr()).locked)) };
+        unsafe { WaitWord::grant_raw(std::ptr::addr_of!((*ctx.node.as_ptr()).locked)) };
         // Adopt the predecessor's node for the next acquisition; our old
         // node now belongs to our successor (or to the lock if none).
         ctx.node = pred;
@@ -451,7 +415,6 @@ mod tests {
         assert!(ClhLock::INFO.needs_context);
     }
 
-    #[cfg(feature = "deadline")]
     mod deadline {
         use super::*;
         use std::time::{Duration, Instant};
@@ -508,13 +471,12 @@ mod tests {
                 })
             };
             // w1 enqueues between holder and (soon) w2 — ordering is
-            // racy either way, and both orders must come out clean.
-            let skips = crate::deadline::skips();
+            // racy either way, and whichever exit w1 takes (abandon or
+            // tail restore) the state must come out clean.
             assert!(!lock.try_acquire_until(&mut w1, soon()));
             lock.release(&mut holder);
             t.join().expect("w2 acquires despite the abandonment");
             assert!(!lock.is_locked());
-            let _ = skips; // whichever exit w1 took, state must be clean
             lock.acquire(&mut w1);
             lock.release(&mut w1);
         }

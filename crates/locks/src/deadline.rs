@@ -1,9 +1,9 @@
-//! Deadline-bounded acquisition: the off-by-default `deadline` feature.
+//! Deadline-bounded acquisition, part of every lock's protocol.
 //!
-//! Every lock in this crate blocks forever by design — right for the
-//! paper's dedicated-core experiments, wrong for a service that must
-//! bound its worst case: one stalled (or panicked) holder wedges every
-//! waiter transitively. This module adds the shared machinery behind
+//! A plain `acquire` blocks forever — right for the paper's
+//! dedicated-core experiments, wrong for a service that must bound its
+//! worst case: one stalled (or panicked) holder wedges every waiter
+//! transitively. This module holds the shared machinery behind
 //! [`RawLock::try_acquire_until`](crate::RawLock::try_acquire_until):
 //!
 //! * [`DeadlinePoll`] — the per-wait expiry accountant: a cheap
@@ -16,14 +16,19 @@
 //! * The [`mutant`] switch for the mutant-kill suite (deleting the
 //!   abandoned-node skip in the MCS release path).
 //!
-//! The abandonment protocols themselves live with their locks:
+//! The abandonment protocols themselves live with their locks, and are
+//! always compiled: a blocking waiter must survive a neighbour that
+//! gives up, so each lock has exactly one protocol that handles both:
 //!
 //! * **MCS/CLH/Hemlock** (queue locks): HMCS-T-style *node
 //!   abandonment* (Chabbi et al.) — the timed-out waiter marks its
 //!   queue node abandoned and leaves; a later releaser (or redirected
 //!   successor) skips and reclaims the node. The waiter's context gets
 //!   a fresh node, so a timeout never blocks and never leaks a live
-//!   queue position.
+//!   queue position. The skip sits in a `#[cold]` continuation that
+//!   the blocking path reaches with one bit test on a word it already
+//!   reads (the MCS grant's swapped-out word, the CLH predecessor word,
+//!   the Hemlock grant).
 //! * **Ticket/Anderson** (slot locks): a granted slot cannot be
 //!   abandoned — FIFO hand-off is positional — so a timed-out waiter
 //!   first tries to *cancel* its ticket (a tail CAS, possible only for
@@ -39,11 +44,6 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Marker literal proving deadline code is linked in: it appears in the
-/// `clof deadline` CLI banner, and CI greps for its *absence* in the
-/// default binary.
-pub const DEADLINE_MARKER: &str = "clof-deadline-v1";
 
 /// Polls one wait's deadline, folding in forced-timeout injection.
 ///

@@ -22,7 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::raw::{LockInfo, RawLock};
 use crate::spin::Backoff;
 
-/// The shared cell of a Hemlock context: a single `grant` word.
+/// The shared cell of a Hemlock context: a `grant` word plus the escape
+/// pointer an abandoning owner leaves behind.
 ///
 /// The releaser writes the *lock's address* into its own cell's `grant`;
 /// the successor spins on its predecessor's cell until it sees that
@@ -35,22 +36,20 @@ struct HemCell {
     /// on, so the successor can re-target its wait past us. Only valid
     /// while the sentinel is set; published by the `Release` store of
     /// the sentinel.
-    #[cfg(feature = "deadline")]
     pred: AtomicUsize,
 }
 
 /// Sentinel grant value marking an abandoned cell (deadline timeouts).
 ///
-/// Distinguishable from every real token: tokens are lock addresses
-/// (aligned, never 1) and `0` means empty/acknowledged.
-#[cfg(feature = "deadline")]
+/// Distinguishable from every real token by its low bit alone: tokens
+/// are lock addresses (aligned, bit 0 clear) and `0` means
+/// empty/acknowledged.
 const ABANDONED_GRANT: usize = 1;
 
 impl HemCell {
     fn boxed() -> NonNull<HemCell> {
         let cell = Box::new(HemCell {
             grant: AtomicUsize::new(0),
-            #[cfg(feature = "deadline")]
             pred: AtomicUsize::new(0),
         });
         NonNull::new(Box::into_raw(cell)).expect("Box::into_raw returned null")
@@ -63,8 +62,8 @@ pub struct HemContext {
     cell: NonNull<HemCell>,
 }
 
-// SAFETY: The context carries a pointer to a heap cell whose only field is
-// an atomic; sharing/moving the context does not move the cell.
+// SAFETY: The context carries a pointer to a heap cell whose fields are
+// atomics; sharing/moving the context does not move the cell.
 unsafe impl Send for HemContext {}
 // SAFETY: As above.
 unsafe impl Sync for HemContext {}
@@ -166,20 +165,20 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         }
     }
 
-    /// Conditional grant transition, used by the deadline protocol's
-    /// acknowledge-and-retract races (CTR-indifferent: a CAS is a CAS).
-    #[cfg(feature = "deadline")]
+    /// Conditional grant transition for the acknowledge-and-retract
+    /// races (CTR-indifferent: a CAS is a CAS).
     fn grant_cas(grant: &AtomicUsize, expect: usize, value: usize) -> bool {
         grant
             .compare_exchange(expect, value, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
     }
 
-    /// Steps the wait past an abandoned cell: follows its escape pointer
-    /// and frees the sentinel (ownership transferred to us, its unique
-    /// observer). The caller's `Acquire` read of [`ABANDONED_GRANT`]
-    /// published the escape pointer.
-    #[cfg(feature = "deadline")]
+    /// The wait's continuation past an abandoned cell: follows its
+    /// escape pointer and frees the sentinel (ownership transferred to
+    /// us, its unique observer). The caller's `Acquire` read of
+    /// [`ABANDONED_GRANT`] published the escape pointer.
+    #[cold]
+    #[inline(never)]
     fn adopt_abandoned(cell: *mut HemCell) -> *mut HemCell {
         let pred = unsafe { (*cell).pred.load(Ordering::Relaxed) } as *mut HemCell;
         debug_assert!(
@@ -193,64 +192,56 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         pred
     }
 
-    #[cfg(not(feature = "deadline"))]
+    /// Acquire: spin on the predecessor's cell until it carries our
+    /// lock's token, then acknowledge by resetting it. The spin also
+    /// recognises abandoned-cell sentinels (re-targeting past them), and
+    /// the acknowledgement is a CAS: a releaser whose successor vanished
+    /// may *retract* a published token, and a plain-store ack could then
+    /// ack a token that is about to be re-published, stranding the
+    /// releaser.
     fn acquire_inner(&self, ctx: &mut HemContext) {
         let me = ctx.cell.as_ptr() as usize;
         // AcqRel as in MCS: publish our cell, order after the predecessor.
         let pred = self.tail.swap(me, Ordering::AcqRel);
-        if pred == 0 {
-            return;
+        if pred != 0 {
+            self.wait_for_grant(pred as *mut HemCell);
         }
-        let token = self.lock_token();
-        crate::chaos::point("hem-acquire-queued");
-        // SAFETY: `pred` is a cell published by its owner; the owner's
-        // release spins until our acknowledgement below, so the cell stays
-        // alive (and its context may not be dropped) until then.
-        let pred_grant = unsafe { &(*(pred as *const HemCell)).grant };
-        let mut backoff = Backoff::new();
-        // Acquire pairs with the releaser's Release publication of the
-        // token, ordering the critical sections.
-        while Self::grant_load(pred_grant, Ordering::Acquire) != token {
-            backoff.snooze();
-        }
-        // Acknowledge: reset the predecessor's grant so it can proceed and
-        // reuse its cell. Release so the (relaxed) observer cannot see the
-        // reset reordered before our spin completed.
-        Self::grant_store(pred_grant, 0, Ordering::Release);
     }
 
-    /// Deadline-build acquire: the spin must additionally recognise
-    /// abandoned-cell sentinels (re-target past them) and acknowledge
-    /// with a CAS — a releaser whose successor vanished may *retract* a
-    /// published token, and a plain-store ack could then ack a token
-    /// that is about to be re-published, stranding the releaser.
-    #[cfg(feature = "deadline")]
-    fn acquire_inner(&self, ctx: &mut HemContext) {
-        let me = ctx.cell.as_ptr() as usize;
-        let pred = self.tail.swap(me, Ordering::AcqRel);
-        if pred == 0 {
-            return;
-        }
+    /// The contended half of [`acquire_inner`](Self::acquire_inner), out
+    /// of line so the uncontended acquire stays a swap and a test.
+    #[inline(never)]
+    fn wait_for_grant(&self, mut pred: *mut HemCell) {
         let token = self.lock_token();
         crate::chaos::point("hem-acquire-queued");
-        let mut pred = pred as *mut HemCell;
         let mut backoff = Backoff::new();
         loop {
-            // SAFETY: `pred` is either a live cell (owner cannot retire
-            // it until acknowledged) or a sentinel we now uniquely own.
-            let g = Self::grant_load(unsafe { &(*pred).grant }, Ordering::Acquire);
-            if g == ABANDONED_GRANT {
+            // SAFETY: `pred` is a cell published by its owner, whose
+            // release waits for our acknowledgement (so the cell stays
+            // alive and its context may not be dropped until then), or a
+            // sentinel we now uniquely own. Acquire pairs with the
+            // releaser's Release publication of the token, ordering the
+            // critical sections.
+            let grant = unsafe { &(*pred).grant };
+            let g = Self::grant_load(grant, Ordering::Acquire);
+            if g == token && Self::grant_cas(grant, token, 0) {
+                return;
+            }
+            if g & ABANDONED_GRANT != 0 {
                 pred = Self::adopt_abandoned(pred);
                 continue;
             }
-            if g == token && Self::grant_cas(unsafe { &(*pred).grant }, token, 0) {
-                return;
-            }
             backoff.snooze();
         }
     }
 
-    #[cfg(not(feature = "deadline"))]
+    /// Release: publish the token and wait for the successor's
+    /// acknowledgement (reset to 0) — the wait the CTR optimization
+    /// targets on x86 and the one that livelocks under LL/SC
+    /// interference on Armv8 (simulated, §3.2). The wait must not strand
+    /// us when our only successor abandons: a timed-out tail waiter
+    /// restores the tail to its predecessor — us — so whenever we see
+    /// ourselves back at the tail we try to retract the token.
     fn release_inner(&self, ctx: &mut HemContext) {
         let me = ctx.cell.as_ptr() as usize;
         // Fast path: no successor, swing tail back to empty.
@@ -262,64 +253,52 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         {
             return;
         }
+        self.hand_over(ctx, me);
+    }
+
+    /// The contended half of [`release_inner`](Self::release_inner), out
+    /// of line so the uncontended release stays a load and a CAS.
+    #[inline(never)]
+    fn hand_over(&self, ctx: &HemContext, me: usize) {
         // SAFETY: Our own cell, alive while the context is.
         let grant = unsafe { &(*ctx.cell.as_ptr()).grant };
         crate::chaos::point("hem-release-pre-grant");
         // Publish the grant: our successor identifies the lock by address.
         Self::grant_store(grant, self.lock_token(), Ordering::Release);
         let mut backoff = Backoff::new();
-        // Wait for the successor's acknowledgement (reset to 0); this is
-        // the wait the CTR optimization targets on x86 and the one that
-        // livelocks under LL/SC interference on Armv8 (simulated, §3.2).
         while Self::grant_load(grant, Ordering::Acquire) != 0 {
+            if self.tail.load(Ordering::Relaxed) == me && self.retract(grant, me) {
+                return;
+            }
             backoff.snooze();
         }
     }
 
-    /// Deadline-build release: the acknowledgement wait must not strand
-    /// us when our only successor abandons. A timed-out tail waiter
-    /// restores the tail to its predecessor — us — so whenever we see
-    /// ourselves back at the tail we *retract* the token (CAS, racing
-    /// any late acknowledger) and try to leave empty; if a new waiter
-    /// slipped in meanwhile the token is re-published for it.
-    #[cfg(feature = "deadline")]
-    fn release_inner(&self, ctx: &mut HemContext) {
-        let me = ctx.cell.as_ptr() as usize;
-        if self.tail.load(Ordering::Relaxed) == me
-            && self
-                .tail
-                .compare_exchange(me, 0, Ordering::Release, Ordering::Relaxed)
-                .is_ok()
+    /// The release's continuation when its successor left by restoring
+    /// the tail to us: *retract* the token (CAS, racing any late
+    /// acknowledger) and try to leave the queue empty. Returns `true` if
+    /// the lock is released; `false` means the acknowledgement won the
+    /// race or a new waiter slipped in, and the token is (again) up for
+    /// it to acknowledge.
+    #[cold]
+    #[inline(never)]
+    fn retract(&self, grant: &AtomicUsize, me: usize) -> bool {
+        if !Self::grant_cas(grant, self.lock_token(), 0) {
+            return false;
+        }
+        crate::chaos::point("hem-release-retracted");
+        if self
+            .tail
+            .compare_exchange(me, 0, Ordering::Release, Ordering::Relaxed)
+            .is_ok()
         {
-            return;
+            return true;
         }
-        // SAFETY: Our own cell, alive while the context is.
-        let grant = unsafe { &(*ctx.cell.as_ptr()).grant };
-        crate::chaos::point("hem-release-pre-grant");
+        // A waiter enqueued between the retract and the empty swing:
+        // re-publish before resuming the wait, or we would mistake our
+        // own retraction for its ack.
         Self::grant_store(grant, self.lock_token(), Ordering::Release);
-        let mut backoff = Backoff::new();
-        loop {
-            if Self::grant_load(grant, Ordering::Acquire) == 0 {
-                return;
-            }
-            if self.tail.load(Ordering::Relaxed) == me
-                && Self::grant_cas(grant, self.lock_token(), 0)
-            {
-                crate::chaos::point("hem-release-retracted");
-                if self
-                    .tail
-                    .compare_exchange(me, 0, Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return;
-                }
-                // A waiter enqueued between the retract and the empty
-                // swing: re-publish before resuming the wait, or we
-                // would mistake our own retraction for its ack.
-                Self::grant_store(grant, self.lock_token(), Ordering::Release);
-            }
-            backoff.snooze();
-        }
+        false
     }
 
     /// Deadline-bounded acquire (HMCS-T-style abandonment, adapted to
@@ -329,7 +308,6 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
     /// waiter publishes an escape pointer and marks its cell with the
     /// [`ABANDONED_GRANT`] sentinel; the successor re-targets past the
     /// cell and frees it, so the hand-off chain stays connected.
-    #[cfg(feature = "deadline")]
     fn try_acquire_inner(&self, ctx: &mut HemContext, deadline: std::time::Instant) -> bool {
         let me = ctx.cell.as_ptr();
         let first = self.tail.swap(me as usize, Ordering::AcqRel);
@@ -346,12 +324,12 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         loop {
             // SAFETY: As in `acquire_inner`.
             let g = Self::grant_load(unsafe { &(*pred).grant }, Ordering::Acquire);
-            if g == ABANDONED_GRANT {
-                pred = Self::adopt_abandoned(pred);
-                continue;
-            }
             if g == token && Self::grant_cas(unsafe { &(*pred).grant }, token, 0) {
                 return true;
+            }
+            if g & ABANDONED_GRANT != 0 {
+                pred = Self::adopt_abandoned(pred);
+                continue;
             }
             if poll.expired() {
                 break;
@@ -360,7 +338,7 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         }
         // Timed out. Tail case: swing the tail back to the predecessor.
         // After the CAS nobody can reach our cell, so we keep it. If the
-        // predecessor already published its token, its retraction loop
+        // predecessor already published its token, its retraction
         // (see `release_inner`) notices it is the tail once more and
         // retires the grant — we do not have to consume it.
         if self
@@ -416,7 +394,6 @@ impl<const CTR: bool> RawLock for HemlockGeneric<CTR> {
         self.acquire_inner(ctx);
     }
 
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, ctx: &mut HemContext, deadline: std::time::Instant) -> bool {
         self.try_acquire_inner(ctx, deadline)
     }
@@ -437,7 +414,6 @@ impl<const CTR: bool> RawLock for HemlockGeneric<CTR> {
 /// enqueuer normally adopts and frees it; if the lock dies first, this
 /// walk does. Live cells (no sentinel) are owned by their contexts and
 /// are not touched.
-#[cfg(feature = "deadline")]
 impl<const CTR: bool> Drop for HemlockGeneric<CTR> {
     fn drop(&mut self) {
         let mut cell = self.tail.load(Ordering::Relaxed) as *mut HemCell;
@@ -555,7 +531,6 @@ mod tests {
         assert!(Hemlock::INFO.fair);
     }
 
-    #[cfg(feature = "deadline")]
     mod deadline {
         use super::*;
         use std::time::{Duration, Instant};
@@ -695,9 +670,14 @@ mod tests {
                     lock.release(&mut ctx);
                 })
             };
-            crate::spin::spin_until(|| crate::deadline::skips() > skips_before);
+            // Once `w` is enqueued its predecessor is the sentinel, which
+            // it must adopt before it can see the holder's grant. (Watch
+            // this lock, not the process-wide skip counter: the tests
+            // beside this one bump that too.)
+            crate::spin::spin_until(|| lock.tail.load(Ordering::Relaxed) != cell as usize);
             lock.release(&mut holder);
             w.join().expect("adopter acquires through the sentinel");
+            assert!(crate::deadline::skips() > skips_before);
             assert!(!lock.is_locked());
         }
 

@@ -44,6 +44,14 @@
 //! every wait uses [`Backoff`]: polls at most 8 `spin_loop` hints apart,
 //! so a grant is seen within one burst however long the wait, then
 //! `std::thread::yield_now`. See `DESIGN.md` §6.
+//!
+//! # Deadlines
+//!
+//! Every lock also offers [`RawLock::try_acquire_until`], which gives up
+//! at a deadline and leaves no queue position behind (see [`deadline`]).
+//! It is part of each lock's one protocol, not a build option: a blocking
+//! waiter must survive a neighbour that times out, so the code every
+//! build ships is the code the deadline oracle checks.
 
 #![warn(missing_docs)]
 
@@ -51,7 +59,6 @@ pub mod anderson;
 pub mod backoff_lock;
 pub mod chaos;
 pub mod clh;
-#[cfg(feature = "deadline")]
 pub mod deadline;
 pub mod hemlock;
 pub mod mcs;
@@ -65,8 +72,7 @@ pub mod ttas;
 pub use anderson::{AndersonContext, AndersonLock};
 pub use backoff_lock::BackoffLock;
 pub use clh::{ClhContext, ClhLock};
-#[cfg(feature = "deadline")]
-pub use deadline::{DeadlinePoll, DEADLINE_MARKER};
+pub use deadline::DeadlinePoll;
 pub use hemlock::{HemContext, Hemlock, HemlockCtr};
 pub use mcs::{McsContext, McsLock};
 pub use pad::{CachePadded, CACHE_LINE};

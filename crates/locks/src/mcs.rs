@@ -3,9 +3,7 @@
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-#[cfg(feature = "deadline")]
-use crate::park::ABANDONED;
-use crate::park::{WaitWord, SPIN_FOREVER};
+use crate::park::{WaitWord, ABANDONED, SPIN_FOREVER};
 use crate::raw::{LockInfo, RawLock};
 use crate::spin::Backoff;
 
@@ -143,7 +141,6 @@ impl McsLock {
     /// releaser grants into it, which skips and frees it (see
     /// `release`). The context gets a fresh node, so a timed-out
     /// context is immediately reusable.
-    #[cfg(feature = "deadline")]
     fn try_acquire_inner(&self, ctx: &mut McsContext, deadline: std::time::Instant) -> bool {
         let node = ctx.node.as_ptr();
         // SAFETY: As in `acquire_inner`: private until the swap.
@@ -172,6 +169,89 @@ impl McsLock {
         ctx.node = McsNode::boxed();
         false
     }
+
+    /// Hands the lock held through `node` to its successor, or empties
+    /// the queue if there is none. Returns the successor's node if its
+    /// owner had abandoned it — the grant then transferred that node to
+    /// us instead of the lock — and null otherwise.
+    ///
+    /// # Safety
+    ///
+    /// `node` is the queue head: our context's node while we hold the
+    /// lock, or an abandoned node a previous grant transferred to us.
+    /// Enqueuers only ever write its `next`, which the linger-for-link
+    /// loop below waits for.
+    #[inline]
+    unsafe fn grant_next(&self, node: *mut McsNode) -> *mut McsNode {
+        let node_ref = &*node;
+        let mut next = node_ref.next.load(Ordering::Acquire);
+        crate::chaos::point("mcs-release-next-read");
+        if next.is_null() {
+            // No known successor: try to swing tail back to empty.
+            // Release publishes the critical section to the next acquirer
+            // that starts from an empty queue.
+            if self
+                .tail
+                .compare_exchange(node, ptr::null_mut(), Ordering::Release, Ordering::Relaxed)
+                .is_ok()
+            {
+                return ptr::null_mut();
+            }
+            // A successor swapped the tail but has not linked yet; wait
+            // for the link (it arrives promptly: the successor's very
+            // next step is the `next` store — this loop never parks).
+            let mut backoff = Backoff::new();
+            loop {
+                next = node_ref.next.load(Ordering::Acquire);
+                if !next.is_null() {
+                    break;
+                }
+                backoff.snooze();
+            }
+        }
+        // SAFETY: `next`'s owner waits on its `locked` word and keeps
+        // the node alive until this grant; the grant itself is the last
+        // access through the pointer (`grant_raw` wakes by address,
+        // never dereferencing after the successor may have moved on).
+        // The Acquire `next` read ordered us after the enqueuer's
+        // one-shot link store, so nobody writes `node` again either.
+        let prev = WaitWord::grant_raw(ptr::addr_of!((*next).locked));
+        if prev & ABANDONED == 0 {
+            ptr::null_mut()
+        } else {
+            next
+        }
+    }
+
+    /// The release's continuation past an abandoned successor: `node`
+    /// is ours to reclaim and the hand-off continues past it, until a
+    /// live waiter takes the lock or the queue drains.
+    #[cold]
+    #[inline(never)]
+    fn skip_abandoned(&self, mut node: *mut McsNode) {
+        loop {
+            #[cfg(any(test, feature = "testkit"))]
+            if crate::deadline::mutant::abandoned_skip_deleted() {
+                // Mutant: the skip is "deleted" — the release returns as
+                // if the abandoned waiter took the lock, so the hand-off
+                // (and the abandoned node) are dropped, no reclaim is
+                // counted, and every later waiter wedges.
+                return;
+            }
+            crate::deadline::on_skip();
+            // SAFETY: The grant that reported `node` abandoned made us
+            // its sole owner and the queue head.
+            let next = unsafe { self.grant_next(node) };
+            // SAFETY: Sole owner; `grant_next` returned only after the
+            // tail CAS unlinked it or its successor's link was read, so
+            // no thread reaches it anymore.
+            unsafe { drop(Box::from_raw(node)) };
+            if next.is_null() {
+                return;
+            }
+            node = next;
+        }
+    }
 }
 
 impl RawLock for McsLock {
@@ -195,118 +275,16 @@ impl RawLock for McsLock {
         self.acquire_inner(ctx, budget);
     }
 
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, ctx: &mut McsContext, deadline: std::time::Instant) -> bool {
         self.try_acquire_inner(ctx, deadline)
     }
 
-    #[cfg(not(feature = "deadline"))]
     fn release(&self, ctx: &mut McsContext) {
-        let node = ctx.node.as_ptr();
-        // SAFETY: We hold the lock through `ctx`, so our node is alive and
-        // is the queue head.
-        let node_ref = unsafe { &*node };
-        let mut next = node_ref.next.load(Ordering::Acquire);
-        crate::chaos::point("mcs-release-next-read");
-        if next.is_null() {
-            // No known successor: try to swing tail back to empty.
-            // Release publishes the critical section to the next acquirer
-            // that starts from an empty queue.
-            if self
-                .tail
-                .compare_exchange(node, ptr::null_mut(), Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-            {
-                return;
-            }
-            // A successor swapped the tail but has not linked yet; wait
-            // for the link (it arrives promptly: the successor's very
-            // next step is the `next` store — this loop never parks).
-            let mut backoff = Backoff::new();
-            loop {
-                next = node_ref.next.load(Ordering::Acquire);
-                if !next.is_null() {
-                    break;
-                }
-                backoff.snooze();
-            }
-        }
-        // SAFETY: `next` is a queue node whose owner waits on its
-        // `locked` word and therefore keeps it alive until this release
-        // grants it; the grant itself is the last access through the
-        // pointer (`release_raw` wakes by address, never dereferencing
-        // after the successor may have moved on).
-        unsafe { WaitWord::release_raw(ptr::addr_of!((*next).locked)) };
-    }
-
-    #[cfg(feature = "deadline")]
-    fn release(&self, ctx: &mut McsContext) {
-        // As the plain release, but granting into an abandoned node
-        // (grant_raw reports the marker) hands us that node instead of
-        // the lock's ownership: we reclaim it and keep granting down
-        // the queue until a live waiter takes over or the queue drains.
-        // `owned` tracks whether `node` is an abandoned node we must
-        // free once done reading its `next` (the context's own node
-        // stays with the context).
-        let mut node = ctx.node.as_ptr();
-        let mut owned = false;
-        loop {
-            // SAFETY: Either our context's node (alive, queue head) or
-            // an abandoned node whose grant transferred sole ownership
-            // to us; enqueuers only ever write its `next`, which the
-            // linger-for-link loop below is exactly waiting for.
-            let node_ref = unsafe { &*node };
-            let mut next = node_ref.next.load(Ordering::Acquire);
-            crate::chaos::point("mcs-release-next-read");
-            if next.is_null() {
-                if self
-                    .tail
-                    .compare_exchange(node, ptr::null_mut(), Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    // Queue drained. The tail CAS means no enqueuer
-                    // holds a pointer to `node` anymore.
-                    if owned {
-                        // SAFETY: Sole owner, unreachable from the lock.
-                        unsafe { drop(Box::from_raw(node)) };
-                    }
-                    return;
-                }
-                let mut backoff = Backoff::new();
-                loop {
-                    next = node_ref.next.load(Ordering::Acquire);
-                    if !next.is_null() {
-                        break;
-                    }
-                    backoff.snooze();
-                }
-            }
-            // SAFETY: As the plain release; the Acquire `next` read
-            // ordered us after the enqueuer's one-shot link store, so
-            // nobody writes `node` again and (if owned) it is safe to
-            // free after the grant below.
-            let prev = unsafe { WaitWord::grant_raw(ptr::addr_of!((*next).locked)) };
-            if owned {
-                // SAFETY: Sole owner; the link store was the last write.
-                unsafe { drop(Box::from_raw(node)) };
-            }
-            if prev & ABANDONED == 0 {
-                // A live waiter took the lock.
-                return;
-            }
-            // The successor abandoned before the grant landed; its node
-            // is ours to reclaim and the hand-off continues past it.
-            #[cfg(any(test, feature = "testkit"))]
-            if crate::deadline::mutant::abandoned_skip_deleted() {
-                // Mutant: the skip is "deleted" — this release returns
-                // as if the abandoned waiter took the lock, so the
-                // hand-off (and the abandoned node) are dropped, no
-                // reclaim is counted, and every later waiter wedges.
-                return;
-            }
-            crate::deadline::on_skip();
-            node = next;
-            owned = true;
+        // SAFETY: We hold the lock through `ctx`, so our node is alive
+        // and is the queue head.
+        let abandoned = unsafe { self.grant_next(ctx.node.as_ptr()) };
+        if !abandoned.is_null() {
+            self.skip_abandoned(abandoned);
         }
     }
 
@@ -420,7 +398,6 @@ mod tests {
         assert!(McsLock::INFO.needs_context);
     }
 
-    #[cfg(feature = "deadline")]
     mod deadline {
         use super::*;
         use std::time::{Duration, Instant};

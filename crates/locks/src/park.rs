@@ -15,7 +15,7 @@
 //!   and sleeps on the word; the releaser swaps in `GO` and wakes the
 //!   word only if the swapped-out value carried the bit. The wake takes
 //!   only the *address*, never dereferencing the (possibly already
-//!   recycled) node — see [`WaitWord::release_raw`].
+//!   recycled) node — see [`WaitWord::grant_raw`].
 //! * [`ParkSpot`] — an eventcount for the polling locks (ticket, TTAS,
 //!   Anderson slots, TAS+backoff): waiters park on an epoch word after
 //!   announcing themselves in a `parked` count; releasers make their
@@ -131,19 +131,19 @@ impl Waiter {
 
 /// Word value: released — the waiter may proceed.
 const GO: u32 = 0;
-/// Word value: armed — the waiter spins or parks on it.
+/// Word value: armed — the waiter spins or parks on it. A wait is over
+/// exactly when this bit is clear.
 const WAIT: u32 = 1;
 /// Bit a waiter ORs in before sleeping, so the releaser knows a
 /// `futex_wake` is owed. Never set while the word is `GO`.
 #[cfg(feature = "park")]
 const PARKED_BIT: u32 = 2;
 /// Bit a timed-out waiter publishes in its node's word to abandon the
-/// queue position (the `deadline` feature's HMCS-T-style marker). Set
-/// either by the waiter CASing its own armed word (MCS) or by swapping
-/// its word outright for the successor to observe (CLH); never combined
-/// with `GO`. A granter that swaps out this bit knows the position's
-/// owner left and must skip (and reclaim) the node.
-#[cfg(feature = "deadline")]
+/// queue position (HMCS-T-style). Set either by the waiter CASing its
+/// own armed word (MCS) or by swapping its word outright for the
+/// successor to observe (CLH); never combined with `WAIT`. A granter
+/// that swaps out this bit knows the position's owner left and must
+/// skip (and reclaim) the node.
 pub(crate) const ABANDONED: u32 = 4;
 
 /// The wait/grant word of one queue-lock node (MCS/CLH `locked` field).
@@ -154,11 +154,19 @@ pub(crate) const ABANDONED: u32 = 4;
 ///
 /// Protocol: the owner-to-be [`prime`](WaitWord::prime)s the word, links
 /// it into the queue, and [`wait`](WaitWord::wait)s; the releaser calls
-/// [`release_raw`](WaitWord::release_raw), which swaps in `GO` with
+/// [`grant_raw`](WaitWord::grant_raw), which swaps in `GO` with
 /// `Release` ordering and, if the swapped-out value carried
 /// `PARKED_BIT`, wakes the address. The swap is safe because the waiter
 /// cannot free its node before observing `GO` (that observation is the
 /// very thing the swap causes); the wake after it never dereferences.
+///
+/// A timed-out waiter may instead leave by publishing `ABANDONED`, so a
+/// wait ends on `GO` *or* the abandoned marker (a CLH waiter watches its
+/// predecessor's word, which the predecessor may abandon), and a granter
+/// learns from the swapped-out value whether it granted into an
+/// abandoned node. Deadline-bounded waits are **spin-only** — they never
+/// park, even with the `park` feature: a waiter that may stop listening
+/// at any moment cannot share the parked-bit wake protocol.
 #[derive(Debug)]
 #[repr(transparent)]
 pub struct WaitWord(AtomicU32);
@@ -187,9 +195,20 @@ impl WaitWord {
         self.0.load(Ordering::Acquire) == GO
     }
 
-    /// Blocks until the word is released: spins `budget` rounds, then —
-    /// with the `park` feature — parks on the word until the releaser's
-    /// wake. Returns with `Acquire` ordering against the release.
+    /// Whether `value` ends a wait: granted, or abandoned by the word's
+    /// owner (either possibly carrying a stale `PARKED_BIT` from a
+    /// waiter that announced just as the word turned).
+    #[inline]
+    fn is_done(value: u32) -> bool {
+        value & WAIT == 0
+    }
+
+    /// Blocks until the word is released or abandoned and returns the
+    /// value that ended the wait (a CLH waiter tests it for the abandoned
+    /// marker; on an own MCS word only a grant can arrive): spins
+    /// `budget` rounds, then — with the `park` feature — parks on the
+    /// word until the releaser's wake. Returns with `Acquire` ordering
+    /// against the release.
     ///
     /// While it spins, the wait returns within one [`Backoff`] burst
     /// (≤ [`Backoff::HOLD`] hints, ~100 ns) of the grant however long it
@@ -201,14 +220,20 @@ impl WaitWord {
     /// the loop always keeps its [`Backoff`] instead of degenerating
     /// into a tight load.
     #[inline]
-    pub fn wait(&self, budget: u32) {
-        self.wait_for(budget, |value| value == GO);
+    pub fn wait(&self, budget: u32) -> u32 {
+        // An uncontended CLH acquire finds its predecessor's word already
+        // released: keep that check inline and the spin loop out of line.
+        let value = self.0.load(Ordering::Acquire);
+        if Self::is_done(value) {
+            return value;
+        }
+        self.spin_wait(budget)
     }
 
-    /// [`wait`](WaitWord::wait) for any word value `done` accepts, which
-    /// it returns.
-    #[inline]
-    fn wait_for(&self, budget: u32, done: impl Fn(u32) -> bool) -> u32 {
+    /// The loop of [`wait`](WaitWord::wait), once its first look found
+    /// the word armed.
+    #[inline(never)]
+    fn spin_wait(&self, budget: u32) -> u32 {
         let budget = if cfg!(feature = "park") {
             budget
         } else {
@@ -217,36 +242,36 @@ impl WaitWord {
         let mut waiter = Waiter::new(budget);
         loop {
             let value = self.0.load(Ordering::Acquire);
-            if done(value) {
+            if Self::is_done(value) {
                 return value;
             }
             if waiter.spin() {
                 continue;
             }
             #[cfg(feature = "park")]
-            return self.park_until(done);
+            return self.park();
         }
     }
 
-    /// The blocking tail of [`wait_for`](WaitWord::wait_for): announce
-    /// with `PARKED_BIT`, then sleep on the word until `done` accepts it.
-    /// (An abandoning owner's swap clears the bit and wakes us like a
-    /// grant does, see [`abandon`](WaitWord::abandon).)
+    /// The blocking tail of [`wait`](WaitWord::wait): announce with
+    /// `PARKED_BIT`, then sleep on the word until it is terminal. (An
+    /// abandoning owner's swap clears the bit and wakes us like a grant
+    /// does, see [`abandon`](WaitWord::abandon).)
     #[cfg(feature = "park")]
     #[cold]
-    fn park_until(&self, done: impl Fn(u32) -> bool) -> u32 {
+    fn park(&self) -> u32 {
         // fetch_or is an RMW: if the releaser's swap(GO) lands first we
         // see GO here and never sleep; if ours lands first the releaser
         // is guaranteed to see the bit and owes us a wake.
         let prev = self.0.fetch_or(PARKED_BIT, Ordering::Acquire);
-        if done(prev) {
+        if Self::is_done(prev) {
             return prev;
         }
         let t0 = std::time::Instant::now();
         stats::on_park();
         let terminal = loop {
             let cur = self.0.load(Ordering::Acquire);
-            if done(cur) {
+            if Self::is_done(cur) {
                 break cur;
             }
             #[cfg(any(test, feature = "testkit"))]
@@ -258,7 +283,7 @@ impl WaitWord {
                 // nothing observed here is swallowed.
                 let wakes_before = stats::WAKES.load(Ordering::SeqCst);
                 if futex::wait(&self.0, cur) == futex::Unblock::TimedOut
-                    && done(self.0.load(Ordering::Acquire))
+                    && Self::is_done(self.0.load(Ordering::Acquire))
                     && stats::WAKES.load(Ordering::SeqCst) == wakes_before
                 {
                     testkit::record_rescue();
@@ -271,9 +296,11 @@ impl WaitWord {
         terminal
     }
 
-    /// Owner-side release through a raw pointer: swaps in `GO`
-    /// (`Release`) and wakes the address if the swapped-out value said a
-    /// waiter parked.
+    /// Owner-side grant through a raw pointer: swaps in `GO` (`Release`),
+    /// wakes the address if the swapped-out value said a waiter parked,
+    /// and returns that value — an MCS releaser tests it for the
+    /// abandoned marker (its successor left: keep granting down the
+    /// queue); other callers ignore it.
     ///
     /// # Safety
     ///
@@ -284,14 +311,13 @@ impl WaitWord {
     /// takes only the address and the kernel never dereferences a
     /// `FUTEX_WAKE` target.
     #[inline]
-    pub unsafe fn release_raw(this: *const WaitWord) {
+    pub unsafe fn grant_raw(this: *const WaitWord) -> u32 {
         let prev = (*this).0.swap(GO, Ordering::Release);
         #[cfg(feature = "park")]
         if prev & PARKED_BIT != 0 {
             Self::wake_raw(this);
         }
-        #[cfg(not(feature = "park"))]
-        let _ = prev;
+        prev
     }
 
     #[cfg(feature = "park")]
@@ -303,25 +329,6 @@ impl WaitWord {
         }
         stats::on_wake();
         futex::wake_addr(this as *const u32, 1);
-    }
-}
-
-/// Deadline-aware extensions of the wait/grant protocol (the `deadline`
-/// feature). Two additions to the state machine: a waiter may leave by
-/// publishing [`ABANDONED`], and waits must treat `GO` *or* an abandoned
-/// marker as terminal (a CLH waiter watches its predecessor's word,
-/// which the predecessor may abandon).
-///
-/// Deadline-bounded waits are **spin-only** — they never park, even
-/// with the `park` feature. The deadline bounds how long the caller
-/// burns, and a waiter that may stop listening at any moment cannot
-/// safely share the parked-bit wake protocol with the releaser.
-#[cfg(feature = "deadline")]
-impl WaitWord {
-    /// Whether `value` is terminal: the wait is over either way.
-    #[inline]
-    fn is_done(value: u32) -> bool {
-        value == GO || value & ABANDONED != 0
     }
 
     /// Spin-only bounded wait: polls until the word is terminal
@@ -375,32 +382,6 @@ impl WaitWord {
         }
         #[cfg(not(feature = "park"))]
         let _ = prev;
-    }
-
-    /// [`release_raw`](WaitWord::release_raw) that also reports what it
-    /// swapped out, so an MCS releaser can detect an abandoned
-    /// successor (`ABANDONED` in the return) and keep granting down the
-    /// queue.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`release_raw`](WaitWord::release_raw).
-    pub(crate) unsafe fn grant_raw(this: *const WaitWord) -> u32 {
-        let prev = (*this).0.swap(GO, Ordering::Release);
-        #[cfg(feature = "park")]
-        if prev & PARKED_BIT != 0 {
-            Self::wake_raw(this);
-        }
-        prev
-    }
-
-    /// [`wait`](WaitWord::wait) generalized to both terminal values:
-    /// returns the terminal word (`GO`, or carrying [`ABANDONED`]).
-    /// Unbounded; parks on budget exhaustion like `wait`. CLH waiters
-    /// use this for their predecessor's word, which may be granted *or*
-    /// abandoned under them.
-    pub(crate) fn wait_observe(&self, budget: u32) -> u32 {
-        self.wait_for(budget, Self::is_done)
     }
 }
 
@@ -1097,7 +1078,6 @@ mod asym {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
@@ -1125,7 +1105,7 @@ mod tests {
         let w2 = Arc::clone(&word);
         let t = std::thread::spawn(move || w2.wait(SPIN_FOREVER));
         std::thread::yield_now();
-        unsafe { WaitWord::release_raw(&*word) };
+        unsafe { WaitWord::grant_raw(&*word) };
         t.join().expect("waiter returns after release");
         assert!(word.is_go());
     }
@@ -1141,7 +1121,7 @@ mod tests {
         let t = std::thread::spawn(move || w2.wait(0));
         // Give the waiter time to actually block.
         std::thread::sleep(std::time::Duration::from_millis(5));
-        unsafe { WaitWord::release_raw(&*word) };
+        unsafe { WaitWord::grant_raw(&*word) };
         t.join().expect("parked waiter returns after release");
         assert!(parks() > parks_before, "the waiter really parked");
         assert_eq!(testkit::rescues(), 0, "no rescue on a correct hand-off");
@@ -1165,7 +1145,7 @@ mod tests {
     fn park_spot_wakes_parked_waiter() {
         testkit::reset_rescues();
         let spot = Arc::new(ParkSpot::new());
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let (s2, f2) = (Arc::clone(&spot), Arc::clone(&flag));
         let t = std::thread::spawn(move || {
             s2.wait_until(0, || f2.load(Ordering::Acquire));

@@ -104,15 +104,9 @@ pub trait RawLock: Default + Send + Sync + 'static {
     /// to skip and reclaim), slot locks cancel their ticket or wait out
     /// their turn and hand it forward. Deadline waits never park.
     ///
-    /// The default implementation is for locks with no bounded path
-    /// wired up yet: it acquires unboundedly and reports `true`. Every
-    /// lock in this crate overrides it.
-    #[cfg(feature = "deadline")]
-    fn try_acquire_until(&self, ctx: &mut Self::Context, deadline: std::time::Instant) -> bool {
-        let _ = deadline;
-        self.acquire(ctx);
-        true
-    }
+    /// Required, with no default: a default that blocked and reported
+    /// `true` would silently turn every caller's timeout into a hang.
+    fn try_acquire_until(&self, ctx: &mut Self::Context, deadline: std::time::Instant) -> bool;
 
     /// Releases the lock.
     ///

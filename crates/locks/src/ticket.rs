@@ -7,7 +7,6 @@ use crate::pad::CachePadded;
 use crate::park::ParkSpot;
 use crate::park::SPIN_FOREVER;
 use crate::raw::{LockInfo, NoContext, RawLock};
-#[cfg(any(not(feature = "park"), feature = "deadline"))]
 use crate::spin::Backoff;
 
 /// The classic two-counter ticket lock.
@@ -101,7 +100,6 @@ impl TicketLock {
     ///   and immediately releases, passing the grant on. This bounds
     ///   the *damage* (no wedged queue), not the wait — the turn
     ///   arrives only after all earlier tickets run.
-    #[cfg(feature = "deadline")]
     fn try_acquire_inner(&self, deadline: std::time::Instant) -> bool {
         let my = self.ticket.fetch_add(1, Ordering::Relaxed);
         crate::chaos::point("tkt-acquire-ticketed");
@@ -164,7 +162,6 @@ impl RawLock for TicketLock {
         self.acquire_inner(budget);
     }
 
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: std::time::Instant) -> bool {
         self.try_acquire_inner(deadline)
     }
@@ -288,7 +285,6 @@ mod tests {
         assert_eq!(TicketLock::INFO.name, "tkt");
     }
 
-    #[cfg(feature = "deadline")]
     mod deadline {
         use super::*;
         use std::time::{Duration, Instant};

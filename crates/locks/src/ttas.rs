@@ -7,7 +7,6 @@ use crate::pad::CachePadded;
 use crate::park::ParkSpot;
 use crate::park::SPIN_FOREVER;
 use crate::raw::{LockInfo, NoContext, RawLock};
-#[cfg(any(not(feature = "park"), feature = "deadline"))]
 use crate::spin::Backoff;
 
 /// Test-and-test-and-set (TTAS) spinlock.
@@ -86,7 +85,6 @@ impl TtasLock {
     /// Deadline-bounded acquire. TTAS keeps no queue state, so a
     /// timeout needs no undo: stop retrying and report failure. The
     /// deadline wait never parks.
-    #[cfg(feature = "deadline")]
     fn try_acquire_inner_deadline(&self, deadline: std::time::Instant) -> bool {
         let mut poll = crate::deadline::DeadlinePoll::new(deadline, "ttas-wait");
         let mut backoff = Backoff::new();
@@ -146,7 +144,6 @@ impl RawLock for TtasLock {
         self.acquire_inner(budget);
     }
 
-    #[cfg(feature = "deadline")]
     fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: std::time::Instant) -> bool {
         self.try_acquire_inner_deadline(deadline)
     }
@@ -217,7 +214,6 @@ mod tests {
         assert!(!TtasLock::INFO.fair);
     }
 
-    #[cfg(feature = "deadline")]
     mod deadline {
         use super::*;
         use std::time::{Duration, Instant};

@@ -95,8 +95,12 @@ fn wait_word_returns_promptly_however_long_it_waited() {
             delay,
             || word.prime(),
             // SAFETY: `word` outlives the call.
-            || unsafe { WaitWord::release_raw(&*word) },
-            || word.wait(SPIN_FOREVER),
+            || {
+                unsafe { WaitWord::grant_raw(&*word) };
+            },
+            || {
+                word.wait(SPIN_FOREVER);
+            },
             || (),
         )
     });

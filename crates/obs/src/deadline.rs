@@ -1,10 +1,9 @@
 //! Process-wide deadline/poison telemetry for the bounded-acquisition
 //! layer.
 //!
-//! The deadline layer lives in `clof-locks` behind its `deadline`
-//! feature; to keep that crate dependency-free it exposes recorder
-//! *hooks* (`set_abandon_recorder` / `set_skip_recorder`) and
-//! `clof-core` wires them here when both `deadline` and `obs` are
+//! The deadline layer lives in `clof-locks`; to keep that crate
+//! dependency-free it exposes recorder *hooks* (`set_abandon_recorder` /
+//! `set_skip_recorder`) and `clof-core` wires them here when `obs` is
 //! enabled. Timeouts and poisonings are recorded by the composition
 //! layer directly (a basic lock only knows its own wait gave up; only
 //! the composed acquire knows the *whole attempt* timed out).

@@ -1,5 +1,4 @@
-//! Forced-timeout schedule driver for deadline-bounded acquisition
-//! (`--features deadline`).
+//! Forced-timeout schedule driver for deadline-bounded acquisition.
 //!
 //! Real clocks almost never expire a deadline *inside* a lock's
 //! interesting race windows — the grant-vs-abandon edge where a waiter
@@ -357,6 +356,9 @@ mod tests {
             holder.release();
         });
         assert!(fires > 0, "denom 1 must force at least one timeout");
+        // Under the guard: an injecting test beside this one may have
+        // configured its own run as soon as ours let go.
+        let _guard = forced_guard();
         assert!(!forced::is_enabled(), "stream disabled after the run");
     }
 

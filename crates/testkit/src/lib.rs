@@ -30,7 +30,7 @@
 //! * [`swapper`] — forced-migration driver for `clof::adapt`: runs the
 //!   oracle while a seeded background thread hot-swaps the lock between
 //!   compositions, so the handover protocol is fuzzed mid-contention.
-//! * [`deadline`] (`--features deadline`) — forced-timeout schedule
+//! * [`deadline`] — forced-timeout schedule
 //!   driver: turns the oracle's blocking acquires into seeded bounded
 //!   retries and injects deterministic deadline expiries inside the
 //!   locks' wait loops, so abandonment races are opened on schedule.
@@ -48,7 +48,6 @@
 
 pub mod bench;
 pub mod check;
-#[cfg(feature = "deadline")]
 pub mod deadline;
 pub mod gen;
 pub mod obscheck;
@@ -58,7 +57,6 @@ pub mod strategies;
 pub mod swapper;
 
 pub use check::{check, check_with, Config};
-#[cfg(feature = "deadline")]
 pub use deadline::{
     fuzz_timeout_seeds, with_forced_timeouts, BlockingOrTimed, DeadlineHandle, ForcedTimeoutPlan,
     TimedHandle, TimeoutFuzzOutcome,

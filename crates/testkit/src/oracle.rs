@@ -550,6 +550,7 @@ where
 /// [`RawLock`] so it flows through the exact plumbing real locks use.
 pub mod mutants {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::time::Instant;
 
     use clof_locks::{LockInfo, NoContext, RawLock};
 
@@ -588,6 +589,20 @@ pub mod mutants {
             }
         }
 
+        fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: Instant) -> bool {
+            loop {
+                if !self.held.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                    self.held.store(true, Ordering::Release);
+                    return true;
+                }
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+        }
+
         fn release(&self, _ctx: &mut NoContext) {
             self.held.store(false, Ordering::Release);
         }
@@ -617,6 +632,26 @@ pub mod mutants {
         fn acquire(&self, _ctx: &mut NoContext) {
             let ticket = self.next.fetch_add(1, Ordering::Relaxed);
             while self.grant.load(Ordering::Acquire) < ticket {
+                std::thread::yield_now();
+            }
+        }
+
+        /// Takes a ticket only when it would be served at once, so a
+        /// timeout never leaves one behind.
+        fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: Instant) -> bool {
+            loop {
+                let ticket = self.next.load(Ordering::Relaxed);
+                if self.grant.load(Ordering::Acquire) >= ticket
+                    && self
+                        .next
+                        .compare_exchange(ticket, ticket + 1, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+                {
+                    return true;
+                }
+                if Instant::now() >= deadline {
+                    return false;
+                }
                 std::thread::yield_now();
             }
         }

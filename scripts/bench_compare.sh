@@ -13,7 +13,6 @@
 #        scripts/bench_compare.sh --obs [output.json]
 #        scripts/bench_compare.sh --profile [output.json]
 #        scripts/bench_compare.sh --park [output.json]
-#        scripts/bench_compare.sh --deadline [output.json]
 #   CLOF_BENCH_MIN_MS / CLOF_BENCH_SAMPLES tune run length (defaults
 #   60 ms × 15 samples — long enough for stable medians on small hosts).
 #
@@ -34,15 +33,6 @@
 # faster than spin-only, and at 1x the contended dyn medians stay
 # inside the BENCH_PR4.json noise bands on BOTH builds — park must be
 # zero-cost when disabled and free of 1x regressions when enabled.
-#
-# `--deadline` mode prices deadline-bounded acquisition into
-# BENCH_PR10.json: the dyn pairs run on the default build (deadline
-# compiled out) and again with `--features deadline` — blocking
-# `acquire()` only, since that is the path every existing caller pays
-# for. Gate: at 1x load the contended dyn medians stay inside the
-# BENCH_PR4.json noise bands on BOTH builds — compiling the deadline
-# layer out must be free, and compiling it in must not tax callers who
-# never pass a deadline.
 #
 # `--profile` mode prices the contention profiler the same way into
 # BENCH_PR8.json: default build (profiler compiled out), obs build with
@@ -302,125 +292,6 @@ if failures:
     sys.exit(1)
 print(
     ">>> acceptance gate passed (2x-oversubscribed headline >= 2x; 1x medians inside PR4 bands)",
-    file=sys.stderr,
-)
-PYEOF
-    exit 0
-fi
-
-if [ "${1:-}" = "--deadline" ]; then
-    shift
-    OUT=${1:-BENCH_PR10.json}
-
-    # Short samples for the same reason as --park: the cross-sample
-    # median can only reject a preemption spike if the spike fits in a
-    # minority of samples.
-    export CLOF_BENCH_MIN_MS=15 CLOF_BENCH_SAMPLES=31
-
-    echo ">>> [1/2] dyn pairs, default build (deadline compiled out)" >&2
-    RAW_OFF=$(cargo bench -p clof-bench --bench locks_micro --features criterion 2>/dev/null \
-        | grep -E '^dyn/')
-    echo "$RAW_OFF" >&2
-
-    echo ">>> [2/2] dyn pairs, deadline build (bounded acquisition compiled in)" >&2
-    RAW_DL=$(cargo bench -p clof-bench --bench locks_micro --features criterion,deadline 2>/dev/null \
-        | grep -E '^dyn/')
-    echo "$RAW_DL" >&2
-
-    RAW_OFF="$RAW_OFF" RAW_DL="$RAW_DL" \
-        python3 - "$OUT" <<'PYEOF'
-import json, os, re, sys
-
-LINE = re.compile(
-    r"^(\S+)\s+([\d.]+) ns/iter\s+\(min ([\d.]+), p99 ([\d.]+), "
-    r"max ([\d.]+), (\d+) it/sample\)"
-)
-
-def parse(raw):
-    out = {}
-    for line in raw.splitlines():
-        m = LINE.match(line.strip())
-        if m:
-            name, med, mn, p99, mx, iters = m.groups()
-            out[name] = {
-                "median_ns": float(med),
-                "min_ns": float(mn),
-                "p99_ns": float(p99),
-                "max_ns": float(mx),
-                "iters_per_sample": int(iters),
-            }
-    return out
-
-configs = {
-    "deadline_off": parse(os.environ["RAW_OFF"]),
-    "deadline_on": parse(os.environ["RAW_DL"]),
-}
-
-with open("BENCH_PR4.json") as f:
-    pr4 = json.load(f)["after"]
-
-report = {
-    "benchmark": "locks_micro: dyn-pair deadline-layer tax",
-    "note": (
-        "Same dyn-pair shapes as BENCH_PR4.json, run on the default "
-        "build (deadline compiled out) and with --features deadline. "
-        "Both runs use blocking acquire() only — the path every "
-        "existing caller pays for. Gate: at 1x load the contended dyn "
-        "medians stay inside the PR4 noise bands (min..max, +15% host "
-        "slack) on BOTH builds — compiling the deadline layer out is "
-        "free, and compiling it in costs nothing on the blocking path."
-    ),
-    "pr4_noise_bands": {
-        name: {"min_ns": m["min_ns"], "median_ns": m["median_ns"], "max_ns": m["max_ns"]}
-        for name, m in pr4.items()
-        if name.startswith("dyn/")
-    },
-    "configs": configs,
-    "deadline_tax_median_pct": {},
-}
-
-failures = []
-for name, off in configs["deadline_off"].items():
-    if not name.endswith("/contended"):
-        continue
-    on = configs["deadline_on"].get(name)
-    if on is None:
-        failures.append(f"missing deadline-build measurement for {name}")
-        continue
-    report["deadline_tax_median_pct"][name] = round(
-        100.0 * (on["median_ns"] - off["median_ns"]) / off["median_ns"], 1
-    )
-
-# 1x gates: contended dyn medians inside the PR4 noise bands, both builds.
-for config in ("deadline_off", "deadline_on"):
-    for name, m in configs[config].items():
-        if not (name.startswith("dyn/") and name.endswith("/contended")):
-            continue
-        band = pr4.get(name)
-        if band is None:
-            failures.append(f"{name}: no PR4 noise band recorded")
-            continue
-        lo, hi = band["min_ns"] * 0.85, band["max_ns"] * 1.15
-        if not (lo <= m["median_ns"] <= hi):
-            failures.append(
-                f"{name} [{config}]: median {m['median_ns']:.1f} ns outside "
-                f"PR4 noise band [{lo:.1f}, {hi:.1f}]"
-            )
-
-out = sys.argv[1]
-with open(out, "w") as f:
-    json.dump(report, f, indent=2)
-    f.write("\n")
-print(f">>> wrote {out}", file=sys.stderr)
-for name, tax in sorted(report["deadline_tax_median_pct"].items()):
-    print(f"    {name:<36} deadline-on vs off {tax:+6.1f}%", file=sys.stderr)
-if failures:
-    print(">>> FAILED acceptance gate:", file=sys.stderr)
-    for f_ in failures:
-        print(f"    {f_}", file=sys.stderr)
-    sys.exit(1)
-print(
-    ">>> acceptance gate passed (contended medians inside PR4 bands on both builds)",
     file=sys.stderr,
 )
 PYEOF

@@ -14,7 +14,11 @@
 #      clocked checks, each alone in a release build — the lateness
 #      contract (`crates/locks/tests/lateness.rs`) and the
 #      oversubscription guard (`tests/oversubscribed.rs`);
-#   3. a 16-seed smoke subset of the schedule-fuzzing stress oracle;
+#   3. a 16-seed smoke subset of the schedule-fuzzing stress oracle,
+#      and a structural check that the `deadline` feature stays gone
+#      (no `feature = "deadline"` in the sources or any Cargo.toml: one
+#      protocol per lock, so the code that ships is the code the
+#      deadline oracle checks);
 #   4. the default-build `clof` binary, asserted free of tracer symbols
 #      (the "traceEvents" exporter string only exists behind `obs`) —
 #      checked before any obs build can overwrite the binary;
@@ -49,16 +53,16 @@
 #      instrumentation compiled in, and the zero-cost assertions that
 #      the default binary carries no "clof-park" marker and the default
 #      dependency graph enables the `park` feature nowhere;
-#   8. the deadline phase: `deadline` release build, the locks/core/
-#      kvstore deadline unit suites, the 64-seed timeout/abandonment
-#      oracle matrix (plus its park and adapt companion cells), the
-#      deleted-abandoned-skip mutant-kill test, a `clof deadline --once`
-#      smoke against the real binary (marker present), and the
-#      zero-cost assertions that the default binary carries no
-#      "clof-deadline" marker and the default dependency graph enables
-#      the `deadline` feature nowhere;
-#   9. all four feature layers at once (`obs,adapt,park,deadline`): the
-#      workspace type-checks and the core suite passes.
+#   8. the deadline phase (deadlines are part of every build): the
+#      locks/core/kvstore suites that carry the deadline unit tests
+#      (testkit's ran in phase 2), a `clof deadline --once` smoke against the default binary,
+#      and the timeout/abandonment oracle's park and adapt companion
+#      cells (the matrix itself and the deleted-abandoned-skip
+#      mutant-kill already ran in tier-1);
+#   9. every combination of the three feature layers (`obs`, `adapt`,
+#      `park`; 8 builds): the workspace and all its targets type-check
+#      under `-D warnings`, and the 16-seed oracle smoke passes; with all
+#      three on, the core suite passes too.
 #
 # Everything builds from vendored/in-repo code only — no network, no
 # external dev-dependencies — so this is safe for air-gapped runners.
@@ -170,6 +174,16 @@ phase "stress-oracle smoke (16 seeds)" \
     fair_composition_gap_is_bounded \
     oracle_matrix_ticket
 
+# One protocol per lock: bounded acquisition is not a build option, so
+# the blocking-only twin of a lock cannot come back behind a feature.
+phase "no deadline feature" \
+    sh -c 'if grep -rn --include="*.rs" "feature = \"deadline\"" crates tests src examples ||
+              find . -name Cargo.toml -not -path "*/target/*" |
+                  xargs grep -nE "^ *deadline *=|\"([a-z-]+/)?deadline\""; then
+               echo "the deadline feature is back" >&2
+               exit 1
+           fi'
+
 # Default-build binary check: the tracer's exporter is the only code
 # that emits the literal "traceEvents", so its absence from the default
 # `clof` binary proves no tracer code was compiled in. This must run
@@ -212,15 +226,6 @@ phase "default binary carries no park symbols" \
                echo "spin-then-park symbols leaked into the default clof binary" >&2
                exit 1
            fi'
-# The "clof-deadline-v1" literal is the deadline layer's format marker
-# (printed in the `clof deadline` banner), so its absence proves the
-# default binary compiled no bounded-acquisition/poisoning code.
-phase "default binary carries no deadline symbols" \
-    sh -c 'if grep -qa clof-deadline target/release/clof; then
-               echo "deadline symbols leaked into the default clof binary" >&2
-               exit 1
-           fi'
-
 # Telemetry phase: everything above must also hold with `obs` compiled
 # in, and the default build must not even link clof-obs (zero-cost when
 # disabled — checked on the dependency graph, where it is structural).
@@ -381,49 +386,39 @@ phase "park zero-cost dependency check" \
                exit 1
            fi'
 
-# Deadline phase: bounded acquisition must build on every base lock,
-# the 64-seed timeout/abandonment oracle matrix (plus its park and
-# adapt companion cells) must hold mutual exclusion and leak nothing,
-# the deleted-abandoned-skip mutant must wedge and be caught, the real
-# binary must run the demo, and the default build must carry none of it.
-phase "deadline release build" cargo build --release --features deadline
-phase "deadline locks unit suite" cargo test -q -p clof-locks --features deadline
-phase "deadline core suite" cargo test -q -p clof-core --features deadline
-phase "deadline kvstore suite" cargo test -q -p clof-kvstore --features deadline
-phase "deadline testkit suite (forced-timeout injection)" \
-    cargo test -q -p clof-testkit --features deadline
-phase "deadline timeout/abandon oracle matrix" \
-    cargo test -q --features deadline --test deadline_oracle
-phase "deadline+park oracle (abandonment next to parked waiters)" \
-    cargo test -q --features deadline,park --test deadline_oracle -- \
-    abandonment_with_parked_neighbours_loses_no_wakeups
-phase "deadline+adapt oracle (abandonment across hot-swaps)" \
-    cargo test -q --features deadline,adapt --test deadline_oracle -- \
-    abandonment_mid_migration_keeps_swaps_and_counts
-phase "deadline mutant-kill (deleted abandoned-node skip)" \
-    cargo test -q --features deadline --test deadline_mutant
-phase "deadline clof binary build" \
-    cargo build --release -p clof-bench --features deadline
-phase "deadline binary carries the deadline marker" \
-    grep -qa clof-deadline target/release/clof
+# Deadline phase: bounded acquisition is part of every lock's one
+# protocol, so its unit suites run in the default build and the real
+# binary runs the demo as shipped. The 64-seed timeout/abandonment
+# oracle matrix and the deleted-abandoned-skip mutant-kill are tier-1
+# tests; here only their park and adapt companion cells are added.
+phase "deadline locks/core/kvstore suites" \
+    cargo test -q -p clof-locks -p clof-core -p clof-kvstore
+phase "default clof binary build (deadline demo)" cargo build --release -p clof-bench
 phase "clof deadline --once smoke" \
     ./target/release/clof deadline --machine armv8 --levels 3 --once
-phase "deadline zero-cost dependency check" \
-    sh -c 'if cargo tree -e normal -f "{p} {f}" | grep -qw deadline; then
-               echo "the deadline feature leaked into the default dependency graph" >&2
-               exit 1
-           fi
-           if cargo tree -e normal -f "{p} {f}" -p clof-bench | grep -qw deadline; then
-               echo "the deadline feature leaked into the default clof-bench graph" >&2
-               exit 1
-           fi'
+phase "deadline+park oracle (abandonment next to parked waiters)" \
+    cargo test -q --features park --test deadline_oracle -- \
+    abandonment_with_parked_neighbours_loses_no_wakeups
+phase "deadline+adapt oracle (abandonment across hot-swaps)" \
+    cargo test -q --features adapt --test deadline_oracle -- \
+    abandonment_mid_migration_keeps_swaps_and_counts
 
-# All four feature layers at once: the combination every layer's docs
-# promise ("composes with ...") and no phase above builds.
-phase "all-features type check (obs,adapt,park,deadline)" \
-    cargo check --features obs,adapt,park,deadline
-phase "all-features core suite (obs,adapt,park,deadline)" \
-    cargo test -q -p clof-core --features obs,adapt,park,deadline
+# Every combination of the three feature layers — the combinations each
+# layer's docs promise ("composes with ...") and no phase above builds
+# all of: the workspace with all its targets type-checks warning-free,
+# and the oracle smoke holds.
+for features in "" obs adapt park obs,adapt obs,park adapt,park obs,adapt,park; do
+    label="${features:-default}"
+    phase "feature matrix [$label]: check under -D warnings" \
+        env RUSTFLAGS="-D warnings" \
+        cargo check -q --workspace --all-targets --features "$features"
+    phase "feature matrix [$label]: oracle smoke (16 seeds)" \
+        cargo test -q --features "$features" --test stress_oracle -- \
+        broken_lock_is_caught_with_replayable_seed \
+        oracle_matrix_ticket
+done
+phase "feature matrix [obs,adapt,park]: core suite" \
+    cargo test -q -p clof-core --features obs,adapt,park
 
 echo
 echo "==== ci: all phases green ===="

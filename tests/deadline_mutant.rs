@@ -19,16 +19,15 @@
 //! One `#[test]` on purpose: the mutant switch is process-global, so
 //! the armed and control phases must run serially in their own binary.
 
-#![cfg(feature = "deadline")]
-
 use std::time::{Duration, Instant};
 
 use clof_locks::deadline::{abandons, mutant, skips};
 use clof_locks::{McsContext, McsLock, RawLock};
 
 /// Runs holder → timed-out waiter → release → bounded probe on a fresh
-/// MCS lock; returns whether the probe acquired.
-fn abandon_then_release_then_probe(probe_budget: Duration) -> bool {
+/// MCS lock; returns whether the probe acquired, and whether the lock
+/// still has a queue once the probe is done with it.
+fn abandon_then_release_then_probe(probe_budget: Duration) -> (bool, bool) {
     let lock = McsLock::default();
     let mut holder = McsContext::default();
     let mut quitter = McsContext::default();
@@ -51,7 +50,7 @@ fn abandon_then_release_then_probe(probe_budget: Duration) -> bool {
     if probe_won {
         lock.release(&mut prober);
     }
-    probe_won
+    (probe_won, lock.is_locked())
 }
 
 #[test]
@@ -60,7 +59,7 @@ fn deleted_abandoned_skip_mutant_wedges_and_control_recovers() {
     // so the lock is wedged and a generously-budgeted probe times out.
     mutant::delete_abandoned_skip(true);
     let skips_before = skips();
-    let probe_won = abandon_then_release_then_probe(Duration::from_millis(250));
+    let (probe_won, queued) = abandon_then_release_then_probe(Duration::from_millis(250));
     // Disarm before asserting, so a failure here can't poison later runs.
     mutant::delete_abandoned_skip(false);
     assert!(
@@ -73,14 +72,19 @@ fn deleted_abandoned_skip_mutant_wedges_and_control_recovers() {
         skips_before,
         "the mutant deletes the skip, so no reclaim may be counted"
     );
+    assert!(queued, "the mutant deletes the skip, so the queue stays wedged");
 
     // Phase 2 — control, mutant disarmed: the identical scenario skips
     // and reclaims the abandoned node, and the probe wins at once.
     let skips_before = skips();
-    let probe_won = abandon_then_release_then_probe(Duration::from_secs(5));
+    let (probe_won, queued) = abandon_then_release_then_probe(Duration::from_secs(5));
     assert!(
         probe_won,
         "healthy release must reclaim the abandoned node and free the lock"
+    );
+    assert!(
+        !queued,
+        "the abandoned node was reclaimed and the queue drained"
     );
     assert!(
         skips() > skips_before,

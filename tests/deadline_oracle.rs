@@ -1,7 +1,7 @@
 //! Timeout/abandonment stress-oracle matrix for deadline-bounded
-//! acquisition (`--features deadline`): 64 forced-injection seeds
+//! acquisition: 64 forced-injection seeds
 //! across composition shapes × injection rates, plus the acceptance
-//! bounds the feature promises.
+//! bounds a deadline promises.
 //!
 //! Asserted per run: mutual exclusion and the paper's §4.1 context
 //! invariant (the base oracle's owner cell, torn-counter pair and
@@ -13,8 +13,6 @@
 //! no abandonment leaked a queue position or a read-indicator count.
 //! Companion cells rerun the matrix with parked (blocking) neighbours
 //! under `park` and mid-migration under `adapt`.
-
-#![cfg(feature = "deadline")]
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
