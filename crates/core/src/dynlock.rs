@@ -687,7 +687,8 @@ impl DynClofLock {
     /// `std::thread::panicking()` — *after* marking they still release,
     /// so waiters never hang on a dead holder; they observe the flag
     /// instead. Release ordering pairs with the `Acquire` in
-    /// [`is_poisoned`] so the flag is visible to the next acquirer.
+    /// [`is_poisoned`](Self::is_poisoned) so the flag is visible to the
+    /// next acquirer.
     pub fn poison(&self) {
         self.poisoned
             .store(true, std::sync::atomic::Ordering::Release);

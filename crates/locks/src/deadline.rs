@@ -149,9 +149,9 @@ pub(crate) fn on_skip() {
 /// exact trace.
 ///
 /// The plan is process-global but fires only on threads that
-/// [`enroll`]ed: the harness runs tests on parallel threads, and a
-/// clock-sensitive test running beside an injecting one must keep its
-/// real deadlines.
+/// [`enroll`](forced::enroll)ed: the harness runs tests on parallel
+/// threads, and a clock-sensitive test running beside an injecting one
+/// must keep its real deadlines.
 #[cfg(any(test, feature = "testkit"))]
 pub mod forced {
     use std::cell::Cell;

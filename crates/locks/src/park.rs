@@ -16,14 +16,15 @@
 //!   word only if the swapped-out value carried the bit. The wake takes
 //!   only the *address*, never dereferencing the (possibly already
 //!   recycled) node — see [`WaitWord::grant_raw`].
-//! * [`ParkSpot`] — an eventcount for the polling locks (ticket, TTAS,
-//!   Anderson slots, TAS+backoff): waiters park on an epoch word after
+//! * `ParkSpot` (`park` builds only) — an eventcount for the polling
+//!   locks (ticket, TTAS, Anderson slots, TAS+backoff): waiters park on
+//!   an epoch word after
 //!   announcing themselves in a `parked` count; releasers make their
 //!   condition true, then bump the epoch and `futex_wake` it if anyone
 //!   announced. An *asymmetric* barrier closes the sleep/wake race: the
 //!   waiter (about to syscall anyway) issues a process-wide
 //!   `membarrier`, so a release with no sleepers pays only a Relaxed
-//!   load (the Dekker argument in the type's docs and [`asym`]).
+//!   load (the Dekker argument in the type's docs and `asym`).
 //!
 //! Blocking uses a raw `SYS_futex` on Linux (x86_64/aarch64, no libc
 //! dependency); elsewhere it degrades to bounded [`std::thread::park_timeout`]
@@ -393,7 +394,8 @@ impl WaitWord {
 /// runs out.
 ///
 /// The waiter/releaser pairing is a store-buffering (Dekker) argument
-/// with the barrier cost shifted onto the waiter (see [`asym`]):
+/// with the barrier cost shifted onto the waiter (see the private
+/// `asym` module):
 ///
 /// * waiter: `parked += 1` → heavy barrier (`membarrier`, or a `SeqCst`
 ///   fence where unavailable) → re-check condition → only if still

@@ -33,9 +33,10 @@
 //!   acquire/hold/release transitions with hand-off causality edges,
 //!   exported as Chrome trace-event JSON ([`render_chrome_trace`]) for
 //!   Perfetto.
-//! * [`analyze`] — ownership-timeline reconstruction, pass-chain length
-//!   distribution (the `keep_local` *H* bound, checkable), per-level
-//!   wait attribution, and a fairness CDF from a [`Trace`].
+//! * [`analyze`](mod@analyze) — ownership-timeline reconstruction,
+//!   pass-chain length distribution (the `keep_local` *H* bound,
+//!   checkable), per-level wait attribution, and a fairness CDF from a
+//!   [`Trace`].
 //! * [`window`] — [`LockSnapshot::delta`] and a [`Sampler`] turning
 //!   cumulative snapshots into per-window rates ([`WindowRates`]) so
 //!   telemetry is usable mid-run.
@@ -49,7 +50,7 @@
 //!
 //! The serving layer (PR 7):
 //!
-//! * [`serve`] — a zero-dependency HTTP/1.1 scrape endpoint
+//! * [`serve`](mod@serve) — a zero-dependency HTTP/1.1 scrape endpoint
 //!   (`/metrics`, `/snapshot`, `/health`, `/alerts`) with bounded
 //!   workers, graceful shutdown, and self-accounting
 //!   (`clof_obs_scrape_duration_ns` — the server exports its own cost).

@@ -16,7 +16,8 @@
 //! |             | audit-ring tail, current alerts, server self-accounting |
 //! | `/health`   | `200 ok` / `503 stalled` — flips on watchdog stalls     |
 //! |             | and waits-for graph findings                            |
-//! | `/alerts`   | JSON array of [`AlertStatus`] from the SLO evaluator    |
+//! | `/alerts`   | JSON array of [`AlertStatus`](crate::AlertStatus) from  |
+//! |             | the SLO evaluator                                       |
 //! | `/profile`  | JSON: the contention profiler's per-site wait/hold      |
 //! |             | attribution + a live waits-for graph verdict            |
 //! |             | ([`crate::profile::render_profile_json`]);              |

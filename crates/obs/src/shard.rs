@@ -389,8 +389,8 @@ impl ShardSet {
     }
 
     /// The handle owning `shard` is gone: fold what it recorded into the
-    /// retired accumulator, keeping the latest [`RETIRED_EVENTS`] of the
-    /// lock's retired pass events.
+    /// retired accumulator, keeping the latest 1 024 (`RETIRED_EVENTS`)
+    /// of the lock's retired pass events.
     pub fn retire(&self, shard: &Arc<Shard>) {
         let mut inner = self.inner();
         let inner = &mut *inner;

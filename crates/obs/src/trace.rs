@@ -24,7 +24,8 @@
 //! The tracer is process-global (like [`crate::thread_tag`]): enable it,
 //! run the workload, [`snapshot`] at quiescence, [`clear`] between runs.
 //! Tracing two locks at once interleaves their spans; trace one lock at
-//! a time for ownership-timeline analysis ([`crate::analyze`]).
+//! a time for ownership-timeline analysis
+//! ([`crate::analyze`](mod@crate::analyze)).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};

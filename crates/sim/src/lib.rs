@@ -5,8 +5,9 @@
 //!
 //! The paper evaluates on a 96-hyperthread x86 server and a 128-core
 //! Armv8 server. This reproduction targets hosts that have neither (the
-//! reference build machine has one CPU), so the evaluation substrate is a
-//! **discrete-event simulator**: threads are simulated entities cycling
+//! reference build machine has 2 CPUs and no NUMA), so the evaluation
+//! substrate is a **discrete-event simulator**: threads are simulated
+//! entities cycling
 //! through *think → acquire → critical section → release*; the lock
 //! models implement the *actual hand-off policies* (CLoF's `lockgen`
 //! semantics, HMCS's thresholds, CNA/ShflLock's NUMA preference, plain

@@ -155,8 +155,9 @@ pub fn check_with<T: Clone + Debug + 'static>(
 /// }
 /// ```
 ///
-/// Bodies run once per generated case; use [`tk_assert!`],
-/// [`tk_assert_eq!`], [`tk_assert_ne!`] (which report instead of
+/// Bodies run once per generated case; use [`tk_assert!`](crate::tk_assert),
+/// [`tk_assert_eq!`](crate::tk_assert_eq),
+/// [`tk_assert_ne!`](crate::tk_assert_ne) (which report instead of
 /// panicking, so shrinking works) and `return Err(..)` for custom
 /// failures. Arguments are bound by value (cloned per case).
 #[macro_export]

@@ -3,12 +3,12 @@
 //! The workspace's testing infrastructure, with **zero external
 //! dependencies** so the whole suite builds and runs offline:
 //!
-//! * [`rng`] — [`TestRng`](rng::TestRng), a SplitMix64 stream: every
+//! * [`rng`] — [`TestRng`], a SplitMix64 stream: every
 //!   generated case is a pure function of one replayable 64-bit seed.
 //! * [`gen`] — [`Gen<T>`](gen::Gen) composable generators with greedy
 //!   shrinking (the proptest generate/shrink split, minimally).
-//! * [`check`] — the property runner ([`check`](check::check) /
-//!   [`check_with`](check::check_with)) and the [`props!`] macro;
+//! * [`check`](mod@check) — the property runner ([`check`](fn@check) /
+//!   [`check_with`]) and the [`props!`] macro;
 //!   failures print a seed and `CLOF_TESTKIT_SEED=… CLOF_TESTKIT_CASES=1`
 //!   replays them.
 //! * [`strategies`] — domain generators: regular [`Hierarchy`]s, fair
@@ -21,11 +21,8 @@
 //!   `clof_locks::chaos` perturbs schedules inside the locks' own race
 //!   windows. [`oracle::mutants`] holds deliberately broken locks that
 //!   prove the oracle detects what it claims to.
-//! * [`bench`] — criterion-lite micro-benchmark runner with drop-in
-//!   [`criterion_group!`]/[`criterion_main!`] macros for the workspace's
-//!   bench targets.
 //! * [`obscheck`] — quiescent-counter invariants for lock telemetry
-//!   ([`assert_stats_consistent`](obscheck::assert_stats_consistent)),
+//!   ([`assert_stats_consistent`]),
 //!   stated over plain numbers so they apply under any feature set.
 //! * [`swapper`] — forced-migration driver for `clof::adapt`: runs the
 //!   oracle while a seeded background thread hot-swaps the lock between
@@ -46,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod check;
 pub mod deadline;
 pub mod gen;

@@ -53,16 +53,20 @@
 #      instrumentation compiled in, and the zero-cost assertions that
 #      the default binary carries no "clof-park" marker and the default
 #      dependency graph enables the `park` feature nowhere;
-#   8. the deadline phase (deadlines are part of every build): the
-#      locks/core/kvstore suites that carry the deadline unit tests
-#      (testkit's ran in phase 2), a `clof deadline --once` smoke against the default binary,
-#      and the timeout/abandonment oracle's park and adapt companion
-#      cells (the matrix itself and the deleted-abandoned-skip
-#      mutant-kill already ran in tier-1);
+#   8. the per-crate suites and the deadline phase (deadlines are part
+#      of every build): the locks/core/kvstore suites that carry the
+#      deadline unit tests (testkit's ran in phase 2) and the clof-ffi
+#      C-ABI suite (create/acquire/release/destroy, bad inputs, mutual
+#      exclusion through the ABI), a `clof deadline --once` smoke against
+#      the default binary, and the timeout/abandonment oracle's park and
+#      adapt companion cells (the matrix itself and the
+#      deleted-abandoned-skip mutant-kill already ran in tier-1);
 #   9. every combination of the three feature layers (`obs`, `adapt`,
 #      `park`; 8 builds): the workspace and all its targets type-check
 #      under `-D warnings`, and the 16-seed oracle smoke passes; with all
-#      three on, the core suite passes too.
+#      three on, the core suite passes too;
+#  10. the workspace's rustdoc builds warning-free
+#      (`RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`).
 #
 # Everything builds from vendored/in-repo code only — no network, no
 # external dev-dependencies — so this is safe for air-gapped runners.
@@ -391,8 +395,10 @@ phase "park zero-cost dependency check" \
 # binary runs the demo as shipped. The 64-seed timeout/abandonment
 # oracle matrix and the deleted-abandoned-skip mutant-kill are tier-1
 # tests; here only their park and adapt companion cells are added.
-phase "deadline locks/core/kvstore suites" \
-    cargo test -q -p clof-locks -p clof-core -p clof-kvstore
+# clof-ffi's suite rides along: neither tier-1 (root package only) nor
+# any other phase runs it.
+phase "per-crate suites (locks/core/kvstore deadline tests, ffi C ABI)" \
+    cargo test -q -p clof-locks -p clof-core -p clof-kvstore -p clof-ffi
 phase "default clof binary build (deadline demo)" cargo build --release -p clof-bench
 phase "clof deadline --once smoke" \
     ./target/release/clof deadline --machine armv8 --levels 3 --once
@@ -419,6 +425,11 @@ for features in "" obs adapt park obs,adapt obs,park adapt,park obs,adapt,park; 
 done
 phase "feature matrix [obs,adapt,park]: core suite" \
     cargo test -q -p clof-core --features obs,adapt,park
+
+# Broken intra-doc links and doc-output collisions fail the build, not
+# just print a warning nobody reads.
+phase "rustdoc is warning-free" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo
 echo "==== ci: all phases green ===="
