@@ -92,7 +92,7 @@ commands:
   top       [--machine x86|armv8] --lock NAME [--threads N] [--threshold H]
             [--interval-ms N] [--duration-ms N] [--stall-ms N] [--once]
                                                   live windowed telemetry of a hammered lock
-                                                  with a starvation watchdog; --once prints a
+                                                  with a stuck-thread watchdog; --once prints a
                                                   single window and exits (requires --features obs)
   adapt     [--machine x86|armv8] [--levels 3|4] [--threads N] [--threshold H]
             [--interval-ms N] [--rounds N] [--once]
@@ -492,22 +492,9 @@ fn top(args: &[String]) -> Result<(), String> {
             }));
         }
 
-        // Starvation watchdog over the workers' progress epochs, with
-        // per-level queue hints in the diagnostic dump.
-        let diag_lock = Arc::clone(&lock);
-        let watchdog = clof::obs::Watchdog::new(clof::obs::WatchdogConfig {
-            stall_ns: stall_ms.saturating_mul(1_000_000),
-            poll: Duration::from_millis(interval_ms.max(1)),
-        })
-        .with_diag(move || {
-            let hints: Vec<String> = diag_lock
-                .queue_hints()
-                .into_iter()
-                .map(|(level, waiters)| format!("L{level}:{waiters}"))
-                .collect();
-            format!("queued waiters by level [{}]", hints.join(" "))
-        })
-        .spawn(|report| eprintln!("{report}"));
+        // Stuck-thread watchdog (stalls, cycles, H-bound inversions),
+        // with per-level queue hints in the diagnostic dump.
+        let watchdog = spawn_watchdog(&lock, stall_ms, interval_ms, threshold, |_, _| {});
 
         let ansi = std::io::stdout().is_terminal() && !once;
         let mut sampler = clof::obs::Sampler::new();
@@ -548,15 +535,47 @@ fn top(args: &[String]) -> Result<(), String> {
         for w in workers {
             w.join().map_err(|_| "worker thread panicked".to_string())?;
         }
-        let stalls = watchdog.stop();
+        let findings = watchdog.stop();
         println!(
-            "{} acquisitions observed; {} stall report(s)",
+            "{} acquisitions observed; {} stuck-thread finding(s)",
             total.load(Ordering::Relaxed),
-            stalls
+            findings
         );
         print_audit_tail(8);
         Ok(())
     }
+}
+
+/// Spawns the stuck-thread watchdog of `clof top`/`clof serve` over the
+/// global occupancy table: stalls past `stall_ms`, waits-for cycles and
+/// inversions past the lock's `threshold`, each fresh finding printed
+/// with the lock's per-level queue hints and handed to `also`.
+#[cfg(feature = "obs")]
+fn spawn_watchdog(
+    lock: &std::sync::Arc<clof::DynClofLock>,
+    stall_ms: u64,
+    interval_ms: u64,
+    threshold: u32,
+    mut also: impl FnMut(&clof::obs::GraphFinding, &str) + Send + 'static,
+) -> clof::obs::WatchdogGuard {
+    let diag_lock = std::sync::Arc::clone(lock);
+    clof::obs::Watchdog::new(clof::obs::WatchdogConfig {
+        stall_ns: stall_ms.saturating_mul(1_000_000),
+        poll: std::time::Duration::from_millis(interval_ms.max(1)),
+        h_bound: u64::from(threshold),
+    })
+    .with_diag(move || {
+        let hints: Vec<String> = diag_lock
+            .queue_hints()
+            .into_iter()
+            .map(|(level, waiters)| format!("L{level}:{waiters}"))
+            .collect();
+        format!("queued waiters by level [{}]", hints.join(" "))
+    })
+    .spawn(move |finding, context| {
+        eprintln!("{}; {context}", finding.detail());
+        also(finding, context);
+    })
 }
 
 /// Prints the most recent entries of the process-global adaptation
@@ -838,7 +857,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
                         hold_slo_us.saturating_mul(1_000),
                         handover_slo_us.saturating_mul(1_000),
                     ),
-                    graph_h_bound: u64::from(threshold),
                     ..Default::default()
                 },
             )
@@ -870,28 +888,13 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             }));
         }
 
-        // Stall reports feed the liveness alert, which flips /health.
-        let diag_lock = Arc::clone(&lock);
-        let stall_server = Arc::clone(&server);
-        let watchdog = clof::obs::Watchdog::new(clof::obs::WatchdogConfig {
-            stall_ns: stall_ms.saturating_mul(1_000_000),
-            poll: Duration::from_millis(interval_ms.max(1)),
-        })
-        .with_diag(move || {
-            let hints: Vec<String> = diag_lock
-                .queue_hints()
-                .into_iter()
-                .map(|(level, waiters)| format!("L{level}:{waiters}"))
-                .collect();
-            format!("queued waiters by level [{}]", hints.join(" "))
-        })
-        .spawn(move |report| {
-            stall_server.note_stall(report);
-            eprintln!("{report}");
+        // Findings fire `waitgraph-*` alerts, which flip /health.
+        let finding_server = Arc::clone(&server);
+        let watchdog = spawn_watchdog(&lock, stall_ms, interval_ms, threshold, move |f, ctx| {
+            finding_server.note_finding(f, ctx);
         });
 
         let mut sampler = clof::obs::Sampler::new();
-        let mut graph_dedup = clof::obs::FindingDedup::new();
         sampler.tick(lock.obs_snapshot());
         let rounds = if once {
             1
@@ -904,13 +907,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
                 continue;
             };
             server.observe_window(&rates);
-            // Waits-for sweep: fresh deadlock/inversion findings feed
-            // the alert path (deduped against the watchdog's stalls).
-            let report = clof::obs::waitgraph::global().analyze(u64::from(threshold));
-            for finding in graph_dedup.fresh(&report.findings) {
-                server.note_graph_finding(&finding);
-                eprintln!("waits-for finding: {}", finding.detail());
-            }
             println!("{rates}");
         }
 
@@ -932,11 +928,11 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         for w in workers {
             w.join().map_err(|_| "worker thread panicked".to_string())?;
         }
-        let stalls = watchdog.stop();
+        let findings = watchdog.stop();
         println!(
-            "{} acquisitions observed; {} stall report(s); {} request(s) served",
+            "{} acquisitions observed; {} stuck-thread finding(s); {} request(s) served",
             total.load(Ordering::Relaxed),
-            stalls,
+            findings,
             server.requests()
         );
         print_audit_tail(8);
@@ -1070,7 +1066,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
 
         // Waits-for graph verdict: quiescent clean runs report clean;
         // any finding (real or injected) is a nonzero exit for CI.
-        let report = graph.analyze(u64::from(threshold));
+        let report = graph.analyze(u64::from(threshold), u64::MAX);
         println!();
         println!(
             "waits-for graph: {} waiting, {} holds, {} edges",

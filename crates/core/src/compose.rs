@@ -28,7 +28,7 @@ use crate::step::{self, Block, Hook, Rung, Span, Wait};
 #[cfg(feature = "obs")]
 mod staticobs {
     use clof_obs::trace::{self, NodeTrack, SpanKind};
-    use clof_obs::{now_ns, thread_tag, watchdog, LevelCounters};
+    use clof_obs::{now_ns, thread_tag, waitgraph, LevelCounters, INVALID_SITE};
 
     use crate::step::{Hook, Span};
 
@@ -47,8 +47,10 @@ mod staticobs {
         }
     }
 
-    /// A handle's recorder: whole-lock hold span and watchdog progress,
-    /// plus the transition time each level's wait span starts from.
+    /// A handle's recorder: whole-lock hold span and the phase it
+    /// publishes into the occupancy table (the static composition has
+    /// no profiler site, so it adds no waits-for edge), plus the
+    /// transition time each level's wait span starts from.
     #[derive(Debug, Default)]
     pub struct HoldSpan {
         /// When the previous transition (acquire entry, a level won)
@@ -63,20 +65,20 @@ mod staticobs {
         #[inline]
         fn enter(&mut self) {
             self.last = now_ns();
-            watchdog::global().wait_at(thread_tag(), self.last);
+            waitgraph::global().wait_at(thread_tag(), INVALID_SITE, self.last);
         }
 
         #[inline]
         fn acquired(&mut self) {
             self.acquired_at = now_ns();
-            watchdog::global().hold_at(thread_tag(), self.acquired_at);
+            waitgraph::global().acquired(thread_tag(), INVALID_SITE, self.acquired_at);
         }
 
-        /// Nothing was acquired, so the watchdog sees idle (not hold)
-        /// and the attempt lands in the process-wide timeout count.
+        /// Nothing was acquired, so the table sees idle (not hold) and
+        /// the attempt lands in the process-wide timeout count.
         #[inline]
         fn abandoned(&mut self) {
-            watchdog::global().idle_at(thread_tag(), now_ns());
+            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
             clof_obs::deadline::record_timeout();
         }
 
@@ -86,7 +88,7 @@ mod staticobs {
             if trace::is_enabled() {
                 trace::record(self.acquired_at, now, 0, 0, SpanKind::Hold, 0, 0);
             }
-            watchdog::global().idle_at(thread_tag(), now);
+            waitgraph::global().released(thread_tag(), INVALID_SITE, now);
         }
     }
 

@@ -38,7 +38,7 @@ mod nodeobs {
 
     use clof_obs::registry;
     use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, thread_tag, waitgraph, watchdog, Shard, ShardSet};
+    use clof_obs::{now_ns, thread_tag, waitgraph, Shard, ShardSet};
 
     use super::DynNode;
     use crate::step::{Hook, Span};
@@ -77,8 +77,8 @@ mod nodeobs {
         NodeObs::new(level)
     }
 
-    /// A handle's recorder: its shard, the phase it publishes for the
-    /// starvation watchdog and the waits-for graph, and the tracer spans.
+    /// A handle's recorder: its shard, the phase and sites it publishes
+    /// into the occupancy table, and the tracer spans.
     #[derive(Debug)]
     pub(super) struct Recorder {
         pub(super) shard: Arc<Shard>,
@@ -109,10 +109,8 @@ mod nodeobs {
         #[inline]
         fn enter(&mut self) {
             let now = now_ns();
-            let thread = thread_tag();
             self.shard.enter(now);
-            watchdog::global().wait_at(thread, now);
-            waitgraph::global().wait_at(thread, self.site(), now);
+            waitgraph::global().wait_at(thread_tag(), self.site(), now);
             // Parks can only happen while waiting; publish the site so
             // the parked-duration recorder can attribute the episode.
             #[cfg(feature = "park")]
@@ -124,9 +122,7 @@ mod nodeobs {
         fn acquired(&mut self) {
             #[cfg(feature = "park")]
             crate::parkglue::exit_wait();
-            let thread = thread_tag();
-            watchdog::global().hold_at(thread, self.shard.acquired_ns());
-            waitgraph::global().acquired(thread, self.site());
+            waitgraph::global().acquired(thread_tag(), self.site(), self.shard.acquired_ns());
         }
 
         /// Cancels the wait edge — nothing was acquired, so nothing
@@ -137,9 +133,7 @@ mod nodeobs {
             #[cfg(feature = "park")]
             crate::parkglue::exit_wait();
             self.shard.abandon();
-            let thread = thread_tag();
-            watchdog::global().idle_at(thread, now_ns());
-            waitgraph::global().wait_cancelled(thread, self.site());
+            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
             clof_obs::deadline::record_timeout();
         }
 
@@ -158,8 +152,7 @@ mod nodeobs {
         fn released(&mut self) {
             let thread = thread_tag();
             self.shard.commit(thread);
-            watchdog::global().idle_at(thread, self.shard.released_ns());
-            waitgraph::global().released(thread, self.site());
+            waitgraph::global().released(thread, self.site(), self.shard.released_ns());
         }
     }
 

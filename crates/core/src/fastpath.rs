@@ -54,7 +54,7 @@ impl GateHook for () {}
 /// Telemetry for the TAS gate.
 ///
 /// The gate emits `Gate` spans (acquire entry → gate won, flagged
-/// fast/slow) and watchdog progress. It deliberately emits no `Hold`
+/// fast/slow) and its occupancy-table transitions. It deliberately emits no `Hold`
 /// span: the slow path holds the composition while spinning on the
 /// gate, so a gate-hold span would overlap the composition's own hold
 /// spans and break the analyzer's total-order check. Ownership-timeline
@@ -66,7 +66,7 @@ mod gateobs {
 
     use clof_obs::registry::SiteAnchor;
     use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, thread_tag, waitgraph, watchdog, Shard};
+    use clof_obs::{now_ns, thread_tag, waitgraph, Shard};
 
     use super::{DynHandle, FastClof, GateHook};
 
@@ -99,9 +99,7 @@ mod gateobs {
         #[inline]
         fn start(&mut self) -> u64 {
             let now = now_ns();
-            let thread = thread_tag();
-            watchdog::global().wait_at(thread, now);
-            waitgraph::global().wait_at(thread, self.site.id(), now);
+            waitgraph::global().wait_at(thread_tag(), self.site.id(), now);
             now
         }
 
@@ -113,9 +111,7 @@ mod gateobs {
             if fast {
                 self.shard.gate_won(at.saturating_sub(start));
             }
-            let thread = thread_tag();
-            watchdog::global().hold_at(thread, at);
-            waitgraph::global().acquired(thread, self.site.id());
+            waitgraph::global().acquired(thread_tag(), self.site.id(), at);
             if trace::is_enabled() {
                 trace::record(start, at, 0, 0, SpanKind::Gate { fast }, 0, 0);
             }
@@ -127,18 +123,14 @@ mod gateobs {
             if self.last_fast {
                 self.shard.gate_held(now.saturating_sub(self.acquired_at));
             }
-            let thread = thread_tag();
-            watchdog::global().idle_at(thread, now);
-            waitgraph::global().released(thread, self.site.id());
+            waitgraph::global().released(thread_tag(), self.site.id(), now);
         }
 
         /// The composition was handed back, nothing is held: cancels
         /// any dangling wait edge and counts the attempt as a timeout.
         #[inline]
         fn record_timeout(&mut self) {
-            let thread = thread_tag();
-            watchdog::global().idle_at(thread, now_ns());
-            waitgraph::global().wait_cancelled(thread, self.site.id());
+            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
             clof_obs::deadline::record_timeout();
         }
     }

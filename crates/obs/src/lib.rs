@@ -40,9 +40,9 @@
 //! * [`window`] — [`LockSnapshot::delta`] and a [`Sampler`] turning
 //!   cumulative snapshots into per-window rates ([`WindowRates`]) so
 //!   telemetry is usable mid-run.
-//! * [`watchdog`] — per-thread progress epochs plus a background
-//!   [`Watchdog`] flagging waiters stalled past a threshold, with a
-//!   diagnostic dump.
+//! * [`watchdog`] — the background [`Watchdog`] polling the
+//!   [`waitgraph`] table and reporting each fresh stall, deadlock or
+//!   inversion once, with a diagnostic dump.
 //! * [`policy`] — the online adaptation policy: a deterministic
 //!   [`HysteresisController`] that estimates offered concurrency from
 //!   [`WindowRates`] (Little's law) and decides when a different
@@ -56,8 +56,8 @@
 //!   (`clof_obs_scrape_duration_ns` — the server exports its own cost).
 //! * [`slo`] — deterministic multi-window burn-rate SLO evaluation over
 //!   [`WindowRates`] (p99 hold-time / handover-latency objectives,
-//!   k-consecutive hysteresis) plus a liveness alert fed by
-//!   [`StallReport`]s.
+//!   k-consecutive hysteresis) plus an instant alert per stuck-thread
+//!   [`GraphFinding`].
 //! * [`audit`] — a fixed-capacity lock-free ring of adaptation
 //!   decisions: every [`policy`] verdict and every hot-swap migration,
 //!   with the window rates and margins that justified it.
@@ -72,10 +72,11 @@
 //!   per-(level, node) breakdown, computed from the site's shards, with
 //!   exact windowed deltas and a folded-stack exporter for standard
 //!   flamegraph tooling.
-//! * [`waitgraph`] — a bounded waits-for graph over sites and threads,
-//!   with cycle detection (deadlock) and `keep_local`-gap-bound
-//!   starvation detection (priority/NUMA inversion), feeding deduped
-//!   findings into the `/alerts` path.
+//! * [`waitgraph`] — the one per-thread occupancy table (phase and
+//!   since, progress epoch, waited-on and held sites; one line per
+//!   thread) and its detector: stalls, waits-for cycles (deadlock) and
+//!   `keep_local`-gap-bound starvation (priority/NUMA inversion), one
+//!   finding per stuck thread, feeding the `/alerts` path.
 //!
 //! `clof-core` records into these types only when compiled with its
 //! `obs` cargo feature; the default build carries no `clof-obs` symbols
@@ -131,8 +132,8 @@ pub use slo::{
     SloSignal,
 };
 pub use trace::{render_chrome_trace, SpanEvent, SpanKind, Trace};
-pub use waitgraph::{FindingDedup, GraphFinding, GraphReport, WaitTable, MAX_GRAPH_THREADS};
-pub use watchdog::{ProgressRegistry, StallReport, Watchdog, WatchdogConfig, WatchdogGuard};
+pub use waitgraph::{GraphFinding, GraphReport, Phase, WaitTable, MAX_GRAPH_THREADS};
+pub use watchdog::{Watchdog, WatchdogConfig, WatchdogGuard};
 pub use window::{Sampler, WindowRates};
 
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -197,7 +198,7 @@ impl Drop for TagLease {
 }
 
 /// A small dense id for the calling thread: the index of its slot in
-/// the watchdog and waits-for tables, and the `thread` of ring events.
+/// the occupancy table ([`WaitTable`]), and the `thread` of ring events.
 ///
 /// Assigned on first use, distinct among live threads and stable within
 /// a thread; an exiting thread's tag is recycled, so thread churn never

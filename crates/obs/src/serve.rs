@@ -14,12 +14,12 @@
 //! |             | audit-ring counters                                     |
 //! | `/snapshot` | JSON: the full [`LockSnapshot`] ([`render_json`]), the  |
 //! |             | audit-ring tail, current alerts, server self-accounting |
-//! | `/health`   | `200 ok` / `503 stalled` — flips on watchdog stalls     |
-//! |             | and waits-for graph findings                            |
+//! | `/health`   | `200 ok` / `503 stalled` — flips on any stall, deadlock |
+//! |             | or inversion finding fed in                             |
 //! | `/alerts`   | JSON array of [`AlertStatus`](crate::AlertStatus) from  |
 //! |             | the SLO evaluator                                       |
 //! | `/profile`  | JSON: the contention profiler's per-site wait/hold      |
-//! |             | attribution + a live waits-for graph verdict            |
+//! |             | attribution + the findings currently alerting           |
 //! |             | ([`crate::profile::render_profile_json`]);              |
 //! |             | `?format=folded` returns bare folded stacks             |
 //!
@@ -70,11 +70,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// SLO rules the embedded evaluator starts with.
     pub rules: Vec<SloRule>,
-    /// `keep_local` gap bound *H* the `/profile` endpoint's waits-for
-    /// graph analysis uses for inversion detection. `u64::MAX` (the
-    /// default) disables inversion findings; cycle (deadlock) detection
-    /// is always on.
-    pub graph_h_bound: u64,
 }
 
 impl Default for ServeConfig {
@@ -84,7 +79,6 @@ impl Default for ServeConfig {
             queue_depth: 16,
             read_timeout: Duration::from_secs(2),
             rules: Vec::new(),
-            graph_h_bound: u64::MAX,
         }
     }
 }
@@ -102,7 +96,6 @@ struct Shared {
     hits_profile: AtomicU64,
     hits_other: AtomicU64,
     rejected: AtomicU64,
-    graph_h_bound: u64,
 }
 
 impl Shared {
@@ -146,13 +139,13 @@ impl ServerHandle {
     }
 
     /// Marks the process healthy/stalled; `/health` answers `503` while
-    /// unhealthy. Wire a watchdog's `on_stall` to
-    /// `handle.set_healthy(false)`.
+    /// unhealthy (or while a finding fed to [`note_finding`](Self::note_finding)
+    /// is alerting).
     pub fn set_healthy(&self, healthy: bool) {
         self.shared.healthy.store(healthy, Ordering::Relaxed);
     }
 
-    /// Current health flag (also considers a firing liveness alert).
+    /// Current health flag (also considers any firing alert).
     pub fn healthy(&self) -> bool {
         self.shared.healthy.load(Ordering::Relaxed)
             && !self.shared.slo.lock().map(|s| s.any_firing()).unwrap_or(false)
@@ -166,21 +159,13 @@ impl ServerHandle {
         }
     }
 
-    /// Feeds a watchdog stall report: fires the liveness alert and flips
-    /// `/health` (unless an active waits-for graph finding already
-    /// covers the stalled thread — one stuck site, one alert).
-    pub fn note_stall(&self, report: &crate::StallReport) {
+    /// Feeds a stuck-thread finding (stall / deadlock / inversion) with
+    /// its diagnostic context — wire a [`Watchdog`](crate::Watchdog)'s
+    /// callback here: fires a `waitgraph-*` alert, flips `/health` and
+    /// lists the finding on `/profile`.
+    pub fn note_finding(&self, finding: &crate::GraphFinding, context: &str) {
         if let Ok(mut slo) = self.shared.slo.lock() {
-            slo.note_stall(report);
-        }
-    }
-
-    /// Feeds a waits-for graph finding (deadlock / inversion) from the
-    /// caller's analysis loop: fires a `waitgraph-*` alert, flips
-    /// `/health`, and supersedes any plain stall for the same thread.
-    pub fn note_graph_finding(&self, finding: &crate::GraphFinding) {
-        if let Ok(mut slo) = self.shared.slo.lock() {
-            slo.note_graph_finding(finding);
+            slo.note_finding(finding, context);
         }
     }
 
@@ -234,7 +219,6 @@ pub fn serve(addr: &str, snapshot: SnapshotFn, config: ServeConfig) -> std::io::
         hits_profile: AtomicU64::new(0),
         hits_other: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
-        graph_h_bound: config.graph_h_bound,
     });
 
     let (tx, rx) = sync_channel::<TcpStream>(config.queue_depth.max(1));
@@ -372,12 +356,7 @@ fn route(path: &str, shared: &Arc<Shared>) -> (u16, &'static str, String) {
             let stalled = shared
                 .slo
                 .lock()
-                .map(|s| {
-                    s.any_firing()
-                        && s.alerts()
-                            .iter()
-                            .any(|a| a.signal == "liveness" || a.signal == "waitgraph")
-                })
+                .map(|s| !s.active_findings().is_empty())
                 .unwrap_or(false);
             if shared.healthy.load(Ordering::Relaxed) && !stalled {
                 (200, "text/plain", "ok\n".to_string())
@@ -397,14 +376,18 @@ fn route(path: &str, shared: &Arc<Shared>) -> (u16, &'static str, String) {
         "/profile" => {
             shared.hits_profile.fetch_add(1, Ordering::Relaxed);
             let snap = crate::profile::global().snapshot();
-            let report = crate::waitgraph::global().analyze(shared.graph_h_bound);
             if path_wants_folded {
                 (200, "text/plain", crate::profile::render_folded(&snap))
             } else {
+                let findings = shared
+                    .slo
+                    .lock()
+                    .map(|s| s.active_findings())
+                    .unwrap_or_default();
                 (
                     200,
                     "application/json",
-                    crate::profile::render_profile_json(&snap, &report.findings),
+                    crate::profile::render_profile_json(&snap, &findings),
                 )
             }
         }
@@ -652,25 +635,51 @@ mod tests {
         h.set_healthy(true);
         let (s, _) = http_get(h.addr(), "/health").unwrap();
         assert_eq!(s, 200);
+        // A stall finding flips it until its alert decays.
+        h.note_finding(&stall_for(3), "");
+        let (s, _) = http_get(h.addr(), "/health").unwrap();
+        assert_eq!(s, 503);
+        let mut sampler = crate::Sampler::new();
+        sampler.tick_at(0, test_snapshot());
+        let calm = sampler.tick_at(1_000_000_000, test_snapshot()).unwrap();
+        for _ in 0..=crate::slo::GRAPH_HOLD_TICKS {
+            h.observe_window(&calm);
+        }
+        let (s, _) = http_get(h.addr(), "/health").unwrap();
+        assert_eq!(s, 200, "recovers once the finding's alert decays");
     }
 
-    #[test]
-    fn stall_report_surfaces_in_alerts_and_health() {
-        let h = start();
-        h.note_stall(&crate::StallReport {
-            thread: 3,
+    fn stall_for(thread: u32) -> crate::GraphFinding {
+        crate::GraphFinding::Stall {
+            thread,
             waited_ns: 500_000_000,
             epoch: 1,
             holders: Vec::new(),
             waiting: 1,
-            context: "test stall".into(),
-        });
-        let (s, _) = http_get(h.addr(), "/health").unwrap();
-        assert_eq!(s, 503, "liveness alert must flip /health");
-        let (_, body) = http_get(h.addr(), "/alerts").unwrap();
-        assert!(body.contains("progress-stall"), "{body}");
-        assert!(body.contains("test stall"), "{body}");
-        assert!(!h.healthy());
+        }
+    }
+
+    #[test]
+    fn a_finding_flips_health_and_surfaces_once_in_alerts_and_profile() {
+        let deadlock = crate::GraphFinding::Deadlock {
+            threads: vec![7, 8],
+            sites: vec![0, 1],
+        };
+        for finding in [stall_for(3), deadlock] {
+            let kind = finding.kind();
+            let h = start();
+            h.note_finding(&finding, "test context");
+            let (s, _) = http_get(h.addr(), "/health").unwrap();
+            assert_eq!(s, 503, "a {kind} must flip /health");
+            let (_, body) = http_get(h.addr(), "/alerts").unwrap();
+            assert_eq!(body.matches("waitgraph-").count(), 1, "{body}");
+            assert!(body.contains(&format!("waitgraph-{kind}")), "{body}");
+            assert!(body.contains("test context"), "{body}");
+            let (_, body) = http_get(h.addr(), "/profile").unwrap();
+            assert!(body.contains(&format!("\"kind\":\"{kind}\"")), "{body}");
+            assert!(!h.healthy());
+            h.shutdown();
+        }
     }
 
     #[test]
@@ -698,33 +707,6 @@ mod tests {
             metrics.contains("clof_obs_scrapes_total{endpoint=\"profile\"} 2"),
             "{metrics}"
         );
-        h.shutdown();
-    }
-
-    #[test]
-    fn graph_finding_flips_health_and_surfaces_in_alerts() {
-        let h = start();
-        h.note_graph_finding(&crate::GraphFinding::Deadlock {
-            threads: vec![7, 8],
-            sites: vec![0, 1],
-        });
-        let (s, _) = http_get(h.addr(), "/health").unwrap();
-        assert_eq!(s, 503, "waits-for finding must flip /health");
-        let (_, body) = http_get(h.addr(), "/alerts").unwrap();
-        assert!(body.contains("waitgraph-deadlock"), "{body}");
-        // A stall on a thread the graph already covers is absorbed: still
-        // exactly one active alert for the incident.
-        h.note_stall(&crate::StallReport {
-            thread: 7,
-            waited_ns: 500_000_000,
-            epoch: 1,
-            holders: Vec::new(),
-            waiting: 1,
-            context: "same incident".into(),
-        });
-        let (_, body) = http_get(h.addr(), "/alerts").unwrap();
-        assert!(!body.contains("progress-stall"), "{body}");
-        assert_eq!(body.matches("waitgraph-deadlock").count(), 1, "{body}");
         h.shutdown();
     }
 

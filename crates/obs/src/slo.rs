@@ -21,31 +21,23 @@
 //! alert transitions, which is what makes the burn-rate math
 //! property-testable (`tests/slo_props.rs`).
 //!
-//! The watchdog's [`StallReport`] stream plugs into the same evaluator
-//! via [`SloEvaluator::note_stall`]: a stall is treated as an
-//! instant-fire liveness alert that decays after
-//! [`STALL_HOLD_TICKS`] calm evaluation ticks.
-//!
-//! Waits-for graph findings ([`crate::waitgraph`]) plug in via
-//! [`SloEvaluator::note_graph_finding`] and surface as
-//! `waitgraph-deadlock` / `waitgraph-inversion` pseudo-rules. Stalls
-//! and graph findings describe the same stuck threads from two vantage
-//! points, so they are **deduplicated**: a stall whose thread is
-//! already implicated in an active graph finding is absorbed, and a
-//! graph finding supersedes an active stall for the same thread — one
-//! stuck site fires one alert on `/alerts`, not two.
+//! Stuck-thread findings ([`crate::waitgraph`]: stall, deadlock,
+//! inversion — one detector, usually polled by the
+//! [`Watchdog`](crate::Watchdog)) plug in via
+//! [`SloEvaluator::note_finding`] and surface as instant-fire
+//! `waitgraph-stall` / `waitgraph-deadlock` / `waitgraph-inversion`
+//! pseudo-rules that decay after [`GRAPH_HOLD_TICKS`] calm ticks. The
+//! detector already reports one finding per stuck thread, so one stuck
+//! site fires one alert on `/alerts`.
 
 use std::collections::VecDeque;
 
 use crate::waitgraph::GraphFinding;
-use crate::{HistSnapshot, StallReport, WindowRates};
+use crate::{HistSnapshot, WindowRates};
 
-/// Evaluation ticks a stall alert stays up after the last report.
-pub const STALL_HOLD_TICKS: u64 = 3;
-
-/// Evaluation ticks a waits-for graph alert stays up after the finding
-/// was last re-observed (same decay policy as stalls).
-pub const GRAPH_HOLD_TICKS: u64 = STALL_HOLD_TICKS;
+/// Evaluation ticks a finding's alert stays up after the finding was
+/// last re-observed.
+pub const GRAPH_HOLD_TICKS: u64 = 3;
 
 /// Which windowed latency series an SLO rule watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +162,7 @@ pub enum AlertTransition {
 pub struct AlertStatus {
     /// Rule name.
     pub name: String,
-    /// Signal token (`hold_time`, `handover_latency`, `liveness`).
+    /// Signal token (`hold_time`, `handover_latency`, `waitgraph`).
     pub signal: String,
     /// Whether the alert is currently firing.
     pub firing: bool,
@@ -180,13 +172,14 @@ pub struct AlertStatus {
     pub burn_fast: f64,
     /// Mean burn rate over the slow window (zero-padded).
     pub burn_slow: f64,
-    /// The rule's objective in ns (0 for the liveness pseudo-rule).
+    /// The rule's objective in ns (0 for the finding pseudo-rules).
     pub objective_ns: u64,
     /// The rule's error budget.
     pub budget: f64,
     /// Tick the alert last fired at (meaningful while `firing`).
     pub since_tick: u64,
-    /// Free-form detail (stall context for the liveness pseudo-rule).
+    /// Free-form detail (the finding and its diagnostic context for the
+    /// finding pseudo-rules).
     pub detail: String,
 }
 
@@ -288,29 +281,22 @@ impl RuleState {
     }
 }
 
-/// One active waits-for graph finding tracked by the evaluator.
+/// One active stuck-thread finding tracked by the evaluator.
 #[derive(Debug)]
-struct GraphAlert {
-    key: String,
-    kind: &'static str,
-    threads: Vec<u32>,
+struct FindingAlert {
+    finding: GraphFinding,
     detail: String,
     since_tick: u64,
     last_seen_tick: u64,
 }
 
 /// Evaluates a set of [`SloRule`]s over a [`WindowRates`] stream, plus
-/// a liveness pseudo-rule fed by the watchdog's [`StallReport`]s and
-/// waits-for graph pseudo-rules fed by [`crate::waitgraph`] findings.
+/// pseudo-rules fed by [`crate::waitgraph`] findings.
 #[derive(Debug)]
 pub struct SloEvaluator {
     rules: Vec<RuleState>,
     tick: u64,
-    /// (since tick, stalled thread, detail line).
-    stall: Option<(u64, u32, String)>,
-    stalls_seen: u64,
-    graph: Vec<GraphAlert>,
-    graph_findings_seen: u64,
+    findings: Vec<FindingAlert>,
 }
 
 impl SloEvaluator {
@@ -319,21 +305,13 @@ impl SloEvaluator {
         SloEvaluator {
             rules: rules.into_iter().map(RuleState::new).collect(),
             tick: 0,
-            stall: None,
-            stalls_seen: 0,
-            graph: Vec::new(),
-            graph_findings_seen: 0,
+            findings: Vec::new(),
         }
     }
 
     /// Evaluation ticks consumed so far.
     pub fn ticks(&self) -> u64 {
         self.tick
-    }
-
-    /// Total stall reports ingested.
-    pub fn stalls_seen(&self) -> u64 {
-        self.stalls_seen
     }
 
     /// Feeds one window; returns the alert transitions it caused.
@@ -346,22 +324,11 @@ impl SloEvaluator {
             .iter_mut()
             .filter_map(|r| r.observe(rates, tick))
             .collect();
-        // Liveness decay: a stall alert clears after STALL_HOLD_TICKS
-        // calm ticks.
-        if let Some((at, _, _)) = self.stall {
-            if tick.saturating_sub(at) >= STALL_HOLD_TICKS {
-                self.stall = None;
-                out.push(AlertTransition::Cleared {
-                    rule: "progress-stall".to_string(),
-                    tick,
-                });
-            }
-        }
-        // Graph findings decay once they stop being re-observed.
-        self.graph.retain(|g| {
+        // Findings decay once they stop being re-observed.
+        self.findings.retain(|g| {
             if tick.saturating_sub(g.last_seen_tick) >= GRAPH_HOLD_TICKS {
                 out.push(AlertTransition::Cleared {
-                    rule: format!("waitgraph-{}", g.kind),
+                    rule: format!("waitgraph-{}", g.finding.kind()),
                     tick,
                 });
                 false
@@ -372,98 +339,49 @@ impl SloEvaluator {
         out
     }
 
-    /// Ingests a watchdog stall report: the liveness pseudo-rule fires
-    /// immediately (a stalled waiter is never a blip worth debouncing).
-    ///
-    /// Deduplicated against the waits-for graph: a stall whose thread
-    /// is already implicated in an active graph finding is absorbed by
-    /// that finding — one stuck site, one active alert.
-    pub fn note_stall(&mut self, report: &StallReport) {
-        self.stalls_seen += 1;
-        if self
-            .graph
-            .iter()
-            .any(|g| g.threads.contains(&report.thread))
-        {
-            return;
-        }
-        self.stall = Some((
-            self.tick,
-            report.thread,
-            format!(
-                "thread {} waited {} ms (epoch {}, {} waiting, {} holding): {}",
-                report.thread,
-                report.waited_ns / 1_000_000,
-                report.epoch,
-                report.waiting,
-                report.holders.len(),
-                report.context,
-            ),
-        ));
-    }
-
-    /// Ingests one waits-for graph finding (deadlock or inversion).
+    /// Ingests one stuck-thread finding with its diagnostic context
+    /// (empty for none): the `waitgraph-<kind>` pseudo-rule fires
+    /// immediately — a stuck thread is never a blip worth debouncing.
     /// Re-observing the same incident (same [`GraphFinding::key`])
-    /// refreshes it rather than duplicating the alert; a graph finding
-    /// **supersedes** an active plain stall for the same thread, since
-    /// it explains the stall rather than merely observing it.
-    pub fn note_graph_finding(&mut self, finding: &GraphFinding) {
-        self.graph_findings_seen += 1;
-        let key = finding.key();
-        let threads = finding.threads();
-        if let Some((_, thread, _)) = &self.stall {
-            if threads.contains(thread) {
-                self.stall = None;
-            }
+    /// refreshes it rather than duplicating the alert.
+    pub fn note_finding(&mut self, finding: &GraphFinding, context: &str) {
+        let mut detail = finding.detail();
+        if !context.is_empty() {
+            detail = format!("{detail}; {context}");
         }
-        if let Some(existing) = self.graph.iter_mut().find(|g| g.key == key) {
+        let key = finding.key();
+        if let Some(existing) = self.findings.iter_mut().find(|g| g.finding.key() == key) {
+            existing.finding = finding.clone();
+            existing.detail = detail;
             existing.last_seen_tick = self.tick;
-            existing.detail = finding.detail();
             return;
         }
-        self.graph.push(GraphAlert {
-            key,
-            kind: finding.kind(),
-            threads,
-            detail: finding.detail(),
+        self.findings.push(FindingAlert {
+            finding: finding.clone(),
+            detail,
             since_tick: self.tick,
             last_seen_tick: self.tick,
         });
     }
 
-    /// Total waits-for graph findings ingested.
-    pub fn graph_findings_seen(&self) -> u64 {
-        self.graph_findings_seen
+    /// The findings whose alerts are currently firing, oldest first.
+    pub fn active_findings(&self) -> Vec<GraphFinding> {
+        self.findings.iter().map(|g| g.finding.clone()).collect()
     }
 
-    /// Whether any alert (SLO, liveness, or waits-for graph) is
-    /// currently firing.
+    /// Whether any alert (SLO or finding) is currently firing.
     pub fn any_firing(&self) -> bool {
-        self.stall.is_some() || !self.graph.is_empty() || self.rules.iter().any(|r| r.firing)
+        !self.findings.is_empty() || self.rules.iter().any(|r| r.firing)
     }
 
     /// Point-in-time status of every rule plus the active pseudo-rules.
-    /// Stable order: rules as configured, then liveness, then waits-for
-    /// graph findings in arrival order.
+    /// Stable order: rules as configured, then findings in arrival
+    /// order.
     pub fn alerts(&self) -> Vec<AlertStatus> {
         let mut out: Vec<AlertStatus> = self.rules.iter().map(|r| r.status()).collect();
-        if let Some((at, _, detail)) = &self.stall {
+        for g in &self.findings {
             out.push(AlertStatus {
-                name: "progress-stall".to_string(),
-                signal: "liveness".to_string(),
-                firing: true,
-                bad_fraction: 1.0,
-                burn_fast: f64::MAX,
-                burn_slow: f64::MAX,
-                objective_ns: 0,
-                budget: 0.0,
-                since_tick: *at,
-                detail: detail.clone(),
-            });
-        }
-        for g in &self.graph {
-            out.push(AlertStatus {
-                name: format!("waitgraph-{}", g.kind),
+                name: format!("waitgraph-{}", g.finding.kind()),
                 signal: "waitgraph".to_string(),
                 firing: true,
                 bad_fraction: 1.0,
@@ -652,46 +570,13 @@ mod tests {
         assert_eq!(feed(&mut a), feed(&mut b));
     }
 
-    #[test]
-    fn stall_reports_fire_and_decay() {
-        let mut ev = SloEvaluator::new(default_rules(50_000, 20_000));
-        assert!(!ev.any_firing());
-        ev.note_stall(&StallReport {
-            thread: 7,
+    fn stall_for(thread: u32) -> GraphFinding {
+        GraphFinding::Stall {
+            thread,
             waited_ns: 250_000_000,
             epoch: 42,
             holders: vec![(3, 1_000_000)],
             waiting: 2,
-            context: "queue hints: [1, 0]".into(),
-        });
-        assert!(ev.any_firing());
-        let alerts = ev.alerts();
-        let stall = alerts.last().unwrap();
-        assert_eq!(stall.name, "progress-stall");
-        assert!(stall.detail.contains("thread 7"), "{}", stall.detail);
-        assert_eq!(ev.stalls_seen(), 1);
-        // Decays after STALL_HOLD_TICKS calm ticks.
-        let mut cleared = false;
-        for _ in 0..STALL_HOLD_TICKS + 1 {
-            for t in ev.observe(&window(100, 0)) {
-                if matches!(&t, AlertTransition::Cleared { rule, .. } if rule == "progress-stall")
-                {
-                    cleared = true;
-                }
-            }
-        }
-        assert!(cleared);
-        assert!(!ev.any_firing());
-    }
-
-    fn stall_for(thread: u32) -> StallReport {
-        StallReport {
-            thread,
-            waited_ns: 250_000_000,
-            epoch: 1,
-            holders: Vec::new(),
-            waiting: 1,
-            context: String::new(),
         }
     }
 
@@ -705,46 +590,43 @@ mod tests {
         }
     }
 
-    /// Satellite regression: one stuck site must produce exactly one
-    /// active alert, whichever of the watchdog and the waits-for graph
-    /// reports it first (and even when both do).
     #[test]
-    fn stall_and_graph_finding_dedupe_to_one_alert() {
-        let active = |ev: &SloEvaluator| ev.alerts().iter().filter(|a| a.firing).count();
-
-        // Stall alone: exactly one active alert.
+    fn stall_findings_fire_with_context_and_decay() {
         let mut ev = SloEvaluator::new(default_rules(50_000, 20_000));
-        ev.note_stall(&stall_for(7));
-        assert_eq!(active(&ev), 1);
-
-        // Graph finding for the same thread supersedes the stall.
-        ev.note_graph_finding(&inversion_for(7));
-        assert_eq!(active(&ev), 1, "graph finding replaces the stall");
-        assert_eq!(ev.alerts().last().unwrap().name, "waitgraph-inversion");
-
-        // Reverse order: an active graph finding absorbs a later stall.
-        let mut ev = SloEvaluator::new(default_rules(50_000, 20_000));
-        ev.note_graph_finding(&inversion_for(7));
-        ev.note_stall(&stall_for(7));
-        assert_eq!(active(&ev), 1, "stall absorbed by the graph finding");
-        assert_eq!(ev.stalls_seen(), 1, "the report is still counted");
-
-        // An unrelated thread's stall is a distinct incident.
-        ev.note_stall(&stall_for(8));
-        assert_eq!(active(&ev), 2);
+        assert!(!ev.any_firing());
+        ev.note_finding(&stall_for(7), "queue hints: [1, 0]");
+        assert!(ev.any_firing());
+        let alerts = ev.alerts();
+        let stall = alerts.last().unwrap();
+        assert_eq!(stall.name, "waitgraph-stall");
+        assert!(stall.detail.contains("thread 7"), "{}", stall.detail);
+        assert!(stall.detail.ends_with("; queue hints: [1, 0]"), "{}", stall.detail);
+        assert_eq!(ev.active_findings(), vec![stall_for(7)]);
+        // Decays after GRAPH_HOLD_TICKS calm ticks.
+        let mut cleared = false;
+        for _ in 0..GRAPH_HOLD_TICKS + 1 {
+            for t in ev.observe(&window(100, 0)) {
+                if matches!(&t, AlertTransition::Cleared { rule, .. } if rule == "waitgraph-stall")
+                {
+                    cleared = true;
+                }
+            }
+        }
+        assert!(cleared);
+        assert!(!ev.any_firing());
+        assert!(ev.active_findings().is_empty());
     }
 
     #[test]
     fn graph_finding_refreshes_and_decays() {
         let mut ev = SloEvaluator::new(Vec::new());
-        ev.note_graph_finding(&inversion_for(3));
-        ev.note_graph_finding(&inversion_for(3));
+        ev.note_finding(&inversion_for(3), "");
+        ev.note_finding(&inversion_for(3), "");
         assert_eq!(
             ev.alerts().iter().filter(|a| a.firing).count(),
             1,
             "re-observed incident does not duplicate"
         );
-        assert_eq!(ev.graph_findings_seen(), 2);
         assert!(ev.any_firing());
         let mut cleared = false;
         for _ in 0..GRAPH_HOLD_TICKS + 1 {
@@ -759,17 +641,20 @@ mod tests {
         assert!(!ev.any_firing());
 
         // Recurrence after clearing is a fresh incident.
-        ev.note_graph_finding(&inversion_for(3));
+        ev.note_finding(&inversion_for(3), "");
         assert!(ev.any_firing());
     }
 
     #[test]
     fn deadlock_finding_surfaces_with_detail() {
         let mut ev = SloEvaluator::new(Vec::new());
-        ev.note_graph_finding(&GraphFinding::Deadlock {
-            threads: vec![1, 2],
-            sites: vec![10, 11],
-        });
+        ev.note_finding(
+            &GraphFinding::Deadlock {
+                threads: vec![1, 2],
+                sites: vec![10, 11],
+            },
+            "",
+        );
         let alerts = ev.alerts();
         let a = alerts.last().unwrap();
         assert_eq!(a.name, "waitgraph-deadlock");

@@ -1,12 +1,18 @@
-//! Bounded waits-for graph over registered lock sites.
+//! The per-thread occupancy table and its one detector: stalls,
+//! waits-for cycles and H-bound inversions.
 //!
-//! Each thread owns a fixed slot (indexed by [`thread_tag`], same
-//! scheme as the watchdog's progress registry) recording *which site it
-//! is waiting on* and *which sites it currently holds*. The publishing
-//! side is the lock protocol's existing hold-observer transitions —
-//! two or three relaxed stores per acquire into a slot only that thread
-//! writes, on a cache line of its own, with the transition's timestamp
-//! passed in — so it is safe to leave always-on under `obs`.
+//! Each thread owns a fixed slot (indexed by [`thread_tag`]) on a cache
+//! line of its own, and publishes every lock-protocol transition there
+//! with the transition's timestamp passed in — no locks, no RMW, no
+//! clock read of its own, so it is safe to leave always-on under `obs`.
+//! The slot holds the thread's phase (idle / waiting / holding) with the
+//! time it entered it, its progress epoch (completed critical sections),
+//! the site it waits on and the sites it holds. A wait publishes two
+//! relaxed stores (phase word, waited-on site), a win one (phase word)
+//! plus a held-slot store, a release three (epoch, phase word, held
+//! slot), an abandoned wait one (phase word). A lock without a profiler
+//! site ([`INVALID_SITE`], the static `Clof<L, H>`) publishes the phase
+//! and epoch only: it is seen by the stall check but adds no edge.
 //!
 //! [`WaitTable::analyze`] samples the table and reports:
 //!
@@ -23,17 +29,22 @@
 //!   baseline: the first [`WaitTable::analyze`] that sees a wait notes
 //!   the count, later ones report against it. The waiter itself never
 //!   reads a line the lock's owner writes.
+//! * **Stall** — a thread waiting longer than a threshold, with who
+//!   holds and how many wait. A thread already named by a deadlock or
+//!   inversion of the same pass gets no stall: that finding explains
+//!   it, so one stuck thread is one finding.
 //!
-//! Findings carry stable dedup keys; [`FindingDedup`] suppresses
-//! repeats across polls, and the SLO evaluator folds findings into
-//! `/alerts` (deduplicated against plain watchdog stalls, so one stuck
-//! site fires one alert).
+//! Findings carry stable dedup keys; `FindingDedup` suppresses
+//! repeats across polls, and the [`Watchdog`](crate::Watchdog) polls
+//! this table in the background and feeds each fresh finding to the SLO
+//! evaluator's `/alerts`.
 //!
 //! [`thread_tag`]: crate::thread_tag
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::counters::bump;
 use crate::export::json_escape;
 use crate::registry::INVALID_SITE;
 use crate::{now_ns, profile, registry};
@@ -48,15 +59,43 @@ pub const MAX_GRAPH_THREADS: usize = 512;
 /// edges can only hide a cycle, not invent one).
 pub const MAX_HELD_SITES: usize = 4;
 
-/// One thread's occupancy slot. `waiting_site`/`held` store `site + 1`
-/// (0 = empty). Single-writer: only the owning thread stores, and
-/// consecutive tags belong to different threads, so each slot gets its
-/// own line.
+// Phase 0 (idle) is implicit: an idle store writes just the timestamp.
+const PHASE_WAITING: u64 = 1;
+const PHASE_HOLDING: u64 = 2;
+
+/// A thread's current lock-protocol phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Outside the lock.
+    Idle,
+    /// Between acquire-entry and acquire-return.
+    Waiting,
+    /// Between acquire-return and release.
+    Holding,
+}
+
+impl Phase {
+    fn of(state: u64) -> Self {
+        match state & 0x3 {
+            PHASE_WAITING => Phase::Waiting,
+            PHASE_HOLDING => Phase::Holding,
+            _ => Phase::Idle,
+        }
+    }
+}
+
+/// One thread's occupancy slot. `state` packs `since_ns << 2 | phase`;
+/// `epoch` counts completed critical sections; `waiting_site` is the
+/// waited-on site, meaningful only while the phase is waiting; `held`
+/// stores `site + 1` (0 = empty). Single-writer: only the owning thread
+/// stores, and consecutive tags belong to different threads, so each
+/// slot gets its own line.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 struct ThreadCell {
+    state: AtomicU64,
+    epoch: AtomicU64,
     waiting_site: AtomicU32,
-    wait_since: AtomicU64,
     held: [AtomicU32; MAX_HELD_SITES],
 }
 
@@ -69,6 +108,14 @@ struct Baseline {
     site: u32,
     since: u64,
     passes: u64,
+}
+
+/// One waiting thread as [`WaitTable::analyze`] sampled it.
+struct Waiter {
+    thread: u32,
+    site: u32,
+    since: u64,
+    epoch: u64,
 }
 
 /// Fixed-slot table of per-thread lock occupancy.
@@ -100,23 +147,23 @@ impl WaitTable {
     /// Thread `thread` started waiting on `site` at `now`.
     #[inline]
     pub fn wait_at(&self, thread: u32, site: u32, now: u64) {
-        if site == INVALID_SITE {
-            return;
-        }
         if let Some(cell) = self.cell(thread) {
-            cell.wait_since.store(now, Ordering::Relaxed);
-            cell.waiting_site.store(site + 1, Ordering::Relaxed);
+            cell.waiting_site.store(site, Ordering::Relaxed);
+            cell.state
+                .store((now << 2) | PHASE_WAITING, Ordering::Relaxed);
         }
     }
 
-    /// Thread `thread` acquired `site`: no longer waiting, now holding.
+    /// Thread `thread` acquired `site` at `now`: no longer waiting, now
+    /// holding.
     #[inline]
-    pub fn acquired(&self, thread: u32, site: u32) {
-        if site == INVALID_SITE {
-            return;
-        }
+    pub fn acquired(&self, thread: u32, site: u32, now: u64) {
         if let Some(cell) = self.cell(thread) {
-            cell.waiting_site.store(0, Ordering::Relaxed);
+            cell.state
+                .store((now << 2) | PHASE_HOLDING, Ordering::Relaxed);
+            if site == INVALID_SITE {
+                return;
+            }
             for slot in &cell.held {
                 if slot.load(Ordering::Relaxed) == 0 {
                     slot.store(site + 1, Ordering::Relaxed);
@@ -126,27 +173,27 @@ impl WaitTable {
         }
     }
 
-    /// Thread `thread` stopped waiting on `site` *without* acquiring it
-    /// (deadline abandonment): the wait edge is cleared and nothing is
-    /// added to the held set. Without this, a timed-out waiter would
-    /// look permanently blocked to the cycle/stall analyzer.
+    /// Thread `thread` stopped waiting at `now` *without* acquiring
+    /// (deadline abandonment): it goes idle, its epoch stays, and
+    /// nothing joins the held set. Without this, a timed-out waiter
+    /// would look permanently blocked to [`analyze`](Self::analyze).
     #[inline]
-    pub fn wait_cancelled(&self, thread: u32, site: u32) {
-        if site == INVALID_SITE {
-            return;
-        }
+    pub fn wait_cancelled(&self, thread: u32, now: u64) {
         if let Some(cell) = self.cell(thread) {
-            cell.waiting_site.store(0, Ordering::Relaxed);
+            cell.state.store(now << 2, Ordering::Relaxed);
         }
     }
 
-    /// Thread `thread` released `site`.
+    /// Thread `thread` released `site` at `now`: it goes idle and its
+    /// progress epoch advances.
     #[inline]
-    pub fn released(&self, thread: u32, site: u32) {
-        if site == INVALID_SITE {
-            return;
-        }
+    pub fn released(&self, thread: u32, site: u32, now: u64) {
         if let Some(cell) = self.cell(thread) {
+            bump(&cell.epoch, 1);
+            cell.state.store(now << 2, Ordering::Relaxed);
+            if site == INVALID_SITE {
+                return;
+            }
             // Innermost-first: clear the last matching slot.
             for slot in cell.held.iter().rev() {
                 if slot.load(Ordering::Relaxed) == site + 1 {
@@ -157,32 +204,42 @@ impl WaitTable {
         }
     }
 
+    /// Thread `thread`'s current phase (`Idle` for tags outside the
+    /// table).
+    pub fn phase(&self, thread: u32) -> Phase {
+        self.cell(thread)
+            .map_or(Phase::Idle, |c| Phase::of(c.state.load(Ordering::Relaxed)))
+    }
+
     /// Overwrites a thread slot with synthetic occupancy — the test/CI
     /// injection point (`clof profile --inject-deadlock` builds its
-    /// 2-cycle here instead of actually deadlocking the process). An
-    /// injected wait comes with its inversion baseline already taken —
-    /// the site's *current* pass count — so advancing the count
-    /// afterwards via [`profile::ContentionProfile::inject_passes`]
-    /// stages an inversion the very next [`analyze`](Self::analyze)
-    /// reports.
+    /// 2-cycle here instead of actually deadlocking the process). The
+    /// thread is waiting from now if `waiting_on` is given, else holding
+    /// if `held` is non-empty, else idle. An injected wait comes with
+    /// its inversion baseline already taken — the site's *current* pass
+    /// count — so advancing the count afterwards via
+    /// [`profile::ContentionProfile::inject_passes`] stages an inversion
+    /// the very next [`analyze`](Self::analyze) reports.
     pub fn inject(&self, thread: u32, held: &[u32], waiting_on: Option<u32>) {
         if let Some(cell) = self.cell(thread) {
             for (i, slot) in cell.held.iter().enumerate() {
-                slot.store(
-                    held.get(i).map_or(0, |s| s + 1),
-                    Ordering::Relaxed,
-                );
+                slot.store(held.get(i).map_or(0, |s| s + 1), Ordering::Relaxed);
             }
-            let baseline = waiting_on.map(|site| Baseline {
+            let now = now_ns();
+            let state = match waiting_on {
+                Some(site) => {
+                    cell.waiting_site.store(site, Ordering::Relaxed);
+                    (now << 2) | PHASE_WAITING
+                }
+                None if !held.is_empty() => (now << 2) | PHASE_HOLDING,
+                None => 0,
+            };
+            cell.state.store(state, Ordering::Relaxed);
+            self.baselines()[thread as usize] = waiting_on.map(|site| Baseline {
                 site,
-                since: now_ns(),
+                since: now,
                 passes: profile::global().passes(site),
             });
-            cell.wait_since
-                .store(baseline.map_or(0, |b| b.since), Ordering::Relaxed);
-            cell.waiting_site
-                .store(waiting_on.map_or(0, |s| s + 1), Ordering::Relaxed);
-            self.baselines()[thread as usize] = baseline;
         }
     }
 
@@ -195,61 +252,67 @@ impl WaitTable {
         self.inject(thread, &[], None);
     }
 
-    /// Clears every slot (between runs).
-    pub fn reset(&self) {
-        for t in 0..self.cells.len() {
-            self.clear_thread(t as u32);
-        }
-    }
-
-    /// Samples the table and reports cycles (deadlock) and waiters
-    /// starved past `h_bound` hand-offs (inversion). A wait seen for the
-    /// first time only gets its inversion baseline taken; it can be
-    /// reported from the second sighting on.
-    pub fn analyze(&self, h_bound: u64) -> GraphReport {
+    /// Samples the table and reports cycles (deadlock), waiters starved
+    /// past `h_bound` hand-offs (inversion) and waiters older than
+    /// `stall_ns` that neither explains (stall); `u64::MAX` turns either
+    /// bound off. A wait seen for the first time only gets its
+    /// inversion baseline taken; it can be reported from the second
+    /// sighting on.
+    pub fn analyze(&self, h_bound: u64, stall_ns: u64) -> GraphReport {
         let now = now_ns();
-        // (thread, waiting site, since)
-        let mut waiters: Vec<(u32, u32, u64)> = Vec::new();
+        let mut waiters: Vec<Waiter> = Vec::new();
+        // (thread, held for ns) of every thread in its critical section.
+        let mut holders: Vec<(u32, u64)> = Vec::new();
         // (thread, held site)
         let mut holds: Vec<(u32, u32)> = Vec::new();
         let mut baselines = self.baselines();
         for (tag, cell) in self.cells.iter().enumerate() {
-            let w = cell.waiting_site.load(Ordering::Relaxed);
-            if w != 0 {
-                waiters.push((tag as u32, w - 1, cell.wait_since.load(Ordering::Relaxed)));
-            } else {
-                // Served or abandoned: the wait's baseline goes with it.
+            let thread = tag as u32;
+            let state = cell.state.load(Ordering::Relaxed);
+            let since = state >> 2;
+            let mut site = INVALID_SITE;
+            match Phase::of(state) {
+                Phase::Waiting => {
+                    site = cell.waiting_site.load(Ordering::Relaxed);
+                    waiters.push(Waiter {
+                        thread,
+                        site,
+                        since,
+                        epoch: cell.epoch.load(Ordering::Relaxed),
+                    });
+                }
+                Phase::Holding => holders.push((thread, now.saturating_sub(since))),
+                Phase::Idle => {}
+            }
+            if site == INVALID_SITE {
+                // Served, abandoned or siteless: any baseline goes.
                 baselines[tag] = None;
             }
             for slot in &cell.held {
                 let h = slot.load(Ordering::Relaxed);
                 if h != 0 {
-                    holds.push((tag as u32, h - 1));
+                    holds.push((thread, h - 1));
                 }
             }
         }
+        let sited = || waiters.iter().filter(|w| w.site != INVALID_SITE);
 
         // Thread-level waits-for edges: waiter -> each holder of its
         // site, annotated with the site.
         let mut edges: Vec<(u32, u32, u32)> = Vec::new();
-        for &(t, site, _) in &waiters {
+        for w in sited() {
             for &(h, held) in &holds {
-                if held == site && h != t {
-                    edges.push((t, site, h));
+                if held == w.site && h != w.thread {
+                    edges.push((w.thread, w.site, h));
                 }
             }
         }
 
         let mut findings = Vec::new();
         for cycle in find_cycles(&edges) {
-            let mut sites: Vec<u32> = cycle
-                .iter()
-                .filter_map(|t| {
-                    waiters
-                        .iter()
-                        .find(|(w, _, _)| w == t)
-                        .map(|&(_, s, _)| s)
-                })
+            let mut sites: Vec<u32> = sited()
+                .filter(|w| cycle.contains(&w.thread))
+                .map(|w| w.site)
                 .collect();
             sites.sort_unstable();
             sites.dedup();
@@ -259,22 +322,42 @@ impl WaitTable {
             });
         }
 
-        for &(t, site, since) in &waiters {
-            let passes = profile::global().passes(site);
-            let seen = baselines[t as usize].filter(|b| (b.site, b.since) == (site, since));
-            let base = seen.unwrap_or(Baseline { site, since, passes });
-            baselines[t as usize] = Some(base);
+        for w in sited() {
+            let passes = profile::global().passes(w.site);
+            let slot = &mut baselines[w.thread as usize];
+            let seen = slot.filter(|b| (b.site, b.since) == (w.site, w.since));
+            let base = *slot.insert(seen.unwrap_or(Baseline {
+                site: w.site,
+                since: w.since,
+                passes,
+            }));
             let handoffs = passes.saturating_sub(base.passes);
             if handoffs > h_bound {
                 findings.push(GraphFinding::Inversion {
-                    thread: t,
-                    site,
+                    thread: w.thread,
+                    site: w.site,
                     handoffs,
                     h_bound,
-                    waited_ns: now.saturating_sub(since),
+                    waited_ns: now.saturating_sub(w.since),
                 });
             }
         }
+
+        // A stall is the fact of last resort: a thread the graph
+        // already explains is not reported twice.
+        let explained: Vec<u32> = findings.iter().flat_map(GraphFinding::threads).collect();
+        let mut stalled: Vec<&Waiter> = waiters
+            .iter()
+            .filter(|w| now.saturating_sub(w.since) > stall_ns && !explained.contains(&w.thread))
+            .collect();
+        stalled.sort_by_key(|w| w.since); // longest wait first
+        findings.extend(stalled.into_iter().map(|w| GraphFinding::Stall {
+            thread: w.thread,
+            waited_ns: now.saturating_sub(w.since),
+            epoch: w.epoch,
+            holders: holders.clone(),
+            waiting: waiters.len(),
+        }));
 
         GraphReport {
             threads_waiting: waiters.len(),
@@ -362,14 +445,31 @@ pub enum GraphFinding {
         /// How long it has been waiting (ns).
         waited_ns: u64,
     },
+    /// A waiter past the stall threshold that no deadlock or inversion
+    /// explains.
+    Stall {
+        /// The stalled thread.
+        thread: u32,
+        /// How long it has been waiting (ns).
+        waited_ns: u64,
+        /// Its progress epoch (critical sections completed before
+        /// stalling).
+        epoch: u64,
+        /// Threads currently holding, with how long they have held (ns)
+        /// — a long-held lock and a stalled waiter are different bugs.
+        holders: Vec<(u32, u64)>,
+        /// Total threads currently waiting.
+        waiting: usize,
+    },
 }
 
 impl GraphFinding {
-    /// `"deadlock"` or `"inversion"`.
+    /// `"deadlock"`, `"inversion"` or `"stall"`.
     pub fn kind(&self) -> &'static str {
         match self {
             GraphFinding::Deadlock { .. } => "deadlock",
             GraphFinding::Inversion { .. } => "inversion",
+            GraphFinding::Stall { .. } => "stall",
         }
     }
 
@@ -377,13 +477,17 @@ impl GraphFinding {
     pub fn threads(&self) -> Vec<u32> {
         match self {
             GraphFinding::Deadlock { threads, .. } => threads.clone(),
-            GraphFinding::Inversion { thread, .. } => vec![*thread],
+            GraphFinding::Inversion { thread, .. } | GraphFinding::Stall { thread, .. } => {
+                vec![*thread]
+            }
         }
     }
 
     /// A stable dedup key: kind + the implicated thread/site identity,
     /// *not* the evolving measurements — repeated polls of one ongoing
-    /// finding produce one key.
+    /// finding produce one key. A stall is keyed by its epoch: a thread
+    /// that completes a critical section and stalls again is a new
+    /// incident.
     pub fn key(&self) -> String {
         match self {
             GraphFinding::Deadlock { threads, sites } => {
@@ -392,6 +496,7 @@ impl GraphFinding {
             GraphFinding::Inversion { thread, site, .. } => {
                 format!("inversion:t{thread}:s{site}")
             }
+            GraphFinding::Stall { thread, epoch, .. } => format!("stall:t{thread}:e{epoch}"),
         }
     }
 
@@ -406,8 +511,7 @@ impl GraphFinding {
     pub fn detail(&self) -> String {
         match self {
             GraphFinding::Deadlock { threads, sites } => {
-                let labels: Vec<String> =
-                    sites.iter().map(|&s| Self::site_label(s)).collect();
+                let labels: Vec<String> = sites.iter().map(|&s| Self::site_label(s)).collect();
                 format!(
                     "waits-for cycle: threads {threads:?} over sites {} ({sites:?})",
                     labels.join(", ")
@@ -425,6 +529,28 @@ impl GraphFinding {
                 Self::site_label(*site),
                 *waited_ns as f64 / 1e6,
             ),
+            GraphFinding::Stall {
+                thread,
+                waited_ns,
+                epoch,
+                holders,
+                waiting,
+            } => {
+                let holders: Vec<String> = holders
+                    .iter()
+                    .map(|(t, held)| format!("thread {t} ({:.1} ms)", *held as f64 / 1e6))
+                    .collect();
+                format!(
+                    "stall: thread {thread} waiting {:.1} ms (epoch {epoch}); \
+                     {waiting} waiting total; holders: {}",
+                    *waited_ns as f64 / 1e6,
+                    if holders.is_empty() {
+                        "none".to_string()
+                    } else {
+                        holders.join(", ")
+                    },
+                )
+            }
         }
     }
 
@@ -453,6 +579,25 @@ impl GraphFinding {
                  \"detail\":\"{}\"}}",
                 json_escape(&self.detail())
             ),
+            GraphFinding::Stall {
+                thread,
+                waited_ns,
+                epoch,
+                holders,
+                waiting,
+            } => {
+                let h: Vec<String> = holders
+                    .iter()
+                    .map(|(t, ns)| format!("[{t},{ns}]"))
+                    .collect();
+                format!(
+                    "{{\"kind\":\"stall\",\"thread\":{thread},\"waited_ns\":{waited_ns},\
+                     \"epoch\":{epoch},\"waiting\":{waiting},\"holders\":[{}],\
+                     \"detail\":\"{}\"}}",
+                    h.join(","),
+                    json_escape(&self.detail())
+                )
+            }
         }
     }
 }
@@ -466,7 +611,8 @@ pub struct GraphReport {
     pub holds: usize,
     /// Waits-for edges built.
     pub edges: usize,
-    /// Deadlock / inversion findings, deadlocks first.
+    /// Findings: deadlocks, then inversions, then stalls (longest
+    /// first).
     pub findings: Vec<GraphFinding>,
 }
 
@@ -481,7 +627,7 @@ impl GraphReport {
 /// whose key disappears and later reappears is reported again (it is a
 /// new incident).
 #[derive(Debug, Default)]
-pub struct FindingDedup {
+pub(crate) struct FindingDedup {
     seen: Vec<String>,
 }
 
@@ -515,7 +661,7 @@ mod tests {
         // Threads 1 and 2, sites 10 and 11: classic 2-cycle.
         table.inject(1, &[10], Some(11));
         table.inject(2, &[11], Some(10));
-        let report = table.analyze(u64::MAX);
+        let report = table.analyze(u64::MAX, u64::MAX);
         assert_eq!(report.threads_waiting, 2);
         assert_eq!(report.edges, 2);
         let deadlocks: Vec<_> = report
@@ -538,7 +684,7 @@ mod tests {
         let table = WaitTable::new();
         table.inject(1, &[], Some(10));
         table.inject(2, &[10], None);
-        let report = table.analyze(u64::MAX);
+        let report = table.analyze(u64::MAX, u64::MAX);
         assert_eq!(report.edges, 1);
         assert!(report.is_clean(), "{:?}", report.findings);
     }
@@ -551,7 +697,7 @@ mod tests {
         let table = WaitTable::new();
         table.inject(3, &[], Some(site));
         profile::global().inject_passes(site, 5);
-        let report = table.analyze(4);
+        let report = table.analyze(4, u64::MAX);
         let inv: Vec<_> = report
             .findings
             .iter()
@@ -574,7 +720,7 @@ mod tests {
             other => panic!("expected inversion, got {other:?}"),
         }
         // At the bound is fine; only past it fires.
-        assert!(table.analyze(5).is_clean());
+        assert!(table.analyze(5, u64::MAX).is_clean());
         let detail = inv[0].detail();
         assert!(detail.contains("wg-inv"), "{detail}");
     }
@@ -582,17 +728,23 @@ mod tests {
     #[test]
     fn protocol_transitions_build_and_tear_down_edges() {
         let table = WaitTable::new();
-        table.acquired(7, 42);
+        table.acquired(7, 42, now_ns());
         table.wait_at(8, 42, now_ns());
-        let report = table.analyze(u64::MAX);
+        let report = table.analyze(u64::MAX, u64::MAX);
         assert_eq!(report.edges, 1);
-        table.released(7, 42);
-        table.acquired(8, 42);
-        let report = table.analyze(u64::MAX);
+        table.released(7, 42, now_ns());
+        table.acquired(8, 42, now_ns());
+        let report = table.analyze(u64::MAX, u64::MAX);
         assert_eq!(report.edges, 0);
         assert_eq!(report.threads_waiting, 0);
-        table.released(8, 42);
-        assert_eq!(table.analyze(u64::MAX).holds, 0);
+        table.released(8, 42, now_ns());
+        assert_eq!(table.analyze(u64::MAX, u64::MAX).holds, 0);
+        assert_eq!(table.phase(8), Phase::Idle);
+        assert_eq!(table.cells[8].epoch.load(Ordering::Relaxed), 1);
+        // Tags past the table are not tracked, never an out-of-bounds.
+        table.wait_at(MAX_GRAPH_THREADS as u32, 42, now_ns());
+        assert_eq!(table.phase(MAX_GRAPH_THREADS as u32), Phase::Idle);
+        assert_eq!(table.analyze(u64::MAX, 0).threads_waiting, 0);
     }
 
     #[test]
@@ -603,29 +755,152 @@ mod tests {
         // Passes before anyone looked do not count against the waiter.
         table.wait_at(5, site, 1000);
         profile::global().inject_passes(site, 10);
-        assert!(table.analyze(4).is_clean(), "first sighting only takes the baseline");
-        profile::global().inject_passes(site, 4);
-        assert!(table.analyze(4).is_clean(), "at the bound");
-        profile::global().inject_passes(site, 1);
-        let report = table.analyze(4);
         assert!(
-            matches!(report.findings[..], [GraphFinding::Inversion { thread: 5, handoffs: 5, .. }]),
+            table.analyze(4, u64::MAX).is_clean(),
+            "first sighting only takes the baseline"
+        );
+        profile::global().inject_passes(site, 4);
+        assert!(table.analyze(4, u64::MAX).is_clean(), "at the bound");
+        profile::global().inject_passes(site, 1);
+        let report = table.analyze(4, u64::MAX);
+        assert!(
+            matches!(
+                report.findings[..],
+                [GraphFinding::Inversion {
+                    thread: 5,
+                    handoffs: 5,
+                    ..
+                }]
+            ),
             "{:?}",
             report.findings
         );
         // The wait is abandoned; an observer sees the idle slot and
         // forgets the baseline, so a later wait on the same site starts
         // from scratch however far the clock ran in between.
-        table.wait_cancelled(5, site);
-        assert!(table.analyze(4).is_clean());
+        table.wait_cancelled(5, now_ns());
+        assert!(table.analyze(4, u64::MAX).is_clean());
         profile::global().inject_passes(site, 100);
         table.wait_at(5, site, 2000);
-        assert!(table.analyze(4).is_clean());
+        assert!(table.analyze(4, u64::MAX).is_clean());
         // Even unobserved, a new wait never inherits an old baseline:
         // it is a different (site, since).
         table.wait_at(5, site, 3000);
         profile::global().inject_passes(site, 100);
-        assert!(table.analyze(4).is_clean());
+        assert!(table.analyze(4, u64::MAX).is_clean());
+    }
+
+    #[test]
+    fn a_waiter_past_stall_ns_is_a_stall_with_its_holders() {
+        let table = WaitTable::new();
+        table.wait_at(3, 42, now_ns());
+        table.acquired(7, 42, now_ns());
+        // Ensure measurable elapsed time on coarse clocks.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(
+            table.analyze(u64::MAX, u64::MAX).is_clean(),
+            "generous threshold"
+        );
+        let report = table.analyze(u64::MAX, 1);
+        match &report.findings[..] {
+            [GraphFinding::Stall {
+                thread: 3,
+                waited_ns,
+                epoch: 0,
+                holders,
+                waiting: 1,
+            }] => {
+                assert!(*waited_ns > 1_000_000, "{waited_ns}");
+                assert_eq!(holders.len(), 1);
+                assert_eq!(holders[0].0, 7);
+            }
+            other => panic!("expected one stall, got {other:?}"),
+        }
+        let line = report.findings[0].detail();
+        assert!(line.contains("stall: thread 3"), "{line}");
+        assert!(line.contains("holders: thread 7"), "{line}");
+    }
+
+    /// The static `Clof<L, H>` has no profiler site: its waiters are
+    /// seen by the stall check but build no waits-for edge.
+    #[test]
+    fn a_siteless_waiter_stalls_without_an_edge() {
+        let table = WaitTable::new();
+        table.acquired(1, INVALID_SITE, now_ns());
+        table.wait_at(2, INVALID_SITE, now_ns());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let report = table.analyze(0, 1);
+        assert_eq!(
+            (report.edges, report.holds, report.threads_waiting),
+            (0, 0, 1)
+        );
+        assert!(
+            matches!(report.findings[..], [GraphFinding::Stall { thread: 2, .. }]),
+            "{:?}",
+            report.findings
+        );
+    }
+
+    #[test]
+    fn an_abandoned_or_served_wait_is_not_a_stall() {
+        let table = WaitTable::new();
+        table.wait_at(2, INVALID_SITE, 1);
+        table.wait_cancelled(2, now_ns());
+        table.wait_at(3, 42, 1);
+        table.acquired(3, 42, now_ns());
+        table.released(3, 42, now_ns());
+        let report = table.analyze(0, 0);
+        assert!(report.is_clean(), "{:?}", report.findings);
+        assert_eq!(report.threads_waiting, 0);
+        assert_eq!(
+            table.cells[2].epoch.load(Ordering::Relaxed),
+            0,
+            "no section completed"
+        );
+        assert_eq!(table.cells[3].epoch.load(Ordering::Relaxed), 1);
+    }
+
+    /// One stuck thread, one finding: a waiter that is both past the
+    /// stall threshold and on a waits-for cycle is reported as the
+    /// deadlock (which explains it), and as nothing else.
+    #[test]
+    fn a_stalled_thread_on_a_cycle_is_one_finding() {
+        let table = WaitTable::new();
+        table.inject(1, &[10], Some(11));
+        table.inject(2, &[11], Some(10));
+        table.wait_at(3, INVALID_SITE, now_ns());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let report = table.analyze(u64::MAX, 1);
+        let kinds: Vec<(&str, Vec<u32>)> = report
+            .findings
+            .iter()
+            .map(|f| (f.kind(), f.threads()))
+            .collect();
+        assert_eq!(kinds, vec![("deadlock", vec![1, 2]), ("stall", vec![3])]);
+        let GraphFinding::Stall { waiting, .. } = &report.findings[1] else {
+            unreachable!()
+        };
+        assert_eq!(*waiting, 3, "absorbed waiters still count as waiting");
+    }
+
+    #[test]
+    fn exited_threads_return_their_tags() {
+        // Other tests of this binary hold a few tags of their own — far
+        // fewer than the table, which is all the bound has to show.
+        let spawned = 2 * MAX_GRAPH_THREADS;
+        for i in 0..spawned {
+            let (tag, seen) = std::thread::spawn(|| {
+                let tag = crate::thread_tag();
+                global().wait_at(tag, INVALID_SITE, now_ns());
+                let seen = global().phase(tag) == Phase::Waiting;
+                global().wait_cancelled(tag, now_ns());
+                (tag, seen)
+            })
+            .join()
+            .unwrap();
+            assert!(tag < 128, "thread {i} of {spawned} got tag {tag}");
+            assert!(seen, "thread {i} (tag {tag}) is invisible to the table");
+        }
     }
 
     #[test]
@@ -663,5 +938,16 @@ mod tests {
         assert!(j.contains("\"kind\":\"deadlock\""));
         assert!(j.contains("\"threads\":[1,2]"));
         assert!(j.contains("\"sites\":[3]"));
+        let s = GraphFinding::Stall {
+            thread: 4,
+            waited_ns: 5,
+            epoch: 6,
+            holders: vec![(7, 8)],
+            waiting: 1,
+        };
+        let j = s.to_json();
+        assert!(j.contains("\"kind\":\"stall\""), "{j}");
+        assert!(j.contains("\"holders\":[[7,8]]"), "{j}");
+        assert_eq!(s.key(), "stall:t4:e6");
     }
 }

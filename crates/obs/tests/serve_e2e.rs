@@ -1,15 +1,15 @@
 //! End-to-end scrape tests for the telemetry server: a real TCP client
 //! against an ephemeral-port server, checking that /metrics and
-//! /snapshot render the same counters, that /health flips on a
-//! watchdog stall report, and that the server accounts for its own
+//! /snapshot render the same counters, that /health flips on a stall
+//! finding, and that the server accounts for its own
 //! scrape cost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clof_obs::{
-    default_rules, http_get, serve, LevelSnapshot, LockSnapshot, LogHistogram, ServeConfig,
-    StallReport,
+    default_rules, http_get, serve, GraphFinding, LevelSnapshot, LockSnapshot, LogHistogram,
+    ServeConfig,
 };
 
 /// A snapshot source backed by one shared counter, so the test can
@@ -110,20 +110,22 @@ fn health_flips_on_stall_and_scrapes_are_self_accounted() {
     let (s, body) = http_get(server.addr(), "/health").expect("healthy scrape");
     assert_eq!((s, body.as_str()), (200, "ok\n"));
 
-    // A watchdog stall report must flip /health to 503 and surface on
-    // /alerts as the liveness pseudo-rule.
-    server.note_stall(&StallReport {
-        thread: 11,
-        waited_ns: 750_000_000,
-        epoch: 3,
-        holders: vec![(2, 750_000_000)],
-        waiting: 4,
-        context: "e2e stall".into(),
-    });
+    // A stall finding must flip /health to 503 and surface on /alerts
+    // as its pseudo-rule, with the watchdog's diagnostic context.
+    server.note_finding(
+        &GraphFinding::Stall {
+            thread: 11,
+            waited_ns: 750_000_000,
+            epoch: 3,
+            holders: vec![(2, 750_000_000)],
+            waiting: 4,
+        },
+        "e2e stall",
+    );
     let (s, body) = http_get(server.addr(), "/health").expect("stalled scrape");
     assert_eq!((s, body.as_str()), (503, "stalled\n"));
     let (_, alerts) = http_get(server.addr(), "/alerts").expect("alerts scrape");
-    assert!(alerts.contains("progress-stall"), "{alerts}");
+    assert!(alerts.contains("waitgraph-stall"), "{alerts}");
     assert!(alerts.contains("e2e stall"), "{alerts}");
 
     // Every hit so far is visible in the server's own accounting: the

@@ -3,7 +3,7 @@
 //! then counters, latency distributions, the trace analysis, all three
 //! export formats, a Perfetto-loadable trace file, the contention
 //! profiler (site registry, wait/hold attribution, folded stacks, and
-//! the waits-for graph verdict), the starvation watchdog catching a
+//! the waits-for graph verdict), the stuck-thread watchdog catching a
 //! deliberately hogged lock, and finally the telemetry server scraping
 //! its own endpoints over a real socket.
 //!
@@ -169,7 +169,7 @@ fn main() {
     for line in render_folded(&prof).lines().take(6) {
         println!("    {line}");
     }
-    let report = waitgraph::global().analyze(u64::MAX);
+    let report = waitgraph::global().analyze(u64::MAX, u64::MAX);
     println!(
         "  waits-for graph: {} waiting, {} findings — {}",
         report.threads_waiting,
@@ -182,10 +182,11 @@ fn main() {
     // Finally the watchdog: hog the lock from the main thread while a
     // contender waits, and let the monitor flag the stall (with the
     // lock's own queue hints as diagnostic context).
-    println!("=== starvation watchdog ===");
+    println!("=== stuck-thread watchdog ===");
     let watchdog = Watchdog::new(WatchdogConfig {
         stall_ns: 50_000_000, // 50 ms is "starved" for a demo
         poll: Duration::from_millis(10),
+        ..WatchdogConfig::default()
     })
     .with_diag({
         let lock = Arc::clone(&lock);
@@ -198,7 +199,7 @@ fn main() {
             format!("queued waiters by level [{}]", hints.join(" "))
         }
     })
-    .spawn(|report| println!("  {report}"));
+    .spawn(|finding, context| println!("  {}; {context}", finding.detail()));
 
     let mut holder = lock.handle(0);
     holder.acquire();
@@ -213,14 +214,14 @@ fn main() {
     // Hold until the watchdog fires (bounded, so a broken watchdog
     // cannot hang the demo).
     let deadline = Instant::now() + Duration::from_secs(5);
-    while watchdog.stalls() == 0 && Instant::now() < deadline {
+    while watchdog.findings() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
     holder.release();
     contender.join().unwrap();
-    let stalls = watchdog.stop();
-    println!("  watchdog flagged {stalls} stall report(s) while the lock was hogged");
-    assert!(stalls >= 1, "watchdog missed a 50ms+ stall");
+    let findings = watchdog.stop();
+    println!("  watchdog flagged {findings} finding(s) while the lock was hogged");
+    assert!(findings >= 1, "watchdog missed a 50ms+ stall");
     println!();
 
     // The serving layer: the same snapshot the exports above rendered,

@@ -2,8 +2,9 @@
 # Offline CI gate for the CLoF workspace.
 #
 # Runs, in order:
-#   1. tier-1: `cargo build --release && cargo test -q` (root package;
-#      includes the level-step mutant-kill, `tests/step_mutant.rs`);
+#   1. tier-1: `cargo build --release && cargo test -q` (the default
+#      members: the root package, including the level-step mutant-kill
+#      `tests/step_mutant.rs`, and clof-ffi's C-ABI suite);
 #   2. the clof-testkit unit suite (property engine + oracle self-tests),
 #      then a structural check that the paper's level step is spelled
 #      once: each protocol primitive of `LevelMeta` has at most one
@@ -55,9 +56,8 @@
 #      dependency graph enables the `park` feature nowhere;
 #   8. the per-crate suites and the deadline phase (deadlines are part
 #      of every build): the locks/core/kvstore suites that carry the
-#      deadline unit tests (testkit's ran in phase 2) and the clof-ffi
-#      C-ABI suite (create/acquire/release/destroy, bad inputs, mutual
-#      exclusion through the ABI), a `clof deadline --once` smoke against
+#      deadline unit tests (testkit's ran in phase 2), a `clof deadline
+#      --once` smoke against
 #      the default binary, and the timeout/abandonment oracle's park and
 #      adapt companion cells (the matrix itself and the
 #      deleted-abandoned-skip mutant-kill already ran in tier-1);
@@ -151,7 +151,7 @@ phase "waiting policy: oversubscription guard (8 threads, 2 CPUs)" \
 # Memory-layout assertions are `const _: () = assert!(...)` blocks in
 # clof-locks (CachePadded, lock-word padding), clof-core (LevelMeta
 # stripe/owner isolation) and — in the `obs` build — clof-obs (one
-# 128-byte line per watchdog `ProgressSlot` and waits-for `ThreadCell`,
+# 128-byte line per thread in the stuck-thread table's `ThreadCell`,
 # line-aligned telemetry `Shard`s and level cells): they fail these
 # *builds*, not a test run, so compiling the crates under every feature
 # mix is the whole check.
@@ -395,10 +395,8 @@ phase "park zero-cost dependency check" \
 # binary runs the demo as shipped. The 64-seed timeout/abandonment
 # oracle matrix and the deleted-abandoned-skip mutant-kill are tier-1
 # tests; here only their park and adapt companion cells are added.
-# clof-ffi's suite rides along: neither tier-1 (root package only) nor
-# any other phase runs it.
-phase "per-crate suites (locks/core/kvstore deadline tests, ffi C ABI)" \
-    cargo test -q -p clof-locks -p clof-core -p clof-kvstore -p clof-ffi
+phase "per-crate suites (locks/core/kvstore deadline tests)" \
+    cargo test -q -p clof-locks -p clof-core -p clof-kvstore
 phase "default clof binary build (deadline demo)" cargo build --release -p clof-bench
 phase "clof deadline --once smoke" \
     ./target/release/clof deadline --machine armv8 --levels 3 --once

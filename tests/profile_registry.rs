@@ -16,8 +16,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use clof::obs::watchdog::{self, Phase};
-use clof::obs::{registry, waitgraph, GraphFinding, LockSnapshot, SiteProfile};
+use clof::obs::{registry, waitgraph, GraphFinding, LockSnapshot, Phase, SiteProfile};
 use clof::{ClofParams, DynClofLock, FastClof, LockKind};
 use clof_testkit::strategies::build_regular;
 
@@ -195,11 +194,7 @@ fn contended_run_attributes_wait_and_hold_to_the_site() {
 /// longer: the phase is published on entry to the acquire, a few
 /// instructions before the thread is queued on the low lock.
 fn await_queued(tag: u32) {
-    while !watchdog::global()
-        .sample()
-        .iter()
-        .any(|p| p.thread == tag && p.phase == Phase::Waiting)
-    {
+    while waitgraph::global().phase(tag) != Phase::Waiting {
         std::thread::yield_now();
     }
     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -207,7 +202,7 @@ fn await_queued(tag: u32) {
 
 fn inversions_of(site: u32, h_bound: u64) -> Vec<(u32, u64)> {
     waitgraph::global()
-        .analyze(h_bound)
+        .analyze(h_bound, u64::MAX)
         .findings
         .iter()
         .filter_map(|f| match f {
