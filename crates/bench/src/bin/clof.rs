@@ -548,8 +548,9 @@ fn top(args: &[String]) -> Result<(), String> {
 
 /// Spawns the stuck-thread watchdog of `clof top`/`clof serve` over the
 /// global occupancy table: stalls past `stall_ms`, waits-for cycles and
-/// inversions past the lock's `threshold`, each fresh finding printed
-/// with the lock's per-level queue hints and handed to `also`.
+/// inversions past the lock's `threshold`, each finding printed once,
+/// when fresh, with the lock's per-level queue hints, and handed to
+/// `also` on every poll while it holds.
 #[cfg(feature = "obs")]
 fn spawn_watchdog(
     lock: &std::sync::Arc<clof::DynClofLock>,
@@ -572,8 +573,10 @@ fn spawn_watchdog(
             .collect();
         format!("queued waiters by level [{}]", hints.join(" "))
     })
-    .spawn(move |finding, context| {
-        eprintln!("{}; {context}", finding.detail());
+    .spawn(move |finding, context, fresh| {
+        if fresh {
+            eprintln!("{}; {context}", finding.detail());
+        }
         also(finding, context);
     })
 }
@@ -888,7 +891,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             }));
         }
 
-        // Findings fire `waitgraph-*` alerts, which flip /health.
+        // Findings fire `waitgraph-*` alerts, which flip /health and
+        // stay up while the finding holds.
         let finding_server = Arc::clone(&server);
         let watchdog = spawn_watchdog(&lock, stall_ms, interval_ms, threshold, move |f, ctx| {
             finding_server.note_finding(f, ctx);

@@ -41,8 +41,9 @@
 //!   cumulative snapshots into per-window rates ([`WindowRates`]) so
 //!   telemetry is usable mid-run.
 //! * [`watchdog`] — the background [`Watchdog`] polling the
-//!   [`waitgraph`] table and reporting each fresh stall, deadlock or
-//!   inversion once, with a diagnostic dump.
+//!   [`waitgraph`] table and handing every stall, deadlock or
+//!   inversion to one callback on each poll, flagged fresh the first
+//!   time, with a diagnostic dump.
 //! * [`policy`] — the online adaptation policy: a deterministic
 //!   [`HysteresisController`] that estimates offered concurrency from
 //!   [`WindowRates`] (Little's law) and decides when a different

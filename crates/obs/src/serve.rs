@@ -19,7 +19,8 @@
 //! | `/alerts`   | JSON array of [`AlertStatus`](crate::AlertStatus) from  |
 //! |             | the SLO evaluator                                       |
 //! | `/profile`  | JSON: the contention profiler's per-site wait/hold      |
-//! |             | attribution + the findings currently alerting           |
+//! |             | attribution + live waits-for cycles and the findings    |
+//! |             | currently alerting                                      |
 //! |             | ([`crate::profile::render_profile_json`]);              |
 //! |             | `?format=folded` returns bare folded stacks             |
 //!
@@ -379,11 +380,17 @@ fn route(path: &str, shared: &Arc<Shared>) -> (u16, &'static str, String) {
             if path_wants_folded {
                 (200, "text/plain", crate::profile::render_folded(&snap))
             } else {
-                let findings = shared
-                    .slo
-                    .lock()
-                    .map(|s| s.active_findings())
-                    .unwrap_or_default();
+                // Cycles need no bound, so they come live from the
+                // table (watchdog or not); stalls and inversions need
+                // the watchdog's bounds and come from what it fed in.
+                let mut findings = crate::waitgraph::global()
+                    .analyze(u64::MAX, u64::MAX)
+                    .findings;
+                for f in shared.slo.lock().map(|s| s.active_findings()).unwrap_or_default() {
+                    if !findings.iter().any(|g| g.key() == f.key()) {
+                        findings.push(f);
+                    }
+                }
                 (
                     200,
                     "application/json",
@@ -680,6 +687,44 @@ mod tests {
             assert!(!h.healthy());
             h.shutdown();
         }
+    }
+
+    /// A deadlock that is still there stays on `/profile`, `/alerts`
+    /// and `/health` past the alert hold time: the watchdog hands it
+    /// over on every poll, and `/profile` reads cycles live.
+    #[test]
+    fn an_ongoing_deadlock_outlives_the_alert_hold_time() {
+        let table = crate::waitgraph::global();
+        table.inject(507, &[9_001], Some(9_002));
+        table.inject(508, &[9_002], Some(9_001));
+        let h = Arc::new(start());
+        let (_, before) = http_get(h.addr(), "/profile").unwrap();
+        let watchdog = crate::Watchdog::new(crate::WatchdogConfig {
+            poll: Duration::from_millis(1),
+            ..crate::WatchdogConfig::default()
+        })
+        .spawn({
+            let h = Arc::clone(&h);
+            move |f, context, _| h.note_finding(f, context)
+        });
+        let mut sampler = crate::Sampler::new();
+        sampler.tick_at(0, test_snapshot());
+        let calm = sampler.tick_at(1_000_000_000, test_snapshot()).unwrap();
+        for _ in 0..=crate::slo::GRAPH_HOLD_TICKS {
+            std::thread::sleep(Duration::from_millis(5));
+            h.observe_window(&calm);
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        let (s, _) = http_get(h.addr(), "/health").unwrap();
+        let (_, alerts) = http_get(h.addr(), "/alerts").unwrap();
+        let (_, profile) = http_get(h.addr(), "/profile").unwrap();
+        drop(watchdog);
+        table.clear_thread(507);
+        table.clear_thread(508);
+        assert!(before.contains("\"threads\":[507,508]"), "no watchdog needed: {before}");
+        assert_eq!(s, 503);
+        assert!(alerts.contains("waitgraph-deadlock"), "{alerts}");
+        assert!(profile.contains("\"threads\":[507,508]"), "{profile}");
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! with the transition's timestamp passed in — no locks, no RMW, no
 //! clock read of its own, so it is safe to leave always-on under `obs`.
 //! The slot holds the thread's phase (idle / waiting / holding) with the
-//! time it entered it, its progress epoch (completed critical sections),
-//! the site it waits on and the sites it holds. A wait publishes two
-//! relaxed stores (phase word, waited-on site), a win one (phase word)
-//! plus a held-slot store, a release three (epoch, phase word, held
-//! slot), an abandoned wait one (phase word). A lock without a profiler
-//! site ([`INVALID_SITE`], the static `Clof<L, H>`) publishes the phase
-//! and epoch only: it is seen by the stall check but adds no edge.
+//! time it entered it, its progress epoch (completed critical sections
+//! and abandoned waits), the site it waits on and the sites it holds. A
+//! wait publishes two relaxed stores (phase word, waited-on site), a win
+//! one (phase word) plus a held-slot store, a release three (epoch, phase
+//! word, held slot), an abandoned wait two (epoch, phase word). A lock
+//! without a profiler site ([`INVALID_SITE`], the static `Clof<L, H>`)
+//! publishes the phase and epoch only: it is seen by the stall check
+//! but adds no edge.
 //!
 //! [`WaitTable::analyze`] samples the table and reports:
 //!
@@ -85,7 +86,8 @@ impl Phase {
 }
 
 /// One thread's occupancy slot. `state` packs `since_ns << 2 | phase`;
-/// `epoch` counts completed critical sections; `waiting_site` is the
+/// `epoch` counts completed critical sections and abandoned waits, so
+/// each wait ends in a new epoch; `waiting_site` is the
 /// waited-on site, meaningful only while the phase is waiting; `held`
 /// stores `site + 1` (0 = empty). Single-writer: only the owning thread
 /// stores, and consecutive tags belong to different threads, so each
@@ -174,12 +176,14 @@ impl WaitTable {
     }
 
     /// Thread `thread` stopped waiting at `now` *without* acquiring
-    /// (deadline abandonment): it goes idle, its epoch stays, and
+    /// (deadline abandonment): it goes idle, its epoch advances (a
+    /// retry is a new wait, and a new stall if it stalls too), and
     /// nothing joins the held set. Without this, a timed-out waiter
     /// would look permanently blocked to [`analyze`](Self::analyze).
     #[inline]
     pub fn wait_cancelled(&self, thread: u32, now: u64) {
         if let Some(cell) = self.cell(thread) {
+            bump(&cell.epoch, 1);
             cell.state.store(now << 2, Ordering::Relaxed);
         }
     }
@@ -452,8 +456,8 @@ pub enum GraphFinding {
         thread: u32,
         /// How long it has been waiting (ns).
         waited_ns: u64,
-        /// Its progress epoch (critical sections completed before
-        /// stalling).
+        /// Its progress epoch (critical sections completed and waits
+        /// abandoned before this wait).
         epoch: u64,
         /// Threads currently holding, with how long they have held (ns)
         /// — a long-held lock and a stalled waiter are different bugs.
@@ -485,9 +489,9 @@ impl GraphFinding {
 
     /// A stable dedup key: kind + the implicated thread/site identity,
     /// *not* the evolving measurements — repeated polls of one ongoing
-    /// finding produce one key. A stall is keyed by its epoch: a thread
-    /// that completes a critical section and stalls again is a new
-    /// incident.
+    /// finding produce one key. A stall is keyed by its epoch, which
+    /// every finished wait (served or abandoned) advances: a thread that
+    /// stalls again is a new incident.
     pub fn key(&self) -> String {
         match self {
             GraphFinding::Deadlock { threads, sites } => {
@@ -852,11 +856,8 @@ mod tests {
         let report = table.analyze(0, 0);
         assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.threads_waiting, 0);
-        assert_eq!(
-            table.cells[2].epoch.load(Ordering::Relaxed),
-            0,
-            "no section completed"
-        );
+        // Either way the wait is over, so a retry is a new epoch.
+        assert_eq!(table.cells[2].epoch.load(Ordering::Relaxed), 1);
         assert_eq!(table.cells[3].epoch.load(Ordering::Relaxed), 1);
     }
 

@@ -1,14 +1,16 @@
 //! The watchdog: a background poller over the per-thread occupancy
-//! table ([`WaitTable`]) that reports every fresh finding — stall,
-//! deadlock, inversion — through one callback.
+//! table ([`WaitTable`]) that hands every finding — stall, deadlock,
+//! inversion — to one callback, flagged fresh the first time.
 //!
 //! CLoF's fairness argument is conditional — every component fair, every
 //! `keep_local` bounded — and the stress oracle checks it after the
 //! fact. The watchdog checks it *during* a run: each poll runs
-//! [`WaitTable::analyze`] with the configured bounds, drops the findings
-//! the previous poll already reported (`FindingDedup`), and hands the
-//! rest to the caller together with a caller-supplied diagnostic line
-//! (e.g. per-level queue hints). The lock side publishes nothing extra:
+//! [`WaitTable::analyze`] with the configured bounds, marks the findings
+//! the previous poll did not have as fresh (`FindingDedup`), and hands
+//! them all to the caller together with a caller-supplied diagnostic
+//! line (e.g. per-level queue hints). Reporters act on fresh findings
+//! only; an alert sink takes every one, so an alert stays up exactly as
+//! long as its condition holds. The lock side publishes nothing extra:
 //! the table is what the lock hooks already write.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,14 +74,16 @@ impl Watchdog {
         self
     }
 
-    /// Spawns the background monitor. `on_finding` runs on the monitor
-    /// thread for each *newly observed* finding with the diagnostic line
-    /// (empty if none was configured): a thread stuck across many polls
-    /// is reported once, and again only after it clears and recurs. The
-    /// monitor stops when the returned guard is dropped.
+    /// Spawns the background monitor. `on_finding(finding, context,
+    /// fresh)` runs on the monitor thread for every finding of every
+    /// poll, with the diagnostic line (empty if none was configured).
+    /// `fresh` is set on the first poll that sees a finding: a thread
+    /// stuck across many polls is fresh once, and again only after it
+    /// clears and recurs. The monitor stops when the returned guard is
+    /// dropped.
     pub fn spawn(
         self,
-        mut on_finding: impl FnMut(&GraphFinding, &str) + Send + 'static,
+        mut on_finding: impl FnMut(&GraphFinding, &str, bool) + Send + 'static,
     ) -> WatchdogGuard {
         let stop = Arc::new(AtomicBool::new(false));
         let findings = Arc::new(AtomicU64::new(0));
@@ -93,11 +97,14 @@ impl Watchdog {
                         .table
                         .analyze(self.config.h_bound, self.config.stall_ns);
                     let fresh = dedup.fresh(&report.findings);
-                    if !fresh.is_empty() {
+                    if !report.findings.is_empty() {
                         let context = self.diag.as_ref().map_or_else(String::new, |d| d());
-                        for finding in &fresh {
-                            findings.fetch_add(1, Ordering::Relaxed);
-                            on_finding(finding, &context);
+                        for finding in &report.findings {
+                            let is_fresh = fresh.contains(finding);
+                            if is_fresh {
+                                findings.fetch_add(1, Ordering::Relaxed);
+                            }
+                            on_finding(finding, &context, is_fresh);
                         }
                     }
                     std::thread::sleep(self.config.poll);
@@ -183,14 +190,42 @@ mod tests {
             .with_diag(|| "queue hints: L0=2".to_string())
             .spawn({
                 let seen = Arc::clone(&seen);
-                move |f, context| seen.lock().unwrap().push((f.key(), context.to_string()))
+                move |f, context, fresh| {
+                    seen.lock().unwrap().push((f.key(), context.to_string(), fresh))
+                }
             });
         settle(&guard, 1);
-        assert_eq!(guard.stop(), 1, "one stall, many polls, one report");
-        assert_eq!(
-            *seen.lock().unwrap(),
-            vec![("stall:t5:e0".to_string(), "queue hints: L0=2".to_string())]
-        );
+        assert_eq!(guard.stop(), 1, "one stall, many polls, one fresh report");
+        let seen = seen.lock().unwrap();
+        let key = ("stall:t5:e0".to_string(), "queue hints: L0=2".to_string());
+        assert_eq!(seen[0], (key.0.clone(), key.1.clone(), true));
+        assert!(seen.len() > 1, "an ongoing stall is handed over on every poll");
+        assert!(seen[1..].iter().all(|s| *s == (key.0.clone(), key.1.clone(), false)));
+    }
+
+    /// A waiter that times out and at once waits again starts a new
+    /// stall, even when no poll saw it between the two waits.
+    #[test]
+    fn back_to_back_abandoned_waits_are_two_stalls() {
+        let table = private_table();
+        table.wait_at(6, INVALID_SITE, now_ns());
+        std::thread::sleep(Duration::from_millis(2));
+        let keys = Arc::new(Mutex::new(Vec::new()));
+        let guard = Watchdog::with_table(table, tiny_config()).spawn({
+            let keys = Arc::clone(&keys);
+            move |f, _, fresh| {
+                if fresh {
+                    keys.lock().unwrap().push(f.key());
+                }
+            }
+        });
+        settle(&guard, 1);
+        table.wait_cancelled(6, now_ns());
+        table.wait_at(6, INVALID_SITE, now_ns());
+        settle(&guard, 2);
+        table.wait_cancelled(6, now_ns());
+        assert_eq!(guard.stop(), 2);
+        assert_eq!(*keys.lock().unwrap(), vec!["stall:t6:e0", "stall:t6:e1"]);
     }
 
     #[test]
@@ -203,9 +238,11 @@ mod tests {
         let kinds = Arc::new(Mutex::new(Vec::new()));
         let guard = Watchdog::with_table(table, tiny_config()).spawn({
             let kinds = Arc::clone(&kinds);
-            move |f, context| {
+            move |f, context, fresh| {
                 assert!(context.is_empty());
-                kinds.lock().unwrap().push(f.kind());
+                if fresh {
+                    kinds.lock().unwrap().push(f.kind());
+                }
             }
         });
         settle(&guard, 2);

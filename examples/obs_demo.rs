@@ -199,7 +199,11 @@ fn main() {
             format!("queued waiters by level [{}]", hints.join(" "))
         }
     })
-    .spawn(|finding, context| println!("  {}; {context}", finding.detail()));
+    .spawn(|finding, context, fresh| {
+        if fresh {
+            println!("  {}; {context}", finding.detail());
+        }
+    });
 
     let mut holder = lock.handle(0);
     holder.acquire();

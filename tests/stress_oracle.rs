@@ -15,9 +15,7 @@ use std::sync::Arc;
 use clof::{ClofParams, DynClofLock, LockKind};
 use clof_testkit::oracle::mutants::BrokenTas;
 use clof_testkit::strategies::build_regular;
-use clof_testkit::{
-    fuzz_seeds, run_stress, seed_batch, RawHandle, StressOptions, StressReport, Violation,
-};
+use clof_testkit::{fuzz_seeds, run_stress, seed_batch, RawHandle, StressOptions};
 use clof_topology::Hierarchy;
 
 /// 2 seeds per (kind, hierarchy, threads) cell; 8 kinds × 2 × 2 × 2 = 64.
@@ -247,9 +245,9 @@ fn keep_local_owner_only_counter_respects_h_bound() {
 /// Bounded acquisition gap for a fair composition: with a small
 /// keep-local threshold, no thread waits through more than a small
 /// multiple of `threads × H` foreign acquisitions. (The gap is counted
-/// from the thread's arrival at `acquire()`; it is a starvation
-/// tripwire, not a FIFO proof, and [`assert_gap_bounded`] tells the
-/// descheduling it still charges apart from starvation.)
+/// from the thread's arrival at `acquire()`, so it measures the queue and
+/// not time spent descheduled outside it; it is still a starvation
+/// tripwire, not a FIFO proof.)
 #[test]
 fn fair_composition_gap_is_bounded() {
     let hierarchy = build_regular(&[2, 4]);
@@ -271,39 +269,8 @@ fn fair_composition_gap_is_bounded() {
         label: "tkt-tkt gap bound".into(),
         ..StressOptions::default()
     };
-    assert_gap_bounded(|| {
-        let report = run_stress(&opts, |tid| lock.handle(cpus[tid]));
-        (!report.passed()).then_some(report)
-    });
-}
-
-/// Runs a seeded gap-bounded cell (`run` returns its failure, if any)
-/// and separates the lock's unfairness from the host's scheduling.
-///
-/// The gap counts from a thread's arrival at `acquire()`, so it also
-/// charges any time the thread spends descheduled before it is queued at
-/// the contended level — at admission, or between two levels, while the
-/// other cohort keeps passing the root. On a 2-CPU host that tail is the
-/// scheduler's: over 6 000 runs each of the two gap cells below, plain
-/// `DynClofLock` runs and adaptive runs *without* a single swap reached
-/// gaps of 101–152, as often as runs with swaps, so no bound derived
-/// from `threads` (or a swap count) holds it. What separates the two is
-/// replay: a lock that starves a waiter starves it again on the same
-/// seed, a descheduling does not. A failure made only of gap violations
-/// is therefore replayed twice and must not recur; any other violation
-/// fails at once.
-fn assert_gap_bounded(run: impl Fn() -> Option<StressReport>) {
-    let Some(report) = run() else { return };
-    let gap_only = report
-        .violations
-        .iter()
-        .all(|v| matches!(v, Violation::UnfairGap { .. }));
-    assert!(gap_only, "{}", report.render());
-    for _ in 0..2 {
-        if let Some(again) = run() {
-            panic!("gap violation recurred on replay:\n{}", again.render());
-        }
-    }
+    let report = run_stress(&opts, |tid| lock.handle(cpus[tid]));
+    assert!(report.passed(), "{}", report.render());
 }
 
 // ---------------------------------------------------------------------
@@ -478,8 +445,7 @@ fn migration_oracle_cross_tier() {
 /// acquisition gap stays bounded even while the lock migrates under the
 /// workers — a migration may reshuffle queue order once, not starve a
 /// thread. The bound is a tripwire with slack for the reshuffles, not a
-/// FIFO proof (cf. `fair_composition_gap_is_bounded`); scheduling noise
-/// is told apart by replay ([`assert_gap_bounded`]).
+/// FIFO proof (cf. `fair_composition_gap_is_bounded`).
 #[test]
 fn migration_keeps_the_gap_bounded() {
     let hierarchy = build_regular(&[2, 4]);
@@ -503,23 +469,19 @@ fn migration_keeps_the_gap_bounded() {
         pause_yields: 16,
         max_swaps: 4,
     };
-    let run = |seeds: &[u64]| {
-        fuzz_swap_seeds(
-            &opts,
-            seeds,
-            &plan,
-            |_seed| {
-                Arc::new(
-                    AdaptiveLock::with_params(&hierarchy, shape, params, false)
-                        .expect("fair adaptive lock"),
-                )
-            },
-            |_seed, tid| cpus[tid],
-        )
-    };
-    for seed in seed_batch(0xFA1B_AD47, 4) {
-        assert_gap_bounded(|| run(&[seed]).failure);
-    }
+    let outcome = fuzz_swap_seeds(
+        &opts,
+        &seed_batch(0xFA1B_AD47, 4),
+        &plan,
+        |_seed| {
+            Arc::new(
+                AdaptiveLock::with_params(&hierarchy, shape, params, false)
+                    .expect("fair adaptive lock"),
+            )
+        },
+        |_seed, tid| cpus[tid],
+    );
+    outcome.assert_passed();
 }
 
 /// End-to-end acceptance: a deliberately broken lock is caught within a
