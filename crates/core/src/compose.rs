@@ -14,7 +14,7 @@ use clof_topology::Hierarchy;
 
 use self::staticobs::{HoldSpan, NodeObs};
 use crate::error::ClofError;
-use crate::level::{spin_budget_for_span, ClofParams, LevelMeta, SpinBudget};
+use crate::level::{spin_budget_for_span, ClofParams, HandoffStamp, LevelMeta, SpinBudget};
 use crate::step::{self, Block, Hook, Rung, Span, Wait};
 
 /// Telemetry of the static composition: a per-node [`NodeObs`]
@@ -24,13 +24,16 @@ use crate::step::{self, Block, Hook, Rung, Span, Wait};
 ///
 /// The static side records counters and trace spans; latency histograms
 /// and the pass-event ring stay dynamic-only (monomorphized nodes have
-/// no lock-wide collector to hang them on).
+/// no lock-wide collector to hang them on). Its clock budget is the
+/// dynamic recorder's: two reads per acquire→release, plus one per level
+/// that waited for a lock nobody passed.
 #[cfg(feature = "obs")]
 mod staticobs {
     use clof_obs::trace::{self, NodeTrack, SpanKind};
     use clof_obs::{now_ns, thread_tag, waitgraph, LevelCounters, INVALID_SITE};
 
-    use crate::step::{Hook, Span};
+    use crate::level::HandoffStamp;
+    use crate::step::{Hook, Span, Won};
 
     /// Per-node recording state: counters plus the node's place in a
     /// trace.
@@ -54,11 +57,14 @@ mod staticobs {
     #[derive(Debug, Default)]
     pub struct HoldSpan {
         /// When the previous transition (acquire entry, a level won)
-        /// happened; 0 outside a handle's acquire, which keeps bare
+        /// happened — once acquired, the start of the hold; 0 outside a
+        /// handle's acquire, which keeps bare
         /// [`HierLock::acquire`](super::HierLock::acquire) calls out of
-        /// the trace.
+        /// the trace and off the clock.
         last: u64,
-        acquired_at: u64,
+        /// When the release in progress started: the end of the hold and
+        /// the stamp it leaves for each level's next owner.
+        released_at: u64,
     }
 
     impl Span for HoldSpan {
@@ -68,10 +74,10 @@ mod staticobs {
             waitgraph::global().wait_at(thread_tag(), INVALID_SITE, self.last);
         }
 
+        /// The hold starts where the last level was won.
         #[inline]
         fn acquired(&mut self) {
-            self.acquired_at = now_ns();
-            waitgraph::global().acquired(thread_tag(), INVALID_SITE, self.acquired_at);
+            waitgraph::global().acquired(thread_tag(), INVALID_SITE, self.last);
         }
 
         /// Nothing was acquired, so the table sees idle (not hold) and
@@ -85,22 +91,32 @@ mod staticobs {
         #[inline]
         fn releasing(&mut self) {
             let now = now_ns();
+            self.released_at = now;
             if trace::is_enabled() {
-                trace::record(self.acquired_at, now, 0, 0, SpanKind::Hold, 0, 0);
+                trace::record(self.last, now, 0, 0, SpanKind::Hold, 0, 0);
             }
             waitgraph::global().released(thread_tag(), INVALID_SITE, now);
         }
     }
 
     impl Hook<NodeObs> for HoldSpan {
+        const READS_WAITED: bool = true;
+
         #[inline]
-        fn level_won(&mut self, node: &NodeObs, inherited: bool) {
-            node.counters.record_acquire(inherited);
-            if trace::is_enabled() && self.last != 0 {
-                let now = now_ns();
-                node.track.wait_span(self.last, now, inherited);
-                self.last = now;
+        fn level_won(&mut self, node: &NodeObs, won: Won<'_>) {
+            node.counters.record_acquire(won.inherited);
+            if self.last == 0 {
+                return;
             }
+            let at = if won.clocked() {
+                now_ns()
+            } else {
+                won.stamp.get().max(self.last)
+            };
+            if trace::is_enabled() {
+                node.track.wait_span(self.last, at, won.inherited);
+            }
+            self.last = at;
         }
 
         #[inline]
@@ -112,7 +128,7 @@ mod staticobs {
         fn pass(&mut self, node: &NodeObs) {
             node.counters.record_pass_taken();
             if trace::is_enabled() {
-                node.track.pass_span(now_ns());
+                node.track.pass_span(self.released_at);
             }
         }
 
@@ -120,7 +136,17 @@ mod staticobs {
         fn release_up(&mut self, node: &NodeObs, forced: bool) {
             node.counters.record_pass_declined(forced);
             if trace::is_enabled() {
-                node.track.release_up_span(now_ns(), forced);
+                node.track.release_up_span(self.released_at, forced);
+            }
+        }
+
+        /// Ownership changes hands at the release stamp; a bare
+        /// [`HierLock::release`](super::HierLock::release) has none and
+        /// leaves the stamp as it was.
+        #[inline]
+        fn letting_go(&mut self, _node: &NodeObs, stamp: &HandoffStamp) {
+            if self.released_at != 0 {
+                stamp.set(self.released_at);
             }
         }
     }
@@ -213,8 +239,10 @@ pub trait HierLock: Send + Sync + 'static {
 #[derive(Debug)]
 pub struct Leaf<L: RawLock> {
     low: L,
-    /// The root has no `LevelMeta`, so it carries its own budget cell.
+    /// The root has no `LevelMeta`, so it carries its own budget cell
+    /// and hand-off stamp.
     budget: SpinBudget,
+    stamp: HandoffStamp,
     obs: NodeObs,
 }
 
@@ -223,6 +251,7 @@ impl<L: RawLock> Default for Leaf<L> {
         Leaf {
             low: L::default(),
             budget: SpinBudget::new(),
+            stamp: HandoffStamp::default(),
             obs: staticobs::node_obs(0),
         }
     }
@@ -265,12 +294,13 @@ impl<L: RawLock> HierLock for Leaf<L> {
         wait: W,
         hook: &mut K,
     ) -> bool {
-        step::acquire_root(&self.low, ctx, self.budget.get(), &self.obs, wait, hook)
+        let budget = self.budget.get();
+        step::acquire_root(&self.low, ctx, budget, &self.stamp, &self.obs, wait, hook)
     }
 
     #[inline]
-    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, _hook: &mut K) {
-        self.low.release(ctx);
+    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, hook: &mut K) {
+        step::release_root(&self.low, ctx, &self.stamp, &self.obs, hook);
     }
 
     fn fair() -> bool {

@@ -17,8 +17,8 @@ use clof_topology::{CpuId, Hierarchy};
 use crate::compose::{cohort_layout, cpu_stripes};
 use crate::error::ClofError;
 use crate::kind::{AnyContext, AnyLock, LockKind};
-use crate::level::{bump_owned, spin_budget_for_span, ClofParams, LevelMeta};
-use crate::step::{self, Block, Hook, Rung, Span, Wait};
+use crate::level::{bump_owned, spin_budget_for_span, ClofParams, HandoffStamp, LevelMeta};
+use crate::step::{self, Block, Hook, Rung, Span, Wait, Won};
 
 use self::nodeobs::{LockObs, NodeObs, Recorder};
 use self::typed::{FastTier, HandleInner};
@@ -29,9 +29,11 @@ use self::typed::{FastTier, HandleInner};
 /// `()`, whose hooks are the step's empty defaults.
 ///
 /// A handle records into its own [`clof_obs::Shard`] and reads the clock
-/// once per transition: acquire entry, each level won, release entry.
-/// Inside the critical section the hooks only stash;
-/// [`Span::released`] folds the stash in after the low lock is free.
+/// twice per acquire→release — at acquire entry and at release entry —
+/// plus once per level that waited for a lock nobody passed; every other
+/// level is won at a stamp already taken (DESIGN §8). Inside the
+/// critical section the hooks only stash; [`Span::released`] folds the
+/// stash in after the low lock is free.
 #[cfg(feature = "obs")]
 mod nodeobs {
     use std::sync::Arc;
@@ -41,7 +43,8 @@ mod nodeobs {
     use clof_obs::{now_ns, thread_tag, waitgraph, Shard, ShardSet};
 
     use super::DynNode;
-    use crate::step::{Hook, Span};
+    use crate::level::HandoffStamp;
+    use crate::step::{Hook, Span, Won};
 
     /// Per-lock collector state of one [`DynClofLock`](super::DynClofLock):
     /// the registry of its handles' shards, which also carries the
@@ -157,12 +160,18 @@ mod nodeobs {
     }
 
     impl Hook<NodeObs> for Recorder {
+        const READS_WAITED: bool = true;
+
         #[inline]
-        fn level_won(&mut self, node: &NodeObs, inherited: bool) {
-            let now = now_ns();
-            let start = self.shard.level_won(now, inherited);
+        fn level_won(&mut self, node: &NodeObs, won: Won<'_>) {
+            let (start, at) = if won.clocked() {
+                let now = now_ns();
+                (self.shard.level_won(now, false), now)
+            } else {
+                self.shard.level_won_stamped(won.stamp.get(), won.inherited)
+            };
             if trace::is_enabled() {
-                node.wait_span(start, now, inherited);
+                node.wait_span(start, at, won.inherited);
             }
         }
 
@@ -185,6 +194,13 @@ mod nodeobs {
             if trace::is_enabled() {
                 node.release_up_span(self.shard.released_ns(), forced);
             }
+        }
+
+        /// Ownership changes hands at the release stamp: the next owner
+        /// of this low lock starts its hold (or its wait's end) there.
+        #[inline]
+        fn letting_go(&mut self, _node: &NodeObs, stamp: &HandoffStamp) {
+            stamp.set(self.shard.released_ns());
         }
     }
 
@@ -235,10 +251,12 @@ struct NodeStats {
 struct Tally<'a>(&'a mut Recorder);
 
 impl Hook<DynNode> for Tally<'_> {
+    const READS_WAITED: bool = <Recorder as Hook<NodeObs>>::READS_WAITED;
+
     #[inline]
-    fn level_won(&mut self, node: &DynNode, inherited: bool) {
+    fn level_won(&mut self, node: &DynNode, won: Won<'_>) {
         bump_owned(&node.stats.acquisitions);
-        self.0.level_won(&node.obs, inherited);
+        self.0.level_won(&node.obs, won);
     }
 
     #[inline]
@@ -256,6 +274,11 @@ impl Hook<DynNode> for Tally<'_> {
     fn release_up(&mut self, node: &DynNode, forced: bool) {
         bump_owned(&node.stats.releases_up);
         self.0.release_up(&node.obs, forced);
+    }
+
+    #[inline]
+    fn letting_go(&mut self, node: &DynNode, stamp: &HandoffStamp) {
+        self.0.letting_go(&node.obs, stamp);
     }
 }
 
@@ -353,7 +376,10 @@ impl DynNode {
         hook: &mut Tally<'_>,
     ) -> bool {
         match &self.high {
-            None => step::acquire_root(&self.low, ctx, self.meta.spin_budget(), self, wait, hook),
+            None => {
+                let (budget, stamp) = (self.meta.spin_budget(), self.meta.handoff_stamp());
+                step::acquire_root(&self.low, ctx, budget, stamp, self, wait, hook)
+            }
             Some(high) => {
                 step::acquire_step(self.rung(), ctx, stripe, wait, hook, |high_ctx, hook| {
                     high.acquire_with(high_ctx, self.slot, wait, hook)
@@ -365,7 +391,7 @@ impl DynNode {
     /// Recursive `lockgen` release (paper Figure 8).
     fn release(&self, ctx: &mut AnyContext, hook: &mut Tally<'_>) {
         match &self.high {
-            None => self.low.release(ctx),
+            None => step::release_root(&self.low, ctx, self.meta.handoff_stamp(), self, hook),
             Some(high) => step::release_step(self.rung(), ctx, hook, |high_ctx, hook| {
                 high.release(high_ctx, hook)
             }),
@@ -898,13 +924,16 @@ mod typed {
             let node = &*self.node;
             // SAFETY: `resolve` checked the kind, which never changes.
             let lock = unsafe { lock_of::<L>(node) };
-            step::acquire_root(lock, ctx, node.meta.spin_budget(), node, wait, hook)
+            let (budget, stamp) = (node.meta.spin_budget(), node.meta.handoff_stamp());
+            step::acquire_root(lock, ctx, budget, stamp, node, wait, hook)
         }
 
         #[inline]
-        fn release(&self, ctx: &mut L::Context, _hook: &mut Tally<'_>) {
+        fn release(&self, ctx: &mut L::Context, hook: &mut Tally<'_>) {
+            let node = &*self.node;
             // SAFETY: `resolve` checked the kind, which never changes.
-            unsafe { lock_of::<L>(&self.node) }.release(ctx);
+            let lock = unsafe { lock_of::<L>(node) };
+            step::release_root(lock, ctx, node.meta.handoff_stamp(), node, hook);
         }
     }
 
@@ -1877,78 +1906,155 @@ mod tests {
         }
     }
 
-    /// The clock is read once per transition — acquire entry, each
-    /// level won, release entry — and every consumer of a transition
-    /// shares that read (tracer off, as on the benchmark's path).
+    /// The clock budget: two reads per acquire→release — acquire entry
+    /// and release entry — plus one per level that waited for a lock
+    /// nobody passed (tracer off, as on the benchmark's path). Checked
+    /// through both dyn tiers and the static tree's recorder.
     #[cfg(all(feature = "obs", debug_assertions))]
     #[test]
-    fn clock_is_read_once_per_transition() {
-        use clof_obs::clock_reads;
+    fn clock_is_read_twice_per_critical_section() {
+        use crate::compose::{build3, ClofHandle, HierLock};
+        use clof_locks::{ClhLock, McsLock, TicketLock};
+        use clof_obs::{clock_reads, LockSnapshot};
+        use std::time::{Duration, Instant};
+
+        trait Cycle: Send + 'static {
+            fn acquire(&mut self);
+            fn release(&mut self);
+        }
+        impl Cycle for DynHandle {
+            fn acquire(&mut self) {
+                DynHandle::acquire(self);
+            }
+            fn release(&mut self) {
+                DynHandle::release(self);
+            }
+        }
+        impl<T: HierLock> Cycle for ClofHandle<T> {
+            fn acquire(&mut self) {
+                ClofHandle::acquire(self);
+            }
+            fn release(&mut self) {
+                ClofHandle::release(self);
+            }
+        }
+
+        /// Clock reads of one acquire→release by a thread on `cpu` while
+        /// a handle on CPU 0 holds the lock for 20 ms, and how long that
+        /// acquire took.
+        fn behind_holder<H: Cycle>(
+            mk: &(impl Fn(usize) -> H + Sync),
+            cpu: usize,
+        ) -> (u64, Duration) {
+            let mut holder = mk(0);
+            holder.acquire();
+            let mut handle = mk(cpu);
+            let measured = std::thread::spawn(move || {
+                let before = clock_reads();
+                let start = Instant::now();
+                handle.acquire();
+                let waited = start.elapsed();
+                handle.release();
+                (clock_reads() - before, waited)
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            holder.release();
+            measured.join().unwrap()
+        }
+
+        /// Clock reads of an acquire that inherits the tree at the leaf
+        /// and hands it on at the leaf: CPU 0 holds while two CPU-1
+        /// threads queue up, and the first of them is measured. Queueing
+        /// order is not observable from outside, so the round repeats
+        /// until the leaf counters show holder → measured → third as two
+        /// inherited acquires and two passes.
+        fn on_pass_path<H: Cycle>(
+            mk: &(impl Fn(usize) -> H + Sync),
+            snapshot: impl Fn() -> LockSnapshot,
+        ) -> u64 {
+            for _ in 0..50 {
+                let mut holder = mk(0);
+                holder.acquire();
+                let (mut handle, mut third) = (mk(1), mk(1));
+                let queued = Arc::new(AtomicUsize::new(0));
+                let flag = Arc::clone(&queued);
+                let measured = std::thread::spawn(move || {
+                    flag.fetch_add(1, Ordering::Release);
+                    let before = clock_reads();
+                    handle.acquire();
+                    // Give the third thread time to queue behind us.
+                    std::thread::sleep(Duration::from_millis(20));
+                    handle.release();
+                    clock_reads() - before
+                });
+                while queued.load(Ordering::Acquire) < 1 {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                let third = std::thread::spawn(move || {
+                    third.acquire();
+                    third.release();
+                });
+                std::thread::sleep(Duration::from_millis(20));
+                let before = snapshot();
+                holder.release();
+                let reads = measured.join().unwrap();
+                third.join().unwrap();
+                let after = snapshot();
+                let (l0_before, l0_after) = (&before.levels[0], &after.levels[0]);
+                if l0_after.contended_acquires - l0_before.contended_acquires == 2
+                    && l0_after.passes_taken - l0_before.passes_taken == 2
+                {
+                    return reads;
+                }
+            }
+            panic!("never got a waiter to inherit and pass");
+        }
+
+        /// All three budgets through handles made by `mk`.
+        fn check<H: Cycle>(
+            tier: &str,
+            mk: impl Fn(usize) -> H + Sync,
+            snapshot: impl Fn() -> LockSnapshot,
+        ) {
+            // Solo: nobody to inherit from or wait for, so every level is
+            // climbed at the entry stamp.
+            let mut handle = mk(0);
+            let before = clock_reads();
+            handle.acquire();
+            handle.release();
+            assert_eq!(clock_reads() - before, 2, "{tier}: solo full climb");
+
+            assert_eq!(
+                on_pass_path(&mk, snapshot),
+                2,
+                "{tier}: inherited acquire, pass release"
+            );
+
+            // CPU 4 shares no cohort with CPU 0 on `tiny`: its leaf and
+            // mid levels are free, and only the root makes it wait.
+            for _ in 0..50 {
+                let (reads, waited) = behind_holder(&mk, 4);
+                if waited >= Duration::from_millis(10) {
+                    assert_eq!(reads, 3, "{tier}: climb queued at the root");
+                    return;
+                }
+            }
+            panic!("{tier}: the climber never queued behind the holder");
+        }
+
         let h = platforms::tiny();
         let lock = Arc::new(
             DynClofLock::build(&h, &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket]).unwrap(),
         );
-        let levels = lock.composition().len() as u64;
-
-        // Solo: nobody to inherit from, so every level is climbed.
-        for mut handle in [lock.handle(0), lock.handle_generic(0)] {
-            let before = clock_reads();
-            handle.acquire();
-            handle.release();
-            assert_eq!(clock_reads() - before, levels + 2, "solo full climb");
-        }
-
-        // Pass path: this thread inherits the tree at the leaf and hands
-        // it on at the leaf. CPU 0 holds while two CPU-1 threads queue
-        // up; the first of them is measured. Queueing order is not
-        // observable from outside, so the round is repeated until the
-        // measured acquire did inherit and pass (seen in its counters).
-        for round in 0.. {
-            assert!(round < 50, "never got a waiter to inherit and pass");
-            let mut holder = lock.handle(0);
-            holder.acquire();
-            let queued = Arc::new(AtomicUsize::new(0));
-            let measured = {
-                let (lock, queued) = (Arc::clone(&lock), Arc::clone(&queued));
-                std::thread::spawn(move || {
-                    let mut handle = lock.handle(1);
-                    queued.fetch_add(1, Ordering::Release);
-                    let before = clock_reads();
-                    handle.acquire();
-                    // Give the third thread time to queue behind us.
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    handle.release();
-                    clock_reads() - before
-                })
-            };
-            while queued.load(Ordering::Acquire) < 1 {
-                std::thread::yield_now();
-            }
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let third = {
-                let lock = Arc::clone(&lock);
-                std::thread::spawn(move || {
-                    let mut handle = lock.handle(1);
-                    handle.acquire();
-                    handle.release();
-                })
-            };
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let before = lock.obs_snapshot();
-            holder.release();
-            let reads = measured.join().unwrap();
-            third.join().unwrap();
-            let after = lock.obs_snapshot();
-            let (l0_before, l0_after) = (&before.levels[0], &after.levels[0]);
-            // holder → measured → third: two inherited acquires and two
-            // passes, all at the leaf, since `before` was taken.
-            if l0_after.contended_acquires - l0_before.contended_acquires == 2
-                && l0_after.passes_taken - l0_before.passes_taken == 2
-            {
-                assert_eq!(reads, 3, "inherited acquire, pass release");
-                break;
-            }
-        }
+        check("typed", |cpu| lock.handle(cpu), || lock.obs_snapshot());
+        check(
+            "generic",
+            |cpu| lock.handle_generic(cpu),
+            || lock.obs_snapshot(),
+        );
+        let tree = build3::<McsLock, ClhLock, TicketLock>(&h, ClofParams::default()).unwrap();
+        check("static", |cpu| tree.handle(cpu), || tree.obs_snapshot());
     }
 
     /// One contended timeout cycle on `lock`: CPU 0 holds, CPU 1 times

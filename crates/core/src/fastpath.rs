@@ -103,9 +103,13 @@ mod gateobs {
             now
         }
 
+        /// A fast win took the gate on its first attempt: it waited for
+        /// nothing, so it is won at the entry stamp and the fast path
+        /// reads the clock twice per acquire→release, like the
+        /// composition's recorder.
         #[inline]
         fn record_gate(&mut self, start: u64, fast: bool) {
-            let at = now_ns();
+            let at = if fast { start } else { now_ns() };
             self.last_fast = fast;
             self.acquired_at = at;
             if fast {
@@ -572,5 +576,18 @@ mod tests {
             &[LockKind::Mcs, LockKind::Ttas, LockKind::Ticket],
         );
         assert!(err.is_err());
+    }
+
+    /// A fast-path win reads the clock at entry and at release only.
+    #[cfg(all(feature = "obs", debug_assertions))]
+    #[test]
+    fn fast_path_reads_the_clock_twice() {
+        let lock = build_tiny();
+        let mut handle = lock.handle(0);
+        let before = clof_obs::clock_reads();
+        handle.acquire();
+        handle.release();
+        assert_eq!(clof_obs::clock_reads() - before, 2);
+        assert_eq!(lock.path_counters(), (1, 0));
     }
 }

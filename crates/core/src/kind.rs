@@ -258,6 +258,17 @@ impl AnyLock {
         dispatch!(self, ctx, lock, c => lock.acquire_budgeted(c, budget));
     }
 
+    /// [`acquire_budgeted`](Self::acquire_budgeted) that also reports
+    /// whether it had to wait; see [`RawLock::acquire_reporting`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` was not created for this lock's kind.
+    #[inline]
+    pub fn acquire_reporting(&self, ctx: &mut AnyContext, budget: u32) -> bool {
+        dispatch!(self, ctx, lock, c => lock.acquire_reporting(c, budget))
+    }
+
     /// Attempts to acquire, giving up cleanly once `deadline` passes;
     /// see [`RawLock::try_acquire_until`]. Returns `true` on acquire
     /// (including a grant racing the clock at the deadline edge) and

@@ -17,9 +17,9 @@
 //!   contend on a cache line — the same core-local bookkeeping CNA and
 //!   Fissile locks use to survive contention.
 //! * Owner-written state (`has_high_lock`, the `keep_local` counter, the
-//!   high context) shares one padded block: it is only ever accessed by
-//!   the current low-lock owner, so packing it densely is free while
-//!   padding it keeps waiter traffic off it.
+//!   hand-off stamp, the high context) shares one padded block: it is
+//!   only ever accessed by the current low-lock owner, so packing it
+//!   densely is free while padding it keeps waiter traffic off it.
 //!
 //! `has_waiters` (owner-only, off the waiters' critical path) sums the
 //! stripes with an early-exit scan. Staleness stays tolerable exactly as
@@ -131,11 +131,39 @@ pub(crate) fn bump_owned(counter: &AtomicU64) {
     counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
 }
 
+/// When a level's low lock was last let go, as the releasing owner's
+/// telemetry stamped it (nanoseconds on `clof_obs::now_ns`'s clock).
+///
+/// Lives beside the pass flag and is ordered the same way: the owner
+/// stores it before the low release, the next owner loads it after its
+/// low acquire, and the low lock's release→acquire edge between the two
+/// makes `Relaxed` enough (§4.2.3). Only a telemetry hook touches it —
+/// the `()` hook never loads or stores it, so a build without `obs`
+/// pays nothing but the word.
+#[derive(Debug, Default)]
+pub struct HandoffStamp(AtomicU64);
+
+impl HandoffStamp {
+    /// The stamp the level's last releaser left (0 before any).
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    /// Stamps the release in progress; call before the low release.
+    #[inline]
+    pub fn set(&self, ns: u64) {
+        self.0.store(ns, Ordering::Relaxed);
+    }
+}
+
 /// Owner-written metadata words; packed into one [`CachePadded`] block.
 struct OwnerState<C> {
     /// The `has_high_lock` flag: set by `pass_high_lock`, cleared by
     /// `clear_high_lock`.
     high_held: AtomicBool,
+    /// When the low lock was last let go (telemetry builds only).
+    handoff: HandoffStamp,
     /// Consecutive local hand-offs since the high lock was last acquired
     /// or let go; drives `keep_local`.
     handovers: AtomicU32,
@@ -217,6 +245,7 @@ impl<C> LevelMeta<C> {
             spin_budget: SpinBudget::new(),
             owner: CachePadded::new(OwnerState {
                 high_held: AtomicBool::new(false),
+                handoff: HandoffStamp::default(),
                 handovers: AtomicU32::new(0),
                 threshold: params.keep_local_threshold.max(1),
                 high_ctx: UnsafeCell::new(high_ctx),
@@ -285,6 +314,12 @@ impl<C> LevelMeta<C> {
     #[inline]
     pub fn clear_high_lock(&self) {
         self.owner.high_held.store(false, Ordering::Relaxed);
+    }
+
+    /// The low lock's hand-off stamp, beside the pass flag.
+    #[inline]
+    pub(crate) fn handoff_stamp(&self) -> &HandoffStamp {
+        &self.owner.handoff
     }
 
     /// `keep_local`: may the high lock stay in this cohort for one more

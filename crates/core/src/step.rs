@@ -15,8 +15,9 @@
 //! "my lock, my metadata, my high context" — and a `climb` closure that
 //! runs the level above: the static [`Clof`](crate::Clof), the enum
 //! tier's `DynNode`, and the typed tier's `Over` view of the same
-//! nodes. [`acquire_root`] is the recursion's base case. Three small
-//! traits carry everything that varies between callers:
+//! nodes. [`acquire_root`] and [`release_root`] are the recursion's base
+//! case. Three small traits carry everything that varies between
+//! callers:
 //!
 //! * [`LowLock`] — how the level's basic lock is driven: statically
 //!   (any [`RawLock`]) or through the [`AnyLock`] enum.
@@ -27,11 +28,17 @@
 //!   step.
 //! * [`Hook`] / [`Span`] — who is told about each decision: `()` (all
 //!   defaults, compiled to nothing) or a telemetry recorder.
+//!
+//! A recorder's clock budget rides on the step: every level it wins
+//! reports whether its low lock made it wait, and hands over the level's
+//! [`HandoffStamp`] — stamped by whoever let that low lock go last — so
+//! only a level that waited for a lock nobody passed needs a clock read
+//! of its own (DESIGN §8).
 
 use clof_locks::{chaos, RawLock};
 
 use crate::kind::{AnyContext, AnyLock};
-use crate::level::LevelMeta;
+use crate::level::{HandoffStamp, LevelMeta};
 
 /// A basic lock as the step drives it.
 pub trait LowLock {
@@ -41,6 +48,10 @@ pub trait LowLock {
     /// Blocking acquire: waiters spin `budget` rounds, then park (the
     /// `park` feature; without it every budget is `SPIN_FOREVER`).
     fn acquire(&self, ctx: &mut Self::Ctx, budget: u32);
+
+    /// [`acquire`](Self::acquire) that also reports whether it had to
+    /// wait ([`RawLock::acquire_reporting`]).
+    fn acquire_reporting(&self, ctx: &mut Self::Ctx, budget: u32) -> bool;
 
     /// Bounded acquire; `false` means timed out with `ctx` clean and no
     /// queue position left live.
@@ -59,6 +70,11 @@ impl<L: RawLock> LowLock for L {
     #[inline]
     fn acquire(&self, ctx: &mut L::Context, budget: u32) {
         self.acquire_budgeted(ctx, budget);
+    }
+
+    #[inline]
+    fn acquire_reporting(&self, ctx: &mut L::Context, budget: u32) -> bool {
+        RawLock::acquire_reporting(self, ctx, budget)
     }
 
     #[inline]
@@ -86,6 +102,11 @@ impl LowLock for AnyLock {
     }
 
     #[inline]
+    fn acquire_reporting(&self, ctx: &mut AnyContext, budget: u32) -> bool {
+        AnyLock::acquire_reporting(self, ctx, budget)
+    }
+
+    #[inline]
     fn try_acquire_until(&self, ctx: &mut AnyContext, deadline: std::time::Instant) -> bool {
         AnyLock::try_acquire_until(self, ctx, deadline)
     }
@@ -107,9 +128,16 @@ pub trait Wait: Copy {
     /// every unwind branch of the step compile away.
     const BOUNDED: bool;
 
-    /// Acquires `low` through `ctx`; `false` means the wait gave up and
-    /// nothing is held.
-    fn acquire<L: LowLock>(self, low: &L, ctx: &mut L::Ctx, budget: u32) -> bool;
+    /// Acquires `low` through `ctx`: `Some(waited)` once held, `None`
+    /// when the wait gave up and nothing is held. Whether it waited is
+    /// found out only when `report` asks; otherwise it reads `true`.
+    fn acquire<L: LowLock>(
+        self,
+        low: &L,
+        ctx: &mut L::Ctx,
+        budget: u32,
+        report: bool,
+    ) -> Option<bool>;
 }
 
 /// Wait for as long as it takes.
@@ -120,31 +148,75 @@ impl Wait for Block {
     const BOUNDED: bool = false;
 
     #[inline]
-    fn acquire<L: LowLock>(self, low: &L, ctx: &mut L::Ctx, budget: u32) -> bool {
+    fn acquire<L: LowLock>(
+        self,
+        low: &L,
+        ctx: &mut L::Ctx,
+        budget: u32,
+        report: bool,
+    ) -> Option<bool> {
+        if report {
+            return Some(low.acquire_reporting(ctx, budget));
+        }
         low.acquire(ctx, budget);
-        true
+        Some(true)
     }
 }
 
 /// Wait until one *absolute* deadline shared by every level of a climb
 /// — the budget is split by where contention actually burned the time,
 /// not by a per-level quota. Deadline waits never park, so the spin
-/// budget is unused.
+/// budget is unused, and they always report having waited.
 impl Wait for std::time::Instant {
     const BOUNDED: bool = true;
 
     #[inline]
-    fn acquire<L: LowLock>(self, low: &L, ctx: &mut L::Ctx, _budget: u32) -> bool {
-        low.try_acquire_until(ctx, self)
+    fn acquire<L: LowLock>(
+        self,
+        low: &L,
+        ctx: &mut L::Ctx,
+        _budget: u32,
+        _report: bool,
+    ) -> Option<bool> {
+        low.try_acquire_until(ctx, self).then_some(true)
+    }
+}
+
+/// How a level's low lock was won, as [`Hook::level_won`] is told.
+#[derive(Debug, Clone, Copy)]
+pub struct Won<'a> {
+    /// The high lock came with the low lock: the previous owner passed.
+    pub inherited: bool,
+    /// The low-lock acquire had to wait (its first look found the lock
+    /// taken; a deadline wait always counts). Always `true` for a hook
+    /// that does not ask ([`Hook::READS_WAITED`]).
+    pub waited: bool,
+    /// The level's hand-off stamp: when its low lock was last let go.
+    pub stamp: &'a HandoffStamp,
+}
+
+impl Won<'_> {
+    /// Whether the win needs a clock read of its own: the level waited,
+    /// and nobody passed it. A passed level changed hands at its
+    /// releaser's stamp; a level won without waiting changed hands no
+    /// later than the previous transition's stamp or its releaser's,
+    /// whichever is later.
+    #[inline]
+    pub fn clocked(&self) -> bool {
+        self.waited && !self.inherited
     }
 }
 
 /// Observer of the step's per-level decisions; `N` is what identifies a
 /// node to the observer. Every method defaults to nothing.
 pub trait Hook<N> {
-    /// `node`'s low lock was won; `inherited` is whether the high lock
-    /// came with it.
-    fn level_won(&mut self, _node: &N, _inherited: bool) {}
+    /// Whether [`level_won`](Self::level_won) reads [`Won::waited`]:
+    /// only then do the low acquires find it out, so without telemetry
+    /// they run as if nobody asked.
+    const READS_WAITED: bool = false;
+
+    /// `node`'s low lock was won, as `won` says.
+    fn level_won(&mut self, _node: &N, _won: Won<'_>) {}
 
     /// The release asked the low lock's native waiter hint.
     fn hint_hit(&mut self, _node: &N) {}
@@ -155,6 +227,11 @@ pub trait Hook<N> {
     /// The release surrenders the high lock; `forced` means waiters
     /// existed but `keep_local` hit its threshold.
     fn release_up(&mut self, _node: &N, _forced: bool) {}
+
+    /// A level's low lock is about to be released (after its pass or
+    /// release-up decision, or at the root): the recorder leaves its
+    /// release time in `stamp` for the lock's next owner.
+    fn letting_go(&mut self, _node: &N, _stamp: &HandoffStamp) {}
 }
 
 impl<N> Hook<N> for () {}
@@ -255,21 +332,41 @@ impl<'a, L, C, N> Rung<'a, L, C, N> {
 }
 
 /// Base case of the recursion: the system-level lock has nothing above
-/// it, so its step is the basic lock itself.
+/// it, so its step is the basic lock itself. `stamp` is the root's
+/// hand-off stamp.
 #[inline]
 pub fn acquire_root<L: LowLock, N, W: Wait, K: Hook<N>>(
     low: &L,
     ctx: &mut L::Ctx,
     budget: u32,
+    stamp: &HandoffStamp,
     node: &N,
     wait: W,
     hook: &mut K,
 ) -> bool {
-    let won = wait.acquire(low, ctx, budget);
-    if won {
-        hook.level_won(node, false);
-    }
-    won
+    let Some(waited) = wait.acquire(low, ctx, budget, K::READS_WAITED) else {
+        return false;
+    };
+    let won = Won {
+        inherited: false,
+        waited,
+        stamp,
+    };
+    hook.level_won(node, won);
+    true
+}
+
+/// The base case's release: the root lock is let go.
+#[inline]
+pub fn release_root<L: LowLock, N, K: Hook<N>>(
+    low: &L,
+    ctx: &mut L::Ctx,
+    stamp: &HandoffStamp,
+    node: &N,
+    hook: &mut K,
+) {
+    hook.letting_go(node, stamp);
+    low.release(ctx);
 }
 
 /// `lockgen(acq(CLoF(l, L), c))`. `slot` is the caller's child position
@@ -296,18 +393,23 @@ pub fn acquire_step<L: LowLock, C, N, W: Wait, K: Hook<N>>(
     if rung.counts_waiters {
         rung.meta.inc_waiters(slot);
     }
-    let won = wait.acquire(rung.low, ctx, rung.meta.spin_budget());
+    let got = wait.acquire(rung.low, ctx, rung.meta.spin_budget(), K::READS_WAITED);
     if rung.counts_waiters {
         rung.meta.dec_waiters(slot);
     }
-    if W::BOUNDED && !won {
+    let Some(waited) = got else {
         return false;
-    }
+    };
     // Window between winning the low lock and inspecting the pass flag
     // left by the previous owner.
     chaos::point("clof-low-won");
     let inherited = rung.meta.has_high_lock();
-    hook.level_won(rung.node, inherited);
+    let won = Won {
+        inherited,
+        waited,
+        stamp: rung.meta.handoff_stamp(),
+    };
+    hook.level_won(rung.node, won);
     if inherited {
         return true;
     }
@@ -340,6 +442,7 @@ pub fn release_step<L: LowLock, C, N, K: Hook<N>>(
         // Pass: leave the high lock acquired for our cohort successor.
         hook.pass(rung.node);
         rung.meta.pass_high_lock();
+        hook.letting_go(rung.node, rung.meta.handoff_stamp());
         // Window between setting the pass flag and the low release that
         // publishes it.
         chaos::point("clof-release-pass");
@@ -348,6 +451,7 @@ pub fn release_step<L: LowLock, C, N, K: Hook<N>>(
     }
     hook.release_up(rung.node, waiters);
     rung.meta.clear_high_lock();
+    hook.letting_go(rung.node, rung.meta.handoff_stamp());
     chaos::point("clof-release-up");
     #[cfg(feature = "testkit")]
     if mutant::low_released_first() {

@@ -94,7 +94,8 @@ impl AndersonLock {
         self.next.load(Ordering::Relaxed) != self.owner.load(Ordering::Relaxed)
     }
 
-    fn acquire_inner(&self, ctx: &mut AndersonContext, budget: u32) {
+    /// Returns whether the first look found our slot's flag unset.
+    fn acquire_inner(&self, ctx: &mut AndersonContext, budget: u32) -> bool {
         let ticket = self.next.fetch_add(1, Ordering::Relaxed);
         debug_assert!(
             ticket.wrapping_sub(self.owner.load(Ordering::Relaxed)) < ANDERSON_SLOTS as u32,
@@ -103,18 +104,23 @@ impl AndersonLock {
         let slot = ticket as usize % ANDERSON_SLOTS;
         // Acquire pairs with the Release store in `release`.
         #[cfg(feature = "park")]
-        self.spots[slot].wait_until(budget, || self.flags[slot].load(Ordering::Acquire));
+        let waited =
+            self.spots[slot].wait_until(budget, || self.flags[slot].load(Ordering::Acquire));
         #[cfg(not(feature = "park"))]
-        {
+        let waited = {
             let _ = budget;
             let mut backoff = Backoff::new();
+            let mut waited = false;
             while !self.flags[slot].load(Ordering::Acquire) {
+                waited = true;
                 backoff.snooze();
             }
-        }
+            waited
+        };
         // Reset our flag for the next lap of the ring.
         self.flags[slot].store(false, Ordering::Relaxed);
         ctx.slot = slot;
+        waited
     }
 
     /// Deadline-bounded acquire: cancel the ticket if we are still the
@@ -200,6 +206,10 @@ impl RawLock for AndersonLock {
     #[cfg(feature = "park")]
     fn acquire_budgeted(&self, ctx: &mut AndersonContext, budget: u32) {
         self.acquire_inner(ctx, budget);
+    }
+
+    fn acquire_reporting(&self, ctx: &mut AndersonContext, budget: u32) -> bool {
+        self.acquire_inner(ctx, budget)
     }
 
     fn try_acquire_until(&self, ctx: &mut AndersonContext, deadline: std::time::Instant) -> bool {

@@ -71,28 +71,35 @@ impl BackoffLock {
         self.locked.load(Ordering::Relaxed)
     }
 
-    fn acquire_inner(&self, budget: u32) {
+    /// Returns whether the first attempt failed.
+    fn acquire_inner(&self, budget: u32) -> bool {
         // Between-attempt penalty, kept across test phases so repeated
         // race losses keep growing it (up to the capped ceiling).
         let mut lost = 0;
+        let mut waited = false;
         loop {
             // Test phase: poll with relaxed loads until the flag reads
             // unlocked (parking once the budget runs out).
             #[cfg(feature = "park")]
-            self.park
-                .wait_until(budget, || !self.locked.load(Ordering::Relaxed));
+            {
+                waited |= self
+                    .park
+                    .wait_until(budget, || !self.locked.load(Ordering::Relaxed));
+            }
             #[cfg(not(feature = "park"))]
             {
                 let _ = budget;
                 let mut test = Backoff::new();
                 while self.locked.load(Ordering::Relaxed) {
+                    waited = true;
                     test.snooze();
                 }
             }
             // Attempt phase; Acquire pairs with the Release in `release`.
             if !self.locked.swap(true, Ordering::Acquire) {
-                return;
+                return waited;
             }
+            waited = true;
             // Lost the race: exponential backoff before the next test.
             pay(&mut lost);
         }
@@ -141,6 +148,10 @@ impl RawLock for BackoffLock {
     #[cfg(feature = "park")]
     fn acquire_budgeted(&self, _ctx: &mut NoContext, budget: u32) {
         self.acquire_inner(budget);
+    }
+
+    fn acquire_reporting(&self, _ctx: &mut NoContext, budget: u32) -> bool {
+        self.acquire_inner(budget)
     }
 
     fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: std::time::Instant) -> bool {

@@ -120,7 +120,8 @@ impl ClhLock {
         unsafe { !(*tail).locked.is_go() }
     }
 
-    fn acquire_inner(&self, ctx: &mut ClhContext, budget: u32) {
+    /// Returns whether a look at a predecessor's word found it armed.
+    fn acquire_inner(&self, ctx: &mut ClhContext, budget: u32) -> bool {
         debug_assert!(ctx.pred.is_none(), "context invariant violated: re-acquire");
         let node = ctx.node;
         // SAFETY: We exclusively own `node` until the swap publishes it.
@@ -129,18 +130,25 @@ impl ClhLock {
         // orders us after the predecessor's publication.
         let mut pred = self.tail.swap(node.as_ptr(), Ordering::AcqRel);
         crate::chaos::point("clh-acquire-enqueued");
-        // SAFETY: `pred` stays alive while we wait: its owner either is
-        // the lock itself (dummy) or cannot reuse/free it before we stop
-        // observing it — the releaser abandons the node to us, and an
-        // abandoning owner leaves it to us outright. The wait's Acquire
-        // pairs with the releaser's `grant_raw` swap.
-        while unsafe { (*pred).locked.wait(budget) } & ABANDONED != 0 {
+        let mut waited = false;
+        loop {
+            // SAFETY: `pred` stays alive while we wait: its owner either
+            // is the lock itself (dummy) or cannot reuse/free it before we
+            // stop observing it — the releaser abandons the node to us,
+            // and an abandoning owner leaves it to us outright. The wait's
+            // Acquire pairs with the releaser's `grant_raw` swap.
+            let (value, armed) = unsafe { (*pred).locked.wait(budget) };
+            waited |= armed;
+            if value & ABANDONED == 0 {
+                break;
+            }
             // Any predecessor may abandon its position mid-wait (even
             // though *this* acquire is unbounded).
             // SAFETY: We just observed the marker.
             pred = unsafe { Self::skip_abandoned(pred) };
         }
         ctx.pred = NonNull::new(pred);
+        waited
     }
 
     /// A waiter's continuation past an abandoned predecessor: adopts
@@ -284,6 +292,10 @@ impl RawLock for ClhLock {
     #[cfg(feature = "park")]
     fn acquire_budgeted(&self, ctx: &mut ClhContext, budget: u32) {
         self.acquire_inner(ctx, budget);
+    }
+
+    fn acquire_reporting(&self, ctx: &mut ClhContext, budget: u32) -> bool {
+        self.acquire_inner(ctx, budget)
     }
 
     fn try_acquire_until(&self, ctx: &mut ClhContext, deadline: std::time::Instant) -> bool {

@@ -198,14 +198,15 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
     /// the acknowledgement is a CAS: a releaser whose successor vanished
     /// may *retract* a published token, and a plain-store ack could then
     /// ack a token that is about to be re-published, stranding the
-    /// releaser.
-    fn acquire_inner(&self, ctx: &mut HemContext) {
+    /// releaser. Returns whether the acquire queued behind a predecessor.
+    fn acquire_inner(&self, ctx: &mut HemContext) -> bool {
         let me = ctx.cell.as_ptr() as usize;
         // AcqRel as in MCS: publish our cell, order after the predecessor.
         let pred = self.tail.swap(me, Ordering::AcqRel);
         if pred != 0 {
             self.wait_for_grant(pred as *mut HemCell);
         }
+        pred != 0
     }
 
     /// The contended half of [`acquire_inner`](Self::acquire_inner), out
@@ -392,6 +393,10 @@ impl<const CTR: bool> RawLock for HemlockGeneric<CTR> {
 
     fn acquire(&self, ctx: &mut HemContext) {
         self.acquire_inner(ctx);
+    }
+
+    fn acquire_reporting(&self, ctx: &mut HemContext, _budget: u32) -> bool {
+        self.acquire_inner(ctx)
     }
 
     fn try_acquire_until(&self, ctx: &mut HemContext, deadline: std::time::Instant) -> bool {

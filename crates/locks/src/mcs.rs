@@ -106,7 +106,8 @@ impl McsLock {
         !self.tail.load(Ordering::Relaxed).is_null()
     }
 
-    fn acquire_inner(&self, ctx: &mut McsContext, budget: u32) {
+    /// Returns whether the acquire queued behind a predecessor.
+    fn acquire_inner(&self, ctx: &mut McsContext, budget: u32) -> bool {
         let node = ctx.node.as_ptr();
         // SAFETY: `node` points to this context's live heap node; until
         // the swap below publishes it, no other thread can reach it.
@@ -119,7 +120,7 @@ impl McsLock {
         // after the predecessor's initialization.
         let pred = self.tail.swap(node, Ordering::AcqRel);
         if pred.is_null() {
-            return;
+            return false;
         }
         // The classic MCS window: we are in the queue but not yet linked
         // to our predecessor, whose release must wait for the link.
@@ -132,6 +133,7 @@ impl McsLock {
         // The wait's Acquire pairs with the Release swap in the
         // predecessor's `release`, ordering the critical sections.
         node_ref.locked.wait(budget);
+        true
     }
 
     /// Deadline-bounded acquire with HMCS-T-style node abandonment: on
@@ -273,6 +275,10 @@ impl RawLock for McsLock {
     #[cfg(feature = "park")]
     fn acquire_budgeted(&self, ctx: &mut McsContext, budget: u32) {
         self.acquire_inner(ctx, budget);
+    }
+
+    fn acquire_reporting(&self, ctx: &mut McsContext, budget: u32) -> bool {
+        self.acquire_inner(ctx, budget)
     }
 
     fn try_acquire_until(&self, ctx: &mut McsContext, deadline: std::time::Instant) -> bool {

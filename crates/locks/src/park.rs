@@ -206,10 +206,11 @@ impl WaitWord {
 
     /// Blocks until the word is released or abandoned and returns the
     /// value that ended the wait (a CLH waiter tests it for the abandoned
-    /// marker; on an own MCS word only a grant can arrive): spins
-    /// `budget` rounds, then — with the `park` feature — parks on the
-    /// word until the releaser's wake. Returns with `Acquire` ordering
-    /// against the release.
+    /// marker; on an own MCS word only a grant can arrive), and whether
+    /// the first look found the word still armed — whether the caller
+    /// had to wait at all. Spins `budget` rounds, then — with the `park`
+    /// feature — parks on the word until the releaser's wake. Returns
+    /// with `Acquire` ordering against the release.
     ///
     /// While it spins, the wait returns within one [`Backoff`] burst
     /// (≤ [`Backoff::HOLD`] hints, ~100 ns) of the grant however long it
@@ -221,14 +222,14 @@ impl WaitWord {
     /// the loop always keeps its [`Backoff`] instead of degenerating
     /// into a tight load.
     #[inline]
-    pub fn wait(&self, budget: u32) -> u32 {
+    pub fn wait(&self, budget: u32) -> (u32, bool) {
         // An uncontended CLH acquire finds its predecessor's word already
         // released: keep that check inline and the spin loop out of line.
         let value = self.0.load(Ordering::Acquire);
         if Self::is_done(value) {
-            return value;
+            return (value, false);
         }
-        self.spin_wait(budget)
+        (self.spin_wait(budget), true)
     }
 
     /// The loop of [`wait`](WaitWord::wait), once its first look found
@@ -439,6 +440,8 @@ impl ParkSpot {
     /// Blocks until `cond()` is true: spins `budget` rounds, then parks
     /// until a releaser's wake (re-spinning a fresh budget after each
     /// wake, since another thread may have consumed the condition).
+    /// Returns whether the first look found `cond()` false — whether the
+    /// caller had to wait at all.
     ///
     /// `cond` must be a side-effect-free *pure read* of shared state
     /// (with at least `Acquire` ordering). The wait machinery re-invokes
@@ -457,12 +460,14 @@ impl ParkSpot {
     /// [`wake_one`]: ParkSpot::wake_one
     /// [`wake_all`]: ParkSpot::wake_all
     #[inline]
-    pub fn wait_until(&self, budget: u32, mut cond: impl FnMut() -> bool) {
+    pub fn wait_until(&self, budget: u32, mut cond: impl FnMut() -> bool) -> bool {
         let mut waiter = Waiter::new(budget);
+        let mut waited = false;
         loop {
             if cond() {
-                return;
+                return waited;
             }
+            waited = true;
             if waiter.spin() {
                 continue;
             }
@@ -470,7 +475,7 @@ impl ParkSpot {
                 // `cond` returned true inside `park`; that observation
                 // already consumed the condition for us — re-invoking
                 // could fail (and, for an impure cond, double-fire).
-                return;
+                return true;
             }
             waiter.reset();
         }

@@ -93,6 +93,20 @@ pub trait RawLock: Default + Send + Sync + 'static {
         self.acquire(ctx);
     }
 
+    /// [`acquire_budgeted`](RawLock::acquire_budgeted) that also reports
+    /// whether it had to wait: `false` only when the lock's first look
+    /// found it free (no predecessor, the caller's ticket already
+    /// granted, an unarmed word, a first attempt that won). The answer
+    /// falls out of the acquire itself, at no extra memory access.
+    /// Telemetry calls this to skip a clock read for a level won without
+    /// waiting; a composition without telemetry never does, so its
+    /// acquire carries none of the bookkeeping. The default cannot tell
+    /// and says `true`.
+    fn acquire_reporting(&self, ctx: &mut Self::Context, budget: u32) -> bool {
+        self.acquire_budgeted(ctx, budget);
+        true
+    }
+
     /// Attempts to acquire the lock, giving up (and fully undoing any
     /// queue state, see `clof_locks::deadline`) once `deadline` passes.
     ///

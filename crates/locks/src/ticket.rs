@@ -69,21 +69,27 @@ impl TicketLock {
         self.queue_len() != 0
     }
 
-    fn acquire_inner(&self, budget: u32) {
+    /// Returns whether the first look found the grant short of our
+    /// ticket.
+    fn acquire_inner(&self, budget: u32) -> bool {
         let my = self.ticket.fetch_add(1, Ordering::Relaxed);
         crate::chaos::point("tkt-acquire-ticketed");
         // The Acquire load synchronizes with the Release store in
         // `release`, ordering the critical section after the previous one.
         #[cfg(feature = "park")]
-        self.park
+        return self
+            .park
             .wait_until(budget, || self.grant.load(Ordering::Acquire) == my);
         #[cfg(not(feature = "park"))]
         {
             let _ = budget;
             let mut backoff = Backoff::new();
+            let mut waited = false;
             while self.grant.load(Ordering::Acquire) != my {
+                waited = true;
                 backoff.snooze();
             }
+            waited
         }
     }
 
@@ -160,6 +166,10 @@ impl RawLock for TicketLock {
     #[cfg(feature = "park")]
     fn acquire_budgeted(&self, _ctx: &mut NoContext, budget: u32) {
         self.acquire_inner(budget);
+    }
+
+    fn acquire_reporting(&self, _ctx: &mut NoContext, budget: u32) -> bool {
+        self.acquire_inner(budget)
     }
 
     fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: std::time::Instant) -> bool {

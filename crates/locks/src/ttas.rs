@@ -62,14 +62,17 @@ impl TtasLock {
         self.locked.load(Ordering::Relaxed)
     }
 
+    /// Returns whether the first test-and-set attempt failed.
     #[cfg(feature = "park")]
-    fn acquire_inner(&self, budget: u32) {
+    fn acquire_inner(&self, budget: u32) -> bool {
+        let mut waited = false;
         loop {
             // Test phase: wait (spin, then park) for an unlocked read.
             // The Relaxed load is the traditional TTAS test; mutual
             // exclusion comes from the swap below, and the park/wake
             // pairing is ordered by ParkSpot's fences, not by this load.
-            self.park
+            waited |= self
+                .park
                 .wait_until(budget, || !self.locked.load(Ordering::Relaxed));
             // Window between observing unlocked and attempting the swap;
             // the swap makes losing the race safe, merely wasteful.
@@ -77,8 +80,9 @@ impl TtasLock {
             // Test-and-set phase; Acquire pairs with the Release in
             // `release` to order the critical sections.
             if !self.locked.swap(true, Ordering::Acquire) {
-                return;
+                return waited;
             }
+            waited = true;
         }
     }
 
@@ -103,12 +107,15 @@ impl TtasLock {
         }
     }
 
+    /// Returns whether the first test-and-set attempt failed.
     #[cfg(not(feature = "park"))]
-    fn acquire_inner(&self, _budget: u32) {
+    fn acquire_inner(&self, _budget: u32) -> bool {
         let mut backoff = Backoff::new();
+        let mut waited = false;
         loop {
             // Test phase: spin on a (locally cached) load.
             while self.locked.load(Ordering::Relaxed) {
+                waited = true;
                 backoff.snooze();
             }
             // Window between observing unlocked and attempting the swap;
@@ -117,8 +124,9 @@ impl TtasLock {
             // Test-and-set phase; Acquire pairs with the Release in
             // `release` to order the critical sections.
             if !self.locked.swap(true, Ordering::Acquire) {
-                return;
+                return waited;
             }
+            waited = true;
         }
     }
 }
@@ -142,6 +150,10 @@ impl RawLock for TtasLock {
     #[cfg(feature = "park")]
     fn acquire_budgeted(&self, _ctx: &mut NoContext, budget: u32) {
         self.acquire_inner(budget);
+    }
+
+    fn acquire_reporting(&self, _ctx: &mut NoContext, budget: u32) -> bool {
+        self.acquire_inner(budget)
     }
 
     fn try_acquire_until(&self, _ctx: &mut NoContext, deadline: std::time::Instant) -> bool {

@@ -3,11 +3,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use clof_locks::spin::testkit::issued;
 use clof_locks::{
-    AndersonLock, Backoff, ClhLock, Hemlock, HemlockCtr, McsLock, RawLock, RawLockMutex,
-    TicketLock, TtasLock,
+    AndersonLock, Backoff, BackoffLock, ClhLock, Hemlock, HemlockCtr, McsLock, RawLock,
+    RawLockMutex, TicketLock, TtasLock, SPIN_FOREVER,
 };
 use clof_testkit::gen::{vec_of, Gen};
 use clof_testkit::{props, tk_assert, tk_assert_eq, Config};
@@ -140,6 +141,51 @@ fn hemlock_guard_panic_safe() {
 #[test]
 fn anderson_guard_panic_safe() {
     guard_releases_on_panic::<AndersonLock>();
+}
+
+/// `acquire_reporting` says `false` for a lock its first look found free
+/// and `true` for one it had to wait for. Whether an acquire waited is
+/// not observable from outside, so the contended case repeats until the
+/// waiter provably did: it took longer than the holder kept the lock
+/// after the waiter started.
+fn reports_whether_it_waited<L: RawLock>() {
+    let lock = L::default();
+    let mut holder = L::Context::default();
+    assert!(!lock.acquire_reporting(&mut holder, SPIN_FOREVER), "{}: free", L::INFO.name);
+    lock.release(&mut holder);
+    for _ in 0..50 {
+        lock.acquire(&mut holder);
+        let (waited, took) = std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                let mut ctx = L::Context::default();
+                let start = Instant::now();
+                let waited = lock.acquire_reporting(&mut ctx, SPIN_FOREVER);
+                let took = start.elapsed();
+                lock.release(&mut ctx);
+                (waited, took)
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            lock.release(&mut holder);
+            waiter.join().unwrap()
+        });
+        if took >= Duration::from_millis(10) {
+            assert!(waited, "{}: waited {took:?} but reported no wait", L::INFO.name);
+            return;
+        }
+    }
+    panic!("{}: the waiter never found the lock held", L::INFO.name);
+}
+
+#[test]
+fn every_lock_reports_whether_it_waited() {
+    reports_whether_it_waited::<TicketLock>();
+    reports_whether_it_waited::<McsLock>();
+    reports_whether_it_waited::<ClhLock>();
+    reports_whether_it_waited::<Hemlock>();
+    reports_whether_it_waited::<HemlockCtr>();
+    reports_whether_it_waited::<AndersonLock>();
+    reports_whether_it_waited::<TtasLock>();
+    reports_whether_it_waited::<BackoffLock>();
 }
 
 /// FIFO fairness of the ticket lock, observed: with one holder and N

@@ -144,11 +144,14 @@ use std::time::Instant;
 /// Nanoseconds since the process-wide observation epoch (the first call).
 ///
 /// Monotonic (backed by [`Instant`]). One read costs about 35 ns on the
-/// 2-CPU reference host, so the lock hooks budget it: one read per
-/// transition (acquire entry, each level won, release) — 3 on the pass
-/// path, `levels + 2` on a full climb — shared by every consumer of the
-/// transition. All timestamps in this crate share this epoch, so traces
-/// from different locks in one process are directly comparable.
+/// 2-CPU reference host, and ~70 ns on a lock's serial path, so the lock
+/// recorders budget it: two reads per acquire→release (acquire entry,
+/// release entry), plus one per level that waited for a lock nobody
+/// passed. Every other level is won at a stamp already taken — the
+/// releaser's hand-off stamp or the previous transition's — and each
+/// read is shared by every consumer of its transition. All timestamps in
+/// this crate share this epoch, so traces from different locks in one
+/// process are directly comparable.
 #[inline]
 pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();

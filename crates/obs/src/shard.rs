@@ -143,6 +143,17 @@ impl Shard {
         start
     }
 
+    /// The next level of the path was won without a clock read of its
+    /// own: at `handoff`, the stamp its low lock's last releaser left,
+    /// clamped to no earlier than where the wait for it started. A stamp
+    /// older than that start means the lock was free all along, so the
+    /// wait is 0. Returns `(start, won)`.
+    #[inline]
+    pub fn level_won_stamped(&self, handoff: u64, inherited: bool) -> (u64, u64) {
+        let won = handoff.max(self.acquired_ns());
+        (self.level_won(won, inherited), won)
+    }
+
     /// When the acquire in flight won its latest level (its entry, before
     /// the first): once acquired, the start of the hold.
     #[inline]
@@ -580,6 +591,33 @@ mod tests {
             snap.events.last().unwrap().timestamp_ns,
             (rounds * per_shard - 1) * 1000 + 110
         );
+    }
+
+    #[test]
+    fn a_hand_off_stamp_is_clamped_to_the_wait_start() {
+        let set = set_3level("shard-clamp");
+        let shard = set.shard(&[10, 20, 30]);
+        // Passed at 900, before this acquire began at 1000: the lock was
+        // free all along, so no wait, and the hold starts at entry.
+        shard.enter(1000);
+        assert_eq!(shard.level_won_stamped(900, true), (1000, 1000));
+        assert_eq!(shard.acquired_ns(), 1000);
+        shard.pass(0);
+        shard.releasing(1100);
+        shard.commit(7);
+        let snap = set.lock_snapshot("l");
+        assert_eq!(set.totals().wait, (0, 1));
+        assert_eq!(snap.levels[0].acquire_ns.sum, 0);
+        assert_eq!((snap.hold_ns.count, snap.hold_ns.sum), (1, 100));
+        // Passed at 2050, after this acquire began at 2000: the wait ends
+        // and the hold starts at the releaser's stamp.
+        shard.enter(2000);
+        assert_eq!(shard.level_won_stamped(2050, true), (2000, 2050));
+        shard.pass(0);
+        shard.releasing(2150);
+        shard.commit(7);
+        assert_eq!(set.totals().wait, (50, 2));
+        assert_eq!(set.lock_snapshot("l").hold_ns.sum, 200);
     }
 
     #[test]

@@ -10,10 +10,14 @@
 # slows a cell — and slows the obs cell more, since it reads the clock —
 # so a run over budget is repeated (three attempts in all) before the
 # gate fails.
+#
+# Each budget is what the recorders achieve plus one run-to-run spread:
+# the median of three traced runs on the 2-CPU reference host plus the
+# range of those three (hand-off 1.54/1.62/1.96x, solo 3.95/4.03/5.29x).
 set -eu
 
-HANDOFF_BUDGET=2.5
-SOLO_BUDGET=6
+HANDOFF_BUDGET=2.1
+SOLO_BUDGET=5.4
 
 out="${CARGO_TARGET_DIR:-benchmark/target}/smoke/tax.json"
 mkdir -p "$(dirname "$out")"

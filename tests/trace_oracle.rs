@@ -7,7 +7,9 @@
 //!   plain-number `assert_total_order`;
 //! * one hold span per oracle-counted acquisition (complete traces);
 //! * pass-chain lengths respect the keep-local bound H on a 2-level
-//!   stress run (the §4.1 starvation-freedom argument, observed).
+//!   stress run (the §4.1 starvation-freedom argument, observed);
+//! * the holds of a pass chain tile the timeline: ownership changes
+//!   hands at the releaser's stamp (DESIGN §8).
 //!
 //! The tracer is process-global, so these tests serialize behind a
 //! local mutex. Run with `cargo test --features obs --test trace_oracle`.
@@ -16,10 +18,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use clof::obs::{analyze, ownership_timeline, trace, Trace};
+use clof::obs::{analyze, ownership_timeline, trace, SpanKind, Trace};
 use clof::{ClofParams, DynClofLock, LockKind};
 use clof_testkit::strategies::build_regular;
 use clof_testkit::{assert_total_order, fuzz_seeds, seed_batch, StressOptions};
+use clof_topology::platforms;
 
 /// The tracer is process-global; tests take it one at a time.
 static TRACER: Mutex<()> = Mutex::new(());
@@ -138,4 +141,80 @@ fn traced_wait_spans_cover_every_acquisition() {
         .expect("level 0 waits recorded");
     assert_eq!(l0.spans, total, "one L0 wait span per acquisition");
     assert_eq!(analysis.holds, total, "one hold span per acquisition");
+}
+
+#[test]
+fn pass_chain_holds_start_at_the_hand_off_stamp() {
+    let _tracer = TRACER.lock().unwrap_or_else(|p| p.into_inner());
+    const ITERS: usize = 3_000;
+    // CPUs 0 and 1 share a leaf cohort on `tiny`: nearly every acquire
+    // inherits the tree at the leaf from the other thread's pass.
+    let lock = Arc::new(
+        DynClofLock::build(
+            &platforms::tiny(),
+            &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket],
+        )
+        .expect("composition builds"),
+    );
+    trace::enable(1 << 16);
+    let threads: Vec<_> = (0..2)
+        .map(|cpu| {
+            let lock = Arc::clone(&lock);
+            std::thread::spawn(move || {
+                let mut handle = lock.handle(cpu);
+                for _ in 0..ITERS {
+                    handle.acquire();
+                    handle.release();
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    trace::disable();
+    let recorded = trace::snapshot();
+    assert!(recorded.is_complete(), "{} dropped", recorded.dropped);
+    let timeline = ownership_timeline(&recorded).expect("hold spans must not overlap");
+    assert_eq!(timeline.len(), 2 * ITERS);
+
+    // Each thread's leaf waits and holds alternate: pair them in order.
+    let mut threads: Vec<u32> = timeline.iter().map(|h| h.2).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    assert_eq!(threads.len(), 2);
+    let mut checked = 0;
+    for thread in threads {
+        let leaf_waits: Vec<_> = recorded
+            .events
+            .iter()
+            .filter(|e| e.thread == thread && e.level == 0)
+            .filter(|e| matches!(e.kind, SpanKind::Wait { .. }))
+            .collect();
+        let holds: Vec<usize> = (0..timeline.len())
+            .filter(|&i| timeline[i].2 == thread)
+            .collect();
+        assert_eq!(leaf_waits.len(), holds.len(), "one leaf wait per hold");
+        for (wait, &i) in leaf_waits.iter().zip(&holds) {
+            if wait.kind != (SpanKind::Wait { inherited: true }) {
+                continue;
+            }
+            let start = timeline[i].0;
+            assert_eq!(
+                start,
+                timeline[i - 1].1.max(wait.start_ns),
+                "an inherited hold starts at max(previous hold's end, own entry)"
+            );
+            assert_eq!(
+                wait.end_ns, start,
+                "the leaf wait ends where the hold starts"
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= ITERS / 2,
+        "only {checked} of {} acquires inherited at the leaf",
+        2 * ITERS
+    );
 }
