@@ -714,7 +714,7 @@ mod tests {
         // answers `Some`, but a previous name-keyed version of
         // `has_native_hint` omitted it and kept the redundant
         // read-indicator traffic.
-        use clof_locks::{AndersonLock, BackoffLock, Hemlock, HemlockCtr, RawLock, TtasLock};
+        use clof_locks::{AndersonLock, Hemlock, HemlockCtr, RawLock, TtasLock};
         fn probe<L: RawLock>() -> bool {
             let lock = L::default();
             let mut ctx = L::Context::default();
@@ -729,7 +729,6 @@ mod tests {
         assert_eq!(probe::<Hemlock>(), has_native_hint::<Hemlock>());
         assert_eq!(probe::<HemlockCtr>(), has_native_hint::<HemlockCtr>());
         assert_eq!(probe::<TtasLock>(), has_native_hint::<TtasLock>());
-        assert_eq!(probe::<BackoffLock>(), has_native_hint::<BackoffLock>());
         assert_eq!(probe::<AndersonLock>(), has_native_hint::<AndersonLock>());
         assert!(
             has_native_hint::<AndersonLock>(),

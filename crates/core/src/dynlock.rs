@@ -728,6 +728,18 @@ impl DynClofLock {
             .store(false, std::sync::atomic::Ordering::Release);
     }
 
+    /// The root level's spin budget: what a waiter in front of the
+    /// whole composition (the `FastClof` gate) spins before parking.
+    /// Always [`clof_locks::SPIN_FOREVER`] without the `park` feature.
+    #[inline]
+    pub(crate) fn root_spin_budget(&self) -> u32 {
+        // The tree is built root first, so the root is the first node.
+        match self.nodes.first() {
+            Some((_, root)) => root.meta.spin_budget(),
+            None => clof_locks::SPIN_FOREVER,
+        }
+    }
+
     /// Current per-level spin budgets `(level, rounds)`, innermost
     /// first. All cohorts of one level share a budget, so one node per
     /// level reports it. The adaptation layer snapshots this on the

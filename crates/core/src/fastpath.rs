@@ -4,25 +4,25 @@
 //! "Since often only a single thread tries to acquire a spinlock, slow
 //! path optimizations should minimally affect the critical path for a
 //! single thread. [...] Extending CLoF with the same TAS approach as
-//! ShflLock is rather simple." — this module is that extension. An
-//! uncontended acquire is one `swap`; under contention, threads order
-//! themselves through the full NUMA-aware composition and only the
-//! queue's head competes for the test-and-set gate.
+//! ShflLock is rather simple." — this module is that extension. The
+//! gate is a [`TtasLock`], the crate's one test-and-set lock: an
+//! uncontended acquire is one load and one `swap`; under contention,
+//! threads order themselves through the full NUMA-aware composition and
+//! only the composition's owner competes with fresh arrivals for the
+//! gate. That is the structure of Fissile locks (Dice & Kogan,
+//! arXiv:2003.05025): an outer test-and-set lock over an inner queue
+//! lock, the queue's head the only queued thread at the outer lock.
 //!
 //! Trade-off (same as ShflLock's): a fast-path arrival can overtake the
-//! queue head, so the lock is only *bounded*-unfair — the gate is
-//! contended by at most the head and fresh arrivals, and a fresh arrival
-//! that loses falls into the queue behind everyone.
+//! composition's owner at the gate, and nothing bounds how often, so the
+//! lock is *unfair*. Fissile's bounded bypass (an impatient gate waiter
+//! that sends new arrivals down the slow path) is the open `FastClof`
+//! item in ROADMAP.md (item 4).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-#[cfg(feature = "park")]
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-#[cfg(feature = "park")]
-use clof_locks::ParkSpot;
-use clof_locks::Backoff;
-use clof_locks::CachePadded;
+use clof_locks::{CachePadded, NoContext, RawLock, TtasLock};
 use clof_topology::{CpuId, Hierarchy};
 
 use crate::dynlock::{DynClofLock, DynHandle};
@@ -166,26 +166,16 @@ mod gateobs {
 /// handle.release();
 /// ```
 pub struct FastClof {
-    /// The gate that actually protects the critical section. Every
-    /// contender `swap`s this word, so it gets a cache line to itself:
+    /// The gate that actually protects the critical section. Its flag
+    /// (and, with `park`, its eventcount) has a cache line to itself:
     /// gate traffic must not invalidate the path counters (below) or
     /// the composition's read-mostly topology.
-    top: CachePadded<AtomicBool>,
+    gate: TtasLock,
     /// Path counters (diagnostics). Written only by the thread that just
     /// won the gate — successive owners are ordered by the gate's
     /// release→acquire hand-off — so plain load + store suffices, and
     /// one shared line for both is fine (same writer).
     paths: CachePadded<PathCounters>,
-    /// Eventcount for the gate spinner. At most one thread (the slow
-    /// path's composition owner) ever waits here, so `wake_one` on
-    /// release is exact. Own line: wake traffic must not bounce the
-    /// gate word.
-    #[cfg(feature = "park")]
-    gate_park: CachePadded<ParkSpot>,
-    /// Spin rounds before the gate spinner parks. The gate is contended
-    /// machine-wide, so it gets the top level's (smallest) budget.
-    #[cfg(feature = "park")]
-    gate_budget: AtomicU32,
     /// NUMA-aware ordering of contenders.
     slow: DynClofLock,
 }
@@ -196,8 +186,7 @@ struct PathCounters {
     slow: AtomicU64,
 }
 
-// The gate word and the owner-written counters may not share a line.
-const _: () = assert!(std::mem::size_of::<CachePadded<AtomicBool>>() == clof_locks::CACHE_LINE);
+// The owner-written counters have a line of their own.
 const _: () = assert!(std::mem::size_of::<CachePadded<PathCounters>>() == clof_locks::CACHE_LINE);
 
 impl FastClof {
@@ -224,29 +213,10 @@ impl FastClof {
         #[cfg(feature = "obs")]
         slow.relabel_site(&format!("tas+{}", slow.name()));
         Ok(Arc::new(FastClof {
-            top: CachePadded::new(AtomicBool::new(false)),
+            gate: TtasLock::new(),
             paths: CachePadded::new(PathCounters::default()),
-            #[cfg(feature = "park")]
-            gate_park: CachePadded::new(ParkSpot::new()),
-            #[cfg(feature = "park")]
-            gate_budget: AtomicU32::new(crate::level::spin_budget_for_span(
-                hierarchy.cohort_span(hierarchy.level_count() - 1),
-            )),
             slow,
         }))
-    }
-
-    /// Spin rounds the slow path's gate spinner burns before parking.
-    #[cfg(feature = "park")]
-    pub fn gate_spin_budget(&self) -> u32 {
-        self.gate_budget.load(Ordering::Relaxed)
-    }
-
-    /// Retunes the gate spinner's budget ([`clof_locks::SPIN_FOREVER`]
-    /// turns gate parking off). Policy-only; never affects correctness.
-    #[cfg(feature = "park")]
-    pub fn set_gate_spin_budget(&self, rounds: u32) {
-        self.gate_budget.store(rounds, Ordering::Relaxed);
     }
 
     /// A per-thread handle entering at `cpu`'s leaf cohort.
@@ -300,6 +270,13 @@ impl FastClof {
         self.slow.site_profile()
     }
 
+    /// The slow composition's read-indicator total; zero at quiescence
+    /// means no timed-out attempt leaked composition state. See
+    /// [`DynClofLock::queue_depth_hint`].
+    pub fn queue_depth_hint(&self) -> u32 {
+        self.slow.queue_depth_hint()
+    }
+
     /// Marks the protected state suspect (a holder panicked); delegates
     /// to the slow composition's flag — the gate carries no state of
     /// its own. See [`DynClofLock::poison`].
@@ -316,12 +293,6 @@ impl FastClof {
     pub fn clear_poison(&self) {
         self.slow.clear_poison()
     }
-
-    #[inline]
-    fn try_top(&self) -> bool {
-        // Test-and-test-and-set to keep the failed fast path cheap.
-        !self.top.load(Ordering::Relaxed) && !self.top.swap(true, Ordering::Acquire)
-    }
 }
 
 /// Per-thread handle on a [`FastClof`].
@@ -332,10 +303,10 @@ pub struct FastClofHandle {
 }
 
 impl FastClofHandle {
-    /// Acquires the lock (one `swap` when uncontended).
+    /// Acquires the lock (one load and one `swap` when uncontended).
     pub fn acquire(&mut self) {
         let start = self.obs.start();
-        if self.lock.try_top() {
+        if self.lock.gate.try_acquire() {
             bump_owned(&self.lock.paths.fast);
             self.obs.record_gate(start, true);
             return;
@@ -343,30 +314,12 @@ impl FastClofHandle {
         // Slow path: order through the CLoF composition, then, as the
         // composition's owner, win the gate and hand the composition to
         // the next NUMA-local waiter (who becomes the new gate spinner).
+        // The gate is contended machine-wide, so it waits with the root
+        // level's (smallest) spin budget.
         self.slow.acquire();
-        // Same shape as `TtasLock::acquire_inner`: the park condition is
-        // a *pure* read of the gate word (ParkSpot conditions must be
-        // side-effect-free — see its docs), and the actual TAS runs in
-        // the outer loop. A fast-path thief who outraces the woken
-        // spinner just sends it back into `wait_until`, and the thief's
-        // own release re-arms the wake.
-        #[cfg(feature = "park")]
-        loop {
-            self.lock.gate_park.wait_until(
-                self.lock.gate_budget.load(Ordering::Relaxed),
-                || !self.lock.top.load(Ordering::Relaxed),
-            );
-            if self.lock.try_top() {
-                break;
-            }
-        }
-        #[cfg(not(feature = "park"))]
-        {
-            let mut backoff = Backoff::new();
-            while !self.lock.try_top() {
-                backoff.snooze();
-            }
-        }
+        self.lock
+            .gate
+            .acquire_budgeted(&mut NoContext, self.lock.slow.root_spin_budget());
         self.slow.release();
         bump_owned(&self.lock.paths.slow);
         self.obs.record_gate(start, false);
@@ -374,14 +327,14 @@ impl FastClofHandle {
 
     /// Deadline-bounded acquire: the fast path is a single attempt, the
     /// slow path spends the shared budget first on the composition and
-    /// then on a *bounded* gate spin (spin-only, never parked — a
+    /// then on the gate's deadline wait (spin-only, never parked — a
     /// deadline wait must stay wakeable by the clock alone). On gate
     /// expiry the composition is released back to the next NUMA-local
     /// waiter: the gate grants nothing positionally, so giving up is
     /// just handing the slow path on — no queue state can leak.
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
         let start = self.obs.start();
-        if self.lock.try_top() {
+        if self.lock.gate.try_acquire() {
             bump_owned(&self.lock.paths.fast);
             self.obs.record_gate(start, true);
             return true;
@@ -392,19 +345,11 @@ impl FastClofHandle {
             // wait edge is cancelled too).
             return false;
         }
-        let mut poll = clof_locks::DeadlinePoll::new(deadline, "fast-gate");
-        let mut backoff = Backoff::new();
-        loop {
-            if self.lock.try_top() {
-                break;
-            }
-            if poll.expired() {
-                self.slow.release();
-                clof_locks::deadline::note_abandon();
-                self.obs.record_timeout();
-                return false;
-            }
-            backoff.snooze();
+        if !self.lock.gate.try_acquire_until(&mut NoContext, deadline) {
+            // The gate counted the abandon; hand the composition on.
+            self.slow.release();
+            self.obs.record_timeout();
+            return false;
         }
         self.slow.release();
         bump_owned(&self.lock.paths.slow);
@@ -423,9 +368,7 @@ impl FastClofHandle {
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
         self.obs.record_release();
-        self.lock.top.store(false, Ordering::Release);
-        #[cfg(feature = "park")]
-        self.lock.gate_park.wake_one();
+        self.lock.gate.release(&mut NoContext);
     }
 }
 
@@ -535,7 +478,7 @@ mod tests {
         assert!(!contender.try_acquire_until(start + Duration::from_millis(40)));
         assert!(start.elapsed() < Duration::from_secs(5));
         assert_eq!(
-            lock.slow.queue_depth_hint(),
+            lock.queue_depth_hint(),
             0,
             "timed-out gate spinner kept composition state"
         );

@@ -1,8 +1,8 @@
 //! Runtime lock-kind descriptors and enum-dispatched basic locks.
 
 use clof_locks::{
-    AndersonContext, AndersonLock, BackoffLock, ClhContext, ClhLock, HemContext, Hemlock,
-    HemlockCtr, LockInfo, McsContext, McsLock, NoContext, RawLock, TicketLock, TtasLock,
+    AndersonContext, AndersonLock, ClhContext, ClhLock, HemContext, Hemlock, HemlockCtr, LockInfo,
+    McsContext, McsLock, NoContext, RawLock, TicketLock, TtasLock,
 };
 
 use crate::error::ClofError;
@@ -28,13 +28,11 @@ pub enum LockKind {
     Anderson,
     /// [`TtasLock`] (unfair).
     Ttas,
-    /// [`BackoffLock`] (unfair).
-    Backoff,
 }
 
 impl LockKind {
     /// Every kind, fair first.
-    pub const ALL: [LockKind; 8] = [
+    pub const ALL: [LockKind; 7] = [
         LockKind::Ticket,
         LockKind::Mcs,
         LockKind::Clh,
@@ -42,7 +40,6 @@ impl LockKind {
         LockKind::HemlockCtr,
         LockKind::Anderson,
         LockKind::Ttas,
-        LockKind::Backoff,
     ];
 
     /// The paper's basic-lock set for Armv8 (§5.2): tkt, mcs, clh, hem
@@ -73,7 +70,6 @@ impl LockKind {
             LockKind::HemlockCtr => HemlockCtr::INFO,
             LockKind::Anderson => AndersonLock::INFO,
             LockKind::Ttas => TtasLock::INFO,
-            LockKind::Backoff => BackoffLock::INFO,
         }
     }
 
@@ -83,7 +79,7 @@ impl LockKind {
     }
 
     /// Parses the paper's short names (`tkt`, `mcs`, `clh`, `hem`,
-    /// `hem-ctr`, `ttas`, `bo`).
+    /// `hem-ctr`, `anderson`, `ttas`).
     pub fn parse(name: &str) -> Result<Self, ClofError> {
         LockKind::ALL
             .into_iter()
@@ -115,14 +111,12 @@ pub enum AnyLock {
     Anderson(AndersonLock),
     /// TTAS instance.
     Ttas(TtasLock),
-    /// Backoff-lock instance.
-    Backoff(BackoffLock),
 }
 
 /// Context matching an [`AnyLock`] variant.
 #[derive(Debug)]
 pub enum AnyContext {
-    /// For context-free locks (tkt/ttas/bo).
+    /// For context-free locks (tkt/ttas).
     None(NoContext),
     /// MCS queue node.
     Mcs(McsContext),
@@ -170,7 +164,6 @@ macro_rules! typed_lock {
 
 typed_lock!(TicketLock, Ticket, None);
 typed_lock!(TtasLock, Ttas, None);
-typed_lock!(BackoffLock, Backoff, None);
 typed_lock!(McsLock, Mcs, Mcs);
 typed_lock!(ClhLock, Clh, Clh);
 typed_lock!(Hemlock, Hemlock, Hem);
@@ -182,7 +175,6 @@ macro_rules! dispatch {
         match ($self, $ctx) {
             (AnyLock::Ticket($lock), AnyContext::None($c)) => $body,
             (AnyLock::Ttas($lock), AnyContext::None($c)) => $body,
-            (AnyLock::Backoff($lock), AnyContext::None($c)) => $body,
             (AnyLock::Mcs($lock), AnyContext::Mcs($c)) => $body,
             (AnyLock::Clh($lock), AnyContext::Clh($c)) => $body,
             (AnyLock::Hemlock($lock), AnyContext::Hem($c)) => $body,
@@ -204,7 +196,6 @@ impl AnyLock {
             LockKind::HemlockCtr => AnyLock::HemlockCtr(HemlockCtr::default()),
             LockKind::Anderson => AnyLock::Anderson(AndersonLock::default()),
             LockKind::Ttas => AnyLock::Ttas(TtasLock::default()),
-            LockKind::Backoff => AnyLock::Backoff(BackoffLock::default()),
         }
     }
 
@@ -218,16 +209,13 @@ impl AnyLock {
             AnyLock::HemlockCtr(_) => LockKind::HemlockCtr,
             AnyLock::Anderson(_) => LockKind::Anderson,
             AnyLock::Ttas(_) => LockKind::Ttas,
-            AnyLock::Backoff(_) => LockKind::Backoff,
         }
     }
 
     /// Creates a context suitable for this lock.
     pub fn new_context(&self) -> AnyContext {
         match self {
-            AnyLock::Ticket(_) | AnyLock::Ttas(_) | AnyLock::Backoff(_) => {
-                AnyContext::None(NoContext)
-            }
+            AnyLock::Ticket(_) | AnyLock::Ttas(_) => AnyContext::None(NoContext),
             AnyLock::Mcs(_) => AnyContext::Mcs(McsContext::default()),
             AnyLock::Anderson(_) => AnyContext::Anderson(AndersonContext::default()),
             AnyLock::Clh(_) => AnyContext::Clh(ClhContext::default()),

@@ -10,9 +10,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 use crate::pad::CachePadded;
-#[cfg(feature = "park")]
-use crate::park::ParkSpot;
-use crate::park::SPIN_FOREVER;
+use crate::park::{ParkSpot, SPIN_FOREVER};
 use crate::raw::{LockInfo, RawLock};
 use crate::spin::Backoff;
 
@@ -60,9 +58,13 @@ pub struct AndersonLock {
     /// One eventcount per slot: a budget-exhausted waiter parks on its
     /// own slot's spot and the releaser wakes exactly the successor slot
     /// — the array lock keeps its precise hand-off even while parked.
-    #[cfg(feature = "park")]
-    spots: Box<[CachePadded<ParkSpot>]>,
+    /// A fixed-size array, so the slot index needs no bounds check; it
+    /// allocates nothing without the `park` feature (zero-sized spots).
+    spots: Box<[CachePadded<ParkSpot>; ANDERSON_SLOTS]>,
 }
+
+// The two boxes fill one line; each padded counter takes a line of its own.
+const _: () = assert!(std::mem::size_of::<AndersonLock>() == 3 * crate::pad::CACHE_LINE);
 
 impl Default for AndersonLock {
     fn default() -> Self {
@@ -75,10 +77,7 @@ impl Default for AndersonLock {
             flags: flags.into_boxed_slice(),
             next: CachePadded::new(AtomicU32::new(0)),
             owner: CachePadded::new(AtomicU32::new(0)),
-            #[cfg(feature = "park")]
-            spots: (0..ANDERSON_SLOTS)
-                .map(|_| CachePadded::new(ParkSpot::new()))
-                .collect(),
+            spots: Box::new(std::array::from_fn(|_| CachePadded::default())),
         }
     }
 }
@@ -103,20 +102,8 @@ impl AndersonLock {
         );
         let slot = ticket as usize % ANDERSON_SLOTS;
         // Acquire pairs with the Release store in `release`.
-        #[cfg(feature = "park")]
         let waited =
             self.spots[slot].wait_until(budget, || self.flags[slot].load(Ordering::Acquire));
-        #[cfg(not(feature = "park"))]
-        let waited = {
-            let _ = budget;
-            let mut backoff = Backoff::new();
-            let mut waited = false;
-            while !self.flags[slot].load(Ordering::Acquire) {
-                waited = true;
-                backoff.snooze();
-            }
-            waited
-        };
         // Reset our flag for the next lap of the ring.
         self.flags[slot].store(false, Ordering::Relaxed);
         ctx.slot = slot;
@@ -226,7 +213,6 @@ impl RawLock for AndersonLock {
         // Release publishes the critical section to the successor's
         // Acquire wait; the wake targets exactly the successor's spot.
         self.flags[next].store(true, Ordering::Release);
-        #[cfg(feature = "park")]
         self.spots[next].wake_one();
     }
 

@@ -34,8 +34,8 @@
 //!   first tries to *cancel* its ticket (a tail CAS, possible only for
 //!   the youngest ticket) and otherwise waits for its turn and
 //!   immediately hands it forward (release-on-grant).
-//! * **TTAS/backoff** (unqueued): plain bounded retry; there is no
-//!   queue state to abandon.
+//! * **TTAS** (unqueued): plain bounded retry; there is no queue state
+//!   to abandon.
 //!
 //! Deadline waits never park, even with the `park` feature: a deadline
 //! bounds how long the caller burns, and the bounded spin is itself the
@@ -103,9 +103,10 @@ pub fn set_skip_recorder(f: Option<fn()>) {
 }
 
 /// Records one waiter-side bailout originating *outside* the basic
-/// locks — the composition layers' own bounded waits (the fast-path
-/// TAS gate, the adaptation baton) give up through this so all
-/// bailouts land in one stream. Basic locks use the internal hook.
+/// locks — a composition layer's own bounded wait (the adaptation
+/// baton) gives up through this so all bailouts land in one stream.
+/// Basic locks, the fast path's TTAS gate included, use the internal
+/// hook.
 pub fn note_abandon() {
     on_abandon();
 }

@@ -16,9 +16,10 @@
 //! * [`AndersonLock`] — fair, array-based local spinning (an extra
 //!   family beyond the paper's four, exercising the framework's
 //!   any-conforming-lock claim).
-//! * [`TtasLock`] and [`BackoffLock`] — *unfair* locks, included to
-//!   exercise the paper's fairness discussion (§4.2.3): CLoF compositions
-//!   are only fair when every component is fair.
+//! * [`TtasLock`] — the *unfair* lock (§4.2.1), included to exercise the
+//!   paper's fairness discussion (§4.2.3): CLoF compositions are only
+//!   fair when every component is fair. It is also the test-and-set gate
+//!   of `clof-core`'s fast path (§6).
 //!
 //! # Context abstraction
 //!
@@ -56,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod anderson;
-pub mod backoff_lock;
 pub mod chaos;
 pub mod clh;
 pub mod deadline;
@@ -70,15 +70,14 @@ pub mod ticket;
 pub mod ttas;
 
 pub use anderson::{AndersonContext, AndersonLock};
-pub use backoff_lock::BackoffLock;
 pub use clh::{ClhContext, ClhLock};
 pub use deadline::DeadlinePoll;
 pub use hemlock::{HemContext, Hemlock, HemlockCtr};
 pub use mcs::{McsContext, McsLock};
 pub use pad::{CachePadded, CACHE_LINE};
 #[cfg(feature = "park")]
-pub use park::{ParkSpot, PARK_MARKER};
-pub use park::{Waiter, WaitWord, SPIN_FOREVER};
+pub use park::PARK_MARKER;
+pub use park::{ParkSpot, WaitWord, Waiter, SPIN_FOREVER};
 pub use raw::{LockInfo, NoContext, RawLock};
 pub use spin::Backoff;
 pub use ticket::TicketLock;

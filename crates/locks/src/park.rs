@@ -16,9 +16,8 @@
 //!   word only if the swapped-out value carried the bit. The wake takes
 //!   only the *address*, never dereferencing the (possibly already
 //!   recycled) node — see [`WaitWord::grant_raw`].
-//! * `ParkSpot` (`park` builds only) — an eventcount for the polling
-//!   locks (ticket, TTAS, Anderson slots, TAS+backoff): waiters park on
-//!   an epoch word after
+//! * [`ParkSpot`] — an eventcount for the polling locks (ticket, TTAS,
+//!   Anderson slots): waiters park on an epoch word after
 //!   announcing themselves in a `parked` count; releasers make their
 //!   condition true, then bump the epoch and `futex_wake` it if anyone
 //!   announced. An *asymmetric* barrier closes the sleep/wake race: the
@@ -30,10 +29,11 @@
 //! dependency); elsewhere it degrades to bounded [`std::thread::park_timeout`]
 //! naps, which need no wake side at all (waiters re-poll on expiry).
 //!
-//! Without the `park` feature the types still exist (the queue locks
-//! embed [`WaitWord`] unconditionally), but every budget is effectively
-//! [`SPIN_FOREVER`], no parking code is compiled, and a wait compiles to
-//! the same load-and-[`Backoff`] loop the crate always had.
+//! Both wait types exist in every build, so each lock spells its wait
+//! once. Without the `park` feature every budget is effectively
+//! [`SPIN_FOREVER`], no parking code is compiled, a wait compiles to the
+//! same load-and-[`Backoff`] loop the crate always had, [`ParkSpot`] is
+//! zero-sized and its wakes compile to nothing.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -411,30 +411,29 @@ impl WaitWord {
 /// descent into the kernel bumps `epoch` first, so the `futex_wait`
 /// fails with `EAGAIN` instead of sleeping — the no-lost-wakeup
 /// guarantee (DESIGN §11).
-#[cfg(feature = "park")]
-#[derive(Debug)]
+///
+/// Without the `park` feature the spot is zero-sized: [`wait_until`] is
+/// the plain [`Backoff`] poll loop and the wakes compile to nothing, so
+/// a lock embeds one in every build and spells its wait once.
+///
+/// [`wait_until`]: ParkSpot::wait_until
+#[derive(Debug, Default)]
 pub struct ParkSpot {
     /// Wake-generation word the futex sleeps on.
+    #[cfg(feature = "park")]
     epoch: AtomicU32,
     /// Number of waiters announced as (possibly) sleeping.
+    #[cfg(feature = "park")]
     parked: AtomicU32,
 }
 
-#[cfg(feature = "park")]
-impl Default for ParkSpot {
-    fn default() -> Self {
-        ParkSpot::new()
-    }
-}
+#[cfg(not(feature = "park"))]
+const _: () = assert!(std::mem::size_of::<ParkSpot>() == 0);
 
-#[cfg(feature = "park")]
 impl ParkSpot {
     /// A fresh spot with no sleepers.
-    pub const fn new() -> Self {
-        ParkSpot {
-            epoch: AtomicU32::new(0),
-            parked: AtomicU32::new(0),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Blocks until `cond()` is true: spins `budget` rounds, then parks
@@ -461,6 +460,11 @@ impl ParkSpot {
     /// [`wake_all`]: ParkSpot::wake_all
     #[inline]
     pub fn wait_until(&self, budget: u32, mut cond: impl FnMut() -> bool) -> bool {
+        let budget = if cfg!(feature = "park") {
+            budget
+        } else {
+            SPIN_FOREVER
+        };
         let mut waiter = Waiter::new(budget);
         let mut waited = false;
         loop {
@@ -471,6 +475,7 @@ impl ParkSpot {
             if waiter.spin() {
                 continue;
             }
+            #[cfg(feature = "park")]
             if self.park(&mut cond) {
                 // `cond` returned true inside `park`; that observation
                 // already consumed the condition for us — re-invoking
@@ -481,6 +486,26 @@ impl ParkSpot {
         }
     }
 
+    /// Wakes one parked waiter, if any. Call *after* making the waiters'
+    /// condition true. No sleeper means no syscall.
+    #[inline]
+    pub fn wake_one(&self) {
+        #[cfg(feature = "park")]
+        self.wake(1);
+    }
+
+    /// Wakes every parked waiter — for grant-word locks (ticket) where
+    /// sleepers wait for different values and only the right one can
+    /// proceed.
+    #[inline]
+    pub fn wake_all(&self) {
+        #[cfg(feature = "park")]
+        self.wake(i32::MAX as u32);
+    }
+}
+
+#[cfg(feature = "park")]
+impl ParkSpot {
     /// One park episode: announce, re-check, sleep, retract. Returns
     /// `true` iff `cond()` was invoked in here and returned true; the
     /// caller must treat the condition as satisfied and must not invoke
@@ -529,21 +554,6 @@ impl ParkSpot {
         };
         stats::on_unpark(t0.elapsed());
         cond_hit
-    }
-
-    /// Wakes one parked waiter, if any. Call *after* making the waiters'
-    /// condition true. No sleeper means no syscall.
-    #[inline]
-    pub fn wake_one(&self) {
-        self.wake(1);
-    }
-
-    /// Wakes every parked waiter — for grant-word locks (ticket) where
-    /// sleepers wait for different values and only the right one can
-    /// proceed.
-    #[inline]
-    pub fn wake_all(&self) {
-        self.wake(i32::MAX as u32);
     }
 
     #[inline]
@@ -1115,6 +1125,20 @@ mod tests {
         unsafe { WaitWord::grant_raw(&*word) };
         t.join().expect("waiter returns after release");
         assert!(word.is_go());
+    }
+
+    #[test]
+    fn park_spot_reports_whether_it_waited() {
+        let spot = ParkSpot::new();
+        assert!(!spot.wait_until(SPIN_FOREVER, || true), "first look won");
+        let mut looks = 0u32;
+        assert!(spot.wait_until(SPIN_FOREVER, || {
+            looks += 1;
+            looks == 3
+        }));
+        assert_eq!(looks, 3, "polled until the condition held, no further");
+        spot.wake_one();
+        spot.wake_all();
     }
 
     #[cfg(feature = "park")]

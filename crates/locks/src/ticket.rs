@@ -3,9 +3,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::pad::CachePadded;
-#[cfg(feature = "park")]
-use crate::park::ParkSpot;
-use crate::park::SPIN_FOREVER;
+use crate::park::{ParkSpot, SPIN_FOREVER};
 use crate::raw::{LockInfo, NoContext, RawLock};
 use crate::spin::Backoff;
 
@@ -40,14 +38,14 @@ pub struct TicketLock {
     /// Eventcount budget-exhausted waiters park on. Grant order is a
     /// total order over *different* awaited values, so the releaser must
     /// wake everyone and let the grant word pick the winner (`wake_all`).
-    #[cfg(feature = "park")]
+    /// Zero-sized without the `park` feature.
     park: CachePadded<ParkSpot>,
 }
 
-#[cfg(not(feature = "park"))]
-const _: () = assert!(std::mem::size_of::<TicketLock>() == 2 * crate::pad::CACHE_LINE);
-#[cfg(feature = "park")]
-const _: () = assert!(std::mem::size_of::<TicketLock>() == 3 * crate::pad::CACHE_LINE);
+const _: () = assert!(
+    std::mem::size_of::<TicketLock>()
+        == 2 * crate::pad::CACHE_LINE + std::mem::size_of::<CachePadded<ParkSpot>>()
+);
 
 impl TicketLock {
     /// Creates an unlocked ticket lock.
@@ -76,21 +74,8 @@ impl TicketLock {
         crate::chaos::point("tkt-acquire-ticketed");
         // The Acquire load synchronizes with the Release store in
         // `release`, ordering the critical section after the previous one.
-        #[cfg(feature = "park")]
-        return self
-            .park
-            .wait_until(budget, || self.grant.load(Ordering::Acquire) == my);
-        #[cfg(not(feature = "park"))]
-        {
-            let _ = budget;
-            let mut backoff = Backoff::new();
-            let mut waited = false;
-            while self.grant.load(Ordering::Acquire) != my {
-                waited = true;
-                backoff.snooze();
-            }
-            waited
-        }
+        self.park
+            .wait_until(budget, || self.grant.load(Ordering::Acquire) == my)
     }
 
     /// Deadline-bounded acquire. A granted ticket cannot be abandoned —
@@ -186,7 +171,6 @@ impl RawLock for TicketLock {
         // The wake must follow the grant store (the waiters' condition);
         // ParkSpot's asymmetric barrier pairing makes this race-free
         // without taxing the store.
-        #[cfg(feature = "park")]
         self.park.wake_all();
     }
 

@@ -3,9 +3,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::pad::CachePadded;
-#[cfg(feature = "park")]
-use crate::park::ParkSpot;
-use crate::park::SPIN_FOREVER;
+use crate::park::{ParkSpot, SPIN_FOREVER};
 use crate::raw::{LockInfo, NoContext, RawLock};
 use crate::spin::Backoff;
 
@@ -36,15 +34,15 @@ pub struct TtasLock {
     /// contenders' coherence storm.
     locked: CachePadded<AtomicBool>,
     /// Eventcount budget-exhausted waiters park on; each release wakes
-    /// one parked contender to retry the swap.
-    #[cfg(feature = "park")]
+    /// one parked contender to retry the swap. Zero-sized without the
+    /// `park` feature.
     park: CachePadded<ParkSpot>,
 }
 
-#[cfg(not(feature = "park"))]
-const _: () = assert!(std::mem::size_of::<TtasLock>() == crate::pad::CACHE_LINE);
-#[cfg(feature = "park")]
-const _: () = assert!(std::mem::size_of::<TtasLock>() == 2 * crate::pad::CACHE_LINE);
+const _: () = assert!(
+    std::mem::size_of::<TtasLock>()
+        == crate::pad::CACHE_LINE + std::mem::size_of::<CachePadded<ParkSpot>>()
+);
 
 impl TtasLock {
     /// Creates an unlocked TTAS lock.
@@ -52,7 +50,9 @@ impl TtasLock {
         Self::default()
     }
 
-    /// Attempts to acquire without spinning.
+    /// Attempts to acquire without spinning: one relaxed load, and a
+    /// swap only if that load found the lock free.
+    #[inline]
     pub fn try_acquire(&self) -> bool {
         !self.locked.load(Ordering::Relaxed) && !self.locked.swap(true, Ordering::Acquire)
     }
@@ -63,7 +63,6 @@ impl TtasLock {
     }
 
     /// Returns whether the first test-and-set attempt failed.
-    #[cfg(feature = "park")]
     fn acquire_inner(&self, budget: u32) -> bool {
         let mut waited = false;
         loop {
@@ -106,29 +105,6 @@ impl TtasLock {
             }
         }
     }
-
-    /// Returns whether the first test-and-set attempt failed.
-    #[cfg(not(feature = "park"))]
-    fn acquire_inner(&self, _budget: u32) -> bool {
-        let mut backoff = Backoff::new();
-        let mut waited = false;
-        loop {
-            // Test phase: spin on a (locally cached) load.
-            while self.locked.load(Ordering::Relaxed) {
-                waited = true;
-                backoff.snooze();
-            }
-            // Window between observing unlocked and attempting the swap;
-            // the swap makes losing the race safe, merely wasteful.
-            crate::chaos::point("ttas-acquire-window");
-            // Test-and-set phase; Acquire pairs with the Release in
-            // `release` to order the critical sections.
-            if !self.locked.swap(true, Ordering::Acquire) {
-                return waited;
-            }
-            waited = true;
-        }
-    }
 }
 
 impl RawLock for TtasLock {
@@ -160,10 +136,10 @@ impl RawLock for TtasLock {
         self.try_acquire_inner_deadline(deadline)
     }
 
+    #[inline]
     fn release(&self, _ctx: &mut NoContext) {
         self.locked.store(false, Ordering::Release);
         // Wake after the flag store (the waiters' condition).
-        #[cfg(feature = "park")]
         self.park.wake_one();
     }
 }

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use clof_locks::spin::testkit::issued;
 use clof_locks::{
-    AndersonLock, Backoff, BackoffLock, ClhLock, Hemlock, HemlockCtr, McsLock, RawLock,
-    RawLockMutex, TicketLock, TtasLock, SPIN_FOREVER,
+    AndersonLock, Backoff, ClhLock, Hemlock, HemlockCtr, McsLock, RawLock, RawLockMutex,
+    TicketLock, TtasLock, SPIN_FOREVER,
 };
 use clof_testkit::gen::{vec_of, Gen};
 use clof_testkit::{props, tk_assert, tk_assert_eq, Config};
@@ -185,7 +185,6 @@ fn every_lock_reports_whether_it_waited() {
     reports_whether_it_waited::<HemlockCtr>();
     reports_whether_it_waited::<AndersonLock>();
     reports_whether_it_waited::<TtasLock>();
-    reports_whether_it_waited::<BackoffLock>();
 }
 
 /// FIFO fairness of the ticket lock, observed: with one holder and N

@@ -127,15 +127,6 @@ pub fn lock_costs(kind: LockKind, arch: Arch) -> LockCosts {
             global_spin_coeff: 0.60,
             spin_tax_coeff: 1.5,
         },
-        // TAS with backoff: storm is damped by backoff, at the price of
-        // handover latency (the winner is asleep on average half its
-        // backoff window).
-        (Backoff, _) => LockCosts {
-            acquire_ns: 15.0,
-            handover_ns: 150.0,
-            global_spin_coeff: 0.06,
-            spin_tax_coeff: 0.1,
-        },
     }
 }
 
@@ -224,9 +215,12 @@ mod tests {
 
     #[test]
     fn unfair_locks_have_their_signatures() {
+        // TTAS: the cheapest acquire and the worst release storm.
         let ttas = lock_costs(LockKind::Ttas, Arch::X86);
-        let bo = lock_costs(LockKind::Backoff, Arch::X86);
-        assert!(ttas.global_spin_coeff > bo.global_spin_coeff);
-        assert!(bo.handover_ns > ttas.handover_ns);
+        for kind in LockKind::ALL.into_iter().filter(|&k| k != LockKind::Ttas) {
+            let other = lock_costs(kind, Arch::X86);
+            assert!(ttas.acquire_ns < other.acquire_ns, "{kind:?}");
+            assert!(ttas.global_spin_coeff > other.global_spin_coeff, "{kind:?}");
+        }
     }
 }

@@ -57,6 +57,12 @@ impl DeadlineHandle for clof::DynHandle {
     }
 }
 
+impl DeadlineHandle for clof::FastClofHandle {
+    fn try_acquire_until(&mut self, deadline: Instant) -> bool {
+        clof::FastClofHandle::try_acquire_until(self, deadline)
+    }
+}
+
 impl DeadlineHandle for clof::adapt::AdaptHandle {
     fn try_acquire_until(&mut self, deadline: Instant) -> bool {
         clof::adapt::AdaptHandle::try_acquire_until(self, deadline)

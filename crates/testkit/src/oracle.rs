@@ -62,6 +62,15 @@ impl OracleHandle for clof::DynHandle {
     }
 }
 
+impl OracleHandle for clof::FastClofHandle {
+    fn acquire(&mut self) {
+        clof::FastClofHandle::acquire(self)
+    }
+    fn release(&mut self) {
+        clof::FastClofHandle::release(self)
+    }
+}
+
 /// Adapter driving a bare [`RawLock`] through the oracle.
 pub struct RawHandle<L: RawLock> {
     lock: Arc<L>,

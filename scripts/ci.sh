@@ -11,7 +11,12 @@
 #      non-test call site in crates/core/src outside level.rs, and one
 #      that the waiting policy is too: no non-test `spin_loop()` /
 #      `yield_now()` in crates/{locks,core,baselines,kvstore}/src outside
-#      spin.rs and chaos.rs, and no `with_limit`; then the policy's two
+#      spin.rs and chaos.rs, and no `with_limit`; and one that a lock's
+#      wait is spelled once: `cfg(not(feature = "park"))` appears only in
+#      crates/locks/src/park.rs and crates/core/src/level.rs (`ParkSpot`
+#      and `WaitWord` exist in every build), and crates/core/src/fastpath.rs
+#      has no `feature = "park"` and no `.swap(true` (its gate is a
+#      `TtasLock`, the one TAS); then the policy's two
 #      clocked checks, each alone in a release build — the lateness
 #      contract (`crates/locks/tests/lateness.rs`) and the
 #      oversubscription guard (`tests/oversubscribed.rs`) — and, beside
@@ -145,6 +150,30 @@ phase "waiting policy is spelled once" \
                    status=1
                fi
            done
+           exit $status'
+# One wait per lock: the waiting layer's types exist in every build and
+# compile to the plain `Backoff` poll without `park`, so no lock carries
+# a second, non-park copy of its wait — only park.rs and level.rs (the
+# per-level budget cell) say what the default build does instead. The
+# fast path's gate is a `TtasLock`, not a hand-rolled second TAS.
+phase "a lock's wait is spelled once" \
+    sh -c 'status=0
+           for file in $(grep -rlF --include="*.rs" "cfg(not(feature = \"park\"))" \
+                             crates src tests examples); do
+               case "$file" in
+                   crates/locks/src/park.rs | crates/core/src/level.rs) continue ;;
+               esac
+               echo "$file: a second, non-park spelling of a wait" >&2
+               status=1
+           done
+           if grep -nF "feature = \"park\"" crates/core/src/fastpath.rs; then
+               echo "fastpath.rs: the gate waits through TtasLock in every build" >&2
+               status=1
+           fi
+           if grep -nF ".swap(true" crates/core/src/fastpath.rs; then
+               echo "fastpath.rs: a hand-rolled test-and-set is back" >&2
+               status=1
+           fi
            exit $status'
 # The policy on the clock (`#[ignore]`d: they need the host to themselves).
 phase "waiting policy: grant-to-return lateness" \

@@ -11,7 +11,8 @@
 //! acquisition count proves every timed-out waiter recovered and
 //! eventually won; and `queue_depth_hint() == 0` at quiescence proves
 //! no abandonment leaked a queue position or a read-indicator count.
-//! Companion cells rerun the matrix with parked (blocking) neighbours
+//! A `FastClof` cell adds timeouts at the fast path's TTAS gate, and
+//! companion cells rerun the matrix with parked (blocking) neighbours
 //! under `park` and mid-migration under `adapt`.
 
 use std::sync::atomic::AtomicU64;
@@ -19,7 +20,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clof::{ClofParams, DynClofLock, LockKind};
-use clof_testkit::deadline::{fuzz_timeout_seeds, TimedHandle};
+use clof_testkit::deadline::{
+    fuzz_timeout_seeds, DeadlineHandle, TimedHandle, TimeoutFuzzOutcome,
+};
 use clof_testkit::strategies::build_regular;
 use clof_testkit::{seed_batch, StressOptions};
 use clof_topology::Hierarchy;
@@ -28,15 +31,17 @@ const SEEDS_PER_CELL: usize = 16;
 const THREADS: usize = 4;
 const ITERS: u64 = 10;
 
-/// One matrix cell: `SEEDS_PER_CELL` forced-injection runs of `shape`
-/// on `hierarchy`, timeouts forced on ~`1/denom` of deadline polls.
-/// Returns (timed-out attempts, forced fires) for the matrix-level
-/// "abandonment actually happened" assertion.
-fn timeout_cell(hierarchy: &Hierarchy, shape: &[LockKind], denom: u32, base: u64) -> (u64, u64) {
-    let lock = Arc::new(
-        DynClofLock::build_with(hierarchy, shape, ClofParams::default(), true)
-            .expect("composition builds"),
-    );
+/// `SEEDS_PER_CELL` forced-injection runs of `THREADS` workers, each
+/// acquiring through seeded bounded attempts on `handle(cpu)`, with
+/// timeouts forced on ~`1/denom` of deadline polls. Asserts the runs
+/// pass the oracle and that every timed-out waiter recovered.
+fn timed_runs<H: DeadlineHandle>(
+    hierarchy: &Hierarchy,
+    label: String,
+    denom: u32,
+    base: u64,
+    handle: impl Fn(usize) -> H + Sync,
+) -> TimeoutFuzzOutcome {
     let n = hierarchy.ncpus();
     let cpus: Vec<usize> = (0..THREADS).map(|t| t * n / THREADS % n).collect();
     let seeds = seed_batch(base, SEEDS_PER_CELL);
@@ -47,13 +52,12 @@ fn timeout_cell(hierarchy: &Hierarchy, shape: &[LockKind], denom: u32, base: u64
         // would stretch the bounded attempts past their budgets without
         // adding abandonment coverage.
         chaos_denom: 0,
-        label: format!("deadline {}×1/{denom}", lock.name()),
+        label,
         ..StressOptions::default()
     };
-    let lock2 = Arc::clone(&lock);
     let outcome = fuzz_timeout_seeds(&opts, &seeds, denom, |seed, tid, timeouts| {
         TimedHandle::new(
-            lock2.handle(cpus[tid]),
+            handle(cpus[tid]),
             seed ^ (tid as u64) << 32,
             150,
             Arc::clone(timeouts),
@@ -66,13 +70,50 @@ fn timeout_cell(hierarchy: &Hierarchy, shape: &[LockKind], denom: u32, base: u64
         "a timed-out waiter never recovered ({})",
         opts.label
     );
+    outcome
+}
+
+/// One matrix cell: [`timed_runs`] of `shape` on `hierarchy`, then a
+/// check that no abandonment leaked queue state. Returns (timed-out
+/// attempts, forced fires) for the matrix-level "abandonment actually
+/// happened" assertion.
+fn timeout_cell(hierarchy: &Hierarchy, shape: &[LockKind], denom: u32, base: u64) -> (u64, u64) {
+    let lock = Arc::new(
+        DynClofLock::build_with(hierarchy, shape, ClofParams::default(), true)
+            .expect("composition builds"),
+    );
+    let label = format!("deadline {}×1/{denom}", lock.name());
+    let outcome = timed_runs(hierarchy, label.clone(), denom, base, |cpu| lock.handle(cpu));
     assert_eq!(
         lock.queue_depth_hint(),
         0,
-        "abandonment leaked a queue position or waiter count ({})",
-        opts.label
+        "abandonment leaked a queue position or waiter count ({label})"
     );
     (outcome.total_timeouts, outcome.total_forced_fires)
+}
+
+/// The fast path's cell: timeouts land in the composition and at the
+/// TTAS gate, where a quitter hands the composition it holds back on.
+/// Every iteration completes, and the composition is left with no
+/// queue position or waiter count.
+#[test]
+fn fast_path_timeout_cell_recovers_and_leaks_nothing() {
+    use clof::FastClof;
+
+    let hierarchy = build_regular(&[2, 4]);
+    let lock = FastClof::build(&hierarchy, &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket])
+        .expect("fast path builds");
+    let label = format!("deadline {}×1/2", lock.name());
+    let outcome = timed_runs(&hierarchy, label, 2, 0xD1ED_FA57, |cpu| lock.handle(cpu));
+    assert!(
+        outcome.total_timeouts > 0 && outcome.total_forced_fires > 0,
+        "the cell must actually exercise abandonment"
+    );
+    assert_eq!(
+        lock.queue_depth_hint(),
+        0,
+        "a timed-out gate waiter kept composition state"
+    );
 }
 
 /// The 64-seed matrix: 4 cells × 16 seeds. Shapes cover every
@@ -108,7 +149,7 @@ fn sixty_four_seed_timeout_abandon_matrix() {
             &[
                 LockKind::Mcs,
                 LockKind::Clh,
-                LockKind::Backoff,
+                LockKind::Ttas,
                 LockKind::Ticket,
             ][..],
             3,

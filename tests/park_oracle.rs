@@ -1,6 +1,6 @@
 //! Oversubscription stress-oracle matrix for the spin-then-park waiting
-//! layer (`--features park`): finalist shapes × {2×, 4×} thread
-//! oversubscription × chaos schedules × seeds.
+//! layer (`--features park`): finalist shapes and the `FastClof` gate ×
+//! {2×, 4×} thread oversubscription × chaos schedules × seeds.
 //!
 //! Asserted per run: mutual exclusion (the base oracle's owner cell and
 //! torn-counter pair), **no lost wakeups** — the exact-acquisition-count
@@ -15,10 +15,10 @@
 
 use std::sync::Arc;
 
-use clof::{ClofParams, DynClofLock, LockKind};
+use clof::{ClofParams, DynClofLock, FastClof, LockKind};
 use clof_locks::park;
 use clof_testkit::strategies::build_regular;
-use clof_testkit::{fuzz_seeds, run_stress, seed_batch, StressOptions};
+use clof_testkit::{fuzz_seeds, run_stress, seed_batch, OracleHandle, StressOptions};
 use clof_topology::Hierarchy;
 
 const SEEDS_PER_CELL: usize = 2;
@@ -62,30 +62,42 @@ fn oversub_cell(hierarchy: &Hierarchy, shape: &[LockKind], mult: usize, forced_p
             lock.set_spin_budget(level, 0);
         }
     }
+    let seed_base = 0x9A4C_0000
+        ^ (kinds.len() as u64) << 12
+        ^ (mult as u64) << 8
+        ^ (forced_park as u64) << 4
+        ^ kinds[0] as u64;
+    let label = format!(
+        "{}×{}lvl×{mult}x{}",
+        lock.name(),
+        hierarchy.level_count(),
+        if forced_park { "×forced-park" } else { "" }
+    );
+    oversub_runs(hierarchy, mult, seed_base, label, |cpu| lock.handle(cpu));
+}
+
+/// `SEEDS_PER_CELL` chaos-fuzzed runs at `mult`× oversubscription, the
+/// workers spread over `hierarchy`'s CPUs and acquiring through
+/// `handle(cpu)`. The exact acquisition count is the no-lost-wakeup
+/// check.
+fn oversub_runs<H: OracleHandle>(
+    hierarchy: &Hierarchy,
+    mult: usize,
+    seed_base: u64,
+    label: String,
+    handle: impl Fn(usize) -> H + Sync,
+) {
     let threads = mult * cores();
     let n = hierarchy.ncpus();
     let cpus: Vec<usize> = (0..threads).map(|t| t * n / threads % n).collect();
-    let seeds = seed_batch(
-        0x9A4C_0000
-            ^ (kinds.len() as u64) << 12
-            ^ (mult as u64) << 8
-            ^ (forced_park as u64) << 4
-            ^ kinds[0] as u64,
-        SEEDS_PER_CELL,
-    );
+    let seeds = seed_batch(seed_base, SEEDS_PER_CELL);
     let opts = StressOptions {
         threads,
         iters: ITERS,
-        label: format!(
-            "{}×{}lvl×{mult}x{}",
-            lock.name(),
-            hierarchy.level_count(),
-            if forced_park { "×forced-park" } else { "" }
-        ),
+        label,
         ..StressOptions::default()
     };
-    let lock2 = Arc::clone(&lock);
-    let outcome = fuzz_seeds(&opts, &seeds, |_seed, tid| lock2.handle(cpus[tid]));
+    let outcome = fuzz_seeds(&opts, &seeds, |_seed, tid| handle(cpus[tid]));
     outcome.assert_passed();
     assert_eq!(
         outcome.total_acquisitions,
@@ -128,6 +140,24 @@ fn oversubscribed_matrix_heterogeneous_queue_shapes() {
         for mult in [2usize, 4] {
             oversub_cell(&hierarchy, shape, mult, false);
         }
+    }
+}
+
+/// `FastClof` oversubscribed: the composition's owner waits at the TTAS
+/// gate with the root level's budget and then parks on the gate's
+/// eventcount, while fast-path arrivals keep taking the gate. The lock
+/// is unfair, so there is no gap bound; a gate waiter that missed its
+/// wake never finishes its iterations.
+#[test]
+fn oversubscribed_fast_path() {
+    let hierarchy = build_regular(&[2, 4]);
+    let lock = FastClof::build(&hierarchy, &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket])
+        .expect("fast path builds");
+    for mult in [2usize, 4] {
+        let label = format!("{}×{mult}x", lock.name());
+        oversub_runs(&hierarchy, mult, 0x9A4C_FA57 ^ mult as u64, label, |cpu| {
+            lock.handle(cpu)
+        });
     }
 }
 

@@ -1,5 +1,5 @@
 //! Schedule-fuzzed stress-oracle matrix over composed locks: every
-//! `LockKind` × {2,3}-level hierarchy × {4,8} threads, 64 seeds total
+//! `LockKind` × {2,3}-level hierarchy × {4,8} threads, 56 seeds total
 //! (2 per matrix cell), with chaos injection inside the lock paths.
 //!
 //! Asserted per run: mutual exclusion (owner cell + torn-counter pair),
@@ -18,7 +18,7 @@ use clof_testkit::strategies::build_regular;
 use clof_testkit::{fuzz_seeds, run_stress, seed_batch, RawHandle, StressOptions};
 use clof_topology::Hierarchy;
 
-/// 2 seeds per (kind, hierarchy, threads) cell; 8 kinds × 2 × 2 × 2 = 64.
+/// 2 seeds per (kind, hierarchy, threads) cell; 7 kinds × 2 × 2 × 2 = 56.
 const SEEDS_PER_CELL: usize = 2;
 const ITERS: u64 = 25;
 
@@ -36,7 +36,7 @@ fn oracle_matrix(kind: LockKind) {
         let kinds = vec![kind; hierarchy.level_count()];
         // Unfair kinds are deliberately included: the oracle checks
         // mutual exclusion and the context invariant for them too (only
-        // fairness is out of scope for ttas/bo).
+        // fairness is out of scope for ttas).
         let lock = Arc::new(
             DynClofLock::build_with(&hierarchy, &kinds, ClofParams::default(), true)
                 .expect("composition builds"),
@@ -101,11 +101,6 @@ fn oracle_matrix_ttas() {
     oracle_matrix(LockKind::Ttas);
 }
 
-#[test]
-fn oracle_matrix_backoff() {
-    oracle_matrix(LockKind::Backoff);
-}
-
 /// Schedule-fuzzed matrix over the monomorphized finalist compositions:
 /// the fast dispatch tier must uphold the same oracle invariants as the
 /// generic enum tree it replicates, on both hierarchy depths.
@@ -154,6 +149,64 @@ fn oracle_matrix_monomorphized_finalists() {
         assert_eq!(
             outcome.total_acquisitions,
             SEEDS_PER_CELL as u64 * threads as u64 * ITERS
+        );
+    }
+}
+
+/// Schedule-fuzzed matrix over `FastClof`, the TTAS gate in front of a
+/// composition (paper §6), on 2, 3 and 4 levels. Fast-path arrivals may
+/// overtake the gate's waiter without bound, so the lock is unfair and
+/// the gap check stays off; mutual exclusion and the context invariant
+/// are checked as for every other lock.
+#[test]
+fn oracle_matrix_fast_path() {
+    use clof::FastClof;
+    let shapes: [(Hierarchy, &[LockKind]); 3] = [
+        (build_regular(&[2]), &[LockKind::Mcs, LockKind::Ticket]),
+        (
+            build_regular(&[2, 4]),
+            &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket],
+        ),
+        (
+            build_regular(&[2, 2, 2]),
+            &[
+                LockKind::Ticket,
+                LockKind::Ticket,
+                LockKind::Clh,
+                LockKind::Ticket,
+            ],
+        ),
+    ];
+    for (hierarchy, kinds) in shapes {
+        let lock = FastClof::build(&hierarchy, kinds).expect("fast path builds");
+        for threads in [4usize, 8] {
+            let n = hierarchy.ncpus();
+            let cpus: Vec<usize> = (0..threads).map(|t| t * n / threads).collect();
+            let seeds = seed_batch(
+                0x7A5F_0000 ^ (kinds.len() as u64) << 4 ^ threads as u64,
+                SEEDS_PER_CELL,
+            );
+            let opts = StressOptions {
+                threads,
+                iters: ITERS,
+                max_gap: None,
+                label: format!("{}×{}t", lock.name(), threads),
+                ..StressOptions::default()
+            };
+            let lock = Arc::clone(&lock);
+            let outcome = fuzz_seeds(&opts, &seeds, |_seed, tid| lock.handle(cpus[tid]));
+            outcome.assert_passed();
+            assert_eq!(
+                outcome.total_acquisitions,
+                SEEDS_PER_CELL as u64 * threads as u64 * ITERS
+            );
+        }
+        let (fast, slow) = lock.path_counters();
+        assert_eq!(
+            fast + slow,
+            SEEDS_PER_CELL as u64 * (4 + 8) * ITERS,
+            "{}: every acquisition took one of the two paths",
+            lock.name()
         );
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Two layers: a model-based fuzz of `LevelMeta` itself — arbitrary
 //! inc/dec sequences over arbitrary fan-ins checked against a counting
-//! model — and a concurrency matrix over hintless low locks × hierarchy
+//! model — and a concurrency matrix over a hintless low lock × hierarchy
 //! depth × seeds, where a real parked waiter must be visible through
 //! the real composition.
 
@@ -113,30 +113,28 @@ fn observed_count_while_parked(
     count
 }
 
-/// The concurrency matrix: hintless low kind × depth × stripe slot.
-/// Every parked waiter must be visible, whichever stripe its CPU maps
-/// to — a false negative here is exactly the bug striping could add.
+/// The concurrency matrix: hintless low lock (TTAS) × depth × stripe
+/// slot. Every parked waiter must be visible, whichever stripe its CPU
+/// maps to — a false negative here is exactly the bug striping could add.
 #[test]
 fn parked_waiter_never_invisible_across_matrix() {
-    for low in [LockKind::Ttas, LockKind::Backoff] {
-        for hierarchy in [build_regular(&[2, 4]), build_regular(&[2, 4, 8])] {
-            let mut kinds = vec![low];
-            kinds.extend(vec![LockKind::Ticket; hierarchy.level_count() - 1]);
-            let lock = Arc::new(
-                DynClofLock::build_with(&hierarchy, &kinds, ClofParams::default(), true)
-                    .expect("composition builds"),
+    for hierarchy in [build_regular(&[2, 4]), build_regular(&[2, 4, 8])] {
+        let mut kinds = vec![LockKind::Ttas];
+        kinds.extend(vec![LockKind::Ticket; hierarchy.level_count() - 1]);
+        let lock = Arc::new(
+            DynClofLock::build_with(&hierarchy, &kinds, ClofParams::default(), true)
+                .expect("composition builds"),
+        );
+        // Leaf cohorts have 2 CPUs on both shapes: exercise both
+        // stripe slots as the waiter, in two different cohorts.
+        for (holder, waiter) in [(1usize, 0usize), (0, 1), (3, 2), (2, 3)] {
+            let count = observed_count_while_parked(&lock, holder, waiter);
+            assert_eq!(
+                count, 1,
+                "{} waiter on cpu {waiter} invisible ({} levels)",
+                lock.name(),
+                hierarchy.level_count()
             );
-            // Leaf cohorts have 2 CPUs on both shapes: exercise both
-            // stripe slots as the waiter, in two different cohorts.
-            for (holder, waiter) in [(1usize, 0usize), (0, 1), (3, 2), (2, 3)] {
-                let count = observed_count_while_parked(&lock, holder, waiter);
-                assert_eq!(
-                    count, 1,
-                    "{} waiter on cpu {waiter} invisible ({} levels)",
-                    lock.name(),
-                    hierarchy.level_count()
-                );
-            }
         }
     }
 }
