@@ -50,7 +50,6 @@ fn main() -> ExitCode {
         "trace" => trace(&args[1..]),
         "top" => top(&args[1..]),
         "adapt" => adapt(&args[1..]),
-        "serve" => serve_cmd(&args[1..]),
         "profile" => profile_cmd(&args[1..]),
         "deadline" => deadline_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
@@ -102,14 +101,6 @@ commands:
                                                   finalist compositions; --once runs one window
                                                   plus a demonstration swap and exits (requires
                                                   --features adapt,obs)
-  serve     [--machine x86|armv8] --lock NAME [--threads N] [--threshold H]
-            [--addr HOST:PORT] [--interval-ms N] [--duration-ms N] [--stall-ms N]
-            [--hold-slo-us N] [--handover-slo-us N] [--once]
-                                                  hammer a lock while serving its telemetry over
-                                                  HTTP: /metrics (Prometheus), /snapshot (JSON +
-                                                  audit log), /health, /alerts (SLO burn rates);
-                                                  --once self-scrapes every endpoint once and
-                                                  exits (requires --features obs)
   profile   [--machine x86|armv8] --lock NAME [--threads N] [--iters N]
             [--threshold H] [--top K] [--once]
             [--inject-deadlock] [--inject-inversion]
@@ -494,7 +485,7 @@ fn top(args: &[String]) -> Result<(), String> {
 
         // Stuck-thread watchdog (stalls, cycles, H-bound inversions),
         // with per-level queue hints in the diagnostic dump.
-        let watchdog = spawn_watchdog(&lock, stall_ms, interval_ms, threshold, |_, _| {});
+        let watchdog = spawn_watchdog(&lock, stall_ms, interval_ms, threshold);
 
         let ansi = std::io::stdout().is_terminal() && !once;
         let mut sampler = clof::obs::Sampler::new();
@@ -546,18 +537,16 @@ fn top(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Spawns the stuck-thread watchdog of `clof top`/`clof serve` over the
-/// global occupancy table: stalls past `stall_ms`, waits-for cycles and
+/// Spawns the stuck-thread watchdog of `clof top` over the global
+/// occupancy table: stalls past `stall_ms`, waits-for cycles and
 /// inversions past the lock's `threshold`, each finding printed once,
-/// when fresh, with the lock's per-level queue hints, and handed to
-/// `also` on every poll while it holds.
+/// when fresh, with the lock's per-level queue hints.
 #[cfg(feature = "obs")]
 fn spawn_watchdog(
     lock: &std::sync::Arc<clof::DynClofLock>,
     stall_ms: u64,
     interval_ms: u64,
     threshold: u32,
-    mut also: impl FnMut(&clof::obs::GraphFinding, &str) + Send + 'static,
 ) -> clof::obs::WatchdogGuard {
     let diag_lock = std::sync::Arc::clone(lock);
     clof::obs::Watchdog::new(clof::obs::WatchdogConfig {
@@ -577,7 +566,6 @@ fn spawn_watchdog(
         if fresh {
             eprintln!("{}; {context}", finding.detail());
         }
-        also(finding, context);
     })
 }
 
@@ -797,147 +785,6 @@ fn adapt(args: &[String]) -> Result<(), String> {
             stats.swaps,
             stats.mean_switch_ns(),
             lock.name()
-        );
-        print_audit_tail(8);
-        Ok(())
-    }
-}
-
-fn serve_cmd(args: &[String]) -> Result<(), String> {
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = args;
-        Err("`serve` needs lock telemetry compiled in; rebuild with `--features obs`".to_string())
-    }
-    #[cfg(feature = "obs")]
-    {
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        use std::sync::Arc;
-        use std::time::Duration;
-
-        let (machine, kinds, threads, threshold) = telemetry_args(args, "4")?;
-        let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
-        let interval_ms: u64 = flag_value(args, "--interval-ms")
-            .unwrap_or("500")
-            .parse()
-            .map_err(|e| format!("bad --interval-ms: {e}"))?;
-        let duration_ms: u64 = flag_value(args, "--duration-ms")
-            .unwrap_or("5000")
-            .parse()
-            .map_err(|e| format!("bad --duration-ms: {e}"))?;
-        let stall_ms: u64 = flag_value(args, "--stall-ms")
-            .unwrap_or("1000")
-            .parse()
-            .map_err(|e| format!("bad --stall-ms: {e}"))?;
-        let hold_slo_us: u64 = flag_value(args, "--hold-slo-us")
-            .unwrap_or("1000")
-            .parse()
-            .map_err(|e| format!("bad --hold-slo-us: {e}"))?;
-        let handover_slo_us: u64 = flag_value(args, "--handover-slo-us")
-            .unwrap_or("1000")
-            .parse()
-            .map_err(|e| format!("bad --handover-slo-us: {e}"))?;
-        let once = has_flag(args, "--once");
-
-        let params = clof::ClofParams {
-            keep_local_threshold: threshold,
-        };
-        let lock = Arc::new(
-            clof::DynClofLock::build_with(&machine.hierarchy, &kinds, params, true)
-                .map_err(|e| e.to_string())?,
-        );
-        let name = lock.name();
-
-        // The snapshot closure is what every /metrics and /snapshot hit
-        // renders from; it reads the live lock's telemetry directly.
-        let snap_lock = Arc::clone(&lock);
-        let server = Arc::new(
-            clof::obs::serve(
-                addr,
-                Arc::new(move || snap_lock.obs_snapshot()),
-                clof::obs::ServeConfig {
-                    rules: clof::obs::default_rules(
-                        hold_slo_us.saturating_mul(1_000),
-                        handover_slo_us.saturating_mul(1_000),
-                    ),
-                    ..Default::default()
-                },
-            )
-            .map_err(|e| format!("bind {addr}: {e}"))?,
-        );
-        println!("clof serve — {name} (H = {threshold}, {threads} threads)");
-        println!(
-            "serving on {}/metrics /snapshot /health /alerts /profile",
-            server.url()
-        );
-
-        // Hammer the lock so the endpoints have live rates to report.
-        let stop = Arc::new(AtomicBool::new(false));
-        let total = Arc::new(AtomicU64::new(0));
-        let ncpus = machine.hierarchy.ncpus();
-        let mut workers = Vec::new();
-        for t in 0..threads {
-            let lock = Arc::clone(&lock);
-            let stop = Arc::clone(&stop);
-            let total = Arc::clone(&total);
-            let cpu = t * ncpus / threads.max(1);
-            workers.push(std::thread::spawn(move || {
-                let mut handle = lock.handle(cpu);
-                while !stop.load(Ordering::Relaxed) {
-                    handle.acquire();
-                    total.fetch_add(1, Ordering::Relaxed);
-                    handle.release();
-                }
-            }));
-        }
-
-        // Findings fire `waitgraph-*` alerts, which flip /health and
-        // stay up while the finding holds.
-        let finding_server = Arc::clone(&server);
-        let watchdog = spawn_watchdog(&lock, stall_ms, interval_ms, threshold, move |f, ctx| {
-            finding_server.note_finding(f, ctx);
-        });
-
-        let mut sampler = clof::obs::Sampler::new();
-        sampler.tick(lock.obs_snapshot());
-        let rounds = if once {
-            1
-        } else {
-            (duration_ms / interval_ms.max(1)).max(1)
-        };
-        for _ in 0..rounds {
-            std::thread::sleep(Duration::from_millis(interval_ms));
-            let Some(rates) = sampler.tick(lock.obs_snapshot()) else {
-                continue;
-            };
-            server.observe_window(&rates);
-            println!("{rates}");
-        }
-
-        if once {
-            // CI smoke: scrape every endpoint through a real socket and
-            // report status + size, so the round trip is covered without
-            // an external client.
-            for path in ["/metrics", "/snapshot", "/health", "/alerts", "/profile"] {
-                let (status, body) = clof::obs::http_get(server.addr(), path)
-                    .map_err(|e| format!("self-scrape {path}: {e}"))?;
-                println!("self-scrape GET {path} -> {status} ({} bytes)", body.len());
-                if status != 200 {
-                    return Err(format!("self-scrape {path} returned {status}"));
-                }
-            }
-        }
-
-        stop.store(true, Ordering::Relaxed);
-        for w in workers {
-            w.join().map_err(|_| "worker thread panicked".to_string())?;
-        }
-        let findings = watchdog.stop();
-        println!(
-            "{} acquisitions observed; {} stuck-thread finding(s); {} request(s) served",
-            total.load(Ordering::Relaxed),
-            findings,
-            server.requests()
         );
         print_audit_tail(8);
         Ok(())

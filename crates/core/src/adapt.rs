@@ -666,12 +666,8 @@ impl AdaptHandle {
         while self.lock.baton.load(SeqCst) != generation {
             if poll.expired() {
                 // A baton bailout is a composition-layer abandon
-                // (the tree attempt counts its own), and the whole
-                // composed attempt expired without entering a tree,
-                // so the timeout is counted here too.
+                // (the tree attempt counts its own).
                 clof_locks::deadline::note_abandon();
-                #[cfg(feature = "obs")]
-                clof_obs::deadline::record_timeout();
                 self.back_out(generation);
                 return false;
             }

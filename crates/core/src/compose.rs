@@ -80,12 +80,10 @@ mod staticobs {
             waitgraph::global().acquired(thread_tag(), INVALID_SITE, self.last);
         }
 
-        /// Nothing was acquired, so the table sees idle (not hold) and
-        /// the attempt lands in the process-wide timeout count.
+        /// Nothing was acquired, so the table sees idle (not hold).
         #[inline]
         fn abandoned(&mut self) {
             waitgraph::global().wait_cancelled(thread_tag(), now_ns());
-            clof_obs::deadline::record_timeout();
         }
 
         #[inline]

@@ -59,11 +59,9 @@ mod nodeobs {
         nodes: &[(usize, Arc<DynNode>)],
     ) -> LockObs {
         // First telemetry-enabled lock in the process wires the
-        // spin-then-park recorder hooks into clof-obs.
+        // parked-duration recorder into the profiler.
         #[cfg(feature = "park")]
         crate::parkglue::install();
-        // Likewise for the deadline layer's abandon/skip counters.
-        crate::deadlineglue::install();
         let site = Arc::new(registry::global().register_at(label, shape, caller));
         let nodes = nodes
             .iter()
@@ -129,15 +127,13 @@ mod nodeobs {
         }
 
         /// Cancels the wait edge — nothing was acquired, so nothing
-        /// joins the held set — and counts the attempt in the
-        /// process-wide timeout telemetry.
+        /// joins the held set.
         #[inline]
         fn abandoned(&mut self) {
             #[cfg(feature = "park")]
             crate::parkglue::exit_wait();
             self.shard.abandon();
             waitgraph::global().wait_cancelled(thread_tag(), now_ns());
-            clof_obs::deadline::record_timeout();
         }
 
         #[inline]
@@ -711,8 +707,6 @@ impl DynClofLock {
     pub fn poison(&self) {
         self.poisoned
             .store(true, std::sync::atomic::Ordering::Release);
-        #[cfg(feature = "obs")]
-        clof_obs::deadline::record_poison();
     }
 
     /// Whether a holder has panicked while holding this lock.

@@ -46,7 +46,7 @@ trait GateHook {
     fn record_release(&mut self) {}
 
     /// The bounded gate wait gave up.
-    fn record_timeout(&mut self) {}
+    fn abandoned(&mut self) {}
 }
 
 impl GateHook for () {}
@@ -131,11 +131,10 @@ mod gateobs {
         }
 
         /// The composition was handed back, nothing is held: cancels
-        /// any dangling wait edge and counts the attempt as a timeout.
+        /// any dangling wait edge.
         #[inline]
-        fn record_timeout(&mut self) {
+        fn abandoned(&mut self) {
             waitgraph::global().wait_cancelled(thread_tag(), now_ns());
-            clof_obs::deadline::record_timeout();
         }
     }
 }
@@ -348,7 +347,7 @@ impl FastClofHandle {
         if !self.lock.gate.try_acquire_until(&mut NoContext, deadline) {
             // The gate counted the abandon; hand the composition on.
             self.slow.release();
-            self.obs.record_timeout();
+            self.obs.abandoned();
             return false;
         }
         self.slow.release();

@@ -63,8 +63,6 @@ pub mod generator;
 pub mod kind;
 pub mod level;
 pub mod mutex;
-#[cfg(feature = "obs")]
-mod deadlineglue;
 #[cfg(all(feature = "park", feature = "obs"))]
 mod parkglue;
 pub mod select;

@@ -1,16 +1,16 @@
-//! Wires the `clof-locks` park/wake recorder hooks into `clof-obs`
-//! (compiled only when both `park` and `obs` are on).
+//! Wires the `clof-locks` parked-duration recorder hook into the
+//! `clof-obs` profiler (compiled only when both `park` and `obs` are on).
 //!
-//! The locks crate is dependency-free, so its waiting layer exposes bare
-//! function-pointer hooks instead of calling telemetry directly:
-//! [`install`] points them at the process-global park counters and
-//! histogram in [`clof_obs::park`]. Site attribution rides a
-//! thread-local: the composed acquire path publishes its profiler site
-//! id before it starts waiting ([`enter_wait`]) and clears it once the
-//! lock is held ([`exit_wait`]) — a park can only happen in between, so
-//! the parked-duration recorder reads the thread-local to attribute the
-//! episode to the right [`ContentionProfile`] site. The wake side stays
-//! unattributed (a futex wake cannot know whose waiter it roused).
+//! The locks crate is dependency-free, so its waiting layer exposes a
+//! bare function-pointer hook instead of calling telemetry directly:
+//! [`install`] points it at the per-site park time of the
+//! [`ContentionProfile`]. Site attribution rides a thread-local: the
+//! composed acquire path publishes its profiler site id before it starts
+//! waiting ([`enter_wait`]) and clears it once the lock is held
+//! ([`exit_wait`]) — a park can only happen in between, so the recorder
+//! reads the thread-local to attribute the episode to the right site.
+//! Process-wide park and wake counts are `clof_locks::park::{parks,
+//! wakes}`.
 //!
 //! [`ContentionProfile`]: clof_obs::profile::ContentionProfile
 
@@ -25,14 +25,11 @@ thread_local! {
     static CURRENT_SITE: Cell<u32> = const { Cell::new(INVALID_SITE) };
 }
 
-/// Installs the park/wake recorders (idempotent, first caller wins —
-/// called from every telemetry-enabled lock's constructor).
+/// Installs the parked-duration recorder (idempotent, first caller
+/// wins — called from every telemetry-enabled lock's constructor).
 pub(crate) fn install() {
     static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        clof_locks::park::set_parked_recorder(Some(on_parked));
-        clof_locks::park::set_wake_recorder(Some(on_wake));
-    });
+    ONCE.call_once(|| clof_locks::park::set_parked_recorder(Some(on_parked)));
 }
 
 /// Publishes the site id this thread is about to wait at.
@@ -49,11 +46,6 @@ pub(crate) fn exit_wait() {
 }
 
 fn on_parked(ns: u64) {
-    clof_obs::park::record_parked(ns);
     // INVALID_SITE attribution is dropped by the profiler's id guard.
     clof_obs::profile::global().record_park(CURRENT_SITE.with(Cell::get), ns);
-}
-
-fn on_wake() {
-    clof_obs::park::record_wake();
 }

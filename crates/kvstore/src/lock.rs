@@ -164,48 +164,6 @@ impl<T> DbMutex<T> {
         sampler.tick(self.stats()?)
     }
 
-    /// Starts the zero-dependency telemetry server on `addr` (use
-    /// `"127.0.0.1:0"` for an ephemeral port), scraping this store's
-    /// lock: `GET /metrics`, `/snapshot`, `/health`, `/alerts`. The
-    /// server lives until the returned handle is dropped; it holds its
-    /// own `Arc` to the store, so the store outlives any in-flight
-    /// scrape.
-    ///
-    /// # Errors
-    ///
-    /// A `String` describing either an uninstrumented lock choice (the
-    /// baselines and `Std` record no telemetry — there is nothing to
-    /// serve) or the bind failure.
-    #[cfg(feature = "obs")]
-    pub fn serve_stats(
-        self: &Arc<Self>,
-        addr: &str,
-    ) -> Result<clof::obs::ServerHandle, String>
-    where
-        T: Send + 'static,
-    {
-        if self.stats().is_none() {
-            return Err(
-                "this lock choice records no telemetry (baseline or std lock); \
-                 use a CLoF composition"
-                    .to_string(),
-            );
-        }
-        let store = Arc::clone(self);
-        let snapshot: clof::obs::SnapshotFn = Arc::new(move || {
-            store.stats().expect("instrumented choice checked above")
-        });
-        clof::obs::serve::serve(
-            addr,
-            snapshot,
-            clof::obs::ServeConfig {
-                rules: clof::obs::default_rules(1_000_000, 1_000_000),
-                ..clof::obs::ServeConfig::default()
-            },
-        )
-        .map_err(|e| format!("bind {addr}: {e}"))
-    }
-
     /// Replaces a [`LockChoice::Clof`] lock with an adaptive wrapper
     /// holding the same composition, so the store's lock can be
     /// hot-swapped at run time via [`Self::adaptive`]. Call before
@@ -307,8 +265,7 @@ impl<T: ?Sized> DbMutex<T> {
         self.poisoned
             .store(true, std::sync::atomic::Ordering::Release);
         // Mirror into the raw CLoF flag where one exists, so callers
-        // holding the raw lock (and the poison telemetry counter) see
-        // the event too.
+        // holding the raw lock see the event too.
         match &self.lock {
             LockImpl::Clof(l) => l.poison(),
             LockImpl::ClofFast(l) => l.poison(),
@@ -343,7 +300,7 @@ struct OpGuard<'a, T: ?Sized> {
     inner: &'a mut HandleImpl,
     mutex: &'a DbMutex<T>,
     /// Held alive across the closure for the Std variant; its own drop
-    /// is the release (and `std::sync::Mutex` self-poisons on panic).
+    /// is the release.
     std_guard: Option<std::sync::MutexGuard<'a, ()>>,
 }
 
@@ -380,7 +337,9 @@ impl<T: ?Sized> DbHandle<T> {
             (HandleImpl::Cna(h), _) => h.acquire(),
             (HandleImpl::Shfl(h), _) => h.acquire(),
             (HandleImpl::Std, LockImpl::Std(m)) => {
-                std_guard = Some(m.lock().expect("DbMutex poisoned"));
+                // `DbMutex::poisoned` is the poison state for every
+                // choice; std's own flag would outlive `clear_poison`.
+                std_guard = Some(m.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
             }
             (HandleImpl::Std, _) => unreachable!("handle/lock variant mismatch"),
         }
@@ -571,40 +530,6 @@ mod tests {
         assert!(std_store.profile().is_none());
     }
 
-    #[cfg(feature = "obs")]
-    #[test]
-    fn serve_stats_scrapes_live_lock_telemetry() {
-        let h = platforms::tiny();
-        let m = Arc::new(
-            DbMutex::new(
-                0usize,
-                &h,
-                &LockChoice::Clof(vec![LockKind::Mcs, LockKind::Clh, LockKind::Ticket]),
-            )
-            .unwrap(),
-        );
-        let mut handle = m.handle(0);
-        for _ in 0..50 {
-            handle.with(|v| *v += 1);
-        }
-        let server = m.serve_stats("127.0.0.1:0").expect("ephemeral bind");
-        let (status, body) = clof::obs::http_get(server.addr(), "/metrics").unwrap();
-        assert_eq!(status, 200);
-        assert!(
-            body.contains("clof_acquires_total{lock=\"mcs-clh-tkt\",level=\"0\"} 50"),
-            "{body}"
-        );
-        let (status, body) = clof::obs::http_get(server.addr(), "/snapshot").unwrap();
-        assert_eq!(status, 200);
-        assert!(body.contains("\"lock\":\"mcs-clh-tkt\""), "{body}");
-        let (status, _) = clof::obs::http_get(server.addr(), "/health").unwrap();
-        assert_eq!(status, 200);
-        server.shutdown();
-        // Uninstrumented choices refuse to serve rather than lie.
-        let std_store = Arc::new(DbMutex::new(0usize, &h, &LockChoice::Std).unwrap());
-        assert!(std_store.serve_stats("127.0.0.1:0").is_err());
-    }
-
     #[cfg(feature = "adapt")]
     #[test]
     fn adaptive_store_counts_across_hot_swaps() {
@@ -719,43 +644,52 @@ mod tests {
     fn panicking_store_op_poisons_but_never_strands_waiters() {
         use std::time::Duration;
         let h = platforms::tiny();
-        let m = Arc::new(
-            DbMutex::new(
-                vec![1u8],
-                &h,
-                &LockChoice::Clof(vec![LockKind::Mcs, LockKind::Clh, LockKind::Ticket]),
-            )
-            .unwrap(),
-        );
-        let panicker = {
-            let m = Arc::clone(&m);
-            std::thread::spawn(move || {
-                m.handle(1).with(|v| {
-                    v.clear();
-                    panic!("die mid-mutation");
+        for choice in choices() {
+            let bounded = matches!(
+                choice,
+                LockChoice::Clof(_) | LockChoice::ClofFast(_) | LockChoice::Basic(_)
+            );
+            let m = Arc::new(DbMutex::new(vec![1u8], &h, &choice).unwrap());
+            let panicker = {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    m.handle(1).with(|v| {
+                        v.clear();
+                        panic!("die mid-mutation");
+                    })
                 })
-            })
-        };
-        assert!(panicker.join().is_err());
-        assert!(m.is_poisoned());
-        // The release guard ran on the unwind path: a *blocking* store
-        // op completes instead of hanging on the dead holder...
-        assert_eq!(m.handle(3).with(|v| v.len()), 0);
-        // ...and the bounded entry point reports the poisoning.
-        let mut handle = m.handle(3);
-        assert!(matches!(
-            handle.try_with_for(Duration::from_secs(10), |_| ()),
-            Err(ClofError::Poisoned)
-        ));
-        // Recovery path 1: clear and continue in place.
-        m.clear_poison();
-        handle
-            .try_with_for(Duration::from_secs(10), |v| v.push(9))
-            .expect("cleared poison unlocks the store");
-        // Recovery path 2: consume the mutex and extract the data.
-        drop(handle);
-        let m = Arc::try_unwrap(m).ok().expect("all handles dropped");
-        assert_eq!(m.into_inner(), vec![9]);
+            };
+            assert!(panicker.join().is_err(), "{choice:?}");
+            assert!(m.is_poisoned(), "{choice:?}");
+            // The release guard ran on the unwind path: a *blocking*
+            // store op completes instead of hanging on the dead holder...
+            assert_eq!(m.handle(3).with(|v| v.len()), 0, "{choice:?}");
+            let mut handle = m.handle(3);
+            if bounded {
+                // ...and the bounded entry point reports the poisoning.
+                assert!(
+                    matches!(
+                        handle.try_with_for(Duration::from_secs(10), |_| ()),
+                        Err(ClofError::Poisoned)
+                    ),
+                    "{choice:?}"
+                );
+            }
+            // Recovery path 1: clear and continue in place.
+            m.clear_poison();
+            assert!(!m.is_poisoned(), "{choice:?}");
+            if bounded {
+                handle
+                    .try_with_for(Duration::from_secs(10), |v| v.push(9))
+                    .expect("cleared poison unlocks the store");
+            } else {
+                handle.with(|v| v.push(9));
+            }
+            // Recovery path 2: consume the mutex and extract the data.
+            drop(handle);
+            let m = Arc::try_unwrap(m).ok().expect("all handles dropped");
+            assert_eq!(m.into_inner(), vec![9], "{choice:?}");
+        }
     }
 
     #[test]

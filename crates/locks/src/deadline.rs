@@ -10,9 +10,8 @@
 //!   `expired()` check folded into each lock's wait loop, which also
 //!   consults the [`forced`] injection stream so the testkit can open
 //!   abandonment windows deterministically.
-//! * Abandon/skip accounting ([`abandons`], [`skips`]) with recorder
-//!   hooks `clof-core` uses to feed `clof-obs`, mirroring the park
-//!   layer's counters.
+//! * Abandon/skip accounting ([`abandons`], [`skips`]), mirroring the
+//!   park layer's counters.
 //! * The [`mutant`] switch for the mutant-kill suite (deleting the
 //!   abandoned-node skip in the MCS release path).
 //!
@@ -42,7 +41,7 @@
 //! timeout mechanism (parking would need a third wake path for a waiter
 //! that may stop listening at any moment).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Polls one wait's deadline, folding in forced-timeout injection.
@@ -90,18 +89,6 @@ pub fn skips() -> u64 {
     SKIPS.load(Ordering::Relaxed)
 }
 
-/// Installs (or clears) an abandon recorder, called once per waiter-side
-/// bailout. `clof-core` uses this to feed the `clof-obs` counters.
-pub fn set_abandon_recorder(f: Option<fn()>) {
-    ABANDON_RECORDER.store(f.map_or(0, |f| f as usize), Ordering::Release);
-}
-
-/// Installs (or clears) a skip recorder, called once per releaser-side
-/// abandoned-node reclaim.
-pub fn set_skip_recorder(f: Option<fn()>) {
-    SKIP_RECORDER.store(f.map_or(0, |f| f as usize), Ordering::Release);
-}
-
 /// Records one waiter-side bailout originating *outside* the basic
 /// locks — a composition layer's own bounded wait (the adaptation
 /// baton) gives up through this so all bailouts land in one stream.
@@ -113,27 +100,15 @@ pub fn note_abandon() {
 
 static ABANDONS: AtomicU64 = AtomicU64::new(0);
 static SKIPS: AtomicU64 = AtomicU64::new(0);
-static ABANDON_RECORDER: AtomicUsize = AtomicUsize::new(0);
-static SKIP_RECORDER: AtomicUsize = AtomicUsize::new(0);
 
 #[inline]
 pub(crate) fn on_abandon() {
     ABANDONS.fetch_add(1, Ordering::Relaxed);
-    let p = ABANDON_RECORDER.load(Ordering::Acquire);
-    if p != 0 {
-        let f: fn() = unsafe { std::mem::transmute(p) };
-        f();
-    }
 }
 
 #[inline]
 pub(crate) fn on_skip() {
     SKIPS.fetch_add(1, Ordering::Relaxed);
-    let p = SKIP_RECORDER.load(Ordering::Acquire);
-    if p != 0 {
-        let f: fn() = unsafe { std::mem::transmute(p) };
-        f();
-    }
 }
 
 // ---------------------------------------------------------------------

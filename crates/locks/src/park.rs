@@ -612,18 +612,11 @@ pub fn wakes() -> u64 {
 
 /// Installs (or clears) a parked-duration recorder, called with the
 /// nanoseconds a waiter spent blocked, once per park episode, on the
-/// woken thread. `clof-core` uses this to feed the `clof-obs` histogram
-/// and the profiler's per-site park attribution.
+/// woken thread. `clof-core` uses this to feed the profiler's per-site
+/// park attribution.
 #[cfg(feature = "park")]
 pub fn set_parked_recorder(f: Option<fn(u64)>) {
     stats::PARKED_RECORDER.store(f.map_or(0, |f| f as usize), Ordering::Release);
-}
-
-/// Installs (or clears) a wake recorder, called once per releaser-side
-/// wake (after the counter bump, before the syscall).
-#[cfg(feature = "park")]
-pub fn set_wake_recorder(f: Option<fn()>) {
-    stats::WAKE_RECORDER.store(f.map_or(0, |f| f as usize), Ordering::Release);
 }
 
 #[cfg(feature = "park")]
@@ -633,7 +626,6 @@ mod stats {
     pub static PARKS: AtomicU64 = AtomicU64::new(0);
     pub static WAKES: AtomicU64 = AtomicU64::new(0);
     pub static PARKED_RECORDER: AtomicUsize = AtomicUsize::new(0);
-    pub static WAKE_RECORDER: AtomicUsize = AtomicUsize::new(0);
 
     #[inline]
     pub fn on_park() {
@@ -652,11 +644,6 @@ mod stats {
     #[inline]
     pub fn on_wake() {
         WAKES.fetch_add(1, Ordering::Relaxed);
-        let p = WAKE_RECORDER.load(Ordering::Acquire);
-        if p != 0 {
-            let f: fn() = unsafe { std::mem::transmute(p) };
-            f();
-        }
     }
 }
 

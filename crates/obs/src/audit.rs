@@ -14,8 +14,8 @@
 //! The write path mirrors [`crate::EventRing`]: claim a slot with one
 //! `fetch_add`, publish through a seqlock word (odd while writing,
 //! even+ticket when done). Readers ([`AuditRing::entries`]) never
-//! disturb the ring, so the `/snapshot` endpoint and `clof top` can
-//! render the same records any number of times. Drop accounting is
+//! disturb the ring, so `clof top` and `clof adapt` can render the same
+//! records any number of times. Drop accounting is
 //! saturating — the counters never wrap, no matter how long the process
 //! lives.
 //!
@@ -24,7 +24,7 @@
 //! stores per *window*, nowhere near the lock hot path), so any consumer
 //! that can see `clof-obs` can replay the controller's reasoning.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::now_ns;
@@ -80,8 +80,7 @@ impl AuditReason {
         }
     }
 
-    /// Stable lower-case token for exports (`no-evidence`, `switched`,
-    /// ...).
+    /// Stable lower-case token (`no-evidence`, `switched`, ...).
     pub fn token(self) -> &'static str {
         match self {
             AuditReason::NoEvidence => "no-evidence",
@@ -92,11 +91,6 @@ impl AuditReason {
             AuditReason::MigrationDone => "migration-done",
             AuditReason::MigrationFailed => "migration-failed",
         }
-    }
-
-    /// Whether this reason represents a switch (vs. a hold).
-    pub fn is_switch(self) -> bool {
-        matches!(self, AuditReason::Switched | AuditReason::MigrationDone)
     }
 }
 
@@ -271,7 +265,11 @@ impl AuditRing {
             0 => 2,
             s => s,
         };
-        slot.seq.store(seq - 1, Ordering::Release);
+        // Mark write-in-progress (odd); the fence keeps the data stores
+        // after it, the final Release store keeps them before the
+        // publish (even).
+        slot.seq.store(seq - 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.ts.store(now_ns(), Ordering::Relaxed);
         slot.acq_bits
             .store(acquires_per_sec.to_bits(), Ordering::Relaxed);
@@ -300,7 +298,9 @@ impl AuditRing {
             let margin = slot.margin_bits.load(Ordering::Relaxed);
             let packed = slot.packed.load(Ordering::Relaxed);
             let detail = slot.detail.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq0 {
+            // The fence keeps the data loads before the re-check.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != seq0 {
                 continue; // torn by a concurrent overwrite
             }
             let (active, best, streak, reason) = unpack(packed);
@@ -346,47 +346,6 @@ impl Default for AuditRing {
 pub fn global() -> &'static AuditRing {
     static RING: OnceLock<AuditRing> = OnceLock::new();
     RING.get_or_init(AuditRing::new)
-}
-
-/// Renders audit records as a JSON array (zero-dependency, ASCII-safe;
-/// same conventions as [`crate::render_json`]). Floats are emitted with
-/// six decimal places, so rendering the same records twice is
-/// byte-identical.
-pub fn render_audit_json(records: &[AuditRecord]) -> String {
-    let mut out = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"seq\":{},\"timestamp_ns\":{},\"acquires_per_sec\":{:.6},\
-             \"concurrency\":{:.6},\"active\":{},\"best\":{},\"margin\":{:.6},\
-             \"streak\":{},\"reason\":\"{}\",\"switch\":{},\"detail_ns\":{}}}",
-            r.seq,
-            r.timestamp_ns,
-            finite(r.acquires_per_sec),
-            finite(r.concurrency),
-            r.active,
-            r.best,
-            finite(r.margin),
-            r.streak,
-            r.reason.token(),
-            r.reason.is_switch(),
-            r.detail_ns,
-        ));
-    }
-    out.push(']');
-    out
-}
-
-/// JSON has no NaN/Inf literals; degrade them to 0 rather than emitting
-/// invalid documents.
-fn finite(v: f64) -> f64 {
-    if v.is_finite() {
-        v
-    } else {
-        0.0
-    }
 }
 
 #[cfg(test)]
@@ -463,20 +422,6 @@ mod tests {
         // would report 0; pinned at MAX both stay at the ceiling.
         assert_eq!(ring.recorded(), u64::MAX);
         assert_eq!(ring.dropped(), u64::MAX - 8);
-    }
-
-    #[test]
-    fn json_is_deterministic_and_balanced() {
-        let ring = AuditRing::with_capacity(16);
-        sample(&ring, 3);
-        ring.record(f64::NAN, f64::INFINITY, 0, 0, f64::NAN, 0, AuditReason::NoEvidence, 0);
-        let a = render_audit_json(&ring.entries());
-        let b = render_audit_json(&ring.entries());
-        assert_eq!(a, b, "render twice must be identical");
-        assert_eq!(a.matches('{').count(), a.matches('}').count());
-        assert!(a.contains("\"reason\":\"switched\""));
-        assert!(a.contains("\"switch\":true"));
-        assert!(!a.contains("NaN") && !a.contains("inf"), "{a}");
     }
 
     #[test]

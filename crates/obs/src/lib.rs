@@ -25,7 +25,10 @@
 //!   hand-off trace.
 //! * [`LockSnapshot`] + [`render_json`]/[`render_prometheus`] — a
 //!   point-in-time copy of everything above, with text exporters and a
-//!   human-readable `Display`.
+//!   human-readable `Display`. The crate opens no sockets: to serve a
+//!   snapshot, embed `render_prometheus` behind your own `/metrics`
+//!   handler, or scrape a file that `clof stats --format prometheus`
+//!   refreshes.
 //!
 //! The online layer on top (PR 3):
 //!
@@ -48,17 +51,6 @@
 //!   [`HysteresisController`] that estimates offered concurrency from
 //!   [`WindowRates`] (Little's law) and decides when a different
 //!   finalist composition should take over the lock.
-//!
-//! The serving layer (PR 7):
-//!
-//! * [`serve`](mod@serve) — a zero-dependency HTTP/1.1 scrape endpoint
-//!   (`/metrics`, `/snapshot`, `/health`, `/alerts`) with bounded
-//!   workers, graceful shutdown, and self-accounting
-//!   (`clof_obs_scrape_duration_ns` — the server exports its own cost).
-//! * [`slo`] — deterministic multi-window burn-rate SLO evaluation over
-//!   [`WindowRates`] (p99 hold-time / handover-latency objectives,
-//!   k-consecutive hysteresis) plus an instant alert per stuck-thread
-//!   [`GraphFinding`].
 //! * [`audit`] — a fixed-capacity lock-free ring of adaptation
 //!   decisions: every [`policy`] verdict and every hot-swap migration,
 //!   with the window rates and margins that justified it.
@@ -77,7 +69,7 @@
 //!   since, progress epoch, waited-on and held sites; one line per
 //!   thread) and its detector: stalls, waits-for cycles (deadlock) and
 //!   `keep_local`-gap-bound starvation (priority/NUMA inversion), one
-//!   finding per stuck thread, feeding the `/alerts` path.
+//!   finding per stuck thread, feeding the [`Watchdog`].
 //!
 //! `clof-core` records into these types only when compiled with its
 //! `obs` cargo feature; the default build carries no `clof-obs` symbols
@@ -92,31 +84,23 @@
 pub mod analyze;
 pub mod audit;
 pub mod counters;
-pub mod deadline;
 pub mod export;
 pub mod hist;
-pub mod park;
 pub mod policy;
 pub mod profile;
 pub mod registry;
 pub mod ring;
-pub mod serve;
 pub mod shard;
-pub mod slo;
 pub mod trace;
 pub mod waitgraph;
 pub mod watchdog;
 pub mod window;
 
 pub use analyze::{analyze, ownership_timeline, ChainStats, FairnessCdf, LevelWait, TraceAnalysis};
-pub use audit::{render_audit_json, AuditReason, AuditRecord, AuditRing};
+pub use audit::{AuditReason, AuditRecord, AuditRing};
 pub use counters::{LevelCounters, LevelSnapshot};
-pub use deadline::{
-    deadline_stats, render_deadline_json, render_deadline_prometheus, DeadlineStats,
-};
 pub use export::{render_json, render_prometheus, LockSnapshot};
 pub use hist::{HistSnapshot, LogHistogram, HIST_BUCKETS};
-pub use park::{park_stats, render_park_json, render_park_prometheus, ParkStats};
 pub use policy::{
     AdaptDecision, FinalistProfile, HysteresisConfig, HysteresisController, WindowObservation,
 };
@@ -126,12 +110,7 @@ pub use profile::{
 };
 pub use registry::{SiteAnchor, SiteInfo, SiteRegistry, INVALID_SITE, MAX_SITES};
 pub use ring::{EventRing, PassEvent, PassKind};
-pub use serve::{http_get, serve, ServeConfig, ServerHandle, SnapshotFn};
 pub use shard::{Shard, ShardSet};
-pub use slo::{
-    default_rules, render_alerts_json, AlertStatus, AlertTransition, SloEvaluator, SloRule,
-    SloSignal,
-};
 pub use trace::{render_chrome_trace, SpanEvent, SpanKind, Trace};
 pub use waitgraph::{GraphFinding, GraphReport, Phase, WaitTable, MAX_GRAPH_THREADS};
 pub use watchdog::{Watchdog, WatchdogConfig, WatchdogGuard};

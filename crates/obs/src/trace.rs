@@ -27,7 +27,7 @@
 //! a time for ownership-timeline analysis
 //! ([`crate::analyze`](mod@crate::analyze)).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::thread_tag;
@@ -223,7 +223,11 @@ impl ThreadBuf {
         let ticket = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(ticket & self.mask) as usize];
         let seq = 2 * ticket + 2;
-        slot.seq.store(seq - 1, Ordering::Release);
+        // Mark write-in-progress (odd); the fence keeps the data stores
+        // after it, the final Release store keeps them before the
+        // publish (even).
+        slot.seq.store(seq - 1, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.start.store(start, Ordering::Relaxed);
         slot.end.store(end, Ordering::Relaxed);
         slot.packed.store(packed, Ordering::Relaxed);
@@ -246,7 +250,9 @@ impl ThreadBuf {
             let packed = slot.packed.load(Ordering::Relaxed);
             let flow_in = slot.flow_in.load(Ordering::Relaxed);
             let flow_out = slot.flow_out.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != seq0 {
+            // The fence keeps the data loads before the re-check.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != seq0 {
                 continue;
             }
             let (level, node, kind) = unpack(packed);
@@ -707,6 +713,39 @@ mod tests {
         assert_eq!(t.events.len(), 8);
         // Latest events survive.
         assert!(t.events.iter().all(|e| e.start_ns >= 12));
+    }
+
+    #[test]
+    fn a_reader_racing_the_writer_sees_only_whole_spans() {
+        let buf = Arc::new(ThreadBuf::new(0, 8));
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (buf, done) = (Arc::clone(&buf), Arc::clone(&done));
+            std::thread::spawn(move || {
+                // Every word of a span carries the same value, so a torn
+                // slot (some words old, some new) is recognisable.
+                for i in 0..200_000u64 {
+                    let packed = pack(0, i as u32, SpanKind::Hold);
+                    buf.record(i, i, packed, i, i);
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let mut spans = Vec::new();
+        while !done.load(Ordering::Acquire) {
+            spans.clear();
+            buf.collect(&mut spans);
+            for e in &spans {
+                let whole = [e.end_ns, u64::from(e.node), e.flow_in, e.flow_out]
+                    .iter()
+                    .all(|&w| w == e.start_ns);
+                assert!(whole, "torn slot surfaced: {e:?}");
+            }
+        }
+        writer.join().unwrap();
+        spans.clear();
+        assert_eq!(buf.collect(&mut spans), (200_000, 200_000 - 8));
+        assert_eq!(spans.len(), 8);
     }
 
     #[test]

@@ -37,8 +37,7 @@
 //!
 //! Findings carry stable dedup keys; `FindingDedup` suppresses
 //! repeats across polls, and the [`Watchdog`](crate::Watchdog) polls
-//! this table in the background and feeds each fresh finding to the SLO
-//! evaluator's `/alerts`.
+//! this table in the background and hands each finding to its callback.
 //!
 //! [`thread_tag`]: crate::thread_tag
 
@@ -558,7 +557,7 @@ impl GraphFinding {
         }
     }
 
-    /// JSON object for `/profile` and `/alerts` payloads.
+    /// JSON object for [`render_profile_json`](crate::render_profile_json).
     pub fn to_json(&self) -> String {
         match self {
             GraphFinding::Deadlock { threads, sites } => {

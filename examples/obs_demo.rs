@@ -3,9 +3,8 @@
 //! then counters, latency distributions, the trace analysis, all three
 //! export formats, a Perfetto-loadable trace file, the contention
 //! profiler (site registry, wait/hold attribution, folded stacks, and
-//! the waits-for graph verdict), the stuck-thread watchdog catching a
-//! deliberately hogged lock, and finally the telemetry server scraping
-//! its own endpoints over a real socket.
+//! the waits-for graph verdict), and finally the stuck-thread watchdog
+//! catching a deliberately hogged lock.
 //!
 //! Run with:
 //!
@@ -18,9 +17,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clof::obs::{
-    analyze, default_rules, http_get, profile, registry, render_chrome_trace, render_folded,
-    render_json, render_prometheus, serve, trace, waitgraph, Sampler, ServeConfig, Watchdog,
-    WatchdogConfig,
+    analyze, profile, registry, render_chrome_trace, render_folded, render_json, render_prometheus,
+    trace, waitgraph, Sampler, Watchdog, WatchdogConfig,
 };
 use clof::{ClofParams, DynClofLock, LockKind};
 use clof_topology::platforms;
@@ -226,31 +224,4 @@ fn main() {
     let findings = watchdog.stop();
     println!("  watchdog flagged {findings} finding(s) while the lock was hogged");
     assert!(findings >= 1, "watchdog missed a 50ms+ stall");
-    println!();
-
-    // The serving layer: the same snapshot the exports above rendered,
-    // now behind a zero-dependency HTTP endpoint with SLO burn-rate
-    // alerts attached. Bind to an ephemeral port and self-scrape.
-    println!("=== telemetry server ===");
-    let server = serve(
-        "127.0.0.1:0",
-        Arc::new({
-            let lock = Arc::clone(&lock);
-            move || lock.obs_snapshot()
-        }),
-        ServeConfig {
-            rules: default_rules(1_000_000, 1_000_000), // 1 ms p99 objectives
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind ephemeral port");
-    println!("serving on {}", server.url());
-    for path in ["/metrics", "/snapshot", "/health", "/alerts", "/profile"] {
-        let (status, body) = http_get(server.addr(), path).expect("self-scrape");
-        println!("  GET {path:<9} -> {status} ({} bytes)", body.len());
-        assert_eq!(status, 200, "endpoint {path} should be healthy");
-    }
-    let (_, alerts) = http_get(server.addr(), "/alerts").expect("alerts scrape");
-    println!("  alerts body: {alerts}");
-    println!("  {} request(s) served; shutting down", server.requests());
 }

@@ -244,3 +244,52 @@ fn budgets_are_leaf_biased_and_runtime_tunable() {
     lock.set_spin_budget(1, 7);
     assert_eq!(lock.spin_budgets()[1], (1, 7));
 }
+
+/// The profiler's per-site park time is fed by the parked-duration
+/// recorder: a contended zero-budget run attributes its parks to the
+/// lock's own site, and never more of them than the process counted.
+#[cfg(feature = "obs")]
+#[test]
+fn parks_are_attributed_to_the_waiting_site() {
+    let hierarchy = build_regular(&[2, 4]);
+    let lock = Arc::new(
+        DynClofLock::build(
+            &hierarchy,
+            &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket],
+        )
+        .expect("builds"),
+    );
+    for level in 0..hierarchy.level_count() {
+        lock.set_spin_budget(level, 0); // every contended wait parks
+    }
+    let site_parks = || lock.site_profile().expect("site registered").parks;
+    let (site_before, process_before) = (site_parks(), park::parks());
+    let threads = 2 * cores();
+    let n = hierarchy.ncpus();
+    // Parking needs a waiter to find the lock held; a few rounds make
+    // that certain on any scheduler without sleeping.
+    for _ in 0..20 {
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let lock = &lock;
+                s.spawn(move || {
+                    let mut handle = lock.handle(t * n / threads % n);
+                    for _ in 0..200 {
+                        handle.acquire();
+                        handle.release();
+                    }
+                });
+            }
+        });
+        if site_parks() > site_before {
+            break;
+        }
+    }
+    let site = site_parks() - site_before;
+    let process = park::parks() - process_before;
+    assert!(site >= 1, "no park was attributed to the lock's site");
+    assert!(
+        site <= process,
+        "site parks ({site}) exceed the process park count ({process})"
+    );
+}
