@@ -9,6 +9,7 @@
 //! exactly the contention profile the paper exercises.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use clof::ClofError;
@@ -41,12 +42,122 @@ enum Slot {
     Tombstone,
 }
 
+/// The first 8 bytes of `key`, zero-padded, read big-endian. The order of
+/// prefixes is the order of keys: `key_prefix(a) < key_prefix(b)` implies
+/// `a < b`, so two keys need a full compare only when their prefixes tie.
+fn key_prefix(key: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    let n = key.len().min(8);
+    bytes[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(bytes)
+}
+
+/// An immutable sorted run: strictly ascending keys, and beside them a
+/// dense fence of their [`key_prefix`]es (4 KiB per 512 keys) that a
+/// lookup searches instead of chasing every key's heap pointer.
+#[derive(Debug)]
+struct Run {
+    prefix: Vec<u64>,
+    entries: Vec<(Vec<u8>, Slot)>,
+}
+
+impl Run {
+    fn new(entries: Vec<(Vec<u8>, Slot)>) -> Run {
+        let prefix = entries.iter().map(|(k, _)| key_prefix(k)).collect();
+        Run { prefix, entries }
+    }
+
+    /// The index of the first entry whose prefix ties `key`'s, and the
+    /// entries of that tie: the only ones that can equal `key`.
+    fn tied(&self, key: &[u8]) -> (usize, &[(Vec<u8>, Slot)]) {
+        let p = key_prefix(key);
+        let lo = self.prefix.partition_point(|&q| q < p);
+        let ties = self.prefix[lo..].iter().take_while(|&&q| q == p).count();
+        (lo, &self.entries[lo..lo + ties])
+    }
+
+    fn get(&self, key: &[u8]) -> Option<&Slot> {
+        let (_, tied) = self.tied(key);
+        let i = tied.binary_search_by(|(k, _)| k.as_slice().cmp(key)).ok()?;
+        Some(&tied[i].1)
+    }
+
+    /// The index of the first entry whose key is `>= key`.
+    fn lower_bound(&self, key: &[u8]) -> usize {
+        let (lo, tied) = self.tied(key);
+        lo + tied.partition_point(|(k, _)| k.as_slice() < key)
+    }
+
+    /// The entries with keys in `[start, end)`.
+    fn range(&self, start: &[u8], end: &[u8]) -> &[(Vec<u8>, Slot)] {
+        let from = self.lower_bound(start);
+        &self.entries[from..self.lower_bound(end)]
+    }
+}
+
+/// A linear k-way merge of ascending `sources`, newest first: yields each
+/// key once, from the lowest-indexed source that holds it. Tombstones
+/// pass through; the caller drops them. Each source must hold a key at
+/// most once.
+struct Merge<I: Iterator> {
+    sources: Vec<I>,
+    heads: Vec<Option<I::Item>>,
+}
+
+fn merge<K, S, I>(sources: impl IntoIterator<Item = I>) -> Merge<I>
+where
+    K: AsRef<[u8]>,
+    I: Iterator<Item = (K, S)>,
+{
+    let mut sources: Vec<I> = sources.into_iter().collect();
+    let heads = sources.iter_mut().map(Iterator::next).collect();
+    Merge { sources, heads }
+}
+
+impl<K: AsRef<[u8]>, S, I: Iterator<Item = (K, S)>> Iterator for Merge<I> {
+    type Item = (K, S);
+
+    fn next(&mut self) -> Option<(K, S)> {
+        // The smallest head; on equal keys the first (newest) source wins.
+        let mut win: Option<(usize, &[u8])> = None;
+        for (i, head) in self.heads.iter().enumerate() {
+            if let Some((k, _)) = head {
+                if win.map_or(true, |(_, w)| k.as_ref() < w) {
+                    win = Some((i, k.as_ref()));
+                }
+            }
+        }
+        let w = win?.0;
+        let next = self.sources[w].next();
+        let (key, slot) = std::mem::replace(&mut self.heads[w], next)?;
+        // Older sources holding the same key are shadowed: skip them. A
+        // newer one cannot hold it, or it would have won.
+        for i in w + 1..self.heads.len() {
+            if self.heads[i]
+                .as_ref()
+                .is_some_and(|(k, _)| k.as_ref() == key.as_ref())
+            {
+                self.heads[i] = self.sources[i].next();
+            }
+        }
+        Some((key, slot))
+    }
+}
+
+/// Merges newest-first `runs` into one run's entries: the newest value
+/// per key, tombstones dropped — what a full compaction keeps.
+fn merge_runs(runs: impl IntoIterator<Item = Run>) -> Vec<(Vec<u8>, Slot)> {
+    merge(runs.into_iter().map(|run| run.entries.into_iter()))
+        .filter(|(_, slot)| *slot != Slot::Tombstone)
+        .collect()
+}
+
 /// Engine state (guarded by the pluggable lock).
 #[derive(Debug)]
 struct Inner {
     memtable: BTreeMap<Vec<u8>, Slot>,
     /// Immutable sorted runs, newest first.
-    runs: Vec<Vec<(Vec<u8>, Slot)>>,
+    runs: Vec<Run>,
     options: MiniDbOptions,
     flushes: u64,
     compactions: u64,
@@ -54,21 +165,14 @@ struct Inner {
 
 impl Inner {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        if let Some(slot) = self.memtable.get(key) {
-            return match slot {
-                Slot::Value(v) => Some(v.clone()),
-                Slot::Tombstone => None,
-            };
+        let slot = match self.memtable.get(key) {
+            Some(slot) => slot,
+            None => self.runs.iter().find_map(|run| run.get(key))?,
+        };
+        match slot {
+            Slot::Value(v) => Some(v.clone()),
+            Slot::Tombstone => None,
         }
-        for run in &self.runs {
-            if let Ok(idx) = run.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                return match &run[idx].1 {
-                    Slot::Value(v) => Some(v.clone()),
-                    Slot::Tombstone => None,
-                };
-            }
-        }
-        None
     }
 
     fn put(&mut self, key: Vec<u8>, slot: Slot) {
@@ -82,7 +186,7 @@ impl Inner {
         if self.memtable.is_empty() {
             return;
         }
-        let run: Vec<(Vec<u8>, Slot)> = std::mem::take(&mut self.memtable).into_iter().collect();
+        let run = Run::new(std::mem::take(&mut self.memtable).into_iter().collect());
         self.runs.insert(0, run);
         self.flushes += 1;
         if self.runs.len() > self.options.max_runs {
@@ -92,51 +196,31 @@ impl Inner {
 
     /// Merges all runs into one, newest value wins, dropping tombstones.
     fn compact(&mut self) {
-        let mut merged: BTreeMap<Vec<u8>, Slot> = BTreeMap::new();
-        // Oldest first so newer runs overwrite.
-        for run in self.runs.drain(..).rev() {
-            for (k, s) in run {
-                merged.insert(k, s);
-            }
-        }
-        let merged: Vec<(Vec<u8>, Slot)> = merged
-            .into_iter()
-            .filter(|(_, s)| *s != Slot::Tombstone)
-            .collect();
+        let merged = merge_runs(self.runs.drain(..));
         if !merged.is_empty() {
-            self.runs.push(merged);
+            self.runs.push(Run::new(merged));
         }
         self.compactions += 1;
     }
 
     fn len_estimate(&self) -> usize {
-        self.memtable.len() + self.runs.iter().map(Vec::len).sum::<usize>()
+        self.memtable.len() + self.runs.iter().map(|run| run.entries.len()).sum::<usize>()
     }
 
     /// Ordered scan of `[start, end)`, newest value per key, tombstones
     /// elided — the LSM merge over memtable + runs.
     fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut merged: BTreeMap<Vec<u8>, Slot> = BTreeMap::new();
-        // Oldest runs first so newer sources overwrite.
-        for run in self.runs.iter().rev() {
-            let from = run.partition_point(|(k, _)| k.as_slice() < start);
-            for (k, slot) in run[from..]
-                .iter()
-                .take_while(|(k, _)| k.as_slice() < end)
-            {
-                merged.insert(k.clone(), slot.clone());
-            }
-        }
-        for (k, slot) in self
-            .memtable
-            .range::<[u8], _>((std::ops::Bound::Included(start), std::ops::Bound::Excluded(end)))
-        {
-            merged.insert(k.clone(), slot.clone());
-        }
-        merged
-            .into_iter()
+        type Source<'a> = Box<dyn Iterator<Item = (&'a Vec<u8>, &'a Slot)> + 'a>;
+        let memtable: Source<'_> = Box::new(
+            self.memtable
+                .range::<[u8], _>((Bound::Included(start), Bound::Excluded(end))),
+        );
+        let runs = self.runs.iter().map(|run| -> Source<'_> {
+            Box::new(run.range(start, end).iter().map(|(k, slot)| (k, slot)))
+        });
+        merge(std::iter::once(memtable).chain(runs))
             .filter_map(|(k, slot)| match slot {
-                Slot::Value(v) => Some((k, v)),
+                Slot::Value(v) => Some((k.clone(), v.clone())),
                 Slot::Tombstone => None,
             })
             .take(limit)
@@ -445,26 +529,105 @@ mod tests {
         assert_eq!(h.get(b"w1-99"), Some(vec![1]));
     }
 
+    #[test]
+    fn keys_that_tie_on_the_fence_keep_their_own_values() {
+        let db = MiniDb::open(
+            &platforms::tiny(),
+            &LockChoice::Clof(vec![LockKind::Mcs, LockKind::Clh, LockKind::Ticket]),
+            MiniDbOptions {
+                memtable_limit: 4,
+                max_runs: 8,
+            },
+        )
+        .unwrap();
+        let mut h = db.handle(0);
+        // One padded prefix, `ab` then six zero bytes, for all four keys.
+        let keys: [&[u8]; 4] = [b"ab", b"ab\0", b"ab\0\0\0\0\0\0", b"ab\0\0\0\0\0\0\0"];
+        assert!(keys.iter().all(|k| key_prefix(k) == key_prefix(b"ab")));
+        for (i, key) in keys.iter().enumerate() {
+            h.put(key.to_vec(), vec![i as u8]);
+        }
+        // The fourth put flushed all four into one run.
+        assert_eq!(h.maintenance_counters(), (1, 0));
+        assert_eq!(h.len_estimate(), 4);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(h.get(key), Some(vec![i as u8]), "{key:?}");
+        }
+        assert_eq!(h.get(b"ab\0\0"), None);
+        assert_eq!(h.get(b""), None);
+        let scanned: Vec<Vec<u8>> = h
+            .scan(b"ab", b"ab\0\0\0\0\0\0\0", 10)
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(
+            scanned,
+            keys[..3].iter().map(|k| k.to_vec()).collect::<Vec<_>>()
+        );
+    }
+
     mod props {
         use super::*;
-        use clof_testkit::gen::{any_u8, one_of, vec_of, zip, Gen};
-        use clof_testkit::{props, tk_assert_eq, Config};
+        use clof_testkit::gen::{any_u8, element_of, one_of, vec_of, zip, Gen};
+        use clof_testkit::{props, tk_assert, tk_assert_eq, Config};
+
+        /// Keys of 0–12 bytes over an alphabet with `0x00` in it, so
+        /// short keys and their zero-extended twins tie on the fence.
+        fn key() -> Gen<Vec<u8>> {
+            vec_of(element_of(vec![0x00, 0x01, 0xFF]), 0, 13)
+        }
 
         #[derive(Debug, Clone)]
         enum Op {
-            Put(u8, u8),
-            Delete(u8),
-            Get(u8),
-            Scan(u8, u8),
+            Put(Vec<u8>, u8),
+            Delete(Vec<u8>),
+            Get(Vec<u8>),
+            Scan(Vec<u8>, Vec<u8>),
         }
 
         fn op() -> Gen<Op> {
             one_of(vec![
-                zip(any_u8(), any_u8()).map(|(k, v)| Op::Put(k, v)),
-                any_u8().map(Op::Delete),
-                any_u8().map(Op::Get),
-                zip(any_u8(), any_u8()).map(|(a, b)| Op::Scan(a.min(b), a.max(b))),
+                zip(key(), any_u8()).map(|(k, v)| Op::Put(k, v)),
+                key().map(Op::Delete),
+                key().map(Op::Get),
+                zip(key(), key()).map(|(a, b)| {
+                    let (a, b) = if a <= b { (a, b) } else { (b, a) };
+                    Op::Scan(a, b)
+                }),
             ])
+        }
+
+        /// A run's entries; `None` is a tombstone.
+        type RawRun = Vec<(Vec<u8>, Option<u8>)>;
+
+        /// Up to 9 newest-first runs over a few short keys, so they
+        /// overlap, with tombstones among the values.
+        fn runs() -> Gen<Vec<RawRun>> {
+            let short_key = vec_of(element_of(vec![0x00, 0x01, 0xFF]), 0, 4);
+            let entry = zip(
+                short_key,
+                one_of(vec![Gen::constant(None), any_u8().map(Some)]),
+            );
+            vec_of(vec_of(entry, 0, 24), 0, 10)
+        }
+
+        fn slot(value: Option<u8>) -> Slot {
+            value.map_or(Slot::Tombstone, |v| Slot::Value(vec![v]))
+        }
+
+        /// The compaction MiniDb shipped before its k-way merge: every
+        /// entry folded, oldest run first, through a `BTreeMap`.
+        fn fold_through_btreemap(runs: &[Vec<(Vec<u8>, Slot)>]) -> Vec<(Vec<u8>, Slot)> {
+            let mut merged: BTreeMap<Vec<u8>, Slot> = BTreeMap::new();
+            for run in runs.iter().rev() {
+                for (k, s) in run {
+                    merged.insert(k.clone(), s.clone());
+                }
+            }
+            merged
+                .into_iter()
+                .filter(|(_, s)| *s != Slot::Tombstone)
+                .collect()
         }
 
         props! {
@@ -485,30 +648,53 @@ mod tests {
                 )
                 .unwrap();
                 let mut h = db.handle(0);
-                let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
-                    std::collections::BTreeMap::new();
+                let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
                 for op in ops {
                     match op {
                         Op::Put(k, v) => {
-                            h.put(vec![k], vec![v]);
-                            model.insert(vec![k], vec![v]);
+                            h.put(k.clone(), vec![v]);
+                            model.insert(k, vec![v]);
                         }
                         Op::Delete(k) => {
-                            h.delete(vec![k]);
-                            model.remove(&vec![k]);
+                            h.delete(k.clone());
+                            model.remove(&k);
                         }
                         Op::Get(k) => {
-                            tk_assert_eq!(h.get(&[k]), model.get(&vec![k]).cloned());
+                            tk_assert_eq!(h.get(&k), model.get(&k).cloned());
                         }
                         Op::Scan(a, b) => {
-                            let got = h.scan(&[a], &[b], usize::MAX);
+                            let got = h.scan(&a, &b, usize::MAX);
                             let want: Vec<(Vec<u8>, Vec<u8>)> = model
-                                .range(vec![a]..vec![b])
+                                .range(a..b)
                                 .map(|(k, v)| (k.clone(), v.clone()))
                                 .collect();
                             tk_assert_eq!(got, want);
                         }
                     }
+                }
+            }
+
+            /// Compaction's k-way merge keeps what the `BTreeMap` fold
+            /// kept: strictly ascending keys, the newest value of each,
+            /// and no tombstone.
+            fn k_way_merge_equals_the_btreemap_fold(raw in runs()) {
+                let runs: Vec<Vec<(Vec<u8>, Slot)>> = raw
+                    .iter()
+                    .map(|run| {
+                        let dedup: BTreeMap<Vec<u8>, Slot> =
+                            run.iter().map(|(k, v)| (k.clone(), slot(*v))).collect();
+                        dedup.into_iter().collect()
+                    })
+                    .collect();
+                let merged = merge_runs(runs.iter().cloned().map(Run::new));
+                tk_assert_eq!(merged, fold_through_btreemap(&runs));
+                tk_assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
+                for (k, s) in &merged {
+                    tk_assert!(*s != Slot::Tombstone, "tombstone kept at {k:?}");
+                    let newest = runs.iter().find_map(|run| {
+                        run.iter().find(|(rk, _)| rk == k).map(|(_, rs)| rs)
+                    });
+                    tk_assert_eq!(newest, Some(s));
                 }
             }
         }

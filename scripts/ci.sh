@@ -66,7 +66,9 @@
 #      dependency graph enables the `park` feature nowhere;
 #   8. the per-crate suites and the deadline phase (deadlines are part
 #      of every build): the locks/core/kvstore suites that carry the
-#      deadline unit tests (testkit's ran in phase 2), a `clof deadline
+#      deadline unit tests (testkit's ran in phase 2), the
+#      `leveldb_readrandom` example (it asserts every key is found under
+#      7 lock choices), a `clof deadline
 #      --once` smoke against
 #      the default binary, and the timeout/abandonment oracle's park and
 #      adapt companion cells (the matrix itself and the
@@ -428,6 +430,11 @@ phase "park zero-cost dependency check" \
 # tests; here only their park and adapt companion cells are added.
 phase "per-crate suites (locks/core/kvstore deadline tests)" \
     cargo test -q -p clof-locks -p clof-core -p clof-kvstore
+# MiniDb's fenced run search end to end: the example asserts that every
+# key is found by 4 readers across a memtable and 2 runs, under each of
+# its 7 lock choices.
+phase "leveldb readrandom example (every key found, 7 locks)" \
+    cargo run -q --release --example leveldb_readrandom
 phase "default clof binary build (deadline demo)" cargo build --release -p clof-bench
 phase "clof deadline --once smoke" \
     ./target/release/clof deadline --machine armv8 --levels 3 --once
