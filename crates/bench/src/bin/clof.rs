@@ -562,10 +562,8 @@ fn spawn_watchdog(
             .collect();
         format!("queued waiters by level [{}]", hints.join(" "))
     })
-    .spawn(move |finding, context, fresh| {
-        if fresh {
-            eprintln!("{}; {context}", finding.detail());
-        }
+    .spawn(move |finding, context| {
+        eprintln!("{}; {context}", finding.detail());
     })
 }
 

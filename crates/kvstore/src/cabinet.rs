@@ -1,10 +1,28 @@
-//! CabinetDb: a hash-bucket store in the Kyoto Cabinet HashDB mould.
+//! CabinetDb: a hash store in the Kyoto Cabinet HashDB mould.
 //!
-//! Kyoto Cabinet's in-memory HashDB is a chained hash table whose
-//! operations serialize on the database lock — the paper uses it as the
-//! cross-validation workload (§5.1.2). This stand-in reproduces that
-//! contention profile: a fixed bucket array with separate chaining, all
-//! access under one pluggable [`DbMutex`].
+//! Kyoto Cabinet's in-memory hash databases serialize every operation on
+//! the database lock — the paper uses one as the cross-validation
+//! workload (§5.1.2). This stand-in keeps that contention profile: all
+//! access goes through one pluggable [`DbMutex`], and the store's job is
+//! to make the critical section short and its footprint small.
+//!
+//! Where it departs from Kyoto. Kyoto chains records off a fixed bucket
+//! array. Here the table is open-addressed: linear probing over a
+//! power-of-two slot array that is at most half full and doubles when an
+//! insert would pass that. A slot holds the key's 64-bit hash and one
+//! boxed record, `key ++ value`, so a lookup compares hashes inside the
+//! slot array and touches one record allocation — not a bucket `Vec`, a
+//! chain buffer, a key and a value. The hash is MurmurHash64A, 8 bytes
+//! per step, as under Kyoto's `hashmurmur`. A set of a value as long as the
+//! stored one overwrites it in place. Removal shifts the rest of the
+//! probe cluster back (no tombstones), so set/remove churn does not
+//! lengthen probes. Whatever an operation frees — the caller's key and
+//! value buffers, a replaced record, a grown-out slot array — is dropped
+//! after the lock is released.
+//!
+//! `CabinetDb::open`'s `buckets` is therefore the number of records the
+//! store holds before its table first grows: the initial slot array has
+//! `2 × buckets` slots, rounded up to a power of two.
 
 use std::sync::Arc;
 
@@ -13,57 +31,179 @@ use clof_topology::{CpuId, Hierarchy};
 
 use crate::lock::{DbHandle, DbMutex, LockChoice};
 
-/// FNV-1a, the flavour of multiplicative hashing Kyoto-style stores use.
-fn fnv1a(key: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in key {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+/// A word-at-a-time multiply-xorshift hash: MurmurHash64A, the hash
+/// Kyoto Cabinet's `hashmurmur` is built on. Eight bytes per step; the
+/// tail is zero-padded, and the length seeds the state, so `b"a"` and
+/// `b"a\0"` differ.
+fn hash(key: &[u8]) -> u64 {
+    const M: u64 = 0xc6a4_a793_5bd1_e995;
+    const R: u32 = 47;
+    let mut h = 19_780_211 ^ (key.len() as u64).wrapping_mul(M);
+    let mut words = key.chunks_exact(8);
+    for word in &mut words {
+        let mut k = u64::from_le_bytes(word.try_into().expect("8-byte chunk")).wrapping_mul(M);
+        k ^= k >> R;
+        h = (h ^ k.wrapping_mul(M)).wrapping_mul(M);
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(M);
+    }
+    h ^= h >> R;
+    h = h.wrapping_mul(M);
+    h ^ (h >> R)
 }
 
+/// An occupied slot: the key's hash and the record `key ++ value` in
+/// one allocation.
+struct Record {
+    hash: u64,
+    key_len: usize,
+    bytes: Box<[u8]>,
+}
+
+impl Record {
+    fn new(hash: u64, key: &[u8], value: &[u8]) -> Self {
+        let mut bytes = Vec::with_capacity(key.len() + value.len());
+        bytes.extend_from_slice(key);
+        bytes.extend_from_slice(value);
+        Record {
+            hash,
+            key_len: key.len(),
+            bytes: bytes.into_boxed_slice(),
+        }
+    }
+
+    fn key(&self) -> &[u8] {
+        &self.bytes[..self.key_len]
+    }
+
+    fn value(&self) -> &[u8] {
+        &self.bytes[self.key_len..]
+    }
+}
+
+/// What a set took out of the table: a replaced record, and the slot
+/// array a grow replaced (an empty `Vec`, which owns no memory, if the
+/// table did not grow). It leaves the critical section as the closure's
+/// result and is dropped after the lock is released.
+type Spent = (Option<Record>, Vec<Option<Record>>);
+
 struct Inner {
-    buckets: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
+    /// Power-of-two length, at most half occupied.
+    slots: Vec<Option<Record>>,
     len: usize,
 }
 
+fn empty_slots(n: usize) -> Vec<Option<Record>> {
+    (0..n).map(|_| None).collect()
+}
+
 impl Inner {
-    fn bucket(&self, key: &[u8]) -> usize {
-        (fnv1a(key) % self.buckets.len() as u64) as usize
+    fn with_records(records: usize) -> Self {
+        Inner {
+            slots: empty_slots((2 * records.max(1)).next_power_of_two()),
+            len: 0,
+        }
     }
 
-    fn set(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        let b = self.bucket(&key);
-        let chain = &mut self.buckets[b];
-        for entry in chain.iter_mut() {
-            if entry.0 == key {
-                entry.1 = value;
-                return;
+    fn mask(&self) -> usize {
+        self.slots.len() - 1
+    }
+
+    /// `Ok` with the slot that holds `key`, or `Err` with the empty slot
+    /// that ends its probe. Only a slot whose stored hash matches has its
+    /// record read. Terminates because at least half the slots are empty.
+    fn probe(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
+        let mask = self.mask();
+        let mut i = hash as usize & mask;
+        loop {
+            match &self.slots[i] {
+                None => return Err(i),
+                Some(r) if r.hash == hash && r.key() == key => return Ok(i),
+                Some(_) => i = (i + 1) & mask,
             }
         }
-        chain.push((key, value));
-        self.len += 1;
+    }
+
+    fn set(&mut self, key: &[u8], value: &[u8]) -> Spent {
+        let hash = hash(key);
+        match self.probe(hash, key) {
+            Ok(i) => {
+                let r = self.slots[i]
+                    .as_mut()
+                    .expect("probe returned an occupied slot");
+                if r.value().len() == value.len() {
+                    r.bytes[r.key_len..].copy_from_slice(value);
+                    (None, Vec::new())
+                } else {
+                    (
+                        Some(std::mem::replace(r, Record::new(hash, key, value))),
+                        Vec::new(),
+                    )
+                }
+            }
+            Err(mut i) => {
+                let mut old_slots = Vec::new();
+                if 2 * (self.len + 1) > self.slots.len() {
+                    old_slots = self.grow();
+                    i = self
+                        .probe(hash, key)
+                        .expect_err("key absent before the grow");
+                }
+                self.slots[i] = Some(Record::new(hash, key, value));
+                self.len += 1;
+                (None, old_slots)
+            }
+        }
+    }
+
+    /// Doubles the slot array and re-homes every record into it. Returns
+    /// the old array, emptied, so that it is freed outside the lock.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) -> Vec<Option<Record>> {
+        let bigger = empty_slots(2 * self.slots.len());
+        let mut old = std::mem::replace(&mut self.slots, bigger);
+        let mask = self.mask();
+        for r in old.iter_mut().filter_map(Option::take) {
+            let mut i = r.hash as usize & mask;
+            while self.slots[i].is_some() {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = Some(r);
+        }
+        old
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let b = self.bucket(key);
-        self.buckets[b]
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
+        let i = self.probe(hash(key), key).ok()?;
+        self.slots[i].as_ref().map(|r| r.value().to_vec())
     }
 
-    fn remove(&mut self, key: &[u8]) -> bool {
-        let b = self.bucket(key);
-        let chain = &mut self.buckets[b];
-        if let Some(pos) = chain.iter().position(|(k, _)| k == key) {
-            chain.swap_remove(pos);
-            self.len -= 1;
-            true
-        } else {
-            false
+    /// Removes `key` by backward-shift deletion and returns its record
+    /// for the caller to free outside the lock.
+    fn remove(&mut self, key: &[u8]) -> Option<Record> {
+        let i = self.probe(hash(key), key).ok()?;
+        let removed = self.slots[i].take();
+        self.len -= 1;
+        // Walk the rest of the cluster. A record may fill the hole only if
+        // the hole lies on its probe path — cyclically between its home
+        // slot and where it sits — or a lookup from home would stop at the
+        // hole before reaching it.
+        let mask = self.mask();
+        let (mut hole, mut j) = (i, (i + 1) & mask);
+        while let Some(r) = &self.slots[j] {
+            let home = r.hash as usize & mask;
+            if j.wrapping_sub(home) & mask >= j.wrapping_sub(hole) & mask {
+                self.slots[hole] = self.slots[j].take();
+                hole = j;
+            }
+            j = (j + 1) & mask;
         }
+        removed
     }
 }
 
@@ -85,7 +225,8 @@ pub struct CabinetDb {
 }
 
 impl CabinetDb {
-    /// Opens an empty store with `buckets` hash buckets.
+    /// Opens an empty store that holds `buckets` records before its
+    /// table first grows.
     ///
     /// # Errors
     ///
@@ -97,10 +238,7 @@ impl CabinetDb {
     ) -> Result<Self, ClofError> {
         Ok(CabinetDb {
             inner: Arc::new(DbMutex::new(
-                Inner {
-                    buckets: vec![Vec::new(); buckets.max(1)],
-                    len: 0,
-                },
+                Inner::with_records(buckets),
                 hierarchy,
                 choice,
             )?),
@@ -137,7 +275,9 @@ pub struct CabinetHandle {
 impl CabinetHandle {
     /// Inserts or overwrites a record.
     pub fn set(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.handle.with(|db| db.set(key, value));
+        let spent = self.handle.with(|db| db.set(&key, &value));
+        // Freed here, after the lock is released.
+        drop((key, value, spent));
     }
 
     /// Retrieves a record.
@@ -147,7 +287,8 @@ impl CabinetHandle {
 
     /// Removes a record; returns whether it existed.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        self.handle.with(|db| db.remove(key))
+        // The record is freed after the lock is released.
+        self.handle.with(|db| db.remove(key)).is_some()
     }
 
     /// Number of records.
@@ -162,6 +303,8 @@ impl CabinetHandle {
 
     /// The Kyoto-style mixed benchmark: `ops` operations, 80% get / 20%
     /// set, over `key_space` keys. Returns the number of successful gets.
+    /// The key comes from the draw's high half and the operation from its
+    /// low bits, so which keys are set does not depend on `key_space`.
     pub fn mixed_workload(&mut self, ops: usize, key_space: usize, seed: u64) -> usize {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut hits = 0;
@@ -170,7 +313,7 @@ impl CabinetHandle {
             state ^= state << 25;
             state ^= state >> 27;
             let r = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
-            let key = (r % key_space.max(1) as u64).to_be_bytes().to_vec();
+            let key = ((r >> 32) % key_space.max(1) as u64).to_be_bytes().to_vec();
             if r % 5 == 0 {
                 self.set(key, vec![0xCD; 24]);
             } else if self.get(&key).is_some() {
@@ -222,8 +365,9 @@ mod tests {
     }
 
     #[test]
-    fn chaining_survives_collisions() {
-        // One bucket ⇒ every key collides; the chain must still work.
+    fn probing_survives_growth_from_one_record() {
+        // Room for one record ⇒ the table grows through 2 … 256 slots and
+        // every insert probes past earlier ones.
         let db = CabinetDb::open(&platforms::tiny(), &LockChoice::Std, 1).unwrap();
         let mut h = db.handle(0);
         for i in 0..100u32 {
@@ -233,6 +377,51 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(h.get(&i.to_be_bytes()), Some(vec![i as u8]));
         }
+    }
+
+    /// The first 4-byte big-endian counter not in `taken` whose home slot
+    /// in a `slots`-slot table is `home`.
+    fn key_homed_at(home: usize, slots: usize, taken: &[Vec<u8>]) -> Vec<u8> {
+        (0u32..)
+            .map(|i| i.to_be_bytes().to_vec())
+            .find(|k| hash(k) as usize & (slots - 1) == home && !taken.contains(k))
+            .unwrap()
+    }
+
+    #[test]
+    fn remove_from_a_cluster_that_wraps_keeps_every_key_reachable() {
+        // 16 slots, homes 14, 14, 15, 0, 2 ⇒ the cluster sits at slots
+        // 14, 15, 0, 1, 2 and wraps past the end. Removing the record at
+        // 15 must shift the one homed at 15 back into the hole (its home
+        // *is* the hole), shift the one homed at 0 after it, and leave the
+        // one at its home slot 2 where it is.
+        let mut db = Inner::with_records(8);
+        assert_eq!(db.slots.len(), 16);
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for home in [14, 14, 15, 0, 2] {
+            let k = key_homed_at(home, 16, &keys);
+            keys.push(k);
+        }
+        for (i, k) in keys.iter().enumerate() {
+            db.set(k, &[i as u8]);
+        }
+        let at = |db: &Inner, slot: usize| db.slots[slot].as_ref().map(|r| r.key().to_vec());
+        assert_eq!(
+            at(&db, 15),
+            Some(keys[1].clone()),
+            "second home-14 key probed to 15"
+        );
+        assert_eq!(at(&db, 2), Some(keys[4].clone()));
+        assert!(db.remove(&keys[1]).is_some());
+        assert_eq!(db.len, 4);
+        for (i, k) in keys.iter().enumerate().filter(|&(i, _)| i != 1) {
+            assert_eq!(db.get(k), Some(vec![i as u8]), "key {i} lost");
+        }
+        assert_eq!(db.get(&keys[1]), None);
+        assert_eq!(at(&db, 15), Some(keys[2].clone()));
+        assert_eq!(at(&db, 0), Some(keys[3].clone()));
+        assert_eq!(at(&db, 1), None);
+        assert_eq!(at(&db, 2), Some(keys[4].clone()));
     }
 
     #[test]
@@ -255,6 +444,24 @@ mod tests {
     }
 
     #[test]
+    fn mixed_workload_draws_key_and_operation_apart() {
+        // On an empty store only sets create keys. With 5 | key_space, a
+        // key drawn from the same bits as the 1-in-5 set would be ≡ 0 mod
+        // 5 on every set, and no get would read a key being set.
+        let db = open_tiny();
+        let mut h = db.handle(0);
+        assert!(
+            h.mixed_workload(4000, 1000, 3) > 0,
+            "gets read keys that sets made"
+        );
+        let set: Vec<u64> = (0..1000u64)
+            .filter(|k| h.get(&k.to_be_bytes()).is_some())
+            .collect();
+        assert_eq!(set.len(), h.len());
+        assert!((0..5).all(|r| set.iter().any(|k| k % 5 == r)), "{set:?}");
+    }
+
+    #[test]
     fn concurrent_mixed_workload_under_hmcs() {
         let db = Arc::new(CabinetDb::open(&platforms::tiny(), &LockChoice::Hmcs, 128).unwrap());
         {
@@ -272,6 +479,67 @@ mod tests {
         }
         for t in threads {
             assert!(t.join().unwrap() > 0);
+        }
+    }
+
+    mod props {
+        use super::*;
+        use clof_testkit::gen::{any_u8, element_of, one_of, vec_of, zip, Gen};
+        use clof_testkit::{props, tk_assert_eq, Config};
+        use std::collections::HashMap;
+
+        /// Keys of 0–12 bytes over three letters, so keys repeat across
+        /// operations and cross the 8-byte word boundary of the hash.
+        fn key() -> Gen<Vec<u8>> {
+            vec_of(element_of(vec![0x00, 0x01, 0xFF]), 0, 13)
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Value length 0–2, so overwrites go both in place and not.
+            Set(Vec<u8>, Vec<u8>),
+            Get(Vec<u8>),
+            Remove(Vec<u8>),
+            Len,
+        }
+
+        fn op() -> Gen<Op> {
+            one_of(vec![
+                zip(key(), vec_of(any_u8(), 0, 3)).map(|(k, v)| Op::Set(k, v)),
+                key().map(Op::Get),
+                key().map(Op::Remove),
+                Gen::constant(Op::Len),
+            ])
+        }
+
+        props! {
+            config: Config::with_cases(64);
+
+            /// CabinetDb behaves like a `HashMap` under arbitrary set,
+            /// get, remove and len sequences. Tables sized for 1–64
+            /// records make probes wrap, collide and grow.
+            fn matches_hashmap_model(
+                buckets in element_of(vec![1usize, 2, 3, 64]),
+                ops in vec_of(op(), 1, 200),
+            ) {
+                let db = CabinetDb::open(&platforms::tiny(), &LockChoice::Std, buckets).unwrap();
+                let mut h = db.handle(0);
+                let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
+                for op in ops {
+                    match op {
+                        Op::Set(k, v) => {
+                            h.set(k.clone(), v.clone());
+                            model.insert(k, v);
+                        }
+                        Op::Get(k) => tk_assert_eq!(h.get(&k), model.get(&k).cloned()),
+                        Op::Remove(k) => tk_assert_eq!(h.remove(&k), model.remove(&k).is_some()),
+                        Op::Len => tk_assert_eq!(h.len(), model.len()),
+                    }
+                }
+                for (k, v) in &model {
+                    tk_assert_eq!(h.get(k), Some(v.clone()));
+                }
+            }
         }
     }
 }

@@ -11,8 +11,8 @@
 //!
 //! * [`MiniDb`] — an LSM-flavoured ordered store (memtable + sorted runs
 //!   + merge compaction) with a `readrandom`-style benchmark.
-//! * [`CabinetDb`] — a hash-bucket store in the Kyoto Cabinet HashDB
-//!   mould.
+//! * [`CabinetDb`] — an open-addressed hash store in the Kyoto Cabinet
+//!   HashDB mould.
 //! * [`DbMutex`] / [`LockChoice`] — the pluggable-lock layer (the
 //!   `LD_PRELOAD` analogue).
 

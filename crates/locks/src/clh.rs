@@ -165,11 +165,16 @@ impl ClhLock {
     #[cold]
     #[inline(never)]
     unsafe fn skip_abandoned(pred: *mut ClhNode) -> *mut ClhNode {
-        let further = (*pred).pred.load(Ordering::Relaxed);
-        debug_assert!(!further.is_null(), "abandoned node without an escape");
-        crate::deadline::on_skip();
-        drop(Box::from_raw(pred));
-        further
+        // SAFETY: By the contract above we are the only thread that can
+        // still reach `pred`, a live boxed node: reading its escape
+        // pointer and then freeing it races with nobody.
+        unsafe {
+            let further = (*pred).pred.load(Ordering::Relaxed);
+            debug_assert!(!further.is_null(), "abandoned node without an escape");
+            crate::deadline::on_skip();
+            drop(Box::from_raw(pred));
+            further
+        }
     }
 
     /// Deadline-bounded acquire with node abandonment. Two exits on

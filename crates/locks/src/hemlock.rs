@@ -180,6 +180,8 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
     #[cold]
     #[inline(never)]
     fn adopt_abandoned(cell: *mut HemCell) -> *mut HemCell {
+        // SAFETY: The caller read `ABANDONED_GRANT` in `cell`, so the
+        // cell is alive and ours alone (see the free below).
         let pred = unsafe { (*cell).pred.load(Ordering::Relaxed) } as *mut HemCell;
         debug_assert!(
             !pred.is_null(),
@@ -325,6 +327,7 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         loop {
             // SAFETY: As in `acquire_inner`.
             let g = Self::grant_load(unsafe { &(*pred).grant }, Ordering::Acquire);
+            // SAFETY: As in `acquire_inner`.
             if g == token && Self::grant_cas(unsafe { &(*pred).grant }, token, 0) {
                 return true;
             }
@@ -355,9 +358,12 @@ impl<const CTR: bool> HemlockGeneric<CTR> {
         // route, then the sentinel (Release publishes the escape). Cell
         // ownership transfers to the successor (or the next enqueuer,
         // or the lock's drop walk), so the context takes a fresh one.
+        // SAFETY: `me` is our context's live cell; until the sentinel
+        // store below hands it over, only we own it.
         unsafe {
             (*me).pred.store(pred as usize, Ordering::Relaxed);
         }
+        // SAFETY: As above; this store is our last access to `me`.
         Self::grant_store(unsafe { &(*me).grant }, ABANDONED_GRANT, Ordering::Release);
         ctx.cell = HemCell::boxed();
         crate::deadline::on_abandon();
@@ -431,6 +437,8 @@ impl<const CTR: bool> Drop for HemlockGeneric<CTR> {
                 break;
             }
             let pred = cref.pred.load(Ordering::Relaxed) as *mut HemCell;
+            // SAFETY: An observer-less sentinel is owned by the lock, and
+            // `cref` is not used past this point.
             unsafe { drop(Box::from_raw(cell)) };
             cell = pred;
         }
@@ -614,6 +622,8 @@ mod tests {
             // Only the retraction path can finish this join.
             releaser.join().unwrap();
             assert!(!lock.is_locked());
+            // SAFETY: `w` came from `HemCell::boxed`, and the tail CAS
+            // above unlinked it from the lock; nothing else holds it.
             unsafe { drop(Box::from_raw(w)) };
         }
 
@@ -662,6 +672,8 @@ mod tests {
             // buried waiter whose successor then tail-restored onto it.
             let cell = HemCell::boxed().as_ptr();
             let old = lock.tail.swap(cell as usize, Ordering::AcqRel);
+            // SAFETY: `cell` is a live box that no waiter has reached
+            // yet: the holder's release has not run.
             unsafe {
                 (*cell).pred.store(old, Ordering::Relaxed);
                 (*cell).grant.store(ABANDONED_GRANT, Ordering::Release);
@@ -691,6 +703,7 @@ mod tests {
             let lock = Hemlock::new();
             let a = HemCell::boxed().as_ptr();
             let b = HemCell::boxed().as_ptr();
+            // SAFETY: Both cells are live boxes known to this thread only.
             unsafe {
                 (*a).grant.store(ABANDONED_GRANT, Ordering::Relaxed);
                 (*b).pred.store(a as usize, Ordering::Relaxed);

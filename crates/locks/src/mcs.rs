@@ -185,7 +185,9 @@ impl McsLock {
     /// loop below waits for.
     #[inline]
     unsafe fn grant_next(&self, node: *mut McsNode) -> *mut McsNode {
-        let node_ref = &*node;
+        // SAFETY: By the contract above `node` is the live queue head,
+        // which nobody frees while we hold the lock.
+        let node_ref = unsafe { &*node };
         let mut next = node_ref.next.load(Ordering::Acquire);
         crate::chaos::point("mcs-release-next-read");
         if next.is_null() {
@@ -217,7 +219,7 @@ impl McsLock {
         // never dereferencing after the successor may have moved on).
         // The Acquire `next` read ordered us after the enqueuer's
         // one-shot link store, so nobody writes `node` again either.
-        let prev = WaitWord::grant_raw(ptr::addr_of!((*next).locked));
+        let prev = unsafe { WaitWord::grant_raw(ptr::addr_of!((*next).locked)) };
         if prev & ABANDONED == 0 {
             ptr::null_mut()
         } else {

@@ -314,10 +314,13 @@ impl WaitWord {
     /// `FUTEX_WAKE` target.
     #[inline]
     pub unsafe fn grant_raw(this: *const WaitWord) -> u32 {
-        let prev = (*this).0.swap(GO, Ordering::Release);
+        // SAFETY: The caller guarantees `this` is live until this swap,
+        // the last access through it.
+        let prev = unsafe { (*this).0.swap(GO, Ordering::Release) };
         #[cfg(feature = "park")]
         if prev & PARKED_BIT != 0 {
-            Self::wake_raw(this);
+            // SAFETY: `wake_raw` only passes the address to the kernel.
+            unsafe { Self::wake_raw(this) };
         }
         prev
     }
@@ -330,7 +333,9 @@ impl WaitWord {
             return;
         }
         stats::on_wake();
-        futex::wake_addr(this as *const u32, 1);
+        // SAFETY: A `FUTEX_WAKE` target is an address the kernel hashes,
+        // never dereferences, so a freed `this` is harmless.
+        unsafe { futex::wake_addr(this as *const u32, 1) };
     }
 
     /// Spin-only bounded wait: polls until the word is terminal
@@ -636,6 +641,9 @@ mod stats {
     pub fn on_unpark(parked_for: std::time::Duration) {
         let p = PARKED_RECORDER.load(Ordering::Acquire);
         if p != 0 {
+            // SAFETY: A non-zero value was stored by
+            // `set_parked_recorder` from a `fn(u64)`, which has the size
+            // of `usize`.
             let f: fn(u64) = unsafe { std::mem::transmute(p) };
             f(parked_for.as_nanos() as u64);
         }
@@ -783,17 +791,23 @@ mod futex {
         #[inline]
         unsafe fn sys_futex(uaddr: *const u32, op: u64, val: u32, timeout: *const Timespec) -> isize {
             let ret: isize;
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") 202u64 => ret, // __NR_futex
-                in("rdi") uaddr,
-                in("rsi") op,
-                in("rdx") val as u64,
-                in("r10") timeout,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
+            // SAFETY: The futex syscall touches no Rust memory but
+            // `*uaddr` (read by the kernel, which checks the address)
+            // and `*timeout`; the register list names every register the
+            // syscall instruction clobbers.
+            unsafe {
+                core::arch::asm!(
+                    "syscall",
+                    inlateout("rax") 202u64 => ret, // __NR_futex
+                    in("rdi") uaddr,
+                    in("rsi") op,
+                    in("rdx") val as u64,
+                    in("r10") timeout,
+                    lateout("rcx") _,
+                    lateout("r11") _,
+                    options(nostack),
+                );
+            }
             ret
         }
 
@@ -801,15 +815,19 @@ mod futex {
         #[inline]
         unsafe fn sys_futex(uaddr: *const u32, op: u64, val: u32, timeout: *const Timespec) -> isize {
             let ret: isize;
-            core::arch::asm!(
-                "svc 0",
-                in("x8") 98u64, // __NR_futex
-                inlateout("x0") uaddr as u64 => ret,
-                in("x1") op,
-                in("x2") val as u64,
-                in("x3") timeout,
-                options(nostack),
-            );
+            // SAFETY: As on x86_64: the kernel reads `*uaddr` and
+            // `*timeout` only, and the clobbers are listed.
+            unsafe {
+                core::arch::asm!(
+                    "svc 0",
+                    in("x8") 98u64, // __NR_futex
+                    inlateout("x0") uaddr as u64 => ret,
+                    in("x1") op,
+                    in("x2") val as u64,
+                    in("x3") timeout,
+                    options(nostack),
+                );
+            }
             ret
         }
 
@@ -824,6 +842,7 @@ mod futex {
         pub(crate) fn wait(word: &AtomicU32, expected: u32) -> super::Unblock {
             #[cfg(not(any(test, feature = "testkit")))]
             {
+                // SAFETY: `word` is a live reference for the whole call.
                 let r = unsafe {
                     sys_futex(
                         word.as_ptr(),
@@ -844,6 +863,7 @@ mod futex {
                     tv_sec: 0,
                     tv_nsec: super::super::testkit::WAIT_TIMEOUT_NS as i64,
                 };
+                // SAFETY: `word` and `ts` outlive the call.
                 let r = unsafe {
                     sys_futex(word.as_ptr(), FUTEX_WAIT | FUTEX_PRIVATE_FLAG, expected, &ts)
                 };
@@ -858,7 +878,10 @@ mod futex {
 
         /// Wakes up to `n` sleepers on `addr`. Never dereferences.
         pub(crate) unsafe fn wake_addr(addr: *const u32, n: u32) {
-            let r = sys_futex(addr, FUTEX_WAKE | FUTEX_PRIVATE_FLAG, n, std::ptr::null());
+            // SAFETY: `FUTEX_WAKE` uses `addr` as a key only; it neither
+            // reads nor writes the memory behind it.
+            let r =
+                unsafe { sys_futex(addr, FUTEX_WAKE | FUTEX_PRIVATE_FLAG, n, std::ptr::null()) };
             if r < 0 {
                 panic!("{}: futex wake failed ({r})", super::super::PARK_MARKER);
             }
@@ -867,6 +890,7 @@ mod futex {
         /// Wakes up to `n` sleepers on `word`, returning how many
         /// threads the kernel actually dequeued.
         pub(crate) fn wake(word: &AtomicU32, n: u32) -> u32 {
+            // SAFETY: `word` is a live reference for the whole call.
             let r = unsafe {
                 sys_futex(
                     word.as_ptr(),
@@ -1015,16 +1039,20 @@ mod asym {
         #[inline]
         unsafe fn sys_membarrier(cmd: u64) -> isize {
             let ret: isize;
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") 324u64 => ret, // __NR_membarrier
-                in("rdi") cmd,
-                in("rsi") 0u64, // flags
-                in("rdx") 0u64, // cpu_id (unused without RSEQ flag)
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
+            // SAFETY: membarrier takes no pointer and touches no Rust
+            // memory; the clobbers of the syscall instruction are listed.
+            unsafe {
+                core::arch::asm!(
+                    "syscall",
+                    inlateout("rax") 324u64 => ret, // __NR_membarrier
+                    in("rdi") cmd,
+                    in("rsi") 0u64, // flags
+                    in("rdx") 0u64, // cpu_id (unused without RSEQ flag)
+                    lateout("rcx") _,
+                    lateout("r11") _,
+                    options(nostack),
+                );
+            }
             ret
         }
 
@@ -1032,23 +1060,28 @@ mod asym {
         #[inline]
         unsafe fn sys_membarrier(cmd: u64) -> isize {
             let ret: isize;
-            core::arch::asm!(
-                "svc 0",
-                in("x8") 283u64, // __NR_membarrier
-                inlateout("x0") cmd => ret,
-                in("x1") 0u64, // flags
-                in("x2") 0u64, // cpu_id
-                options(nostack),
-            );
+            // SAFETY: As on x86_64: no pointer argument, clobbers listed.
+            unsafe {
+                core::arch::asm!(
+                    "svc 0",
+                    in("x8") 283u64, // __NR_membarrier
+                    inlateout("x0") cmd => ret,
+                    in("x1") 0u64, // flags
+                    in("x2") 0u64, // cpu_id
+                    options(nostack),
+                );
+            }
             ret
         }
 
         /// Probes for and registers the private-expedited command.
         pub(super) fn register() -> bool {
+            // SAFETY: The syscall has no memory operand.
             let mask = unsafe { sys_membarrier(MEMBARRIER_CMD_QUERY) };
             if mask < 0 || (mask as u64) & MEMBARRIER_CMD_PRIVATE_EXPEDITED == 0 {
                 return false;
             }
+            // SAFETY: The syscall has no memory operand.
             unsafe { sys_membarrier(MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED) == 0 }
         }
 
@@ -1057,6 +1090,7 @@ mod asym {
         /// means the protocol's ordering guarantee is gone — fail loudly
         /// like the futex paths do.
         pub(super) fn expedited() {
+            // SAFETY: The syscall has no memory operand.
             let r = unsafe { sys_membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED) };
             if r != 0 {
                 panic!("{}: membarrier failed ({r})", super::super::PARK_MARKER);
@@ -1109,6 +1143,7 @@ mod tests {
         let w2 = Arc::clone(&word);
         let t = std::thread::spawn(move || w2.wait(SPIN_FOREVER));
         std::thread::yield_now();
+        // SAFETY: `word` is kept alive by this thread's `Arc`.
         unsafe { WaitWord::grant_raw(&*word) };
         t.join().expect("waiter returns after release");
         assert!(word.is_go());
@@ -1139,6 +1174,7 @@ mod tests {
         let t = std::thread::spawn(move || w2.wait(0));
         // Give the waiter time to actually block.
         std::thread::sleep(std::time::Duration::from_millis(5));
+        // SAFETY: `word` is kept alive by this thread's `Arc`.
         unsafe { WaitWord::grant_raw(&*word) };
         t.join().expect("parked waiter returns after release");
         assert!(parks() > parks_before, "the waiter really parked");

@@ -94,8 +94,8 @@ fn wait_word_returns_promptly_however_long_it_waited() {
         median_lateness_ns(
             delay,
             || word.prime(),
-            // SAFETY: `word` outlives the call.
             || {
+                // SAFETY: `word` outlives the call.
                 unsafe { WaitWord::grant_raw(&*word) };
             },
             || {

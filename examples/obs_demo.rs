@@ -197,10 +197,8 @@ fn main() {
             format!("queued waiters by level [{}]", hints.join(" "))
         }
     })
-    .spawn(|finding, context, fresh| {
-        if fresh {
-            println!("  {}; {context}", finding.detail());
-        }
+    .spawn(|finding, context| {
+        println!("  {}; {context}", finding.detail());
     });
 
     let mut holder = lock.handle(0);

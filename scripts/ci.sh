@@ -78,7 +78,11 @@
 #      under `-D warnings`, and the 16-seed oracle smoke passes; with all
 #      three on, the core suite passes too;
 #  10. the workspace's rustdoc builds warning-free
-#      (`RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`);
+#      (`RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps`),
+#      and clippy, with every feature and target, finds no `unsafe`
+#      block without a `SAFETY:` comment and no unsafe operation in an
+#      `unsafe fn` outside an `unsafe {}` block (only those two lints
+#      are checked);
 #  11. the tier-1 test binaries under AddressSanitizer (nightly
 #      `-Zsanitizer=address`). Only `step_mutant` and `deadline_mutant`
 #      run with `ASAN_OPTIONS=detect_leaks=0`: each wedges a lock on
@@ -466,6 +470,12 @@ phase "feature matrix [obs,adapt,park]: core suite" \
 # just print a warning nobody reads.
 phase "rustdoc is warning-free" \
     env RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
+# Every `unsafe` says why it is sound, and an `unsafe fn` body is not an
+# implicit unsafe block.
+phase "unsafe is documented (clippy)" \
+    cargo clippy -q --offline --workspace --all-targets --all-features -- \
+    -A clippy::all -D clippy::undocumented_unsafe_blocks -D unsafe_op_in_unsafe_fn
 
 # Tier-1 under AddressSanitizer. The two mutant-kill tests wedge a lock
 # on purpose and leak what its waiters may still point into; they alone

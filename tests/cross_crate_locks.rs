@@ -102,34 +102,58 @@ fn minidb_consistent_under_all_lock_families() {
     }
 }
 
+/// The gets among `CabinetHandle::mixed_workload(ops, _, seed)`'s
+/// operations: its generator replayed (xorshift64*, a set when the draw
+/// is 0 mod 5).
+fn mixed_workload_gets(ops: usize, seed: u64) -> usize {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..ops)
+        .filter(|_| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % 5 != 0
+        })
+        .count()
+}
+
 #[test]
 fn cabinet_mixed_workload_under_clof() {
     let h = platforms::paper_armv8_3level();
-    let db = Arc::new(
-        CabinetDb::open(
-            &h,
-            &LockChoice::Clof(vec![LockKind::Ticket, LockKind::Clh, LockKind::Ticket]),
-            256,
-        )
-        .unwrap(),
-    );
-    {
-        let mut handle = db.handle(0);
-        for i in 0..1000u64 {
-            handle.set(i.to_be_bytes().to_vec(), vec![0]);
+    let tree = vec![LockKind::Ticket, LockKind::Clh, LockKind::Ticket];
+    for choice in [
+        LockChoice::Clof(tree.clone()),
+        LockChoice::ClofFast(tree),
+        LockChoice::Hmcs,
+        LockChoice::Cna,
+        LockChoice::Shfl,
+        LockChoice::Basic(LockKind::Mcs),
+        LockChoice::Std,
+    ] {
+        let db = Arc::new(CabinetDb::open(&h, &choice, 256).unwrap());
+        {
+            let mut handle = db.handle(0);
+            for i in 0..1000u64 {
+                handle.set(i.to_be_bytes().to_vec(), vec![0]);
+            }
         }
+        let mut workers = Vec::new();
+        for (i, cpu) in [0usize, 33, 66, 127].into_iter().enumerate() {
+            let db = Arc::clone(&db);
+            workers.push(std::thread::spawn(move || {
+                db.handle(cpu).mixed_workload(2000, 1000, i as u64)
+            }));
+        }
+        for (i, w) in workers.into_iter().enumerate() {
+            // Every key was filled first, so every get hits.
+            assert_eq!(
+                w.join().unwrap(),
+                mixed_workload_gets(2000, i as u64),
+                "{choice:?}: a get missed a filled key"
+            );
+        }
+        assert_eq!(db.handle(0).len(), 1000, "{choice:?}: sets only overwrite");
     }
-    let mut workers = Vec::new();
-    for (i, cpu) in [0usize, 33, 66, 127].into_iter().enumerate() {
-        let db = Arc::clone(&db);
-        workers.push(std::thread::spawn(move || {
-            db.handle(cpu).mixed_workload(2000, 1000, i as u64)
-        }));
-    }
-    for w in workers {
-        assert!(w.join().unwrap() > 0);
-    }
-    assert!(db.handle(0).len() >= 1000);
 }
 
 #[test]
