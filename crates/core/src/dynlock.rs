@@ -230,20 +230,10 @@ mod nodeobs {
     pub(super) fn recorder(_lock: &LockObs, _leaf: &DynNode) {}
 }
 
-/// Hand-off statistics of one cohort node, each bumped by whoever holds
-/// the node's low lock ([`bump_owned`]).
-#[derive(Debug, Default)]
-struct NodeStats {
-    /// Times the node's low lock was acquired through this node.
-    acquisitions: AtomicU64,
-    /// Releases that *passed* the high lock within the cohort.
-    passes: AtomicU64,
-    /// Releases that let the high lock go to other cohorts.
-    releases_up: AtomicU64,
-}
-
-/// What the dyn tiers' level steps report to: the node's always-on
-/// hand-off statistics, then the handle's telemetry recorder.
+/// What the dyn tiers' level steps report to: the release decisions on
+/// the deciding node's owner line, then the handle's telemetry recorder.
+/// Nothing is counted per acquire: [`DynClofLock::stats`] derives the
+/// acquisitions from the decisions.
 struct Tally<'a>(&'a mut Recorder);
 
 impl Hook<DynNode> for Tally<'_> {
@@ -251,7 +241,6 @@ impl Hook<DynNode> for Tally<'_> {
 
     #[inline]
     fn level_won(&mut self, node: &DynNode, won: Won<'_>) {
-        bump_owned(&node.stats.acquisitions);
         self.0.level_won(&node.obs, won);
     }
 
@@ -262,14 +251,20 @@ impl Hook<DynNode> for Tally<'_> {
 
     #[inline]
     fn pass(&mut self, node: &DynNode) {
-        bump_owned(&node.stats.passes);
+        node.meta.count_pass();
         self.0.pass(&node.obs);
     }
 
     #[inline]
     fn release_up(&mut self, node: &DynNode, forced: bool) {
-        bump_owned(&node.stats.releases_up);
+        node.meta.count_release_up();
         self.0.release_up(&node.obs, forced);
+    }
+
+    #[inline]
+    fn unwound(&mut self, node: &DynNode) {
+        node.meta.count_unwound();
+        self.0.unwound(&node.obs);
     }
 
     #[inline]
@@ -279,11 +274,17 @@ impl Hook<DynNode> for Tally<'_> {
 }
 
 /// Per-level aggregate of [`DynClofLock::stats`].
+///
+/// Exact at quiescence. While the lock is in use an acquisition is
+/// counted at its release: `acquisitions` is derived from the release
+/// decisions, not counted when the low lock is won.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LevelStats {
     /// Level index, 0 = innermost.
     pub level: usize,
-    /// Low-lock acquisitions at this level.
+    /// Low-lock acquisitions at this level: below the root, the passes,
+    /// releases up and unwound bounded climbs that ended them; at the
+    /// root of a taller tree, the releases up of the level below.
     pub acquisitions: u64,
     /// Intra-cohort passes decided at this level.
     pub passes: u64,
@@ -322,7 +323,10 @@ pub struct DynNode {
     /// This node's sibling index under its parent — the stripe its
     /// upward acquires register on in the parent's read indicator.
     slot: u32,
-    stats: NodeStats,
+    /// Acquisitions of a 1-level lock, whose only node is leaf and root
+    /// at once, so no level below derives them; counted by its handles
+    /// at release. Stays 0 in every taller tree.
+    lone_acquisitions: AtomicU64,
     obs: NodeObs,
 }
 
@@ -346,7 +350,7 @@ impl DynNode {
             high,
             counter_waiters: !kind.info().waiter_hint,
             slot,
-            stats: NodeStats::default(),
+            lone_acquisitions: AtomicU64::new(0),
             obs: nodeobs::node_obs(level),
         }
     }
@@ -382,6 +386,17 @@ impl DynNode {
                 })
             }
         }
+    }
+
+    /// [`release`](Self::release) from a handle that entered at this
+    /// leaf. A 1-level lock's leaf is its root, with no level below to
+    /// derive its acquisitions from, so they are counted here; the typed
+    /// tier has no 1-level chain and never comes this way.
+    fn release_leaf(&self, ctx: &mut AnyContext, hook: &mut Tally<'_>) {
+        if self.high.is_none() {
+            bump_owned(&self.lone_acquisitions);
+        }
+        self.release(ctx, hook);
     }
 
     /// Recursive `lockgen` release (paper Figure 8).
@@ -636,6 +651,14 @@ impl DynClofLock {
     /// A well-matched composition shows high [`LevelStats::locality`] at
     /// the inner levels — the real-lock counterpart of the simulator's
     /// per-level handover histogram.
+    ///
+    /// Only release decisions are counted, each on the owner line its
+    /// level's release already moves; acquisitions are derived. Below
+    /// the root every acquisition ends in a pass, a release up or an
+    /// unwound bounded climb, and the root of a taller tree is let go
+    /// exactly when the level below releases up, so it keeps no counter
+    /// at all. The counts are exact at quiescence; an acquisition in
+    /// flight is counted at its release.
     pub fn stats(&self) -> Vec<LevelStats> {
         let levels = self.composition.len();
         let mut out: Vec<LevelStats> = (0..levels)
@@ -648,9 +671,15 @@ impl DynClofLock {
             .collect();
         // The construction-order node list holds each node exactly once.
         for (level, node) in &self.nodes {
-            out[*level].acquisitions += node.stats.acquisitions.load(Ordering::Relaxed);
-            out[*level].passes += node.stats.passes.load(Ordering::Relaxed);
-            out[*level].releases_up += node.stats.releases_up.load(Ordering::Relaxed);
+            let (passes, releases_up, unwound) = node.meta.release_counts();
+            let lone = node.lone_acquisitions.load(Ordering::Relaxed);
+            let at = &mut out[*level];
+            at.acquisitions += passes + releases_up + unwound + lone;
+            at.passes += passes;
+            at.releases_up += releases_up;
+        }
+        if let [.., below, root] = &mut out[..] {
+            root.acquisitions = below.releases_up;
         }
         out
     }
@@ -1069,7 +1098,7 @@ mod typed {
                 #[inline]
                 pub(super) fn release(&mut self, hook: &mut Tally<'_>) {
                     match self {
-                        HandleInner::Generic { chain, ctx, .. } => chain.release(ctx, hook),
+                        HandleInner::Generic { chain, ctx, .. } => chain.release_leaf(ctx, hook),
                         $(HandleInner::$variant { chain, ctx, .. } => chain.release(ctx, hook),)+
                     }
                 }

@@ -17,9 +17,12 @@
 //!   contend on a cache line — the same core-local bookkeeping CNA and
 //!   Fissile locks use to survive contention.
 //! * Owner-written state (`has_high_lock`, the `keep_local` counter, the
-//!   hand-off stamp, the high context) shares one padded block: it is
-//!   only ever accessed by the current low-lock owner, so packing it
-//!   densely is free while padding it keeps waiter traffic off it.
+//!   hand-off stamp, the release-decision counters, the high context)
+//!   shares one padded block: it is only ever accessed by the current
+//!   low-lock owner, so packing it densely is free while padding it
+//!   keeps waiter traffic off it. Every release moves this line anyway
+//!   (the pass flag is stored on both branches), so the counters ride
+//!   it for nothing: no level keeps a counter on a line of its own.
 //!
 //! `has_waiters` (owner-only, off the waiters' critical path) sums the
 //! stripes with an early-exit scan. Staleness stays tolerable exactly as
@@ -30,6 +33,8 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use clof_locks::{CachePadded, CACHE_LINE};
+
+use crate::kind::AnyContext;
 
 /// Upper bound on read-indicator stripes per level node.
 ///
@@ -169,6 +174,13 @@ struct OwnerState<C> {
     handovers: AtomicU32,
     /// Threshold *H* for `keep_local`.
     threshold: u32,
+    /// Releases that passed the high lock within the cohort.
+    passes: AtomicU64,
+    /// Releases that let the high lock go to other cohorts.
+    releases_up: AtomicU64,
+    /// Bounded climbs that gave up above this level and let its low
+    /// lock go plainly, with no pass or release-up decision.
+    unwound: AtomicU64,
     /// Context used by whichever thread owns the low lock to operate the
     /// high lock. Exclusivity is not statically enforceable here — it is
     /// the **context invariant**: only the low-lock owner touches it, and
@@ -182,11 +194,13 @@ struct OwnerState<C> {
     ctx_busy: AtomicBool,
 }
 
-// Layout contract: the owner block (for context-free compositions) fits
-// in one cache line, and a stripe owns exactly one.
+// Layout contract: the owner block — for context-free compositions and
+// for the dyn tiers' enum context alike, release-decision counters
+// included — fits in one cache line, and a stripe owns exactly one.
 const _: () = {
     assert!(std::mem::size_of::<CachePadded<OwnerState<()>>>() == CACHE_LINE);
     assert!(std::mem::align_of::<CachePadded<OwnerState<()>>>() == CACHE_LINE);
+    assert!(std::mem::size_of::<CachePadded<OwnerState<AnyContext>>>() == CACHE_LINE);
     assert!(std::mem::size_of::<CachePadded<AtomicU32>>() == CACHE_LINE);
     assert!(MAX_WAITER_STRIPES.is_power_of_two());
 };
@@ -248,6 +262,9 @@ impl<C> LevelMeta<C> {
                 handoff: HandoffStamp::default(),
                 handovers: AtomicU32::new(0),
                 threshold: params.keep_local_threshold.max(1),
+                passes: AtomicU64::new(0),
+                releases_up: AtomicU64::new(0),
+                unwound: AtomicU64::new(0),
                 high_ctx: UnsafeCell::new(high_ctx),
                 #[cfg(any(debug_assertions, feature = "testkit"))]
                 ctx_busy: AtomicBool::new(false),
@@ -343,6 +360,36 @@ impl<C> LevelMeta<C> {
             self.owner.handovers.store(n, Ordering::Relaxed);
             true
         }
+    }
+
+    /// Counts a release that passes the high lock (owner only).
+    #[inline]
+    pub(crate) fn count_pass(&self) {
+        bump_owned(&self.owner.passes);
+    }
+
+    /// Counts a release that lets the high lock go (owner only).
+    #[inline]
+    pub(crate) fn count_release_up(&self) {
+        bump_owned(&self.owner.releases_up);
+    }
+
+    /// Counts a bounded climb that gave up and let the low lock go
+    /// plainly (owner only).
+    #[inline]
+    pub(crate) fn count_unwound(&self) {
+        bump_owned(&self.owner.unwound);
+    }
+
+    /// The release-decision counters: `(passes, releases_up, unwound)`.
+    /// Below the root every low-lock acquisition ends in exactly one of
+    /// the three, so their sum is the node's acquisitions — exact at
+    /// quiescence, with an acquisition in flight counted at its release.
+    /// A root decides nothing and reads `(0, 0, 0)`.
+    pub(crate) fn release_counts(&self) -> (u64, u64, u64) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let o = &self.owner;
+        (load(&o.passes), load(&o.releases_up), load(&o.unwound))
     }
 
     /// The high-lock context cell. Only the level step dereferences it,

@@ -228,6 +228,10 @@ pub trait Hook<N> {
     /// existed but `keep_local` hit its threshold.
     fn release_up(&mut self, _node: &N, _forced: bool) {}
 
+    /// A bounded climb gave up above `node`, whose low lock is about to
+    /// be let go plainly: no pass or release-up decision follows.
+    fn unwound(&mut self, _node: &N) {}
+
     /// A level's low lock is about to be released (after its pass or
     /// release-up decision, or at the root): the recorder leaves its
     /// release time in `stamp` for the lock's next owner.
@@ -415,6 +419,7 @@ pub fn acquire_step<L: LowLock, C, N, W: Wait, K: Hook<N>>(
     }
     let climbed = rung.with_high_ctx(|high_ctx| climb(high_ctx, hook));
     if W::BOUNDED && !climbed {
+        hook.unwound(rung.node);
         rung.low.release(ctx);
         return false;
     }

@@ -9,12 +9,20 @@
 //! and prints the per-level hand-off statistics (`DynClofLock::stats`):
 //! the packed run resolves almost everything by passing at the innermost
 //! level, the spread run has to release upward.
+//!
+//! After each run it checks the invariants the statistics promise at
+//! quiescence: below the root every acquisition ended in a pass or a
+//! release up (no run here times out), the root was acquired once per
+//! release up of the level below, and the innermost level counted every
+//! critical section.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use clof::{DynClofLock, LockKind};
 use clof_topology::platforms;
+
+const ITERS: usize = 20_000;
 
 fn run_on(cpus: &[usize], label: &str) {
     let hierarchy = platforms::tiny();
@@ -32,7 +40,7 @@ fn run_on(cpus: &[usize], label: &str) {
         let counter = Arc::clone(&counter);
         threads.push(std::thread::spawn(move || {
             let mut handle = lock.handle(cpu);
-            for _ in 0..20_000 {
+            for _ in 0..ITERS {
                 handle.acquire();
                 counter.fetch_add(1, Ordering::Relaxed);
                 handle.release();
@@ -43,20 +51,43 @@ fn run_on(cpus: &[usize], label: &str) {
         t.join().expect("worker");
     }
 
+    let stats = lock.stats();
     println!("{label} (CPUs {cpus:?}):");
-    for stats in lock.stats() {
+    for level in &stats {
         println!(
             "  level {} ({:>6}): {:>6} acquisitions, {:>6} local passes, \
              {:>6} releases up  ({:>5.1}% local)",
-            stats.level,
-            hierarchy.levels()[stats.level].name,
-            stats.acquisitions,
-            stats.passes,
-            stats.releases_up,
-            stats.locality() * 100.0
+            level.level,
+            hierarchy.levels()[level.level].name,
+            level.acquisitions,
+            level.passes,
+            level.releases_up,
+            level.locality() * 100.0
         );
     }
     println!();
+
+    let root = stats.len() - 1;
+    for level in &stats[..root] {
+        let decided = level.passes + level.releases_up;
+        assert_eq!(
+            level.acquisitions, decided,
+            "{label}: level {}",
+            level.level
+        );
+    }
+    let root_acquisitions = stats[root - 1].releases_up;
+    assert_eq!(stats[root].acquisitions, root_acquisitions, "{label}: root");
+    let sections = (cpus.len() * ITERS) as u64;
+    assert_eq!(
+        counter.load(Ordering::Relaxed) as u64,
+        sections,
+        "{label}: sections"
+    );
+    assert_eq!(
+        stats[0].acquisitions, sections,
+        "{label}: total acquisitions"
+    );
 }
 
 fn main() {

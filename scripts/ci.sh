@@ -68,7 +68,8 @@
 #      of every build): the locks/core/kvstore suites that carry the
 #      deadline unit tests (testkit's ran in phase 2), the
 #      `leveldb_readrandom` example (it asserts every key is found under
-#      7 lock choices), a `clof deadline
+#      7 lock choices), the `locality_stats` example (it asserts the
+#      derived per-level acquisitions add up), a `clof deadline
 #      --once` smoke against
 #      the default binary, and the timeout/abandonment oracle's park and
 #      adapt companion cells (the matrix itself and the
@@ -197,11 +198,12 @@ phase "base locks: owner switches per hand-off (2 pinned threads)" \
 
 # Memory-layout assertions are `const _: () = assert!(...)` blocks in
 # clof-locks (CachePadded, lock-word padding), clof-core (LevelMeta
-# stripe/owner isolation) and — in the `obs` build — clof-obs (one
-# 128-byte line per thread in the stuck-thread table's `ThreadCell`,
-# line-aligned telemetry `Shard`s and level cells): they fail these
-# *builds*, not a test run, so compiling the crates under every feature
-# mix is the whole check.
+# stripe/owner isolation; the owner block, release-decision counters
+# included, is one line also with the dyn tiers' enum context) and —
+# in the `obs` build — clof-obs (one 128-byte line per thread in the
+# stuck-thread table's `ThreadCell`, line-aligned telemetry `Shard`s and
+# level cells): they fail these *builds*, not a test run, so compiling
+# the crates under every feature mix is the whole check.
 phase "memory-layout const assertions (default)" \
     cargo build -p clof-locks -p clof-core
 phase "memory-layout const assertions (obs,testkit)" \
@@ -439,6 +441,12 @@ phase "per-crate suites (locks/core/kvstore deadline tests)" \
 # its 7 lock choices.
 phase "leveldb readrandom example (every key found, 7 locks)" \
     cargo run -q --release --example leveldb_readrandom
+# The dyn tiers count release decisions and derive acquisitions: the
+# example asserts, after a packed and a spread run, that each level
+# below the root decided once per acquisition, that the root was
+# acquired once per release up below it, and that every section counted.
+phase "locality stats example (derived acquisitions add up)" \
+    cargo run -q --release --example locality_stats
 phase "default clof binary build (deadline demo)" cargo build --release -p clof-bench
 phase "clof deadline --once smoke" \
     ./target/release/clof deadline --machine armv8 --levels 3 --once
