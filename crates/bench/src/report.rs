@@ -252,14 +252,16 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn obs_report_renders_per_level_rows() {
-        let counters = clof::obs::LevelCounters::new();
-        counters.record_acquire(false);
-        counters.record_acquire(true);
-        counters.record_pass_taken();
-        counters.record_pass_declined(false);
+        let level = clof::obs::LevelSnapshot {
+            acquires: 2,
+            contended_acquires: 1,
+            passes_taken: 1,
+            passes_declined: 1,
+            ..Default::default()
+        };
         let snap = clof::obs::LockSnapshot {
             name: "tkt-tkt".into(),
-            levels: vec![counters.snapshot(0)],
+            levels: vec![level],
             ..Default::default()
         };
         let s = obs_report(&snap).render();

@@ -7,6 +7,7 @@
 //! chain of inlined calls with no virtual dispatch, mirroring the paper's
 //! C-macro unfolding of `lockgen` (Figure 8).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use clof_locks::RawLock;
@@ -14,40 +15,37 @@ use clof_topology::Hierarchy;
 
 use self::staticobs::{HoldSpan, NodeObs};
 use crate::error::ClofError;
-use crate::level::{spin_budget_for_span, ClofParams, HandoffStamp, LevelMeta, SpinBudget};
+use crate::level::{
+    bump_owned, spin_budget_for_span, ClofParams, Decisions, HandoffStamp, LevelMeta, LevelStats,
+    SpinBudget,
+};
 use crate::step::{self, Block, Hook, Rung, Span, Wait};
 
-/// Telemetry of the static composition: a per-node [`NodeObs`]
-/// (counters plus the tracer's identity) and a per-handle [`HoldSpan`],
-/// the [`Hook`]/[`Span`] the level step reports to. Without the `obs`
-/// feature both are `()`, whose hooks are the step's empty defaults.
+/// Telemetry of the static composition: a per-node [`NodeObs`] (the
+/// tracer's identity) and a per-handle [`HoldSpan`], the [`Hook`]/[`Span`]
+/// the level step reports to. Without the `obs` feature both are `()`,
+/// whose hooks are the step's empty defaults.
 ///
-/// The static side records counters and trace spans; latency histograms
-/// and the pass-event ring stay dynamic-only (monomorphized nodes have
-/// no lock-wide collector to hang them on). Its clock budget is the
-/// dynamic recorder's: two reads per acquire→release, plus one per level
-/// that waited for a lock nobody passed.
+/// The static side records trace spans and the occupancy table; its
+/// counts are the step's, read by [`ClofTree::stats`] in every build.
+/// Latency histograms and the pass-event ring stay dynamic-only
+/// (monomorphized nodes have no lock-wide collector to hang them on).
+/// Its clock budget is the dynamic recorder's: two reads per
+/// acquire→release, plus one per level that waited for a lock nobody
+/// passed.
 #[cfg(feature = "obs")]
 mod staticobs {
-    use clof_obs::trace::{self, NodeTrack, SpanKind};
-    use clof_obs::{now_ns, thread_tag, waitgraph, LevelCounters, INVALID_SITE};
+    use clof_obs::trace::{self, SpanKind};
+    use clof_obs::{now_ns, thread_tag, waitgraph, INVALID_SITE};
 
     use crate::level::HandoffStamp;
     use crate::step::{Hook, Span, Won};
 
-    /// Per-node recording state: counters plus the node's place in a
-    /// trace.
-    #[derive(Debug)]
-    pub struct NodeObs {
-        track: NodeTrack,
-        pub(super) counters: LevelCounters,
-    }
+    /// Per-node recording state: the node's place in a trace.
+    pub use clof_obs::trace::NodeTrack as NodeObs;
 
     pub(super) fn node_obs(level: usize) -> NodeObs {
-        NodeObs {
-            track: NodeTrack::new(level),
-            counters: LevelCounters::new(),
-        }
+        NodeObs::new(level)
     }
 
     /// A handle's recorder: whole-lock hold span and the phase it
@@ -102,7 +100,6 @@ mod staticobs {
 
         #[inline]
         fn level_won(&mut self, node: &NodeObs, won: Won<'_>) {
-            node.counters.record_acquire(won.inherited);
             if self.last == 0 {
                 return;
             }
@@ -112,29 +109,22 @@ mod staticobs {
                 won.stamp.get().max(self.last)
             };
             if trace::is_enabled() {
-                node.track.wait_span(self.last, at, won.inherited);
+                node.wait_span(self.last, at, won.inherited);
             }
             self.last = at;
         }
 
         #[inline]
-        fn hint_hit(&mut self, node: &NodeObs) {
-            node.counters.record_hint_hit();
-        }
-
-        #[inline]
         fn pass(&mut self, node: &NodeObs) {
-            node.counters.record_pass_taken();
             if trace::is_enabled() {
-                node.track.pass_span(self.released_at);
+                node.pass_span(self.released_at);
             }
         }
 
         #[inline]
         fn release_up(&mut self, node: &NodeObs, forced: bool) {
-            node.counters.record_pass_declined(forced);
             if trace::is_enabled() {
-                node.track.release_up_span(self.released_at, forced);
+                node.release_up_span(self.released_at, forced);
             }
         }
 
@@ -210,7 +200,7 @@ pub trait HierLock: Send + Sync + 'static {
     /// Releases this node: passes the high lock within the cohort when
     /// allowed, otherwise releases high levels first, then this level.
     fn release(&self, ctx: &mut Self::Context) {
-        self.release_with(ctx, &mut HoldSpan::default());
+        self.release_entered(ctx, &mut HoldSpan::default());
     }
 
     /// Whether the composition is starvation-free (all components fair).
@@ -223,14 +213,20 @@ pub trait HierLock: Send + Sync + 'static {
     /// Number of levels below (and including) this node.
     fn levels() -> usize;
 
-    /// Visits every node's telemetry counters, bottom-up: the callback
-    /// receives `(level, node_address, counters)`. The address lets
-    /// callers dedupe shared upper nodes reached from several leaves
-    /// (the static side records counters only — histograms and the
-    /// event ring need the per-lock plumbing [`crate::DynClofLock`]
-    /// has; use the dynamic form for full traces).
-    #[cfg(feature = "obs")]
-    fn visit_obs(&self, level: usize, visit: &mut dyn FnMut(usize, usize, &clof_obs::LevelCounters));
+    /// [`release_with`](Self::release_with) from the node a caller
+    /// entered at: there [`Leaf`], the only node of a 1-level tree,
+    /// counts its acquisitions, since no level below derives them.
+    #[doc(hidden)]
+    #[inline]
+    fn release_entered<K: Hook<NodeObs>>(&self, ctx: &mut Self::Context, hook: &mut K) {
+        self.release_with(ctx, hook);
+    }
+
+    /// Adds this node's release decisions to `levels[level]` (a 1-level
+    /// tree's acquisitions to `lone`) and walks on up from sibling slot
+    /// 0 only, so walking from every leaf adds each node once.
+    #[doc(hidden)]
+    fn add_decisions(&self, level: usize, levels: &mut [Decisions], lone: &mut u64);
 }
 
 /// Base case of the recursion: a bare basic lock (the system-level lock).
@@ -241,6 +237,9 @@ pub struct Leaf<L: RawLock> {
     /// and hand-off stamp.
     budget: SpinBudget,
     stamp: HandoffStamp,
+    /// Acquisitions of a 1-level tree, counted by the entry release;
+    /// stays 0 at the root of every taller tree.
+    lone: AtomicU64,
     obs: NodeObs,
 }
 
@@ -250,6 +249,7 @@ impl<L: RawLock> Default for Leaf<L> {
             low: L::default(),
             budget: SpinBudget::new(),
             stamp: HandoffStamp::default(),
+            lone: AtomicU64::new(0),
             obs: staticobs::node_obs(0),
         }
     }
@@ -313,13 +313,15 @@ impl<L: RawLock> HierLock for Leaf<L> {
         1
     }
 
-    #[cfg(feature = "obs")]
-    fn visit_obs(
-        &self,
-        level: usize,
-        visit: &mut dyn FnMut(usize, usize, &clof_obs::LevelCounters),
-    ) {
-        visit(level, self as *const Self as usize, &self.obs.counters);
+    /// Counted by the owner, before it lets go.
+    #[inline]
+    fn release_entered<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, hook: &mut K) {
+        bump_owned(&self.lone);
+        self.release_with(ctx, hook);
+    }
+
+    fn add_decisions(&self, _level: usize, _levels: &mut [Decisions], lone: &mut u64) {
+        *lone += self.lone.load(Ordering::Relaxed);
     }
 }
 
@@ -417,14 +419,11 @@ impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
         1 + H::levels()
     }
 
-    #[cfg(feature = "obs")]
-    fn visit_obs(
-        &self,
-        level: usize,
-        visit: &mut dyn FnMut(usize, usize, &clof_obs::LevelCounters),
-    ) {
-        visit(level, self as *const Self as usize, &self.obs.counters);
-        self.high.visit_obs(level + 1, visit);
+    fn add_decisions(&self, level: usize, levels: &mut [Decisions], lone: &mut u64) {
+        levels[level] += self.meta.decisions();
+        if self.slot == 0 {
+            self.high.add_decisions(level + 1, levels, lone);
+        }
     }
 }
 
@@ -494,35 +493,17 @@ impl<T: HierLock> ClofTree<T> {
         self.leaves.len()
     }
 
-    /// Telemetry snapshot: per-level counters summed across cohorts
-    /// (exact at quiescence).
-    ///
-    /// The static composition records counters only — latency histograms
-    /// and the pass-event ring live on [`crate::DynClofLock`], whose
-    /// nodes share per-lock collector state; monomorphized nodes have
-    /// nowhere lock-wide to hang it without widening every handle.
-    #[cfg(feature = "obs")]
-    pub fn obs_snapshot(&self) -> clof_obs::LockSnapshot {
-        let mut levels: Vec<clof_obs::LevelSnapshot> = (0..T::levels())
-            .map(|level| clof_obs::LevelSnapshot {
-                level,
-                ..Default::default()
-            })
-            .collect();
-        let mut seen: Vec<usize> = Vec::new();
+    /// Aggregated hand-off statistics per level (innermost first), in
+    /// every build, derived as for
+    /// [`DynClofLock::stats`](crate::DynClofLock::stats) (see
+    /// [`LevelStats`]).
+    pub fn stats(&self) -> Vec<LevelStats> {
+        let mut levels = vec![Decisions::default(); T::levels()];
+        let mut lone = 0;
         for leaf in &self.leaves {
-            leaf.visit_obs(0, &mut |level, addr, counters| {
-                if !seen.contains(&addr) {
-                    seen.push(addr);
-                    levels[level].merge(&counters.snapshot(level));
-                }
-            });
+            leaf.add_decisions(0, &mut levels, &mut lone);
         }
-        clof_obs::LockSnapshot {
-            name: self.name.clone(),
-            levels,
-            ..Default::default()
-        }
+        LevelStats::derive(&levels, lone)
     }
 }
 
@@ -566,7 +547,7 @@ impl<T: HierLock> ClofHandle<T> {
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
         self.hold.releasing();
-        self.node.release_with(&mut self.ctx, &mut self.hold);
+        self.node.release_entered(&mut self.ctx, &mut self.hold);
         self.hold.released();
     }
 }

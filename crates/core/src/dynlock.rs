@@ -17,8 +17,10 @@ use clof_topology::{CpuId, Hierarchy};
 use crate::compose::{cohort_layout, cpu_stripes};
 use crate::error::ClofError;
 use crate::kind::{AnyContext, AnyLock, LockKind};
-use crate::level::{bump_owned, spin_budget_for_span, ClofParams, HandoffStamp, LevelMeta};
-use crate::step::{self, Block, Hook, Rung, Span, Wait, Won};
+use crate::level::{
+    bump_owned, spin_budget_for_span, ClofParams, Decisions, LevelMeta, LevelStats,
+};
+use crate::step::{self, Block, Rung, Span, Wait};
 
 use self::nodeobs::{LockObs, NodeObs, Recorder};
 use self::typed::{FastTier, HandleInner};
@@ -28,7 +30,11 @@ use self::typed::{FastTier, HandleInner};
 /// the level step reports to. Without the `obs` feature all three are
 /// `()`, whose hooks are the step's empty defaults.
 ///
-/// A handle records into its own [`clof_obs::Shard`] and reads the clock
+/// The lock's [`clof_obs::ShardSet`] reads the decision counts from the
+/// nodes' owner lines, through the same derivation as
+/// [`DynClofLock::stats`](super::DynClofLock::stats). A handle records
+/// what only the acquire side sees into its own [`clof_obs::Shard`] and
+/// reads the clock
 /// twice per acquire→release — at acquire entry and at release entry —
 /// plus once per level that waited for a lock nobody passed; every other
 /// level is won at a stamp already taken (DESIGN §8). Inside the
@@ -40,10 +46,11 @@ mod nodeobs {
 
     use clof_obs::registry;
     use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, thread_tag, waitgraph, Shard, ShardSet};
+    use clof_obs::{now_ns, thread_tag, waitgraph, LevelSnapshot, Shard, ShardSet};
 
     use super::DynNode;
-    use crate::level::HandoffStamp;
+    use crate::kind::LockKind;
+    use crate::level::{HandoffStamp, LevelStats};
     use crate::step::{Hook, Span, Won};
 
     /// Per-lock collector state of one [`DynClofLock`](super::DynClofLock):
@@ -57,16 +64,33 @@ mod nodeobs {
         shape: &str,
         caller: &'static std::panic::Location<'static>,
         nodes: &[(usize, Arc<DynNode>)],
+        kinds: &[LockKind],
     ) -> LockObs {
         // First telemetry-enabled lock in the process wires the
         // parked-duration recorder into the profiler.
         #[cfg(feature = "park")]
         crate::parkglue::install();
         let site = Arc::new(registry::global().register_at(label, shape, caller));
-        let nodes = nodes
+        let tags = nodes
             .iter()
             .map(|(level, node)| (*level as u8, node.obs.tag()));
-        ShardSet::new(site, nodes)
+        let hints: Vec<bool> = kinds.iter().map(|k| k.info().waiter_hint).collect();
+        let nodes = nodes.to_vec();
+        // At a level whose low lock hints waiters natively, the release
+        // asks the hint at every decision.
+        let counts = move |levels: &mut [LevelSnapshot]| {
+            let (decisions, lone) = super::decisions(hints.len(), &nodes);
+            let stats = LevelStats::derive(&decisions, lone);
+            let sources = stats.iter().zip(&decisions).zip(&hints);
+            for (at, ((s, d), &hint)) in levels.iter_mut().zip(sources) {
+                at.acquires = s.acquisitions;
+                at.passes_taken = s.passes;
+                at.passes_declined = s.releases_up;
+                at.keep_local_resets = d.forced;
+                at.hint_fast_hits = if hint { s.passes + s.releases_up } else { 0 };
+            }
+        };
+        ShardSet::new(site, tags, Box::new(counts))
     }
 
     /// What is per node and read-mostly: the node's identity for the
@@ -172,11 +196,6 @@ mod nodeobs {
         }
 
         #[inline]
-        fn hint_hit(&mut self, node: &NodeObs) {
-            self.shard.hint_hit(node.level());
-        }
-
-        #[inline]
         fn pass(&mut self, node: &NodeObs) {
             self.shard.pass(node.level());
             if trace::is_enabled() {
@@ -186,7 +205,7 @@ mod nodeobs {
 
         #[inline]
         fn release_up(&mut self, node: &NodeObs, forced: bool) {
-            self.shard.release_up(node.level(), forced);
+            self.shard.release_up(node.level());
             if trace::is_enabled() {
                 node.release_up_span(self.shard.released_ns(), forced);
             }
@@ -212,6 +231,7 @@ mod nodeobs {
     use std::sync::Arc;
 
     use super::DynNode;
+    use crate::kind::LockKind;
 
     pub(super) type LockObs = ();
     pub(super) type NodeObs = ();
@@ -222,88 +242,13 @@ mod nodeobs {
         _shape: &str,
         _caller: &'static std::panic::Location<'static>,
         _nodes: &[(usize, Arc<DynNode>)],
+        _kinds: &[LockKind],
     ) {
     }
 
     pub(super) fn node_obs(_level: usize) {}
 
     pub(super) fn recorder(_lock: &LockObs, _leaf: &DynNode) {}
-}
-
-/// What the dyn tiers' level steps report to: the release decisions on
-/// the deciding node's owner line, then the handle's telemetry recorder.
-/// Nothing is counted per acquire: [`DynClofLock::stats`] derives the
-/// acquisitions from the decisions.
-struct Tally<'a>(&'a mut Recorder);
-
-impl Hook<DynNode> for Tally<'_> {
-    const READS_WAITED: bool = <Recorder as Hook<NodeObs>>::READS_WAITED;
-
-    #[inline]
-    fn level_won(&mut self, node: &DynNode, won: Won<'_>) {
-        self.0.level_won(&node.obs, won);
-    }
-
-    #[inline]
-    fn hint_hit(&mut self, node: &DynNode) {
-        self.0.hint_hit(&node.obs);
-    }
-
-    #[inline]
-    fn pass(&mut self, node: &DynNode) {
-        node.meta.count_pass();
-        self.0.pass(&node.obs);
-    }
-
-    #[inline]
-    fn release_up(&mut self, node: &DynNode, forced: bool) {
-        node.meta.count_release_up();
-        self.0.release_up(&node.obs, forced);
-    }
-
-    #[inline]
-    fn unwound(&mut self, node: &DynNode) {
-        node.meta.count_unwound();
-        self.0.unwound(&node.obs);
-    }
-
-    #[inline]
-    fn letting_go(&mut self, node: &DynNode, stamp: &HandoffStamp) {
-        self.0.letting_go(&node.obs, stamp);
-    }
-}
-
-/// Per-level aggregate of [`DynClofLock::stats`].
-///
-/// Exact at quiescence. While the lock is in use an acquisition is
-/// counted at its release: `acquisitions` is derived from the release
-/// decisions, not counted when the low lock is won.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelStats {
-    /// Level index, 0 = innermost.
-    pub level: usize,
-    /// Low-lock acquisitions at this level: below the root, the passes,
-    /// releases up and unwound bounded climbs that ended them; at the
-    /// root of a taller tree, the releases up of the level below.
-    pub acquisitions: u64,
-    /// Intra-cohort passes decided at this level.
-    pub passes: u64,
-    /// Full releases (high lock surrendered) decided at this level.
-    pub releases_up: u64,
-}
-
-impl LevelStats {
-    /// Fraction of release decisions at this level that stayed local —
-    /// the locality the composition achieved (cf. the simulator's
-    /// `handovers_by_level`).
-    pub fn locality(&self) -> f64 {
-        let total = self.passes + self.releases_up;
-        if total == 0 {
-            0.0
-        } else {
-            self.passes as f64 / total as f64
-        }
-    }
 }
 
 /// One cohort node in a dynamic CLoF tree.
@@ -357,11 +302,11 @@ impl DynNode {
 
     /// This (non-root) node as the level step sees it.
     #[inline]
-    fn rung(&self) -> Rung<'_, AnyLock, AnyContext, DynNode> {
+    fn rung(&self) -> Rung<'_, AnyLock, AnyContext, NodeObs> {
         // SAFETY: `low` and `meta` are this node's own; the typed views
         // pair the same `meta` with the same lock, merely named by its
         // concrete type.
-        unsafe { Rung::new(&self.low, &self.meta, self.counter_waiters, self) }
+        unsafe { Rung::new(&self.low, &self.meta, self.counter_waiters, &self.obs) }
     }
 
     /// The enum tier's climb: recursive `lockgen` acquire (paper
@@ -373,12 +318,12 @@ impl DynNode {
         ctx: &mut AnyContext,
         stripe: u32,
         wait: W,
-        hook: &mut Tally<'_>,
+        hook: &mut Recorder,
     ) -> bool {
         match &self.high {
             None => {
                 let (budget, stamp) = (self.meta.spin_budget(), self.meta.handoff_stamp());
-                step::acquire_root(&self.low, ctx, budget, stamp, self, wait, hook)
+                step::acquire_root(&self.low, ctx, budget, stamp, &self.obs, wait, hook)
             }
             Some(high) => {
                 step::acquire_step(self.rung(), ctx, stripe, wait, hook, |high_ctx, hook| {
@@ -392,7 +337,7 @@ impl DynNode {
     /// leaf. A 1-level lock's leaf is its root, with no level below to
     /// derive its acquisitions from, so they are counted here; the typed
     /// tier has no 1-level chain and never comes this way.
-    fn release_leaf(&self, ctx: &mut AnyContext, hook: &mut Tally<'_>) {
+    fn release_leaf(&self, ctx: &mut AnyContext, hook: &mut Recorder) {
         if self.high.is_none() {
             bump_owned(&self.lone_acquisitions);
         }
@@ -400,9 +345,12 @@ impl DynNode {
     }
 
     /// Recursive `lockgen` release (paper Figure 8).
-    fn release(&self, ctx: &mut AnyContext, hook: &mut Tally<'_>) {
+    fn release(&self, ctx: &mut AnyContext, hook: &mut Recorder) {
         match &self.high {
-            None => step::release_root(&self.low, ctx, self.meta.handoff_stamp(), self, hook),
+            None => {
+                let stamp = self.meta.handoff_stamp();
+                step::release_root(&self.low, ctx, stamp, &self.obs, hook)
+            }
             Some(high) => step::release_step(self.rung(), ctx, hook, |high_ctx, hook| {
                 high.release(high_ctx, hook)
             }),
@@ -536,7 +484,8 @@ impl DynClofLock {
             upper = nodes;
         }
         let fast = FastTier::resolve(&upper, locks);
-        let obs = nodeobs::lock_obs(&name, &shape, std::panic::Location::caller(), &all_nodes);
+        let caller = std::panic::Location::caller();
+        let obs = nodeobs::lock_obs(&name, &shape, caller, &all_nodes, locks);
         Ok(DynClofLock {
             fast,
             leaves: upper,
@@ -646,48 +595,24 @@ impl DynClofLock {
         self.leaves.len()
     }
 
-    /// Aggregated hand-off statistics per level (innermost first).
+    /// Aggregated hand-off statistics per level (innermost first): the
+    /// release decisions the level step counted on each node's owner
+    /// line, with the acquisitions derived from them (see
+    /// [`LevelStats`]).
     ///
     /// A well-matched composition shows high [`LevelStats::locality`] at
     /// the inner levels — the real-lock counterpart of the simulator's
     /// per-level handover histogram.
-    ///
-    /// Only release decisions are counted, each on the owner line its
-    /// level's release already moves; acquisitions are derived. Below
-    /// the root every acquisition ends in a pass, a release up or an
-    /// unwound bounded climb, and the root of a taller tree is let go
-    /// exactly when the level below releases up, so it keeps no counter
-    /// at all. The counts are exact at quiescence; an acquisition in
-    /// flight is counted at its release.
     pub fn stats(&self) -> Vec<LevelStats> {
-        let levels = self.composition.len();
-        let mut out: Vec<LevelStats> = (0..levels)
-            .map(|level| LevelStats {
-                level,
-                acquisitions: 0,
-                passes: 0,
-                releases_up: 0,
-            })
-            .collect();
-        // The construction-order node list holds each node exactly once.
-        for (level, node) in &self.nodes {
-            let (passes, releases_up, unwound) = node.meta.release_counts();
-            let lone = node.lone_acquisitions.load(Ordering::Relaxed);
-            let at = &mut out[*level];
-            at.acquisitions += passes + releases_up + unwound + lone;
-            at.passes += passes;
-            at.releases_up += releases_up;
-        }
-        if let [.., below, root] = &mut out[..] {
-            root.acquisitions = below.releases_up;
-        }
-        out
+        let (levels, lone) = decisions(self.composition.len(), &self.nodes);
+        LevelStats::derive(&levels, lone)
     }
 
-    /// Full telemetry snapshot: per-level counters and acquire-latency
-    /// histograms, whole-lock hold-time histogram, and the surviving
-    /// pass-event trace — summed over the shards of this lock's handles,
-    /// live and dropped; everything [`clof_obs::render_json`]/
+    /// Full telemetry snapshot: per-level counts (those of
+    /// [`stats`](Self::stats)) and acquire-latency histograms, whole-lock
+    /// hold-time histogram, and the surviving pass-event trace — the
+    /// latter summed over the shards of this lock's handles, live and
+    /// dropped; everything [`clof_obs::render_json`]/
     /// [`clof_obs::render_prometheus`] and the `Display` impl consume.
     /// Exact at quiescence; a handle's acquire→release in flight is
     /// counted once its release has returned.
@@ -852,6 +777,18 @@ impl DynClofLock {
     }
 }
 
+/// Every level's release decisions summed over `nodes` — a tree's
+/// construction-order list, which holds each node once, root first —
+/// and what a 1-level lock's only node counted.
+fn decisions(depth: usize, nodes: &[(usize, Arc<DynNode>)]) -> (Vec<Decisions>, u64) {
+    let mut levels = vec![Decisions::default(); depth];
+    for (level, node) in nodes {
+        levels[*level] += node.meta.decisions();
+    }
+    let lone = &nodes[0].1.lone_acquisitions;
+    (levels, lone.load(Ordering::Relaxed))
+}
+
 /// Which code path [`DynClofLock::handle`] dispatches through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchTier {
@@ -882,7 +819,7 @@ mod typed {
 
     use clof_locks::{ClhLock, Hemlock, McsLock, RawLock, TicketLock};
 
-    use super::{DynNode, Tally};
+    use super::{DynNode, NodeObs, Recorder};
     use crate::kind::{AnyContext, LockKind, TypedLock};
     use crate::step::{self, Rung, Wait};
 
@@ -903,11 +840,11 @@ mod typed {
             ctx: &mut Ctx<Self>,
             stripe: u32,
             wait: W,
-            hook: &mut Tally<'_>,
+            hook: &mut Recorder,
         ) -> bool;
 
         /// `DynNode::release`, statically dispatched.
-        fn release(&self, ctx: &mut Ctx<Self>, hook: &mut Tally<'_>);
+        fn release(&self, ctx: &mut Ctx<Self>, hook: &mut Recorder);
     }
 
     /// `node`'s basic lock as the `L` a successful [`Chain::resolve`]
@@ -954,21 +891,21 @@ mod typed {
             ctx: &mut L::Context,
             _stripe: u32,
             wait: W,
-            hook: &mut Tally<'_>,
+            hook: &mut Recorder,
         ) -> bool {
             let node = &*self.node;
             // SAFETY: `resolve` checked the kind, which never changes.
             let lock = unsafe { lock_of::<L>(node) };
             let (budget, stamp) = (node.meta.spin_budget(), node.meta.handoff_stamp());
-            step::acquire_root(lock, ctx, budget, stamp, node, wait, hook)
+            step::acquire_root(lock, ctx, budget, stamp, &node.obs, wait, hook)
         }
 
         #[inline]
-        fn release(&self, ctx: &mut L::Context, hook: &mut Tally<'_>) {
+        fn release(&self, ctx: &mut L::Context, hook: &mut Recorder) {
             let node = &*self.node;
             // SAFETY: `resolve` checked the kind, which never changes.
             let lock = unsafe { lock_of::<L>(node) };
-            step::release_root(lock, ctx, node.meta.handoff_stamp(), node, hook);
+            step::release_root(lock, ctx, node.meta.handoff_stamp(), &node.obs, hook);
         }
     }
 
@@ -995,12 +932,12 @@ mod typed {
         /// matches the node's `counter_waiters` by construction, and
         /// resolves the branch at monomorphization.
         #[inline]
-        fn rung(&self) -> Rung<'_, L, AnyContext, DynNode> {
-            let node = &*self.node;
+        fn rung(&self) -> Rung<'_, L, AnyContext, NodeObs> {
+            let (node, counts_waiters) = (&*self.node, !L::INFO.waiter_hint);
             // SAFETY: `resolve` checked the kind of the node's lock,
             // which never changes, so this is `node.low` — the lock
             // `DynNode::rung` pairs with `node.meta` — by another name.
-            unsafe { Rung::new(lock_of::<L>(node), &node.meta, !L::INFO.waiter_hint, node) }
+            unsafe { Rung::new(lock_of::<L>(node), &node.meta, counts_waiters, &node.obs) }
         }
 
         /// The node's high context as the type `H`'s lock takes.
@@ -1031,7 +968,7 @@ mod typed {
             ctx: &mut L::Context,
             stripe: u32,
             wait: W,
-            hook: &mut Tally<'_>,
+            hook: &mut Recorder,
         ) -> bool {
             step::acquire_step(self.rung(), ctx, stripe, wait, hook, |high_ctx, hook| {
                 let (high_ctx, slot) = (Self::high_ctx(high_ctx), self.node.slot);
@@ -1040,7 +977,7 @@ mod typed {
         }
 
         #[inline]
-        fn release(&self, ctx: &mut L::Context, hook: &mut Tally<'_>) {
+        fn release(&self, ctx: &mut L::Context, hook: &mut Recorder) {
             step::release_step(self.rung(), ctx, hook, |high_ctx, hook| {
                 self.high.release(Self::high_ctx(high_ctx), hook)
             });
@@ -1083,7 +1020,7 @@ mod typed {
                 pub(super) fn acquire_with<W: Wait>(
                     &mut self,
                     wait: W,
-                    hook: &mut Tally<'_>,
+                    hook: &mut Recorder,
                 ) -> bool {
                     match self {
                         HandleInner::Generic { chain, ctx, stripe } => {
@@ -1096,7 +1033,7 @@ mod typed {
                 }
 
                 #[inline]
-                pub(super) fn release(&mut self, hook: &mut Tally<'_>) {
+                pub(super) fn release(&mut self, hook: &mut Recorder) {
                     match self {
                         HandleInner::Generic { chain, ctx, .. } => chain.release_leaf(ctx, hook),
                         $(HandleInner::$variant { chain, ctx, .. } => chain.release(ctx, hook),)+
@@ -1155,9 +1092,7 @@ pub struct DynHandle {
 impl DynHandle {
     fn acquire_with<W: Wait>(&mut self, wait: W) -> bool {
         let inner = &mut self.inner;
-        step::spanned(&mut self.rec, |rec| {
-            inner.acquire_with(wait, &mut Tally(rec))
-        })
+        step::spanned(&mut self.rec, |rec| inner.acquire_with(wait, rec))
     }
 
     /// Acquires the composed lock.
@@ -1185,7 +1120,7 @@ impl DynHandle {
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
         self.rec.releasing();
-        self.inner.release(&mut Tally(&mut self.rec));
+        self.inner.release(&mut self.rec);
         self.rec.released();
     }
 
@@ -1699,8 +1634,9 @@ mod tests {
         one_protocol_on_every_finalist(false);
     }
 
-    /// What [`run_script`] drives: a handle of any adapter.
-    trait ScriptHandle {
+    /// What [`run_script`] and the clock-budget test drive: a handle of
+    /// any adapter.
+    trait ScriptHandle: Send + 'static {
         fn acquire(&mut self);
         fn release(&mut self);
         fn try_acquire_for(&mut self, budget: std::time::Duration) -> bool;
@@ -1742,15 +1678,18 @@ mod tests {
     /// a second thread. Blocking and bounded acquires alternate, so
     /// both wait policies walk the same tree state.
     ///
-    /// Returns the number of critical sections run.
+    /// Returns the number of critical sections run, and of the bounded
+    /// attempts made from a leaf other than the holder's: each of them
+    /// won its own leaf before it gave up, and unwound it.
     fn run_script<H: ScriptHandle>(
         handles: &mut [H],
         timeouts: bool,
         after_timeout: &dyn Fn(),
-    ) -> u64 {
+    ) -> (u64, u64) {
+        let tiny = platforms::tiny();
         let mut rng = clof_testkit::TestRng::new(0x0005_7E90_5C21_9700);
         let n = handles.len() as u64;
-        let mut sections = 0;
+        let (mut sections, mut unwound) = (0, 0);
         let mut next_owner = None;
         for step in 0..96 {
             let cpu = next_owner.take().unwrap_or_else(|| rng.below(n) as usize);
@@ -1768,17 +1707,21 @@ mod tests {
                     !handles[quitter].try_acquire_for(short),
                     "cpu {quitter} acquired a lock cpu {cpu} holds"
                 );
+                if tiny.cohort(0, quitter) != tiny.cohort(0, cpu) {
+                    unwound += 1;
+                }
                 after_timeout();
                 next_owner = Some(quitter);
             }
             handles[cpu].release();
         }
-        sections
+        (sections, unwound)
     }
 
     /// The three adapters are one protocol: for every 3-level finalist
     /// shape, [`run_script`] through the static `build3` tree, typed
-    /// handles and enum-tier handles takes the same decisions.
+    /// handles and enum-tier handles takes the same decisions, and
+    /// `stats()` reads the same counts from each.
     fn one_protocol_on_every_finalist(timeouts: bool) {
         use clof_locks::{ClhLock, Hemlock, McsLock, TicketLock};
         use LockKind::{Clh, Hemlock as Hem, Mcs, Ticket};
@@ -1800,6 +1743,17 @@ mod tests {
         };
         let cpus = 0..h.ncpus();
 
+        let check = |stats: &[LevelStats], (sections, unwound): (u64, u64)| {
+            // Every section ends in exactly one release decision at the
+            // leaf, whichever way it went, and every leaf acquisition
+            // in a section or in an unwound attempt.
+            assert_eq!(
+                stats[0].passes + stats[0].releases_up,
+                sections,
+                "{stats:?}"
+            );
+            assert_eq!(stats[0].acquisitions, sections + unwound, "{stats:?}");
+        };
         let stats_of = |generic: bool| {
             let lock = DynClofLock::build_with(&h, &kinds, params, false).unwrap();
             assert_eq!(lock.dispatch_tier(), DispatchTier::Monomorphized);
@@ -1807,7 +1761,7 @@ mod tests {
                 .clone()
                 .map(|cpu| lock.handle_on(cpu, lock.fast.as_ref().filter(|_| !generic)))
                 .collect();
-            let sections = run_script(&mut handles, timeouts, &|| {
+            let ran = run_script(&mut handles, timeouts, &|| {
                 assert_eq!(
                     lock.queue_depth_hint(),
                     0,
@@ -1816,10 +1770,7 @@ mod tests {
                 );
             });
             let stats = lock.stats();
-            // Every section ends in exactly one release decision at the
-            // leaf, whichever way it went.
-            let decisions = stats[0].passes + stats[0].releases_up;
-            assert_eq!(decisions, sections, "{stats:?}");
+            check(&stats, ran);
             stats
         };
         let typed = stats_of(false);
@@ -1834,17 +1785,9 @@ mod tests {
 
         let tree = crate::compose::build3::<L0, L1, L2>(&h, params).unwrap();
         let mut handles: Vec<_> = cpus.map(|cpu| tree.handle(cpu)).collect();
-        run_script(&mut handles, timeouts, &|| {});
-        #[cfg(feature = "obs")]
-        for (counters, stats) in tree.obs_snapshot().levels.iter().zip(&typed) {
-            let as_stats = LevelStats {
-                level: counters.level,
-                acquisitions: counters.acquires,
-                passes: counters.passes_taken,
-                releases_up: counters.passes_declined,
-            };
-            assert_eq!(as_stats, *stats, "static tree diverges on {kinds:?}");
-        }
+        let ran = run_script(&mut handles, timeouts, &|| {});
+        check(&tree.stats(), ran);
+        assert_eq!(tree.stats(), typed, "static tree diverges on {kinds:?}");
     }
 
     #[test]
@@ -1948,36 +1891,15 @@ mod tests {
     #[cfg(all(feature = "obs", debug_assertions))]
     #[test]
     fn clock_is_read_twice_per_critical_section() {
-        use crate::compose::{build3, ClofHandle, HierLock};
+        use crate::compose::build3;
         use clof_locks::{ClhLock, McsLock, TicketLock};
-        use clof_obs::{clock_reads, LockSnapshot};
+        use clof_obs::clock_reads;
         use std::time::{Duration, Instant};
-
-        trait Cycle: Send + 'static {
-            fn acquire(&mut self);
-            fn release(&mut self);
-        }
-        impl Cycle for DynHandle {
-            fn acquire(&mut self) {
-                DynHandle::acquire(self);
-            }
-            fn release(&mut self) {
-                DynHandle::release(self);
-            }
-        }
-        impl<T: HierLock> Cycle for ClofHandle<T> {
-            fn acquire(&mut self) {
-                ClofHandle::acquire(self);
-            }
-            fn release(&mut self) {
-                ClofHandle::release(self);
-            }
-        }
 
         /// Clock reads of one acquire→release by a thread on `cpu` while
         /// a handle on CPU 0 holds the lock for 20 ms, and how long that
         /// acquire took.
-        fn behind_holder<H: Cycle>(
+        fn behind_holder<H: ScriptHandle>(
             mk: &(impl Fn(usize) -> H + Sync),
             cpu: usize,
         ) -> (u64, Duration) {
@@ -2001,11 +1923,11 @@ mod tests {
         /// and hands it on at the leaf: CPU 0 holds while two CPU-1
         /// threads queue up, and the first of them is measured. Queueing
         /// order is not observable from outside, so the round repeats
-        /// until the leaf counters show holder → measured → third as two
-        /// inherited acquires and two passes.
-        fn on_pass_path<H: Cycle>(
+        /// until the leaf's `stats()` show holder → measured → third as
+        /// two passes, each consumed by the next.
+        fn on_pass_path<H: ScriptHandle>(
             mk: &(impl Fn(usize) -> H + Sync),
-            snapshot: impl Fn() -> LockSnapshot,
+            stats: impl Fn() -> Vec<LevelStats>,
         ) -> u64 {
             for _ in 0..50 {
                 let mut holder = mk(0);
@@ -2031,15 +1953,11 @@ mod tests {
                     third.release();
                 });
                 std::thread::sleep(Duration::from_millis(20));
-                let before = snapshot();
+                let before = stats()[0].passes;
                 holder.release();
                 let reads = measured.join().unwrap();
                 third.join().unwrap();
-                let after = snapshot();
-                let (l0_before, l0_after) = (&before.levels[0], &after.levels[0]);
-                if l0_after.contended_acquires - l0_before.contended_acquires == 2
-                    && l0_after.passes_taken - l0_before.passes_taken == 2
-                {
+                if stats()[0].passes - before == 2 {
                     return reads;
                 }
             }
@@ -2047,10 +1965,10 @@ mod tests {
         }
 
         /// All three budgets through handles made by `mk`.
-        fn check<H: Cycle>(
+        fn check<H: ScriptHandle>(
             tier: &str,
             mk: impl Fn(usize) -> H + Sync,
-            snapshot: impl Fn() -> LockSnapshot,
+            stats: impl Fn() -> Vec<LevelStats>,
         ) {
             // Solo: nobody to inherit from or wait for, so every level is
             // climbed at the entry stamp.
@@ -2061,7 +1979,7 @@ mod tests {
             assert_eq!(clock_reads() - before, 2, "{tier}: solo full climb");
 
             assert_eq!(
-                on_pass_path(&mk, snapshot),
+                on_pass_path(&mk, stats),
                 2,
                 "{tier}: inherited acquire, pass release"
             );
@@ -2082,14 +2000,10 @@ mod tests {
         let lock = Arc::new(
             DynClofLock::build(&h, &[LockKind::Mcs, LockKind::Clh, LockKind::Ticket]).unwrap(),
         );
-        check("typed", |cpu| lock.handle(cpu), || lock.obs_snapshot());
-        check(
-            "generic",
-            |cpu| lock.handle_generic(cpu),
-            || lock.obs_snapshot(),
-        );
+        check("typed", |cpu| lock.handle(cpu), || lock.stats());
+        check("generic", |cpu| lock.handle_generic(cpu), || lock.stats());
         let tree = build3::<McsLock, ClhLock, TicketLock>(&h, ClofParams::default()).unwrap();
-        check("static", |cpu| tree.handle(cpu), || tree.obs_snapshot());
+        check("static", |cpu| tree.handle(cpu), || tree.stats());
     }
 
     /// One contended timeout cycle on `lock`: CPU 0 holds, CPU 1 times

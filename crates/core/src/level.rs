@@ -178,6 +178,8 @@ struct OwnerState<C> {
     passes: AtomicU64,
     /// Releases that let the high lock go to other cohorts.
     releases_up: AtomicU64,
+    /// Releases up that found waiters: forced by `keep_local`.
+    forced: AtomicU64,
     /// Bounded climbs that gave up above this level and let its low
     /// lock go plainly, with no pass or release-up decision.
     unwound: AtomicU64,
@@ -264,6 +266,7 @@ impl<C> LevelMeta<C> {
                 threshold: params.keep_local_threshold.max(1),
                 passes: AtomicU64::new(0),
                 releases_up: AtomicU64::new(0),
+                forced: AtomicU64::new(0),
                 unwound: AtomicU64::new(0),
                 high_ctx: UnsafeCell::new(high_ctx),
                 #[cfg(any(debug_assertions, feature = "testkit"))]
@@ -374,6 +377,12 @@ impl<C> LevelMeta<C> {
         bump_owned(&self.owner.releases_up);
     }
 
+    /// Counts a release up that found waiters (owner only).
+    #[inline]
+    pub(crate) fn count_forced(&self) {
+        bump_owned(&self.owner.forced);
+    }
+
     /// Counts a bounded climb that gave up and let the low lock go
     /// plainly (owner only).
     #[inline]
@@ -381,15 +390,16 @@ impl<C> LevelMeta<C> {
         bump_owned(&self.owner.unwound);
     }
 
-    /// The release-decision counters: `(passes, releases_up, unwound)`.
-    /// Below the root every low-lock acquisition ends in exactly one of
-    /// the three, so their sum is the node's acquisitions — exact at
-    /// quiescence, with an acquisition in flight counted at its release.
-    /// A root decides nothing and reads `(0, 0, 0)`.
-    pub(crate) fn release_counts(&self) -> (u64, u64, u64) {
+    /// The release decisions counted so far (all zero at a root).
+    pub(crate) fn decisions(&self) -> Decisions {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let o = &self.owner;
-        (load(&o.passes), load(&o.releases_up), load(&o.unwound))
+        Decisions {
+            passes: load(&o.passes),
+            releases_up: load(&o.releases_up),
+            forced: load(&o.forced),
+            unwound: load(&o.unwound),
+        }
     }
 
     /// The high-lock context cell. Only the level step dereferences it,
@@ -455,6 +465,88 @@ impl<C> LevelMeta<C> {
     /// The configured keep-local threshold.
     pub fn threshold(&self) -> u32 {
         self.owner.threshold
+    }
+}
+
+/// The release decisions the level step counts on a node's owner line
+/// (see `OwnerState`): one node's, or a level's summed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Decisions {
+    /// Releases that passed the high lock within the cohort.
+    pub passes: u64,
+    /// Releases that let the high lock go to other cohorts.
+    pub releases_up: u64,
+    /// Releases up that found waiters: forced by `keep_local`.
+    pub forced: u64,
+    /// Bounded climbs that gave up above the level and let it go.
+    pub unwound: u64,
+}
+
+impl std::ops::AddAssign for Decisions {
+    fn add_assign(&mut self, d: Decisions) {
+        self.passes += d.passes;
+        self.releases_up += d.releases_up;
+        self.forced += d.forced;
+        self.unwound += d.unwound;
+    }
+}
+
+/// Per-level hand-off statistics of [`ClofTree::stats`](crate::ClofTree::stats)
+/// and [`DynClofLock::stats`](crate::DynClofLock::stats), in every build.
+///
+/// Only release decisions are counted, by the level step on the owner
+/// line its release already moves; acquisitions are derived. So the
+/// counts are exact at quiescence, and an acquisition in flight is
+/// counted at its release.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LevelStats {
+    /// Level index, 0 = innermost.
+    pub level: usize,
+    /// Low-lock acquisitions at this level: below the root, the passes,
+    /// releases up and unwound bounded climbs that ended them; at the
+    /// root of a taller tree, the releases up of the level below; in a
+    /// 1-level lock, the count its handles keep at release.
+    pub acquisitions: u64,
+    /// Intra-cohort passes decided at this level.
+    pub passes: u64,
+    /// Full releases (high lock surrendered) decided at this level.
+    pub releases_up: u64,
+}
+
+impl LevelStats {
+    /// Fraction of release decisions at this level that stayed local —
+    /// the locality the composition achieved (cf. the simulator's
+    /// `handovers_by_level`).
+    pub fn locality(&self) -> f64 {
+        let total = self.passes + self.releases_up;
+        if total == 0 {
+            0.0
+        } else {
+            self.passes as f64 / total as f64
+        }
+    }
+
+    /// Every level's stats from its summed decisions, innermost first.
+    /// The root of a taller tree is let go exactly when the level below
+    /// releases up, so it keeps no counter; a 1-level lock has no level
+    /// below, so it counts its acquisitions (`lone`).
+    pub(crate) fn derive(levels: &[Decisions], lone: u64) -> Vec<LevelStats> {
+        let mut out: Vec<LevelStats> = levels
+            .iter()
+            .enumerate()
+            .map(|(level, d)| LevelStats {
+                level,
+                acquisitions: d.passes + d.releases_up + d.unwound,
+                passes: d.passes,
+                releases_up: d.releases_up,
+            })
+            .collect();
+        match &mut out[..] {
+            [only] => only.acquisitions = lone,
+            [.., below, root] => root.acquisitions = below.releases_up,
+            [] => {}
+        }
+        out
     }
 }
 

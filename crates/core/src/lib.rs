@@ -71,12 +71,12 @@ mod step;
 #[cfg(feature = "adapt")]
 pub use adapt::{AdaptHandle, AdaptiveLock, MigrationStats};
 pub use compose::{Clof, ClofHandle, ClofTree, HierLock, Leaf};
-pub use dynlock::{DispatchTier, DynClofLock, DynHandle, LevelStats};
+pub use dynlock::{DispatchTier, DynClofLock, DynHandle};
 pub use error::ClofError;
 pub use fastpath::{FastClof, FastClofHandle};
 pub use generator::{compositions, composition_name, generate_all, parse_composition};
 pub use kind::LockKind;
-pub use level::{ClofParams, MAX_WAITER_STRIPES};
+pub use level::{ClofParams, LevelStats, MAX_WAITER_STRIPES};
 pub use mutex::{ClofMutex, ClofMutexGuard, ClofMutexHandle};
 pub use select::{rank, scripted_benchmark, BenchResult, CandidateObs, Policy, Selection};
 /// The level step's mutant switch, for the mutant-kill suite.
@@ -85,7 +85,7 @@ pub use step::mutant as step_mutant;
 
 /// Re-export of the telemetry crate (`obs` feature only), so downstream
 /// users never need a direct `clof-obs` dependency: snapshots come from
-/// [`DynClofLock::obs_snapshot`] / [`ClofTree::obs_snapshot`] and render
-/// via [`obs::render_json`] / [`obs::render_prometheus`].
+/// [`DynClofLock::obs_snapshot`] and render via [`obs::render_json`] /
+/// [`obs::render_prometheus`].
 #[cfg(feature = "obs")]
 pub use clof_obs as obs;

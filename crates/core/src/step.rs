@@ -26,8 +26,16 @@
 //!   [`Instant`](std::time::Instant). A timeout *is* the blocking path
 //!   with one more way out, so there is no second protocol to keep in
 //!   step.
-//! * [`Hook`] / [`Span`] — who is told about each decision: `()` (all
-//!   defaults, compiled to nothing) or a telemetry recorder.
+//! * [`Hook`] / [`Span`] — which telemetry recorder is told about each
+//!   decision: `()` (all defaults, compiled to nothing) or the `obs`
+//!   recorder. Hooks only record times and trace spans.
+//!
+//! Counts belong to the step, not to a hook: every release decision —
+//! pass, release up (and whether waiters forced it) — and every unwound
+//! bounded climb is counted here, once, on the owner line of the
+//! level's [`LevelMeta`], which the release moves anyway. So all three
+//! adapters count alike in every build, and `stats()` derives the
+//! acquisitions from these counts.
 //!
 //! A recorder's clock budget rides on the step: every level it wins
 //! reports whether its low lock made it wait, and hands over the level's
@@ -207,8 +215,9 @@ impl Won<'_> {
     }
 }
 
-/// Observer of the step's per-level decisions; `N` is what identifies a
-/// node to the observer. Every method defaults to nothing.
+/// Telemetry observer of the step's per-level decisions, which the step
+/// has already counted; `N` is what identifies a node to the observer.
+/// Every method defaults to nothing.
 pub trait Hook<N> {
     /// Whether [`level_won`](Self::level_won) reads [`Won::waited`]:
     /// only then do the low acquires find it out, so without telemetry
@@ -218,19 +227,12 @@ pub trait Hook<N> {
     /// `node`'s low lock was won, as `won` says.
     fn level_won(&mut self, _node: &N, _won: Won<'_>) {}
 
-    /// The release asked the low lock's native waiter hint.
-    fn hint_hit(&mut self, _node: &N) {}
-
     /// The release passes the high lock within `node`'s cohort.
     fn pass(&mut self, _node: &N) {}
 
     /// The release surrenders the high lock; `forced` means waiters
     /// existed but `keep_local` hit its threshold.
     fn release_up(&mut self, _node: &N, _forced: bool) {}
-
-    /// A bounded climb gave up above `node`, whose low lock is about to
-    /// be let go plainly: no pass or release-up decision follows.
-    fn unwound(&mut self, _node: &N) {}
 
     /// A level's low lock is about to be released (after its pass or
     /// release-up decision, or at the root): the recorder leaves its
@@ -419,7 +421,7 @@ pub fn acquire_step<L: LowLock, C, N, W: Wait, K: Hook<N>>(
     }
     let climbed = rung.with_high_ctx(|high_ctx| climb(high_ctx, hook));
     if W::BOUNDED && !climbed {
-        hook.unwound(rung.node);
+        rung.meta.count_unwound();
         rung.low.release(ctx);
         return false;
     }
@@ -436,15 +438,15 @@ pub fn release_step<L: LowLock, C, N, K: Hook<N>>(
     hook: &mut K,
     climb: impl FnOnce(&mut C, &mut K),
 ) {
-    let hint = rung.low.has_waiters_hint(ctx);
-    if hint.is_some() {
-        hook.hint_hit(rung.node);
-    }
     // Staleness is tolerable (§4.1.2): a missed waiter only causes an
     // early high-lock release, never a safety violation.
-    let waiters = hint.unwrap_or_else(|| rung.meta.has_waiters());
+    let waiters = rung
+        .low
+        .has_waiters_hint(ctx)
+        .unwrap_or_else(|| rung.meta.has_waiters());
     if waiters && rung.meta.keep_local() {
         // Pass: leave the high lock acquired for our cohort successor.
+        rung.meta.count_pass();
         hook.pass(rung.node);
         rung.meta.pass_high_lock();
         hook.letting_go(rung.node, rung.meta.handoff_stamp());
@@ -453,6 +455,10 @@ pub fn release_step<L: LowLock, C, N, K: Hook<N>>(
         chaos::point("clof-release-pass");
         rung.low.release(ctx);
         return;
+    }
+    rung.meta.count_release_up();
+    if waiters {
+        rung.meta.count_forced();
     }
     hook.release_up(rung.node, waiters);
     rung.meta.clear_high_lock();

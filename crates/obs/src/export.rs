@@ -1,4 +1,4 @@
-//! Snapshot assembly and text exporters (JSON, Prometheus, human).
+//! Snapshots and their text exporters (JSON, Prometheus, human).
 //!
 //! Serialization is hand-rolled — the crate is zero-dependency by
 //! design, and the schema is small enough that a formatter is cheaper
@@ -8,7 +8,45 @@
 
 use std::fmt;
 
-use crate::{HistSnapshot, LevelSnapshot, PassEvent, PassKind};
+use crate::{HistSnapshot, PassEvent, PassKind};
+
+/// Plain-data snapshot of one level (summed across cohorts): the
+/// decision counts from the lock's owner lines, and the acquire side's
+/// inherited wins and wait histogram from the shards.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LevelSnapshot {
+    /// Level index, 0 = innermost.
+    pub level: usize,
+    /// Low-lock acquisitions, derived from the release decisions.
+    pub acquires: u64,
+    /// Acquisitions that inherited a passed high lock (shard-side).
+    pub contended_acquires: u64,
+    /// Intra-cohort passes.
+    pub passes_taken: u64,
+    /// Upward releases.
+    pub passes_declined: u64,
+    /// Upward releases forced by the `keep_local` threshold.
+    pub keep_local_resets: u64,
+    /// Releases answered by the native waiter hint: at a level whose
+    /// low lock has one, every release decision.
+    pub hint_fast_hits: u64,
+    /// Acquire-latency distribution at this level (low-lock wait only;
+    /// shard-side).
+    pub acquire_ns: HistSnapshot,
+}
+
+impl LevelSnapshot {
+    /// Fraction of release decisions that stayed local — the locality
+    /// this level achieved. 0.0 when no decision was taken (root level).
+    pub fn pass_rate(&self) -> f64 {
+        let total = self.passes_taken + self.passes_declined;
+        if total == 0 {
+            0.0
+        } else {
+            self.passes_taken as f64 / total as f64
+        }
+    }
+}
 
 /// Everything observed about one composed lock at a point in time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -309,23 +347,9 @@ impl fmt::Display for PassKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventRing, LevelCounters, LogHistogram};
+    use crate::{EventRing, LogHistogram};
 
     fn sample_snapshot() -> LockSnapshot {
-        let c0 = LevelCounters::new();
-        let c1 = LevelCounters::new();
-        for i in 0..100 {
-            c0.record_acquire(i % 2 == 0);
-        }
-        for _ in 0..50 {
-            c0.record_pass_taken();
-        }
-        for _ in 0..50 {
-            c0.record_pass_declined(false);
-        }
-        for _ in 0..50 {
-            c1.record_acquire(false);
-        }
         let h = LogHistogram::new();
         for v in [100u64, 200, 400, 90_000] {
             h.record(v);
@@ -335,9 +359,20 @@ mod tests {
         let ring = EventRing::with_capacity(8);
         ring.record(10, 0, PassKind::Pass, 1);
         ring.record(20, 0, PassKind::ReleaseUp, 2);
-        let mut l0 = c0.snapshot(0);
-        l0.acquire_ns = h.snapshot();
-        let l1 = c1.snapshot(1);
+        let l0 = LevelSnapshot {
+            level: 0,
+            acquires: 100,
+            contended_acquires: 50,
+            passes_taken: 50,
+            passes_declined: 50,
+            acquire_ns: h.snapshot(),
+            ..Default::default()
+        };
+        let l1 = LevelSnapshot {
+            level: 1,
+            acquires: 50,
+            ..Default::default()
+        };
         LockSnapshot {
             name: "tkt>mcs".into(),
             levels: vec![l0, l1],
@@ -560,6 +595,17 @@ mod tests {
     }
 
     #[test]
+    fn pass_rate_is_the_share_of_passes() {
+        let level = LevelSnapshot {
+            passes_taken: 1,
+            passes_declined: 2,
+            ..Default::default()
+        };
+        assert!((level.pass_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(LevelSnapshot::default().pass_rate(), 0.0);
+    }
+
+    #[test]
     fn rendering_a_snapshot_twice_is_identical() {
         // Regression for destructive rendering: assembling from
         // `EventRing::events()` and re-rendering must not change output.
@@ -568,7 +614,7 @@ mod tests {
         ring.record(20, 1, PassKind::ReleaseUp, 2);
         let snap_once = |ring: &EventRing| LockSnapshot {
             name: "twice".into(),
-            levels: vec![LevelCounters::new().snapshot(0)],
+            levels: vec![LevelSnapshot::default()],
             hold_ns: LogHistogram::new().snapshot(),
             events_recorded: ring.recorded(),
             events_dropped: ring.dropped(),

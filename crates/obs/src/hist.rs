@@ -91,7 +91,7 @@ impl LogHistogram {
     /// locked RMW.
     #[inline]
     pub fn record_owned(&self, value: u64) {
-        use crate::counters::bump;
+        use crate::bump;
         bump(&self.buckets[bucket_of(value)], 1);
         bump(&self.count, 1);
         bump(&self.sum, value);

@@ -11,12 +11,15 @@
 //! Pieces, all zero-dependency and lock-free on the write path:
 //!
 //! * [`Shard`] / [`ShardSet`] — the data plane: one single-writer
-//!   recorder per lock handle holding everything below, written into
-//!   lines no other thread writes and summed per lock at snapshot time.
-//! * [`LevelCounters`] — relaxed single-writer counters for one
-//!   hierarchy level: acquires, contended (pass-inheriting) acquires,
-//!   lock passes taken/declined, `keep_local` threshold resets, native
-//!   waiter-hint fast-path hits.
+//!   recorder per lock handle holding what the acquire side observes
+//!   (the histograms and ring below, and the pass-inheriting wins),
+//!   written into lines no other thread writes and summed per lock at
+//!   snapshot time.
+//! * [`LevelSnapshot`] — one hierarchy level: acquires, contended
+//!   (pass-inheriting) acquires, lock passes taken/declined,
+//!   `keep_local` threshold resets, native waiter-hint fast-path hits;
+//!   all but the contended acquires are the lock's own owner-line
+//!   counts, which the [`ShardSet`] reads through its [`Counts`].
 //! * [`LogHistogram`] — a power-of-two-bucketed (HDR-style) histogram
 //!   for acquire latency and critical-section hold time, with merge and
 //!   p50/p90/p99/max queries.
@@ -83,7 +86,6 @@
 
 pub mod analyze;
 pub mod audit;
-pub mod counters;
 pub mod export;
 pub mod hist;
 pub mod policy;
@@ -98,8 +100,7 @@ pub mod window;
 
 pub use analyze::{analyze, ownership_timeline, ChainStats, FairnessCdf, LevelWait, TraceAnalysis};
 pub use audit::{AuditReason, AuditRecord, AuditRing};
-pub use counters::{LevelCounters, LevelSnapshot};
-pub use export::{render_json, render_prometheus, LockSnapshot};
+pub use export::{render_json, render_prometheus, LevelSnapshot, LockSnapshot};
 pub use hist::{HistSnapshot, LogHistogram, HIST_BUCKETS};
 pub use policy::{
     AdaptDecision, FinalistProfile, HysteresisConfig, HysteresisController, WindowObservation,
@@ -110,15 +111,26 @@ pub use profile::{
 };
 pub use registry::{SiteAnchor, SiteInfo, SiteRegistry, INVALID_SITE, MAX_SITES};
 pub use ring::{EventRing, PassEvent, PassKind};
-pub use shard::{Shard, ShardSet};
+pub use shard::{Counts, Shard, ShardSet};
 pub use trace::{render_chrome_trace, SpanEvent, SpanKind, Trace};
 pub use waitgraph::{GraphFinding, GraphReport, Phase, WaitTable, MAX_GRAPH_THREADS};
 pub use watchdog::{Watchdog, WatchdogConfig, WatchdogGuard};
 pub use window::{Sampler, WindowRates};
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+/// Single-writer increment: a relaxed load + store, never a locked RMW,
+/// so telemetry adds no ordering the protocol does not need (§4.2.3).
+/// Only the counter's one writer may call it.
+#[inline]
+pub(crate) fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(by),
+        Ordering::Relaxed,
+    );
+}
 
 /// Nanoseconds since the process-wide observation epoch (the first call).
 ///

@@ -10,7 +10,9 @@
 //!   whose path crosses the node, so a hot site can be broken down into
 //!   "which node of which level absorbs the waiting";
 //! * **hold** — Σ hold histogram (sum, count);
-//! * **traffic** — Σ level-0 acquires and Σ passes taken. The pass sum
+//! * **traffic** — Σ level-0 acquires and Σ passes taken, as the lock's
+//!   [`Counts`](crate::shard::Counts) reader gives them: the same
+//!   owner-line counts the lock's own `stats()` reads. The pass sum
 //!   doubles as the waits-for graph's inversion clock: a waiter that an
 //!   observer watches it advance past the `keep_local` bound *H* without
 //!   getting the lock is being starved behind local hand-offs
@@ -512,13 +514,25 @@ pub fn render_profile_json(snap: &ProfileSnapshot, findings: &[GraphFinding]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LevelSnapshot;
 
-    /// A registered site with one lock tree on it: leaf node 7 under
-    /// root node 9.
+    /// The decision counts of a lock whose leaf was acquired `acquires`
+    /// times and passed on `passes` times.
+    fn counts(acquires: u64, passes: u64) -> crate::Counts {
+        Box::new(move |levels| {
+            levels[0].acquires = acquires;
+            levels[0].passes_taken = passes;
+        })
+    }
+
+    /// A registered site with one lock tree on it, leaf node 7 under root
+    /// node 9, whose leaf was acquired twice and passed on once.
     fn site_with_tree(label: &str) -> (u32, Arc<ShardSet>) {
         let anchor = Arc::new(registry::global().register(label, "levels=2"));
-        let id = anchor.id();
-        (id, ShardSet::new(anchor, [(0, 7), (1, 9)].into_iter()))
+        (
+            anchor.id(),
+            ShardSet::new(anchor, [(0, 7), (1, 9)].into_iter(), counts(2, 1)),
+        )
     }
 
     /// One acquire→release through `shard`, entered at `t`: `wait` ns to
@@ -533,7 +547,7 @@ mod tests {
         if pass {
             shard.pass(0);
         } else {
-            shard.release_up(0, false);
+            shard.release_up(0);
         }
         shard.releasing(t + wait + hold);
         shard.commit(0);
@@ -568,6 +582,7 @@ mod tests {
         assert_eq!(s.label, "prof-flow");
         assert_eq!((s.wait_ns, s.waits), (158, 3), "two slow acquires and a gate win");
         assert_eq!((s.hold_ns, s.holds), (37, 3));
+        // The lock's own counts, and the gate win.
         assert_eq!(s.acquires, 3);
         assert_eq!(s.passes, 1);
         assert_eq!(prof.passes(id), 1);
@@ -601,7 +616,7 @@ mod tests {
         let fresh = Arc::new(registry::global().register("prof-swap-new", "levels=2"));
         fresh.rebind(old.site(), "prof-swap-new");
         assert_eq!(fresh.id(), id);
-        let new = ShardSet::new(fresh, [(0, 17), (1, 19)].into_iter());
+        let new = ShardSet::new(fresh, [(0, 17), (1, 19)].into_iter(), counts(1, 0));
         drop(old);
         let shard = new.shard(&[17, 19]);
         cycle(&shard, 2000, 2, 3, false, false);
@@ -609,7 +624,8 @@ mod tests {
         let s = site_of(&snap, id);
         assert_eq!((s.wait_ns, s.waits), (42, 2));
         assert_eq!((s.hold_ns, s.holds), (13, 2));
-        assert_eq!((s.acquires, s.passes), (2, 1));
+        // The dropped tree's counts were folded into the site.
+        assert_eq!((s.acquires, s.passes), (3, 1));
         assert_eq!(s.generation, 1);
         let nodes: Vec<u32> = s.nodes.iter().map(|n| n.node).collect();
         assert_eq!(nodes, vec![17, 19], "only the live tree's nodes are listed");
@@ -622,23 +638,33 @@ mod tests {
         prof.inject_passes(INVALID_SITE, 1);
         assert_eq!(prof.passes(INVALID_SITE), 0);
         // A lock whose registration found the table full still works.
-        let set = ShardSet::new(Arc::new(registry::SiteAnchor::dead()), [(0, 1)].into_iter());
+        let dead = Arc::new(registry::SiteAnchor::dead());
+        let set = ShardSet::new(dead, [(0, 1)].into_iter(), counts(1, 0));
         let shard = set.shard(&[1]);
         shard.enter(1);
         shard.level_won(2, false);
         shard.releasing(3);
         shard.commit(0);
-        assert_eq!(set.lock_snapshot("orphan").levels[0].acquires, 1);
+        let level = &set.lock_snapshot("orphan").levels[0];
+        assert_eq!((level.acquires, level.acquire_ns.count), (1, 1));
     }
 
     #[test]
     fn delta_is_exact_and_rebaselines_on_epoch_change() {
-        let (id, set) = site_with_tree("prof-delta");
+        static ACQUIRES: AtomicU64 = AtomicU64::new(0);
+        let anchor = Arc::new(registry::global().register("prof-delta", "levels=2"));
+        let (id, nodes) = (anchor.id(), [(0, 7), (1, 9)].into_iter());
+        let counts = |levels: &mut [LevelSnapshot]| {
+            levels[0].acquires = ACQUIRES.load(Ordering::Relaxed);
+        };
+        let set = ShardSet::new(anchor, nodes, Box::new(counts));
         let shard = set.shard(&[7, 9]);
         let prof = global();
         cycle(&shard, 1000, 100, 1, false, false);
+        ACQUIRES.fetch_add(1, Ordering::Relaxed);
         let first = prof.snapshot();
         cycle(&shard, 2000, 25, 1, false, false);
+        ACQUIRES.fetch_add(1, Ordering::Relaxed);
         let second = prof.snapshot();
         let d = second.delta(&first);
         let s = site_of(&d, id);

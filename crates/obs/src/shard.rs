@@ -1,16 +1,19 @@
 //! Per-handle telemetry shards: the single-writer data plane.
 //!
-//! Every lock handle owns one [`Shard`] — the counters and acquire-wait
-//! histogram of each level on the handle's leaf→root path, the hold
-//! histogram, the whole-acquire wait and a small pass-event ring — and
-//! is its only writer. Every fact is therefore written once, with a
+//! Every lock handle owns one [`Shard`] — the acquire-wait histogram
+//! and inherited wins of each level on the handle's leaf→root path, the
+//! hold histogram, the whole-acquire wait and a small pass-event ring —
+//! and is its only writer. Every fact is therefore written once, with a
 //! relaxed load + store, into a cache line no other thread writes;
 //! nothing on the lock's hand-off path touches a line two handles share.
+//! The release decisions are not a shard's: the lock's level step counts
+//! each once, on the deciding level's owner line, and a [`ShardSet`]
+//! reads them there through the [`Counts`] reader the lock hands it.
 //!
 //! Inside the critical section the handle only *stashes*: the timestamp
 //! of each level it won and the release decision of each level it left
 //! ([`Shard::enter`], [`Shard::level_won`], [`Shard::pass`], …). The
-//! stash is folded into the counters, histograms and ring by
+//! stash is folded into the histograms, the inherited wins and the ring by
 //! [`Shard::commit`], which the handle calls after the low lock is
 //! released.
 //!
@@ -23,12 +26,11 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::counters::bump;
+use crate::bump;
 use crate::profile::{self, NodeProfile};
 use crate::registry::SiteAnchor;
 use crate::{
-    EventRing, HistSnapshot, LevelCounters, LevelSnapshot, LockSnapshot, LogHistogram, PassEvent,
-    PassKind,
+    EventRing, HistSnapshot, LevelSnapshot, LockSnapshot, LogHistogram, PassEvent, PassKind,
 };
 
 /// Pass events a lock keeps from handles that no longer exist.
@@ -37,10 +39,14 @@ const RETIRED_EVENTS: usize = 1024;
 // Stash bits of one level: how the level was won, and what its release
 // decided.
 const INHERITED: u32 = 1;
-const HINT: u32 = 2;
-const PASS: u32 = 4;
-const UP: u32 = 8;
-const FORCED: u32 = 16;
+const PASS: u32 = 2;
+const UP: u32 = 4;
+
+/// Reads a lock's decision counts from where the lock keeps them into
+/// the levels of a snapshot (innermost first): `acquires`,
+/// `passes_taken`, `passes_declined`, `keep_local_resets` and
+/// `hint_fast_hits`. The shards supply the other fields.
+pub type Counts = Box<dyn Fn(&mut [LevelSnapshot]) + Send + Sync>;
 
 /// A single-writer (sum, count) accumulator.
 #[derive(Debug, Default)]
@@ -73,7 +79,9 @@ struct LevelCell {
     node: u32,
     won_ns: AtomicU64,
     flags: AtomicU32,
-    counters: LevelCounters,
+    /// Wins that found the high lock passed to the cohort.
+    inherited: AtomicU64,
+    /// The wait of every win; its sample count is the level's wins.
     acquire_ns: LogHistogram,
 }
 
@@ -116,7 +124,7 @@ impl Shard {
                     node,
                     won_ns: AtomicU64::new(0),
                     flags: AtomicU32::new(0),
-                    counters: LevelCounters::new(),
+                    inherited: AtomicU64::new(0),
                     acquire_ns: LogHistogram::new(),
                 })
                 .collect(),
@@ -183,35 +191,28 @@ impl Shard {
         flags.store(flags.load(Ordering::Relaxed) | bits, Ordering::Relaxed);
     }
 
-    /// The release at `level` answered its waiter question from the low
-    /// lock's native hint.
-    #[inline]
-    pub fn hint_hit(&self, level: usize) {
-        self.decide(level, HINT);
-    }
-
     /// The release at `level` passed the high lock within the cohort.
     #[inline]
     pub fn pass(&self, level: usize) {
         self.decide(level, PASS);
     }
 
-    /// The release at `level` surrendered the high lock upward; `forced`
-    /// when waiters existed but `keep_local` hit its threshold.
+    /// The release at `level` surrendered the high lock upward.
     #[inline]
-    pub fn release_up(&self, level: usize, forced: bool) {
-        self.decide(level, if forced { UP | FORCED } else { UP });
+    pub fn release_up(&self, level: usize) {
+        self.decide(level, UP);
     }
 
-    /// Counts the levels the acquire in flight won and their waits;
-    /// returns when the last one was won.
+    /// Records the levels the acquire in flight won — their waits and
+    /// which were inherited; returns when the last one was won.
     fn commit_levels(&self) -> u64 {
         let mut start = self.entered_ns.load(Ordering::Relaxed);
         let won = self.won.load(Ordering::Relaxed) as usize;
         for cell in &self.levels[..won] {
             let end = cell.won_ns.load(Ordering::Relaxed);
-            cell.counters
-                .record_acquire(cell.flags.load(Ordering::Relaxed) & INHERITED != 0);
+            if cell.flags.load(Ordering::Relaxed) & INHERITED != 0 {
+                bump(&cell.inherited, 1);
+            }
             cell.acquire_ns.record_owned(end.saturating_sub(start));
             start = end;
         }
@@ -219,8 +220,8 @@ impl Shard {
         start
     }
 
-    /// Folds the stash of one acquire→release into the counters,
-    /// histograms and ring. Call after the low lock is released;
+    /// Folds the stash of one acquire→release into the histograms, the
+    /// inherited wins and the ring. Call after the low lock is released;
     /// `thread` tags the ring events.
     pub fn commit(&self, thread: u32) {
         let released_ns = self.released_ns();
@@ -235,23 +236,18 @@ impl Shard {
                 break;
             }
             cell.flags.store(0, Ordering::Relaxed);
-            if flags & HINT != 0 {
-                cell.counters.record_hint_hit();
-            }
             if flags & PASS != 0 {
-                cell.counters.record_pass_taken();
                 self.ring
                     .record(released_ns, level as u8, PassKind::Pass, thread);
                 break;
             }
-            cell.counters.record_pass_declined(flags & FORCED != 0);
             self.ring
                 .record(released_ns, level as u8, PassKind::ReleaseUp, thread);
         }
     }
 
     /// The acquire in flight gave up (deadline): the levels it won and
-    /// then unwound were still acquired once each; nothing was held.
+    /// then unwound were still won once each; nothing was held.
     pub fn abandon(&self) {
         self.commit_levels();
     }
@@ -271,7 +267,7 @@ impl Shard {
     }
 }
 
-/// Plain-data sums over shards.
+/// Plain-data sums over shards, with the lock's decision counts.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Totals {
     pub(crate) levels: Vec<LevelSnapshot>,
@@ -292,14 +288,15 @@ fn add_pair(into: &mut (u64, u64), from: (u64, u64)) {
 impl Totals {
     fn absorb(&mut self, shard: &Shard) {
         for (level, cell) in shard.levels.iter().enumerate() {
-            let mut snap = cell.counters.snapshot(level);
-            snap.acquire_ns = cell.acquire_ns.snapshot();
+            let waits = cell.acquire_ns.snapshot();
             let key = (level as u8, cell.node);
             if let Ok(i) = self.nodes.binary_search_by_key(&key, |n| (n.level, n.node)) {
-                self.nodes[i].wait_ns += snap.acquire_ns.sum;
-                self.nodes[i].waits += snap.acquire_ns.count;
+                self.nodes[i].wait_ns += waits.sum;
+                self.nodes[i].waits += waits.count;
             }
-            self.levels[level].merge(&snap);
+            let at = &mut self.levels[level];
+            at.contended_acquires += cell.inherited.load(Ordering::Relaxed);
+            at.acquire_ns.merge(&waits);
         }
         self.hold_ns.merge(&shard.hold_ns.snapshot());
         add_pair(&mut self.wait, shard.wait.get());
@@ -311,7 +308,8 @@ impl Totals {
 #[derive(Debug)]
 struct SetInner {
     live: Vec<Arc<Shard>>,
-    /// What the shards of dropped handles recorded.
+    /// What the shards of dropped handles recorded (decision counts
+    /// aside: the lock keeps those whole).
     retired: Totals,
     retired_events: Vec<PassEvent>,
     retired_recorded: u64,
@@ -329,19 +327,32 @@ impl SetInner {
 }
 
 /// The shards of one lock: registered at handle creation, folded into a
-/// retired accumulator at handle drop, summed by snapshots.
-#[derive(Debug)]
+/// retired accumulator at handle drop, summed by snapshots together with
+/// the lock's decision counts.
 pub struct ShardSet {
     site: Arc<SiteAnchor>,
+    counts: Counts,
     inner: Mutex<SetInner>,
+}
+
+impl std::fmt::Debug for ShardSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardSet")
+            .field("site", &self.site)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ShardSet {
     /// The shard registry of a lock with profiler site `site` whose tree
     /// has the given `(level, node tag)` nodes (every level of the
-    /// composition appears at least once); registers itself with the
-    /// site.
-    pub fn new(site: Arc<SiteAnchor>, nodes: impl Iterator<Item = (u8, u32)>) -> Arc<Self> {
+    /// composition appears at least once), and whose decision counts
+    /// `counts` reads; registers itself with the site.
+    pub fn new(
+        site: Arc<SiteAnchor>,
+        nodes: impl Iterator<Item = (u8, u32)>,
+        counts: Counts,
+    ) -> Arc<Self> {
         let mut nodes: Vec<NodeProfile> = nodes
             .map(|(level, node)| NodeProfile {
                 level,
@@ -354,6 +365,7 @@ impl ShardSet {
         let depth = nodes.last().map_or(0, |n| n.level as usize + 1);
         let set = Arc::new(ShardSet {
             site,
+            counts,
             inner: Mutex::new(SetInner {
                 live: Vec::new(),
                 retired: Totals {
@@ -416,15 +428,19 @@ impl ShardSet {
         }
     }
 
-    /// Sums over live and retired shards (exact at quiescence).
+    /// Sums over live and retired shards, with the decision counts as
+    /// the lock reads them now (exact at quiescence).
     pub(crate) fn totals(&self) -> Totals {
-        self.inner().totals()
+        let mut totals = self.inner().totals();
+        (self.counts)(&mut totals.levels);
+        totals
     }
 
     /// The lock's full telemetry snapshot under `name`.
     pub fn lock_snapshot(&self, name: &str) -> LockSnapshot {
         let inner = self.inner();
-        let totals = inner.totals();
+        let mut totals = inner.totals();
+        (self.counts)(&mut totals.levels);
         let mut events = inner.retired_events.clone();
         let mut events_recorded = inner.retired_recorded;
         for shard in &inner.live {
@@ -448,7 +464,9 @@ impl Drop for ShardSet {
     /// rebinds the next tree onto it): leave the sums with the site.
     fn drop(&mut self) {
         let inner = self.inner.get_mut().unwrap_or_else(|p| p.into_inner());
-        profile::global().retire(self.site.id(), &inner.totals());
+        let mut totals = inner.totals();
+        (self.counts)(&mut totals.levels);
+        profile::global().retire(self.site.id(), &totals);
     }
 }
 
@@ -457,10 +475,25 @@ mod tests {
     use super::*;
     use crate::registry;
 
+    /// The decision counts of a test lock, per level: acquires, passes,
+    /// releases up and forced ones (all decisions hint hits).
+    const COUNTS: [(u64, u64, u64, u64); 3] = [(5, 2, 3, 1), (3, 0, 3, 0), (3, 0, 0, 0)];
+
+    fn counts(levels: &mut [LevelSnapshot]) {
+        for (at, &(acquires, passes, ups, forced)) in levels.iter_mut().zip(&COUNTS) {
+            at.acquires = acquires;
+            at.passes_taken = passes;
+            at.passes_declined = ups;
+            at.keep_local_resets = forced;
+            at.hint_fast_hits = passes + ups;
+        }
+    }
+
     fn set_3level(label: &str) -> Arc<ShardSet> {
         let site = Arc::new(registry::global().register(label, "x"));
         // Two leaves (10, 11) under one mid (20) under the root (30).
-        ShardSet::new(site, [(0, 10), (0, 11), (1, 20), (2, 30)].into_iter())
+        let nodes = [(0, 10), (0, 11), (1, 20), (2, 30)].into_iter();
+        ShardSet::new(site, nodes, Box::new(counts))
     }
 
     /// One acquire through `shard`: `climb` levels won from `t`, 10 ns
@@ -477,12 +510,11 @@ mod tests {
         }
         let acquired = shard.acquired_ns();
         assert_eq!(acquired, t + 10 * climb as u64);
-        shard.hint_hit(0);
         if pass {
             shard.pass(0);
         } else {
-            shard.release_up(0, true);
-            shard.release_up(1, false);
+            shard.release_up(0);
+            shard.release_up(1);
         }
         shard.releasing(acquired + 100);
         shard.commit(7);
@@ -496,20 +528,20 @@ mod tests {
         cycle(&shard, 2000, 1, true); // inherits at the leaf, passes on
         let snap = set.lock_snapshot("l");
         assert_eq!(snap.name, "l");
-        let l0 = &snap.levels[0];
-        assert_eq!((l0.acquires, l0.contended_acquires), (2, 1));
-        assert_eq!((l0.passes_taken, l0.passes_declined), (1, 1));
-        assert_eq!((l0.keep_local_resets, l0.hint_fast_hits), (1, 2));
-        assert_eq!((l0.acquire_ns.count, l0.acquire_ns.sum), (2, 20));
-        let l1 = &snap.levels[1];
-        assert_eq!(
-            (l1.acquires, l1.passes_declined, l1.keep_local_resets),
-            (1, 1, 0)
-        );
-        assert_eq!(
-            (snap.levels[2].acquires, snap.levels[2].passes_declined),
-            (1, 0)
-        );
+        // The shards give each level's waits and inherited wins ...
+        let waits: Vec<_> = snap
+            .levels
+            .iter()
+            .map(|l| (l.acquire_ns.count, l.acquire_ns.sum, l.contended_acquires))
+            .collect();
+        assert_eq!(waits, vec![(2, 20, 1), (1, 10, 0), (1, 10, 0)]);
+        // ... and the lock's reader every decision count.
+        for (level, &(acquires, passes, ups, forced)) in snap.levels.iter().zip(&COUNTS) {
+            let decided = (level.acquires, level.passes_taken, level.passes_declined);
+            assert_eq!(decided, (acquires, passes, ups));
+            let hints = (level.keep_local_resets, level.hint_fast_hits);
+            assert_eq!(hints, (forced, passes + ups));
+        }
         assert_eq!((snap.hold_ns.count, snap.hold_ns.sum), (2, 200));
         // Ring: two release-ups of the first cycle, one pass of the second.
         assert_eq!(snap.events_recorded, 3);
@@ -559,7 +591,7 @@ mod tests {
         );
         set.retire(&b);
         assert_eq!(set.lock_snapshot("l"), before);
-        assert_eq!(before.levels[0].acquires, 2);
+        assert_eq!(before.levels[0].acquire_ns.count, 2);
         assert_eq!(before.events_recorded, 4);
     }
 
@@ -629,16 +661,18 @@ mod tests {
         shard.level_won(530, false);
         shard.abandon(); // timed out at the root; levels 0 and 1 unwound
         let snap = set.lock_snapshot("l");
-        assert_eq!(snap.levels[0].acquires, 1);
-        assert_eq!(
-            (snap.levels[1].acquires, snap.levels[1].acquire_ns.sum),
-            (1, 20)
-        );
-        assert_eq!(snap.levels[2].acquires, 0);
+        let waits: Vec<_> = snap
+            .levels
+            .iter()
+            .map(|l| (l.acquire_ns.count, l.acquire_ns.sum))
+            .collect();
+        assert_eq!(waits, vec![(1, 10), (1, 20), (0, 0)]);
         assert_eq!(snap.hold_ns.count, 0);
+        assert_eq!(snap.events_recorded, 0);
         assert_eq!(set.totals().wait, (0, 0));
         // The handle is reusable: the next acquire starts a fresh stash.
         cycle(&shard, 1000, 1, true);
-        assert_eq!(set.lock_snapshot("l").levels[0].acquires, 2);
+        let l0 = &set.lock_snapshot("l").levels[0];
+        assert_eq!((l0.acquire_ns.count, l0.contended_acquires), (2, 1));
     }
 }

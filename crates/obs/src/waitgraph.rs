@@ -44,7 +44,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::counters::bump;
+use crate::bump;
 use crate::export::json_escape;
 use crate::registry::INVALID_SITE;
 use crate::{now_ns, profile, registry};

@@ -216,32 +216,34 @@ fn monotone_since(earlier: &LockSnapshot, later: &LockSnapshot) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LevelCounters, LogHistogram};
+    use crate::{LevelSnapshot, LogHistogram};
 
     fn snap_with(acquires: u64, passes: u64, hold_samples: &[u64]) -> LockSnapshot {
-        let c0 = LevelCounters::new();
-        let c1 = LevelCounters::new();
         let acq_hist = LogHistogram::new();
         for i in 0..acquires {
-            c0.record_acquire(i < passes);
             acq_hist.record(100 + i);
         }
-        for _ in 0..passes {
-            c0.record_pass_taken();
-        }
-        for _ in 0..acquires.saturating_sub(passes) {
-            c0.record_pass_declined(false);
-            c1.record_acquire(false);
-        }
+        let l0 = LevelSnapshot {
+            level: 0,
+            acquires,
+            contended_acquires: passes,
+            passes_taken: passes,
+            passes_declined: acquires - passes,
+            acquire_ns: acq_hist.snapshot(),
+            ..Default::default()
+        };
+        let l1 = LevelSnapshot {
+            level: 1,
+            acquires: acquires - passes,
+            ..Default::default()
+        };
         let hold = LogHistogram::new();
         for &v in hold_samples {
             hold.record(v);
         }
-        let mut l0 = c0.snapshot(0);
-        l0.acquire_ns = acq_hist.snapshot();
         LockSnapshot {
             name: "w".into(),
-            levels: vec![l0, c1.snapshot(1)],
+            levels: vec![l0, l1],
             hold_ns: hold.snapshot(),
             events_recorded: acquires,
             events_dropped: 0,

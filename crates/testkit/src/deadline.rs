@@ -57,6 +57,12 @@ impl DeadlineHandle for clof::DynHandle {
     }
 }
 
+impl<T: clof::HierLock> DeadlineHandle for clof::ClofHandle<T> {
+    fn try_acquire_until(&mut self, deadline: Instant) -> bool {
+        clof::ClofHandle::try_acquire_until(self, deadline)
+    }
+}
+
 impl DeadlineHandle for clof::FastClofHandle {
     fn try_acquire_until(&mut self, deadline: Instant) -> bool {
         clof::FastClofHandle::try_acquire_until(self, deadline)

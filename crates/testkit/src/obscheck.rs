@@ -8,22 +8,37 @@
 //! deliberately does not depend on `clof-obs` (the root crate cannot
 //! apply features to dev-dependencies), so callers copy their snapshot
 //! into [`LevelTally`] and get the same checks under any feature set.
+//!
+//! A snapshot joins two sides, and the invariants compare them. The
+//! lock's level step counts the release decisions once, on each level's
+//! owner line, and derives the acquisitions from them: `acquires`,
+//! `passes_taken`, `passes_declined` and `keep_local_resets` come from
+//! the owner line. The handles' shards observe the acquire side:
+//! `contended_acquires` (wins that inherited a pass) and `hist_count`
+//! (the wait histogram's samples, one per win). Invariant 1 holds level
+//! 0's derived acquires against the caller's external total, 3 the
+//! owner-line passes against the shards' inherited wins, 6 the derived
+//! acquires against the shards' histogram samples, and 5 a level's
+//! derived acquires against the releases up of the level below (equal
+//! by construction at the root, which keeps no counter). Invariant 2
+//! restates the derivation while no bounded climb unwinds.
 
 /// Plain-data copy of one level's telemetry (mirror of `clof-obs`'s
 /// `LevelSnapshot`, fields by hand).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelTally {
-    /// Low-lock acquisitions at this level.
+    /// Low-lock acquisitions at this level (owner line, derived).
     pub acquires: u64,
-    /// Acquisitions that inherited a passed high lock.
+    /// Acquisitions that inherited a passed high lock (shards).
     pub contended_acquires: u64,
-    /// Release decisions that passed within the cohort.
+    /// Release decisions that passed within the cohort (owner line).
     pub passes_taken: u64,
-    /// Release decisions that surrendered the high lock upward.
+    /// Release decisions that surrendered the high lock upward (owner
+    /// line).
     pub passes_declined: u64,
-    /// Upward releases forced by the keep_local threshold.
+    /// Upward releases forced by the keep_local threshold (owner line).
     pub keep_local_resets: u64,
-    /// Samples in this level's acquire-latency histogram.
+    /// Samples in this level's acquire-latency histogram (shards).
     pub hist_count: u64,
 }
 

@@ -44,7 +44,7 @@ pub const GAP_BUCKETS: usize = 16;
 
 /// Anything the oracle can drive: one per-thread handle of some lock.
 ///
-/// Implemented for `clof::DynHandle` and for any [`RawLock`] via
+/// Implemented for the `clof` handles and for any [`RawLock`] via
 /// [`RawHandle`]; implement it for custom harness types as needed.
 pub trait OracleHandle {
     /// Blocks until the lock is held by this handle.
@@ -59,6 +59,15 @@ impl OracleHandle for clof::DynHandle {
     }
     fn release(&mut self) {
         clof::DynHandle::release(self)
+    }
+}
+
+impl<T: clof::HierLock> OracleHandle for clof::ClofHandle<T> {
+    fn acquire(&mut self) {
+        clof::ClofHandle::acquire(self)
+    }
+    fn release(&mut self) {
+        clof::ClofHandle::release(self)
     }
 }
 

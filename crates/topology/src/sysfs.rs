@@ -15,7 +15,10 @@ use crate::hierarchy::{CpuId, Hierarchy, TopologyError};
 ///
 /// Levels discovered (innermost first, when present and non-trivial):
 /// `core` (SMT siblings), `l3` (shared L3 from `cache/index3`), `numa`
-/// (`node*` links), `package` (`physical_package_id`).
+/// (`node*` links), `package` (`physical_package_id`). A level that
+/// partitions the CPUs exactly as the kept level below it does would only
+/// add a redundant lock to every climb, so it is folded into that level,
+/// whose name joins both (`l3=numa=package`).
 ///
 /// # Errors
 ///
@@ -61,10 +64,19 @@ pub fn discover_from(cpu_root: &Path) -> Result<Hierarchy, TopologyError> {
         let cohorts = map.iter().max().map(|&m| m + 1).unwrap_or(0);
         cohorts > 1 && cohorts < ncpus
     });
-    if maps.is_empty() {
+    // Dense maps number cohorts in order of first appearance, so equal
+    // partitions have equal maps.
+    let mut levels: Vec<(String, Vec<usize>)> = Vec::with_capacity(maps.len());
+    for (name, map) in maps {
+        match levels.last_mut() {
+            Some((kept, below)) if *below == map => *kept = format!("{kept}={name}"),
+            _ => levels.push((name, map)),
+        }
+    }
+    if levels.is_empty() {
         return Hierarchy::flat(ncpus);
     }
-    Hierarchy::from_levels(maps, ncpus)
+    Hierarchy::from_levels(levels, ncpus)
 }
 
 fn count_cpus(cpu_root: &Path) -> usize {
@@ -150,9 +162,9 @@ mod tests {
         fake_sysfs(&tmp);
         let h = discover_from(&tmp).unwrap();
         assert_eq!(h.ncpus(), 4);
-        // l3 == numa == package on the fake host; each contributes an
-        // identical 2-cohort level, nesting holds.
-        assert!(h.level_count() >= 2);
+        // Every core is its own SMT group, so `core` partitions nothing,
+        // and `l3`, `numa` and `package` are one partition: one level.
+        assert_eq!(h.level_names(), ["l3=numa=package", "system"]);
         assert_eq!(h.shared_level(0, 1), 0);
         assert!(h.shared_level(0, 2) > 0);
         let _ = fs::remove_dir_all(&tmp);

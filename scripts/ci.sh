@@ -7,8 +7,11 @@
 #      `tests/step_mutant.rs`, and clof-ffi's C-ABI suite);
 #   2. the clof-testkit unit suite (property engine + oracle self-tests),
 #      then a structural check that the paper's level step is spelled
-#      once: each protocol primitive of `LevelMeta` has at most one
-#      non-test call site in crates/core/src outside level.rs, and one
+#      once: each protocol primitive of `LevelMeta`, and each of its
+#      release-decision counters (`count_pass`, `count_release_up`,
+#      `count_forced`, `count_unwound`: only the step counts), has at
+#      most one non-test call site in crates/core/src outside level.rs,
+#      and one
 #      that the waiting policy is too: no non-test `spin_loop()` /
 #      `yield_now()` in crates/{locks,core,baselines,kvstore}/src outside
 #      spin.rs and chaos.rs, and no `with_limit`; and one that a lock's
@@ -128,11 +131,14 @@ phase "testkit unit suite" cargo test -q -p clof-testkit
 
 # The §4.1 level step lives in crates/core/src/step.rs and nowhere else:
 # a second call site of any of these `LevelMeta` primitives is a second
-# copy of the protocol (comments and `#[cfg(test)]` modules don't count).
+# copy of the protocol, and a second call site of a decision counter a
+# second count of one decision (comments and `#[cfg(test)]` modules
+# don't count).
 phase "level step is spelled once" \
     sh -c 'status=0
            for call in "pass_high_lock()" "keep_local()" "clear_high_lock()" \
-                       "inc_waiters(" "dec_waiters("; do
+                       "inc_waiters(" "dec_waiters(" "count_pass()" \
+                       "count_release_up()" "count_forced()" "count_unwound()"; do
                sites=0
                for file in crates/core/src/*.rs; do
                    [ "${file##*/}" = level.rs ] && continue

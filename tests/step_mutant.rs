@@ -25,13 +25,15 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use clof::compose::build3;
-use clof::{ClofHandle, ClofParams, DynClofLock, DynHandle, HierLock, LockKind};
+use clof::{ClofParams, DynClofLock, LockKind};
 use clof_locks::{ClhLock, Hemlock};
 use clof_testkit::strategies::build_regular;
-use clof_testkit::{run_stress, seed_batch, OracleHandle, StressOptions, StressReport, Violation};
+use clof_testkit::{
+    run_stress, seed_batch, DeadlineHandle, OracleHandle, StressOptions, StressReport, Violation,
+};
 use clof_topology::Hierarchy;
 
 const SHAPE: [LockKind; 3] = [LockKind::Clh, LockKind::Clh, LockKind::Hemlock];
@@ -40,40 +42,16 @@ const SHAPE: [LockKind; 3] = [LockKind::Clh, LockKind::Clh, LockKind::Hemlock];
 const CPUS: [usize; 4] = [0, 1, 2, 3];
 const SEEDS: usize = 8;
 
-/// A handle of any adapter that can make a bounded attempt.
-trait Bounded {
-    fn try_acquire_for(&mut self, budget: Duration) -> bool;
-    fn release(&mut self);
-}
-
-impl Bounded for DynHandle {
-    fn try_acquire_for(&mut self, budget: Duration) -> bool {
-        DynHandle::try_acquire_for(self, budget)
-    }
-    fn release(&mut self) {
-        DynHandle::release(self);
-    }
-}
-
-impl<T: HierLock> Bounded for ClofHandle<T> {
-    fn try_acquire_for(&mut self, budget: Duration) -> bool {
-        ClofHandle::try_acquire_for(self, budget)
-    }
-    fn release(&mut self) {
-        ClofHandle::release(self);
-    }
-}
-
-/// Drives a [`Bounded`] handle through the blocking oracle interface
+/// Drives a [`DeadlineHandle`] of any adapter through the blocking oracle interface
 /// without ever blocking for good: attempts are short, and once a peer
 /// has died (holding a lock, so the tree is wedged) the worker dies too.
-struct Mortal<H: Bounded> {
+struct Mortal<H: DeadlineHandle> {
     /// `Some` until a dying worker leaks it.
     inner: Option<H>,
     peer_died: Arc<AtomicBool>,
 }
 
-impl<H: Bounded> Mortal<H> {
+impl<H: DeadlineHandle> Mortal<H> {
     fn new(inner: H, peer_died: &Arc<AtomicBool>) -> Self {
         Mortal {
             inner: Some(inner),
@@ -86,9 +64,10 @@ impl<H: Bounded> Mortal<H> {
     }
 }
 
-impl<H: Bounded> OracleHandle for Mortal<H> {
+impl<H: DeadlineHandle> OracleHandle for Mortal<H> {
     fn acquire(&mut self) {
-        while !self.inner().try_acquire_for(Duration::from_millis(20)) {
+        let attempt = Duration::from_millis(20);
+        while !self.inner().try_acquire_until(Instant::now() + attempt) {
             assert!(
                 !self.peer_died.load(Ordering::Relaxed),
                 "a peer died holding the lock"
@@ -101,7 +80,7 @@ impl<H: Bounded> OracleHandle for Mortal<H> {
     }
 }
 
-impl<H: Bounded> Drop for Mortal<H> {
+impl<H: DeadlineHandle> Drop for Mortal<H> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             self.peer_died.store(true, Ordering::Relaxed);
