@@ -59,6 +59,7 @@ use crate::dynlock::{DispatchTier, DynClofLock, DynHandle};
 use crate::error::ClofError;
 use crate::kind::LockKind;
 use crate::level::ClofParams;
+use crate::telemetry::{Recorder, Telemetry};
 
 /// Stripes per entrant set; matches the level-meta striping width.
 const ENTRANT_STRIPES: usize = 8;
@@ -336,28 +337,6 @@ impl AdaptiveLock {
         }
     }
 
-    /// Telemetry snapshot of the *current* tree. Counters restart from
-    /// zero on every swap (it is a new tree); `obs::Sampler` detects
-    /// the reset and re-baselines instead of producing garbage deltas.
-    #[cfg(feature = "obs")]
-    pub fn obs_snapshot(&self) -> clof_obs::LockSnapshot {
-        self.current().obs_snapshot()
-    }
-
-    /// The contention-profiler site id of the current generation's tree
-    /// — stable across swaps, because every incoming tree adopts the
-    /// outgoing one's site.
-    #[cfg(feature = "obs")]
-    pub fn site_id(&self) -> u32 {
-        self.current().site_id()
-    }
-
-    /// The current contention-profile row for the lock's site.
-    #[cfg(feature = "obs")]
-    pub fn site_profile(&self) -> Option<clof_obs::SiteProfile> {
-        self.current().site_profile()
-    }
-
     /// Arms a deliberately broken handover for the mutant-kill suite.
     #[cfg(feature = "testkit")]
     pub fn set_migration_mutant(&self, mutant: MigrationMutant) {
@@ -385,7 +364,8 @@ impl AdaptiveLock {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let old = self.epoch.load(SeqCst);
-        if *self.slot(old).read().expect("slot poisoned").composition() == *kinds {
+        let outgoing = Arc::clone(&self.slot(old).read().expect("slot poisoned"));
+        if *outgoing.composition() == *kinds {
             return Ok(false);
         }
         let started = std::time::Instant::now();
@@ -397,17 +377,7 @@ impl AdaptiveLock {
         ) {
             Ok(lock) => Arc::new(lock),
             Err(e) => {
-                #[cfg(feature = "obs")]
-                clof_obs::audit::global().record(
-                    0.0,
-                    0.0,
-                    old as u32,
-                    old as u32,
-                    0.0,
-                    0,
-                    clof_obs::audit::AuditReason::MigrationFailed,
-                    0,
-                );
+                Recorder::migration_failed(old);
                 return Err(e);
             }
         };
@@ -416,17 +386,12 @@ impl AdaptiveLock {
         // own provisional registration is released; the site label
         // follows the new composition). A failed build above never gets
         // here, so error paths leave the registry untouched.
-        #[cfg(feature = "obs")]
-        {
-            let outgoing = self.slot(old).read().expect("slot poisoned");
-            incoming.rebind_site_from(&outgoing);
-        }
+        Recorder::migration_adopted(&incoming, &outgoing);
         // Carry the waiting policy across the swap: any runtime-retuned
         // spin budgets survive on the incoming tree (levels beyond the
         // shorter composition keep their own topology-derived defaults).
         #[cfg(feature = "park")]
         {
-            let outgoing = self.slot(old).read().expect("slot poisoned");
             for (level, rounds) in outgoing.spin_budgets() {
                 if level < incoming.composition().len() {
                     incoming.set_spin_budget(level, rounds);
@@ -436,8 +401,7 @@ impl AdaptiveLock {
         let new = old + 1;
         *self.slot(new).write().expect("slot poisoned") = incoming;
 
-        #[cfg(feature = "obs")]
-        let flow = self.trace_migration_armed();
+        let flow = Recorder::migration_armed();
 
         // Funnel flip: from here on, every fresh acquirer registers for
         // (and queues on) the incoming tree.
@@ -482,24 +446,8 @@ impl AdaptiveLock {
         let _ = self.baton.compare_exchange(old, new, SeqCst, SeqCst);
         self.await_baton(new);
 
-        #[cfg(feature = "obs")]
-        self.trace_migration_done(flow);
-
         self.finish_swap(started);
-        // Audit the completed hand-over (generation indices + measured
-        // switch latency) so `/snapshot` and `clof top` can show *when*
-        // the lock migrated next to the policy decisions that caused it.
-        #[cfg(feature = "obs")]
-        clof_obs::audit::global().record(
-            0.0,
-            0.0,
-            old as u32,
-            new as u32,
-            0.0,
-            0,
-            clof_obs::audit::AuditReason::MigrationDone,
-            self.last_switch_ns.load(SeqCst),
-        );
+        Recorder::migration_done(flow, old, new, self.last_switch_ns.load(SeqCst));
         Ok(true)
     }
 
@@ -525,44 +473,6 @@ impl AdaptiveLock {
         self.last_switch_ns.store(ns, SeqCst);
         self.total_switch_ns.fetch_add(ns, SeqCst);
         self.swaps.fetch_add(1, SeqCst);
-    }
-
-    #[cfg(feature = "obs")]
-    fn trace_migration_armed(&self) -> u64 {
-        use clof_obs::trace;
-        if !trace::is_enabled() {
-            return 0;
-        }
-        let t = clof_obs::now_ns();
-        let flow = trace::next_flow_id();
-        trace::record(
-            t,
-            t,
-            0,
-            0,
-            clof_obs::SpanKind::Migrate { complete: false },
-            0,
-            flow,
-        );
-        flow
-    }
-
-    #[cfg(feature = "obs")]
-    fn trace_migration_done(&self, flow: u64) {
-        use clof_obs::trace;
-        if !trace::is_enabled() {
-            return;
-        }
-        let t = clof_obs::now_ns();
-        trace::record(
-            t,
-            t,
-            0,
-            0,
-            clof_obs::SpanKind::Migrate { complete: true },
-            flow,
-            0,
-        );
     }
 }
 

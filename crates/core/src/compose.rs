@@ -13,140 +13,13 @@ use std::sync::Arc;
 use clof_locks::RawLock;
 use clof_topology::Hierarchy;
 
-use self::staticobs::{HoldSpan, NodeObs};
 use crate::error::ClofError;
 use crate::level::{
     bump_owned, spin_budget_for_span, ClofParams, Decisions, HandoffStamp, LevelMeta, LevelStats,
     SpinBudget,
 };
 use crate::step::{self, Block, Hook, Rung, Span, Wait};
-
-/// Telemetry of the static composition: a per-node [`NodeObs`] (the
-/// tracer's identity) and a per-handle [`HoldSpan`], the [`Hook`]/[`Span`]
-/// the level step reports to. Without the `obs` feature both are `()`,
-/// whose hooks are the step's empty defaults.
-///
-/// The static side records trace spans and the occupancy table; its
-/// counts are the step's, read by [`ClofTree::stats`] in every build.
-/// Latency histograms and the pass-event ring stay dynamic-only
-/// (monomorphized nodes have no lock-wide collector to hang them on).
-/// Its clock budget is the dynamic recorder's: two reads per
-/// acquire→release, plus one per level that waited for a lock nobody
-/// passed.
-#[cfg(feature = "obs")]
-mod staticobs {
-    use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, thread_tag, waitgraph, INVALID_SITE};
-
-    use crate::level::HandoffStamp;
-    use crate::step::{Hook, Span, Won};
-
-    /// Per-node recording state: the node's place in a trace.
-    pub use clof_obs::trace::NodeTrack as NodeObs;
-
-    pub(super) fn node_obs(level: usize) -> NodeObs {
-        NodeObs::new(level)
-    }
-
-    /// A handle's recorder: whole-lock hold span and the phase it
-    /// publishes into the occupancy table (the static composition has
-    /// no profiler site, so it adds no waits-for edge), plus the
-    /// transition time each level's wait span starts from.
-    #[derive(Debug, Default)]
-    pub struct HoldSpan {
-        /// When the previous transition (acquire entry, a level won)
-        /// happened — once acquired, the start of the hold; 0 outside a
-        /// handle's acquire, which keeps bare
-        /// [`HierLock::acquire`](super::HierLock::acquire) calls out of
-        /// the trace and off the clock.
-        last: u64,
-        /// When the release in progress started: the end of the hold and
-        /// the stamp it leaves for each level's next owner.
-        released_at: u64,
-    }
-
-    impl Span for HoldSpan {
-        #[inline]
-        fn enter(&mut self) {
-            self.last = now_ns();
-            waitgraph::global().wait_at(thread_tag(), INVALID_SITE, self.last);
-        }
-
-        /// The hold starts where the last level was won.
-        #[inline]
-        fn acquired(&mut self) {
-            waitgraph::global().acquired(thread_tag(), INVALID_SITE, self.last);
-        }
-
-        /// Nothing was acquired, so the table sees idle (not hold).
-        #[inline]
-        fn abandoned(&mut self) {
-            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
-        }
-
-        #[inline]
-        fn releasing(&mut self) {
-            let now = now_ns();
-            self.released_at = now;
-            if trace::is_enabled() {
-                trace::record(self.last, now, 0, 0, SpanKind::Hold, 0, 0);
-            }
-            waitgraph::global().released(thread_tag(), INVALID_SITE, now);
-        }
-    }
-
-    impl Hook<NodeObs> for HoldSpan {
-        const READS_WAITED: bool = true;
-
-        #[inline]
-        fn level_won(&mut self, node: &NodeObs, won: Won<'_>) {
-            if self.last == 0 {
-                return;
-            }
-            let at = if won.clocked() {
-                now_ns()
-            } else {
-                won.stamp.get().max(self.last)
-            };
-            if trace::is_enabled() {
-                node.wait_span(self.last, at, won.inherited);
-            }
-            self.last = at;
-        }
-
-        #[inline]
-        fn pass(&mut self, node: &NodeObs) {
-            if trace::is_enabled() {
-                node.pass_span(self.released_at);
-            }
-        }
-
-        #[inline]
-        fn release_up(&mut self, node: &NodeObs, forced: bool) {
-            if trace::is_enabled() {
-                node.release_up_span(self.released_at, forced);
-            }
-        }
-
-        /// Ownership changes hands at the release stamp; a bare
-        /// [`HierLock::release`](super::HierLock::release) has none and
-        /// leaves the stamp as it was.
-        #[inline]
-        fn letting_go(&mut self, _node: &NodeObs, stamp: &HandoffStamp) {
-            if self.released_at != 0 {
-                stamp.set(self.released_at);
-            }
-        }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod staticobs {
-    pub type NodeObs = ();
-    pub type HoldSpan = ();
-
-    pub(super) fn node_obs(_level: usize) {}
-}
+use crate::telemetry::{self, Node, Recorder, Site, Telemetry};
 
 /// A node of a composed lock hierarchy.
 ///
@@ -162,7 +35,7 @@ pub trait HierLock: Send + Sync + 'static {
     /// [`try_acquire_until`](Self::try_acquire_until): this node's
     /// level step under the wait policy `wait`, reporting to `hook`.
     #[doc(hidden)]
-    fn acquire_with<W: Wait, K: Hook<NodeObs>>(
+    fn acquire_with<W: Wait, K: Hook<Node>>(
         &self,
         ctx: &mut Self::Context,
         slot: u32,
@@ -172,17 +45,20 @@ pub trait HierLock: Send + Sync + 'static {
 
     /// [`release`](Self::release), reporting to `hook`.
     #[doc(hidden)]
-    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut Self::Context, hook: &mut K);
+    fn release_with<K: Hook<Node>>(&self, ctx: &mut Self::Context, hook: &mut K);
 
     /// Acquires every level from this node up to the system lock (or up
-    /// to wherever a passed high lock short-circuits the climb).
+    /// to wherever a passed high lock short-circuits the climb). Like
+    /// [`try_acquire_until`](Self::try_acquire_until) and
+    /// [`release`](Self::release), it reports to no recorder: a
+    /// [`ClofHandle`] does.
     ///
     /// `slot` is the caller's child position under this node (CPU index
     /// within a leaf cohort, or sibling-cohort index for upper levels);
     /// it selects the read-indicator stripe the acquire registers on.
     /// Nodes recursing upward pass their own sibling slot.
     fn acquire(&self, ctx: &mut Self::Context, slot: u32) {
-        self.acquire_with(ctx, slot, Block, &mut HoldSpan::default());
+        self.acquire_with(ctx, slot, Block, &mut ());
     }
 
     /// Deadline-bounded [`acquire`](Self::acquire): the same climb
@@ -194,13 +70,13 @@ pub trait HierLock: Send + Sync + 'static {
         slot: u32,
         deadline: std::time::Instant,
     ) -> bool {
-        self.acquire_with(ctx, slot, deadline, &mut HoldSpan::default())
+        self.acquire_with(ctx, slot, deadline, &mut ())
     }
 
     /// Releases this node: passes the high lock within the cohort when
     /// allowed, otherwise releases high levels first, then this level.
     fn release(&self, ctx: &mut Self::Context) {
-        self.release_entered(ctx, &mut HoldSpan::default());
+        self.release_entered(ctx, &mut ());
     }
 
     /// Whether the composition is starvation-free (all components fair).
@@ -218,7 +94,7 @@ pub trait HierLock: Send + Sync + 'static {
     /// counts its acquisitions, since no level below derives them.
     #[doc(hidden)]
     #[inline]
-    fn release_entered<K: Hook<NodeObs>>(&self, ctx: &mut Self::Context, hook: &mut K) {
+    fn release_entered<K: Hook<Node>>(&self, ctx: &mut Self::Context, hook: &mut K) {
         self.release_with(ctx, hook);
     }
 
@@ -227,6 +103,18 @@ pub trait HierLock: Send + Sync + 'static {
     /// 0 only, so walking from every leaf adds each node once.
     #[doc(hidden)]
     fn add_decisions(&self, level: usize, levels: &mut [Decisions], lone: &mut u64);
+
+    /// Visits this node's telemetry identity and those of the nodes
+    /// above it, with their levels: all the way up when `every`, else on
+    /// up from sibling slot 0 only, like
+    /// [`add_decisions`](Self::add_decisions).
+    #[doc(hidden)]
+    fn visit<'a>(&'a self, level: usize, every: bool, f: &mut dyn FnMut(usize, &'a Node));
+
+    /// Appends, per level from this node up, whether its basic lock
+    /// hints waiters natively.
+    #[doc(hidden)]
+    fn hints(out: &mut Vec<bool>);
 }
 
 /// Base case of the recursion: a bare basic lock (the system-level lock).
@@ -240,7 +128,7 @@ pub struct Leaf<L: RawLock> {
     /// Acquisitions of a 1-level tree, counted by the entry release;
     /// stays 0 at the root of every taller tree.
     lone: AtomicU64,
-    obs: NodeObs,
+    obs: Node,
 }
 
 impl<L: RawLock> Default for Leaf<L> {
@@ -250,7 +138,7 @@ impl<L: RawLock> Default for Leaf<L> {
             budget: SpinBudget::new(),
             stamp: HandoffStamp::default(),
             lone: AtomicU64::new(0),
-            obs: staticobs::node_obs(0),
+            obs: Recorder::node(0),
         }
     }
 }
@@ -266,7 +154,7 @@ impl<L: RawLock> Leaf<L> {
     /// No-op without `obs`.
     #[must_use]
     pub fn at_level(mut self, level: usize) -> Self {
-        self.obs = staticobs::node_obs(level);
+        self.obs = Recorder::node(level);
         self
     }
 
@@ -285,7 +173,7 @@ impl<L: RawLock> HierLock for Leaf<L> {
     type Context = L::Context;
 
     #[inline]
-    fn acquire_with<W: Wait, K: Hook<NodeObs>>(
+    fn acquire_with<W: Wait, K: Hook<Node>>(
         &self,
         ctx: &mut L::Context,
         _slot: u32,
@@ -297,7 +185,7 @@ impl<L: RawLock> HierLock for Leaf<L> {
     }
 
     #[inline]
-    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, hook: &mut K) {
+    fn release_with<K: Hook<Node>>(&self, ctx: &mut L::Context, hook: &mut K) {
         step::release_root(&self.low, ctx, &self.stamp, &self.obs, hook);
     }
 
@@ -315,13 +203,21 @@ impl<L: RawLock> HierLock for Leaf<L> {
 
     /// Counted by the owner, before it lets go.
     #[inline]
-    fn release_entered<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, hook: &mut K) {
+    fn release_entered<K: Hook<Node>>(&self, ctx: &mut L::Context, hook: &mut K) {
         bump_owned(&self.lone);
         self.release_with(ctx, hook);
     }
 
     fn add_decisions(&self, _level: usize, _levels: &mut [Decisions], lone: &mut u64) {
         *lone += self.lone.load(Ordering::Relaxed);
+    }
+
+    fn visit<'a>(&'a self, level: usize, _every: bool, f: &mut dyn FnMut(usize, &'a Node)) {
+        f(level, &self.obs);
+    }
+
+    fn hints(out: &mut Vec<bool>) {
+        out.push(has_native_hint::<L>());
     }
 }
 
@@ -337,7 +233,7 @@ pub struct Clof<L: RawLock, H: HierLock> {
     /// This node's sibling index under its parent — the stripe its
     /// upward acquires register on in the parent's read indicator.
     slot: u32,
-    obs: NodeObs,
+    obs: Node,
 }
 
 impl<L: RawLock, H: HierLock> Clof<L, H> {
@@ -350,7 +246,7 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
             meta: LevelMeta::with_fanin(params, fanin),
             high,
             slot,
-            obs: staticobs::node_obs(0),
+            obs: Recorder::node(0),
         }
     }
 
@@ -359,7 +255,7 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
     /// No-op without `obs`.
     #[must_use]
     pub fn at_level(mut self, level: usize) -> Self {
-        self.obs = staticobs::node_obs(level);
+        self.obs = Recorder::node(level);
         self
     }
 
@@ -376,7 +272,7 @@ impl<L: RawLock, H: HierLock> Clof<L, H> {
     /// This node as the level step sees it. `L::INFO` is a constant, so
     /// the read-indicator branch resolves at monomorphization time.
     #[inline]
-    fn rung(&self) -> Rung<'_, L, H::Context, NodeObs> {
+    fn rung(&self) -> Rung<'_, L, H::Context, Node> {
         let counts_waiters = !has_native_hint::<L>();
         // SAFETY: `low` and `meta` are this node's own, private and
         // only ever used together, here.
@@ -388,7 +284,7 @@ impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
     type Context = L::Context;
 
     #[inline]
-    fn acquire_with<W: Wait, K: Hook<NodeObs>>(
+    fn acquire_with<W: Wait, K: Hook<Node>>(
         &self,
         ctx: &mut L::Context,
         slot: u32,
@@ -401,7 +297,7 @@ impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
     }
 
     #[inline]
-    fn release_with<K: Hook<NodeObs>>(&self, ctx: &mut L::Context, hook: &mut K) {
+    fn release_with<K: Hook<Node>>(&self, ctx: &mut L::Context, hook: &mut K) {
         step::release_step(self.rung(), ctx, hook, |high_ctx, hook| {
             self.high.release_with(high_ctx, hook)
         });
@@ -424,6 +320,18 @@ impl<L: RawLock, H: HierLock> HierLock for Clof<L, H> {
         if self.slot == 0 {
             self.high.add_decisions(level + 1, levels, lone);
         }
+    }
+
+    fn visit<'a>(&'a self, level: usize, every: bool, f: &mut dyn FnMut(usize, &'a Node)) {
+        f(level, &self.obs);
+        if every || self.slot == 0 {
+            self.high.visit(level + 1, every, f);
+        }
+    }
+
+    fn hints(out: &mut Vec<bool>) {
+        out.push(has_native_hint::<L>());
+        H::hints(out);
     }
 }
 
@@ -454,18 +362,41 @@ pub struct ClofTree<T: HierLock> {
     /// stripe its handle registers on.
     cpu_to_stripe: Vec<u32>,
     name: String,
+    obs: telemetry::Lock,
 }
 
 impl<T: HierLock> ClofTree<T> {
+    /// With the `obs` feature the tree registers a contention-profiler
+    /// site under its caller's location, like a
+    /// [`DynClofLock`](crate::DynClofLock).
+    #[track_caller]
     fn new(leaves: Vec<Arc<T>>, hierarchy: &Hierarchy) -> Self {
         let cpu_to_leaf = (0..hierarchy.ncpus())
             .map(|c| hierarchy.cohort(0, c))
             .collect();
+        let name = T::name();
+        let shape = telemetry::shape(hierarchy);
+        let caller = std::panic::Location::caller();
+        let obs = Recorder::lock(&name, &shape, caller, || {
+            let mut nodes = Vec::new();
+            for leaf in &leaves {
+                leaf.visit(0, false, &mut |level, node| nodes.push((level, node)));
+            }
+            let mut hints = Vec::new();
+            T::hints(&mut hints);
+            let leaves = leaves.clone();
+            Site {
+                hints,
+                nodes: nodes.into_iter(),
+                decisions: move || decisions(&leaves),
+            }
+        });
         ClofTree {
             leaves,
             cpu_to_leaf,
             cpu_to_stripe: cpu_stripes(hierarchy),
-            name: T::name(),
+            name,
+            obs,
         }
     }
 
@@ -475,11 +406,15 @@ impl<T: HierLock> ClofTree<T> {
     ///
     /// Panics if `cpu` is outside the hierarchy the tree was built for.
     pub fn handle(&self, cpu: usize) -> ClofHandle<T> {
+        let leaf = &self.leaves[self.cpu_to_leaf[cpu]];
+        let rec = Recorder::handle(&self.obs, |visit| {
+            leaf.visit(0, true, &mut |_, node| visit(node))
+        });
         ClofHandle {
-            node: Arc::clone(&self.leaves[self.cpu_to_leaf[cpu]]),
+            node: Arc::clone(leaf),
             ctx: T::Context::default(),
             stripe: self.cpu_to_stripe[cpu],
-            hold: HoldSpan::default(),
+            rec,
         }
     }
 
@@ -498,13 +433,20 @@ impl<T: HierLock> ClofTree<T> {
     /// [`DynClofLock::stats`](crate::DynClofLock::stats) (see
     /// [`LevelStats`]).
     pub fn stats(&self) -> Vec<LevelStats> {
-        let mut levels = vec![Decisions::default(); T::levels()];
-        let mut lone = 0;
-        for leaf in &self.leaves {
-            leaf.add_decisions(0, &mut levels, &mut lone);
-        }
+        let (levels, lone) = decisions(&self.leaves);
         LevelStats::derive(&levels, lone)
     }
+}
+
+/// Every level's release decisions summed over the tree of `leaves`,
+/// and what a 1-level tree's only node counted.
+fn decisions<T: HierLock>(leaves: &[Arc<T>]) -> (Vec<Decisions>, u64) {
+    let mut levels = vec![Decisions::default(); T::levels()];
+    let mut lone = 0;
+    for leaf in leaves {
+        leaf.add_decisions(0, &mut levels, &mut lone);
+    }
+    (levels, lone)
 }
 
 /// A per-thread handle on a [`ClofTree`]: the leaf node plus the thread's
@@ -513,14 +455,14 @@ pub struct ClofHandle<T: HierLock> {
     node: Arc<T>,
     ctx: T::Context,
     stripe: u32,
-    hold: HoldSpan,
+    rec: Recorder,
 }
 
 impl<T: HierLock> ClofHandle<T> {
     fn acquire_with<W: Wait>(&mut self, wait: W) -> bool {
-        step::spanned(&mut self.hold, |hold| {
+        step::spanned(&mut self.rec, |rec| {
             self.node
-                .acquire_with(&mut self.ctx, self.stripe, wait, hold)
+                .acquire_with(&mut self.ctx, self.stripe, wait, rec)
         })
     }
 
@@ -546,9 +488,9 @@ impl<T: HierLock> ClofHandle<T> {
     ///
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
-        self.hold.releasing();
-        self.node.release_entered(&mut self.ctx, &mut self.hold);
-        self.hold.released();
+        self.rec.releasing();
+        self.node.release_entered(&mut self.ctx, &mut self.rec);
+        self.rec.released();
     }
 }
 
@@ -640,12 +582,14 @@ fn level_nodes<L: RawLock, H: HierLock>(
 
 /// Builds a 1-level "composition": just the system lock (degenerate case,
 /// NUMA-oblivious behaviour).
+#[track_caller]
 pub fn build1<L0: RawLock>(hierarchy: &Hierarchy) -> Result<ClofTree<Leaf<L0>>, ClofError> {
     check_levels(hierarchy, 1)?;
     Ok(ClofTree::new(root_node(hierarchy), hierarchy))
 }
 
 /// Builds a 2-level composition `l0-l1` over a 2-level hierarchy.
+#[track_caller]
 pub fn build2<L0: RawLock, L1: RawLock>(
     hierarchy: &Hierarchy,
     params: ClofParams,
@@ -656,6 +600,7 @@ pub fn build2<L0: RawLock, L1: RawLock>(
 }
 
 /// Builds a 3-level composition `l0-l1-l2` over a 3-level hierarchy.
+#[track_caller]
 pub fn build3<L0: RawLock, L1: RawLock, L2: RawLock>(
     hierarchy: &Hierarchy,
     params: ClofParams,
@@ -667,6 +612,7 @@ pub fn build3<L0: RawLock, L1: RawLock, L2: RawLock>(
 }
 
 /// Builds a 4-level composition `l0-l1-l2-l3` over a 4-level hierarchy.
+#[track_caller]
 pub fn build4<L0: RawLock, L1: RawLock, L2: RawLock, L3: RawLock>(
     hierarchy: &Hierarchy,
     params: ClofParams,

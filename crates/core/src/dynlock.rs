@@ -21,235 +21,9 @@ use crate::level::{
     bump_owned, spin_budget_for_span, ClofParams, Decisions, LevelMeta, LevelStats,
 };
 use crate::step::{self, Block, Rung, Span, Wait};
+use crate::telemetry::{self, Node, Recorder, Site, Telemetry};
 
-use self::nodeobs::{LockObs, NodeObs, Recorder};
 use self::typed::{FastTier, HandleInner};
-
-/// Telemetry plumbing for the dynamic composition: a per-lock
-/// [`LockObs`], a per-node [`NodeObs`] and the per-handle [`Recorder`]
-/// the level step reports to. Without the `obs` feature all three are
-/// `()`, whose hooks are the step's empty defaults.
-///
-/// The lock's [`clof_obs::ShardSet`] reads the decision counts from the
-/// nodes' owner lines, through the same derivation as
-/// [`DynClofLock::stats`](super::DynClofLock::stats). A handle records
-/// what only the acquire side sees into its own [`clof_obs::Shard`] and
-/// reads the clock
-/// twice per acquire→release — at acquire entry and at release entry —
-/// plus once per level that waited for a lock nobody passed; every other
-/// level is won at a stamp already taken (DESIGN §8). Inside the
-/// critical section the hooks only stash; [`Span::released`] folds the
-/// stash in after the low lock is free.
-#[cfg(feature = "obs")]
-mod nodeobs {
-    use std::sync::Arc;
-
-    use clof_obs::registry;
-    use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, thread_tag, waitgraph, LevelSnapshot, Shard, ShardSet};
-
-    use super::DynNode;
-    use crate::kind::LockKind;
-    use crate::level::{HandoffStamp, LevelStats};
-    use crate::step::{Hook, Span, Won};
-
-    /// Per-lock collector state of one [`DynClofLock`](super::DynClofLock):
-    /// the registry of its handles' shards, which also carries the
-    /// lock's contention-profiler site anchor (shared so handles keep
-    /// attributing to the site while an adaptation rebind retargets it).
-    pub(super) type LockObs = Arc<ShardSet>;
-
-    pub(super) fn lock_obs(
-        label: &str,
-        shape: &str,
-        caller: &'static std::panic::Location<'static>,
-        nodes: &[(usize, Arc<DynNode>)],
-        kinds: &[LockKind],
-    ) -> LockObs {
-        // First telemetry-enabled lock in the process wires the
-        // parked-duration recorder into the profiler.
-        #[cfg(feature = "park")]
-        crate::parkglue::install();
-        let site = Arc::new(registry::global().register_at(label, shape, caller));
-        let tags = nodes
-            .iter()
-            .map(|(level, node)| (*level as u8, node.obs.tag()));
-        let hints: Vec<bool> = kinds.iter().map(|k| k.info().waiter_hint).collect();
-        let nodes = nodes.to_vec();
-        // At a level whose low lock hints waiters natively, the release
-        // asks the hint at every decision.
-        let counts = move |levels: &mut [LevelSnapshot]| {
-            let (decisions, lone) = super::decisions(hints.len(), &nodes);
-            let stats = LevelStats::derive(&decisions, lone);
-            let sources = stats.iter().zip(&decisions).zip(&hints);
-            for (at, ((s, d), &hint)) in levels.iter_mut().zip(sources) {
-                at.acquires = s.acquisitions;
-                at.passes_taken = s.passes;
-                at.passes_declined = s.releases_up;
-                at.keep_local_resets = d.forced;
-                at.hint_fast_hits = if hint { s.passes + s.releases_up } else { 0 };
-            }
-        };
-        ShardSet::new(site, tags, Box::new(counts))
-    }
-
-    /// What is per node and read-mostly: the node's identity for the
-    /// recorder and the tracer (sibling cohorts share a level; spans and
-    /// per-node waits must not interleave across them).
-    pub(super) use clof_obs::trace::NodeTrack as NodeObs;
-
-    pub(super) fn node_obs(level: usize) -> NodeObs {
-        NodeObs::new(level)
-    }
-
-    /// A handle's recorder: its shard, the phase and sites it publishes
-    /// into the occupancy table, and the tracer spans.
-    #[derive(Debug)]
-    pub(super) struct Recorder {
-        pub(super) shard: Arc<Shard>,
-        set: Arc<ShardSet>,
-    }
-
-    pub(super) fn recorder(lock: &LockObs, leaf: &DynNode) -> Recorder {
-        let mut path = Vec::new();
-        let mut node = Some(leaf);
-        while let Some(n) = node {
-            path.push(n.obs.tag());
-            node = n.high.as_deref();
-        }
-        Recorder {
-            shard: lock.shard(&path),
-            set: Arc::clone(lock),
-        }
-    }
-
-    impl Recorder {
-        #[inline]
-        fn site(&self) -> u32 {
-            self.set.site().id()
-        }
-    }
-
-    impl Span for Recorder {
-        #[inline]
-        fn enter(&mut self) {
-            let now = now_ns();
-            self.shard.enter(now);
-            waitgraph::global().wait_at(thread_tag(), self.site(), now);
-            // Parks can only happen while waiting; publish the site so
-            // the parked-duration recorder can attribute the episode.
-            #[cfg(feature = "park")]
-            crate::parkglue::enter_wait(self.site());
-        }
-
-        /// The hold starts where the last level was won.
-        #[inline]
-        fn acquired(&mut self) {
-            #[cfg(feature = "park")]
-            crate::parkglue::exit_wait();
-            waitgraph::global().acquired(thread_tag(), self.site(), self.shard.acquired_ns());
-        }
-
-        /// Cancels the wait edge — nothing was acquired, so nothing
-        /// joins the held set.
-        #[inline]
-        fn abandoned(&mut self) {
-            #[cfg(feature = "park")]
-            crate::parkglue::exit_wait();
-            self.shard.abandon();
-            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
-        }
-
-        #[inline]
-        fn releasing(&mut self) {
-            let now = now_ns();
-            self.shard.releasing(now);
-            if trace::is_enabled() {
-                trace::record(self.shard.acquired_ns(), now, 0, 0, SpanKind::Hold, 0, 0);
-            }
-        }
-
-        /// The low lock is free, so the bookkeeping below is on
-        /// nobody's critical path.
-        #[inline]
-        fn released(&mut self) {
-            let thread = thread_tag();
-            self.shard.commit(thread);
-            waitgraph::global().released(thread, self.site(), self.shard.released_ns());
-        }
-    }
-
-    impl Hook<NodeObs> for Recorder {
-        const READS_WAITED: bool = true;
-
-        #[inline]
-        fn level_won(&mut self, node: &NodeObs, won: Won<'_>) {
-            let (start, at) = if won.clocked() {
-                let now = now_ns();
-                (self.shard.level_won(now, false), now)
-            } else {
-                self.shard.level_won_stamped(won.stamp.get(), won.inherited)
-            };
-            if trace::is_enabled() {
-                node.wait_span(start, at, won.inherited);
-            }
-        }
-
-        #[inline]
-        fn pass(&mut self, node: &NodeObs) {
-            self.shard.pass(node.level());
-            if trace::is_enabled() {
-                node.pass_span(self.shard.released_ns());
-            }
-        }
-
-        #[inline]
-        fn release_up(&mut self, node: &NodeObs, forced: bool) {
-            self.shard.release_up(node.level());
-            if trace::is_enabled() {
-                node.release_up_span(self.shard.released_ns(), forced);
-            }
-        }
-
-        /// Ownership changes hands at the release stamp: the next owner
-        /// of this low lock starts its hold (or its wait's end) there.
-        #[inline]
-        fn letting_go(&mut self, _node: &NodeObs, stamp: &HandoffStamp) {
-            stamp.set(self.shard.released_ns());
-        }
-    }
-
-    impl Drop for Recorder {
-        fn drop(&mut self) {
-            self.set.retire(&self.shard);
-        }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod nodeobs {
-    use std::sync::Arc;
-
-    use super::DynNode;
-    use crate::kind::LockKind;
-
-    pub(super) type LockObs = ();
-    pub(super) type NodeObs = ();
-    pub(super) type Recorder = ();
-
-    pub(super) fn lock_obs(
-        _label: &str,
-        _shape: &str,
-        _caller: &'static std::panic::Location<'static>,
-        _nodes: &[(usize, Arc<DynNode>)],
-        _kinds: &[LockKind],
-    ) {
-    }
-
-    pub(super) fn node_obs(_level: usize) {}
-
-    pub(super) fn recorder(_lock: &LockObs, _leaf: &DynNode) {}
-}
 
 /// One cohort node in a dynamic CLoF tree.
 pub struct DynNode {
@@ -257,7 +31,7 @@ pub struct DynNode {
     /// Level metadata; its context cell holds the context this cohort
     /// operates `high`'s low lock through (an unused placeholder at the
     /// root).
-    meta: LevelMeta<AnyContext>,
+    pub(crate) meta: LevelMeta<AnyContext>,
     high: Option<Arc<DynNode>>,
     /// Whether acquires must maintain the read-indicator counter. False
     /// when the low lock natively answers `has_waiters` (the paper's
@@ -272,7 +46,7 @@ pub struct DynNode {
     /// at once, so no level below derives them; counted by its handles
     /// at release. Stays 0 in every taller tree.
     lone_acquisitions: AtomicU64,
-    obs: NodeObs,
+    obs: Node,
 }
 
 impl DynNode {
@@ -296,13 +70,13 @@ impl DynNode {
             counter_waiters: !kind.info().waiter_hint,
             slot,
             lone_acquisitions: AtomicU64::new(0),
-            obs: nodeobs::node_obs(level),
+            obs: Recorder::node(level),
         }
     }
 
     /// This (non-root) node as the level step sees it.
     #[inline]
-    fn rung(&self) -> Rung<'_, AnyLock, AnyContext, NodeObs> {
+    fn rung(&self) -> Rung<'_, AnyLock, AnyContext, Node> {
         // SAFETY: `low` and `meta` are this node's own; the typed views
         // pair the same `meta` with the same lock, merely named by its
         // concrete type.
@@ -372,13 +146,13 @@ pub struct DynClofLock {
     /// level: the traversal list for `stats`/`obs_snapshot`/
     /// `queue_hints`, visiting each node exactly once without the old
     /// quadratic `seen` scan over leaf-to-root chains.
-    nodes: Vec<(usize, Arc<DynNode>)>,
+    pub(crate) nodes: Vec<(usize, Arc<DynNode>)>,
     /// Monomorphized dispatch for finalist compositions; `None` falls
     /// back to the enum tree.
     fast: Option<FastTier>,
     composition: Vec<LockKind>,
     name: String,
-    obs: LockObs,
+    pub(crate) obs: telemetry::Lock,
     /// Set when a holder panicked inside its critical section: the
     /// protected data may be mid-mutation. The flag is advisory at this
     /// layer — acquisition still works (the panicking holder's guard
@@ -449,14 +223,7 @@ impl DynClofLock {
         }
         let levels = hierarchy.level_count();
         let name = crate::generator::composition_name(locks);
-        // Topology shape recorded at the profiler site: cpu count plus
-        // cohort counts per level, innermost first (e.g. `8cpu/4-2-1`).
-        let shape = {
-            let cohorts: Vec<String> = (0..levels)
-                .map(|l| hierarchy.cohort_count(l).to_string())
-                .collect();
-            format!("{}cpu/{}", hierarchy.ncpus(), cohorts.join("-"))
-        };
+        let shape = telemetry::shape(hierarchy);
         // Build from the root (outermost level, a single cohort with
         // nothing above it) down, collecting every node in construction
         // order for the linear traversals.
@@ -485,7 +252,14 @@ impl DynClofLock {
         }
         let fast = FastTier::resolve(&upper, locks);
         let caller = std::panic::Location::caller();
-        let obs = nodeobs::lock_obs(&name, &shape, caller, &all_nodes, locks);
+        let obs = Recorder::lock(&name, &shape, caller, || Site {
+            hints: locks.iter().map(|k| k.info().waiter_hint).collect(),
+            nodes: all_nodes.iter().map(|(level, node)| (*level, &node.obs)),
+            decisions: {
+                let nodes = all_nodes.clone();
+                move || decisions(levels, &nodes)
+            },
+        });
         Ok(DynClofLock {
             fast,
             leaves: upper,
@@ -530,8 +304,15 @@ impl DynClofLock {
         let leaf_idx = self.cpu_to_leaf[cpu];
         let stripe = self.cpu_to_stripe[cpu];
         let leaf = &self.leaves[leaf_idx];
+        let rec = Recorder::handle(&self.obs, |visit| {
+            let mut node = Some(&**leaf);
+            while let Some(n) = node {
+                visit(&n.obs);
+                node = n.high.as_deref();
+            }
+        });
         DynHandle {
-            rec: nodeobs::recorder(&self.obs, leaf),
+            rec,
             inner: match tier {
                 Some(tier) => tier.handle(leaf_idx, stripe),
                 None => HandleInner::Generic {
@@ -606,35 +387,6 @@ impl DynClofLock {
     pub fn stats(&self) -> Vec<LevelStats> {
         let (levels, lone) = decisions(self.composition.len(), &self.nodes);
         LevelStats::derive(&levels, lone)
-    }
-
-    /// Full telemetry snapshot: per-level counts (those of
-    /// [`stats`](Self::stats)) and acquire-latency histograms, whole-lock
-    /// hold-time histogram, and the surviving pass-event trace — the
-    /// latter summed over the shards of this lock's handles, live and
-    /// dropped; everything [`clof_obs::render_json`]/
-    /// [`clof_obs::render_prometheus`] and the `Display` impl consume.
-    /// Exact at quiescence; a handle's acquire→release in flight is
-    /// counted once its release has returned.
-    #[cfg(feature = "obs")]
-    pub fn obs_snapshot(&self) -> clof_obs::LockSnapshot {
-        self.obs.lock_snapshot(&self.name)
-    }
-
-    /// Per-level waiter counts right now: `(level, queued_waiters)`
-    /// summed over cohorts, innermost first. Approximate by nature (it
-    /// races running acquires) — meant as the queue-shape hint in a
-    /// starvation watchdog's diagnostic dump. Levels whose low lock
-    /// natively hints waiters keep no read-indicator counter and always
-    /// report 0 here.
-    #[cfg(feature = "obs")]
-    pub fn queue_hints(&self) -> Vec<(usize, u32)> {
-        let mut out: Vec<(usize, u32)> =
-            (0..self.composition.len()).map(|l| (l, 0)).collect();
-        for (level, node) in &self.nodes {
-            out[*level].1 += node.meta.waiter_count();
-        }
-        out
     }
 
     /// Total read-indicator count registered anywhere in the tree right
@@ -724,57 +476,6 @@ impl DynClofLock {
             }
         }
     }
-
-    /// This lock's contention-profiler site id in the process-global
-    /// [`clof_obs::registry`] ([`clof_obs::INVALID_SITE`] if the table
-    /// was full at construction). Stable across adaptation swaps once
-    /// [`Self::rebind_site_from`] has run.
-    #[cfg(feature = "obs")]
-    pub fn site_id(&self) -> u32 {
-        self.obs.site().id()
-    }
-
-    /// The current contention-profile row for this lock's site: wait and
-    /// hold attribution, traffic, and the per-(level, node) breakdown.
-    /// `None` when the site table was full at construction.
-    #[cfg(feature = "obs")]
-    pub fn site_profile(&self) -> Option<clof_obs::SiteProfile> {
-        let id = self.site_id();
-        clof_obs::profile::global()
-            .snapshot()
-            .sites
-            .into_iter()
-            .find(|s| s.id == id)
-    }
-
-    /// Adopts `outgoing`'s profiler site so an adaptation swap keeps a
-    /// stable site id: this lock's provisional registration is released,
-    /// the adopted site's generation is bumped, its label updated to
-    /// this composition, and what this tree's handles record follows it
-    /// onto the adopted id. No-op when `outgoing`'s site is dead or
-    /// already this lock's own.
-    #[cfg(feature = "obs")]
-    pub fn rebind_site_from(&self, outgoing: &DynClofLock) {
-        let before = self.site_id();
-        self.obs.site().rebind(outgoing.obs.site(), &self.name);
-        if self.site_id() != before {
-            self.obs.attach();
-        }
-    }
-
-    /// Renames this lock's registry site (the `tas+` fast-path wrapper
-    /// labels the site it wraps).
-    #[cfg(feature = "obs")]
-    pub(crate) fn relabel_site(&self, label: &str) {
-        clof_obs::registry::global().relabel(self.site_id(), label);
-    }
-
-    /// The shared site anchor (for wrappers that publish their own
-    /// waits-for transitions on this lock's site, e.g. the TAS gate).
-    #[cfg(feature = "obs")]
-    pub(crate) fn site_anchor(&self) -> Arc<clof_obs::SiteAnchor> {
-        Arc::clone(self.obs.site())
-    }
 }
 
 /// Every level's release decisions summed over `nodes` — a tree's
@@ -819,7 +520,7 @@ mod typed {
 
     use clof_locks::{ClhLock, Hemlock, McsLock, RawLock, TicketLock};
 
-    use super::{DynNode, NodeObs, Recorder};
+    use super::{DynNode, Node, Recorder};
     use crate::kind::{AnyContext, LockKind, TypedLock};
     use crate::step::{self, Rung, Wait};
 
@@ -932,7 +633,7 @@ mod typed {
         /// matches the node's `counter_waiters` by construction, and
         /// resolves the branch at monomorphization.
         #[inline]
-        fn rung(&self) -> Rung<'_, L, AnyContext, NodeObs> {
+        fn rung(&self) -> Rung<'_, L, AnyContext, Node> {
             let (node, counts_waiters) = (&*self.node, !L::INFO.waiter_hint);
             // SAFETY: `resolve` checked the kind of the node's lock,
             // which never changes, so this is `node.low` — the lock
@@ -1086,7 +787,8 @@ mod typed {
 /// context, dispatched through the tier `handle()` selected.
 pub struct DynHandle {
     inner: HandleInner,
-    rec: Recorder,
+    /// Also the recorder of a `FastClof` gate in front of the handle.
+    pub(crate) rec: Recorder,
 }
 
 impl DynHandle {
@@ -1122,13 +824,6 @@ impl DynHandle {
         self.rec.releasing();
         self.inner.release(&mut self.rec);
         self.rec.released();
-    }
-
-    /// This handle's telemetry shard, for a wrapper that records in
-    /// front of it (the TAS gate attributes its fast-path wins here).
-    #[cfg(feature = "obs")]
-    pub(crate) fn obs_shard(&self) -> Arc<clof_obs::Shard> {
-        Arc::clone(&self.rec.shard)
     }
 }
 

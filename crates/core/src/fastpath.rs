@@ -18,6 +18,13 @@
 //! lock is *unfair*. Fissile's bounded bypass (an impatient gate waiter
 //! that sends new arrivals down the slow path) is the open `FastClof`
 //! item in ROADMAP.md (item 4).
+//!
+//! Telemetry: a handle's gate reports to its composition handle's
+//! recorder, so the profiler sees one `tas+`-labelled site. A fast win
+//! records its wait and hold in the recorder's gate pair; a slow win is
+//! already recorded by the composition it queued through. The gate
+//! emits `Gate` trace spans but no `Hold` span, which would overlap the
+//! composition's own (DESIGN §8).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,122 +36,7 @@ use crate::dynlock::{DynClofLock, DynHandle};
 use crate::error::ClofError;
 use crate::kind::LockKind;
 use crate::level::{bump_owned, ClofParams};
-
-/// What a handle tells its gate telemetry. Every method defaults to
-/// nothing, which is all that `()` — the recorder of a build without the
-/// `obs` feature — does.
-trait GateHook {
-    /// Acquire entry; returns the gate wait's start timestamp.
-    fn start(&mut self) -> u64 {
-        0
-    }
-
-    /// Gate won (either path).
-    fn record_gate(&mut self, _start: u64, _fast: bool) {}
-
-    /// Gate released.
-    fn record_release(&mut self) {}
-
-    /// The bounded gate wait gave up.
-    fn abandoned(&mut self) {}
-}
-
-impl GateHook for () {}
-
-/// Telemetry for the TAS gate.
-///
-/// The gate emits `Gate` spans (acquire entry → gate won, flagged
-/// fast/slow) and its occupancy-table transitions. It deliberately emits no `Hold`
-/// span: the slow path holds the composition while spinning on the
-/// gate, so a gate-hold span would overlap the composition's own hold
-/// spans and break the analyzer's total-order check. Ownership-timeline
-/// analysis of a `FastClof` trace therefore describes the slow-path
-/// composition; gate decisions are the `Gate` spans.
-#[cfg(feature = "obs")]
-mod gateobs {
-    use std::sync::Arc;
-
-    use clof_obs::registry::SiteAnchor;
-    use clof_obs::trace::{self, SpanKind};
-    use clof_obs::{now_ns, thread_tag, waitgraph, Shard};
-
-    use super::{DynHandle, FastClof, GateHook};
-
-    /// Per-handle gate telemetry, attributed to the slow composition's
-    /// profiler site (a `FastClof` is one lock to the profiler: the
-    /// `tas+`-labelled site). Fast-path wins record their wait/hold
-    /// into the gate pair of the slow handle's shard; slow-path ops are
-    /// already attributed by the composition handle they queue through,
-    /// so only the gate's waits-for transitions are emitted to avoid
-    /// double counting.
-    #[derive(Debug)]
-    pub(super) struct GateObs {
-        site: Arc<SiteAnchor>,
-        shard: Arc<Shard>,
-        last_fast: bool,
-        acquired_at: u64,
-    }
-
-    pub(super) fn gate_obs(lock: &FastClof, slow: &DynHandle) -> GateObs {
-        GateObs {
-            site: lock.slow.site_anchor(),
-            shard: slow.obs_shard(),
-            last_fast: false,
-            acquired_at: 0,
-        }
-    }
-
-    impl GateHook for GateObs {
-        /// Publishes `Waiting` and timestamps the gate wait.
-        #[inline]
-        fn start(&mut self) -> u64 {
-            let now = now_ns();
-            waitgraph::global().wait_at(thread_tag(), self.site.id(), now);
-            now
-        }
-
-        /// A fast win took the gate on its first attempt: it waited for
-        /// nothing, so it is won at the entry stamp and the fast path
-        /// reads the clock twice per acquire→release, like the
-        /// composition's recorder.
-        #[inline]
-        fn record_gate(&mut self, start: u64, fast: bool) {
-            let at = if fast { start } else { now_ns() };
-            self.last_fast = fast;
-            self.acquired_at = at;
-            if fast {
-                self.shard.gate_won(at.saturating_sub(start));
-            }
-            waitgraph::global().acquired(thread_tag(), self.site.id(), at);
-            if trace::is_enabled() {
-                trace::record(start, at, 0, 0, SpanKind::Gate { fast }, 0, 0);
-            }
-        }
-
-        #[inline]
-        fn record_release(&mut self) {
-            let now = now_ns();
-            if self.last_fast {
-                self.shard.gate_held(now.saturating_sub(self.acquired_at));
-            }
-            waitgraph::global().released(thread_tag(), self.site.id(), now);
-        }
-
-        /// The composition was handed back, nothing is held: cancels
-        /// any dangling wait edge.
-        #[inline]
-        fn abandoned(&mut self) {
-            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
-        }
-    }
-}
-
-#[cfg(not(feature = "obs"))]
-mod gateobs {
-    pub(super) type GateObs = ();
-
-    pub(super) fn gate_obs(_lock: &super::FastClof, _slow: &super::DynHandle) {}
-}
+use crate::telemetry::{GateWin, Recorder, Telemetry};
 
 /// A CLoF lock with a test-and-set fast path.
 ///
@@ -176,7 +68,7 @@ pub struct FastClof {
     /// one shared line for both is fine (same writer).
     paths: CachePadded<PathCounters>,
     /// NUMA-aware ordering of contenders.
-    slow: DynClofLock,
+    pub(crate) slow: DynClofLock,
 }
 
 #[derive(Debug, Default)]
@@ -209,8 +101,7 @@ impl FastClof {
         let slow = DynClofLock::build_with(hierarchy, locks, params, false)?;
         // The profiler sees one lock: relabel the composition's site
         // with the fast-path prefix the exports use.
-        #[cfg(feature = "obs")]
-        slow.relabel_site(&format!("tas+{}", slow.name()));
+        Recorder::relabel(&slow.obs, format_args!("tas+{}", slow.name()));
         Ok(Arc::new(FastClof {
             gate: TtasLock::new(),
             paths: CachePadded::new(PathCounters::default()),
@@ -227,8 +118,8 @@ impl FastClof {
         let slow = self.slow.handle(cpu);
         FastClofHandle {
             lock: Arc::clone(self),
-            obs: gateobs::gate_obs(self, &slow),
             slow,
+            win: GateWin::default(),
         }
     }
 
@@ -243,30 +134,6 @@ impl FastClof {
             self.paths.fast.load(Ordering::Relaxed),
             self.paths.slow.load(Ordering::Relaxed),
         )
-    }
-
-    /// Telemetry snapshot of the slow path (the composition); the TAS
-    /// gate itself contributes only [`Self::path_counters`]. The
-    /// snapshot's name carries the `tas+` prefix so exports distinguish
-    /// the fast-path variant.
-    #[cfg(feature = "obs")]
-    pub fn obs_snapshot(&self) -> clof_obs::LockSnapshot {
-        let mut snap = self.slow.obs_snapshot();
-        snap.name = self.name();
-        snap
-    }
-
-    /// The contention-profiler site id shared with the slow composition
-    /// (labelled `tas+…` in the registry).
-    #[cfg(feature = "obs")]
-    pub fn site_id(&self) -> u32 {
-        self.slow.site_id()
-    }
-
-    /// The current contention-profile row for this lock's site.
-    #[cfg(feature = "obs")]
-    pub fn site_profile(&self) -> Option<clof_obs::SiteProfile> {
-        self.slow.site_profile()
     }
 
     /// The slow composition's read-indicator total; zero at quiescence
@@ -294,20 +161,22 @@ impl FastClof {
     }
 }
 
-/// Per-thread handle on a [`FastClof`].
+/// Per-thread handle on a [`FastClof`]. The gate reports to the
+/// composition handle's recorder: a `FastClof` is one lock to the
+/// profiler.
 pub struct FastClofHandle {
     lock: Arc<FastClof>,
     slow: DynHandle,
-    obs: gateobs::GateObs,
+    win: GateWin,
 }
 
 impl FastClofHandle {
     /// Acquires the lock (one load and one `swap` when uncontended).
     pub fn acquire(&mut self) {
-        let start = self.obs.start();
+        let start = self.slow.rec.gate_entered();
         if self.lock.gate.try_acquire() {
             bump_owned(&self.lock.paths.fast);
-            self.obs.record_gate(start, true);
+            self.slow.rec.gate_won(&mut self.win, start, true);
             return;
         }
         // Slow path: order through the CLoF composition, then, as the
@@ -321,7 +190,7 @@ impl FastClofHandle {
             .acquire_budgeted(&mut NoContext, self.lock.slow.root_spin_budget());
         self.slow.release();
         bump_owned(&self.lock.paths.slow);
-        self.obs.record_gate(start, false);
+        self.slow.rec.gate_won(&mut self.win, start, false);
     }
 
     /// Deadline-bounded acquire: the fast path is a single attempt, the
@@ -332,10 +201,10 @@ impl FastClofHandle {
     /// waiter: the gate grants nothing positionally, so giving up is
     /// just handing the slow path on — no queue state can leak.
     pub fn try_acquire_until(&mut self, deadline: std::time::Instant) -> bool {
-        let start = self.obs.start();
+        let start = self.slow.rec.gate_entered();
         if self.lock.gate.try_acquire() {
             bump_owned(&self.lock.paths.fast);
-            self.obs.record_gate(start, true);
+            self.slow.rec.gate_won(&mut self.win, start, true);
             return true;
         }
         if !self.slow.try_acquire_until(deadline) {
@@ -347,12 +216,12 @@ impl FastClofHandle {
         if !self.lock.gate.try_acquire_until(&mut NoContext, deadline) {
             // The gate counted the abandon; hand the composition on.
             self.slow.release();
-            self.obs.abandoned();
+            self.slow.rec.gate_abandoned();
             return false;
         }
         self.slow.release();
         bump_owned(&self.lock.paths.slow);
-        self.obs.record_gate(start, false);
+        self.slow.rec.gate_won(&mut self.win, start, false);
         true
     }
 
@@ -366,7 +235,7 @@ impl FastClofHandle {
     ///
     /// Must only be called while held through this handle.
     pub fn release(&mut self) {
-        self.obs.record_release();
+        self.slow.rec.gate_released(&self.win);
         self.lock.gate.release(&mut NoContext);
     }
 }

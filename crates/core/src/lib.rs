@@ -63,10 +63,9 @@ pub mod generator;
 pub mod kind;
 pub mod level;
 pub mod mutex;
-#[cfg(all(feature = "park", feature = "obs"))]
-mod parkglue;
 pub mod select;
 mod step;
+mod telemetry;
 
 #[cfg(feature = "adapt")]
 pub use adapt::{AdaptHandle, AdaptiveLock, MigrationStats};

@@ -11,9 +11,9 @@
 //! state) and its *output* (switch/hold plus a machine-readable
 //! [`AuditReason`]).
 //!
-//! The write path mirrors [`crate::EventRing`]: claim a slot with one
-//! `fetch_add`, publish through a seqlock word (odd while writing,
-//! even+ticket when done). Readers ([`AuditRing::entries`]) never
+//! The ring is the crate's one seqlock ring ([`crate::ring`]): a writer
+//! claims its slot with one `fetch_add` and publishes it through the
+//! slot's sequence word. Readers ([`AuditRing::entries`]) never
 //! disturb the ring, so `clof top` and `clof adapt` can render the same
 //! records any number of times. Drop accounting is
 //! saturating — the counters never wrap, no matter how long the process
@@ -24,10 +24,10 @@
 //! stores per *window*, nowhere near the lock hot path), so any consumer
 //! that can see `clof-obs` can replay the controller's reasoning.
 
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::now_ns;
+use crate::ring::Ring;
 
 /// Default capacity of the global audit ring.
 pub const AUDIT_DEFAULT_CAPACITY: usize = 256;
@@ -144,19 +144,6 @@ impl std::fmt::Display for AuditRecord {
     }
 }
 
-/// Slot layout: seqlock word + six data words. `seq` is odd while a
-/// write is in flight and `2 * ticket + 2` once published (0 = never
-/// written), exactly like [`crate::EventRing`]'s slots.
-struct Slot {
-    seq: AtomicU64,
-    ts: AtomicU64,
-    acq_bits: AtomicU64,
-    conc_bits: AtomicU64,
-    margin_bits: AtomicU64,
-    packed: AtomicU64,
-    detail: AtomicU64,
-}
-
 /// Packs active/best/streak/reason into one word:
 /// `active | best << 16 | streak << 32 | reason << 48`.
 fn pack(active: u32, best: u32, streak: u32, reason: AuditReason) -> u64 {
@@ -177,17 +164,17 @@ fn unpack(word: u64) -> (u32, u32, u32, AuditReason) {
 
 /// Fixed-capacity, lock-free ring of [`AuditRecord`]s keeping the most
 /// recent `capacity` decisions (rounded up to a power of two, minimum
-/// 8). Writers are wait-free; readers are non-destructive.
+/// 8): the timestamp, the three `f64` inputs as bits, the packed
+/// indices/streak/reason word and the detail per record. Writers are
+/// wait-free; readers are non-destructive.
 pub struct AuditRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    cursor: AtomicU64,
+    ring: Ring<6>,
 }
 
 impl std::fmt::Debug for AuditRing {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuditRing")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity())
             .field("recorded", &self.recorded())
             .finish()
     }
@@ -197,22 +184,8 @@ impl AuditRing {
     /// A ring holding the latest `capacity` records (rounded up to a
     /// power of two, minimum 8).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(8).next_power_of_two();
         AuditRing {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    ts: AtomicU64::new(0),
-                    acq_bits: AtomicU64::new(0),
-                    conc_bits: AtomicU64::new(0),
-                    margin_bits: AtomicU64::new(0),
-                    packed: AtomicU64::new(0),
-                    detail: AtomicU64::new(0),
-                })
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            mask: (cap - 1) as u64,
-            cursor: AtomicU64::new(0),
+            ring: Ring::with_capacity(capacity),
         }
     }
 
@@ -223,22 +196,22 @@ impl AuditRing {
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Total records ever written (saturating — pinned at `u64::MAX`
     /// instead of wrapping).
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Records overwritten before they could be read (saturating).
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
+        self.ring.dropped()
     }
 
-    /// Records one decision, stamping `timestamp_ns` (if 0) and `seq`
-    /// from the ring. Wait-free.
+    /// Records one decision, stamped now and numbered by the ring.
+    /// Wait-free.
     pub fn record(
         &self,
         acquires_per_sec: f64,
@@ -250,35 +223,14 @@ impl AuditRing {
         reason: AuditReason,
         detail_ns: u64,
     ) {
-        let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if ticket == u64::MAX {
-            // Saturate instead of wrapping: re-pin the cursor at MAX so
-            // recorded()/dropped() never jump back to small values. (At
-            // one record per ns this branch is ~584 years away; the pin
-            // keeps the accounting honest anyway.)
-            self.cursor.store(u64::MAX, Ordering::Relaxed);
-        }
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        // Wrapping keeps the seq word well-formed at the saturation
-        // boundary; 0 means "never written", so remap it to 2.
-        let seq = match ticket.wrapping_mul(2).wrapping_add(2) {
-            0 => 2,
-            s => s,
-        };
-        // Mark write-in-progress (odd); the fence keeps the data stores
-        // after it, the final Release store keeps them before the
-        // publish (even).
-        slot.seq.store(seq - 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.ts.store(now_ns(), Ordering::Relaxed);
-        slot.acq_bits
-            .store(acquires_per_sec.to_bits(), Ordering::Relaxed);
-        slot.conc_bits.store(concurrency.to_bits(), Ordering::Relaxed);
-        slot.margin_bits.store(margin.to_bits(), Ordering::Relaxed);
-        slot.packed
-            .store(pack(active, best, streak, reason), Ordering::Relaxed);
-        slot.detail.store(detail_ns, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        self.ring.push_shared([
+            now_ns(),
+            acquires_per_sec.to_bits(),
+            concurrency.to_bits(),
+            margin.to_bits(),
+            pack(active, best, streak, reason),
+            detail_ns,
+        ]);
     }
 
     /// Copies out the surviving records, oldest first (by sequence
@@ -286,37 +238,24 @@ impl AuditRing {
     /// identical output. Slots caught mid-write are skipped; exact at
     /// quiescence.
     pub fn entries(&self) -> Vec<AuditRecord> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq0 = slot.seq.load(Ordering::Acquire);
-            if seq0 == 0 || seq0 % 2 == 1 {
-                continue;
-            }
-            let ts = slot.ts.load(Ordering::Relaxed);
-            let acq = slot.acq_bits.load(Ordering::Relaxed);
-            let conc = slot.conc_bits.load(Ordering::Relaxed);
-            let margin = slot.margin_bits.load(Ordering::Relaxed);
-            let packed = slot.packed.load(Ordering::Relaxed);
-            let detail = slot.detail.load(Ordering::Relaxed);
-            // The fence keeps the data loads before the re-check.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq0 {
-                continue; // torn by a concurrent overwrite
-            }
-            let (active, best, streak, reason) = unpack(packed);
-            out.push(AuditRecord {
-                timestamp_ns: ts,
-                seq: (seq0 - 2) / 2,
-                acquires_per_sec: f64::from_bits(acq),
-                concurrency: f64::from_bits(conc),
-                active,
-                best,
-                margin: f64::from_bits(margin),
-                streak,
-                reason,
-                detail_ns: detail,
-            });
-        }
+        let mut out = Vec::with_capacity(self.capacity());
+        self.ring.read(
+            |seq, [timestamp_ns, acq, conc, margin, packed, detail_ns]| {
+                let (active, best, streak, reason) = unpack(packed);
+                out.push(AuditRecord {
+                    timestamp_ns,
+                    seq,
+                    acquires_per_sec: f64::from_bits(acq),
+                    concurrency: f64::from_bits(conc),
+                    active,
+                    best,
+                    margin: f64::from_bits(margin),
+                    streak,
+                    reason,
+                    detail_ns,
+                });
+            },
+        );
         out.sort_by_key(|r| r.seq);
         out
     }
@@ -324,15 +263,7 @@ impl AuditRing {
     /// Zeroes every slot and the cursor (between runs / tests). Not
     /// linearizable against concurrent writers; call at quiescence.
     pub fn reset(&self) {
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Relaxed);
-        }
-        self.cursor.store(0, Ordering::Relaxed);
-    }
-
-    #[cfg(test)]
-    fn set_cursor(&self, v: u64) {
-        self.cursor.store(v, Ordering::Relaxed);
+        self.ring.reset();
     }
 }
 
@@ -400,28 +331,6 @@ mod tests {
         assert_eq!(a[4].reason, AuditReason::StreakBuilding);
         assert_eq!(ring.recorded(), 5);
         assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
-    fn overwrite_keeps_latest_and_counts_drops() {
-        let ring = AuditRing::with_capacity(8);
-        sample(&ring, 20);
-        let entries = ring.entries();
-        assert_eq!(entries.len(), 8);
-        assert_eq!(entries[0].seq, 12, "oldest surviving record");
-        assert_eq!(ring.recorded(), 20);
-        assert_eq!(ring.dropped(), 12);
-    }
-
-    #[test]
-    fn drop_accounting_saturates_instead_of_wrapping() {
-        let ring = AuditRing::with_capacity(8);
-        ring.set_cursor(u64::MAX - 2);
-        sample(&ring, 6);
-        // Without saturation the cursor would wrap to ~3 and dropped()
-        // would report 0; pinned at MAX both stay at the ceiling.
-        assert_eq!(ring.recorded(), u64::MAX);
-        assert_eq!(ring.dropped(), u64::MAX - 8);
     }
 
     #[test]

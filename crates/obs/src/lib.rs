@@ -207,6 +207,16 @@ pub fn thread_tag() -> u32 {
     TAG.try_with(|t| t.0).unwrap_or(u32::MAX)
 }
 
+/// Serialises the unit tests that share process-global state — the
+/// site registry, the profile table and the tracer — so that one test
+/// never claims a site slot, or records a span, that another is still
+/// asserting on.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

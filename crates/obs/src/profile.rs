@@ -569,6 +569,7 @@ mod tests {
 
     #[test]
     fn shard_records_flow_into_the_site_view() {
+        let _g = crate::test_lock();
         let (id, set) = site_with_tree("prof-flow");
         let shard = set.shard(&[7, 9]);
         cycle(&shard, 1000, 100, 30, false, true);
@@ -607,6 +608,7 @@ mod tests {
 
     #[test]
     fn a_site_outliving_its_tree_keeps_monotone_sums() {
+        let _g = crate::test_lock();
         let (id, old) = site_with_tree("prof-swap");
         let shard = old.shard(&[7, 9]);
         cycle(&shard, 1000, 40, 10, false, true);
@@ -633,6 +635,7 @@ mod tests {
 
     #[test]
     fn invalid_site_records_are_dropped() {
+        let _g = crate::test_lock();
         let prof = global();
         prof.record_park(INVALID_SITE, 1);
         prof.inject_passes(INVALID_SITE, 1);
@@ -651,6 +654,7 @@ mod tests {
 
     #[test]
     fn delta_is_exact_and_rebaselines_on_epoch_change() {
+        let _g = crate::test_lock();
         static ACQUIRES: AtomicU64 = AtomicU64::new(0);
         let anchor = Arc::new(registry::global().register("prof-delta", "levels=2"));
         let (id, nodes) = (anchor.id(), [(0, 7), (1, 9)].into_iter());
@@ -687,6 +691,7 @@ mod tests {
 
     #[test]
     fn top_k_ranks_by_wait() {
+        let _g = crate::test_lock();
         let (_a, set_a) = site_with_tree("prof-top-a");
         let (_b, set_b) = site_with_tree("prof-top-b");
         cycle(&set_a.shard(&[7, 9]), 0, 10, 1, false, false);
@@ -699,6 +704,7 @@ mod tests {
 
     #[test]
     fn folded_output_is_flamegraph_shaped() {
+        let _g = crate::test_lock();
         let (id, set) = site_with_tree("prof folded;site");
         let shard = set.shard(&[7, 9]);
         cycle(&shard, 0, 70, 1, true, true);
@@ -721,6 +727,7 @@ mod tests {
 
     #[test]
     fn profile_json_carries_marker_and_folded() {
+        let _g = crate::test_lock();
         let (_id, set) = site_with_tree("prof-json");
         cycle(&set.shard(&[7, 9]), 0, 5, 1, false, false);
         let snap = global().snapshot();

@@ -151,17 +151,21 @@ impl SiteRegistry {
                 continue;
             }
             let epoch = slot.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-            *slot.meta.lock().unwrap_or_else(|p| p.into_inner()) = Some(SiteMeta {
+            let meta = SiteMeta {
                 label: label.to_string(),
                 shape: shape.to_string(),
                 file: loc.file(),
                 line: loc.line(),
                 registered_ns: now_ns(),
                 generation: 0,
-            });
+            };
+            // The profile slot is cleared before the site is listed, so
+            // no snapshot shows the previous registration's sums under
+            // this one's label and epoch.
             if self.wired_to_profile {
                 crate::profile::global().reset_site(id as u32, epoch);
             }
+            *slot.meta.lock().unwrap_or_else(|p| p.into_inner()) = Some(meta);
             return SiteAnchor {
                 id: AtomicU32::new(id as u32),
             };
@@ -211,8 +215,12 @@ impl SiteRegistry {
         let Some(slot) = self.slots.get(id as usize) else {
             return;
         };
+        // The last reference clears the metadata under its lock: a
+        // registration that claims the freed slot meanwhile waits for
+        // the lock, so its metadata is never the one cleared.
+        let mut meta = slot.meta.lock().unwrap_or_else(|p| p.into_inner());
         if slot.refs.fetch_sub(1, Ordering::AcqRel) == 1 {
-            *slot.meta.lock().unwrap_or_else(|p| p.into_inner()) = None;
+            *meta = None;
         }
     }
 
@@ -375,6 +383,7 @@ mod tests {
 
     #[test]
     fn register_and_drop_round_trip() {
+        let _g = crate::test_lock();
         let label = "reg-test-round-trip";
         assert_eq!(count_label(label), 0);
         let a = global().register(label, "levels=3");
@@ -391,6 +400,7 @@ mod tests {
 
     #[test]
     fn rebind_keeps_one_site_and_bumps_generation() {
+        let _g = crate::test_lock();
         let old = global().register("reb-old", "levels=3");
         let old_id = old.id();
         let fresh = global().register("reb-new", "levels=3");
@@ -412,6 +422,7 @@ mod tests {
 
     #[test]
     fn rebind_to_dead_donor_is_a_no_op() {
+        let _g = crate::test_lock();
         let a = global().register("reb-dead", "x");
         let id = a.id();
         a.rebind(&SiteAnchor::dead(), "renamed");
@@ -421,6 +432,7 @@ mod tests {
 
     #[test]
     fn relabel_updates_live_meta() {
+        let _g = crate::test_lock();
         let a = global().register("relabel-before", "x");
         global().relabel(a.id(), "relabel-after");
         assert_eq!(count_label("relabel-after"), 1);
@@ -451,6 +463,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_bumps_epoch() {
+        let _g = crate::test_lock();
         let a = global().register("epoch-a", "x");
         let id = a.id();
         let e1 = global().site(id).unwrap().epoch;

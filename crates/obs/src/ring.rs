@@ -1,21 +1,157 @@
-//! Fixed-capacity single-writer ring of lock-passing events.
+//! The crate's one seqlock ring, and the ring of lock-passing events
+//! built on it.
 //!
-//! Every lock handle owns one small ring inside its [`crate::Shard`] and
-//! is its only writer, so recording is a relaxed load + store of the
-//! cursor plus a slot publish through the slot's sequence word
-//! (seqlock-style: odd while writing, even+ticket when done) — no RMW,
-//! no line another thread writes. The ring keeps the **latest**
-//! `capacity` events — older slots are overwritten, and `dropped()`
-//! reports how many. A lock's trace is the timestamp-ordered merge of
-//! its handles' rings (plus what retired handles left behind).
+//! `Ring` keeps the **latest** `capacity` records of `N` words each
+//! — older slots are overwritten, and `dropped()` reports how many. A
+//! record is claimed by a *ticket* from the ring's cursor and published
+//! through its slot's sequence word, seqlock-style: odd while the words
+//! are written, `2 * ticket + 2` once they are (0 = never written).
+//! Readers never disturb the ring, so exporters may render the same
+//! records any number of times; a slot caught mid-write is detected by
+//! the sequence re-check and skipped, so reads are best-effort under
+//! concurrency and exact at quiescence. Its users keep only their
+//! pack/unpack and their ticket source:
 //!
-//! [`EventRing::events`] snapshots without disturbing the ring
-//! (exporters may render the same events any number of times). It is
-//! best-effort under concurrency: a slot being overwritten mid-read is
-//! detected by the sequence re-check and skipped; read at quiescence for
-//! exact traces.
+//! * [`EventRing`] (2 words) — every lock handle owns one inside its
+//!   [`crate::Shard`] and is its only writer;
+//! * the tracer's per-thread buffers ([`crate::trace`], 5 words) — one
+//!   writer each;
+//! * [`crate::AuditRing`] (6 words) — shared by every writer, which
+//!   claims its ticket with one `fetch_add`.
+//!
+//! The `recorded`/`dropped` counts saturate: they pin at the ceiling
+//! instead of wrapping back to small values, so a truncated trace
+//! never reads as complete.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+
+/// One slot: the sequence word, then the record's words.
+struct Slot<const N: usize> {
+    seq: AtomicU64,
+    words: [AtomicU64; N],
+}
+
+/// A fixed-capacity ring of `N`-word records keeping the most recent
+/// `capacity` (rounded up to a power of two, minimum 8).
+pub(crate) struct Ring<const N: usize> {
+    slots: Box<[Slot<N>]>,
+    mask: u64,
+    cursor: AtomicU64,
+}
+
+impl<const N: usize> std::fmt::Debug for Ring<N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Ring")
+            .field("capacity", &self.slots.len())
+            .field("recorded", &self.recorded())
+            .finish()
+    }
+}
+
+impl<const N: usize> Ring<N> {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        let cap = capacity.max(8).next_power_of_two();
+        Ring {
+            slots: (0..cap)
+                .map(|_| Slot {
+                    seq: AtomicU64::new(0),
+                    words: std::array::from_fn(|_| AtomicU64::new(0)),
+                })
+                .collect(),
+            mask: (cap - 1) as u64,
+            cursor: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Records ever pushed (saturating at `u64::MAX`).
+    pub(crate) fn recorded(&self) -> u64 {
+        self.cursor.load(Ordering::Relaxed)
+    }
+
+    /// Records overwritten before they could be read (saturating).
+    pub(crate) fn dropped(&self) -> u64 {
+        self.recorded().saturating_sub(self.slots.len() as u64)
+    }
+
+    /// Pushes one record. Single writer only: the ticket is a relaxed
+    /// load + store of the cursor, no RMW.
+    #[inline]
+    pub(crate) fn push(&self, words: [u64; N]) {
+        let ticket = self.cursor.load(Ordering::Relaxed);
+        self.cursor
+            .store(ticket.saturating_add(1), Ordering::Relaxed);
+        self.publish(ticket, words);
+    }
+
+    /// Pushes one record from any number of writers: each claims its
+    /// ticket with one `fetch_add`. Wait-free.
+    pub(crate) fn push_shared(&self, words: [u64; N]) {
+        let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if ticket == u64::MAX {
+            // Re-pin instead of wrapping (at one record per ns this is
+            // ~584 years away; the pin keeps the accounting honest).
+            self.cursor.store(u64::MAX, Ordering::Relaxed);
+        }
+        self.publish(ticket, words);
+    }
+
+    #[inline]
+    fn publish(&self, ticket: u64, words: [u64; N]) {
+        let slot = &self.slots[(ticket & self.mask) as usize];
+        // Wrapping keeps the seq word well-formed at the saturation
+        // boundary; 0 means "never written", so remap it to 2.
+        let seq = match ticket.wrapping_mul(2).wrapping_add(2) {
+            0 => 2,
+            s => s,
+        };
+        // Mark write-in-progress (odd); the fence keeps the data stores
+        // after it, the final Release store keeps them before the
+        // publish (even).
+        slot.seq.store(seq - 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        for (word, value) in slot.words.iter().zip(words) {
+            word.store(value, Ordering::Relaxed);
+        }
+        slot.seq.store(seq, Ordering::Release);
+    }
+
+    /// Calls `f(ticket, words)` for every published record, in slot
+    /// order, skipping slots torn by a concurrent write; the ring is
+    /// left as it was.
+    pub(crate) fn read(&self, mut f: impl FnMut(u64, [u64; N])) {
+        for slot in self.slots.iter() {
+            let seq0 = slot.seq.load(Ordering::Acquire);
+            if seq0 == 0 || seq0 % 2 == 1 {
+                continue; // never written, or write in progress
+            }
+            let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+            // The fence keeps the data loads before the re-check.
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != seq0 {
+                continue; // torn by a concurrent overwrite
+            }
+            f((seq0 - 2) / 2, words);
+        }
+    }
+
+    /// Empties the ring. Not linearizable against writers; call at
+    /// quiescence.
+    pub(crate) fn reset(&self) {
+        for slot in self.slots.iter() {
+            slot.seq.store(0, Ordering::Relaxed);
+        }
+        self.cursor.store(0, Ordering::Relaxed);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn set_cursor(&self, v: u64) {
+        self.cursor.store(v, Ordering::Relaxed);
+    }
+}
 
 /// What a lock-passing event records about the release decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,14 +176,6 @@ pub struct PassEvent {
     pub kind: PassKind,
 }
 
-/// Slot layout: `seq` (odd = write in progress; even = `2 * ticket + 2`
-/// of the event it holds), `ts`, and the packed level/kind/thread word.
-struct Slot {
-    seq: AtomicU64,
-    ts: AtomicU64,
-    packed: AtomicU64,
-}
-
 /// Packs level/kind/thread into one word: `level | kind << 8 | thread << 32`.
 fn pack(level: u8, kind: PassKind, thread: u32) -> u64 {
     let k = match kind {
@@ -69,20 +197,13 @@ fn unpack(word: u64) -> (u8, PassKind, u32) {
 }
 
 /// A single-writer ring buffer of [`PassEvent`]s keeping the most recent
-/// `capacity` (rounded up to a power of two, minimum 8).
+/// `capacity` (rounded up to a power of two, minimum 8): a timestamp
+/// word and a packed level/kind/thread word per event. A lock's trace is
+/// the timestamp-ordered merge of its handles' rings (plus what retired
+/// handles left behind).
 #[derive(Debug)]
 pub struct EventRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    cursor: AtomicU64,
-}
-
-impl std::fmt::Debug for Slot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Slot")
-            .field("seq", &self.seq.load(Ordering::Relaxed))
-            .finish()
-    }
+    ring: Ring<2>,
 }
 
 impl EventRing {
@@ -92,67 +213,35 @@ impl EventRing {
     /// A ring holding the latest `capacity` events (rounded up to a
     /// power of two, minimum 8).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.max(8).next_power_of_two();
-        let slots = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                ts: AtomicU64::new(0),
-                packed: AtomicU64::new(0),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         EventRing {
-            slots,
-            mask: (cap - 1) as u64,
-            cursor: AtomicU64::new(0),
+            ring: Ring::with_capacity(capacity),
         }
     }
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Total events ever recorded (monotone; may exceed `capacity`).
     /// Saturating: pinned at `u64::MAX` instead of wrapping back to
     /// small values, so `dropped()` never lies after an overflow.
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Events overwritten before they could be read (saturating —
     /// mirrored verbatim into both the JSON and Prometheus exporters as
     /// the truncated-trace detector, so it must never wrap to 0).
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
+        self.ring.dropped()
     }
 
     /// Records one event stamped `timestamp_ns` (the caller's release
     /// timestamp — no clock read here). Single writer only.
     #[inline]
     pub fn record(&self, timestamp_ns: u64, level: u8, kind: PassKind, thread: u32) {
-        let ticket = self.cursor.load(Ordering::Relaxed);
-        // Saturating, so the recorded/dropped accounting pins at the
-        // ceiling instead of lying after an (unreachable) overflow.
-        self.cursor
-            .store(ticket.saturating_add(1), Ordering::Relaxed);
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        // Wrapping keeps the seq word well-formed at the saturation
-        // boundary; 0 means "never written", so remap it to 2 (seq only
-        // distinguishes published/in-progress/empty).
-        let seq = match ticket.wrapping_mul(2).wrapping_add(2) {
-            0 => 2,
-            s => s,
-        };
-        // Mark write-in-progress (odd); the fence keeps the data stores
-        // after it, the final Release store keeps them before the
-        // publish (even).
-        slot.seq.store(seq - 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.ts.store(timestamp_ns, Ordering::Relaxed);
-        slot.packed
-            .store(pack(level, kind, thread), Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
+        self.ring.push([timestamp_ns, pack(level, kind, thread)]);
     }
 
     /// Copies out the currently-held events, oldest first (sorted by
@@ -160,40 +249,34 @@ impl EventRing {
     /// twice yields identical output. Slots caught mid-write are
     /// skipped. Exact at quiescence.
     pub fn events(&self) -> Vec<PassEvent> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq0 = slot.seq.load(Ordering::Acquire);
-            if seq0 == 0 || seq0 % 2 == 1 {
-                continue; // never written, or write in progress
-            }
-            let ts = slot.ts.load(Ordering::Relaxed);
-            let packed = slot.packed.load(Ordering::Relaxed);
-            // Torn-read check: a concurrent overwrite bumped seq.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq0 {
-                continue;
-            }
+        let mut out = Vec::with_capacity(self.ring.capacity());
+        self.ring.read(|_, [timestamp_ns, packed]| {
             let (level, kind, thread) = unpack(packed);
             out.push(PassEvent {
-                timestamp_ns: ts,
+                timestamp_ns,
                 level,
                 thread,
                 kind,
             });
-        }
+        });
         out.sort_by_key(|e| e.timestamp_ns);
         out
-    }
-
-    #[cfg(test)]
-    fn set_cursor(&self, v: u64) {
-        self.cursor.store(v, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    /// Every record of `ring`, oldest ticket first.
+    fn records<const N: usize>(ring: &Ring<N>) -> Vec<(u64, [u64; N])> {
+        let mut out = Vec::new();
+        ring.read(|ticket, words| out.push((ticket, words)));
+        out.sort_by_key(|&(ticket, _)| ticket);
+        out
+    }
 
     #[test]
     fn pack_unpack_round_trip() {
@@ -208,8 +291,8 @@ mod tests {
 
     #[test]
     fn capacity_rounds_to_power_of_two() {
-        assert_eq!(EventRing::with_capacity(0).capacity(), 8);
-        assert_eq!(EventRing::with_capacity(100).capacity(), 128);
+        assert_eq!(Ring::<2>::with_capacity(0).capacity(), 8);
+        assert_eq!(Ring::<2>::with_capacity(100).capacity(), 128);
     }
 
     #[test]
@@ -233,36 +316,58 @@ mod tests {
     }
 
     #[test]
-    fn overwrite_keeps_latest_events() {
-        let ring = EventRing::with_capacity(8);
-        for i in 0..20u32 {
-            ring.record(u64::from(i), 0, PassKind::Pass, i);
+    fn overwrite_keeps_the_latest_records_and_counts_drops() {
+        for shared in [false, true] {
+            let ring = Ring::<2>::with_capacity(8);
+            for i in 0..20u64 {
+                if shared {
+                    ring.push_shared([i, i]);
+                } else {
+                    ring.push([i, i]);
+                }
+            }
+            // The latest capacity-many records survive, under the
+            // tickets they were pushed with.
+            let expected: Vec<_> = (12..20u64).map(|i| (i, [i, i])).collect();
+            assert_eq!(records(&ring), expected, "shared = {shared}");
+            assert_eq!((ring.recorded(), ring.dropped()), (20, 12));
+            ring.reset();
+            assert!(records(&ring).is_empty());
+            assert_eq!(ring.recorded(), 0);
         }
-        let events = ring.events();
-        assert_eq!(events.len(), 8);
-        // Latest capacity-many records survive: tags 12..20.
-        let tags: Vec<u32> = events.iter().map(|e| e.thread).collect();
-        assert_eq!(tags, (12..20).collect::<Vec<_>>());
-        assert_eq!(ring.recorded(), 20);
-        assert_eq!(ring.dropped(), 12);
+    }
+
+    /// Both ticket sources pin the counts at the ceiling: without
+    /// saturation the cursor would wrap to ~3, `recorded()` would
+    /// collapse from 2^64 to a tiny number and `dropped()` to 0, hiding
+    /// ~2^64 lost records. (The single-writer path is the event ring's
+    /// and the tracer's; a debug build once panicked there on overflow.)
+    #[test]
+    fn drop_accounting_saturates_instead_of_wrapping() {
+        for shared in [false, true] {
+            let ring = Ring::<5>::with_capacity(8);
+            ring.set_cursor(u64::MAX - 2);
+            for i in 0..6u64 {
+                if shared {
+                    ring.push_shared([i; 5]);
+                } else {
+                    ring.push([i; 5]);
+                }
+            }
+            assert_eq!(ring.recorded(), u64::MAX, "shared = {shared}");
+            assert_eq!(ring.dropped(), u64::MAX - 8);
+            // The ring still functions for reads after saturating.
+            assert!(!records(&ring).is_empty());
+        }
     }
 
     #[test]
-    fn drop_accounting_saturates_instead_of_wrapping() {
+    fn the_event_ring_exporters_mirror_a_saturated_count() {
         let ring = EventRing::with_capacity(8);
-        ring.set_cursor(u64::MAX - 2);
+        ring.ring.set_cursor(u64::MAX - 2);
         for i in 0..6u32 {
             ring.record(u64::from(i), 0, PassKind::Pass, i);
         }
-        // Without saturation the cursor would wrap to ~3: recorded()
-        // would collapse from 2^64 to a tiny number and dropped() to 0,
-        // hiding ~2^64 lost events. Pinned at MAX, both stay at the
-        // ceiling and stay monotone.
-        assert_eq!(ring.recorded(), u64::MAX);
-        assert_eq!(ring.dropped(), u64::MAX - 8);
-        // The ring still functions for reads after saturating.
-        assert!(!ring.events().is_empty());
-        // And the exporters mirror the saturated counter verbatim.
         let snap = crate::LockSnapshot {
             name: "sat".into(),
             levels: Vec::new(),
@@ -272,7 +377,10 @@ mod tests {
             events: Vec::new(),
         };
         let json = crate::render_json(&snap);
-        assert!(json.contains(&format!("\"dropped\":{}", u64::MAX - 8)), "{json}");
+        assert!(
+            json.contains(&format!("\"dropped\":{}", u64::MAX - 8)),
+            "{json}"
+        );
         let prom = crate::render_prometheus(&snap);
         assert!(
             prom.contains(&format!(
@@ -283,30 +391,49 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_reader_racing_the_writer_sees_only_whole_events() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let ring = Arc::new(EventRing::with_capacity(8));
+    /// A reader racing a writer that pushes 200 000 records (claiming
+    /// its tickets with `fetch_add` when `shared`) sees only whole
+    /// records: every word of a record carries the same value, so a torn
+    /// slot (some words old, some new) is recognisable.
+    fn a_racing_reader_sees_only_whole_records<const N: usize>(shared: bool) {
+        const RECORDS: u64 = 200_000;
+        let ring = Arc::new(Ring::<N>::with_capacity(8));
         let done = Arc::new(AtomicBool::new(false));
         let writer = {
             let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
             std::thread::spawn(move || {
-                // Timestamp and thread tag move in lock step, so a torn
-                // slot (one word old, one new) is recognisable.
-                for i in 0..200_000u32 {
-                    ring.record(u64::from(i), 1, PassKind::Pass, i);
+                for i in 0..RECORDS {
+                    if shared {
+                        ring.push_shared([i; N]);
+                    } else {
+                        ring.push([i; N]);
+                    }
                 }
                 done.store(true, Ordering::Release);
             })
         };
         while !done.load(Ordering::Acquire) {
-            for e in ring.events() {
-                assert_eq!(e.timestamp_ns, u64::from(e.thread), "torn slot surfaced");
-            }
+            ring.read(|ticket, words| {
+                assert!(words.iter().all(|&w| w == ticket), "torn slot: {words:?}");
+            });
         }
         writer.join().unwrap();
-        assert_eq!(ring.recorded(), 200_000);
-        assert_eq!(ring.events().len(), 8);
+        assert_eq!(ring.recorded(), RECORDS);
+        assert_eq!(records(&ring).len(), 8);
+    }
+
+    #[test]
+    fn a_reader_racing_the_event_ring_writer_sees_only_whole_events() {
+        a_racing_reader_sees_only_whole_records::<2>(false);
+    }
+
+    #[test]
+    fn a_reader_racing_the_trace_writer_sees_only_whole_spans() {
+        a_racing_reader_sees_only_whole_records::<5>(false);
+    }
+
+    #[test]
+    fn a_reader_racing_the_audit_writer_sees_only_whole_records() {
+        a_racing_reader_sees_only_whole_records::<6>(true);
     }
 }

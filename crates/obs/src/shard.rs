@@ -522,6 +522,7 @@ mod tests {
 
     #[test]
     fn a_committed_cycle_lands_in_every_view_once() {
+        let _g = crate::test_lock();
         let set = set_3level("shard-cycle");
         let shard = set.shard(&[10, 20, 30]);
         cycle(&shard, 1000, 3, false); // full climb, releases all the way up
@@ -576,6 +577,7 @@ mod tests {
 
     #[test]
     fn retiring_a_shard_keeps_what_it_recorded() {
+        let _g = crate::test_lock();
         let set = set_3level("shard-retire");
         let a = set.shard(&[10, 20, 30]);
         let b = set.shard(&[11, 20, 30]);
@@ -597,6 +599,7 @@ mod tests {
 
     #[test]
     fn retired_events_are_bounded_and_accounted() {
+        let _g = crate::test_lock();
         let set = set_3level("shard-events");
         let rounds = (RETIRED_EVENTS / EventRing::DEFAULT_CAPACITY + 2) as u64;
         let per_shard = 2 * EventRing::DEFAULT_CAPACITY as u64;
@@ -627,6 +630,7 @@ mod tests {
 
     #[test]
     fn a_hand_off_stamp_is_clamped_to_the_wait_start() {
+        let _g = crate::test_lock();
         let set = set_3level("shard-clamp");
         let shard = set.shard(&[10, 20, 30]);
         // Passed at 900, before this acquire began at 1000: the lock was
@@ -654,6 +658,7 @@ mod tests {
 
     #[test]
     fn an_abandoned_acquire_counts_its_levels_and_nothing_else() {
+        let _g = crate::test_lock();
         let set = set_3level("shard-abandon");
         let shard = set.shard(&[10, 20, 30]);
         shard.enter(500);

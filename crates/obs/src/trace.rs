@@ -7,7 +7,7 @@
 //! The design constraints, in order:
 //!
 //! 1. **Wait-free hot path.** A traced transition is one write into a
-//!    thread-local single-writer ring — six relaxed/release word stores,
+//!    thread-local single-writer ring ([`crate::ring`]) — six word stores,
 //!    no allocation, no CAS loop, no shared cache line with any other
 //!    writer. When tracing is disabled (the default at runtime, and
 //!    always in non-`obs` builds) the hot path is a single relaxed load.
@@ -27,9 +27,10 @@
 //! a time for ownership-timeline analysis
 //! ([`crate::analyze`](mod@crate::analyze)).
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::ring::Ring;
 use crate::thread_tag;
 
 /// Default per-thread buffer capacity (events) when [`enable`] callers
@@ -173,46 +174,19 @@ fn unpack(word: u64) -> (u8, u32, SpanKind) {
 // Per-thread single-writer ring.
 // ---------------------------------------------------------------------
 
-/// One span slot. The seqlock word is odd while its single writer is
-/// mid-store and `2 * ticket + 2` when published; a snapshot re-checks
-/// it around the data loads and skips torn slots (only possible while
-/// the owner thread is still running).
-struct TraceSlot {
-    seq: AtomicU64,
-    start: AtomicU64,
-    end: AtomicU64,
-    packed: AtomicU64,
-    flow_in: AtomicU64,
-    flow_out: AtomicU64,
-}
-
+/// One thread's spans: a single-writer [`Ring`] of start, end, the
+/// packed kind/level/node word and the two flow ids. A snapshot skips
+/// slots torn by the owner thread while it is still running.
 struct ThreadBuf {
     thread: u32,
-    mask: u64,
-    /// Write cursor; single writer, so a plain load+store pair suffices.
-    head: AtomicU64,
-    slots: Box<[TraceSlot]>,
+    ring: Ring<5>,
 }
 
 impl ThreadBuf {
     fn new(thread: u32, capacity: usize) -> Self {
-        let cap = capacity.max(8).next_power_of_two();
-        let slots = (0..cap)
-            .map(|_| TraceSlot {
-                seq: AtomicU64::new(0),
-                start: AtomicU64::new(0),
-                end: AtomicU64::new(0),
-                packed: AtomicU64::new(0),
-                flow_in: AtomicU64::new(0),
-                flow_out: AtomicU64::new(0),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         ThreadBuf {
             thread,
-            mask: (cap - 1) as u64,
-            head: AtomicU64::new(0),
-            slots,
+            ring: Ring::with_capacity(capacity),
         }
     }
 
@@ -220,64 +194,26 @@ impl ThreadBuf {
     /// contended cache line (the buffer belongs to this thread alone).
     #[inline]
     fn record(&self, start: u64, end: u64, packed: u64, flow_in: u64, flow_out: u64) {
-        let ticket = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        let seq = 2 * ticket + 2;
-        // Mark write-in-progress (odd); the fence keeps the data stores
-        // after it, the final Release store keeps them before the
-        // publish (even).
-        slot.seq.store(seq - 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        slot.start.store(start, Ordering::Relaxed);
-        slot.end.store(end, Ordering::Relaxed);
-        slot.packed.store(packed, Ordering::Relaxed);
-        slot.flow_in.store(flow_in, Ordering::Relaxed);
-        slot.flow_out.store(flow_out, Ordering::Relaxed);
-        slot.seq.store(seq, Ordering::Release);
-        self.head.store(ticket + 1, Ordering::Release);
+        self.ring.push([start, end, packed, flow_in, flow_out]);
     }
 
-    /// Seqlock read of every published slot (exact at quiescence).
+    /// Copies out every published span; returns `(recorded, dropped)`.
     fn collect(&self, out: &mut Vec<SpanEvent>) -> (u64, u64) {
-        let recorded = self.head.load(Ordering::Acquire);
-        for slot in self.slots.iter() {
-            let seq0 = slot.seq.load(Ordering::Acquire);
-            if seq0 == 0 || seq0 % 2 == 1 {
-                continue;
-            }
-            let start = slot.start.load(Ordering::Relaxed);
-            let end = slot.end.load(Ordering::Relaxed);
-            let packed = slot.packed.load(Ordering::Relaxed);
-            let flow_in = slot.flow_in.load(Ordering::Relaxed);
-            let flow_out = slot.flow_out.load(Ordering::Relaxed);
-            // The fence keeps the data loads before the re-check.
-            fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq0 {
-                continue;
-            }
-            let (level, node, kind) = unpack(packed);
-            out.push(SpanEvent {
-                start_ns: start,
-                end_ns: end,
-                level,
-                node,
-                thread: self.thread,
-                kind,
-                flow_in,
-                flow_out,
+        self.ring
+            .read(|_, [start_ns, end_ns, packed, flow_in, flow_out]| {
+                let (level, node, kind) = unpack(packed);
+                out.push(SpanEvent {
+                    start_ns,
+                    end_ns,
+                    level,
+                    node,
+                    thread: self.thread,
+                    kind,
+                    flow_in,
+                    flow_out,
+                });
             });
-        }
-        let dropped = recorded.saturating_sub(self.slots.len() as u64);
-        (recorded, dropped)
-    }
-
-    /// Resets the ring. Only sound at quiescence of the owner thread
-    /// (the registry clears between runs, not mid-run).
-    fn reset(&self) {
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Relaxed);
-        }
-        self.head.store(0, Ordering::Release);
+        (self.ring.recorded(), self.ring.dropped())
     }
 }
 
@@ -341,7 +277,7 @@ pub fn clear() {
     let reg = registry();
     let mut bufs = reg.bufs.lock().expect("trace registry poisoned");
     for buf in bufs.iter() {
-        buf.reset();
+        buf.ring.reset();
     }
     bufs.clear();
     reg.epoch.fetch_add(1, Ordering::Relaxed);
@@ -633,14 +569,7 @@ pub fn render_chrome_trace(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The tracer is process-global; tests that use it serialize here so
-    /// parallel test threads never interleave their spans.
-    static TRACER: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TRACER.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::test_lock as locked;
 
     #[test]
     fn pack_unpack_round_trip() {
@@ -713,39 +642,6 @@ mod tests {
         assert_eq!(t.events.len(), 8);
         // Latest events survive.
         assert!(t.events.iter().all(|e| e.start_ns >= 12));
-    }
-
-    #[test]
-    fn a_reader_racing_the_writer_sees_only_whole_spans() {
-        let buf = Arc::new(ThreadBuf::new(0, 8));
-        let done = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let (buf, done) = (Arc::clone(&buf), Arc::clone(&done));
-            std::thread::spawn(move || {
-                // Every word of a span carries the same value, so a torn
-                // slot (some words old, some new) is recognisable.
-                for i in 0..200_000u64 {
-                    let packed = pack(0, i as u32, SpanKind::Hold);
-                    buf.record(i, i, packed, i, i);
-                }
-                done.store(true, Ordering::Release);
-            })
-        };
-        let mut spans = Vec::new();
-        while !done.load(Ordering::Acquire) {
-            spans.clear();
-            buf.collect(&mut spans);
-            for e in &spans {
-                let whole = [e.end_ns, u64::from(e.node), e.flow_in, e.flow_out]
-                    .iter()
-                    .all(|&w| w == e.start_ns);
-                assert!(whole, "torn slot surfaced: {e:?}");
-            }
-        }
-        writer.join().unwrap();
-        spans.clear();
-        assert_eq!(buf.collect(&mut spans), (200_000, 200_000 - 8));
-        assert_eq!(spans.len(), 8);
     }
 
     #[test]

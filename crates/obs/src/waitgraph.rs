@@ -11,7 +11,7 @@
 //! wait publishes two relaxed stores (phase word, waited-on site), a win
 //! one (phase word) plus a held-slot store, a release three (epoch, phase
 //! word, held slot), an abandoned wait two (epoch, phase word). A lock
-//! without a profiler site ([`INVALID_SITE`], the static `Clof<L, H>`)
+//! without a profiler site ([`INVALID_SITE`]: the site table was full)
 //! publishes the phase and epoch only: it is seen by the stall check
 //! but adds no edge.
 //!
@@ -694,6 +694,7 @@ mod tests {
 
     #[test]
     fn handoffs_past_h_bound_flag_an_inversion() {
+        let _g = crate::test_lock();
         // Needs a real registered site so the pass clock exists.
         let anchor = registry::global().register("wg-inv", "x");
         let site = anchor.id();
@@ -752,6 +753,7 @@ mod tests {
 
     #[test]
     fn the_observer_takes_the_baseline_and_drops_it_with_the_wait() {
+        let _g = crate::test_lock();
         let anchor = registry::global().register("wg-observer", "x");
         let site = anchor.id();
         let table = WaitTable::new();
@@ -824,8 +826,9 @@ mod tests {
         assert!(line.contains("holders: thread 7"), "{line}");
     }
 
-    /// The static `Clof<L, H>` has no profiler site: its waiters are
-    /// seen by the stall check but build no waits-for edge.
+    /// A lock whose registration found the site table full has no
+    /// profiler site: its waiters are seen by the stall check but build
+    /// no waits-for edge.
     #[test]
     fn a_siteless_waiter_stalls_without_an_edge() {
         let table = WaitTable::new();

@@ -357,9 +357,10 @@ mod tests {
 
     #[test]
     fn cohort_span_grows_outwards() {
+        // `regular` takes CPUs per cohort: 2 per cache, 4 per NUMA node.
         let h = Hierarchy::regular(&[("cache", 2), ("numa", 4)], 16).unwrap();
         assert_eq!(h.cohort_span(0), 2);
-        assert_eq!(h.cohort_span(1), 8);
+        assert_eq!(h.cohort_span(1), 4);
         assert_eq!(h.cohort_span(2), 16);
         let flat = Hierarchy::flat(1).unwrap();
         assert_eq!(flat.cohort_span(0), 1, "span is at least 1");

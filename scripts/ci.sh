@@ -19,7 +19,12 @@
 #      crates/locks/src/park.rs and crates/core/src/level.rs (`ParkSpot`
 #      and `WaitWord` exist in every build), and crates/core/src/fastpath.rs
 #      has no `feature = "park"` and no `.swap(true` (its gate is a
-#      `TtasLock`, the one TAS); then the policy's two
+#      `TtasLock`, the one TAS); and one that telemetry is spelled once:
+#      at most 8 `feature = "obs"` sites in crates/core/src (the
+#      `telemetry` module picks the recorder; the rest are the clof-obs
+#      re-export and obs-only tests), no `cfg(not(feature = "obs"))`
+#      there, and no seqlock publish (`fence(Ordering::Release)`) in
+#      crates/obs/src outside ring.rs; then the policy's two
 #      clocked checks, each alone in a release build — the lateness
 #      contract (`crates/locks/tests/lateness.rs`) and the
 #      oversubscription guard (`tests/oversubscribed.rs`) — and, beside
@@ -69,7 +74,8 @@
 #      dependency graph enables the `park` feature nowhere;
 #   8. the per-crate suites and the deadline phase (deadlines are part
 #      of every build): the locks/core/kvstore suites that carry the
-#      deadline unit tests (testkit's ran in phase 2), the
+#      deadline unit tests (testkit's ran in phase 2), the topology,
+#      sim and baselines unit suites, the
 #      `leveldb_readrandom` example (it asserts every key is found under
 #      7 lock choices), the `locality_stats` example (it asserts the
 #      derived per-level acquisitions add up), a `clof deadline
@@ -148,6 +154,29 @@ phase "level step is spelled once" \
                done
                echo "$call: $sites call site(s) outside level.rs"
                [ "$sites" -le 1 ] || status=1
+           done
+           exit $status'
+
+# Telemetry lives in crates/core/src/telemetry.rs: it alone knows whether
+# `obs` is compiled in (the other sites are the crate's re-export of
+# clof-obs and obs-only tests), and no `()` twin of it is spelled with
+# `cfg(not(...))`. In clof-obs, ring.rs holds the one seqlock: the odd
+# sequence store and the Release fence after it appear nowhere else.
+phase "telemetry is spelled once" \
+    sh -c 'status=0
+           sites=$(cat crates/core/src/*.rs | grep -cF "feature = \"obs\"" || true)
+           echo "feature = \"obs\": $sites site(s) in crates/core/src (at most 8)"
+           [ "$sites" -le 8 ] || status=1
+           if grep -nF "cfg(not(feature = \"obs\"))" crates/core/src/*.rs; then
+               echo "a second, non-obs spelling of telemetry is back" >&2
+               status=1
+           fi
+           for file in crates/obs/src/*.rs; do
+               [ "${file##*/}" = ring.rs ] && continue
+               if grep -nE "fence\((Ordering::)?Release\)" "$file"; then
+                   echo "$file: a seqlock publish outside ring.rs" >&2
+                   status=1
+               fi
            done
            exit $status'
 
@@ -442,6 +471,10 @@ phase "park zero-cost dependency check" \
 # tests; here only their park and adapt companion cells are added.
 phase "per-crate suites (locks/core/kvstore deadline tests)" \
     cargo test -q -p clof-locks -p clof-core -p clof-kvstore
+# The crates no other phase tests: the topology model, the simulator and
+# the baseline locks (HMCS, CNA, ShflLock).
+phase "crate unit suites (topology, sim, baselines)" \
+    cargo test -q -p clof-topology -p clof-sim -p clof-baselines
 # MiniDb's fenced run search end to end: the example asserts that every
 # key is found by 4 readers across a memtable and 2 runs, under each of
 # its 7 lock choices.
