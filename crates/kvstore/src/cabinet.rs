@@ -29,32 +29,8 @@ use std::sync::Arc;
 use clof::ClofError;
 use clof_topology::{CpuId, Hierarchy};
 
+use crate::hash::hash;
 use crate::lock::{DbHandle, DbMutex, LockChoice};
-
-/// A word-at-a-time multiply-xorshift hash: MurmurHash64A, the hash
-/// Kyoto Cabinet's `hashmurmur` is built on. Eight bytes per step; the
-/// tail is zero-padded, and the length seeds the state, so `b"a"` and
-/// `b"a\0"` differ.
-fn hash(key: &[u8]) -> u64 {
-    const M: u64 = 0xc6a4_a793_5bd1_e995;
-    const R: u32 = 47;
-    let mut h = 19_780_211 ^ (key.len() as u64).wrapping_mul(M);
-    let mut words = key.chunks_exact(8);
-    for word in &mut words {
-        let mut k = u64::from_le_bytes(word.try_into().expect("8-byte chunk")).wrapping_mul(M);
-        k ^= k >> R;
-        h = (h ^ k.wrapping_mul(M)).wrapping_mul(M);
-    }
-    let tail = words.remainder();
-    if !tail.is_empty() {
-        let mut word = [0u8; 8];
-        word[..tail.len()].copy_from_slice(tail);
-        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(M);
-    }
-    h ^= h >> R;
-    h = h.wrapping_mul(M);
-    h ^ (h >> R)
-}
 
 /// An occupied slot: the key's hash and the record `key ++ value` in
 /// one allocation.

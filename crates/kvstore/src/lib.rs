@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod cabinet;
+mod hash;
 pub mod lock;
 pub mod minidb;
 

@@ -1,20 +1,36 @@
 //! MiniDb: an LSM-flavoured ordered key-value store (LevelDB stand-in).
 //!
-//! Like LevelDB, reads and writes go through a *memtable* (mutable,
-//! ordered) backed by immutable sorted *runs*; the memtable is flushed
-//! when full, and runs are merge-compacted when too numerous. Unlike
-//! LevelDB there is no disk — runs live in memory — because the paper's
-//! `readrandom` benchmark measures lock hand-off around the store's
-//! shared state, not I/O. All engine state sits behind one [`DbMutex`],
-//! exactly the contention profile the paper exercises.
+//! Like LevelDB, reads and writes go through a *memtable* backed by
+//! immutable sorted *runs*; the memtable is flushed when full, and runs
+//! are merge-compacted when too numerous. Unlike LevelDB there is no
+//! disk — runs live in memory — because the paper's `readrandom`
+//! benchmark measures lock hand-off around the store's shared state, not
+//! I/O. All engine state sits behind one [`DbMutex`], exactly the
+//! contention profile the paper exercises.
+//!
+//! Where it departs from LevelDB. The memtable is a hash index, not a
+//! skip list, like RocksDB's hash-indexed memtables for point lookups:
+//! a get, or a put or delete of a key it holds, is one probe
+//! (MurmurHash64A, as in `CabinetDb`) and one key compare; a fresh key
+//! is a miss and then an insert. Key order is made only where it is read:
+//! a flush drains the memtable and sorts it into the new run, and a
+//! `scan` sorts the memtable entries inside its range before merging
+//! them with the runs. The drained memtable keeps its capacity, so it
+//! does not regrow every cycle. No store data is freed under the lock: a
+//! put hands back the slot it replaced, the caller's key it made
+//! redundant, and the runs a compaction merged away, and the handle
+//! drops them after the unlock. (The memtable's growth during its first
+//! fill and the merge's per-source buffers are still freed inside.)
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::borrow::BorrowMut;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use clof::ClofError;
 use clof_topology::{CpuId, Hierarchy};
 
+use crate::hash::BuildMurmur;
 use crate::lock::{DbHandle, DbMutex, LockChoice};
 
 /// Tuning knobs for [`MiniDb`].
@@ -52,6 +68,12 @@ fn key_prefix(key: &[u8]) -> u64 {
     u64::from_be_bytes(bytes)
 }
 
+/// Key order, read off the [`key_prefix`]es first: full keys are
+/// compared only when the prefixes tie.
+fn key_order(a: &[u8], b: &[u8]) -> Ordering {
+    key_prefix(a).cmp(&key_prefix(b)).then_with(|| a.cmp(b))
+}
+
 /// An immutable sorted run: strictly ascending keys, and beside them a
 /// dense fence of their [`key_prefix`]es (4 KiB per 512 keys) that a
 /// lookup searches instead of chasing every key's heap pointer.
@@ -63,6 +85,10 @@ struct Run {
 
 impl Run {
     fn new(entries: Vec<(Vec<u8>, Slot)>) -> Run {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "a run's keys must be strictly ascending"
+        );
         let prefix = entries.iter().map(|(k, _)| key_prefix(k)).collect();
         Run { prefix, entries }
     }
@@ -145,17 +171,38 @@ impl<K: AsRef<[u8]>, S, I: Iterator<Item = (K, S)>> Iterator for Merge<I> {
 }
 
 /// Merges newest-first `runs` into one run's entries: the newest value
-/// per key, tombstones dropped — what a full compaction keeps.
-fn merge_runs(runs: impl IntoIterator<Item = Run>) -> Vec<(Vec<u8>, Slot)> {
-    merge(runs.into_iter().map(|run| run.entries.into_iter()))
-        .filter(|(_, slot)| *slot != Slot::Tombstone)
-        .collect()
+/// per key, tombstones dropped — what a full compaction keeps. The kept
+/// keys and values are moved out of the runs; what the runs still hold
+/// (shadowed entries, tombstones, emptied keys and their buffers) is
+/// freed with them.
+fn merge_runs<R: BorrowMut<Run>>(runs: impl IntoIterator<Item = R>) -> Vec<(Vec<u8>, Slot)> {
+    let mut runs: Vec<R> = runs.into_iter().collect();
+    // An upper bound, so that the merged entries never reallocate.
+    let total = runs.iter().map(|run| run.borrow().entries.len()).sum();
+    let mut merged = Vec::with_capacity(total);
+    let sources = runs
+        .iter_mut()
+        .map(|run| run.borrow_mut().entries.iter_mut().map(|(k, s)| (k, s)));
+    merged.extend(
+        merge(sources)
+            .filter(|(_, slot)| **slot != Slot::Tombstone)
+            .map(|(k, slot)| (std::mem::take(k), std::mem::replace(slot, Slot::Tombstone))),
+    );
+    merged
 }
 
-/// Engine state (guarded by the pluggable lock).
+/// What a put took out of the store, for the caller to drop after the
+/// lock is released: an overwrite's replaced slot with the caller's key
+/// it made redundant, and the runs a compaction merged away (an empty
+/// `Vec`, which owns no memory, if none ran).
+type Spent = (Option<(Slot, Vec<u8>)>, Vec<Run>);
+
+/// Engine state (guarded by the pluggable lock): a hash-indexed
+/// memtable in front of sorted runs. Only the runs are in key order;
+/// `flush` and `scan` sort what they take from the memtable.
 #[derive(Debug)]
 struct Inner {
-    memtable: BTreeMap<Vec<u8>, Slot>,
+    memtable: HashMap<Vec<u8>, Slot, BuildMurmur>,
     /// Immutable sorted runs, newest first.
     runs: Vec<Run>,
     options: MiniDbOptions,
@@ -164,6 +211,16 @@ struct Inner {
 }
 
 impl Inner {
+    fn new(options: MiniDbOptions) -> Inner {
+        Inner {
+            memtable: HashMap::default(),
+            runs: Vec::new(),
+            options,
+            flushes: 0,
+            compactions: 0,
+        }
+    }
+
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let slot = match self.memtable.get(key) {
             Some(slot) => slot,
@@ -175,32 +232,49 @@ impl Inner {
         }
     }
 
-    fn put(&mut self, key: Vec<u8>, slot: Slot) {
-        self.memtable.insert(key, slot);
-        if self.memtable.len() >= self.options.memtable_limit {
-            self.flush();
+    /// Writes `slot` under `key`. An overwrite replaces the slot in
+    /// place; a fresh key is inserted (a miss, then the insert: `std`'s
+    /// one-probe `entry` would free the redundant key under the lock)
+    /// and may fill the memtable, which then flushes.
+    fn put(&mut self, key: Vec<u8>, slot: Slot) -> Spent {
+        if let Some(old) = self.memtable.get_mut(key.as_slice()) {
+            return (Some((std::mem::replace(old, slot), key)), Vec::new());
         }
+        self.memtable.insert(key, slot);
+        let spent = if self.memtable.len() >= self.options.memtable_limit {
+            self.flush()
+        } else {
+            Vec::new()
+        };
+        (None, spent)
     }
 
-    fn flush(&mut self) {
-        if self.memtable.is_empty() {
-            return;
-        }
-        let run = Run::new(std::mem::take(&mut self.memtable).into_iter().collect());
-        self.runs.insert(0, run);
+    /// Drains the memtable into a new run, sorted; `drain` keeps the
+    /// memtable's capacity. Returns what a compaction merged away.
+    fn flush(&mut self) -> Vec<Run> {
+        let mut entries: Vec<(Vec<u8>, Slot)> = self.memtable.drain().collect();
+        entries.sort_unstable_by(|(a, _), (b, _)| key_order(a, b));
+        self.runs.insert(0, Run::new(entries));
         self.flushes += 1;
         if self.runs.len() > self.options.max_runs {
-            self.compact();
+            self.compact()
+        } else {
+            Vec::new()
         }
     }
 
     /// Merges all runs into one, newest value wins, dropping tombstones.
-    fn compact(&mut self) {
-        let merged = merge_runs(self.runs.drain(..));
+    /// Returns the merged-away runs, to be freed after the lock.
+    fn compact(&mut self) -> Vec<Run> {
+        // Sized like the old list, so that later flushes never regrow it.
+        let capacity = self.runs.len();
+        let mut old = std::mem::replace(&mut self.runs, Vec::with_capacity(capacity));
+        let merged = merge_runs(old.iter_mut());
         if !merged.is_empty() {
             self.runs.push(Run::new(merged));
         }
         self.compactions += 1;
+        old
     }
 
     fn len_estimate(&self) -> usize {
@@ -208,13 +282,17 @@ impl Inner {
     }
 
     /// Ordered scan of `[start, end)`, newest value per key, tombstones
-    /// elided — the LSM merge over memtable + runs.
+    /// elided — the LSM merge over memtable + runs. The memtable entries
+    /// in range are sorted first.
     fn scan(&self, start: &[u8], end: &[u8], limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
         type Source<'a> = Box<dyn Iterator<Item = (&'a Vec<u8>, &'a Slot)> + 'a>;
-        let memtable: Source<'_> = Box::new(
-            self.memtable
-                .range::<[u8], _>((Bound::Included(start), Bound::Excluded(end))),
-        );
+        let mut in_range: Vec<(&Vec<u8>, &Slot)> = self
+            .memtable
+            .iter()
+            .filter(|(k, _)| start <= k.as_slice() && k.as_slice() < end)
+            .collect();
+        in_range.sort_unstable_by(|(a, _), (b, _)| key_order(a, b));
+        let memtable: Source<'_> = Box::new(in_range.into_iter());
         let runs = self.runs.iter().map(|run| -> Source<'_> {
             Box::new(run.range(start, end).iter().map(|(k, slot)| (k, slot)))
         });
@@ -263,15 +341,8 @@ impl MiniDb {
         choice: &LockChoice,
         options: MiniDbOptions,
     ) -> Result<Self, ClofError> {
-        let inner = Inner {
-            memtable: BTreeMap::new(),
-            runs: Vec::new(),
-            options,
-            flushes: 0,
-            compactions: 0,
-        };
         Ok(MiniDb {
-            inner: Arc::new(DbMutex::new(inner, hierarchy, choice)?),
+            inner: Arc::new(DbMutex::new(Inner::new(options), hierarchy, choice)?),
         })
     }
 
@@ -305,7 +376,8 @@ pub struct MiniDbHandle {
 impl MiniDbHandle {
     /// Inserts or overwrites a key.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.handle.with(|db| db.put(key, Slot::Value(value)));
+        // Freed here, after the lock is released.
+        drop(self.handle.with(|db| db.put(key, Slot::Value(value))));
     }
 
     /// Looks a key up.
@@ -315,7 +387,8 @@ impl MiniDbHandle {
 
     /// Deletes a key (tombstone).
     pub fn delete(&mut self, key: Vec<u8>) {
-        self.handle.with(|db| db.put(key, Slot::Tombstone));
+        // Freed here, after the lock is released.
+        drop(self.handle.with(|db| db.put(key, Slot::Tombstone)));
     }
 
     /// Ordered range scan `[start, end)` (up to `limit` entries): the
@@ -370,6 +443,7 @@ impl MiniDbHandle {
 mod tests {
     use super::*;
     use clof::LockKind;
+    use std::collections::BTreeMap;
     use clof_topology::platforms;
 
     fn open_tiny() -> MiniDb {
@@ -566,6 +640,45 @@ mod tests {
         );
     }
 
+    #[test]
+    fn put_hands_back_an_overwrite_and_a_compaction() {
+        let mut db = Inner::new(MiniDbOptions {
+            memtable_limit: 2,
+            max_runs: 1,
+        });
+        assert!(db.put(b"a".to_vec(), Slot::Value(b"1".to_vec())).0.is_none());
+        let (replaced, compacted) = db.put(b"a".to_vec(), Slot::Tombstone);
+        assert_eq!(replaced, Some((Slot::Value(b"1".to_vec()), b"a".to_vec())));
+        assert!(compacted.is_empty());
+        // The second fresh key fills the memtable: flush 1, no compaction.
+        let (replaced, compacted) = db.put(b"b".to_vec(), Slot::Value(b"2".to_vec()));
+        assert!(replaced.is_none() && compacted.is_empty());
+        assert_eq!((db.flushes, db.compactions, db.memtable.len()), (1, 0, 0));
+        db.put(b"b".to_vec(), Slot::Value(b"3".to_vec()));
+        // Flush 2 makes a second run, one over `max_runs`: the compaction
+        // hands back both old runs, holding what it did not keep — `a`'s
+        // tombstone, `b`'s shadowed value — and emptied shells.
+        let (_, compacted) = db.put(b"c".to_vec(), Slot::Value(b"4".to_vec()));
+        assert_eq!((db.flushes, db.compactions), (2, 1));
+        assert_eq!(compacted.len(), 2);
+        let left: Vec<&(Vec<u8>, Slot)> = compacted
+            .iter()
+            .flat_map(|run| &run.entries)
+            .filter(|(k, _)| !k.is_empty())
+            .collect();
+        assert_eq!(
+            left,
+            [
+                &(b"a".to_vec(), Slot::Tombstone),
+                &(b"b".to_vec(), Slot::Value(b"2".to_vec())),
+            ]
+        );
+        assert_eq!(db.get(b"a"), None);
+        assert_eq!(db.get(b"b"), Some(b"3".to_vec()));
+        assert_eq!(db.get(b"c"), Some(b"4".to_vec()));
+        assert_eq!(db.runs.len(), 1);
+    }
+
     mod props {
         use super::*;
         use clof_testkit::gen::{any_u8, element_of, one_of, vec_of, zip, Gen};
@@ -635,40 +748,44 @@ mod tests {
 
             /// MiniDb behaves exactly like a `BTreeMap` reference model
             /// under arbitrary operation sequences, across flushes and
-            /// compactions (tiny memtable forces constant maintenance).
+            /// compactions: a 4-entry memtable forces constant
+            /// maintenance, and a 64-entry one makes flush and `scan`
+            /// sort many memtable keys, fence ties among them.
             fn matches_btreemap_model(ops in vec_of(op(), 1, 120)) {
-                let db = MiniDb::open(
-                    &platforms::tiny(),
-                    &LockChoice::Clof(vec![
-                        LockKind::Ticket,
-                        LockKind::Ticket,
-                        LockKind::Ticket,
-                    ]),
-                    MiniDbOptions { memtable_limit: 4, max_runs: 2 },
-                )
-                .unwrap();
-                let mut h = db.handle(0);
-                let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-                for op in ops {
-                    match op {
-                        Op::Put(k, v) => {
-                            h.put(k.clone(), vec![v]);
-                            model.insert(k, vec![v]);
-                        }
-                        Op::Delete(k) => {
-                            h.delete(k.clone());
-                            model.remove(&k);
-                        }
-                        Op::Get(k) => {
-                            tk_assert_eq!(h.get(&k), model.get(&k).cloned());
-                        }
-                        Op::Scan(a, b) => {
-                            let got = h.scan(&a, &b, usize::MAX);
-                            let want: Vec<(Vec<u8>, Vec<u8>)> = model
-                                .range(a..b)
-                                .map(|(k, v)| (k.clone(), v.clone()))
-                                .collect();
-                            tk_assert_eq!(got, want);
+                for memtable_limit in [4, 64] {
+                    let db = MiniDb::open(
+                        &platforms::tiny(),
+                        &LockChoice::Clof(vec![
+                            LockKind::Ticket,
+                            LockKind::Ticket,
+                            LockKind::Ticket,
+                        ]),
+                        MiniDbOptions { memtable_limit, max_runs: 2 },
+                    )
+                    .unwrap();
+                    let mut h = db.handle(0);
+                    let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+                    for op in ops.iter().cloned() {
+                        match op {
+                            Op::Put(k, v) => {
+                                h.put(k.clone(), vec![v]);
+                                model.insert(k, vec![v]);
+                            }
+                            Op::Delete(k) => {
+                                h.delete(k.clone());
+                                model.remove(&k);
+                            }
+                            Op::Get(k) => {
+                                tk_assert_eq!(h.get(&k), model.get(&k).cloned());
+                            }
+                            Op::Scan(a, b) => {
+                                let got = h.scan(&a, &b, usize::MAX);
+                                let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                                    .range(a..b)
+                                    .map(|(k, v)| (k.clone(), v.clone()))
+                                    .collect();
+                                tk_assert_eq!(got, want, "memtable_limit {memtable_limit}");
+                            }
                         }
                     }
                 }

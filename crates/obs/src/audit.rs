@@ -12,8 +12,9 @@
 //! [`AuditReason`]).
 //!
 //! The ring is the crate's one seqlock ring ([`crate::ring`]): a writer
-//! claims its slot with one `fetch_add` and publishes it through the
-//! slot's sequence word. Readers ([`AuditRing::entries`]) never
+//! claims a ticket with one `fetch_add`, then its slot with a CAS on the
+//! slot's sequence word (a writer a lap behind drops its record), and
+//! publishes it through that word. Readers ([`AuditRing::entries`]) never
 //! disturb the ring, so `clof top` and `clof adapt` can render the same
 //! records any number of times. Drop accounting is
 //! saturating — the counters never wrap, no matter how long the process

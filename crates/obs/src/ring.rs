@@ -17,7 +17,12 @@
 //! * the tracer's per-thread buffers ([`crate::trace`], 5 words) — one
 //!   writer each;
 //! * [`crate::AuditRing`] (6 words) — shared by every writer, which
-//!   claims its ticket with one `fetch_add`.
+//!   claims its ticket with one `fetch_add` and then its slot with a CAS
+//!   on the sequence word, from an older even value to its own odd one.
+//!   Two writers whose tickets are `capacity` apart meet in one slot;
+//!   the CAS lets only one of them write it, and the other drops its
+//!   record, so a push stays wait-free and a slot never holds words of
+//!   two records.
 //!
 //! The `recorded`/`dropped` counts saturate: they pin at the ceiling
 //! instead of wrapping back to small values, so a truncated trace
@@ -29,6 +34,33 @@ use std::sync::atomic::{fence, AtomicU64, Ordering};
 struct Slot<const N: usize> {
     seq: AtomicU64,
     words: [AtomicU64; N],
+}
+
+impl<const N: usize> Slot<N> {
+    #[inline]
+    fn write(&self, words: [u64; N]) {
+        for (word, value) in self.words.iter().zip(words) {
+            word.store(value, Ordering::Relaxed);
+        }
+    }
+
+    /// Publishes the record under `seq` (even); the Release store keeps
+    /// the data stores before it.
+    #[inline]
+    fn commit(&self, seq: u64) {
+        self.seq.store(seq, Ordering::Release);
+    }
+}
+
+/// The sequence word of `ticket`'s published record, `2 * ticket + 2`.
+/// Wrapping keeps it well-formed at the saturation boundary; 0 means
+/// "never written", so it is remapped to 2.
+#[inline]
+fn seq_of(ticket: u64) -> u64 {
+    match ticket.wrapping_mul(2).wrapping_add(2) {
+        0 => 2,
+        s => s,
+    }
 }
 
 /// A fixed-capacity ring of `N`-word records keeping the most recent
@@ -88,7 +120,8 @@ impl<const N: usize> Ring<N> {
     }
 
     /// Pushes one record from any number of writers: each claims its
-    /// ticket with one `fetch_add`. Wait-free.
+    /// ticket with one `fetch_add`, then its slot with [`Ring::claim`].
+    /// A writer that loses the slot drops its record. Wait-free.
     pub(crate) fn push_shared(&self, words: [u64; N]) {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         if ticket == u64::MAX {
@@ -96,27 +129,55 @@ impl<const N: usize> Ring<N> {
             // ~584 years away; the pin keeps the accounting honest).
             self.cursor.store(u64::MAX, Ordering::Relaxed);
         }
-        self.publish(ticket, words);
+        if let Some((slot, seq)) = self.claim(ticket) {
+            slot.write(words);
+            slot.commit(seq);
+        }
+    }
+
+    #[inline]
+    fn slot(&self, ticket: u64) -> &Slot<N> {
+        &self.slots[(ticket & self.mask) as usize]
     }
 
     #[inline]
     fn publish(&self, ticket: u64, words: [u64; N]) {
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        // Wrapping keeps the seq word well-formed at the saturation
-        // boundary; 0 means "never written", so remap it to 2.
-        let seq = match ticket.wrapping_mul(2).wrapping_add(2) {
-            0 => 2,
-            s => s,
-        };
+        let slot = self.slot(ticket);
+        let seq = seq_of(ticket);
         // Mark write-in-progress (odd); the fence keeps the data stores
         // after it, the final Release store keeps them before the
         // publish (even).
         slot.seq.store(seq - 1, Ordering::Relaxed);
         fence(Ordering::Release);
-        for (word, value) in slot.words.iter().zip(words) {
-            word.store(value, Ordering::Relaxed);
+        slot.write(words);
+        slot.commit(seq);
+    }
+
+    /// Claims `ticket`'s slot for a shared writer: a CAS of the sequence
+    /// word from an older even value to this ticket's odd one. `None` if
+    /// the slot is mid-write or already holds this ticket or a newer one.
+    /// The word only grows while writers run, so each failed CAS sees a
+    /// larger value and the loop ends within as many retries as there
+    /// are writers ahead on this slot.
+    fn claim(&self, ticket: u64) -> Option<(&Slot<N>, u64)> {
+        let slot = self.slot(ticket);
+        let seq = seq_of(ticket);
+        let mut current = slot.seq.load(Ordering::Relaxed);
+        loop {
+            if current % 2 == 1 || current >= seq {
+                return None;
+            }
+            match slot
+                .seq
+                .compare_exchange(current, seq - 1, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => break,
+                Err(now) => current = now,
+            }
         }
-        slot.seq.store(seq, Ordering::Release);
+        // As in `publish`: the data stores stay after the odd mark.
+        fence(Ordering::Release);
+        Some((slot, seq))
     }
 
     /// Calls `f(ticket, words)` for every published record, in slot
@@ -430,6 +491,38 @@ mod tests {
     #[test]
     fn a_reader_racing_the_trace_writer_sees_only_whole_spans() {
         a_racing_reader_sees_only_whole_records::<5>(false);
+    }
+
+    /// Two shared writers whose tickets are `capacity` apart, stepped by
+    /// hand. Were a claim unconditional, the order "A claims, B claims,
+    /// B writes, B commits, A writes" would let a reader pass the
+    /// sequence re-check on B's ticket with A's words. B's claim must
+    /// find the slot mid-write and drop B's record; an older writer that
+    /// comes after a newer commit must drop its own.
+    #[test]
+    fn a_shared_writer_lapped_in_its_slot_drops_its_record() {
+        let ring = Ring::<6>::with_capacity(8);
+        let (a, b) = (3, 3 + 8);
+        let (slot_a, seq_a) = ring.claim(a).expect("A finds the slot empty");
+        if let Some((slot_b, seq_b)) = ring.claim(b) {
+            slot_b.write([b; 6]);
+            slot_b.commit(seq_b);
+        }
+        slot_a.write([a; 6]);
+        for (ticket, words) in records(&ring) {
+            assert!(words.iter().all(|&w| w == ticket), "torn: {ticket} {words:?}");
+        }
+        slot_a.commit(seq_a);
+        assert_eq!(records(&ring), [(a, [a; 6])]);
+
+        // B now claims over A's committed record; a later writer with
+        // A's ticket (as after a delay) cannot claim back over B.
+        let (slot_b, seq_b) = ring.claim(b).expect("B is newer than A");
+        slot_b.write([b; 6]);
+        slot_b.commit(seq_b);
+        assert!(ring.claim(a).is_none());
+        assert!(ring.claim(b).is_none());
+        assert_eq!(records(&ring), [(b, [b; 6])]);
     }
 
     #[test]

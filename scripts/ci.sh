@@ -475,9 +475,10 @@ phase "per-crate suites (locks/core/kvstore deadline tests)" \
 # the baseline locks (HMCS, CNA, ShflLock).
 phase "crate unit suites (topology, sim, baselines)" \
     cargo test -q -p clof-topology -p clof-sim -p clof-baselines
-# MiniDb's fenced run search end to end: the example asserts that every
-# key is found by 4 readers across a memtable and 2 runs, under each of
-# its 7 lock choices.
+# MiniDb's point lookups end to end, through the hash-indexed memtable
+# and the fenced run search: the example asserts that every key is found
+# by 4 readers across a memtable and 2 runs, under each of its 7 lock
+# choices.
 phase "leveldb readrandom example (every key found, 7 locks)" \
     cargo run -q --release --example leveldb_readrandom
 # The dyn tiers count release decisions and derive acquisitions: the
