@@ -12,13 +12,10 @@
 //!                [--format table|json|prometheus]       # needs --features obs
 //! clof trace     [--machine x86|armv8] --lock NAME [--threads N] [--iters N]
 //!                [--threshold H] [--out FILE] [--buffer N]  # needs --features obs
-//! clof top       [--machine x86|armv8] --lock NAME [--threads N] [--threshold H]
-//!                [--interval-ms N] [--duration-ms N] [--stall-ms N] [--once]
 //! clof adapt     [--machine x86|armv8] [--levels 3|4] [--threads N] [--threshold H]
 //!                [--interval-ms N] [--rounds N] [--once]  # needs --features adapt,obs
 //! clof profile   [--machine x86|armv8] --lock NAME [--threads N] [--iters N]
-//!                [--threshold H] [--top K] [--once]
-//!                [--inject-deadlock] [--inject-inversion]  # needs --features obs
+//!                [--threshold H] [--top K] [--once]     # needs --features obs
 //! clof deadline  [--machine x86|armv8] [--levels 3|4] [--lock NAME]
 //!                [--rounds N] [--once]
 //! ```
@@ -48,7 +45,6 @@ fn main() -> ExitCode {
         "simulate" => simulate(&args[1..]),
         "stats" => stats(&args[1..]),
         "trace" => trace(&args[1..]),
-        "top" => top(&args[1..]),
         "adapt" => adapt(&args[1..]),
         "profile" => profile_cmd(&args[1..]),
         "deadline" => deadline_cmd(&args[1..]),
@@ -88,11 +84,6 @@ commands:
                                                   record a causal span trace of a real run,
                                                   export Chrome/Perfetto JSON, and print the
                                                   hand-off analysis (requires --features obs)
-  top       [--machine x86|armv8] --lock NAME [--threads N] [--threshold H]
-            [--interval-ms N] [--duration-ms N] [--stall-ms N] [--once]
-                                                  live windowed telemetry of a hammered lock
-                                                  with a stuck-thread watchdog; --once prints a
-                                                  single window and exits (requires --features obs)
   adapt     [--machine x86|armv8] [--levels 3|4] [--threads N] [--threshold H]
             [--interval-ms N] [--rounds N] [--once]
                                                   replay a phase-shifting workload against a live
@@ -103,15 +94,10 @@ commands:
                                                   --features adapt,obs)
   profile   [--machine x86|armv8] --lock NAME [--threads N] [--iters N]
             [--threshold H] [--top K] [--once]
-            [--inject-deadlock] [--inject-inversion]
-                                                  continuous contention profiler: hammer a real
-                                                  lock, then print the top-K contended registry
-                                                  sites, folded stacks for flamegraph tooling,
-                                                  and the waits-for graph verdict (deadlock /
-                                                  NUMA-inversion detection; findings exit
-                                                  nonzero). --once shrinks the run for CI; the
-                                                  --inject flags stage synthetic occupancy to
-                                                  prove detection (requires --features obs)
+                                                  contention profiler: hammer a real lock, then
+                                                  print the top-K contended registry sites and
+                                                  folded stacks for flamegraph tooling; --once
+                                                  shrinks the run for CI (requires --features obs)
   deadline  [--machine x86|armv8] [--levels 3|4] [--lock NAME] [--rounds N] [--once]
                                                   deadline-bounded acquisition demo: measure how
                                                   far past its budget a timed-out waiter returns
@@ -426,150 +412,9 @@ fn trace(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn top(args: &[String]) -> Result<(), String> {
-    #[cfg(not(feature = "obs"))]
-    {
-        let _ = args;
-        Err("`top` needs lock telemetry compiled in; rebuild with `--features obs`".to_string())
-    }
-    #[cfg(feature = "obs")]
-    {
-        use std::io::IsTerminal;
-        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-        use std::sync::Arc;
-        use std::time::Duration;
-
-        let (machine, kinds, threads, threshold) = telemetry_args(args, "8")?;
-        let interval_ms: u64 = flag_value(args, "--interval-ms")
-            .unwrap_or("500")
-            .parse()
-            .map_err(|e| format!("bad --interval-ms: {e}"))?;
-        let duration_ms: u64 = flag_value(args, "--duration-ms")
-            .unwrap_or("3000")
-            .parse()
-            .map_err(|e| format!("bad --duration-ms: {e}"))?;
-        let stall_ms: u64 = flag_value(args, "--stall-ms")
-            .unwrap_or("1000")
-            .parse()
-            .map_err(|e| format!("bad --stall-ms: {e}"))?;
-        let once = has_flag(args, "--once");
-
-        let params = clof::ClofParams {
-            keep_local_threshold: threshold,
-        };
-        let lock = Arc::new(
-            clof::DynClofLock::build_with(&machine.hierarchy, &kinds, params, true)
-                .map_err(|e| e.to_string())?,
-        );
-        let name = lock.name();
-
-        // Hammer the lock until told to stop; `top` samples alongside.
-        let stop = Arc::new(AtomicBool::new(false));
-        let total = Arc::new(AtomicU64::new(0));
-        let ncpus = machine.hierarchy.ncpus();
-        let mut workers = Vec::new();
-        for t in 0..threads {
-            let lock = Arc::clone(&lock);
-            let stop = Arc::clone(&stop);
-            let total = Arc::clone(&total);
-            let cpu = t * ncpus / threads.max(1);
-            workers.push(std::thread::spawn(move || {
-                let mut handle = lock.handle(cpu);
-                while !stop.load(Ordering::Relaxed) {
-                    handle.acquire();
-                    total.fetch_add(1, Ordering::Relaxed);
-                    handle.release();
-                }
-            }));
-        }
-
-        // Stuck-thread watchdog (stalls, cycles, H-bound inversions),
-        // with per-level queue hints in the diagnostic dump.
-        let watchdog = spawn_watchdog(&lock, stall_ms, interval_ms, threshold);
-
-        let ansi = std::io::stdout().is_terminal() && !once;
-        let mut sampler = clof::obs::Sampler::new();
-        sampler.tick(lock.obs_snapshot());
-        let rounds = if once {
-            1
-        } else {
-            (duration_ms / interval_ms.max(1)).max(1)
-        };
-        for round in 0..rounds {
-            std::thread::sleep(Duration::from_millis(interval_ms));
-            let Some(rates) = sampler.tick(lock.obs_snapshot()) else {
-                continue;
-            };
-            if ansi {
-                // In-place refresh on a live terminal.
-                print!("\x1b[2J\x1b[H");
-            }
-            if ansi || round == 0 {
-                println!("clof top — {name} (H = {threshold}, {threads} threads)");
-            }
-            println!("{rates}");
-            if ansi {
-                for level in &rates.delta.levels {
-                    println!(
-                        "  L{}: {:>9} acquires  {:>9} passes  {:>7} ups  pass rate {:5.1}%",
-                        level.level,
-                        level.acquires,
-                        level.passes_taken,
-                        level.passes_declined,
-                        level.pass_rate() * 100.0
-                    );
-                }
-            }
-        }
-
-        stop.store(true, Ordering::Relaxed);
-        for w in workers {
-            w.join().map_err(|_| "worker thread panicked".to_string())?;
-        }
-        let findings = watchdog.stop();
-        println!(
-            "{} acquisitions observed; {} stuck-thread finding(s)",
-            total.load(Ordering::Relaxed),
-            findings
-        );
-        print_audit_tail(8);
-        Ok(())
-    }
-}
-
-/// Spawns the stuck-thread watchdog of `clof top` over the global
-/// occupancy table: stalls past `stall_ms`, waits-for cycles and
-/// inversions past the lock's `threshold`, each finding printed once,
-/// when fresh, with the lock's per-level queue hints.
-#[cfg(feature = "obs")]
-fn spawn_watchdog(
-    lock: &std::sync::Arc<clof::DynClofLock>,
-    stall_ms: u64,
-    interval_ms: u64,
-    threshold: u32,
-) -> clof::obs::WatchdogGuard {
-    let diag_lock = std::sync::Arc::clone(lock);
-    clof::obs::Watchdog::new(clof::obs::WatchdogConfig {
-        stall_ns: stall_ms.saturating_mul(1_000_000),
-        poll: std::time::Duration::from_millis(interval_ms.max(1)),
-        h_bound: u64::from(threshold),
-    })
-    .with_diag(move || {
-        let hints: Vec<String> = diag_lock
-            .queue_hints()
-            .into_iter()
-            .map(|(level, waiters)| format!("L{level}:{waiters}"))
-            .collect();
-        format!("queued waiters by level [{}]", hints.join(" "))
-    })
-    .spawn(move |finding, context| {
-        eprintln!("{}; {context}", finding.detail());
-    })
-}
-
 /// Prints the most recent entries of the process-global adaptation
 /// audit ring, if any policy or migration has recorded into it.
-#[cfg(feature = "obs")]
+#[cfg(all(feature = "obs", feature = "adapt"))]
 fn print_audit_tail(limit: usize) {
     let entries = clof::obs::audit::global().entries();
     if entries.is_empty() {
@@ -893,49 +738,7 @@ fn profile_cmd(args: &[String]) -> Result<(), String> {
         println!();
         println!("folded stacks (site;level;node wait_ns):");
         print!("{}", clof::obs::render_folded(&delta));
-
-        // Synthetic occupancy for detection proof runs (CI): a 2-cycle
-        // across two scratch sites, and/or a waiter whose site's pass
-        // clock races past the keep-local gap bound H.
-        let graph = clof::obs::waitgraph::global();
-        let _scratch: Vec<clof::obs::SiteAnchor> = if has_flag(args, "--inject-deadlock") {
-            let reg = clof::obs::registry::global();
-            let a = reg.register("injected-a", "synthetic");
-            let b = reg.register("injected-b", "synthetic");
-            graph.inject(510, &[a.id()], Some(b.id()));
-            graph.inject(511, &[b.id()], Some(a.id()));
-            vec![a, b]
-        } else {
-            Vec::new()
-        };
-        if has_flag(args, "--inject-inversion") {
-            graph.inject(509, &[], Some(lock.site_id()));
-            clof::obs::profile::global().inject_passes(lock.site_id(), u64::from(threshold) + 1);
-        }
-
-        // Waits-for graph verdict: quiescent clean runs report clean;
-        // any finding (real or injected) is a nonzero exit for CI.
-        let report = graph.analyze(u64::from(threshold), u64::MAX);
-        println!();
-        println!(
-            "waits-for graph: {} waiting, {} holds, {} edges",
-            report.threads_waiting, report.holds, report.edges
-        );
-        for thread in [509u32, 510, 511] {
-            graph.clear_thread(thread);
-        }
-        if report.is_clean() {
-            println!("verdict: clean — no deadlock cycles, no H-bound inversions");
-            Ok(())
-        } else {
-            for finding in &report.findings {
-                println!("finding: {}", finding.detail());
-            }
-            Err(format!(
-                "waits-for graph reported {} finding(s)",
-                report.findings.len()
-            ))
-        }
+        Ok(())
     }
 }
 

@@ -164,12 +164,6 @@ pub fn obs_report(snap: &clof::obs::LockSnapshot) -> Report {
             snap.hold_ns.count
         ));
     }
-    if snap.events_recorded != 0 {
-        r.note(format!(
-            "pass events: {} recorded, {} beyond ring capacity",
-            snap.events_recorded, snap.events_dropped
-        ));
-    }
     r
 }
 

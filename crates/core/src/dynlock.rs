@@ -143,9 +143,9 @@ pub struct DynClofLock {
     /// stripe its handle registers on.
     cpu_to_stripe: Vec<u32>,
     /// Every node of the tree in construction order, tagged with its
-    /// level: the traversal list for `stats`/`obs_snapshot`/
-    /// `queue_hints`, visiting each node exactly once without the old
-    /// quadratic `seen` scan over leaf-to-root chains.
+    /// level: the traversal list for `stats` and `obs_snapshot`,
+    /// visiting each node exactly once without the old quadratic
+    /// `seen` scan over leaf-to-root chains.
     pub(crate) nodes: Vec<(usize, Arc<DynNode>)>,
     /// Monomorphized dispatch for finalist compositions; `None` falls
     /// back to the enum tree.

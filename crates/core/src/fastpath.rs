@@ -209,14 +209,12 @@ impl FastClofHandle {
         }
         if !self.slow.try_acquire_until(deadline) {
             // The composed attempt unwound itself and already counted
-            // its own timeout (the handle and gate share a site, so the
-            // wait edge is cancelled too).
+            // its own timeout.
             return false;
         }
         if !self.lock.gate.try_acquire_until(&mut NoContext, deadline) {
             // The gate counted the abandon; hand the composition on.
             self.slow.release();
-            self.slow.rec.gate_abandoned();
             return false;
         }
         self.slow.release();

@@ -125,9 +125,6 @@ pub trait Telemetry: Sized {
     /// The gate `win` is being released.
     fn gate_released(&mut self, _win: &Self::GateWin) {}
 
-    /// The bounded gate wait gave up, with the composition handed on.
-    fn gate_abandoned(&mut self) {}
-
     /// An adaptation swap at `generation` failed to build its tree.
     fn migration_failed(_generation: u64) {}
 
@@ -170,7 +167,7 @@ mod on {
     use std::sync::Arc;
 
     use clof_obs::trace::{self, NodeTrack, SpanKind};
-    use clof_obs::{audit, now_ns, registry, thread_tag, waitgraph};
+    use clof_obs::{audit, now_ns, registry};
     use clof_obs::{LevelSnapshot, LockSnapshot, Shard, ShardSet, SiteProfile};
 
     use super::{Build, Location, Select, Site, Telemetry};
@@ -182,8 +179,8 @@ mod on {
         type Recorder = Recorder;
     }
 
-    /// A handle's recorder: its shard, and the phase and site it
-    /// publishes into the occupancy table; plus the tracer spans.
+    /// A handle's recorder: its shard and its lock's shard set; plus the
+    /// tracer spans.
     #[derive(Debug)]
     pub struct Recorder {
         shard: Arc<Shard>,
@@ -195,13 +192,6 @@ mod on {
     pub struct GateWin {
         fast: bool,
         at: u64,
-    }
-
-    impl Recorder {
-        #[inline]
-        fn site(&self) -> u32 {
-            self.set.site().id()
-        }
     }
 
     impl Telemetry for Recorder {
@@ -262,12 +252,10 @@ mod on {
             registry::global().relabel(lock.site().id(), &label.to_string());
         }
 
-        /// Publishes `Waiting` and timestamps the gate wait.
+        /// Timestamps the gate wait.
         #[inline]
         fn gate_entered(&mut self) -> u64 {
-            let now = now_ns();
-            waitgraph::global().wait_at(thread_tag(), self.site(), now);
-            now
+            now_ns()
         }
 
         /// A fast win took the gate on its first attempt: it waited for
@@ -282,7 +270,6 @@ mod on {
             if fast {
                 self.shard.gate_won(at.saturating_sub(start));
             }
-            waitgraph::global().acquired(thread_tag(), self.site(), at);
             // No `Hold` span: a slow win holds the composition while it
             // spins on the gate, so a gate hold would overlap the
             // composition's own and break the analyzer's total order.
@@ -293,17 +280,9 @@ mod on {
 
         #[inline]
         fn gate_released(&mut self, win: &GateWin) {
-            let now = now_ns();
             if win.fast {
-                self.shard.gate_held(now.saturating_sub(win.at));
+                self.shard.gate_held(now_ns().saturating_sub(win.at));
             }
-            waitgraph::global().released(thread_tag(), self.site(), now);
-        }
-
-        /// Nothing is held: cancels any dangling wait edge.
-        #[inline]
-        fn gate_abandoned(&mut self) {
-            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
         }
 
         fn migration_failed(generation: u64) {
@@ -326,7 +305,7 @@ mod on {
         }
 
         /// The audit record carries the generations and the measured
-        /// switch latency, so `clof top` can show *when* the lock
+        /// switch latency, so `clof adapt` can show *when* the lock
         /// migrated next to the policy decisions that caused it.
         fn migration_done(flow: u64, from: u64, to: u64, switch_ns: u64) {
             if trace::is_enabled() {
@@ -343,29 +322,24 @@ mod on {
         fn enter(&mut self) {
             let now = now_ns();
             self.shard.enter(now);
-            waitgraph::global().wait_at(thread_tag(), self.site(), now);
             // Parks can only happen while waiting; publish the site so
             // the parked-duration recorder can attribute the episode.
             #[cfg(feature = "park")]
-            park::enter_wait(self.site());
+            park::enter_wait(self.set.site().id());
         }
 
-        /// The hold starts where the last level was won.
         #[inline]
         fn acquired(&mut self) {
             #[cfg(feature = "park")]
             park::exit_wait();
-            waitgraph::global().acquired(thread_tag(), self.site(), self.shard.acquired_ns());
         }
 
-        /// Cancels the wait edge — nothing was acquired, so nothing
-        /// joins the held set.
+        /// Nothing was acquired: the levels won and unwound still count.
         #[inline]
         fn abandoned(&mut self) {
             #[cfg(feature = "park")]
             park::exit_wait();
             self.shard.abandon();
-            waitgraph::global().wait_cancelled(thread_tag(), now_ns());
         }
 
         #[inline]
@@ -381,9 +355,7 @@ mod on {
         /// nobody's critical path.
         #[inline]
         fn released(&mut self) {
-            let thread = thread_tag();
-            self.shard.commit(thread);
-            waitgraph::global().released(thread, self.site(), self.shard.released_ns());
+            self.shard.commit();
         }
     }
 
@@ -405,7 +377,6 @@ mod on {
 
         #[inline]
         fn pass(&mut self, node: &NodeTrack) {
-            self.shard.pass(node.level());
             if trace::is_enabled() {
                 node.pass_span(self.shard.released_ns());
             }
@@ -413,7 +384,6 @@ mod on {
 
         #[inline]
         fn release_up(&mut self, node: &NodeTrack, forced: bool) {
-            self.shard.release_up(node.level());
             if trace::is_enabled() {
                 node.release_up_span(self.shard.released_ns(), forced);
             }
@@ -435,31 +405,16 @@ mod on {
 
     impl DynClofLock {
         /// Full telemetry snapshot: per-level counts (those of
-        /// [`stats`](Self::stats)) and acquire-latency histograms,
-        /// whole-lock hold-time histogram, and the surviving pass-event
-        /// trace — the latter summed over the shards of this lock's
-        /// handles, live and dropped; everything
+        /// [`stats`](Self::stats)) and acquire-latency histograms, and
+        /// the whole-lock hold-time histogram — the histograms summed
+        /// over the shards of this lock's handles, live and dropped;
+        /// everything
         /// [`clof_obs::render_json`]/[`clof_obs::render_prometheus`] and
         /// the `Display` impl consume. Exact at quiescence; a handle's
         /// acquire→release in flight is counted once its release has
         /// returned.
         pub fn obs_snapshot(&self) -> LockSnapshot {
             self.obs.lock_snapshot(self.name())
-        }
-
-        /// Per-level waiter counts right now: `(level, queued_waiters)`
-        /// summed over cohorts, innermost first. Approximate by nature
-        /// (it races running acquires) — meant as the queue-shape hint in
-        /// a starvation watchdog's diagnostic dump. Levels whose low lock
-        /// natively hints waiters keep no read-indicator counter and
-        /// always report 0 here.
-        pub fn queue_hints(&self) -> Vec<(usize, u32)> {
-            let mut out: Vec<(usize, u32)> =
-                (0..self.composition().len()).map(|l| (l, 0)).collect();
-            for (level, node) in &self.nodes {
-                out[*level].1 += node.meta.waiter_count();
-            }
-            out
         }
 
         /// This lock's contention-profiler site id in the process-global

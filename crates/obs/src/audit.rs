@@ -11,11 +11,11 @@
 //! state) and its *output* (switch/hold plus a machine-readable
 //! [`AuditReason`]).
 //!
-//! The ring is the crate's one seqlock ring ([`crate::ring`]): a writer
+//! The ring is the crate's one seqlock ring (`ring.rs`): a writer
 //! claims a ticket with one `fetch_add`, then its slot with a CAS on the
 //! slot's sequence word (a writer a lap behind drops its record), and
 //! publishes it through that word. Readers ([`AuditRing::entries`]) never
-//! disturb the ring, so `clof top` and `clof adapt` can render the same
+//! disturb the ring, so `clof adapt` can render the same
 //! records any number of times. Drop accounting is
 //! saturating — the counters never wrap, no matter how long the process
 //! lives.

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::{HistSnapshot, PassEvent, PassKind};
+use crate::HistSnapshot;
 
 /// Plain-data snapshot of one level (summed across cohorts): the
 /// decision counts from the lock's owner lines, and the acquire side's
@@ -58,12 +58,6 @@ pub struct LockSnapshot {
     /// Critical-section hold time (acquire-return to release-entry),
     /// whole-lock (not per level).
     pub hold_ns: HistSnapshot,
-    /// Total events recorded into the pass ring.
-    pub events_recorded: u64,
-    /// Events overwritten before draining.
-    pub events_dropped: u64,
-    /// The ring's surviving events at snapshot time, oldest first.
-    pub events: Vec<PassEvent>,
 }
 
 impl LockSnapshot {
@@ -131,13 +125,7 @@ pub fn render_json(snap: &LockSnapshot) -> String {
         ));
     }
     out.push_str("],");
-    out.push_str(&format!("\"hold_ns\":{},", json_hist(&snap.hold_ns)));
-    out.push_str(&format!(
-        "\"events\":{{\"recorded\":{},\"dropped\":{},\"buffered\":{}}}}}",
-        snap.events_recorded,
-        snap.events_dropped,
-        snap.events.len()
-    ));
+    out.push_str(&format!("\"hold_ns\":{}}}", json_hist(&snap.hold_ns)));
     out
 }
 
@@ -271,28 +259,21 @@ pub fn render_prometheus(snap: &LockSnapshot) -> String {
         &format!("lock=\"{lock}\""),
         &snap.hold_ns,
     );
-    out.push_str(&format!(
-        "# HELP clof_pass_events_total Lock-passing events recorded into the trace ring.\n\
-         # TYPE clof_pass_events_total counter\n\
-         clof_pass_events_total{{lock=\"{lock}\"}} {}\n",
-        snap.events_recorded
-    ));
-    out.push_str(&format!(
-        "# HELP clof_pass_events_dropped_total Ring events overwritten before export (truncated trace detector).\n\
-         # TYPE clof_pass_events_dropped_total counter\n\
-         clof_pass_events_dropped_total{{lock=\"{lock}\"}} {}\n",
-        snap.events_dropped
-    ));
     out
 }
 
 impl fmt::Display for LockSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "lock {} — {} acquisitions", self.name, self.total_acquires())?;
+        write!(
+            f,
+            "lock {} — {} acquisitions",
+            self.name,
+            self.total_acquires()
+        )?;
         for l in &self.levels {
-            writeln!(
+            write!(
                 f,
-                "  level {}: acquires {} (contended {}), passes {}/{} (rate {:.1}%), \
+                "\n  level {}: acquires {} (contended {}), passes {}/{} (rate {:.1}%), \
                  keep_local resets {}, hint hits {}",
                 l.level,
                 l.acquires,
@@ -304,9 +285,9 @@ impl fmt::Display for LockSnapshot {
                 l.hint_fast_hits,
             )?;
             if l.acquire_ns.count > 0 {
-                writeln!(
+                write!(
                     f,
-                    "    acquire ns: p50 {} p90 {} p99 {} max {}",
+                    "\n    acquire ns: p50 {} p90 {} p99 {} max {}",
                     l.acquire_ns.p50(),
                     l.acquire_ns.p90(),
                     l.acquire_ns.p99(),
@@ -315,39 +296,23 @@ impl fmt::Display for LockSnapshot {
             }
         }
         if self.hold_ns.count > 0 {
-            writeln!(
+            write!(
                 f,
-                "  hold ns: p50 {} p90 {} p99 {} max {}",
+                "\n  hold ns: p50 {} p90 {} p99 {} max {}",
                 self.hold_ns.p50(),
                 self.hold_ns.p90(),
                 self.hold_ns.p99(),
                 self.hold_ns.max,
             )?;
         }
-        write!(
-            f,
-            "  pass events: {} recorded, {} dropped, {} buffered",
-            self.events_recorded,
-            self.events_dropped,
-            self.events.len()
-        )
-    }
-}
-
-/// Human-readable kind for event dumps.
-impl fmt::Display for PassKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PassKind::Pass => write!(f, "pass"),
-            PassKind::ReleaseUp => write!(f, "release-up"),
-        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EventRing, LogHistogram};
+    use crate::LogHistogram;
 
     fn sample_snapshot() -> LockSnapshot {
         let h = LogHistogram::new();
@@ -356,9 +321,6 @@ mod tests {
         }
         let hold = LogHistogram::new();
         hold.record(1_000);
-        let ring = EventRing::with_capacity(8);
-        ring.record(10, 0, PassKind::Pass, 1);
-        ring.record(20, 0, PassKind::ReleaseUp, 2);
         let l0 = LevelSnapshot {
             level: 0,
             acquires: 100,
@@ -377,9 +339,6 @@ mod tests {
             name: "tkt>mcs".into(),
             levels: vec![l0, l1],
             hold_ns: hold.snapshot(),
-            events_recorded: ring.recorded(),
-            events_dropped: ring.dropped(),
-            events: ring.events(),
         }
     }
 
@@ -390,7 +349,6 @@ mod tests {
         assert!(json.contains("\"lock\":\"tkt>mcs\""));
         assert!(json.contains("\"levels\":["));
         assert!(json.contains("\"hold_ns\":"));
-        assert!(json.contains("\"recorded\":2"));
         // Structural sanity: braces and brackets balance, no raw newlines.
         let open = json.matches('{').count();
         let close = json.matches('}').count();
@@ -495,8 +453,6 @@ mod tests {
         assert!(prom.contains("clof_passes_taken_total{lock=\"tkt>mcs\",level=\"0\"} 50"));
         assert!(prom.contains("clof_acquire_latency_ns_bucket{lock=\"tkt>mcs\",level=\"0\",le=\"+Inf\"} 4"));
         assert!(prom.contains("clof_hold_time_ns_count{lock=\"tkt>mcs\"} 1"));
-        assert!(prom.contains("clof_pass_events_total{lock=\"tkt>mcs\"} 2"));
-        assert!(prom.contains("clof_pass_events_dropped_total{lock=\"tkt>mcs\"} 0"));
     }
 
     #[test]
@@ -583,18 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_events_surface_in_both_exporters() {
-        let mut s = sample_snapshot();
-        s.events_recorded = 100;
-        s.events_dropped = 37;
-        let prom = render_prometheus(&s);
-        check_prometheus(&prom);
-        assert!(prom.contains("clof_pass_events_dropped_total{lock=\"tkt>mcs\"} 37"));
-        let json = render_json(&s);
-        assert!(json.contains("\"dropped\":37"));
-    }
-
-    #[test]
     fn pass_rate_is_the_share_of_passes() {
         let level = LevelSnapshot {
             passes_taken: 1,
@@ -606,29 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn rendering_a_snapshot_twice_is_identical() {
-        // Regression for destructive rendering: assembling from
-        // `EventRing::events()` and re-rendering must not change output.
-        let ring = EventRing::with_capacity(8);
-        ring.record(10, 0, PassKind::Pass, 1);
-        ring.record(20, 1, PassKind::ReleaseUp, 2);
-        let snap_once = |ring: &EventRing| LockSnapshot {
-            name: "twice".into(),
-            levels: vec![LevelSnapshot::default()],
-            hold_ns: LogHistogram::new().snapshot(),
-            events_recorded: ring.recorded(),
-            events_dropped: ring.dropped(),
-            events: ring.events(),
-        };
-        let a = snap_once(&ring);
-        let b = snap_once(&ring);
-        assert_eq!(render_json(&a), render_json(&b));
-        assert_eq!(render_prometheus(&a), render_prometheus(&b));
-        assert_eq!(a.to_string(), b.to_string());
-        assert_eq!(a.events.len(), 2, "events survive both renders");
-    }
-
-    #[test]
     fn display_mentions_every_level_and_pass_rate() {
         let s = sample_snapshot();
         let text = s.to_string();
@@ -636,6 +557,6 @@ mod tests {
         assert!(text.contains("level 0"));
         assert!(text.contains("level 1"));
         assert!(text.contains("rate 50.0%"));
-        assert!(text.contains("pass events: 2 recorded"));
+        assert!(text.contains("hold ns: p50"));
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! * [`Shard`] / [`ShardSet`] — the data plane: one single-writer
 //!   recorder per lock handle holding what the acquire side observes
-//!   (the histograms and ring below, and the pass-inheriting wins),
+//!   (the histograms below, and the pass-inheriting wins),
 //!   written into lines no other thread writes and summed per lock at
 //!   snapshot time.
 //! * [`LevelSnapshot`] — one hierarchy level: acquires, contended
@@ -23,9 +23,6 @@
 //! * [`LogHistogram`] — a power-of-two-bucketed (HDR-style) histogram
 //!   for acquire latency and critical-section hold time, with merge and
 //!   p50/p90/p99/max queries.
-//! * [`EventRing`] — a fixed-capacity single-writer ring of timestamped
-//!   lock-passing events, so a failing fairness run can be replayed as a
-//!   hand-off trace.
 //! * [`LockSnapshot`] + [`render_json`]/[`render_prometheus`] — a
 //!   point-in-time copy of everything above, with text exporters and a
 //!   human-readable `Display`. The crate opens no sockets: to serve a
@@ -38,7 +35,7 @@
 //! * [`trace`] — per-thread lock-free span buffers recording
 //!   acquire/hold/release transitions with hand-off causality edges,
 //!   exported as Chrome trace-event JSON ([`render_chrome_trace`]) for
-//!   Perfetto.
+//!   Perfetto: the one record of individual hand-off decisions.
 //! * [`analyze`](mod@analyze) — ownership-timeline reconstruction,
 //!   pass-chain length distribution (the `keep_local` *H* bound,
 //!   checkable), per-level wait attribution, and a fairness CDF from a
@@ -46,10 +43,6 @@
 //! * [`window`] — [`LockSnapshot::delta`] and a [`Sampler`] turning
 //!   cumulative snapshots into per-window rates ([`WindowRates`]) so
 //!   telemetry is usable mid-run.
-//! * [`watchdog`] — the background [`Watchdog`] polling the
-//!   [`waitgraph`] table and handing every stall, deadlock or
-//!   inversion to one callback on each poll, flagged fresh the first
-//!   time, with a diagnostic dump.
 //! * [`policy`] — the online adaptation policy: a deterministic
 //!   [`HysteresisController`] that estimates offered concurrency from
 //!   [`WindowRates`] (Little's law) and decides when a different
@@ -68,11 +61,6 @@
 //!   per-(level, node) breakdown, computed from the site's shards, with
 //!   exact windowed deltas and a folded-stack exporter for standard
 //!   flamegraph tooling.
-//! * [`waitgraph`] — the one per-thread occupancy table (phase and
-//!   since, progress epoch, waited-on and held sites; one line per
-//!   thread) and its detector: stalls, waits-for cycles (deadlock) and
-//!   `keep_local`-gap-bound starvation (priority/NUMA inversion), one
-//!   finding per stuck thread, feeding the [`Watchdog`].
 //!
 //! `clof-core` records into these types only when compiled with its
 //! `obs` cargo feature; the default build carries no `clof-obs` symbols
@@ -91,11 +79,9 @@ pub mod hist;
 pub mod policy;
 pub mod profile;
 pub mod registry;
-pub mod ring;
+mod ring;
 pub mod shard;
 pub mod trace;
-pub mod waitgraph;
-pub mod watchdog;
 pub mod window;
 
 pub use analyze::{analyze, ownership_timeline, ChainStats, FairnessCdf, LevelWait, TraceAnalysis};
@@ -110,15 +96,12 @@ pub use profile::{
     SiteProfile, PROFILE_MARKER,
 };
 pub use registry::{SiteAnchor, SiteInfo, SiteRegistry, INVALID_SITE, MAX_SITES};
-pub use ring::{EventRing, PassEvent, PassKind};
 pub use shard::{Counts, Shard, ShardSet};
 pub use trace::{render_chrome_trace, SpanEvent, SpanKind, Trace};
-pub use waitgraph::{GraphFinding, GraphReport, Phase, WaitTable, MAX_GRAPH_THREADS};
-pub use watchdog::{Watchdog, WatchdogConfig, WatchdogGuard};
 pub use window::{Sampler, WindowRates};
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Single-writer increment: a relaxed load + store, never a locked RMW,
@@ -164,47 +147,18 @@ pub fn clock_reads() -> u64 {
     CLOCK_READS.with(std::cell::Cell::get)
 }
 
-/// Tags returned by exited threads, handed out again smallest first so
-/// the live set stays dense in the fixed per-thread tables.
-static FREE_TAGS: Mutex<Vec<u32>> = Mutex::new(Vec::new());
-
-/// A thread's claim on its tag; the TLS destructor returns it.
-struct TagLease(u32);
-
-impl TagLease {
-    fn claim() -> Self {
-        static NEXT: AtomicU32 = AtomicU32::new(0);
-        let mut free = FREE_TAGS.lock().unwrap_or_else(|p| p.into_inner());
-        let smallest = (0..free.len()).min_by_key(|&i| free[i]);
-        TagLease(match smallest {
-            Some(i) => free.swap_remove(i),
-            None => NEXT.fetch_add(1, Ordering::Relaxed),
-        })
-    }
-}
-
-impl Drop for TagLease {
-    fn drop(&mut self) {
-        FREE_TAGS
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(self.0);
-    }
-}
-
-/// A small dense id for the calling thread: the index of its slot in
-/// the occupancy table ([`WaitTable`]), and the `thread` of ring events.
+/// A small id for the calling thread: the `thread` of trace spans, and
+/// its stripe in the profiler's park accumulator.
 ///
-/// Assigned on first use, distinct among live threads and stable within
-/// a thread; an exiting thread's tag is recycled, so thread churn never
-/// runs past the tables. `u32::MAX` (outside every table) while the
-/// thread's TLS is being torn down.
+/// Assigned on first use, distinct per thread and stable within a
+/// thread. `u32::MAX` while the thread's TLS is being torn down.
 #[inline]
 pub fn thread_tag() -> u32 {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
     thread_local! {
-        static TAG: TagLease = TagLease::claim();
+        static TAG: u32 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
-    TAG.try_with(|t| t.0).unwrap_or(u32::MAX)
+    TAG.try_with(|t| *t).unwrap_or(u32::MAX)
 }
 
 /// Serialises the unit tests that share process-global state — the
@@ -213,7 +167,7 @@ pub fn thread_tag() -> u32 {
 /// asserting on.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 

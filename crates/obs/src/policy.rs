@@ -216,8 +216,8 @@ impl HysteresisController {
     ///
     /// Every decision — including holds — is recorded into the global
     /// [`crate::audit`] ring with the inputs that justified it, so an
-    /// operator can replay the controller's reasoning from `/snapshot`
-    /// or `clof top` after the fact. That is a handful of relaxed
+    /// operator can replay the controller's reasoning from `clof adapt`'s
+    /// audit tail after the fact. That is a handful of relaxed
     /// stores once per *window*, nowhere near the lock hot path.
     pub fn observe(&mut self, obs: &WindowObservation) -> AdaptDecision {
         let active = self.active as u32;

@@ -12,17 +12,13 @@
 //! * **hold** — Σ hold histogram (sum, count);
 //! * **traffic** — Σ level-0 acquires and Σ passes taken, as the lock's
 //!   [`Counts`](crate::shard::Counts) reader gives them: the same
-//!   owner-line counts the lock's own `stats()` reads. The pass sum
-//!   doubles as the waits-for graph's inversion clock: a waiter that an
-//!   observer watches it advance past the `keep_local` bound *H* without
-//!   getting the lock is being starved behind local hand-offs
-//!   ([`crate::waitgraph`]).
+//!   owner-line counts the lock's own `stats()` reads.
 //!
 //! What a dropped lock tree recorded is folded into the slot, so a site
 //! that outlives its trees (adaptation swaps) keeps monotone sums.
 //! Only **park** time is written here directly (a striped cell, off the
 //! lock's hand-off path). [`ProfileSnapshot::delta`] pairs snapshots by
-//! (site id, slot epoch), so windowed `clof profile` / `clof top` deltas
+//! (site id, slot epoch), so windowed `clof profile` deltas
 //! are exact even while slots are reused between windows.
 //!
 //! Exporters: [`render_folded`] emits `site;L<level>;n<node> <wait_ns>`
@@ -35,7 +31,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use crate::export::json_escape;
 use crate::registry::{self, INVALID_SITE, MAX_SITES};
 use crate::shard::{ShardSet, Totals};
-use crate::waitgraph::GraphFinding;
 use crate::{now_ns, thread_tag};
 
 /// Marker literal proving profiler code is linked in: rendered into the
@@ -211,20 +206,6 @@ impl ContentionProfile {
     pub(crate) fn retire(&self, id: u32, totals: &Totals) {
         if let Some(cell) = self.cell(id) {
             cell.state().retired.add(totals);
-        }
-    }
-
-    /// Intra-level passes taken at a site so far (the inversion clock).
-    pub fn passes(&self, id: u32) -> u64 {
-        self.cell(id).map_or(0, |c| c.view().0.passes)
-    }
-
-    /// Advances a site's pass clock by `n` without any lock passing —
-    /// how tests and `clof profile --inject-inversion` stage a starved
-    /// waiter.
-    pub fn inject_passes(&self, id: u32, n: u64) {
-        if let Some(cell) = self.cell(id) {
-            cell.state().retired.passes += n;
         }
     }
 
@@ -453,9 +434,9 @@ pub fn render_folded(snap: &ProfileSnapshot) -> String {
     out
 }
 
-/// Renders the `/profile` endpoint body: the snapshot, plus any current
-/// waits-for graph findings, plus the folded stacks inline.
-pub fn render_profile_json(snap: &ProfileSnapshot, findings: &[GraphFinding]) -> String {
+/// Renders the `/profile` endpoint body: the snapshot, plus the folded
+/// stacks inline.
+pub fn render_profile_json(snap: &ProfileSnapshot) -> String {
     let mut out = String::new();
     out.push_str("{\"profiler\":\"");
     out.push_str(PROFILE_MARKER);
@@ -498,13 +479,6 @@ pub fn render_profile_json(snap: &ProfileSnapshot, findings: &[GraphFinding]) ->
         }
         out.push_str("]}");
     }
-    out.push_str("],\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&f.to_json());
-    }
     out.push_str("],\"folded\":\"");
     out.push_str(&json_escape(&render_folded(snap)));
     out.push_str("\"}");
@@ -537,20 +511,15 @@ mod tests {
 
     /// One acquire→release through `shard`, entered at `t`: `wait` ns to
     /// win the leaf (climbing on to the root in no time unless
-    /// `inherited`), `hold` ns held, passed on at the leaf iff `pass`.
-    fn cycle(shard: &crate::Shard, t: u64, wait: u64, hold: u64, inherited: bool, pass: bool) {
+    /// `inherited`), `hold` ns held.
+    fn cycle(shard: &crate::Shard, t: u64, wait: u64, hold: u64, inherited: bool) {
         shard.enter(t);
         shard.level_won(t + wait, inherited);
         if !inherited {
             shard.level_won(t + wait, false);
         }
-        if pass {
-            shard.pass(0);
-        } else {
-            shard.release_up(0);
-        }
         shard.releasing(t + wait + hold);
-        shard.commit(0);
+        shard.commit();
     }
 
     fn site_of(snap: &ProfileSnapshot, id: u32) -> &SiteProfile {
@@ -572,8 +541,8 @@ mod tests {
         let _g = crate::test_lock();
         let (id, set) = site_with_tree("prof-flow");
         let shard = set.shard(&[7, 9]);
-        cycle(&shard, 1000, 100, 30, false, true);
-        cycle(&shard, 2000, 50, 5, true, false);
+        cycle(&shard, 1000, 100, 30, false);
+        cycle(&shard, 2000, 50, 5, true);
         shard.gate_won(8);
         shard.gate_held(2);
 
@@ -586,7 +555,6 @@ mod tests {
         // The lock's own counts, and the gate win.
         assert_eq!(s.acquires, 3);
         assert_eq!(s.passes, 1);
-        assert_eq!(prof.passes(id), 1);
         assert_eq!(
             s.nodes,
             vec![
@@ -611,7 +579,7 @@ mod tests {
         let _g = crate::test_lock();
         let (id, old) = site_with_tree("prof-swap");
         let shard = old.shard(&[7, 9]);
-        cycle(&shard, 1000, 40, 10, false, true);
+        cycle(&shard, 1000, 40, 10, false);
         old.retire(&shard);
         // The adaptation swap: a new tree's anchor adopts the site, its
         // set re-attaches, then the old tree goes away.
@@ -621,7 +589,7 @@ mod tests {
         let new = ShardSet::new(fresh, [(0, 17), (1, 19)].into_iter(), counts(1, 0));
         drop(old);
         let shard = new.shard(&[17, 19]);
-        cycle(&shard, 2000, 2, 3, false, false);
+        cycle(&shard, 2000, 2, 3, false);
         let snap = global().snapshot();
         let s = site_of(&snap, id);
         assert_eq!((s.wait_ns, s.waits), (42, 2));
@@ -638,8 +606,6 @@ mod tests {
         let _g = crate::test_lock();
         let prof = global();
         prof.record_park(INVALID_SITE, 1);
-        prof.inject_passes(INVALID_SITE, 1);
-        assert_eq!(prof.passes(INVALID_SITE), 0);
         // A lock whose registration found the table full still works.
         let dead = Arc::new(registry::SiteAnchor::dead());
         let set = ShardSet::new(dead, [(0, 1)].into_iter(), counts(1, 0));
@@ -647,7 +613,7 @@ mod tests {
         shard.enter(1);
         shard.level_won(2, false);
         shard.releasing(3);
-        shard.commit(0);
+        shard.commit();
         let level = &set.lock_snapshot("orphan").levels[0];
         assert_eq!((level.acquires, level.acquire_ns.count), (1, 1));
     }
@@ -664,10 +630,10 @@ mod tests {
         let set = ShardSet::new(anchor, nodes, Box::new(counts));
         let shard = set.shard(&[7, 9]);
         let prof = global();
-        cycle(&shard, 1000, 100, 1, false, false);
+        cycle(&shard, 1000, 100, 1, false);
         ACQUIRES.fetch_add(1, Ordering::Relaxed);
         let first = prof.snapshot();
-        cycle(&shard, 2000, 25, 1, false, false);
+        cycle(&shard, 2000, 25, 1, false);
         ACQUIRES.fetch_add(1, Ordering::Relaxed);
         let second = prof.snapshot();
         let d = second.delta(&first);
@@ -694,8 +660,8 @@ mod tests {
         let _g = crate::test_lock();
         let (_a, set_a) = site_with_tree("prof-top-a");
         let (_b, set_b) = site_with_tree("prof-top-b");
-        cycle(&set_a.shard(&[7, 9]), 0, 10, 1, false, false);
-        cycle(&set_b.shard(&[7, 9]), 0, 999_999_999_999, 1, false, false);
+        cycle(&set_a.shard(&[7, 9]), 0, 10, 1, false);
+        cycle(&set_b.shard(&[7, 9]), 0, 999_999_999_999, 1, false);
         let snap = global().snapshot();
         let top = snap.top_k(1);
         assert_eq!(top.len(), 1);
@@ -707,7 +673,7 @@ mod tests {
         let _g = crate::test_lock();
         let (id, set) = site_with_tree("prof folded;site");
         let shard = set.shard(&[7, 9]);
-        cycle(&shard, 0, 70, 1, true, true);
+        cycle(&shard, 0, 70, 1, true);
         shard.gate_won(30);
         let snap = global().snapshot();
         let snap = ProfileSnapshot {
@@ -729,12 +695,11 @@ mod tests {
     fn profile_json_carries_marker_and_folded() {
         let _g = crate::test_lock();
         let (_id, set) = site_with_tree("prof-json");
-        cycle(&set.shard(&[7, 9]), 0, 5, 1, false, false);
+        cycle(&set.shard(&[7, 9]), 0, 5, 1, false);
         let snap = global().snapshot();
-        let body = render_profile_json(&snap, &[]);
+        let body = render_profile_json(&snap);
         assert!(body.contains(PROFILE_MARKER));
         assert!(body.contains("\"sites\":["));
-        assert!(body.contains("\"findings\":[]"));
         assert!(body.contains("\"folded\":\""));
     }
 }

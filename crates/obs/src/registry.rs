@@ -6,8 +6,7 @@
 //! source location of the construction call (captured via
 //! `#[track_caller]` in the lock builders). The registry is the spine of
 //! the contention profiler: the per-site accumulators in [`crate::profile`]
-//! and the waits-for graph in [`crate::waitgraph`] are both keyed by the
-//! site ids handed out here.
+//! are keyed by the site ids handed out here.
 //!
 //! Design constraints, in order:
 //!
@@ -18,7 +17,7 @@
 //! * **Stable ids across adaptation swaps.** `AdaptiveLock::swap_to`
 //!   builds a fresh tree per generation; [`SiteRegistry::adopt`] +
 //!   [`SiteAnchor::rebind`] let the incoming tree take over the outgoing
-//!   tree's slot (refcounted), so `clof top`/`clof profile` deltas keep
+//!   tree's slot (refcounted), so `clof profile` deltas keep
 //!   attributing to one logical site while generations churn underneath.
 //! * **Deregistration on drop.** The last [`SiteAnchor`] clone for a
 //!   slot releases it; [`SiteRegistry::len`] returns to baseline once a

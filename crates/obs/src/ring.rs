@@ -1,5 +1,4 @@
-//! The crate's one seqlock ring, and the ring of lock-passing events
-//! built on it.
+//! The crate's one seqlock ring.
 //!
 //! `Ring` keeps the **latest** `capacity` records of `N` words each
 //! — older slots are overwritten, and `dropped()` reports how many. A
@@ -12,8 +11,6 @@
 //! concurrency and exact at quiescence. Its users keep only their
 //! pack/unpack and their ticket source:
 //!
-//! * [`EventRing`] (2 words) — every lock handle owns one inside its
-//!   [`crate::Shard`] and is its only writer;
 //! * the tracer's per-thread buffers ([`crate::trace`], 5 words) — one
 //!   writer each;
 //! * [`crate::AuditRing`] (6 words) — shared by every writer, which
@@ -214,117 +211,6 @@ impl<const N: usize> Ring<N> {
     }
 }
 
-/// What a lock-passing event records about the release decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PassKind {
-    /// The high lock was passed within the cohort (stayed local).
-    Pass,
-    /// The high lock was released upward toward the root.
-    ReleaseUp,
-}
-
-/// One timestamped hand-off decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PassEvent {
-    /// Nanoseconds since the process observation epoch ([`crate::now_ns`]).
-    pub timestamp_ns: u64,
-    /// Hierarchy level of the deciding node (0 = innermost).
-    pub level: u8,
-    /// Dense process-wide tag of the releasing thread
-    /// ([`crate::thread_tag`]).
-    pub thread: u32,
-    /// Pass vs. release-to-root.
-    pub kind: PassKind,
-}
-
-/// Packs level/kind/thread into one word: `level | kind << 8 | thread << 32`.
-fn pack(level: u8, kind: PassKind, thread: u32) -> u64 {
-    let k = match kind {
-        PassKind::Pass => 0u64,
-        PassKind::ReleaseUp => 1u64,
-    };
-    level as u64 | (k << 8) | ((thread as u64) << 32)
-}
-
-fn unpack(word: u64) -> (u8, PassKind, u32) {
-    let level = (word & 0xff) as u8;
-    let kind = if (word >> 8) & 1 == 0 {
-        PassKind::Pass
-    } else {
-        PassKind::ReleaseUp
-    };
-    let thread = (word >> 32) as u32;
-    (level, kind, thread)
-}
-
-/// A single-writer ring buffer of [`PassEvent`]s keeping the most recent
-/// `capacity` (rounded up to a power of two, minimum 8): a timestamp
-/// word and a packed level/kind/thread word per event. A lock's trace is
-/// the timestamp-ordered merge of its handles' rings (plus what retired
-/// handles left behind).
-#[derive(Debug)]
-pub struct EventRing {
-    ring: Ring<2>,
-}
-
-impl EventRing {
-    /// Capacity of a handle's ring: the trace tail one handle keeps.
-    pub const DEFAULT_CAPACITY: usize = 64;
-
-    /// A ring holding the latest `capacity` events (rounded up to a
-    /// power of two, minimum 8).
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventRing {
-            ring: Ring::with_capacity(capacity),
-        }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    /// Total events ever recorded (monotone; may exceed `capacity`).
-    /// Saturating: pinned at `u64::MAX` instead of wrapping back to
-    /// small values, so `dropped()` never lies after an overflow.
-    pub fn recorded(&self) -> u64 {
-        self.ring.recorded()
-    }
-
-    /// Events overwritten before they could be read (saturating —
-    /// mirrored verbatim into both the JSON and Prometheus exporters as
-    /// the truncated-trace detector, so it must never wrap to 0).
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Records one event stamped `timestamp_ns` (the caller's release
-    /// timestamp — no clock read here). Single writer only.
-    #[inline]
-    pub fn record(&self, timestamp_ns: u64, level: u8, kind: PassKind, thread: u32) {
-        self.ring.push([timestamp_ns, pack(level, kind, thread)]);
-    }
-
-    /// Copies out the currently-held events, oldest first (sorted by
-    /// timestamp), **without clearing the ring** — rendering a snapshot
-    /// twice yields identical output. Slots caught mid-write are
-    /// skipped. Exact at quiescence.
-    pub fn events(&self) -> Vec<PassEvent> {
-        let mut out = Vec::with_capacity(self.ring.capacity());
-        self.ring.read(|_, [timestamp_ns, packed]| {
-            let (level, kind, thread) = unpack(packed);
-            out.push(PassEvent {
-                timestamp_ns,
-                level,
-                thread,
-                kind,
-            });
-        });
-        out.sort_by_key(|e| e.timestamp_ns);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,40 +226,23 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_round_trip() {
-        for level in [0u8, 1, 2, 255] {
-            for kind in [PassKind::Pass, PassKind::ReleaseUp] {
-                for thread in [0u32, 1, 7, u32::MAX] {
-                    assert_eq!(unpack(pack(level, kind, thread)), (level, kind, thread));
-                }
-            }
-        }
-    }
-
-    #[test]
     fn capacity_rounds_to_power_of_two() {
         assert_eq!(Ring::<2>::with_capacity(0).capacity(), 8);
         assert_eq!(Ring::<2>::with_capacity(100).capacity(), 128);
     }
 
     #[test]
-    fn events_returns_recorded_events_in_timestamp_order() {
-        let ring = EventRing::with_capacity(64);
-        ring.record(30, 0, PassKind::Pass, 3);
-        ring.record(10, 1, PassKind::ReleaseUp, 4);
-        ring.record(20, 0, PassKind::Pass, 3);
-        let events = ring.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(
-            events.iter().map(|e| e.timestamp_ns).collect::<Vec<_>>(),
-            vec![10, 20, 30]
-        );
-        assert_eq!((events[0].level, events[0].kind), (1, PassKind::ReleaseUp));
-        assert_eq!((events[1].level, events[1].kind), (0, PassKind::Pass));
-        assert_eq!(ring.recorded(), 3);
-        assert_eq!(ring.dropped(), 0);
-        // events() does not clear: a second read is identical.
-        assert_eq!(ring.events(), events);
+    fn a_read_leaves_the_ring_as_it_was() {
+        let ring = Ring::<2>::with_capacity(64);
+        for (ticket, value) in [30u64, 10, 20].into_iter().enumerate() {
+            ring.push([value, ticket as u64]);
+        }
+        let first = records(&ring);
+        assert_eq!(first, [(0, [30, 0]), (1, [10, 1]), (2, [20, 2])]);
+        assert_eq!((ring.recorded(), ring.dropped()), (3, 0));
+        // Readers never disturb the ring: a second read is identical.
+        assert_eq!(records(&ring), first);
+        assert_eq!((ring.recorded(), ring.dropped()), (3, 0));
     }
 
     #[test]
@@ -401,18 +270,17 @@ mod tests {
     /// Both ticket sources pin the counts at the ceiling: without
     /// saturation the cursor would wrap to ~3, `recorded()` would
     /// collapse from 2^64 to a tiny number and `dropped()` to 0, hiding
-    /// ~2^64 lost records. (The single-writer path is the event ring's
-    /// and the tracer's; a debug build once panicked there on overflow.)
-    #[test]
-    fn drop_accounting_saturates_instead_of_wrapping() {
+    /// ~2^64 lost records. (A debug build once panicked on the
+    /// single-writer path's overflow.)
+    fn drop_accounting_saturates<const N: usize>() {
         for shared in [false, true] {
-            let ring = Ring::<5>::with_capacity(8);
+            let ring = Ring::<N>::with_capacity(8);
             ring.set_cursor(u64::MAX - 2);
             for i in 0..6u64 {
                 if shared {
-                    ring.push_shared([i; 5]);
+                    ring.push_shared([i; N]);
                 } else {
-                    ring.push([i; 5]);
+                    ring.push([i; N]);
                 }
             }
             assert_eq!(ring.recorded(), u64::MAX, "shared = {shared}");
@@ -423,33 +291,10 @@ mod tests {
     }
 
     #[test]
-    fn the_event_ring_exporters_mirror_a_saturated_count() {
-        let ring = EventRing::with_capacity(8);
-        ring.ring.set_cursor(u64::MAX - 2);
-        for i in 0..6u32 {
-            ring.record(u64::from(i), 0, PassKind::Pass, i);
-        }
-        let snap = crate::LockSnapshot {
-            name: "sat".into(),
-            levels: Vec::new(),
-            hold_ns: crate::LogHistogram::new().snapshot(),
-            events_recorded: ring.recorded(),
-            events_dropped: ring.dropped(),
-            events: Vec::new(),
-        };
-        let json = crate::render_json(&snap);
-        assert!(
-            json.contains(&format!("\"dropped\":{}", u64::MAX - 8)),
-            "{json}"
-        );
-        let prom = crate::render_prometheus(&snap);
-        assert!(
-            prom.contains(&format!(
-                "clof_pass_events_dropped_total{{lock=\"sat\"}} {}",
-                u64::MAX - 8
-            )),
-            "{prom}"
-        );
+    fn drop_accounting_saturates_instead_of_wrapping() {
+        drop_accounting_saturates::<2>();
+        drop_accounting_saturates::<5>();
+        drop_accounting_saturates::<6>();
     }
 
     /// A reader racing a writer that pushes 200 000 records (claiming
@@ -484,7 +329,7 @@ mod tests {
     }
 
     #[test]
-    fn a_reader_racing_the_event_ring_writer_sees_only_whole_events() {
+    fn a_reader_racing_a_two_word_writer_sees_only_whole_records() {
         a_racing_reader_sees_only_whole_records::<2>(false);
     }
 

@@ -2,20 +2,19 @@
 //!
 //! Every lock handle owns one [`Shard`] — the acquire-wait histogram
 //! and inherited wins of each level on the handle's leaf→root path, the
-//! hold histogram, the whole-acquire wait and a small pass-event ring —
-//! and is its only writer. Every fact is therefore written once, with a
+//! hold histogram and the whole-acquire wait — and is its only writer. Every fact is therefore written once, with a
 //! relaxed load + store, into a cache line no other thread writes;
 //! nothing on the lock's hand-off path touches a line two handles share.
 //! The release decisions are not a shard's: the lock's level step counts
 //! each once, on the deciding level's owner line, and a [`ShardSet`]
-//! reads them there through the [`Counts`] reader the lock hands it.
+//! reads them there through the [`Counts`] reader the lock hands it;
+//! the tracer ([`crate::trace`]) is the record of individual decisions.
 //!
 //! Inside the critical section the handle only *stashes*: the timestamp
-//! of each level it won and the release decision of each level it left
-//! ([`Shard::enter`], [`Shard::level_won`], [`Shard::pass`], …). The
-//! stash is folded into the histograms, the inherited wins and the ring by
-//! [`Shard::commit`], which the handle calls after the low lock is
-//! released.
+//! of each level it won and whether it inherited it ([`Shard::enter`],
+//! [`Shard::level_won`], …). The stash is folded into the histograms
+//! and the inherited wins by [`Shard::commit`], which the handle calls
+//! after the low lock is released.
 //!
 //! A lock's shards are registered with its [`ShardSet`]: snapshots sum
 //! the live shards plus the accumulator a dropped handle's shard is
@@ -23,24 +22,13 @@
 //! a site's wait/hold/traffic and per-node waits from the same sums
 //! instead of keeping copies of its own.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::bump;
 use crate::profile::{self, NodeProfile};
 use crate::registry::SiteAnchor;
-use crate::{
-    EventRing, HistSnapshot, LevelSnapshot, LockSnapshot, LogHistogram, PassEvent, PassKind,
-};
-
-/// Pass events a lock keeps from handles that no longer exist.
-const RETIRED_EVENTS: usize = 1024;
-
-// Stash bits of one level: how the level was won, and what its release
-// decided.
-const INHERITED: u32 = 1;
-const PASS: u32 = 2;
-const UP: u32 = 4;
+use crate::{HistSnapshot, LevelSnapshot, LockSnapshot, LogHistogram};
 
 /// Reads a lock's decision counts from where the lock keeps them into
 /// the levels of a snapshot (innermost first): `acquires`,
@@ -78,7 +66,8 @@ struct LevelCell {
     /// Trace tag of the cohort node the path crosses at this level.
     node: u32,
     won_ns: AtomicU64,
-    flags: AtomicU32,
+    /// Whether the acquire in flight inherited this level.
+    inherited_won: AtomicBool,
     /// Wins that found the high lock passed to the cohort.
     inherited: AtomicU64,
     /// The wait of every win; its sample count is the level's wins.
@@ -99,7 +88,6 @@ pub struct Shard {
     gate_wait: Pair,
     gate_hold: Pair,
     hold_ns: LogHistogram,
-    ring: EventRing,
     levels: Box<[LevelCell]>,
 }
 
@@ -117,13 +105,12 @@ impl Shard {
             gate_wait: Pair::default(),
             gate_hold: Pair::default(),
             hold_ns: LogHistogram::new(),
-            ring: EventRing::with_capacity(EventRing::DEFAULT_CAPACITY),
             levels: path
                 .iter()
                 .map(|&node| LevelCell {
                     node,
                     won_ns: AtomicU64::new(0),
-                    flags: AtomicU32::new(0),
+                    inherited_won: AtomicBool::new(false),
                     inherited: AtomicU64::new(0),
                     acquire_ns: LogHistogram::new(),
                 })
@@ -146,7 +133,7 @@ impl Shard {
         let level = self.won.load(Ordering::Relaxed);
         let cell = &self.levels[level as usize];
         cell.won_ns.store(now, Ordering::Relaxed);
-        cell.flags.store(u32::from(inherited), Ordering::Relaxed);
+        cell.inherited_won.store(inherited, Ordering::Relaxed);
         self.won.store(level + 1, Ordering::Relaxed);
         start
     }
@@ -173,7 +160,7 @@ impl Shard {
     }
 
     /// The release starts at `now`: the end of the hold, and the stamp
-    /// of the pass events its decisions produce.
+    /// of the hand-off its decisions produce.
     #[inline]
     pub fn releasing(&self, now: u64) {
         self.released_ns.store(now, Ordering::Relaxed);
@@ -185,24 +172,6 @@ impl Shard {
         self.released_ns.load(Ordering::Relaxed)
     }
 
-    #[inline]
-    fn decide(&self, level: usize, bits: u32) {
-        let flags = &self.levels[level].flags;
-        flags.store(flags.load(Ordering::Relaxed) | bits, Ordering::Relaxed);
-    }
-
-    /// The release at `level` passed the high lock within the cohort.
-    #[inline]
-    pub fn pass(&self, level: usize) {
-        self.decide(level, PASS);
-    }
-
-    /// The release at `level` surrendered the high lock upward.
-    #[inline]
-    pub fn release_up(&self, level: usize) {
-        self.decide(level, UP);
-    }
-
     /// Records the levels the acquire in flight won — their waits and
     /// which were inherited; returns when the last one was won.
     fn commit_levels(&self) -> u64 {
@@ -210,7 +179,7 @@ impl Shard {
         let won = self.won.load(Ordering::Relaxed) as usize;
         for cell in &self.levels[..won] {
             let end = cell.won_ns.load(Ordering::Relaxed);
-            if cell.flags.load(Ordering::Relaxed) & INHERITED != 0 {
+            if cell.inherited_won.load(Ordering::Relaxed) {
                 bump(&cell.inherited, 1);
             }
             cell.acquire_ns.record_owned(end.saturating_sub(start));
@@ -220,30 +189,14 @@ impl Shard {
         start
     }
 
-    /// Folds the stash of one acquire→release into the histograms, the
-    /// inherited wins and the ring. Call after the low lock is released;
-    /// `thread` tags the ring events.
-    pub fn commit(&self, thread: u32) {
-        let released_ns = self.released_ns();
+    /// Folds the stash of one acquire→release into the histograms and
+    /// the inherited wins. Call after the low lock is released.
+    pub fn commit(&self) {
         let entered = self.entered_ns.load(Ordering::Relaxed);
         let acquired = self.commit_levels();
         self.wait.add(acquired.saturating_sub(entered));
         self.hold_ns
-            .record_owned(released_ns.saturating_sub(acquired));
-        for (level, cell) in self.levels.iter().enumerate() {
-            let flags = cell.flags.load(Ordering::Relaxed);
-            if flags & (PASS | UP) == 0 {
-                break;
-            }
-            cell.flags.store(0, Ordering::Relaxed);
-            if flags & PASS != 0 {
-                self.ring
-                    .record(released_ns, level as u8, PassKind::Pass, thread);
-                break;
-            }
-            self.ring
-                .record(released_ns, level as u8, PassKind::ReleaseUp, thread);
-        }
+            .record_owned(self.released_ns().saturating_sub(acquired));
     }
 
     /// The acquire in flight gave up (deadline): the levels it won and
@@ -311,8 +264,6 @@ struct SetInner {
     /// What the shards of dropped handles recorded (decision counts
     /// aside: the lock keeps those whole).
     retired: Totals,
-    retired_events: Vec<PassEvent>,
-    retired_recorded: u64,
 }
 
 impl SetInner {
@@ -378,8 +329,6 @@ impl ShardSet {
                     nodes,
                     ..Default::default()
                 },
-                retired_events: Vec::new(),
-                retired_recorded: 0,
             }),
         });
         set.attach();
@@ -412,20 +361,11 @@ impl ShardSet {
     }
 
     /// The handle owning `shard` is gone: fold what it recorded into the
-    /// retired accumulator, keeping the latest 1 024 (`RETIRED_EVENTS`)
-    /// of the lock's retired pass events.
+    /// retired accumulator.
     pub fn retire(&self, shard: &Arc<Shard>) {
         let mut inner = self.inner();
-        let inner = &mut *inner;
         inner.live.retain(|s| !Arc::ptr_eq(s, shard));
         inner.retired.absorb(shard);
-        inner.retired_recorded += shard.ring.recorded();
-        inner.retired_events.extend(shard.ring.events());
-        if inner.retired_events.len() > RETIRED_EVENTS {
-            inner.retired_events.sort_by_key(|e| e.timestamp_ns);
-            let excess = inner.retired_events.len() - RETIRED_EVENTS;
-            inner.retired_events.drain(..excess);
-        }
     }
 
     /// Sums over live and retired shards, with the decision counts as
@@ -438,23 +378,11 @@ impl ShardSet {
 
     /// The lock's full telemetry snapshot under `name`.
     pub fn lock_snapshot(&self, name: &str) -> LockSnapshot {
-        let inner = self.inner();
-        let mut totals = inner.totals();
-        (self.counts)(&mut totals.levels);
-        let mut events = inner.retired_events.clone();
-        let mut events_recorded = inner.retired_recorded;
-        for shard in &inner.live {
-            events.extend(shard.ring.events());
-            events_recorded += shard.ring.recorded();
-        }
-        events.sort_by_key(|e| e.timestamp_ns);
+        let totals = self.totals();
         LockSnapshot {
             name: name.to_string(),
             levels: totals.levels,
             hold_ns: totals.hold_ns,
-            events_recorded,
-            events_dropped: events_recorded.saturating_sub(events.len() as u64),
-            events,
         }
     }
 }
@@ -498,8 +426,8 @@ mod tests {
 
     /// One acquire through `shard`: `climb` levels won from `t`, 10 ns
     /// apiece, the last one inherited unless it is the root; then a
-    /// 100 ns hold and a release that passes at level 0 iff `pass`.
-    fn cycle(shard: &Shard, t: u64, climb: usize, pass: bool) {
+    /// 100 ns hold.
+    fn cycle(shard: &Shard, t: u64, climb: usize) {
         shard.enter(t);
         for k in 0..climb {
             let inherited = k + 1 == climb && climb < 3;
@@ -510,14 +438,8 @@ mod tests {
         }
         let acquired = shard.acquired_ns();
         assert_eq!(acquired, t + 10 * climb as u64);
-        if pass {
-            shard.pass(0);
-        } else {
-            shard.release_up(0);
-            shard.release_up(1);
-        }
         shard.releasing(acquired + 100);
-        shard.commit(7);
+        shard.commit();
     }
 
     #[test]
@@ -525,8 +447,8 @@ mod tests {
         let _g = crate::test_lock();
         let set = set_3level("shard-cycle");
         let shard = set.shard(&[10, 20, 30]);
-        cycle(&shard, 1000, 3, false); // full climb, releases all the way up
-        cycle(&shard, 2000, 1, true); // inherits at the leaf, passes on
+        cycle(&shard, 1000, 3); // full climb
+        cycle(&shard, 2000, 1); // inherits at the leaf
         let snap = set.lock_snapshot("l");
         assert_eq!(snap.name, "l");
         // The shards give each level's waits and inherited wins ...
@@ -544,23 +466,6 @@ mod tests {
             assert_eq!(hints, (forced, passes + ups));
         }
         assert_eq!((snap.hold_ns.count, snap.hold_ns.sum), (2, 200));
-        // Ring: two release-ups of the first cycle, one pass of the second.
-        assert_eq!(snap.events_recorded, 3);
-        assert_eq!(snap.events_dropped, 0);
-        let kinds: Vec<_> = snap
-            .events
-            .iter()
-            .map(|e| (e.timestamp_ns, e.level, e.kind))
-            .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (1130, 0, PassKind::ReleaseUp),
-                (1130, 1, PassKind::ReleaseUp),
-                (2110, 0, PassKind::Pass)
-            ]
-        );
-        assert!(snap.events.iter().all(|e| e.thread == 7));
 
         let totals = set.totals();
         assert_eq!(totals.wait, (40, 2), "whole-acquire waits: 30 + 10");
@@ -581,8 +486,8 @@ mod tests {
         let set = set_3level("shard-retire");
         let a = set.shard(&[10, 20, 30]);
         let b = set.shard(&[11, 20, 30]);
-        cycle(&a, 1000, 3, false);
-        cycle(&b, 2000, 3, false);
+        cycle(&a, 1000, 3);
+        cycle(&b, 2000, 3);
         let before = set.lock_snapshot("l");
         set.retire(&a);
         drop(a);
@@ -594,38 +499,6 @@ mod tests {
         set.retire(&b);
         assert_eq!(set.lock_snapshot("l"), before);
         assert_eq!(before.levels[0].acquire_ns.count, 2);
-        assert_eq!(before.events_recorded, 4);
-    }
-
-    #[test]
-    fn retired_events_are_bounded_and_accounted() {
-        let _g = crate::test_lock();
-        let set = set_3level("shard-events");
-        let rounds = (RETIRED_EVENTS / EventRing::DEFAULT_CAPACITY + 2) as u64;
-        let per_shard = 2 * EventRing::DEFAULT_CAPACITY as u64;
-        for r in 0..rounds {
-            let shard = set.shard(&[10, 20, 30]);
-            for i in 0..per_shard {
-                cycle(&shard, (r * per_shard + i) * 1000, 1, true);
-            }
-            set.retire(&shard);
-        }
-        let snap = set.lock_snapshot("l");
-        assert_eq!(snap.events_recorded, rounds * per_shard);
-        assert_eq!(snap.events.len(), RETIRED_EVENTS);
-        assert_eq!(
-            snap.events_dropped,
-            snap.events_recorded - snap.events.len() as u64
-        );
-        assert!(snap
-            .events
-            .windows(2)
-            .all(|w| w[0].timestamp_ns <= w[1].timestamp_ns));
-        // The newest events survive.
-        assert_eq!(
-            snap.events.last().unwrap().timestamp_ns,
-            (rounds * per_shard - 1) * 1000 + 110
-        );
     }
 
     #[test]
@@ -638,9 +511,8 @@ mod tests {
         shard.enter(1000);
         assert_eq!(shard.level_won_stamped(900, true), (1000, 1000));
         assert_eq!(shard.acquired_ns(), 1000);
-        shard.pass(0);
         shard.releasing(1100);
-        shard.commit(7);
+        shard.commit();
         let snap = set.lock_snapshot("l");
         assert_eq!(set.totals().wait, (0, 1));
         assert_eq!(snap.levels[0].acquire_ns.sum, 0);
@@ -649,9 +521,8 @@ mod tests {
         // and the hold starts at the releaser's stamp.
         shard.enter(2000);
         assert_eq!(shard.level_won_stamped(2050, true), (2000, 2050));
-        shard.pass(0);
         shard.releasing(2150);
-        shard.commit(7);
+        shard.commit();
         assert_eq!(set.totals().wait, (50, 2));
         assert_eq!(set.lock_snapshot("l").hold_ns.sum, 200);
     }
@@ -673,10 +544,9 @@ mod tests {
             .collect();
         assert_eq!(waits, vec![(1, 10), (1, 20), (0, 0)]);
         assert_eq!(snap.hold_ns.count, 0);
-        assert_eq!(snap.events_recorded, 0);
         assert_eq!(set.totals().wait, (0, 0));
         // The handle is reusable: the next acquire starts a fresh stash.
-        cycle(&shard, 1000, 1, true);
+        cycle(&shard, 1000, 1);
         let l0 = &set.lock_snapshot("l").levels[0];
         assert_eq!((l0.acquire_ns.count, l0.contended_acquires), (2, 1));
     }

@@ -7,9 +7,9 @@
 //! The design constraints, in order:
 //!
 //! 1. **Wait-free hot path.** A traced transition is one write into a
-//!    thread-local single-writer ring ([`crate::ring`]) — six word stores,
-//!    no allocation, no CAS loop, no shared cache line with any other
-//!    writer. When tracing is disabled (the default at runtime, and
+//!    thread-local single-writer ring (the crate's one seqlock, in
+//!    `ring.rs`) — six word stores, no allocation, no CAS loop, no
+//!    shared cache line with any other writer. When tracing is disabled (the default at runtime, and
 //!    always in non-`obs` builds) the hot path is a single relaxed load.
 //! 2. **Causality is explicit.** A pass records a fresh flow id and
 //!    parks it in the passing node; the inheriting acquire reads it back

@@ -12,8 +12,8 @@
 //! later snapshot's cumulative max — an upper bound for the window, not
 //! the window's own max (a histogram cannot un-see an old maximum); it
 //! still caps quantiles correctly since windowed samples are a subset.
-//! The event list is left empty in a delta — ring events don't subtract;
-//! use the ring (or the tracer) directly for event-level views.
+//! Individual hand-offs are the tracer's ([`crate::trace`]), not a
+//! window's.
 
 use crate::{now_ns, HistSnapshot, LevelSnapshot, LockSnapshot, HIST_BUCKETS};
 
@@ -63,9 +63,8 @@ impl LevelSnapshot {
 
 impl LockSnapshot {
     /// Everything that happened between `earlier` and `self`: per-level
-    /// counter and histogram deltas, hold-time delta, and event totals.
-    /// The per-event list is empty (see module docs). Levels present in
-    /// `self` but not `earlier` pass through unchanged.
+    /// counter and histogram deltas, and the hold-time delta. Levels
+    /// present in `self` but not `earlier` pass through unchanged.
     pub fn delta(&self, earlier: &LockSnapshot) -> LockSnapshot {
         let levels = self
             .levels
@@ -79,9 +78,6 @@ impl LockSnapshot {
             name: self.name.clone(),
             levels,
             hold_ns: self.hold_ns.delta(&earlier.hold_ns),
-            events_recorded: self.events_recorded.saturating_sub(earlier.events_recorded),
-            events_dropped: self.events_dropped.saturating_sub(earlier.events_dropped),
-            events: Vec::new(),
         }
     }
 }
@@ -104,8 +100,6 @@ pub struct WindowRates {
     pub acquire_p99_ns: u64,
     /// p99 critical-section hold time within the window (ns).
     pub hold_p99_ns: u64,
-    /// Ring events lost to overwrite during the window.
-    pub events_dropped: u64,
 }
 
 impl WindowRates {
@@ -122,7 +116,6 @@ impl WindowRates {
             releases_up_per_sec: ups as f64 / secs,
             acquire_p99_ns: delta.levels.first().map_or(0, |l| l.acquire_ns.p99()),
             hold_p99_ns: delta.hold_ns.p99(),
-            events_dropped: delta.events_dropped,
             delta,
         }
     }
@@ -133,14 +126,13 @@ impl std::fmt::Display for WindowRates {
         write!(
             f,
             "{:8.1} ms window: {:>10.0} acq/s  {:>10.0} pass/s  {:>8.0} up/s  \
-             p99 acq {} ns  p99 hold {} ns  drops {}",
+             p99 acq {} ns  p99 hold {} ns",
             self.window_ns as f64 / 1e6,
             self.acquires_per_sec,
             self.passes_per_sec,
             self.releases_up_per_sec,
             self.acquire_p99_ns,
             self.hold_p99_ns,
-            self.events_dropped,
         )
     }
 }
@@ -210,7 +202,6 @@ fn monotone_since(earlier: &LockSnapshot, later: &LockSnapshot) -> bool {
     later.name == earlier.name
         && later.total_acquires() >= earlier.total_acquires()
         && later.hold_ns.count >= earlier.hold_ns.count
-        && later.events_recorded >= earlier.events_recorded
 }
 
 #[cfg(test)]
@@ -245,9 +236,6 @@ mod tests {
             name: "w".into(),
             levels: vec![l0, l1],
             hold_ns: hold.snapshot(),
-            events_recorded: acquires,
-            events_dropped: 0,
-            events: Vec::new(),
         }
     }
 
@@ -265,7 +253,6 @@ mod tests {
             15,
             "bucket-wise subtraction must preserve the count"
         );
-        assert!(d.events.is_empty());
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! with the causal span tracer on, live windowed rates while it runs,
 //! then counters, latency distributions, the trace analysis, all three
 //! export formats, a Perfetto-loadable trace file, the contention
-//! profiler (site registry, wait/hold attribution, folded stacks, and
-//! the waits-for graph verdict), and finally the stuck-thread watchdog
-//! catching a deliberately hogged lock.
+//! profiler (site registry, wait/hold attribution and folded stacks).
 //!
 //! Run with:
 //!
@@ -14,11 +12,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use clof::obs::{
     analyze, profile, registry, render_chrome_trace, render_folded, render_json, render_prometheus,
-    trace, waitgraph, Sampler, Watchdog, WatchdogConfig,
+    trace, Sampler, SpanKind,
 };
 use clof::{ClofParams, DynClofLock, LockKind};
 use clof_topology::platforms;
@@ -108,16 +106,6 @@ fn main() {
     }
     println!();
 
-    println!("=== last pass events ===");
-    for event in snap.events.iter().rev().take(5).rev() {
-        println!(
-            "  t+{:>12} ns  level {}  thread {:>2}  {}",
-            event.timestamp_ns, event.level, event.thread, event.kind
-        );
-    }
-    println!("  ({} recorded, {} dropped)", snap.events_recorded, snap.events_dropped);
-    println!();
-
     println!("=== causal span trace ===");
     let trace_path = std::env::temp_dir().join("clof_obs_demo_trace.json");
     std::fs::write(&trace_path, render_chrome_trace(&span_trace)).expect("write trace file");
@@ -127,6 +115,17 @@ fn main() {
         span_trace.dropped,
         trace_path.display()
     );
+    let decisions: Vec<_> = span_trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, SpanKind::Pass | SpanKind::ReleaseUp { .. }))
+        .collect();
+    for e in &decisions[decisions.len().saturating_sub(5)..] {
+        println!(
+            "  t+{:>12} ns  level {}  thread {:>2}  {:?}",
+            e.start_ns, e.level, e.thread, e.kind
+        );
+    }
     print!("{}", analyze(&span_trace).render());
     println!();
 
@@ -167,59 +166,4 @@ fn main() {
     for line in render_folded(&prof).lines().take(6) {
         println!("    {line}");
     }
-    let report = waitgraph::global().analyze(u64::MAX, u64::MAX);
-    println!(
-        "  waits-for graph: {} waiting, {} findings — {}",
-        report.threads_waiting,
-        report.findings.len(),
-        if report.findings.is_empty() { "clean" } else { "DEADLOCK/INVERSION" }
-    );
-    assert!(report.findings.is_empty(), "quiescent run must be clean");
-    println!();
-
-    // Finally the watchdog: hog the lock from the main thread while a
-    // contender waits, and let the monitor flag the stall (with the
-    // lock's own queue hints as diagnostic context).
-    println!("=== stuck-thread watchdog ===");
-    let watchdog = Watchdog::new(WatchdogConfig {
-        stall_ns: 50_000_000, // 50 ms is "starved" for a demo
-        poll: Duration::from_millis(10),
-        ..WatchdogConfig::default()
-    })
-    .with_diag({
-        let lock = Arc::clone(&lock);
-        move || {
-            let hints: Vec<String> = lock
-                .queue_hints()
-                .into_iter()
-                .map(|(level, waiters)| format!("L{level}:{waiters}"))
-                .collect();
-            format!("queued waiters by level [{}]", hints.join(" "))
-        }
-    })
-    .spawn(|finding, context| {
-        println!("  {}; {context}", finding.detail());
-    });
-
-    let mut holder = lock.handle(0);
-    holder.acquire();
-    let contender = {
-        let lock = Arc::clone(&lock);
-        std::thread::spawn(move || {
-            let mut handle = lock.handle(4);
-            handle.acquire();
-            handle.release();
-        })
-    };
-    // Hold until the watchdog fires (bounded, so a broken watchdog
-    // cannot hang the demo).
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while watchdog.findings() == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    holder.release();
-    contender.join().unwrap();
-    let findings = watchdog.stop();
-    println!("  watchdog flagged {findings} finding(s) while the lock was hogged");
-    assert!(findings >= 1, "watchdog missed a 50ms+ stall");
 }

@@ -42,14 +42,14 @@
 #      (the "traceEvents" exporter string only exists behind `obs`) —
 #      checked before any obs build can overwrite the binary;
 #   5. the obs phase: telemetry release build, the telemetry-vs-oracle
-#      suite, the trace-vs-oracle and histogram property suites, a
-#      16-seed oracle smoke with telemetry on, kvstore windowed stats, a
-#      `clof top --once` smoke, a `clof trace` export/analyze
-#      round-trip, the contention
-#      profiler (marker present in the obs binary and absent from the
-#      default one, `clof profile --once` clean-run smoke, injected
-#      deadlock/inversion detected with non-zero exit, registry
-#      lifecycle suite), the zero-cost assertion that the default
+#      suite, the trace-vs-oracle suite (the tracer's decisions against
+#      the level step's counts, and the analyzer's keep-local bound
+#      check) and the histogram property suite, a 16-seed oracle smoke
+#      with telemetry on, kvstore windowed stats, a `clof trace`
+#      export/analyze round-trip, the contention profiler (marker
+#      present in the obs binary and absent from the default one,
+#      `clof profile --once` smoke, registry lifecycle suite), the
+#      zero-cost assertion that the default
 #      dependency graph (root and clof-bench) carries no clof-obs, the
 #      repo's benchmark smoke (`benchmark/smoke.sh`: both benchmark
 #      binaries built offline, every workload run with --quick, one of
@@ -235,8 +235,7 @@ phase "base locks: owner switches per hand-off (2 pinned threads)" \
 # clof-locks (CachePadded, lock-word padding), clof-core (LevelMeta
 # stripe/owner isolation; the owner block, release-decision counters
 # included, is one line also with the dyn tiers' enum context) and —
-# in the `obs` build — clof-obs (one 128-byte line per thread in the
-# stuck-thread table's `ThreadCell`, line-aligned telemetry `Shard`s and
+# in the `obs` build — clof-obs (line-aligned telemetry `Shard`s and
 # level cells): they fail these *builds*, not a test run, so compiling
 # the crates under every feature mix is the whole check.
 phase "memory-layout const assertions (default)" \
@@ -330,15 +329,12 @@ phase "obs oracle smoke (16 seeds)" \
     oracle_matrix_ticket
 
 # Live telemetry smoke: build the obs-enabled CLI once, prove the tracer
-# marker is now present, take one `top` window, and round-trip a span
-# trace through the Chrome exporter and the analyzer (the trace command
-# itself fails if the keep-local chain bound is violated).
+# marker is now present, and round-trip a span trace through the Chrome
+# exporter and the analyzer (the trace command itself fails if the
+# keep-local chain bound is violated).
 phase "obs clof binary build" cargo build --release -p clof-bench --features obs
 phase "obs binary carries tracer symbols" \
     grep -qa traceEvents target/release/clof
-phase "clof top --once smoke" \
-    ./target/release/clof top --machine armv8 --levels 3 --lock tkt-clh-tkt \
-    --threads 4 --interval-ms 200 --once
 phase "clof trace export/analyze round-trip" \
     sh -c 'out="${TMPDIR:-/tmp}/clof-ci-trace.json"
            ./target/release/clof trace --machine armv8 --levels 3 \
@@ -348,31 +344,15 @@ phase "clof trace export/analyze round-trip" \
            rm -f "$out"'
 
 # Contention-profiler phase: the obs binary must carry the profiler
-# marker, a clean contended run must exit 0 with folded stacks, and the
-# injected deadlock/inversion must be detected (non-zero exit) — the
-# whole detector path from WaitTable to process exit code.
+# marker, and a contended run must exit 0 with its header and folded
+# stacks.
 phase "obs binary carries the profiler marker" \
     grep -qa clof-profile-v1 target/release/clof
-phase "clof profile --once smoke (clean run)" \
+phase "clof profile --once smoke" \
     sh -c 'out=$(./target/release/clof profile --machine armv8 --levels 3 \
                      --lock tkt-clh-tkt --threads 4 --once)
            echo "$out" | grep -q "clof-profile-v1"
-           echo "$out" | grep -q "tkt-clh-tkt;L"
-           echo "$out" | grep -q "verdict: clean"'
-phase "clof profile detects an injected deadlock" \
-    sh -c 'if ./target/release/clof profile --machine armv8 --levels 3 \
-                  --lock tkt-clh-tkt --threads 4 --once --inject-deadlock \
-                  >/dev/null 2>&1; then
-               echo "injected 2-cycle was not detected (exit 0)" >&2
-               exit 1
-           fi'
-phase "clof profile detects an injected H-bound inversion" \
-    sh -c 'if ./target/release/clof profile --machine armv8 --levels 3 \
-                  --lock tkt-clh-tkt --threads 4 --once --inject-inversion \
-                  >/dev/null 2>&1; then
-               echo "injected inversion was not detected (exit 0)" >&2
-               exit 1
-           fi'
+           echo "$out" | grep -q "tkt-clh-tkt;L"'
 phase "obs registry lifecycle suite" \
     cargo test -q --features obs --test profile_registry
 
@@ -408,7 +388,7 @@ phase "adapt handover mutant-kill" \
 phase "adapt kvstore hot-swap suite" \
     cargo test -q -p clof-kvstore --features adapt,obs
 # Migrations must leave their trail in the audit ring (the audit tail
-# `clof top` and `clof adapt` print).
+# `clof adapt` prints).
 phase "adapt audit-ring migration records" \
     cargo test -q -p clof-core --features adapt,obs \
     completed_swap_is_recorded_in_the_audit_ring
